@@ -181,16 +181,11 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties getting the average rank of their run."""
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], len(values)) - 1
     ranks = np.empty(len(values), dtype=float)
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = avg
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 

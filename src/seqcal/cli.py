@@ -13,7 +13,8 @@ Layout under --out:
     vocab.json               vocabulary for every later stage
     train.jsonl dev.jsonl test.jsonl
     models/<method>.json     trained member bundle
-    preds/<method>.jsonl     decoded predictions for the eval split
+    preds/<method>.jsonl     decoded test predictions, the ones eval scores
+    preds/<split>/<method>.jsonl  decoded train or dev predictions
     reports/*.csv            calibration, correlation, selection reports
 
 Every stochastic choice derives from the single top-level seed, so a
@@ -399,8 +400,12 @@ class OutDir:
     def model_bundle(self, method: str):
         return self.path("models", f"{method}.json")
 
-    def predictions(self, method: str):
-        return self.path("preds", f"{method}.jsonl")
+    def predictions(self, method: str, split: str = "test"):
+        """Test predictions sit directly under preds/, the ones eval reads;
+        other splits get their own subdirectory so they never replace them."""
+        if split == "test":
+            return self.path("preds", f"{method}.jsonl")
+        return self.path("preds", split, f"{method}.jsonl")
 
     def report(self, name: str):
         return self.path("reports", name)
@@ -479,7 +484,6 @@ def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> No
     vocab = read_vocabulary(out.vocab)
     sha = vocabulary_sha256(vocab)
     examples = read_records(out.split(split))
-    out.ensure("preds")
     for method in _resolve_methods(method_arg):
         bundle_path = out.model_bundle(method)
         if not os.path.exists(bundle_path):
@@ -497,9 +501,10 @@ def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> No
             members, examples, config.posterior_config(),
             run_seed=config.run_seed(method),
         )
-        write_predictions(preds, out.predictions(method))
-        print(f"decoded {len(preds)} examples with {method} -> "
-              f"{out.predictions(method)}")
+        path = out.predictions(method, split)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_predictions(preds, path)
+        print(f"decoded {len(preds)} examples with {method} -> {path}")
 
 
 def _eval_one_method(method, joined, config: RunConfig, gaps):

@@ -22,6 +22,16 @@ cap are closed with a forced eos score.  Stored hypotheses and per-token
 log-probabilities exclude the terminal eos; the eos log-probability is
 kept alongside so every ranking score can be reproduced.
 
+Decoding is batched over examples: `decode_corpus` runs one search over
+the whole split, keeping the beam state as arrays over examples x live
+hypotheses, with one member pass per (step, stochastic unit).  Its records
+are bit-identical to decoding each example on its own, and that is kept
+on purpose: the member pass feeds BLAS stacked (n, live, K) operands, one
+GEMM per example at the one-example (live, K) shape, because a GEMM's
+per-row results depend on its row count, and a last-bit change in a
+log-probability can reorder near-tied hypotheses.  `beam_decode` and
+`step_distributions` are the same code on a single example.
+
 Sequence uncertainty is the length-normalized total log-probability
 including the eos step,
 
@@ -42,13 +52,15 @@ from .corpus import TokenSeq
 from .errors import ConfigurationError, InputError, ParseError, ValidationError
 from .model import (
     TrainedModel,
+    _check_tokens,
     _hidden_rows,
+    _mean_embedding,
+    _output_logits,
+    _softmax_rows,
     dropout_mask,
-    gp_features,
     mean_field_logits,
     predictive_variance,
     uses_dropout,
-    uses_gp,
 )
 from .rng import derive_seed
 from .rouge import score_quality
@@ -115,45 +127,76 @@ def _check_members(members) -> tuple[TrainedModel, ...]:
     return members
 
 
-def _mean_rows(embed: np.ndarray, token_rows, bos_id: int) -> np.ndarray:
-    out = np.empty((len(token_rows), embed.shape[1]))
-    for i, tokens in enumerate(token_rows):
-        if len(tokens) == 0:
-            out[i] = embed[bos_id]
-        else:
-            out[i] = embed[np.asarray(tokens, dtype=int)].mean(axis=0)
-    return out
+def _prefix_states(embed: np.ndarray, tokens: np.ndarray, bos_id: int) -> np.ndarray:
+    """Mean prefix embeddings for equal-length prefixes, tokens (n, live, t).
+
+    The sum runs from zero in token order and is then divided by the
+    length, which is exactly how `embed[idx].mean(axis=0)` reduces, so the
+    states keep their bits.  Empty prefixes take the bos embedding.
+    """
+    n, live, t = tokens.shape
+    if t == 0:
+        return np.broadcast_to(embed[bos_id], (n, live, embed.shape[1]))
+    total = np.zeros((n, live, embed.shape[1]))
+    for j in range(t):
+        total += embed[tokens[:, :, j]]
+    return total / t
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _member_pass(model: TrainedModel, ctx, states, mask, be_member: int) -> np.ndarray:
+    """Probability rows (n, live, vocab) for one stochastic unit over every
+    live prefix of every example: ctx (n, d), states (n, live, d), and an
+    optional per-example dropout mask (n, hidden).
 
-
-def _member_prob_rows(model: TrainedModel, input_tokens, prefixes, mask, be_member):
-    """Probability rows for one stochastic unit: one model pass over all
-    prefixes, optionally masked (shared mask) or member-modulated."""
-    dims = model.dims
-    params = model.params
-    ctx = _mean_rows(params.embed, [tuple(input_tokens)], dims.bos_id)
-    pre = _mean_rows(params.embed, prefixes, dims.bos_id)
-    z = np.concatenate([np.repeat(ctx, len(prefixes), axis=0), pre], axis=1)
+    The matmuls take stacked (n, live, K) operands, so BLAS runs once per
+    example at the (live, K) shape a one-example decode uses.  Flattening
+    to (n * live, K) would change the GEMM row count, and with it the last
+    bit of some rows.  The Cholesky solve and the elementwise steps do not
+    depend on the row count, so those run flattened.
+    """
+    n, live, d = states.shape
+    z = np.concatenate([np.broadcast_to(ctx[:, None, :], (n, live, d)), states], axis=2)
     member_weights = None
     if model.be_state is not None:
         member_weights = (model.be_state.r[be_member], model.be_state.s[be_member])
-    h = _hidden_rows(params, z, member_weights)["h_raw"]
+    h = _hidden_rows(model.params, z, member_weights)["h_raw"]
     if mask is not None:
-        h = h * mask
-    if model.sngp_state is None:
-        logits = h @ params.w_o.T + params.b_o
-    else:
-        state = model.sngp_state
-        phi = gp_features(h, state)
-        logits = phi @ state.beta.T
-        sigma2 = predictive_variance(state, phi)
+        h = h * mask[:, None, :]
+    logits, phi = _output_logits(model.params, model.sngp_state, h)
+    logits = logits.reshape(n * live, -1)
+    if phi is not None:
+        sigma2 = predictive_variance(model.sngp_state, phi.reshape(n * live, -1))
         logits = mean_field_logits(logits, sigma2, model.config.sngp.mean_field_factor)
-    return _softmax_rows(logits)
+    return _softmax_rows(logits).reshape(n, live, -1)
+
+
+def _posterior_rows(members, ctxs, states, *, run_seed: int, example_ids, step: int):
+    """Posterior-mean next-token rows (n, live, vocab): the mean of the
+    member pass over every stochastic unit.  ctxs and states hold one
+    array per member model.
+
+    Dropout samples draw one mask per (example, step, sample index), shared
+    by all of that example's prefixes, so hypotheses inside one beam step
+    see the same subnetwork and remain comparable.
+    """
+    config = members[0].config
+    if uses_dropout(config.method) and config.dropout_rate > 0.0:
+        units = []
+        for m in range(config.samples):
+            masks = np.stack([
+                dropout_mask(derive_seed(run_seed, "mcd", eid, step, m),
+                             config.dropout_rate, members[0].dims.hidden_dim)
+                for eid in example_ids
+            ])
+            units.append((0, masks, 0))
+    elif config.method == "be":
+        units = [(0, None, k) for k in range(config.be_size)]
+    else:
+        units = [(i, None, 0) for i in range(len(members))]
+    total = np.zeros(states[0].shape[:2] + (members[0].dims.vocab_size,))
+    for i, mask, be_member in units:
+        total += _member_pass(members[i], ctxs[i], states[i], mask, be_member)
+    return total / len(units)
 
 
 def step_distributions(
@@ -167,42 +210,23 @@ def step_distributions(
 ) -> np.ndarray:
     """Posterior-mean next-token distributions, one row per prefix.
 
-    Dropout samples share one mask per (step, sample index) across all
-    prefixes, so hypotheses inside one beam step see the same subnetwork
-    and remain comparable.
+    The decoder's member pass on one example, so prefixes may differ in
+    length here.
     """
     members = _check_members(members)
-    config = members[0].config
     dims = members[0].dims
-    for t in tuple(input_tokens):
-        if not 0 <= int(t) < dims.vocab_size:
-            raise InputError(f"input token id {t} outside 0..{dims.vocab_size - 1}")
-    for tokens in prefixes:
-        for t in tuple(tokens):
-            if not 0 <= int(t) < dims.vocab_size:
-                raise InputError(f"prefix token id {t} outside 0..{dims.vocab_size - 1}")
+    _check_tokens(input_tokens, dims.vocab_size, "input")
     prefixes = [tuple(p) for p in prefixes]
+    for tokens in prefixes:
+        _check_tokens(tokens, dims.vocab_size, "prefix")
     if not prefixes:
         raise InputError("step_distributions needs at least one prefix")
-    total = np.zeros((len(prefixes), dims.vocab_size))
-    count = 0
-    if uses_dropout(config.method) and config.dropout_rate > 0.0:
-        model = members[0]
-        for m in range(config.samples):
-            mask_seed = derive_seed(run_seed, "mcd", example_id, step, m)
-            mask = dropout_mask(mask_seed, config.dropout_rate, dims.hidden_dim)
-            total += _member_prob_rows(model, input_tokens, prefixes, mask, 0)
-            count += 1
-    elif config.method == "be":
-        model = members[0]
-        for k in range(config.be_size):
-            total += _member_prob_rows(model, input_tokens, prefixes, None, k)
-            count += 1
-    else:
-        for model in members:
-            total += _member_prob_rows(model, input_tokens, prefixes, None, 0)
-            count += 1
-    return total / count
+    ctxs = [_mean_embedding(m.params.embed, tuple(input_tokens), dims.bos_id)[None]
+            for m in members]
+    states = [np.stack([_mean_embedding(m.params.embed, p, dims.bos_id) for p in prefixes])[None]
+              for m in members]
+    return _posterior_rows(members, ctxs, states, run_seed=run_seed,
+                           example_ids=(example_id,), step=step)[0]
 
 
 def posterior_mean_dist(
@@ -220,11 +244,86 @@ def uncertainty_score(token_logp, eos_logp: float) -> float:
     return (math.fsum(token_logp) + float(eos_logp)) / (len(tuple(token_logp)) + 1)
 
 
-@dataclass(frozen=True)
-class _Hyp:
-    tokens: TokenSeq
-    logps: tuple[float, ...]
-    total: float
+def _sorted_by(key: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Per-row order of (key, tokens...) ascending: key (n, c), tokens
+    (n, c, t).  Token columns break key ties lexicographically."""
+    columns = [tokens[:, :, j] for j in range(tokens.shape[2] - 1, -1, -1)]
+    return np.lexsort(columns + [key], axis=-1)
+
+
+def _search(members, inputs, example_ids, config: PosteriorConfig, run_seed: int,
+            dist_hook=None) -> tuple[PredictionRecord, ...]:
+    """Beam search over all examples at once.
+
+    The beam state is arrays over examples x live hypotheses: tokens and
+    per-token log-probs (n, live, max_len) and running totals (n, live).
+    Every example has the same live count at every step, so the arrays
+    stay rectangular.  Unused token positions hold -1, so a hypothesis
+    sorts before its extensions, as tuples do.  dist_hook(step, tokens,
+    dists) sees each (n, live, vocab) batch of distributions.
+    """
+    members = _check_members(members)
+    dims = members[0].dims
+    for x in inputs:
+        _check_tokens(x, dims.vocab_size, "input")
+    n = len(inputs)
+    if n == 0:
+        return ()
+    width = config.max_len
+    eos = dims.eos_id
+    content = np.array([v for v in range(dims.vocab_size) if v != eos])
+    ctxs = [np.stack([_mean_embedding(m.params.embed, tuple(x), dims.bos_id) for x in inputs])
+            for m in members]
+    rows = np.arange(n)[:, None]
+    tokens = np.full((n, 1, width), -1)
+    logps = np.zeros((n, 1, width))
+    totals = np.zeros((n, 1))
+    closed = []  # (tokens, logps, totals, eos log-prob) for each step from 1 on
+    for step in range(width + 1):
+        prefixes = tokens[:, :, :step]
+        states = [_prefix_states(m.params.embed, prefixes, dims.bos_id) for m in members]
+        dists = _posterior_rows(members, ctxs, states, run_seed=run_seed,
+                                example_ids=example_ids, step=step)
+        if dist_hook is not None:
+            dist_hook(step, prefixes, dists)
+        logd = np.log(dists)
+        # eos closes every hypothesis from length 1 on; at the cap it is forced
+        if step > 0:
+            closed.append((tokens, logps, totals, logd[:, :, eos]))
+        if step == width:
+            break
+        live = tokens.shape[1]
+        parent = np.repeat(np.arange(live), len(content))
+        cand_logp = logd[:, :, content].reshape(n, -1)
+        cand_total = totals[:, parent] + cand_logp
+        cand_tokens = tokens[:, parent]
+        cand_tokens[:, :, step] = np.tile(content, live)
+        key = -(cand_total / (step + 1)) if config.prune_length_norm else -cand_total
+        keep = _sorted_by(key, cand_tokens)[:, : config.beam_size]
+        tokens = cand_tokens[rows, keep]
+        logps = logps[rows, parent[keep]]
+        logps[:, :, step] = cand_logp[rows, keep]
+        totals = cand_total[rows, keep]
+
+    tokens, logps, totals, eos_logp = (np.concatenate(part, axis=1) for part in zip(*closed))
+    lengths = np.repeat(np.arange(1, width + 1), [c[0].shape[1] for c in closed])
+    score = totals + eos_logp
+    if config.length_norm:
+        score = score / (lengths + 1)
+    best = _sorted_by(-score, tokens)[:, 0]
+    out = []
+    for e, j in enumerate(best.tolist()):
+        length = int(lengths[j])
+        token_logp = tuple(logps[e, j, :length].tolist())
+        eos_lp = float(eos_logp[e, j])
+        out.append(PredictionRecord(
+            id=example_ids[e],
+            hypothesis=tuple(tokens[e, j, :length].tolist()),
+            token_logp=token_logp,
+            eos_logp=eos_lp,
+            uncertainty=uncertainty_score(token_logp, eos_lp),
+        ))
+    return tuple(out)
 
 
 def beam_decode(
@@ -236,86 +335,32 @@ def beam_decode(
     example_id: str,
     dist_hook=None,
 ) -> PredictionRecord:
-    """Beam search over posterior-mean distributions.
+    """Beam search over posterior-mean distributions for one example.
 
     eos is never a candidate at the first step, so every hypothesis emits
     at least one token; hypotheses reaching max_len are closed with the
     eos score of their final state.  dist_hook(step, prefixes, dists) sees
     every distribution batch the search evaluates.
     """
-    members = _check_members(members)
-    eos = members[0].dims.eos_id
-    live = [_Hyp(tokens=(), logps=(), total=0.0)]
-    completed: list[tuple[_Hyp, float]] = []
-    vocab = members[0].dims.vocab_size
-    for step in range(config.max_len):
-        prefixes = [h.tokens for h in live]
-        dists = step_distributions(
-            members, input_tokens, prefixes,
-            run_seed=run_seed, example_id=example_id, step=step,
-        )
-        if dist_hook is not None:
-            dist_hook(step, prefixes, dists)
-        logd = np.log(dists)
-        candidates = []
-        for i, h in enumerate(live):
-            if step > 0:
-                completed.append((h, float(logd[i, eos])))
-            for v in range(vocab):
-                if v == eos:
-                    continue
-                lp = float(logd[i, v])
-                candidates.append(
-                    _Hyp(tokens=h.tokens + (v,), logps=h.logps + (lp,), total=h.total + lp)
-                )
-        if config.prune_length_norm:
-            key = lambda c: (-(c.total / len(c.tokens)), c.tokens)
-        else:
-            key = lambda c: (-c.total, c.tokens)
-        candidates.sort(key=key)
-        live = candidates[: config.beam_size]
-    final_prefixes = [h.tokens for h in live]
-    dists = step_distributions(
-        members, input_tokens, final_prefixes,
-        run_seed=run_seed, example_id=example_id, step=config.max_len,
-    )
+    hook = None
     if dist_hook is not None:
-        dist_hook(config.max_len, final_prefixes, dists)
-    logd = np.log(dists)
-    for i, h in enumerate(live):
-        completed.append((h, float(logd[i, eos])))
-
-    def final_key(item):
-        h, eos_lp = item
-        total = h.total + eos_lp
-        if config.length_norm:
-            score = total / (len(h.tokens) + 1)
-        else:
-            score = total
-        return (-score, h.tokens)
-
-    best, best_eos = min(completed, key=final_key)
-    return PredictionRecord(
-        id=example_id,
-        hypothesis=best.tokens,
-        token_logp=best.logps,
-        eos_logp=best_eos,
-        uncertainty=uncertainty_score(best.logps, best_eos),
-    )
+        def hook(step, tokens, dists):
+            dist_hook(step, [tuple(p) for p in tokens[0].tolist()], dists[0])
+    return _search(members, [tuple(input_tokens)], [example_id], config, run_seed,
+                   dist_hook=hook)[0]
 
 
 def decode_corpus(members, examples, config: PosteriorConfig, run_seed: int,
                   on_example=None) -> tuple[PredictionRecord, ...]:
-    """Decode every example; on_example(index, record) reports progress."""
-    out = []
-    for i, ex in enumerate(examples):
-        rec = beam_decode(
-            members, ex.input, config, run_seed=run_seed, example_id=ex.id
-        )
-        out.append(rec)
-        if on_example is not None:
+    """Decode every example in one batched search; on_example(index,
+    record) reports each record afterwards, in example order."""
+    examples = list(examples)
+    records = _search(members, [tuple(ex.input) for ex in examples],
+                      [ex.id for ex in examples], config, run_seed)
+    if on_example is not None:
+        for i, rec in enumerate(records):
             on_example(i, rec)
-    return tuple(out)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -267,3 +267,61 @@ def exhaustive_oracle(members, input_tokens, config, run_seed, example_id):
             best_key = key
             best = (seq, tuple(logps), eos_lp)
     return best
+
+
+def beam_oracle(members, input_tokens, config, run_seed, example_id):
+    """One-example beam search with python lists, one step_distributions
+    call per step.  The batched decoder must reproduce its records
+    exactly, floats included."""
+    from seqcal.inference import PredictionRecord, step_distributions, uncertainty_score
+
+    eos = members[0].dims.eos_id
+    vocab = members[0].dims.vocab_size
+    # (tokens, per-token log-probs, running total)
+    live = [((), (), 0.0)]
+    completed = []
+    for step in range(config.max_len):
+        prefixes = [tokens for tokens, _, _ in live]
+        dists = step_distributions(
+            members, input_tokens, prefixes,
+            run_seed=run_seed, example_id=example_id, step=step,
+        )
+        logd = np.log(dists)
+        candidates = []
+        for i, (tokens, logps, total) in enumerate(live):
+            if step > 0:
+                completed.append((tokens, logps, total, float(logd[i, eos])))
+            for v in range(vocab):
+                if v == eos:
+                    continue
+                lp = float(logd[i, v])
+                candidates.append((tokens + (v,), logps + (lp,), total + lp))
+        if config.prune_length_norm:
+            key = lambda c: (-(c[2] / len(c[0])), c[0])
+        else:
+            key = lambda c: (-c[2], c[0])
+        candidates.sort(key=key)
+        live = candidates[: config.beam_size]
+    final_prefixes = [tokens for tokens, _, _ in live]
+    dists = step_distributions(
+        members, input_tokens, final_prefixes,
+        run_seed=run_seed, example_id=example_id, step=config.max_len,
+    )
+    logd = np.log(dists)
+    for i, (tokens, logps, total) in enumerate(live):
+        completed.append((tokens, logps, total, float(logd[i, eos])))
+
+    def final_key(item):
+        tokens, _, total, eos_lp = item
+        total = total + eos_lp
+        score = total / (len(tokens) + 1) if config.length_norm else total
+        return (-score, tokens)
+
+    tokens, logps, _, eos_lp = min(completed, key=final_key)
+    return PredictionRecord(
+        id=example_id,
+        hypothesis=tokens,
+        token_logp=logps,
+        eos_logp=eos_lp,
+        uncertainty=uncertainty_score(logps, eos_lp),
+    )

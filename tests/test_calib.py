@@ -6,13 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import abstention_oracle, auc_oracle, ece_oracle, spearman_oracle
+from oracles import (
+    abstention_oracle,
+    auc_oracle,
+    ece_oracle,
+    ranks_oracle,
+    spearman_oracle,
+)
 from seqcal.calib import (
     AbstentionCurve,
     BootstrapResult,
     EceConfig,
     RocConfig,
     ScoredPair,
+    _average_ranks,
     abstention_curve,
     bootstrap_std,
     ece,
@@ -195,6 +202,16 @@ class TestSpearman:
                 continue
             assert spearman(u, q) == pytest.approx(spearman_oracle(u, q), abs=1e-12)
             checked += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([-2.5, -0.0, 0.0, 0.125, 1.0, 3.0, 1e300]), max_size=40
+        )
+    )
+    def test_average_ranks_equal_oracle_exactly(self, values):
+        # a small value set makes ties common; ranks are exact half-integers
+        assert _average_ranks(values).tolist() == ranks_oracle(values)
 
     @settings(max_examples=150, deadline=None)
     @given(

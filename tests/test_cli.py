@@ -13,6 +13,7 @@ from seqcal.cli import (
 )
 from seqcal.corpus import make_vocabulary, read_records
 from seqcal.errors import ConfigurationError
+from seqcal.inference import read_predictions
 from seqcal.model import METHODS
 from seqcal.training import read_bundle
 
@@ -206,6 +207,18 @@ class TestPipeline:
         for p, blob in first.items():
             assert open(p, "rb").read() == blob, p
 
+    def test_infer_other_split_keeps_test_predictions(self, tmp_path):
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        test_preds = os.path.join(out, "preds", "base.jsonl")
+        before = open(test_preds, "rb").read()
+        assert main(["infer", "--config", cfg_path, "--out", out,
+                     "--method", "base", "--split", "dev"]) == 0
+        dev_preds = os.path.join(out, "preds", "dev", "base.jsonl")
+        assert [r.id for r in read_predictions(dev_preds)] == [
+            r.id for r in read_records(os.path.join(out, "dev.jsonl"))]
+        assert open(test_preds, "rb").read() == before
+        assert main(["eval", "--config", cfg_path, "--out", out]) == 0
+
     def test_bundle_carries_method_config(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
@@ -273,6 +286,8 @@ class TestOutDir:
         out = OutDir(str(tmp_path / "x"))
         assert out.model_bundle("mcd").endswith(os.path.join("models", "mcd.json"))
         assert out.predictions("de").endswith(os.path.join("preds", "de.jsonl"))
+        assert out.predictions("de", "test") == out.predictions("de")
+        assert out.predictions("de", "dev").endswith(os.path.join("preds", "dev", "de.jsonl"))
         assert out.report("ece.csv").endswith(os.path.join("reports", "ece.csv"))
         out.ensure("models")
         assert os.path.isdir(out.path("models"))

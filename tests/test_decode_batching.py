@@ -1,0 +1,145 @@
+"""The batched decoder against the one-example search, record for record.
+
+Records are compared with plain equality, so every float must match to
+the last bit.  Batched decoding stacks all examples into one member pass
+per step and stochastic unit; any change in the BLAS row count of a
+matmul shifts the last bit of some log-probabilities, and near-ties then
+pick different hypotheses.  The batch-invariance tests catch that even
+where the one-example oracle shares the bug.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import beam_oracle
+from seqcal.corpus import TaskSpec, generate_corpus, make_vocabulary
+from seqcal.errors import InputError
+from seqcal.inference import PosteriorConfig, beam_decode, decode_corpus
+from seqcal.model import (
+    METHODS,
+    MethodConfig,
+    ModelDims,
+    SngpConfig,
+    finalize_covariance,
+    init_model,
+    is_deep_ensemble,
+    uses_gp,
+)
+from seqcal.training import TrainHyper, train_method
+
+VOCAB = 14
+DIMS = ModelDims(vocab_size=VOCAB, embed_dim=16, hidden_dim=32)
+RUN_SEED = 17
+
+CONFIGS = {
+    "beam3": PosteriorConfig(beam_size=3, max_len=4),
+    "greedy": PosteriorConfig(beam_size=1, max_len=4),
+    "wide-raw": PosteriorConfig(beam_size=VOCAB + 2, max_len=3, length_norm=False),
+    "prune-norm": PosteriorConfig(beam_size=3, max_len=4, prune_length_norm=True),
+    "prune-norm-raw": PosteriorConfig(beam_size=2, max_len=5, length_norm=False,
+                                      prune_length_norm=True),
+}
+
+
+def method_config(method):
+    seeds = (3, 4, 5) if is_deep_ensemble(method) else ()
+    return MethodConfig(method=method, samples=3, dropout_rate=0.3, be_size=3,
+                        sngp=SngpConfig(rff_dim=64, power_iters=20), seeds=seeds)
+
+
+@pytest.fixture(scope="module")
+def examples():
+    vocab = make_vocabulary(VOCAB)
+    spec = TaskSpec(kind="copy", input_len=4, output_len=4, seed=2)
+    return generate_corpus(spec, 40, vocab)
+
+
+@pytest.fixture(scope="module")
+def trained(examples):
+    hyper = TrainHyper(steps=40, batch_size=16, learning_rate=0.5)
+    return {
+        method: train_method(examples[:28], DIMS, method_config(method), hyper,
+                             seed=1, vocab_sha256="v")
+        for method in METHODS
+    }
+
+
+def untrained(method, zero=False):
+    config = method_config(method)
+    seeds = config.seeds or (0,)
+    members = tuple(init_model(DIMS, config, s) for s in seeds)
+    for m in members:
+        if uses_gp(method):
+            m.sngp_state = finalize_covariance(m.sngp_state)
+        if zero:
+            # all logits zero: uniform rows, so every score ties exactly
+            # and only the token order decides
+            for array in (m.params.embed, m.params.w_h, m.params.b_h,
+                          m.params.w_o, m.params.b_o,
+                          getattr(m.sngp_state, "beta", None)):
+                if array is not None:
+                    array[:] = 0.0
+    return members
+
+
+def oracle_records(members, examples, config):
+    return tuple(beam_oracle(members, ex.input, config, RUN_SEED, ex.id)
+                 for ex in examples)
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("method", METHODS)
+def test_trained_models_match_oracle(trained, examples, method, config_name):
+    config = CONFIGS[config_name]
+    test = examples[28:]
+    got = decode_corpus(trained[method], test, config, RUN_SEED)
+    assert got == oracle_records(trained[method], test, config)
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["init", "zero"])
+@pytest.mark.parametrize("method", METHODS)
+def test_untrained_models_match_oracle(examples, method, zero):
+    members = untrained(method, zero=zero)
+    test = examples[:8]
+    for config in (CONFIGS["beam3"], CONFIGS["wide-raw"], CONFIGS["prune-norm"]):
+        assert decode_corpus(members, test, config, RUN_SEED) == oracle_records(
+            members, test, config)
+
+
+def test_uniform_rows_pick_smallest_tokens(examples):
+    # uniform rows tie every candidate of one length, so the token order
+    # decides; unnormalized scores fall with length, so one token wins
+    members = untrained("base", zero=True)
+    config = PosteriorConfig(beam_size=3, max_len=4, length_norm=False)
+    for rec in decode_corpus(members, examples[:5], config, RUN_SEED):
+        assert rec.hypothesis == (0,)
+        assert rec.token_logp == (float(np.log(1.0 / VOCAB)),)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_batch_invariance(trained, examples, method):
+    members = trained[method]
+    config = CONFIGS["beam3"]
+    full = {r.id: r for r in decode_corpus(members, examples, config, RUN_SEED)}
+    reversed_ = decode_corpus(members, examples[::-1], config, RUN_SEED)
+    subset = decode_corpus(members, examples[1::3], config, RUN_SEED)
+    single = decode_corpus(members, examples[5:6], config, RUN_SEED)
+    for rec in reversed_ + subset + single:
+        assert rec == full[rec.id]
+    assert [r.id for r in reversed_] == [ex.id for ex in examples[::-1]]
+
+
+def test_beam_decode_is_one_example_batch(trained, examples):
+    members = trained["sngp_mcd"]
+    config = CONFIGS["beam3"]
+    batch = decode_corpus(members, examples[:6], config, RUN_SEED)
+    for ex, rec in zip(examples[:6], batch):
+        assert beam_decode(members, ex.input, config, run_seed=RUN_SEED,
+                           example_id=ex.id) == rec
+
+
+def test_empty_corpus_and_bad_input(trained, examples):
+    members = trained["base"]
+    assert decode_corpus(members, [], CONFIGS["beam3"], RUN_SEED) == ()
+    with pytest.raises(InputError, match="input token"):
+        beam_decode(members, (3, VOCAB), CONFIGS["beam3"], run_seed=0, example_id="x")
