@@ -23,7 +23,7 @@ depend on summation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,24 +60,6 @@ class EceConfig:
             raise ConfigurationError(
                 f"ece level must be 'sequence' or 'token', got {self.level!r}"
             )
-
-
-@dataclass(frozen=True)
-class RocConfig:
-    """Per-metric quality thresholds separating good from bad outputs."""
-
-    thresholds: dict = field(
-        default_factory=lambda: {"rouge1": 40.0, "rouge2": 15.0, "rougeL": 30.0}
-    )
-
-    def __post_init__(self):
-        for key, theta in self.thresholds.items():
-            if key not in QUALITY_KEYS:
-                raise ConfigurationError(f"unknown quality metric {key!r} in roc thresholds")
-            if not 0.0 <= float(theta) <= 100.0:
-                raise ConfigurationError(
-                    f"roc threshold for {key} must lie in [0, 100], got {theta}"
-                )
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from .calib import (
     write_roc_csv,
 )
 from .corpus import (
+    MAX_SEED,
     TaskSpec,
     generate_corpus,
     make_vocabulary,
@@ -87,8 +88,6 @@ from .training import (
     train_method,
     write_bundle,
 )
-
-MAX_SEED = 2**64 - 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ candidate is always a fully terminated sequence: eos is one of the scored
 continuations from length 1 on, and hypotheses still alive at the length
 cap are closed with a forced eos score.  Stored hypotheses and per-token
 log-probabilities exclude the terminal eos; the eos log-probability is
-kept alongside so every ranking score can be reproduced.
+kept alongside so every ranking score can be reproduced.  A member pass
+whose logits are not finite stops decoding with NumericalStateError, and
+prediction files with NaN or infinite scores are refused on reading.
 
 Decoding is batched over examples: `decode_corpus` runs one search over
 the whole split, keeping the beam state as arrays over examples x live
@@ -44,20 +46,26 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import TokenSeq
-from .errors import ConfigurationError, InputError, ParseError, ValidationError
+from .errors import (
+    ConfigurationError,
+    InputError,
+    NumericalStateError,
+    ParseError,
+    ValidationError,
+)
 from .model import (
     TrainedModel,
     _check_tokens,
-    _hidden_rows,
     _mean_embedding,
-    _output_logits,
     _softmax_rows,
     dropout_mask,
+    forward,
     mean_field_logits,
     predictive_variance,
     uses_dropout,
@@ -156,17 +164,15 @@ def _member_pass(model: TrainedModel, ctx, states, mask, be_member: int) -> np.n
     """
     n, live, d = states.shape
     z = np.concatenate([np.broadcast_to(ctx[:, None, :], (n, live, d)), states], axis=2)
-    member_weights = None
-    if model.be_state is not None:
-        member_weights = (model.be_state.r[be_member], model.be_state.s[be_member])
-    h = _hidden_rows(model.params, z, member_weights)["h_raw"]
-    if mask is not None:
-        h = h * mask[:, None, :]
-    logits, phi = _output_logits(model.params, model.sngp_state, h)
-    logits = logits.reshape(n * live, -1)
-    if phi is not None:
-        sigma2 = predictive_variance(model.sngp_state, phi.reshape(n * live, -1))
+    out = forward(model, z, be_member=be_member,
+                  mask=None if mask is None else mask[:, None, :])
+    logits = out["logits"].reshape(n * live, -1)
+    if out["phi"] is not None:
+        sigma2 = predictive_variance(model.sngp_state, out["phi"].reshape(n * live, -1))
         logits = mean_field_logits(logits, sigma2, model.config.sngp.mean_field_factor)
+    if not np.all(np.isfinite(logits)):
+        raise NumericalStateError(
+            f"{model.config.method} decode pass produced non-finite logits")
     return _softmax_rows(logits).reshape(n, live, -1)
 
 
@@ -227,16 +233,6 @@ def step_distributions(
               for m in members]
     return _posterior_rows(members, ctxs, states, run_seed=run_seed,
                            example_ids=(example_id,), step=step)[0]
-
-
-def posterior_mean_dist(
-    members, input_tokens, prefix_tokens, *, run_seed: int, example_id: str, step: int
-) -> np.ndarray:
-    """Posterior-mean distribution for a single prefix."""
-    return step_distributions(
-        members, input_tokens, [tuple(prefix_tokens)],
-        run_seed=run_seed, example_id=example_id, step=step,
-    )[0]
 
 
 def uncertainty_score(token_logp, eos_logp: float) -> float:
@@ -350,17 +346,12 @@ def beam_decode(
                    dist_hook=hook)[0]
 
 
-def decode_corpus(members, examples, config: PosteriorConfig, run_seed: int,
-                  on_example=None) -> tuple[PredictionRecord, ...]:
-    """Decode every example in one batched search; on_example(index,
-    record) reports each record afterwards, in example order."""
+def decode_corpus(members, examples, config: PosteriorConfig,
+                  run_seed: int) -> tuple[PredictionRecord, ...]:
+    """Decode every example in one batched search, in example order."""
     examples = list(examples)
-    records = _search(members, [tuple(ex.input) for ex in examples],
-                      [ex.id for ex in examples], config, run_seed)
-    if on_example is not None:
-        for i, rec in enumerate(records):
-            on_example(i, rec)
-    return records
+    return _search(members, [tuple(ex.input) for ex in examples],
+                   [ex.id for ex in examples], config, run_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +377,18 @@ def write_predictions(records, path) -> None:
             fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
+def _is_finite_number(x) -> bool:
+    """A JSON number that float64 holds as a finite value (json reads NaN,
+    Infinity and out-of-range exponents as non-finite floats)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return math.isfinite(x) if isinstance(x, float) else abs(x) <= sys.float_info.max
+
+
 def _float_list(payload, key, lineno):
     value = payload[key]
-    if not isinstance(value, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-    ):
-        raise ParseError(f"field {key!r} must be a list of numbers", line=lineno)
+    if not isinstance(value, list) or not all(_is_finite_number(x) for x in value):
+        raise ParseError(f"field {key!r} must be a list of finite numbers", line=lineno)
     return tuple(float(x) for x in value)
 
 
@@ -437,8 +434,8 @@ def read_predictions(path) -> tuple[PredictionRecord, ...]:
                     line=lineno,
                 )
             for key in ("eos_logp", "uncertainty"):
-                if not isinstance(payload[key], (int, float)) or isinstance(payload[key], bool):
-                    raise ParseError(f"field {key!r} must be a number", line=lineno)
+                if not _is_finite_number(payload[key]):
+                    raise ParseError(f"field {key!r} must be a finite number", line=lineno)
             out.append(
                 PredictionRecord(
                     id=rec_id,

@@ -24,9 +24,18 @@ Heads modify this skeleton:
   dropout          inverted dropout on the hidden activation only, active
                    for the mc-dropout method variants
 
-All arrays are float64.  Forward passes here return raw logits; the
-posterior machinery in inference.py applies mean-field scaling and the
-softmax.
+All arrays are float64.  `forward` is the one implementation of this
+body.  It takes z rows of any leading shape and returns raw logits plus
+the intermediates the backward pass needs.  Three callers run it:
+
+  _forward_rows                  teacher-forced rows for the training loss,
+                                 its gradients and `evaluate_loss`
+  inference._member_pass         stacked (examples, live, 2d) decode rows
+  training._finalize_precision   the features phi of the precision pass,
+                                 through _forward_rows
+
+The posterior machinery in inference.py applies mean-field scaling and
+the softmax.
 """
 
 from __future__ import annotations
@@ -274,22 +283,6 @@ def dropout_mask(seed: int, rate: float, shape) -> np.ndarray:
     return keep.astype(float) / (1.0 - rate)
 
 
-def _hidden_rows(params: ModelParams, z: np.ndarray, be_member_weights=None):
-    """Pre-activation and tanh activation for a stack of z rows.
-
-    Returns intermediates the backward pass needs: for batch-ensemble
-    members also the scaled input (s*z) and the pre-modulation product.
-    """
-    if be_member_weights is None:
-        a = z @ params.w_h.T + params.b_h
-        return {"a": a, "h_raw": np.tanh(a)}
-    r_k, s_k = be_member_weights
-    zs = z * s_k
-    pre = zs @ params.w_h.T
-    a = pre * r_k + params.b_h
-    return {"a": a, "h_raw": np.tanh(a), "zs": zs, "pre": pre}
-
-
 def gp_features(h, state: SngpState) -> np.ndarray:
     """Random cosine features phi_i = sqrt(2/D) cos(<w_i, h> + b_i).
 
@@ -301,61 +294,40 @@ def gp_features(h, state: SngpState) -> np.ndarray:
     return math.sqrt(2.0 / big_d) * np.cos(h @ state.w_r.T + state.b_r)
 
 
-def _output_logits(params: ModelParams, sngp_state, h: np.ndarray):
-    if sngp_state is None:
-        return h @ params.w_o.T + params.b_o, None
-    phi = gp_features(h, sngp_state)
-    return phi @ sngp_state.beta.T, phi
+def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
+            mask: np.ndarray | None = None) -> dict:
+    """The model body on z rows of any leading shape (..., 2d).
 
-
-def forward_logits(
-    model: TrainedModel,
-    input_tokens,
-    prefix_tokens,
-    mode: str = "infer",
-    sample_seed: int | None = None,
-    be_member: int | None = None,
-) -> np.ndarray:
-    """Raw output logits for one (input, prefix) pair.
-
-    Dropout fires only for the mc-dropout method variants and only when a
-    sample_seed is supplied; other methods ignore the seed entirely, so
-    their logits are deterministic.  mode='train' with a dropout method
-    requires a seed, making stochastic training explicit at the call site.
+    be_member picks the batch-ensemble member (default 0; ignored without
+    fast weights) and mask, when given, is an inverted-dropout mask that
+    broadcasts against the hidden activation.  Returns the pre-activation
+    "a", the tanh activation "h_raw", the masked activation "h", "logits",
+    and the gaussian-process features "phi" (None for the linear head);
+    batch-ensemble passes add the member index "be_member", its fast
+    weights "r_k"/"s_k", the scaled input "zs" and the pre-modulation
+    product "pre", which the backward pass needs.
     """
-    if mode not in ("train", "infer"):
-        raise ConfigurationError(f"mode must be 'train' or 'infer', got {mode!r}")
-    dims = model.dims
-    _check_tokens(input_tokens, dims.vocab_size, "input")
-    _check_tokens(prefix_tokens, dims.vocab_size, "prefix")
-    config = model.config
-    dropout_active = (
-        uses_dropout(config.method)
-        and config.dropout_rate > 0.0
-        and sample_seed is not None
-    )
-    if mode == "train" and uses_dropout(config.method) and config.dropout_rate > 0.0 and sample_seed is None:
-        raise ConfigurationError(
-            "training forward for a dropout method needs a sample_seed"
-        )
-    embed = model.params.embed
-    ctx = _mean_embedding(embed, tuple(input_tokens), dims.bos_id)
-    state = _mean_embedding(embed, tuple(prefix_tokens), dims.bos_id)
-    z = np.concatenate([ctx, state])[None, :]
-    member_weights = None
-    if model.be_state is not None:
+    params = model.params
+    out = {}
+    if model.be_state is None:
+        a = z @ params.w_h.T + params.b_h
+    else:
         k = 0 if be_member is None else be_member
         if not 0 <= k < model.be_state.size:
             raise InputError(f"batch-ensemble member {k} outside 0..{model.be_state.size - 1}")
-        member_weights = (model.be_state.r[k], model.be_state.s[k])
-    hidden = _hidden_rows(model.params, z, member_weights)
-    h = hidden["h_raw"]
-    if dropout_active:
-        h = h * dropout_mask(sample_seed, config.dropout_rate, h.shape[1])
-    logits, _ = _output_logits(model.params, model.sngp_state, h)
-    out = logits[0]
-    if not np.all(np.isfinite(out)):
-        raise NumericalStateError("forward pass produced non-finite logits")
+        r_k, s_k = model.be_state.r[k], model.be_state.s[k]
+        zs = z * s_k
+        pre = zs @ params.w_h.T
+        a = pre * r_k + params.b_h
+        out.update(be_member=k, r_k=r_k, s_k=s_k, zs=zs, pre=pre)
+    h_raw = np.tanh(a)
+    h = h_raw if mask is None else h_raw * mask
+    if model.sngp_state is None:
+        logits, phi = h @ params.w_o.T + params.b_o, None
+    else:
+        phi = gp_features(h, model.sngp_state)
+        logits = phi @ model.sngp_state.beta.T
+    out.update(a=a, h_raw=h_raw, h=h, logits=logits, phi=phi)
     return out
 
 
@@ -557,29 +529,18 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def _forward_rows(model: TrainedModel, structure: RowStructure, rows, *,
                   be_member: int | None, dropout_seed: int | None):
-    """Forward over selected rows; returns a cache for the backward pass."""
-    params = model.params
+    """`forward` over selected teacher-forced rows, with the dense weight
+    rows and the z rows the backward pass needs added to its cache."""
     ctx_w = structure.ctx_weights[rows]
     pre_w = structure.prefix_weights[rows]
-    ctx = ctx_w @ params.embed
-    pre = pre_w @ params.embed
-    z = np.concatenate([ctx, pre], axis=1)
-    member_weights = None
-    if model.be_state is not None:
-        k = 0 if be_member is None else be_member
-        member_weights = (model.be_state.r[k], model.be_state.s[k])
-    hidden = _hidden_rows(params, z, member_weights)
-    h = hidden["h_raw"]
+    z = np.concatenate([ctx_w @ model.params.embed, pre_w @ model.params.embed], axis=1)
     mask = None
     if dropout_seed is not None and uses_dropout(model.config.method) and model.config.dropout_rate > 0.0:
-        mask = dropout_mask(dropout_seed, model.config.dropout_rate, h.shape)
-        h = h * mask
-    logits, phi = _output_logits(params, model.sngp_state, h)
-    return {
-        "ctx_w": ctx_w, "pre_w": pre_w, "z": z, "hidden": hidden, "mask": mask,
-        "h": h, "logits": logits, "phi": phi, "member_weights": member_weights,
-        "be_member": 0 if be_member is None else be_member,
-    }
+        mask = dropout_mask(dropout_seed, model.config.dropout_rate,
+                            (len(z), model.dims.hidden_dim))
+    cache = forward(model, z, be_member=be_member, mask=mask)
+    cache.update(ctx_w=ctx_w, pre_w=pre_w, z=z, mask=mask)
+    return cache
 
 
 def _rows_loss(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -647,23 +608,21 @@ def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
     if cache["mask"] is not None:
         dh = dh * cache["mask"]
 
-    hidden = cache["hidden"]
-    da = dh * (1.0 - hidden["h_raw"] ** 2)
+    da = dh * (1.0 - cache["h_raw"] ** 2)
 
-    if cache["member_weights"] is None:
+    if model.be_state is None:
         grads.w_h = da.T @ cache["z"]
         grads.b_h = da.sum(axis=0)
         dz = da @ params.w_h
     else:
-        r_k, s_k = cache["member_weights"]
         k = cache["be_member"]
         grads.b_h = da.sum(axis=0)
-        g_r = (da * hidden["pre"]).sum(axis=0)
-        da_pre = da * r_k
-        grads.w_h = da_pre.T @ hidden["zs"]
+        g_r = (da * cache["pre"]).sum(axis=0)
+        da_pre = da * cache["r_k"]
+        grads.w_h = da_pre.T @ cache["zs"]
         dzs = da_pre @ params.w_h
         g_s = (dzs * cache["z"]).sum(axis=0)
-        dz = dzs * s_k
+        dz = dzs * cache["s_k"]
         grads.be_r = np.zeros_like(model.be_state.r)
         grads.be_s = np.zeros_like(model.be_state.s)
         grads.be_r[k] = g_r

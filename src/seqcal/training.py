@@ -31,10 +31,11 @@ from .model import (
     SngpConfig,
     SngpState,
     TrainedModel,
+    _forward_rows,
     _loss_and_grads,
+    _rows_loss,
     build_rows,
     finalize_covariance,
-    gp_features,
     init_model,
     is_deep_ensemble,
     spectral_normalize,
@@ -107,11 +108,7 @@ def _finalize_precision(model: TrainedModel, structure, batch_size: int) -> None
     n_rows = len(structure.targets)
     for start in range(0, n_rows, batch_size):
         rows = np.arange(start, min(start + batch_size, n_rows))
-        ctx = structure.ctx_weights[rows] @ model.params.embed
-        pre = structure.prefix_weights[rows] @ model.params.embed
-        z = np.concatenate([ctx, pre], axis=1)
-        h = np.tanh(z @ model.params.w_h.T + model.params.b_h)
-        phi = gp_features(h, state)
+        phi = _forward_rows(model, structure, rows, be_member=None, dropout_seed=None)["phi"]
         state = update_precision(state, phi, cfg.cov_momentum)
     model.sngp_state = finalize_covariance(state)
 
@@ -203,8 +200,8 @@ def evaluate_loss(model: TrainedModel, examples) -> float:
         raise InputError("evaluation needs at least one example")
     structure = build_rows(examples, model.dims)
     rows = np.arange(len(structure.targets))
-    loss, _ = _loss_and_grads(model, structure, rows, be_member=None, dropout_seed=None)
-    return loss
+    cache = _forward_rows(model, structure, rows, be_member=None, dropout_seed=None)
+    return _rows_loss(cache["logits"], structure.targets)
 
 
 # ---------------------------------------------------------------------------

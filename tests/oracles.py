@@ -128,12 +128,14 @@ def rouge_l_oracle(hyp, ref):
     return p, r, f
 
 
-def forward_oracle(model, input_tokens, prefix_tokens):
-    """Scalar-loop forward pass for the deterministic heads.
+def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None):
+    """Scalar-loop forward pass for every head.
 
-    Mirrors the documented architecture directly: mean embeddings, tanh
-    hidden layer, then either the linear output layer or the cosine
-    feature head.  No dropout, base batch-ensemble member only.
+    Mirrors the documented architecture directly: mean embeddings, the
+    tanh hidden layer (modulated by the batch-ensemble member's fast
+    weights, a_i = r_i * sum_j w_ij s_j z_j + b_i, member 0 by default),
+    an optional inverted-dropout mask multiplied into each hidden unit,
+    then either the linear output layer or the cosine feature head.
     """
     params = model.params
     d = model.dims.embed_dim
@@ -149,12 +151,21 @@ def forward_oracle(model, input_tokens, prefix_tokens):
         return [a / len(tokens) for a in acc]
 
     z = mean_embed(input_tokens) + mean_embed(prefix_tokens)
+    r = [1.0] * dh
+    s = [1.0] * (2 * d)
+    if model.be_state is not None:
+        k = 0 if be_member is None else be_member
+        r = [float(x) for x in model.be_state.r[k]]
+        s = [float(x) for x in model.be_state.s[k]]
     hidden = []
     for i in range(dh):
-        a = float(params.b_h[i])
+        pre = 0.0
         for j in range(2 * d):
-            a += float(params.w_h[i, j]) * z[j]
-        hidden.append(math.tanh(a))
+            pre += float(params.w_h[i, j]) * s[j] * z[j]
+        h = math.tanh(r[i] * pre + float(params.b_h[i]))
+        if mask is not None:
+            h *= float(mask[i])
+        hidden.append(h)
     if model.sngp_state is None:
         logits = []
         for v in range(model.dims.vocab_size):
@@ -195,14 +206,21 @@ def finite_difference_gradient(loss_fn, array, coords, step=1e-3):
     return grads
 
 
-# The two decoding oracles below deliberately reuse posterior_mean_dist:
-# they cross-check the search strategy, not the distribution itself
-# (forward_oracle covers that).
+def posterior_mean_dist(members, input_tokens, prefix, *, run_seed, example_id, step):
+    """The package's posterior-mean distribution for a single prefix.
+
+    The decoding oracles below deliberately reuse it: they cross-check the
+    search strategy, not the distribution itself (forward_oracle covers
+    that).
+    """
+    from seqcal.inference import step_distributions
+
+    return step_distributions(members, input_tokens, [tuple(prefix)], run_seed=run_seed,
+                              example_id=example_id, step=step)[0]
+
 
 def greedy_oracle(members, input_tokens, config, run_seed, example_id):
     """Greedy reference: one path, eos candidates collected along the way."""
-    from seqcal.inference import posterior_mean_dist
-
     eos = members[0].dims.eos_id
     vocab = members[0].dims.vocab_size
     prefix = ()
@@ -210,9 +228,8 @@ def greedy_oracle(members, input_tokens, config, run_seed, example_id):
     total = 0.0
     candidates = []
     for step in range(config.max_len):
-        dist = posterior_mean_dist(members, input_tokens, prefix,
-                                   run_seed=run_seed, example_id=example_id,
-                                   step=step)
+        dist = posterior_mean_dist(members, input_tokens, prefix, run_seed=run_seed,
+                                   example_id=example_id, step=step)
         logd = np.log(dist)
         if step > 0:
             candidates.append((tuple(prefix), tuple(logps), total, float(logd[eos])))
@@ -238,8 +255,6 @@ def greedy_oracle(members, input_tokens, config, run_seed, example_id):
 
 def exhaustive_oracle(members, input_tokens, config, run_seed, example_id):
     """Score every content sequence up to max_len; independent of search."""
-    from seqcal.inference import posterior_mean_dist
-
     eos = members[0].dims.eos_id
     vocab = members[0].dims.vocab_size
     content = [v for v in range(vocab) if v != eos]
@@ -253,9 +268,8 @@ def exhaustive_oracle(members, input_tokens, config, run_seed, example_id):
     for seq in all_seqs:
         logps = []
         for t in range(len(seq)):
-            dist = posterior_mean_dist(members, input_tokens, seq[:t],
-                                       run_seed=run_seed, example_id=example_id,
-                                       step=t)
+            dist = posterior_mean_dist(members, input_tokens, seq[:t], run_seed=run_seed,
+                                       example_id=example_id, step=t)
             logps.append(float(np.log(dist[seq[t]])))
         dist = posterior_mean_dist(members, input_tokens, seq, run_seed=run_seed,
                                    example_id=example_id, step=len(seq))

@@ -24,6 +24,7 @@ from oracles import (
     finite_difference_gradient,
     greedy_oracle,
     lcs_oracle,
+    posterior_mean_dist,
     rouge_l_oracle,
     rouge_n_oracle,
     spearman_oracle,
@@ -58,7 +59,6 @@ from seqcal.inference import (
     beam_decode,
     decode_corpus,
     join_with_references,
-    posterior_mean_dist,
 )
 from seqcal.model import (
     BatchEnsembleState,
@@ -67,7 +67,7 @@ from seqcal.model import (
     SngpConfig,
     backprop_gradients,
     batch_loss,
-    forward_logits,
+    forward,
     gp_features,
     init_model,
     mean_field_logits,
@@ -263,12 +263,17 @@ def test_criterion_3_collapse_cases(announce):
     be = init_model(dims, MethodConfig(method="be", be_size=4), seed=11)
     be.be_state = BatchEnsembleState(np.ones_like(be.be_state.r),
                                      np.ones_like(be.be_state.s))
+    embed = base.params.embed
+    z = np.stack([
+        np.concatenate([embed[list(inp)].mean(axis=0),
+                        embed[list(prefix)].mean(axis=0) if prefix else embed[dims.bos_id]])
+        for prefix in prefixes
+    ])
+    want = forward(base, z)["logits"]
     be_dev = 0.0
-    for prefix in prefixes:
-        want = forward_logits(base, inp, prefix)
-        for k in range(4):
-            got = forward_logits(be, inp, prefix, be_member=k)
-            be_dev = max(be_dev, float(np.max(np.abs(got - want))))
+    for k in range(4):
+        got = forward(be, z, be_member=k)["logits"]
+        be_dev = max(be_dev, float(np.max(np.abs(got - want))))
 
     logits = rng.standard_normal((3, dims.vocab_size))
     variances = rng.uniform(0.1, 2.0, 3)

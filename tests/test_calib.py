@@ -17,7 +17,6 @@ from seqcal.calib import (
     AbstentionCurve,
     BootstrapResult,
     EceConfig,
-    RocConfig,
     ScoredPair,
     _average_ranks,
     abstention_curve,

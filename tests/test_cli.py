@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -60,6 +61,8 @@ class TestLoadConfig:
     def test_unknown_nested_key(self, tmp_path):
         with pytest.raises(ConfigurationError, match="task has unknown keys"):
             load_config(write_config(tmp_path, {"task": {"n_tokens": 4}}))
+        with pytest.raises(ConfigurationError, match="thresholds has unknown keys.*bleu"):
+            load_config(write_config(tmp_path, {"eval": {"thresholds": {"bleu": 1.0}}}))
 
     def test_type_errors_name_the_field(self, tmp_path):
         with pytest.raises(ConfigurationError, match="config.seed"):
@@ -264,14 +267,50 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, payload)
         out = str(tmp_path / "run")
         assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code = main(["train", "--config", cfg_path, "--out", out,
                          "--method", "base"])
         assert code == 2
         assert "diverged" in capsys.readouterr().err
+
+    def test_overflowing_bundle_infer_is_two(self, tmp_path, capsys):
+        # every stored value is finite, so the bundle loads; the logits
+        # overflow, and infer must fail instead of writing NaN scores
+        cfg_path = write_config(tmp_path, SMALL)
+        out = str(tmp_path / "run")
+        assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
+        assert main(["train", "--config", cfg_path, "--out", out, "--method", "base"]) == 0
+        bundle_path = os.path.join(out, "models", "base.json")
+        bundle = json.loads(open(bundle_path).read())
+        member = bundle["members"][0]
+        member["b_h"] = [10.0] * len(member["b_h"])
+        member["w_o"][0] = [1e308] * len(member["w_o"][0])
+        with open(bundle_path, "w") as fh:
+            json.dump(bundle, fh)
+        assert len(read_bundle(bundle_path)) == 1
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["infer", "--config", cfg_path, "--out", out, "--method", "base"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "non-finite" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "preds", "base.jsonl"))
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_prediction_eval_is_one(self, tmp_path, capsys, value):
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        preds = os.path.join(out, "preds", "base.jsonl")
+        lines = open(preds).read().splitlines()
+        record = json.loads(lines[1])
+        record["uncertainty"] = float(value)
+        lines[1] = json.dumps(record)
+        with open(preds, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path, "--out", out]) == 1
+        assert "line 2" in capsys.readouterr().err
 
     def test_unknown_method_is_one(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL)

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import exhaustive_oracle, greedy_oracle
+from oracles import exhaustive_oracle, forward_oracle, greedy_oracle, posterior_mean_dist
 from seqcal.corpus import ExampleRecord, TaskSpec, generate_corpus, make_vocabulary
 from seqcal.errors import (
     ConfigurationError,
     InputError,
+    NumericalStateError,
     ParseError,
     ValidationError,
 )
@@ -21,18 +22,18 @@ from seqcal.inference import (
     beam_decode,
     decode_corpus,
     join_with_references,
-    posterior_mean_dist,
     read_predictions,
     step_distributions,
     uncertainty_score,
     write_predictions,
 )
 from seqcal.model import (
+    METHODS,
     MethodConfig,
     ModelDims,
     SngpConfig,
+    dropout_mask,
     finalize_covariance,
-    forward_logits,
     init_model,
     uses_gp,
 )
@@ -73,7 +74,7 @@ class TestPosteriorMean:
         members = make_members("base", seed=3)
         dist = posterior_mean_dist(members, (3, 4), (5,), run_seed=1,
                                    example_id="x", step=0)
-        want = softmax(forward_logits(members[0], (3, 4), (5,)))
+        want = softmax(forward_oracle(members[0], (3, 4), (5,)))
         assert np.allclose(dist, want, atol=1e-14)
         assert abs(dist.sum() - 1.0) < 1e-12
 
@@ -83,8 +84,8 @@ class TestPosteriorMean:
                                    example_id="ex-7", step=2)
         acc = np.zeros(6)
         for m in range(6):
-            seed = derive_seed(9, "mcd", "ex-7", 2, m)
-            acc += softmax(forward_logits(members[0], (3, 4), (), sample_seed=seed))
+            mask = dropout_mask(derive_seed(9, "mcd", "ex-7", 2, m), 0.4, 5)
+            acc += softmax(forward_oracle(members[0], (3, 4), (), mask=mask))
         assert np.allclose(dist, acc / 6, atol=1e-12)
 
     def test_batch_ensemble_average(self):
@@ -93,7 +94,7 @@ class TestPosteriorMean:
                                    example_id="x", step=0)
         acc = np.zeros(6)
         for k in range(4):
-            acc += softmax(forward_logits(members[0], (3,), (4,), be_member=k))
+            acc += softmax(forward_oracle(members[0], (3,), (4,), be_member=k))
         assert np.allclose(dist, acc / 4, atol=1e-12)
 
     def test_deep_ensemble_average(self):
@@ -102,7 +103,7 @@ class TestPosteriorMean:
                                    example_id="x", step=1)
         acc = np.zeros(6)
         for m in members:
-            acc += softmax(forward_logits(m, (3, 5), (4,)))
+            acc += softmax(forward_oracle(m, (3, 5), (4,)))
         assert np.allclose(dist, acc / 3, atol=1e-12)
 
     def test_gp_head_applies_mean_field(self):
@@ -169,6 +170,27 @@ class TestPosteriorMean:
             posterior_mean_dist(members, (9,), (), run_seed=0, example_id="x", step=0)
         with pytest.raises(InputError, match="prefix token"):
             posterior_mean_dist(members, (3,), (9,), run_seed=0, example_id="x", step=0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_single_prefix_equals_oracle_unit_average(self, method):
+        # factor 0 leaves GP logits unscaled; test_gp_head_applies_mean_field
+        # covers factor > 0
+        kwargs = {"samples": 3, "dropout_rate": 0.4, "be_size": 3,
+                  "sngp": SngpConfig(rff_dim=10, mean_field_factor=0.0)}
+        if method in ("de", "sngp_de"):
+            kwargs["seeds"] = (4, 5, 6)
+        members = make_members(method, seed=8, **kwargs)
+        units = [(m, {}) for m in members]
+        if method in ("mcd", "sngp_mcd"):
+            units = [(members[0], {"mask": dropout_mask(derive_seed(3, "mcd", "u", 1, k),
+                                                        0.4, 5)})
+                     for k in range(3)]
+        elif method == "be":
+            units = [(members[0], {"be_member": k}) for k in range(3)]
+        want = sum(softmax(forward_oracle(m, (3, 4, 1), (5, 0), **kw)) for m, kw in units)
+        got = step_distributions(members, (3, 4, 1), [(5, 0)], run_seed=3,
+                                 example_id="u", step=1)[0]
+        assert np.allclose(got, want / len(units), atol=1e-12)
 
 
 class TestBeamDecode:
@@ -295,13 +317,17 @@ class TestDecodeCorpus:
         assert a == b
         assert [r.uncertainty for r in a] != [r.uncertainty for r in c]
 
-    def test_progress_callback(self):
+    def test_overflowing_logits_raise(self):
+        # every weight is finite, but a saturated hidden layer times a
+        # 1e308 output row overflows; decoding must not emit NaN scores
         vocab, examples = self._corpus(n=4)
         members = make_members("base", vocab=vocab.size)
-        seen = []
-        decode_corpus(members, examples, PosteriorConfig(beam_size=1, max_len=2),
-                      run_seed=0, on_example=lambda i, rec: seen.append((i, rec.id)))
-        assert seen == [(i, ex.id) for i, ex in enumerate(examples)]
+        members[0].params.b_h[:] = 10.0
+        members[0].params.w_o[0] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(NumericalStateError,
+                                                       match="non-finite"):
+            decode_corpus(members, examples, PosteriorConfig(beam_size=2, max_len=3),
+                          run_seed=0)
 
 
 class TestPredictionFiles:
@@ -355,6 +381,22 @@ class TestPredictionFiles:
                            "eos_logp": -1.0, "uncertainty": -1.0})
         path.write_text(line + "\n" + line + "\n")
         with pytest.raises(ParseError, match="duplicate"):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400",
+                                       pytest.param("1" + "0" * 400, id="int1e400")])
+    @pytest.mark.parametrize("field", ["token_logp", "eos_logp", "uncertainty"])
+    def test_non_finite_scores_rejected(self, tmp_path, field, value):
+        # json.loads reads the floats among these as nan or inf; the last
+        # value is an integer that float64 cannot hold
+        scores = {"token_logp": "[-1.0]", "eos_logp": "-1.0", "uncertainty": "-1.0"}
+        scores[field] = f"[{value}]" if field == "token_logp" else value
+        good = '{"id":"a","hypothesis":[3],"token_logp":[-1.0],"eos_logp":-1.0,"uncertainty":-1.0}'
+        bad = '{"id":"b","hypothesis":[3],' + ",".join(
+            f'"{k}":{v}' for k, v in scores.items()) + "}"
+        path = tmp_path / "p.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ParseError, match=f"line 2.*{field}.*finite"):
             read_predictions(path)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import forward_oracle
+from oracles import forward_oracle, posterior_mean_dist
 from seqcal.corpus import ExampleRecord
 from seqcal.errors import ConfigurationError, InputError, NumericalStateError
 from seqcal.model import (
@@ -16,7 +16,7 @@ from seqcal.model import (
     build_rows,
     dropout_mask,
     finalize_covariance,
-    forward_logits,
+    forward,
     gp_features,
     init_model,
     mean_field_logits,
@@ -123,6 +123,22 @@ class TestInit:
         assert np.all(np.abs(m.be_state.s - 1.0) <= 0.1)
 
 
+def z_row(model, inp, prefix):
+    """[mean input embedding; mean prefix embedding, bos when empty]."""
+    embed = model.params.embed
+    state = embed[list(prefix)].mean(axis=0) if prefix else embed[model.dims.bos_id]
+    return np.concatenate([embed[list(inp)].mean(axis=0), state])
+
+
+def logits(model, inp, prefix, **kwargs):
+    return forward(model, z_row(model, inp, prefix), **kwargs)["logits"]
+
+
+def one_step(model, inp, prefix, run_seed=0):
+    return posterior_mean_dist([model], inp, prefix, run_seed=run_seed,
+                               example_id="x", step=0)
+
+
 class TestForward:
     def test_matches_scalar_oracle_base(self):
         rs = np.random.default_rng(100)
@@ -133,7 +149,7 @@ class TestForward:
             m = init_model(dims, MethodConfig(method="base"), seed=trial)
             inp = random_tokens(rs, vocab)
             prefix = random_tokens(rs, vocab, lo=0, hi=4)
-            got = forward_logits(m, inp, prefix)
+            got = logits(m, inp, prefix)
             want = forward_oracle(m, inp, prefix)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -146,15 +162,15 @@ class TestForward:
             m = init_model(dims, cfg, seed=1000 + trial)
             inp = random_tokens(rs, vocab)
             prefix = random_tokens(rs, vocab, lo=0, hi=4)
-            got = forward_logits(m, inp, prefix)
+            got = logits(m, inp, prefix)
             want = forward_oracle(m, inp, prefix)
             assert np.allclose(got, want, atol=1e-12)
 
     def test_empty_prefix_equals_bos_prefix(self):
         dims = small_dims()
         m = init_model(dims, MethodConfig(method="base"), seed=7)
-        a = forward_logits(m, (3, 4), ())
-        b = forward_logits(m, (3, 4), (dims.bos_id,))
+        a = one_step(m, (3, 4), ())
+        b = one_step(m, (3, 4), (dims.bos_id,))
         assert np.array_equal(a, b)
 
     def test_dropout_methods_without_seed_match_base(self):
@@ -162,33 +178,31 @@ class TestForward:
         dims = small_dims()
         base = init_model(dims, MethodConfig(method="base"), seed=21)
         mcd = init_model(dims, MethodConfig(method="mcd", dropout_rate=0.3), seed=21)
-        a = forward_logits(base, (3, 4, 5), (6,))
-        b = forward_logits(mcd, (3, 4, 5), (6,))
+        a = logits(base, (3, 4, 5), (6,))
+        b = logits(mcd, (3, 4, 5), (6,))
         assert np.array_equal(a, b)
 
     def test_dropout_seed_changes_and_reproduces(self):
         dims = small_dims()
         m = init_model(dims, MethodConfig(method="mcd", dropout_rate=0.5), seed=21)
-        plain = forward_logits(m, (3, 4), (5,))
-        s1 = forward_logits(m, (3, 4), (5,), sample_seed=77)
-        s1again = forward_logits(m, (3, 4), (5,), sample_seed=77)
-        s2 = forward_logits(m, (3, 4), (5,), sample_seed=78)
+        masks = {seed: dropout_mask(seed, 0.5, dims.hidden_dim) for seed in (77, 78)}
+        plain = logits(m, (3, 4), (5,))
+        s1 = logits(m, (3, 4), (5,), mask=masks[77])
+        s1again = logits(m, (3, 4), (5,), mask=dropout_mask(77, 0.5, dims.hidden_dim))
+        s2 = logits(m, (3, 4), (5,), mask=masks[78])
         assert np.array_equal(s1, s1again)
         assert not np.array_equal(plain, s1)
         assert not np.array_equal(s1, s2)
+        assert np.allclose(s1, forward_oracle(m, (3, 4), (5,), mask=masks[77]), atol=1e-12)
+        assert np.allclose(s2, forward_oracle(m, (3, 4), (5,), mask=masks[78]), atol=1e-12)
 
     def test_non_dropout_method_ignores_sample_seed(self):
+        # decode-time samples derive from the run seed; base draws none
         dims = small_dims()
         m = init_model(dims, MethodConfig(method="base"), seed=21)
-        a = forward_logits(m, (3, 4), (5,))
-        b = forward_logits(m, (3, 4), (5,), sample_seed=123)
+        a = one_step(m, (3, 4), (5,), run_seed=0)
+        b = one_step(m, (3, 4), (5,), run_seed=123)
         assert np.array_equal(a, b)
-
-    def test_train_mode_dropout_requires_seed(self):
-        dims = small_dims()
-        m = init_model(dims, MethodConfig(method="mcd", dropout_rate=0.1), seed=21)
-        with pytest.raises(ConfigurationError, match="sample_seed"):
-            forward_logits(m, (3,), (), mode="train")
 
     def test_unit_fast_weights_match_base(self):
         # shared draws coincide for base and be up to the point the fast
@@ -198,39 +212,37 @@ class TestForward:
         be = init_model(dims, MethodConfig(method="be", be_size=3), seed=13)
         be.be_state.r[:] = 1.0
         be.be_state.s[:] = 1.0
-        want = forward_logits(base, (3, 4, 6), (7,))
+        want = logits(base, (3, 4, 6), (7,))
         for k in range(3):
-            got = forward_logits(be, (3, 4, 6), (7,), be_member=k)
+            got = logits(be, (3, 4, 6), (7,), be_member=k)
             assert np.allclose(got, want, atol=1e-12)
 
     def test_members_differ_with_real_fast_weights(self):
         dims = small_dims()
         be = init_model(dims, MethodConfig(method="be", be_size=3), seed=13)
-        a = forward_logits(be, (3, 4), (5,), be_member=0)
-        b = forward_logits(be, (3, 4), (5,), be_member=1)
+        a = logits(be, (3, 4), (5,), be_member=0)
+        b = logits(be, (3, 4), (5,), be_member=1)
         assert not np.array_equal(a, b)
+        for k, got in ((0, a), (1, b)):
+            assert np.allclose(got, forward_oracle(be, (3, 4), (5,), be_member=k),
+                               atol=1e-12)
 
     def test_member_out_of_range(self):
         dims = small_dims()
         be = init_model(dims, MethodConfig(method="be", be_size=3), seed=13)
         with pytest.raises(InputError, match="member"):
-            forward_logits(be, (3,), (), be_member=3)
+            logits(be, (3,), (), be_member=3)
 
     def test_token_out_of_range(self):
         m = init_model(small_dims(), MethodConfig(method="base"), seed=1)
         with pytest.raises(InputError, match="token id"):
-            forward_logits(m, (3, 8), ())
-
-    def test_bad_mode(self):
-        m = init_model(small_dims(), MethodConfig(method="base"), seed=1)
-        with pytest.raises(ConfigurationError, match="mode"):
-            forward_logits(m, (3,), (), mode="test")
+            build_rows([ExampleRecord(id="a", input=(3, 8), reference=(4,))], m.dims)
 
     def test_non_finite_guard(self):
         m = init_model(small_dims(), MethodConfig(method="base"), seed=1)
         m.params.w_o[0, 0] = np.inf
         with pytest.raises(NumericalStateError, match="non-finite"):
-            forward_logits(m, (3,), ())
+            one_step(m, (3,), ())
 
 
 class TestDropoutMask:
@@ -457,8 +469,8 @@ class TestRowStructure:
         for ex in examples:
             seq = tuple(ex.reference) + (dims.eos_id,)
             for t, target in enumerate(seq):
-                logits = forward_logits(m, ex.input, tuple(ex.reference)[:t])
-                shifted = logits - logits.max()
+                out = forward_oracle(m, ex.input, tuple(ex.reference)[:t])
+                shifted = out - out.max()
                 logp = shifted - math.log(float(np.exp(shifted).sum()))
                 terms.append(-logp[target])
         want = float(np.mean(terms))
@@ -479,8 +491,8 @@ class TestRowStructure:
         seq = (5, 6, dims.eos_id)
         terms = []
         for t, target in enumerate(seq):
-            logits = forward_logits(m, ex.input, seq[:t])
-            shifted = logits - logits.max()
+            out = forward_oracle(m, ex.input, seq[:t])
+            shifted = out - out.max()
             logp = shifted - math.log(float(np.exp(shifted).sum()))
             terms.append(-logp[target])
         assert abs(batch_loss(m, [ex]) - float(np.mean(terms))) < 1e-12
