@@ -258,6 +258,20 @@ def roc_auc(u, quality, theta: float) -> float:
     return (r_good - n_good * (n_good + 1) / 2.0) / (n_good * n_bad)
 
 
+def check_alphas(alphas) -> tuple[float, ...]:
+    """Abstention fractions as floats: at least one, each in [0, 1), sorted
+    ascending."""
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise ConfigurationError("abstention needs at least one alpha")
+    for a in alphas:
+        if not 0.0 <= a < 1.0:
+            raise ConfigurationError(f"abstention alpha must lie in [0, 1), got {a}")
+    if list(alphas) != sorted(alphas):
+        raise ConfigurationError("abstention alphas must be sorted ascending")
+    return alphas
+
+
 def abstention_curve(records, quality_key: str, alphas) -> AbstentionCurve:
     """Mean retained quality after dropping the most uncertain records.
 
@@ -271,14 +285,7 @@ def abstention_curve(records, quality_key: str, alphas) -> AbstentionCurve:
         raise MetricError("abstention curve needs at least one record")
     if quality_key not in QUALITY_KEYS:
         raise ConfigurationError(f"unknown quality metric {quality_key!r}")
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas:
-        raise ConfigurationError("abstention needs at least one alpha")
-    for a in alphas:
-        if not 0.0 <= a < 1.0:
-            raise ConfigurationError(f"abstention alpha must lie in [0, 1), got {a}")
-    if list(alphas) != sorted(alphas):
-        raise ConfigurationError("abstention alphas must be sorted ascending")
+    alphas = check_alphas(alphas)
     ordered = sorted(records, key=lambda r: (r.uncertainty, r.id))
     qualities = [r.quality[quality_key] for r in ordered]
     n = len(qualities)

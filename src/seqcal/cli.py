@@ -41,6 +41,7 @@ from .calib import (
     _fmt_float,
     abstention_curve,
     bootstrap_std,
+    check_alphas,
     ece,
     roc_auc,
     sequence_pairs,
@@ -318,9 +319,7 @@ def load_config(path) -> RunConfig:
         "rff_dim": (int, 128),
         "kernel_scale": (float, 1.0),
         "mean_field_factor": (float, 1e-4),
-        "cov_momentum": (float, 0.999),
         "spec_norm_bound": (float, 1.0),
-        "power_iters": (int, 100),
     })
     decode = _expect(top["decode"], "decode", {
         "beam_size": (int, 3),
@@ -346,11 +345,9 @@ def load_config(path) -> RunConfig:
     alphas = ev["alphas"]
     if not all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in alphas):
         raise ConfigurationError("eval.alphas must be a list of numbers")
-    alphas = tuple(float(a) for a in alphas)
     _int_field(ev["bootstrap_resamples"], "eval.bootstrap_resamples", 2)
-    _int_field(ev["ece_bins"], "eval.ece_bins", 1)
 
-    return RunConfig(
+    config = RunConfig(
         seed=top["seed"],
         vocab_size=top["vocab_size"],
         n_examples=top["n_examples"],
@@ -368,10 +365,18 @@ def load_config(path) -> RunConfig:
         eval=EvalSection(
             ece_bins=ev["ece_bins"],
             thresholds=tuple(sorted(thresholds.items())),
-            alphas=alphas,
+            alphas=check_alphas(alphas),
             bootstrap_resamples=ev["bootstrap_resamples"],
         ),
     )
+    # Build what the later stages build, so a bad value fails every stage,
+    # gen-data included, instead of only the stage that first uses it.
+    config.train_hyper()
+    config.posterior_config()
+    for method in METHODS:
+        config.method_config(method)
+    EceConfig(bins=config.eval.ece_bins)
+    return config
 
 
 # ---------------------------------------------------------------------------

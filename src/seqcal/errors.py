@@ -51,7 +51,3 @@ class MetricError(SeqcalError):
 
 class UndefinedCorrelationError(MetricError):
     """Rank correlation is undefined because one side has zero rank variance."""
-
-
-class ScoringError(MetricError):
-    """An uncertainty score is undefined (for example an empty hypothesis)."""

@@ -21,8 +21,10 @@ continuations from length 1 on, and hypotheses still alive at the length
 cap are closed with a forced eos score.  Stored hypotheses and per-token
 log-probabilities exclude the terminal eos; the eos log-probability is
 kept alongside so every ranking score can be reproduced.  A member pass
-whose logits are not finite stops decoding with NumericalStateError, and
-prediction files with NaN or infinite scores are refused on reading.
+whose logits are not finite, or a posterior probability that underflows
+to 0 and so has no finite log score, stops decoding with
+NumericalStateError, and prediction files with NaN or infinite scores are
+refused on reading.
 
 Decoding is batched over examples: `decode_corpus` runs one search over
 the whole split, keeping the beam state as arrays over examples x live
@@ -156,24 +158,26 @@ def _member_pass(model: TrainedModel, ctx, states, mask, be_member: int) -> np.n
     live prefix of every example: ctx (n, d), states (n, live, d), and an
     optional per-example dropout mask (n, hidden).
 
-    The matmuls take stacked (n, live, K) operands, so BLAS runs once per
-    example at the (live, K) shape a one-example decode uses.  Flattening
-    to (n * live, K) would change the GEMM row count, and with it the last
-    bit of some rows.  The Cholesky solve and the elementwise steps do not
-    depend on the row count, so those run flattened.
+    The matmuls, the predictive variance's included, take stacked
+    (n, live, K) operands, so BLAS runs once per example at the (live, K)
+    shape a one-example decode uses.  Flattening to (n * live, K) would
+    change the GEMM row count, and with it the last bit of some rows.  The
+    elementwise steps do not depend on the row count, so the softmax runs
+    flattened.
     """
     n, live, d = states.shape
     z = np.concatenate([np.broadcast_to(ctx[:, None, :], (n, live, d)), states], axis=2)
     out = forward(model, z, be_member=be_member,
                   mask=None if mask is None else mask[:, None, :])
-    logits = out["logits"].reshape(n * live, -1)
+    logits = out["logits"]
     if out["phi"] is not None:
-        sigma2 = predictive_variance(model.sngp_state, out["phi"].reshape(n * live, -1))
-        logits = mean_field_logits(logits, sigma2, model.config.sngp.mean_field_factor)
+        sigma2 = predictive_variance(model.sngp_state, out["phi"])
+        logits = mean_field_logits(logits, sigma2[..., None],
+                                   model.config.sngp.mean_field_factor)
     if not np.all(np.isfinite(logits)):
         raise NumericalStateError(
             f"{model.config.method} decode pass produced non-finite logits")
-    return _softmax_rows(logits).reshape(n, live, -1)
+    return _softmax_rows(logits.reshape(n * live, -1)).reshape(n, live, -1)
 
 
 def _posterior_rows(members, ctxs, states, *, run_seed: int, example_ids, step: int):
@@ -282,6 +286,10 @@ def _search(members, inputs, example_ids, config: PosteriorConfig, run_seed: int
                                 example_ids=example_ids, step=step)
         if dist_hook is not None:
             dist_hook(step, prefixes, dists)
+        if not np.all(dists > 0.0):
+            raise NumericalStateError(
+                f"{members[0].config.method} posterior probability underflowed to 0 "
+                f"at decode step {step}")
         logd = np.log(dists)
         # eos closes every hypothesis from length 1 on; at the cap it is forced
         if step > 0:

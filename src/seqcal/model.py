@@ -18,9 +18,9 @@ Heads modify this skeleton:
                    a = r_k * (W_h (s_k * z)) + b_h
   gaussian process the output layer becomes random cosine features
                    phi(h) = sqrt(2/D) cos(W_r h + b_r) with trainable
-                   weights beta, plus a momentum-updated Laplace precision
-                   over phi that supplies a predictive variance for
-                   mean-field logit scaling at inference time
+                   weights beta, plus the Laplace precision I + sum phi phi^T
+                   over the training rows, which supplies a predictive
+                   variance for mean-field logit scaling at inference time
   dropout          inverted dropout on the hidden activation only, active
                    for the mc-dropout method variants
 
@@ -40,12 +40,10 @@ the softmax.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import (
     ConfigurationError,
@@ -55,10 +53,6 @@ from .errors import (
 from .rng import stream
 
 METHODS = ("base", "mcd", "be", "sngp", "sngp_mcd", "de", "sngp_de")
-
-# Ridge added inside every precision update; keeps the matrix positive
-# definite even for rank-deficient feature batches.
-PRECISION_RIDGE = 1e-6
 
 
 def uses_dropout(method: str) -> bool:
@@ -101,9 +95,7 @@ class SngpConfig:
     rff_dim: int = 128
     kernel_scale: float = 1.0
     mean_field_factor: float = 1e-4
-    cov_momentum: float = 0.999
     spec_norm_bound: float = 1.0
-    power_iters: int = 100
 
     def __post_init__(self):
         if self.rff_dim < 1:
@@ -114,16 +106,10 @@ class SngpConfig:
             raise ConfigurationError(
                 f"mean_field_factor must be nonnegative, got {self.mean_field_factor}"
             )
-        if not 0.0 < self.cov_momentum < 1.0:
-            raise ConfigurationError(
-                f"cov_momentum must lie in (0, 1), got {self.cov_momentum}"
-            )
         if self.spec_norm_bound <= 0.0:
             raise ConfigurationError(
                 f"spec_norm_bound must be positive, got {self.spec_norm_bound}"
             )
-        if self.power_iters < 1:
-            raise ConfigurationError(f"power_iters must be >= 1, got {self.power_iters}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +185,9 @@ class SngpState:
     beta: np.ndarray  # (vocab, rff_dim), trainable
     precision: np.ndarray  # (rff_dim, rff_dim)
     covariance_valid: bool = False
-    # cached lower-triangular factor of precision; reset on every update
-    chol: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # cached inverse of the lower Cholesky factor of precision; reset on
+    # every update
+    chol_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -331,18 +318,13 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
     return out
 
 
-def spectral_normalize(w: np.ndarray, bound: float, power_iters: int) -> np.ndarray:
+def spectral_normalize(w: np.ndarray, bound: float) -> np.ndarray:
     """Rescale `w` so its top singular value is at most `bound`.
 
-    Power iteration estimates the top singular pair; the start vector is
-    drawn from a stream keyed by the matrix bytes, so the result is
-    deterministic and no fixed direction can be orthogonal to the top
-    subspace by construction.  When the estimate stays within the bound
-    the matrix is returned unchanged (columns keep their direction; any
-    scaling is uniform).
+    The top singular value is the exact matrix 2-norm.  A matrix within
+    the bound is returned unchanged; otherwise the whole matrix is scaled
+    by bound / sigma, so columns keep their direction.
     """
-    if power_iters < 1:
-        raise ConfigurationError(f"power_iters must be >= 1, got {power_iters}")
     if bound <= 0.0:
         raise ConfigurationError(f"spectral bound must be positive, got {bound}")
     w = np.asarray(w, dtype=float)
@@ -350,95 +332,64 @@ def spectral_normalize(w: np.ndarray, bound: float, power_iters: int) -> np.ndar
         raise InputError(f"spectral_normalize expects a matrix, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise NumericalStateError("spectral_normalize got non-finite entries")
-    if not np.any(w):
-        return w.copy()
-    rs = stream("spectral-start", hashlib.sha256(w.tobytes()).hexdigest())
-    v = rs.standard_normal(w.shape[1])
-    v /= np.linalg.norm(v)
-    u = None
-    for _ in range(power_iters):
-        wv = w @ v
-        norm_wv = np.linalg.norm(wv)
-        if norm_wv == 0.0:
-            v = rs.standard_normal(w.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        u = wv / norm_wv
-        wu = w.T @ u
-        norm_wu = np.linalg.norm(wu)
-        if norm_wu == 0.0:
-            v = rs.standard_normal(w.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        v = wu / norm_wu
-    if u is None:
-        return w.copy()
-    sigma = float(u @ (w @ v))
+    sigma = float(np.linalg.norm(w, 2))
     if sigma <= bound:
         return w.copy()
     return w * (bound / sigma)
 
 
-def update_precision(
-    state: SngpState, phi_batch: np.ndarray, momentum: float, ridge: float = PRECISION_RIDGE
-) -> SngpState:
-    """Momentum update of the feature precision matrix.
+def update_precision(state: SngpState, phi_batch: np.ndarray) -> SngpState:
+    """Add one batch of features to the precision matrix.
 
-        precision <- m * precision + (1 - m) * mean_b(phi_b phi_b^T + ridge I)
+        precision <- precision + sum_b phi_b phi_b^T
 
-    Accepts the degenerate momenta 0 and 1 (the latter leaves the matrix
-    bitwise unchanged).  The result is symmetrized and stays positive
-    definite for any ridge > 0; the cached factorization is dropped and
-    covariance_valid reset, since the estimate is stale until finalized.
+    Starting from the identity prior of `init_model`, one pass over every
+    training row gives the exact Laplace precision I + Phi^T Phi, which is
+    symmetric with every eigenvalue at least 1.  The cached factor is
+    dropped and covariance_valid reset, since the estimate is incomplete
+    until finalized.
     """
-    if not 0.0 <= momentum <= 1.0:
-        raise ConfigurationError(f"momentum must lie in [0, 1], got {momentum}")
-    if ridge < 0.0:
-        raise ConfigurationError(f"ridge must be nonnegative, got {ridge}")
     phi = np.atleast_2d(np.asarray(phi_batch, dtype=float))
     big_d = state.precision.shape[0]
     if phi.shape[1] != big_d:
         raise InputError(
             f"feature batch has dimension {phi.shape[1]}, precision expects {big_d}"
         )
-    if momentum == 1.0:
-        new = state.precision.copy()
-    else:
-        batch_term = phi.T @ phi / phi.shape[0] + ridge * np.eye(big_d)
-        new = momentum * state.precision + (1.0 - momentum) * batch_term
-        new = (new + new.T) / 2.0
     return SngpState(
-        w_r=state.w_r, b_r=state.b_r, beta=state.beta, precision=new,
-        covariance_valid=False, chol=None,
+        w_r=state.w_r, b_r=state.b_r, beta=state.beta,
+        precision=state.precision + phi.T @ phi, covariance_valid=False,
     )
 
 
 def finalize_covariance(state: SngpState) -> SngpState:
     """Mark the precision estimate usable for predictive variances."""
-    return replace(state, covariance_valid=True, chol=None)
+    return replace(state, covariance_valid=True, chol_inv=None)
 
 
 def predictive_variance(state: SngpState, phi_rows: np.ndarray) -> np.ndarray:
-    """Per-row variance phi^T precision^{-1} phi via a Cholesky solve.
+    """Per-row variance phi^T precision^{-1} phi over the last axis.
 
-    Never forms the explicit inverse.  Tiny negative results from rounding
-    are clipped to zero.
+    With precision = L L^T the variance is |L^{-1} phi|^2.  The
+    triangular L^{-1} is computed once per state and cached; the explicit
+    inverse of the precision is never formed.  Rows may be stacked as
+    (n, live, D): the product then runs once per leading index at the
+    (live, D) shape, the shape a single-example call uses, so a row's
+    variance does not depend on how many examples are stacked with it.
     """
     if not state.covariance_valid:
         raise NumericalStateError(
             "predictive variance requested before the precision was finalized"
         )
-    phi = np.atleast_2d(np.asarray(phi_rows, dtype=float))
-    if state.chol is None:
+    if state.chol_inv is None:
         try:
-            state.chol = np.linalg.cholesky(state.precision)
+            chol = np.linalg.cholesky(state.precision)
         except np.linalg.LinAlgError as exc:
             raise NumericalStateError(
                 f"precision matrix is not positive definite: {exc}"
             ) from exc
-    solved = cho_solve((state.chol, True), phi.T)
-    sigma2 = np.einsum("bd,db->b", phi, solved)
-    return np.maximum(sigma2, 0.0)
+        state.chol_inv = np.tril(np.linalg.inv(chol))
+    solved = np.asarray(phi_rows, dtype=float) @ state.chol_inv.T
+    return np.einsum("...d,...d->...", solved, solved)
 
 
 def mean_field_logits(logits, variances, factor: float) -> np.ndarray:
@@ -548,26 +499,6 @@ def _rows_loss(logits: np.ndarray, targets: np.ndarray) -> float:
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(len(targets)), targets]
     return float(np.mean(lse - picked))
-
-
-def batch_loss(model: TrainedModel, examples, *, be_member: int | None = None,
-               dropout_seed: int | None = None) -> float:
-    """Mean cross-entropy over all teacher-forced rows of the batch."""
-    structure = build_rows(examples, model.dims)
-    rows = np.arange(len(structure.targets))
-    cache = _forward_rows(model, structure, rows, be_member=be_member,
-                          dropout_seed=dropout_seed)
-    return _rows_loss(cache["logits"], structure.targets)
-
-
-def backprop_gradients(model: TrainedModel, examples, *, be_member: int | None = None,
-                       dropout_seed: int | None = None) -> Gradients:
-    """Hand-written gradients of the mean cross-entropy for the batch."""
-    structure = build_rows(examples, model.dims)
-    rows = np.arange(len(structure.targets))
-    _, grads = _loss_and_grads(model, structure, rows, be_member=be_member,
-                               dropout_seed=dropout_seed)
-    return grads
 
 
 def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,

@@ -4,10 +4,10 @@ One `train_method` call produces every member the method needs: several
 independently seeded models for the deep ensembles, one shared model for
 everything else.  Batch-ensemble members take turns, one member per step.
 Models with a gaussian-process head get their hidden weights spectrally
-normalized after every update, and their feature precision is accumulated
-in a single pass over the training set after the last step, with dropout
-off and the final weights, so the Laplace covariance describes the model
-actually used at inference time.
+normalized after every update, and their feature precision I + sum phi phi^T
+is accumulated exactly in a single pass over every training row after the
+last step, with dropout off and the final weights, so the Laplace
+covariance describes the model actually used at inference time.
 
 Bundles are plain JSON: floats survive a round trip exactly because the
 writer emits shortest-repr values and the reader restores float64.
@@ -45,7 +45,7 @@ from .model import (
 )
 from .rng import derive_seed, stream
 
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 
 # Cross-entropy this far above any legitimate value means the run has
 # diverged even when saturation keeps every float finite.
@@ -101,15 +101,15 @@ def _apply_update(model: TrainedModel, grads: Gradients, lr: float) -> None:
 
 
 def _finalize_precision(model: TrainedModel, structure, batch_size: int) -> None:
-    """One deterministic pass over the training rows accumulating the
-    feature precision with the configured momentum, then mark it usable."""
-    cfg = model.config.sngp
+    """One deterministic pass over the training rows, batch by batch so
+    memory stays flat, adding every row's features to the identity prior;
+    then mark the precision usable."""
     state = model.sngp_state
     n_rows = len(structure.targets)
     for start in range(0, n_rows, batch_size):
         rows = np.arange(start, min(start + batch_size, n_rows))
         phi = _forward_rows(model, structure, rows, be_member=None, dropout_seed=None)["phi"]
-        state = update_precision(state, phi, cfg.cov_momentum)
+        state = update_precision(state, phi)
     model.sngp_state = finalize_covariance(state)
 
 
@@ -136,9 +136,7 @@ def train_member(
     structure = build_rows(examples, dims)
     gp = uses_gp(config.method)
     if gp:
-        model.params.w_h = spectral_normalize(
-            model.params.w_h, config.sngp.spec_norm_bound, config.sngp.power_iters
-        )
+        model.params.w_h = spectral_normalize(model.params.w_h, config.sngp.spec_norm_bound)
     order = stream(seed, "train", "order")
     history = []
     n = len(examples)
@@ -159,9 +157,7 @@ def train_member(
         if not _params_finite(model):
             raise TrainingError("parameters became non-finite", step=step)
         if gp:
-            model.params.w_h = spectral_normalize(
-                model.params.w_h, config.sngp.spec_norm_bound, config.sngp.power_iters
-            )
+            model.params.w_h = spectral_normalize(model.params.w_h, config.sngp.spec_norm_bound)
         history.append(loss)
         if on_step is not None:
             on_step(step, loss, model)

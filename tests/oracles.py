@@ -138,6 +138,28 @@ def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None
     then either the linear output layer or the cosine feature head.
     """
     params = model.params
+    hidden = _hidden_oracle(model, input_tokens, prefix_tokens, mask, be_member)
+    if model.sngp_state is None:
+        logits = []
+        for v in range(model.dims.vocab_size):
+            out = float(params.b_o[v])
+            for i in range(len(hidden)):
+                out += float(params.w_o[v, i]) * hidden[i]
+            logits.append(out)
+        return np.array(logits)
+    state = model.sngp_state
+    phi = _features_oracle(state, hidden)
+    logits = []
+    for v in range(model.dims.vocab_size):
+        out = 0.0
+        for i in range(len(phi)):
+            out += float(state.beta[v, i]) * phi[i]
+        logits.append(out)
+    return np.array(logits)
+
+
+def _hidden_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None):
+    params = model.params
     d = model.dims.embed_dim
     dh = model.dims.hidden_dim
 
@@ -166,29 +188,34 @@ def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None
         if mask is not None:
             h *= float(mask[i])
         hidden.append(h)
-    if model.sngp_state is None:
-        logits = []
-        for v in range(model.dims.vocab_size):
-            out = float(params.b_o[v])
-            for i in range(dh):
-                out += float(params.w_o[v, i]) * hidden[i]
-            logits.append(out)
-        return np.array(logits)
-    state = model.sngp_state
+    return hidden
+
+
+def _features_oracle(state, hidden):
     big_d = state.w_r.shape[0]
     phi = []
     for i in range(big_d):
         arg = float(state.b_r[i])
-        for j in range(dh):
+        for j in range(len(hidden)):
             arg += float(state.w_r[i, j]) * hidden[j]
         phi.append(math.sqrt(2.0 / big_d) * math.cos(arg))
-    logits = []
-    for v in range(model.dims.vocab_size):
-        out = 0.0
-        for i in range(big_d):
-            out += float(state.beta[v, i]) * phi[i]
-        logits.append(out)
-    return np.array(logits)
+    return phi
+
+
+def precision_oracle(model, examples):
+    """I + sum of phi phi^T over every teacher-forced row of every example
+    (each reference prefix plus the closing eos step), with phi from the
+    scalar-loop hidden layer without dropout."""
+    big_d = model.sngp_state.w_r.shape[0]
+    precision = [[1.0 if i == j else 0.0 for j in range(big_d)] for i in range(big_d)]
+    for ex in examples:
+        ref = tuple(ex.reference)
+        for t in range(len(ref) + 1):
+            phi = _features_oracle(model.sngp_state, _hidden_oracle(model, ex.input, ref[:t]))
+            for i in range(big_d):
+                for j in range(big_d):
+                    precision[i][j] += phi[i] * phi[j]
+    return np.array(precision)
 
 
 def finite_difference_gradient(loss_fn, array, coords, step=1e-3):
@@ -203,6 +230,31 @@ def finite_difference_gradient(loss_fn, array, coords, step=1e-3):
         down = loss_fn()
         flat[c] = orig
         grads[c] = (up - down) / (2.0 * step)
+    return grads
+
+
+def batch_loss(model, examples, *, be_member=None, dropout_seed=None):
+    """The package's mean cross-entropy over every teacher-forced row of
+    the batch, the route training takes.  The gradient checks compare
+    backprop_gradients against central differences of it."""
+    from seqcal.model import _forward_rows, _rows_loss, build_rows
+
+    structure = build_rows(examples, model.dims)
+    rows = np.arange(len(structure.targets))
+    cache = _forward_rows(model, structure, rows, be_member=be_member,
+                          dropout_seed=dropout_seed)
+    return _rows_loss(cache["logits"], structure.targets)
+
+
+def backprop_gradients(model, examples, *, be_member=None, dropout_seed=None):
+    """The package's hand-written gradients of batch_loss, as training
+    computes them for one step."""
+    from seqcal.model import _loss_and_grads, build_rows
+
+    structure = build_rows(examples, model.dims)
+    rows = np.arange(len(structure.targets))
+    _, grads = _loss_and_grads(model, structure, rows, be_member=be_member,
+                               dropout_seed=dropout_seed)
     return grads
 
 

@@ -14,8 +14,6 @@ from oracles import (
     spearman_oracle,
 )
 from seqcal.calib import (
-    AbstentionCurve,
-    BootstrapResult,
     EceConfig,
     ScoredPair,
     _average_ranks,

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -32,7 +34,7 @@ SMALL = {
     "task": {"kind": "copy", "input_len": 3, "output_len": 3},
     "model": {"embed_dim": 6, "hidden_dim": 8},
     "train": {"steps": 40, "batch_size": 16, "learning_rate": 0.5},
-    "methods": {"samples": 3, "de_size": 2, "sngp": {"rff_dim": 16, "power_iters": 30}},
+    "methods": {"samples": 3, "de_size": 2, "sngp": {"rff_dim": 16}},
     "decode": {"beam_size": 2},
     "eval": {"bootstrap_resamples": 30},
 }
@@ -48,7 +50,8 @@ class TestLoadConfig:
         assert cfg.methods.be_size == 5
         assert cfg.methods.de_size == 10
         assert cfg.methods.dropout_rate == 0.1
-        assert cfg.methods.sngp.cov_momentum == 0.999
+        assert cfg.methods.sngp.rff_dim == 128
+        assert cfg.methods.sngp.spec_norm_bound == 1.0
         assert cfg.methods.sngp.mean_field_factor == 1e-4
         assert cfg.decode.beam_size == 3
         assert cfg.eval.ece_bins == 15
@@ -77,6 +80,24 @@ class TestLoadConfig:
     def test_alpha_types(self, tmp_path):
         with pytest.raises(ConfigurationError, match="alphas"):
             load_config(write_config(tmp_path, {"eval": {"alphas": [0.0, "x"]}}))
+
+    @pytest.mark.parametrize("section, values, message", [
+        ("decode", {"beam_size": 0}, "beam_size"),
+        ("task", {"output_len": 0}, "max_len"),
+        ("train", {"batch_size": 0}, "batch_size"),
+        ("train", {"learning_rate": 0.0}, "learning_rate"),
+        ("methods", {"samples": 0}, "samples"),
+        ("methods", {"dropout_rate": 1.0}, "dropout_rate"),
+        ("methods", {"be_size": 0}, "be_size"),
+        ("methods", {"de_size": 1}, "de_size"),
+        ("eval", {"ece_bins": 0}, "ece bins"),
+        ("eval", {"alphas": [0.2, 0.1]}, "sorted"),
+        ("eval", {"alphas": [0.0, 1.0]}, r"\[0, 1\)"),
+        ("eval", {"alphas": []}, "at least one alpha"),
+    ])
+    def test_bad_values_fail_at_load(self, tmp_path, section, values, message):
+        with pytest.raises(ConfigurationError, match=message):
+            load_config(write_config(tmp_path, {section: values}))
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -312,6 +333,81 @@ class TestExitCodes:
         assert main(["eval", "--config", cfg_path, "--out", out]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, values", [
+        ("decode", {"beam_size": 0}),
+        ("eval", {"alphas": [0.5, 0.0]}),
+    ])
+    def test_bad_value_fails_every_stage(self, tmp_path, capsys, section, values):
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        payload = dict(SMALL)
+        payload[section] = dict(payload.get(section, {}), **values)
+        bad_path = write_config(tmp_path, payload, name="bad.json")
+        fresh = str(tmp_path / "fresh")
+        for argv in (["gen-data", "--out", fresh],
+                     ["train", "--out", out, "--method", "base"],
+                     ["infer", "--out", out, "--method", "base"],
+                     ["eval", "--out", out]):
+            capsys.readouterr()
+            assert main(argv + ["--config", bad_path]) == 1, argv[0]
+            assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(fresh)
+
+    def test_version_one_bundle_is_one(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL)
+        out = str(tmp_path / "run")
+        assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
+        assert main(["train", "--config", cfg_path, "--out", out, "--method", "sngp"]) == 0
+        bundle_path = os.path.join(out, "models", "sngp.json")
+        bundle = json.loads(open(bundle_path).read())
+        bundle["format_version"] = 1
+        bundle["method"]["sngp"].update(cov_momentum=0.999, power_iters=100)
+        with open(bundle_path, "w") as fh:
+            json.dump(bundle, fh)
+        capsys.readouterr()
+        assert main(["infer", "--config", cfg_path, "--out", out, "--method", "sngp"]) == 1
+        err = capsys.readouterr().err
+        assert "format_version 1, expected 2" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "preds", "sngp.jsonl"))
+
+    @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters"])
+    def test_retired_sngp_knob_is_one(self, tmp_path, capsys, knob):
+        payload = dict(SMALL, methods=dict(SMALL["methods"], sngp={"rff_dim": 16, knob: 1}))
+        bad_path = write_config(tmp_path, payload, name="bad.json")
+        assert main(["gen-data", "--config", bad_path, "--out", str(tmp_path / "x")]) == 1
+        assert knob in capsys.readouterr().err
+        cfg_path = write_config(tmp_path, SMALL)
+        out = str(tmp_path / "run")
+        assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
+        assert main(["train", "--config", cfg_path, "--out", out, "--method", "sngp"]) == 0
+        bundle_path = os.path.join(out, "models", "sngp.json")
+        bundle = json.loads(open(bundle_path).read())
+        bundle["method"]["sngp"][knob] = 1
+        with open(bundle_path, "w") as fh:
+            json.dump(bundle, fh)
+        capsys.readouterr()
+        assert main(["infer", "--config", cfg_path, "--out", out, "--method", "sngp"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid header" in err and knob in err
+
+    def test_underflowing_posterior_infer_is_two(self, tmp_path, capsys):
+        # finite logits whose spread makes every other probability exactly 0:
+        # no finite log score exists, so infer must fail instead of writing
+        # -Infinity
+        cfg_path = write_config(tmp_path, SMALL)
+        out = str(tmp_path / "run")
+        assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
+        assert main(["train", "--config", cfg_path, "--out", out, "--method", "base"]) == 0
+        bundle_path = os.path.join(out, "models", "base.json")
+        bundle = json.loads(open(bundle_path).read())
+        bundle["members"][0]["b_o"][3] = 800.0
+        with open(bundle_path, "w") as fh:
+            json.dump(bundle, fh)
+        capsys.readouterr()
+        assert main(["infer", "--config", cfg_path, "--out", out, "--method", "base"]) == 2
+        err = capsys.readouterr().err
+        assert "underflowed" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "preds", "base.jsonl"))
+
     def test_unknown_method_is_one(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
@@ -330,3 +426,13 @@ class TestOutDir:
         assert out.report("ece.csv").endswith(os.path.join("reports", "ece.csv"))
         out.ensure("models")
         assert os.path.isdir(out.path("models"))
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, seqcal.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

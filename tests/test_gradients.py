@@ -8,16 +8,9 @@ keeps truncation and roundoff both far below the 1e-4 relative gate.
 import numpy as np
 import pytest
 
-from oracles import finite_difference_gradient
+from oracles import backprop_gradients, batch_loss, finite_difference_gradient
 from seqcal.corpus import ExampleRecord
-from seqcal.model import (
-    MethodConfig,
-    ModelDims,
-    SngpConfig,
-    backprop_gradients,
-    batch_loss,
-    init_model,
-)
+from seqcal.model import MethodConfig, ModelDims, SngpConfig, init_model
 
 FD_STEP = 1e-4
 REL_TOL = 1e-4

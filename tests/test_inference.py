@@ -16,7 +16,6 @@ from seqcal.errors import (
     ValidationError,
 )
 from seqcal.inference import (
-    JoinedRecord,
     PosteriorConfig,
     PredictionRecord,
     beam_decode,
@@ -205,6 +204,18 @@ class TestBeamDecode:
             assert rec.hypothesis == tokens
             assert np.allclose(rec.token_logp, logps, atol=1e-12)
             assert abs(rec.eos_logp - eos_lp) < 1e-12
+
+    @pytest.mark.parametrize("method", ["base", "de"])
+    def test_underflowing_probability_raises(self, method):
+        # finite logits 800 apart: exp underflows every other probability
+        # to exactly 0, whose log score would be -inf; a deep ensemble whose
+        # members all do so is no better
+        members = make_members(method, seeds=(1, 2) if method == "de" else ())
+        for m in members:
+            m.params.b_o[3] = 800.0
+        with pytest.raises(NumericalStateError, match="underflowed to 0 at decode step 0"):
+            beam_decode(members, (3, 4), PosteriorConfig(beam_size=2, max_len=3),
+                        run_seed=0, example_id="u")
 
     def test_beam_one_equals_greedy_with_dropout(self):
         config = PosteriorConfig(beam_size=1, max_len=3)

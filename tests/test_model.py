@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import forward_oracle, posterior_mean_dist
+from oracles import batch_loss, forward_oracle, posterior_mean_dist
 from seqcal.corpus import ExampleRecord
 from seqcal.errors import ConfigurationError, InputError, NumericalStateError
 from seqcal.model import (
     MethodConfig,
     ModelDims,
     SngpConfig,
-    batch_loss,
     build_rows,
     dropout_mask,
     finalize_covariance,
@@ -72,10 +71,15 @@ class TestMethodConfig:
             MethodConfig(method="mcd", dropout_rate=1.0)
 
     def test_sngp_knob_ranges(self):
-        with pytest.raises(ConfigurationError, match="cov_momentum"):
-            SngpConfig(cov_momentum=1.0)
+        with pytest.raises(ConfigurationError, match="spec_norm_bound"):
+            SngpConfig(spec_norm_bound=0.0)
         with pytest.raises(ConfigurationError, match="kernel_scale"):
             SngpConfig(kernel_scale=0.0)
+
+    @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters"])
+    def test_retired_sngp_knobs_refused(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            SngpConfig(**{knob: 1})
 
 
 class TestInit:
@@ -261,7 +265,7 @@ class TestDropoutMask:
 class TestSpectralNormalize:
     def test_diagonal_known_answer(self):
         w = np.diag([3.0, 1.0])
-        got = spectral_normalize(w, 1.0, 100)
+        got = spectral_normalize(w, 1.0)
         assert np.allclose(got, w / 3.0, atol=1e-9)
 
     def test_random_matrices_meet_bound_and_keep_direction(self):
@@ -269,31 +273,40 @@ class TestSpectralNormalize:
         for _ in range(20):
             w = rs.standard_normal((int(rs.integers(2, 12)), int(rs.integers(2, 12))))
             bound = float(rs.uniform(0.2, 2.0))
-            got = spectral_normalize(w, bound, 100)
+            got = spectral_normalize(w, bound)
             sigma = np.linalg.svd(w, compute_uv=False)[0]
             assert np.linalg.svd(got, compute_uv=False)[0] <= bound * (1.0 + 1e-6)
             if sigma > bound:
                 assert np.allclose(got, w * (bound / sigma), rtol=1e-6, atol=1e-9)
 
+    def test_rescale_uses_exact_top_singular_value(self):
+        rs = np.random.default_rng(6)
+        for shape in ((24, 24), (32, 32), (32, 16), (5, 9)):
+            w = rs.standard_normal(shape)
+            sigma = np.linalg.svd(w, compute_uv=False)[0]
+            got = spectral_normalize(w, 0.5)
+            assert np.allclose(got, w * (0.5 / sigma), rtol=1e-13, atol=0)
+            assert abs(np.linalg.svd(got, compute_uv=False)[0] - 0.5) <= 1e-13
+
     def test_within_bound_is_identity(self):
         rs = np.random.default_rng(5)
         w = rs.standard_normal((4, 4)) * 0.01
-        got = spectral_normalize(w, 1.0, 50)
+        got = spectral_normalize(w, 1.0)
         assert np.array_equal(got, w)
 
     def test_zero_matrix(self):
-        got = spectral_normalize(np.zeros((3, 5)), 1.0, 10)
+        got = spectral_normalize(np.zeros((3, 5)), 1.0)
         assert np.array_equal(got, np.zeros((3, 5)))
 
     def test_bad_arguments(self):
-        with pytest.raises(ConfigurationError, match="power_iters"):
-            spectral_normalize(np.eye(2), 1.0, 0)
+        with pytest.raises(TypeError):
+            spectral_normalize(np.eye(2), 1.0, 10)
         with pytest.raises(ConfigurationError, match="bound"):
-            spectral_normalize(np.eye(2), 0.0, 10)
+            spectral_normalize(np.eye(2), 0.0)
         with pytest.raises(NumericalStateError, match="non-finite"):
-            spectral_normalize(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0, 10)
+            spectral_normalize(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
         with pytest.raises(InputError, match="matrix"):
-            spectral_normalize(np.zeros(3), 1.0, 10)
+            spectral_normalize(np.zeros(3), 1.0)
 
 
 class TestGpFeatures:
@@ -335,43 +348,45 @@ class TestPrecisionUpdate:
 
     def test_hand_case(self):
         state = self._state(2)
-        phi = np.array([[1.0, 0.0], [0.0, 1.0]])
-        new = update_precision(state, phi, momentum=0.5, ridge=0.0)
-        assert np.allclose(new.precision, 0.75 * np.eye(2), atol=1e-15)
+        phi = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        new = update_precision(state, phi)
+        assert np.array_equal(new.precision, np.array([[3.0, 1.0], [1.0, 6.0]]))
 
-    def test_momentum_one_keeps_matrix(self):
-        state = self._state(3)
-        new = update_precision(state, np.ones((4, 3)), momentum=1.0)
+    def test_zero_features_keep_matrix(self):
+        state = update_precision(self._state(3), np.ones((4, 3)))
+        new = update_precision(state, np.zeros((4, 3)))
         assert np.array_equal(new.precision, state.precision)
 
-    def test_momentum_zero_ridge_zero_is_batch_term(self):
+    def test_batches_sum_to_identity_plus_gram(self):
         state = self._state(3)
         rs = np.random.default_rng(2)
         phi = rs.standard_normal((10, 3))
-        new = update_precision(state, phi, momentum=0.0, ridge=0.0)
-        assert np.allclose(new.precision, phi.T @ phi / 10.0, atol=1e-14)
+        for part in (phi[:4], phi[4:5], phi[5:]):
+            state = update_precision(state, part)
+        want = np.eye(3) + sum(np.outer(row, row) for row in phi)
+        assert np.allclose(state.precision, want, rtol=1e-14, atol=1e-14)
 
     def test_stays_symmetric_positive_definite(self):
         state = self._state(8)
         rs = np.random.default_rng(3)
         for _ in range(50):
             phi = rs.standard_normal((int(rs.integers(1, 6)), 8))
-            state = update_precision(state, phi, momentum=0.999)
+            state = update_precision(state, phi)
         assert np.array_equal(state.precision, state.precision.T)
-        assert np.min(np.linalg.eigvalsh(state.precision)) > 0.0
+        assert np.min(np.linalg.eigvalsh(state.precision)) >= 1.0
 
     def test_update_invalidates_covariance(self):
         state = finalize_covariance(self._state(2))
         assert state.covariance_valid
-        new = update_precision(state, np.ones((1, 2)), momentum=0.9)
+        new = update_precision(state, np.ones((1, 2)))
         assert not new.covariance_valid
 
     def test_bad_arguments(self):
         state = self._state(2)
-        with pytest.raises(ConfigurationError, match="momentum"):
-            update_precision(state, np.ones((1, 2)), momentum=1.5)
+        with pytest.raises(TypeError):
+            update_precision(state, np.ones((1, 2)), 0.5)
         with pytest.raises(InputError, match="dimension"):
-            update_precision(state, np.ones((1, 3)), momentum=0.5)
+            update_precision(state, np.ones((1, 3)))
 
 
 class TestPredictiveVariance:
@@ -398,6 +413,31 @@ class TestPredictiveVariance:
         inv = np.linalg.inv(state.precision)
         want = np.einsum("bd,de,be->b", phi, inv, phi)
         assert np.allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("examples, live", [(40, 3), (40, 1), (5, 16)])
+    def test_stacked_rows_match_single_example(self, examples, live):
+        # bitwise: the GEMM row count, and with it the last bit, must not
+        # depend on how many examples are stacked
+        state = self._state(64)
+        rs = np.random.default_rng(7)
+        a = rs.standard_normal((200, 64))
+        state.precision = np.eye(64) + a.T @ a
+        state = finalize_covariance(state)
+        phi = rs.standard_normal((examples, live, 64))
+        got = predictive_variance(state, phi)
+        assert got.shape == (examples, live)
+        for e in range(examples):
+            assert np.array_equal(got[e], predictive_variance(state, phi[e:e + 1])[0])
+        want = np.einsum("nld,de,nle->nl", phi, np.linalg.inv(state.precision), phi)
+        assert np.allclose(got, want, rtol=1e-10)
+
+    def test_factor_computed_once(self):
+        state = finalize_covariance(self._state(4))
+        predictive_variance(state, np.ones((1, 4)))
+        factor = state.chol_inv
+        assert np.array_equal(factor, np.tril(factor))
+        predictive_variance(state, np.ones((2, 4)))
+        assert state.chol_inv is factor
 
     def test_requires_finalized_estimate(self):
         state = self._state(3)

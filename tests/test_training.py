@@ -6,9 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from seqcal.corpus import ExampleRecord, TaskSpec, generate_corpus, make_vocabulary
+from oracles import precision_oracle
+from seqcal.corpus import TaskSpec, generate_corpus, make_vocabulary
 from seqcal.errors import ConfigurationError, InputError, TrainingError, ValidationError
-from seqcal.model import MethodConfig, ModelDims, SngpConfig, init_model
+from seqcal.model import (
+    MethodConfig,
+    ModelDims,
+    SngpConfig,
+    build_rows,
+    forward,
+    gp_features,
+    init_model,
+    predictive_variance,
+)
 from seqcal.training import (
     TrainHyper,
     check_vocab_match,
@@ -114,6 +124,26 @@ class TestTrainMember:
         assert state.covariance_valid
         assert not np.array_equal(state.precision, np.eye(12))
         assert np.min(np.linalg.eigvalsh(state.precision)) > 0.0
+
+    def test_gp_precision_is_identity_plus_gram_of_every_training_row(self):
+        vocab, examples = copy_corpus(n=50)
+        cfg = MethodConfig(method="sngp_mcd", dropout_rate=0.3, sngp=SngpConfig(rff_dim=12))
+        model = train_member(examples, dims_for(vocab), cfg, TrainHyper(steps=10), seed=6)
+        want = precision_oracle(model, examples)
+        assert np.allclose(model.sngp_state.precision, want, rtol=1e-12, atol=1e-12)
+
+    def test_gp_variance_is_distance_aware(self):
+        vocab, examples = copy_corpus()
+        dims = dims_for(vocab)
+        cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16))
+        model = train_member(examples, dims, cfg, TrainHyper(steps=30), seed=3)
+        rows = build_rows(examples, dims)
+        embed = model.params.embed
+        z = np.concatenate([rows.ctx_weights @ embed, rows.prefix_weights @ embed], axis=1)
+        seen = predictive_variance(model.sngp_state, forward(model, z)["phi"])
+        far_h = np.random.default_rng(0).uniform(-1.0, 1.0, (500, dims.hidden_dim))
+        far = predictive_variance(model.sngp_state, gp_features(far_h, model.sngp_state))
+        assert 10.0 * seen.mean() < far.mean()
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_raises_with_step(self):
