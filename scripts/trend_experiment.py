@@ -22,14 +22,15 @@ from seqcal.cli import _resolve_methods, load_config
 from seqcal.corpus import generate_corpus, make_vocabulary, split_corpus, vocabulary_sha256
 from seqcal.errors import MetricError
 from seqcal.inference import decode_corpus, join_with_references
-from seqcal.training import train_method
+from seqcal.training import split_rows, train_method
 
 
 def run_one(cfg, method):
     vocab = make_vocabulary(cfg.vocab_size)
     records = generate_corpus(cfg.task_spec(vocab), cfg.n_examples, vocab)
     train, _, test = split_corpus(records, seed=cfg.seed)
-    members = train_method(train, cfg.dims(vocab), cfg.method_config(method),
+    members = train_method(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
+                           cfg.method_config(method),
                            cfg.train_hyper(), seed=cfg.train_seed(method),
                            vocab_sha256=vocabulary_sha256(vocab))
     preds = decode_corpus(members, test, cfg.posterior_config(),

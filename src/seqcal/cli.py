@@ -42,6 +42,7 @@ from .calib import (
     abstention_curve,
     bootstrap_std,
     check_alphas,
+    check_resamples,
     ece,
     roc_auc,
     sequence_pairs,
@@ -86,6 +87,7 @@ from .training import (
     check_vocab_match,
     evaluate_loss,
     read_bundle,
+    split_rows,
     train_method,
     write_bundle,
 )
@@ -345,7 +347,6 @@ def load_config(path) -> RunConfig:
     alphas = ev["alphas"]
     if not all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in alphas):
         raise ConfigurationError("eval.alphas must be a list of numbers")
-    _int_field(ev["bootstrap_resamples"], "eval.bootstrap_resamples", 2)
 
     config = RunConfig(
         seed=top["seed"],
@@ -366,7 +367,7 @@ def load_config(path) -> RunConfig:
             ece_bins=ev["ece_bins"],
             thresholds=tuple(sorted(thresholds.items())),
             alphas=check_alphas(alphas),
-            bootstrap_resamples=ev["bootstrap_resamples"],
+            bootstrap_resamples=check_resamples(ev["bootstrap_resamples"]),
         ),
     )
     # Build what the later stages build, so a bad value fails every stage,
@@ -466,20 +467,20 @@ def cmd_gen_data(config: RunConfig, out: OutDir) -> None:
 def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
     vocab = read_vocabulary(out.vocab)
     sha = vocabulary_sha256(vocab)
-    examples = read_records(out.split("train"))
-    dev = read_records(out.split("dev"))
     dims = config.dims(vocab)
+    train_rows = split_rows(read_records(out.split("train")), dims)
+    dev_rows = split_rows(read_records(out.split("dev")), dims)
     hyper = config.train_hyper()
     out.ensure("models")
     for method in _resolve_methods(method_arg):
         mcfg = config.method_config(method)
         members = train_method(
-            examples, dims, mcfg, hyper,
+            train_rows, dims, mcfg, hyper,
             seed=config.train_seed(method), vocab_sha256=sha,
         )
         write_bundle(members, out.model_bundle(method))
-        train_ce = evaluate_loss(members[0], examples)
-        dev_ce = evaluate_loss(members[0], dev)
+        train_ce = evaluate_loss(members[0], train_rows)
+        dev_ce = evaluate_loss(members[0], dev_rows)
         print(f"trained {method}: {len(members)} member(s), "
               f"train CE {train_ce:.4f}, dev CE {dev_ce:.4f}")
 

@@ -26,7 +26,9 @@ Heads modify this skeleton:
 
 All arrays are float64.  `forward` is the one implementation of this
 body.  It takes z rows of any leading shape and returns raw logits plus
-the intermediates the backward pass needs.  Three callers run it:
+the intermediates the backward pass needs; for the gaussian-process head
+these include the cosine argument u = h W_r^T + b_r, so the backward pass
+takes sin(u) without repeating the product.  Three callers run it:
 
   _forward_rows                  teacher-forced rows for the training loss,
                                  its gradients and `evaluate_loss`
@@ -50,7 +52,7 @@ from .errors import (
     InputError,
     NumericalStateError,
 )
-from .rng import stream
+from .rng import rekey, stream
 
 METHODS = ("base", "mcd", "be", "sngp", "sngp_mcd", "de", "sngp_de")
 
@@ -264,10 +266,26 @@ def _mean_embedding(embed: np.ndarray, tokens, bos_id: int) -> np.ndarray:
     return embed[np.asarray(tokens, dtype=int)].mean(axis=0)
 
 
+# Every mask draws from this one generator, rewound to the mask's own
+# stream first: re-keying costs far less than building a generator.
+_MASK_GENERATOR = np.random.Generator(np.random.Philox(0))
+
+
 def dropout_mask(seed: int, rate: float, shape) -> np.ndarray:
-    """Inverted-dropout mask: kept units scaled by 1/(1-rate)."""
-    keep = stream(seed, "dropout-mask").random(shape) >= rate
+    """Inverted-dropout mask: kept units scaled by 1/(1-rate).
+
+    The draws are those of `stream(seed, "dropout-mask").random(shape)`.
+    """
+    keep = rekey(_MASK_GENERATOR, seed, "dropout-mask").random(shape) >= rate
     return keep.astype(float) / (1.0 - rate)
+
+
+def _gp_arg_and_features(h: np.ndarray, state: SngpState):
+    """The cosine argument u = h W_r^T + b_r and phi = sqrt(2/D) cos(u)."""
+    u = h @ state.w_r.T + state.b_r
+    phi = np.cos(u)
+    phi *= math.sqrt(2.0 / state.w_r.shape[0])
+    return u, phi
 
 
 def gp_features(h, state: SngpState) -> np.ndarray:
@@ -276,9 +294,7 @@ def gp_features(h, state: SngpState) -> np.ndarray:
     Works on a single activation vector or a stack of rows; the squared
     norm of each feature vector is at most 2 by construction.
     """
-    h = np.asarray(h, dtype=float)
-    big_d = state.w_r.shape[0]
-    return math.sqrt(2.0 / big_d) * np.cos(h @ state.w_r.T + state.b_r)
+    return _gp_arg_and_features(np.asarray(h, dtype=float), state)[1]
 
 
 def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
@@ -289,10 +305,11 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
     fast weights) and mask, when given, is an inverted-dropout mask that
     broadcasts against the hidden activation.  Returns the pre-activation
     "a", the tanh activation "h_raw", the masked activation "h", "logits",
-    and the gaussian-process features "phi" (None for the linear head);
-    batch-ensemble passes add the member index "be_member", its fast
-    weights "r_k"/"s_k", the scaled input "zs" and the pre-modulation
-    product "pre", which the backward pass needs.
+    and the gaussian-process features "phi" (None for the linear head).
+    For the backward pass, the gaussian-process head adds its cosine
+    argument "u", and batch-ensemble passes add the member index
+    "be_member", its fast weights "r_k"/"s_k", the scaled input "zs" and
+    the pre-modulation product "pre".
     """
     params = model.params
     out = {}
@@ -312,7 +329,7 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
     if model.sngp_state is None:
         logits, phi = h @ params.w_o.T + params.b_o, None
     else:
-        phi = gp_features(h, model.sngp_state)
+        out["u"], phi = _gp_arg_and_features(h, model.sngp_state)
         logits = phi @ model.sngp_state.beta.T
     out.update(a=a, h_raw=h_raw, h=h, logits=logits, phi=phi)
     return out
@@ -366,20 +383,12 @@ def finalize_covariance(state: SngpState) -> SngpState:
     return replace(state, covariance_valid=True, chol_inv=None)
 
 
-def predictive_variance(state: SngpState, phi_rows: np.ndarray) -> np.ndarray:
-    """Per-row variance phi^T precision^{-1} phi over the last axis.
+def factor_precision(state: SngpState) -> np.ndarray:
+    """L^{-1} for the Cholesky factorization precision = L L^T.
 
-    With precision = L L^T the variance is |L^{-1} phi|^2.  The
-    triangular L^{-1} is computed once per state and cached; the explicit
-    inverse of the precision is never formed.  Rows may be stacked as
-    (n, live, D): the product then runs once per leading index at the
-    (live, D) shape, the shape a single-example call uses, so a row's
-    variance does not depend on how many examples are stacked with it.
+    Computed once per state and cached on it; raises NumericalStateError
+    when the precision is not positive definite.
     """
-    if not state.covariance_valid:
-        raise NumericalStateError(
-            "predictive variance requested before the precision was finalized"
-        )
     if state.chol_inv is None:
         try:
             chol = np.linalg.cholesky(state.precision)
@@ -388,7 +397,24 @@ def predictive_variance(state: SngpState, phi_rows: np.ndarray) -> np.ndarray:
                 f"precision matrix is not positive definite: {exc}"
             ) from exc
         state.chol_inv = np.tril(np.linalg.inv(chol))
-    solved = np.asarray(phi_rows, dtype=float) @ state.chol_inv.T
+    return state.chol_inv
+
+
+def predictive_variance(state: SngpState, phi_rows: np.ndarray) -> np.ndarray:
+    """Per-row variance phi^T precision^{-1} phi over the last axis.
+
+    With precision = L L^T the variance is |L^{-1} phi|^2, with the
+    cached L^{-1} of `factor_precision`; the explicit inverse of the
+    precision is never formed.  Rows may be stacked as
+    (n, live, D): the product then runs once per leading index at the
+    (live, D) shape, the shape a single-example call uses, so a row's
+    variance does not depend on how many examples are stacked with it.
+    """
+    if not state.covariance_valid:
+        raise NumericalStateError(
+            "predictive variance requested before the precision was finalized"
+        )
+    solved = np.asarray(phi_rows, dtype=float) @ factor_precision(state).T
     return np.einsum("...d,...d->...", solved, solved)
 
 
@@ -531,9 +557,8 @@ def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
         grads.beta = dlogits.T @ phi
         dphi = dlogits @ state.beta
         big_d = state.w_r.shape[0]
-        # phi = sqrt(2/D) cos(u) with u = h W_r^T + b_r
-        u_arg = cache["h"] @ state.w_r.T + state.b_r
-        du = dphi * (-math.sqrt(2.0 / big_d) * np.sin(u_arg))
+        # phi = sqrt(2/D) cos(u) with u = h W_r^T + b_r, kept by forward
+        du = dphi * (-math.sqrt(2.0 / big_d) * np.sin(cache["u"]))
         dh = du @ state.w_r
 
     if cache["mask"] is not None:

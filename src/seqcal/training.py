@@ -1,5 +1,10 @@
 """SGD training loop for every method, plus model bundle serialization.
 
+The teacher-forced rows of a split are built once (`split_rows`) and
+shared: every member of every method trains on the same train rows, and
+`evaluate_loss` reads them too.  A step picks its batch's rows by index
+from the per-example spans.
+
 One `train_method` call produces every member the method needs: several
 independently seeded models for the deep ensembles, one shared model for
 everything else.  Batch-ensemble members take turns, one member per step.
@@ -21,13 +26,20 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, TrainingError, ValidationError
+from .errors import (
+    ConfigurationError,
+    InputError,
+    NumericalStateError,
+    TrainingError,
+    ValidationError,
+)
 from .model import (
     BatchEnsembleState,
     Gradients,
     MethodConfig,
     ModelDims,
     ModelParams,
+    RowStructure,
     SngpConfig,
     SngpState,
     TrainedModel,
@@ -35,6 +47,7 @@ from .model import (
     _loss_and_grads,
     _rows_loss,
     build_rows,
+    factor_precision,
     finalize_covariance,
     init_model,
     is_deep_ensemble,
@@ -69,9 +82,22 @@ class TrainHyper:
             )
 
 
-def _rows_for_examples(structure, example_idx) -> np.ndarray:
-    parts = [np.arange(*structure.row_spans[i]) for i in example_idx]
-    return np.concatenate(parts)
+def split_rows(examples, dims: ModelDims) -> RowStructure:
+    """The teacher-forced rows of one split, built once and shared by every
+    member trained on it and by `evaluate_loss`."""
+    examples = list(examples)
+    if not examples:
+        raise InputError("a split needs at least one example")
+    return build_rows(examples, dims)
+
+
+def _batch_rows(spans: np.ndarray, example_idx) -> np.ndarray:
+    """The rows of the chosen examples, each example's span in order.
+    `spans` holds the row_spans as an (examples, 2) array."""
+    starts = spans[example_idx, 0]
+    lengths = spans[example_idx, 1] - starts
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
 
 
 def _params_finite(model: TrainedModel) -> bool:
@@ -114,7 +140,7 @@ def _finalize_precision(model: TrainedModel, structure, batch_size: int) -> None
 
 
 def train_member(
-    examples,
+    structure: RowStructure,
     dims: ModelDims,
     config: MethodConfig,
     hyper: TrainHyper,
@@ -122,28 +148,26 @@ def train_member(
     vocab_sha256: str = "",
     on_step=None,
 ) -> TrainedModel:
-    """Train one model from a fresh seeded initialization.
+    """Train one model from a fresh seeded initialization on the rows of
+    the training split (`split_rows`).
 
     on_step, when given, is called as on_step(step, loss, model) after
     each update, with the loss measured on the step's batch before the
     update was applied.
     """
-    examples = list(examples)
-    if not examples:
-        raise InputError("training needs at least one example")
     model = init_model(dims, config, seed)
     model.vocab_sha256 = vocab_sha256
-    structure = build_rows(examples, dims)
     gp = uses_gp(config.method)
     if gp:
         model.params.w_h = spectral_normalize(model.params.w_h, config.sngp.spec_norm_bound)
     order = stream(seed, "train", "order")
     history = []
-    n = len(examples)
+    spans = np.asarray(structure.row_spans)
+    n = len(spans)
     batch = min(hyper.batch_size, n)
     for step in range(hyper.steps):
         example_idx = order.choice(n, size=batch, replace=False)
-        rows = _rows_for_examples(structure, example_idx)
+        rows = _batch_rows(spans, example_idx)
         dropout_seed = None
         if uses_dropout(config.method) and config.dropout_rate > 0.0:
             dropout_seed = derive_seed(seed, "train-dropout", step)
@@ -168,7 +192,7 @@ def train_member(
 
 
 def train_method(
-    examples,
+    structure: RowStructure,
     dims: ModelDims,
     config: MethodConfig,
     hyper: TrainHyper,
@@ -183,21 +207,20 @@ def train_method(
     else:
         member_seeds = (seed,)
     return tuple(
-        train_member(examples, dims, config, hyper, s, vocab_sha256, on_step)
+        train_member(structure, dims, config, hyper, s, vocab_sha256, on_step)
         for s in member_seeds
     )
 
 
-def evaluate_loss(model: TrainedModel, examples) -> float:
-    """Mean next-token cross-entropy with dropout off (first batch-ensemble
-    member for that method)."""
-    examples = list(examples)
-    if not examples:
-        raise InputError("evaluation needs at least one example")
-    structure = build_rows(examples, model.dims)
+def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:
+    """Mean next-token cross-entropy over every row of a split
+    (`split_rows`), with dropout off (first batch-ensemble member for that
+    method)."""
     rows = np.arange(len(structure.targets))
-    cache = _forward_rows(model, structure, rows, be_member=None, dropout_seed=None)
-    return _rows_loss(cache["logits"], structure.targets)
+    # Keep only the logits, so the rest of the forward cache is freed
+    # before the loss allocates its own temporaries.
+    logits = _forward_rows(model, structure, rows, be_member=None, dropout_seed=None)["logits"]
+    return _rows_loss(logits, structure.targets)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +277,47 @@ def write_bundle(members, path) -> None:
             raise ValidationError("bundle members disagree on method or dimensions")
         if m.vocab_sha256 != first.vocab_sha256:
             raise ValidationError("bundle members disagree on vocabulary hash")
-    payload = {
+    head = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "method": asdict(first.config),
         "dims": asdict(first.dims),
         "vocab_sha256": first.vocab_sha256,
-        "members": [_member_payload(m) for m in members],
     }
+    # The bytes of json.dump({**head, "members": [...]}), but encoded by
+    # json.dumps, which uses the C encoder where json.dump streams through
+    # the pure-python one, one member at a time so that only one member's
+    # lists exist at once.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"members":[')
+        for i, member in enumerate(members):
+            if i:
+                fh.write(",")
+            fh.write(json.dumps(_member_payload(member), separators=(",", ":")))
+        fh.write("]}\n")
+
+
+def _load_sngp_state(sp, big_d: int, dims: ModelDims, where) -> SngpState:
+    """The gaussian-process state of a bundle member, refused unless its
+    precision was finalized and is symmetric positive definite.  The
+    Cholesky factor this check computes is the one inference uses."""
+    if not isinstance(sp, dict):
+        raise ValidationError(f"{where} gaussian-process state must be an object")
+    if sp.get("covariance_valid") is not True:
+        raise ValidationError(f"{where} gaussian-process precision was never finalized")
+    state = SngpState(
+        w_r=_array_field(sp, "w_r", (big_d, dims.hidden_dim), where),
+        b_r=_array_field(sp, "b_r", (big_d,), where),
+        beta=_array_field(sp, "beta", (dims.vocab_size, big_d), where),
+        precision=_array_field(sp, "precision", (big_d, big_d), where),
+        covariance_valid=True,
+    )
+    if not np.array_equal(state.precision, state.precision.T):
+        raise ValidationError(f"{where} gaussian-process precision is not symmetric")
+    try:
+        factor_precision(state)
+    except NumericalStateError as exc:
+        raise ValidationError(f"{where} gaussian-process {exc}") from exc
+    return state
 
 
 def _load_member(payload, dims: ModelDims, config: MethodConfig, vocab_sha256, where):
@@ -286,15 +340,7 @@ def _load_member(payload, dims: ModelDims, config: MethodConfig, vocab_sha256, w
     if uses_gp(config.method):
         if payload.get("sngp") is None:
             raise ValidationError(f"{where} is missing its gaussian-process state")
-        sp = payload["sngp"]
-        big_d = config.sngp.rff_dim
-        sngp_state = SngpState(
-            w_r=_array_field(sp, "w_r", (big_d, dh), where),
-            b_r=_array_field(sp, "b_r", (big_d,), where),
-            beta=_array_field(sp, "beta", (v, big_d), where),
-            precision=_array_field(sp, "precision", (big_d, big_d), where),
-            covariance_valid=bool(sp.get("covariance_valid", False)),
-        )
+        sngp_state = _load_sngp_state(payload["sngp"], config.sngp.rff_dim, dims, where)
     else:
         params.w_o = _array_field(payload, "w_o", (v, dh), where)
         params.b_o = _array_field(payload, "b_o", (v,), where)

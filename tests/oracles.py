@@ -391,3 +391,50 @@ def beam_oracle(members, input_tokens, config, run_seed, example_id):
         eos_logp=eos_lp,
         uncertainty=uncertainty_score(logps, eos_lp),
     )
+
+
+def bootstrap_oracle(u, q, n_resamples, seed, corr):
+    """Bootstrap rank correlation one resample at a time, over the index
+    matrix the package draws.  `corr(u, q)` is called per resample; a
+    resample with a constant side counts as failed.  Returns (the
+    successful correlations in order, the failure count)."""
+    from seqcal.rng import stream
+
+    u = np.asarray(u, dtype=float)
+    q = np.asarray(q, dtype=float)
+    idx = stream(seed, "bootstrap").integers(0, len(u), size=(n_resamples, len(u)))
+    values = []
+    failed = 0
+    for row in idx:
+        ur, qr = u[row], q[row]
+        if len(set(ur.tolist())) < 2 or len(set(qr.tolist())) < 2:
+            failed += 1
+        else:
+            values.append(corr(ur, qr))
+    return values, failed
+
+
+def batch_rows_oracle(structure, example_idx):
+    """Each chosen example's rows, concatenated in order."""
+    return np.concatenate([np.arange(*structure.row_spans[i]) for i in example_idx])
+
+
+def bundle_dump_oracle(members, path):
+    """A bundle streamed to disk with json.dump, the route the writer
+    used before it encoded in one call."""
+    import json
+    from dataclasses import asdict
+
+    from seqcal.training import BUNDLE_FORMAT_VERSION, _member_payload
+
+    first = members[0]
+    payload = {
+        "format_version": BUNDLE_FORMAT_VERSION,
+        "method": asdict(first.config),
+        "dims": asdict(first.dims),
+        "vocab_sha256": first.vocab_sha256,
+        "members": [_member_payload(m) for m in members],
+    }
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, separators=(",", ":"))
+        fh.write("\n")

@@ -6,6 +6,7 @@ desk-scale trend study; its soft sub-checks print effect sizes and only
 the quality-tolerance breach (and the wall-clock budget) hard-fails.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -73,7 +74,7 @@ from seqcal.model import (
     update_precision,
 )
 from seqcal.rouge import lcs_length, rouge_l, rouge_n
-from seqcal.training import TrainHyper, train_member, train_method
+from seqcal.training import TrainHyper, split_rows, train_member, train_method
 
 
 @pytest.fixture
@@ -320,8 +321,8 @@ def test_criterion_4_structural_invariants(announce):
     def watch(step, loss, model):
         sigmas.append(float(np.linalg.svd(model.params.w_h, compute_uv=False)[0]))
 
-    train_member(train, cfg.dims(vocab), cfg.method_config("sngp"),
-                 cfg.train_hyper(), seed=cfg.train_seed("sngp"),
+    train_member(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
+                 cfg.method_config("sngp"), cfg.train_hyper(), seed=cfg.train_seed("sngp"),
                  vocab_sha256=sha, on_step=watch)
     spectral_ok = len(sigmas) == cfg.train.steps and max(sigmas) <= bound * 1.001
 
@@ -334,7 +335,8 @@ def test_criterion_4_structural_invariants(announce):
     # the exact pass adds positive semidefinite terms to the identity prior
     spd_ok = eigmin >= 1.0 and bool(np.array_equal(state.precision, state.precision.T))
 
-    members = train_method(train, cfg.dims(vocab), cfg.method_config("sngp_mcd"),
+    members = train_method(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
+                           cfg.method_config("sngp_mcd"),
                            TrainHyper(steps=100, batch_size=16, learning_rate=0.5),
                            seed=cfg.train_seed("sngp_mcd"), vocab_sha256=sha)
     rows_seen = 0
@@ -441,7 +443,8 @@ def _trend_one_seed(global_seed):
     sha = vocabulary_sha256(vocab)
     out = {}
     for method in ("base", "de"):
-        members = train_method(train, cfg.dims(vocab), cfg.method_config(method),
+        members = train_method(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
+                               cfg.method_config(method),
                                cfg.train_hyper(), seed=cfg.train_seed(method),
                                vocab_sha256=sha)
         preds = decode_corpus(members, test, cfg.posterior_config(),
@@ -507,8 +510,26 @@ def test_criterion_7_ensemble_trend(announce):
 # ---------------------------------------------------------------- criterion 8
 
 
+# SHA-256 of every file criterion 8 compares, frozen from the pipeline
+# before the rows-once, re-keyed-mask and one-pass-bootstrap speedups.  A
+# speedup must leave every one of them unchanged, so a last-bit drift in
+# any stage fails here even though both runs of one tree would agree.
+PIPELINE_SHA256 = {
+    "preds/mcd.jsonl": "32c234eeac1ee2c4eafc308cef853918573035776f234fdf8ce387941131d825",
+    "preds/sngp.jsonl": "34308b063073e607cef0caf7b8a5f41a28090185a6c195a115174fde230d8974",
+    "preds/de.jsonl": "ad51592c58bbbd06988105434030f3e03621f914c465404e271811510bb9b4ec",
+    "reports/ece.csv": "cc426da61d7ff94cfe758b7c248ce71b33ddefa2e7798d8f638676d5e61373f7",
+    "reports/corr.csv": "6aadc20ed821345a6449a80443d968ad2a5a092c4a851486a9e3ecf63dc140b7",
+    "reports/roc.csv": "1940f810126e9e669e8cbe2c4d429164358cdd033ff18cf1e437cc7f2dd28f34",
+    "reports/abstention.csv": "203d494f1f94087a3070a458d160cf2bba892facbefde7fdb58b217ed1f03b5e",
+    "reports/summary.csv": "71b492edf29fd4fa4b7490a45a99eb100ff5b70a9c696b8be0083bee3bca9e94",
+    "reports/gaps.csv": "a5a238d89b19b6c289055e0d5f322ed37c1ad7b618668864234130d0a403450a",
+}
+
+
 def test_criterion_8_pipeline_determinism(announce, tmp_path):
-    """Two runs of the full pipeline agree byte for byte."""
+    """Two runs of the full pipeline agree byte for byte, and with the
+    pinned digests."""
     payload = {
         "seed": 19,
         "vocab_size": 10,
@@ -536,19 +557,24 @@ def test_criterion_8_pipeline_determinism(announce, tmp_path):
 
     compared = []
     identical = True
+    drifted = []
     for rel in (
-        [os.path.join("preds", f"{m}.jsonl") for m in methods.split(",")]
-        + [os.path.join("reports", name) for name in
+        [f"preds/{m}.jsonl" for m in methods.split(",")]
+        + [f"reports/{name}" for name in
            ("ece.csv", "corr.csv", "roc.csv", "abstention.csv",
             "summary.csv", "gaps.csv")]
     ):
-        a = open(os.path.join(outs[0], rel), "rb").read()
-        b = open(os.path.join(outs[1], rel), "rb").read()
+        a = open(os.path.join(outs[0], *rel.split("/")), "rb").read()
+        b = open(os.path.join(outs[1], *rel.split("/")), "rb").read()
         compared.append(rel)
         identical &= a == b
+        if hashlib.sha256(a).hexdigest() != PIPELINE_SHA256[rel]:
+            drifted.append(rel)
 
-    ok = identical and len(compared) == 9
+    ok = identical and len(compared) == 9 and not drifted
     announce(8, "pipeline determinism", ok,
-             f"{len(compared)} prediction/report files byte-identical")
+             f"{len(compared)} prediction/report files byte-identical, "
+             f"{len(compared) - len(drifted)} match the pinned SHA-256")
     assert identical
     assert len(compared) == 9
+    assert not drifted, f"output drifted from the pinned digests: {drifted}"

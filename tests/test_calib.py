@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     abstention_oracle,
     auc_oracle,
+    bootstrap_oracle,
     ece_oracle,
     ranks_oracle,
     spearman_oracle,
@@ -19,6 +20,7 @@ from seqcal.calib import (
     _average_ranks,
     abstention_curve,
     bootstrap_std,
+    check_resamples,
     ece,
     roc_auc,
     sequence_pairs,
@@ -263,6 +265,73 @@ class TestBootstrap:
         result = bootstrap_std(u, q, n_resamples=500, seed=3)
         assert result.std > 0.0
         assert result.resamples_used + result.resamples_failed == 500
+
+
+class TestBootstrapAgainstLoops:
+    """All resamples ranked at once against one resample at a time."""
+
+    def _check(self, u, q, n_resamples, seed):
+        try:
+            got = bootstrap_std(u, q, n_resamples, seed)
+        except UndefinedCorrelationError:
+            assert len(set(u)) < 2 or len(set(q)) < 2
+            return None
+        except MetricError as exc:
+            exact, failed = bootstrap_oracle(u, q, n_resamples, seed, spearman)
+            assert len(exact) < 2 and "usable" in str(exc)
+            assert f"({failed} failed)" in str(exc)
+            return "too few"
+        exact, failed = bootstrap_oracle(u, q, n_resamples, seed, spearman)
+        brute, brute_failed = bootstrap_oracle(u, q, n_resamples, seed, spearman_oracle)
+        assert (got.resamples_used, got.resamples_failed) == (len(exact), failed)
+        assert brute_failed == failed
+        assert got.rho == spearman(u, q)
+        # bit for bit the per-resample spearman route ...
+        assert got.std == float(np.std(np.asarray(exact), ddof=1))
+        # ... and close to the O(n^2) rank oracle
+        assert np.allclose(exact, brute, rtol=1e-12, atol=1e-12)
+        assert got.std == pytest.approx(float(np.std(brute, ddof=1)), rel=1e-9, abs=1e-12)
+        return "failed" if failed else "clean"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.lists(st.tuples(st.integers(-2, 2), st.sampled_from([0.0, -0.0, 25.0, 100.0])),
+                      min_size=2, max_size=25),
+        n_resamples=st.integers(2, 30),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_tie_heavy_data_matches_loops(self, data, n_resamples, seed):
+        self._check([float(a) for a, _ in data], [b for _, b in data], n_resamples, seed)
+
+    def test_every_outcome_is_reached(self):
+        outcomes = set()
+        rng = stream(31, "boot-outcomes")
+        for trial in range(400):
+            n = int(rng.integers(2, 7))
+            u = rng.integers(0, 3, size=n).astype(float).tolist()
+            q = rng.integers(0, 2, size=n).astype(float).tolist()
+            outcomes.add(self._check(u, q, int(rng.integers(2, 6)), trial))
+        assert {"clean", "failed", "too few", None} <= outcomes
+
+    def test_continuous_and_infinite_values_match_loops(self):
+        rng = stream(32, "boot-floats")
+        for trial in range(30):
+            n = int(rng.integers(5, 120))
+            u = rng.standard_normal(n)
+            u[rng.random(n) < 0.1] = -np.inf
+            q = np.round(rng.random(n) * 100.0, 0)
+            assert self._check(u.tolist(), q.tolist(), 40, trial) in ("clean", "failed")
+
+    def test_nan_refused(self):
+        with pytest.raises(MetricError, match="NaN"):
+            bootstrap_std([0.0, 1.0, np.nan, 2.0], [1.0, 2.0, 3.0, 4.0], 10, 0)
+
+    def test_resample_rule_has_one_owner(self):
+        assert check_resamples(2) == 2
+        with pytest.raises(ConfigurationError, match=">= 2 resamples"):
+            check_resamples(1)
+        with pytest.raises(ConfigurationError, match=">= 2 resamples"):
+            bootstrap_std([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], 1, 0)
 
 
 class TestRocAuc:

@@ -94,6 +94,7 @@ class TestLoadConfig:
         ("eval", {"alphas": [0.2, 0.1]}, "sorted"),
         ("eval", {"alphas": [0.0, 1.0]}, r"\[0, 1\)"),
         ("eval", {"alphas": []}, "at least one alpha"),
+        ("eval", {"bootstrap_resamples": 1}, ">= 2 resamples"),
     ])
     def test_bad_values_fail_at_load(self, tmp_path, section, values, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -336,6 +337,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, values", [
         ("decode", {"beam_size": 0}),
         ("eval", {"alphas": [0.5, 0.0]}),
+        ("eval", {"bootstrap_resamples": 1}),
     ])
     def test_bad_value_fails_every_stage(self, tmp_path, capsys, section, values):
         cfg_path, out = run_pipeline(tmp_path, methods="base")
@@ -368,6 +370,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "format_version 1, expected 2" in err and "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "preds", "sngp.jsonl"))
+
+    @pytest.mark.parametrize("member, edit, message", [
+        (0, lambda sp: sp.update(covariance_valid=False), "never finalized"),
+        (1, lambda sp: sp.pop("covariance_valid"), "never finalized"),
+        (0, lambda sp: sp["precision"][1].__setitem__(0, sp["precision"][1][0] * 2.0),
+         "not symmetric"),
+        (1, lambda sp: sp.update(precision=[[-x for x in row] for row in sp["precision"]]),
+         "not positive definite"),
+    ], ids=["flag-false", "flag-missing", "asymmetric", "negative-definite"])
+    def test_unusable_gp_bundle_infer_is_one(self, tmp_path, capsys, member, edit, message):
+        cfg_path = write_config(tmp_path, SMALL)
+        out = str(tmp_path / "run")
+        assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
+        assert main(["train", "--config", cfg_path, "--out", out, "--method", "sngp_de"]) == 0
+        bundle_path = os.path.join(out, "models", "sngp_de.json")
+        bundle = json.loads(open(bundle_path).read())
+        edit(bundle["members"][member]["sngp"])
+        with open(bundle_path, "w") as fh:
+            json.dump(bundle, fh)
+        capsys.readouterr()
+        assert main(["infer", "--config", cfg_path, "--out", out, "--method", "sngp_de"]) == 1
+        err = capsys.readouterr().err
+        assert f"member {member}" in err and message in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "preds", "sngp_de.jsonl"))
 
     @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters"])
     def test_retired_sngp_knob_is_one(self, tmp_path, capsys, knob):

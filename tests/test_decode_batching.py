@@ -25,7 +25,7 @@ from seqcal.model import (
     is_deep_ensemble,
     uses_gp,
 )
-from seqcal.training import TrainHyper, train_method
+from seqcal.training import TrainHyper, split_rows, train_method
 
 VOCAB = 14
 DIMS = ModelDims(vocab_size=VOCAB, embed_dim=16, hidden_dim=32)
@@ -57,8 +57,9 @@ def examples():
 @pytest.fixture(scope="module")
 def trained(examples):
     hyper = TrainHyper(steps=40, batch_size=16, learning_rate=0.5)
+    rows = split_rows(examples[:28], DIMS)
     return {
-        method: train_method(examples[:28], DIMS, method_config(method), hyper,
+        method: train_method(rows, DIMS, method_config(method), hyper,
                              seed=1, vocab_sha256="v")
         for method in METHODS
     }

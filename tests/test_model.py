@@ -23,7 +23,7 @@ from seqcal.model import (
     spectral_normalize,
     update_precision,
 )
-from seqcal.rng import stream
+from seqcal.rng import derive_key, derive_seed, rekey, stream
 
 
 def small_dims(vocab=8):
@@ -261,6 +261,40 @@ class TestDropoutMask:
         assert np.array_equal(dropout_mask(9, 0.5, 64), dropout_mask(9, 0.5, 64))
         assert not np.array_equal(dropout_mask(9, 0.5, 64), dropout_mask(10, 0.5, 64))
 
+    def test_matches_a_fresh_stream_per_mask(self):
+        """The reused, re-keyed generator draws exactly what a generator
+        built for the mask's own stream draws, whatever was drawn before."""
+        shapes = [(7,), (3, 5), (1,), (4, 32), (13,), (2, 1)]
+        seeds = list(range(2000)) + [derive_seed(7, "mcd", "ex", i) for i in range(200)]
+        top_bit = 0
+        for i, seed in enumerate(seeds):
+            shape = shapes[i % len(shapes)]
+            rate = (0.1, 0.25, 0.5, 0.9)[i % 4]
+            keep = stream(seed, "dropout-mask").random(shape) >= rate
+            # a mask of another shape and seed in between must not leak
+            dropout_mask(seed + 1, 0.3, shapes[(i + 1) % len(shapes)])
+            got = dropout_mask(seed, rate, shape)
+            assert got.shape == shape
+            assert np.array_equal(got, keep.astype(float) / (1.0 - rate))
+            key = derive_key(seed, "dropout-mask")
+            assert key >> 64 != 0
+            top_bit += key >> 127
+        # keys whose high word does not fit a signed 64-bit integer
+        assert top_bit > 0
+
+    def test_rekey_rewinds_a_used_generator(self):
+        gen = np.random.Generator(np.random.Philox(0))
+        for parts in ((1, "x"), (2**63 - 1, "dropout-mask"), ("a", "b", 3)):
+            gen.random(5)  # leaves a part-used output buffer
+            gen.random(1, dtype=np.float32)  # and a half-used 64-bit word
+            want = stream(*parts)
+            got = rekey(gen, *parts)
+            assert got is gen
+            assert np.array_equal(got.random(3, dtype=np.float32),
+                                  want.random(3, dtype=np.float32))
+            assert np.array_equal(got.integers(0, 9, size=11), want.integers(0, 9, size=11))
+            assert np.array_equal(got.random((2, 3)), want.random((2, 3)))
+
 
 class TestSpectralNormalize:
     def test_diagonal_known_answer(self):
@@ -329,6 +363,19 @@ class TestGpFeatures:
         rs = np.random.default_rng(8)
         phi = gp_features(rs.standard_normal((50, 4)), state)
         assert np.all(np.sum(phi**2, axis=1) <= 2.0 + 1e-12)
+
+    def test_forward_keeps_the_cosine_argument(self):
+        dims = ModelDims(vocab_size=5, embed_dim=3, hidden_dim=4)
+        model = init_model(dims, MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=6)),
+                           seed=3)
+        z = np.random.default_rng(2).standard_normal((9, 6))
+        out = forward(model, z)
+        state = model.sngp_state
+        assert np.array_equal(out["u"], out["h"] @ state.w_r.T + state.b_r)
+        assert np.array_equal(out["phi"], math.sqrt(2.0 / 6) * np.cos(out["u"]))
+        assert np.array_equal(out["phi"], gp_features(out["h"], state))
+        base = init_model(dims, MethodConfig(method="base"), seed=3)
+        assert "u" not in forward(base, z)
 
     def test_row_stack_consistent_with_single(self):
         state = self._state()

@@ -2,14 +2,16 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import precision_oracle
+from oracles import batch_rows_oracle, bundle_dump_oracle, precision_oracle
 from seqcal.corpus import TaskSpec, generate_corpus, make_vocabulary
 from seqcal.errors import ConfigurationError, InputError, TrainingError, ValidationError
 from seqcal.model import (
+    METHODS,
     MethodConfig,
     ModelDims,
     SngpConfig,
@@ -21,9 +23,11 @@ from seqcal.model import (
 )
 from seqcal.training import (
     TrainHyper,
+    _batch_rows,
     check_vocab_match,
     evaluate_loss,
     read_bundle,
+    split_rows,
     train_member,
     train_method,
     write_bundle,
@@ -38,6 +42,10 @@ def copy_corpus(n=120, seed=0):
 
 def dims_for(vocab):
     return ModelDims(vocab_size=vocab.size, embed_dim=6, hidden_dim=8)
+
+
+def rows_for(vocab, examples):
+    return split_rows(examples, dims_for(vocab))
 
 
 class TestHyper:
@@ -55,7 +63,8 @@ class TestTrainMember:
         vocab, examples = copy_corpus()
         dims = dims_for(vocab)
         cfg = MethodConfig(method="base")
-        trained = train_member(examples, dims, cfg, TrainHyper(steps=0), seed=5)
+        trained = train_member(split_rows(examples, dims), dims, cfg,
+                               TrainHyper(steps=0), seed=5)
         fresh = init_model(dims, cfg, seed=5)
         assert np.array_equal(trained.params.embed, fresh.params.embed)
         assert np.array_equal(trained.params.w_o, fresh.params.w_o)
@@ -65,9 +74,10 @@ class TestTrainMember:
         vocab, examples = copy_corpus()
         dims = dims_for(vocab)
         cfg = MethodConfig(method="base")
-        model = train_member(examples, dims, cfg, TrainHyper(steps=300), seed=1)
-        initial = evaluate_loss(init_model(dims, cfg, seed=1), examples)
-        final = evaluate_loss(model, examples)
+        rows = split_rows(examples, dims)
+        model = train_member(rows, dims, cfg, TrainHyper(steps=300), seed=1)
+        initial = evaluate_loss(init_model(dims, cfg, seed=1), rows)
+        final = evaluate_loss(model, rows)
         assert final < initial - 0.1
         assert final < math.log(vocab.size)
         assert len(model.loss_history) == 300
@@ -76,8 +86,9 @@ class TestTrainMember:
         vocab, examples = copy_corpus(n=60)
         dims = dims_for(vocab)
         cfg = MethodConfig(method="mcd", dropout_rate=0.2)
-        a = train_member(examples, dims, cfg, TrainHyper(steps=40), seed=9)
-        b = train_member(examples, dims, cfg, TrainHyper(steps=40), seed=9)
+        rows = split_rows(examples, dims)
+        a = train_member(rows, dims, cfg, TrainHyper(steps=40), seed=9)
+        b = train_member(rows, dims, cfg, TrainHyper(steps=40), seed=9)
         assert np.array_equal(a.params.embed, b.params.embed)
         assert np.array_equal(a.params.w_o, b.params.w_o)
         assert a.loss_history == b.loss_history
@@ -85,7 +96,7 @@ class TestTrainMember:
     def test_on_step_sees_every_step(self):
         vocab, examples = copy_corpus(n=40)
         seen = []
-        train_member(examples, dims_for(vocab), MethodConfig(method="base"),
+        train_member(rows_for(vocab, examples), dims_for(vocab), MethodConfig(method="base"),
                      TrainHyper(steps=7), seed=2,
                      on_step=lambda step, loss, model: seen.append((step, loss)))
         assert [s for s, _ in seen] == list(range(7))
@@ -95,7 +106,8 @@ class TestTrainMember:
         vocab, examples = copy_corpus(n=60)
         dims = dims_for(vocab)
         cfg = MethodConfig(method="be", be_size=3)
-        model = train_member(examples, dims, cfg, TrainHyper(steps=30), seed=4)
+        model = train_member(split_rows(examples, dims), dims, cfg,
+                             TrainHyper(steps=30), seed=4)
         fresh = init_model(dims, cfg, seed=4)
         for k in range(3):
             assert not np.array_equal(model.be_state.r[k], fresh.be_state.r[k])
@@ -110,8 +122,8 @@ class TestTrainMember:
         def watch(step, loss, model):
             worst.append(np.linalg.svd(model.params.w_h, compute_uv=False)[0])
 
-        model = train_member(examples, dims, cfg, TrainHyper(steps=30), seed=3,
-                             on_step=watch)
+        model = train_member(split_rows(examples, dims), dims, cfg,
+                             TrainHyper(steps=30), seed=3, on_step=watch)
         bound = cfg.sngp.spec_norm_bound
         assert max(worst) <= bound * 1.001
         assert np.linalg.svd(model.params.w_h, compute_uv=False)[0] <= bound * 1.001
@@ -119,7 +131,8 @@ class TestTrainMember:
     def test_gp_precision_finalized_after_training(self):
         vocab, examples = copy_corpus(n=50)
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=12))
-        model = train_member(examples, dims_for(vocab), cfg, TrainHyper(steps=10), seed=6)
+        model = train_member(rows_for(vocab, examples), dims_for(vocab), cfg,
+                             TrainHyper(steps=10), seed=6)
         state = model.sngp_state
         assert state.covariance_valid
         assert not np.array_equal(state.precision, np.eye(12))
@@ -128,7 +141,8 @@ class TestTrainMember:
     def test_gp_precision_is_identity_plus_gram_of_every_training_row(self):
         vocab, examples = copy_corpus(n=50)
         cfg = MethodConfig(method="sngp_mcd", dropout_rate=0.3, sngp=SngpConfig(rff_dim=12))
-        model = train_member(examples, dims_for(vocab), cfg, TrainHyper(steps=10), seed=6)
+        model = train_member(rows_for(vocab, examples), dims_for(vocab), cfg,
+                             TrainHyper(steps=10), seed=6)
         want = precision_oracle(model, examples)
         assert np.allclose(model.sngp_state.precision, want, rtol=1e-12, atol=1e-12)
 
@@ -136,7 +150,8 @@ class TestTrainMember:
         vocab, examples = copy_corpus()
         dims = dims_for(vocab)
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16))
-        model = train_member(examples, dims, cfg, TrainHyper(steps=30), seed=3)
+        model = train_member(split_rows(examples, dims), dims, cfg,
+                             TrainHyper(steps=30), seed=3)
         rows = build_rows(examples, dims)
         embed = model.params.embed
         z = np.concatenate([rows.ctx_weights @ embed, rows.prefix_weights @ embed], axis=1)
@@ -151,31 +166,61 @@ class TestTrainMember:
         # trip on the loss magnitude rather than on NaN
         vocab, examples = copy_corpus(n=30)
         with pytest.raises(TrainingError, match="step .*diverged"):
-            train_member(examples, dims_for(vocab), MethodConfig(method="base"),
+            train_member(rows_for(vocab, examples), dims_for(vocab), MethodConfig(method="base"),
                          TrainHyper(steps=50, learning_rate=1e300), seed=1)
 
     def test_empty_examples_rejected(self):
         vocab, _ = copy_corpus(n=10)
+        # training and evaluate_loss read rows built by split_rows, which
+        # refuses an empty split
         with pytest.raises(InputError, match="at least one"):
-            train_member([], dims_for(vocab), MethodConfig(method="base"),
-                         TrainHyper(steps=1), seed=0)
-        model = init_model(dims_for(vocab), MethodConfig(method="base"), seed=0)
-        with pytest.raises(InputError, match="at least one"):
-            evaluate_loss(model, [])
+            split_rows([], dims_for(vocab))
+
+
+class TestBatchRows:
+    def test_matches_concatenated_spans(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            lengths = rng.integers(1, 7, size=int(rng.integers(1, 40)))
+            ends = np.cumsum(lengths)
+            structure = SimpleNamespace(row_spans=tuple(zip((ends - lengths).tolist(),
+                                                            ends.tolist())))
+            spans = np.asarray(structure.row_spans)
+            picks = [rng.choice(len(lengths), size=int(rng.integers(1, len(lengths) + 1)),
+                                replace=False),
+                     rng.integers(0, len(lengths), size=int(rng.integers(1, 50)))]
+            for idx in picks:
+                want = batch_rows_oracle(structure, idx)
+                got = _batch_rows(spans, idx)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_variable_length_split(self):
+        vocab = make_vocabulary(12)
+        spec = TaskSpec(kind="keyword-extract", input_len=6, output_len=4, seed=3,
+                        keyword_ids=vocab.content_ids[:4])
+        examples = generate_corpus(spec, 60, vocab)
+        structure = split_rows(examples, ModelDims(vocab_size=vocab.size))
+        assert len({b - a for a, b in structure.row_spans}) > 1
+        order = np.random.default_rng(1)
+        spans = np.asarray(structure.row_spans)
+        for _ in range(50):
+            idx = order.choice(60, size=16, replace=False)
+            assert np.array_equal(_batch_rows(spans, idx), batch_rows_oracle(structure, idx))
 
 
 class TestTrainMethod:
     def test_single_model_methods_return_one_member(self):
         vocab, examples = copy_corpus(n=40)
-        members = train_method(examples, dims_for(vocab), MethodConfig(method="base"),
-                               TrainHyper(steps=5), seed=77)
+        members = train_method(rows_for(vocab, examples), dims_for(vocab),
+                               MethodConfig(method="base"), TrainHyper(steps=5), seed=77)
         assert len(members) == 1
         assert members[0].seed == 77
 
     def test_deep_ensemble_members_use_their_seeds_and_differ(self):
         vocab, examples = copy_corpus(n=40)
         cfg = MethodConfig(method="de", seeds=(11, 12, 13))
-        members = train_method(examples, dims_for(vocab), cfg, TrainHyper(steps=5), seed=0)
+        members = train_method(rows_for(vocab, examples), dims_for(vocab), cfg,
+                               TrainHyper(steps=5), seed=0)
         assert [m.seed for m in members] == [11, 12, 13]
         assert not np.array_equal(members[0].params.embed, members[1].params.embed)
         assert not np.array_equal(members[1].params.w_o, members[2].params.w_o)
@@ -184,8 +229,8 @@ class TestTrainMethod:
 class TestBundles:
     def _round_trip(self, tmp_path, cfg, seed=5, vocab_sha="abc123"):
         vocab, examples = copy_corpus(n=30)
-        members = train_method(examples, dims_for(vocab), cfg, TrainHyper(steps=5),
-                               seed=seed, vocab_sha256=vocab_sha)
+        members = train_method(rows_for(vocab, examples), dims_for(vocab), cfg,
+                               TrainHyper(steps=5), seed=seed, vocab_sha256=vocab_sha)
         path = tmp_path / "bundle.json"
         write_bundle(members, path)
         loaded = read_bundle(path)
@@ -252,6 +297,55 @@ class TestBundles:
         with pytest.raises(ValidationError, match="shape"):
             read_bundle(path)
 
+    def test_bytes_match_streamed_json_dump(self, tmp_path):
+        vocab, examples = copy_corpus(n=30)
+        rows = rows_for(vocab, examples)
+        for method in METHODS:
+            seeds = (3, 4) if method in ("de", "sngp_de") else ()
+            cfg = MethodConfig(method=method, be_size=2, seeds=seeds,
+                               sngp=SngpConfig(rff_dim=10))
+            members = train_method(rows, dims_for(vocab), cfg, TrainHyper(steps=4), seed=2,
+                                   vocab_sha256="ab12")
+            write_bundle(members, tmp_path / "new.json")
+            bundle_dump_oracle(members, tmp_path / "old.json")
+            new = (tmp_path / "new.json").read_bytes()
+            assert new == (tmp_path / "old.json").read_bytes(), method
+
+    def _gp_bundle(self, tmp_path):
+        cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=10))
+        path = self._round_trip(tmp_path, cfg)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda sp: sp.update(covariance_valid=False), "never finalized"),
+        (lambda sp: sp.pop("covariance_valid"), "never finalized"),
+        (lambda sp: sp.update(covariance_valid=1), "never finalized"),
+        (lambda sp: sp["precision"][0].__setitem__(1, sp["precision"][0][1] + 1e-3),
+         "not symmetric"),
+        (lambda sp: sp.update(precision=(-np.eye(10)).tolist()), "not positive definite"),
+        (lambda sp: sp.update(precision=np.zeros((10, 10)).tolist()), "not positive definite"),
+    ], ids=["flag-false", "flag-missing", "flag-not-bool", "asymmetric", "negative-definite",
+            "singular"])
+    def test_unusable_gp_precision_refused(self, tmp_path, edit, message):
+        path, payload = self._gp_bundle(tmp_path)
+        edit(payload["members"][0]["sngp"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=message):
+            read_bundle(path)
+
+    def test_loaded_gp_precision_factored_once(self, tmp_path, monkeypatch):
+        path, _ = self._gp_bundle(tmp_path)
+        state = read_bundle(path)[0].sngp_state
+        chol = np.linalg.cholesky(state.precision)
+        assert np.array_equal(state.chol_inv, np.tril(np.linalg.inv(chol)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("precision factored again")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        phi = np.random.default_rng(0).standard_normal((4, 10))
+        assert np.all(predictive_variance(state, phi) > 0.0)
+
     def test_missing_gp_state(self, tmp_path):
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=10))
         path = self._round_trip(tmp_path, cfg)
@@ -269,9 +363,9 @@ class TestBundles:
 
     def test_mixed_members_rejected(self, tmp_path):
         vocab, examples = copy_corpus(n=20)
-        a = train_method(examples, dims_for(vocab), MethodConfig(method="base"),
+        a = train_method(rows_for(vocab, examples), dims_for(vocab), MethodConfig(method="base"),
                          TrainHyper(steps=1), seed=1, vocab_sha256="x")[0]
-        b = train_method(examples, dims_for(vocab), MethodConfig(method="base"),
+        b = train_method(rows_for(vocab, examples), dims_for(vocab), MethodConfig(method="base"),
                          TrainHyper(steps=1), seed=2, vocab_sha256="y")[0]
         with pytest.raises(ValidationError, match="vocabulary hash"):
             write_bundle([a, b], tmp_path / "bad.json")
@@ -280,14 +374,15 @@ class TestBundles:
 class TestVocabGuard:
     def test_mismatch_rejected_and_match_passes(self):
         vocab, examples = copy_corpus(n=20)
-        member = train_method(examples, dims_for(vocab), MethodConfig(method="base"),
-                              TrainHyper(steps=1), seed=1, vocab_sha256="aaa111")[0]
+        member = train_method(rows_for(vocab, examples), dims_for(vocab),
+                              MethodConfig(method="base"), TrainHyper(steps=1), seed=1,
+                              vocab_sha256="aaa111")[0]
         check_vocab_match([member], "aaa111")
         with pytest.raises(ValidationError, match="different vocabulary"):
             check_vocab_match([member], "bbb222")
 
     def test_unknown_hash_is_tolerated(self):
         vocab, examples = copy_corpus(n=20)
-        member = train_method(examples, dims_for(vocab), MethodConfig(method="base"),
-                              TrainHyper(steps=1), seed=1)[0]
+        member = train_method(rows_for(vocab, examples), dims_for(vocab),
+                              MethodConfig(method="base"), TrainHyper(steps=1), seed=1)[0]
         check_vocab_match([member], "anything")
