@@ -31,7 +31,7 @@ def run_one(cfg, method):
     train, _, test = split_corpus(records, seed=cfg.seed)
     members = train_method(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
                            cfg.method_config(method),
-                           cfg.train_hyper(), seed=cfg.train_seed(method),
+                           cfg.train, seed=cfg.train_seed(method),
                            vocab_sha256=vocabulary_sha256(vocab))
     preds = decode_corpus(members, test, cfg.posterior_config(),
                           run_seed=cfg.run_seed(method))

@@ -3,8 +3,7 @@
 The unit of account is a `ScoredPair`: a confidence in (0, 1] plus a
 correctness flag.  Sequence-level pairs treat a prediction as correct only
 on exact token match with the reference; token-level pairs compare
-positionally up to the shorter length and report how many hypothesis
-positions that skips.
+positionally up to the shorter length.
 
 Expected calibration error partitions (0, 1] into K equal bins
 ((k-1)/K, k/K] and sums |confidence - accuracy| gaps weighted by bin mass.
@@ -69,19 +68,6 @@ class AbstentionCurve:
 
 
 @dataclass(frozen=True)
-class TokenPairResult:
-    pairs: tuple[ScoredPair, ...]
-    positions_total: int
-    positions_used: int
-
-    @property
-    def coverage(self) -> float:
-        if self.positions_total == 0:
-            return 0.0
-        return self.positions_used / self.positions_total
-
-
-@dataclass(frozen=True)
 class BootstrapResult:
     rho: float
     std: float
@@ -138,25 +124,21 @@ def sequence_pairs(records) -> list[ScoredPair]:
     return out
 
 
-def token_pairs(records) -> TokenPairResult:
-    """Positional token pairs up to min(|hyp|, |ref|), with coverage stats."""
+def token_pairs(records) -> list[ScoredPair]:
+    """Positional token pairs up to min(|hyp|, |ref|); hypothesis positions
+    past the reference's end are skipped."""
     pairs = []
-    total = 0
-    used = 0
     for rec in records:
         hyp = tuple(rec.hypothesis)
         ref = tuple(rec.reference)
-        total += len(hyp)
-        limit = min(len(hyp), len(ref))
-        used += limit
-        for t in range(limit):
+        for t in range(min(len(hyp), len(ref))):
             pairs.append(
                 ScoredPair(
                     confidence=math.exp(rec.token_logp[t]),
                     correct=hyp[t] == ref[t],
                 )
             )
-    return TokenPairResult(pairs=tuple(pairs), positions_total=total, positions_used=used)
+    return pairs
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -82,6 +82,7 @@ from .inference import (
 )
 from .model import METHODS, MethodConfig, ModelDims, SngpConfig, is_deep_ensemble
 from .rng import derive_seed
+from .schema import from_json
 from .training import (
     TrainHyper,
     check_vocab_match,
@@ -94,7 +95,9 @@ from .training import (
 
 
 # ---------------------------------------------------------------------------
-# Run configuration: a JSON file with strict keys and full defaults.
+# Run configuration: a JSON file with strict keys and full defaults.  Each
+# section is a frozen dataclass read by `schema.from_json`; a default owned
+# by a model, decode or metric type is taken from that type.
 
 
 @dataclass(frozen=True)
@@ -102,48 +105,55 @@ class TaskSection:
     kind: str = "copy"
     input_len: int = 5
     output_len: int = 5
-    noise_rate: float = 0.0
+    noise_rate: float = TaskSpec.noise_rate
     num_keywords: int = 4
 
 
 @dataclass(frozen=True)
 class ModelSection:
-    embed_dim: int = 16
-    hidden_dim: int = 32
-
-
-@dataclass(frozen=True)
-class TrainSection:
-    steps: int = 300
-    batch_size: int = 32
-    learning_rate: float = 0.5
+    embed_dim: int = ModelDims.embed_dim
+    hidden_dim: int = ModelDims.hidden_dim
 
 
 @dataclass(frozen=True)
 class MethodsSection:
-    samples: int = 10
-    dropout_rate: float = 0.1
-    be_size: int = 5
+    samples: int = MethodConfig.samples
+    dropout_rate: float = MethodConfig.dropout_rate
+    be_size: int = MethodConfig.be_size
     de_size: int = 10
     sngp: SngpConfig = field(default_factory=SngpConfig)
 
 
 @dataclass(frozen=True)
 class DecodeSection:
-    beam_size: int = 3
-    length_norm: bool = True
-    prune_length_norm: bool = False
+    beam_size: int = PosteriorConfig.beam_size
+    length_norm: bool = PosteriorConfig.length_norm
+    prune_length_norm: bool = PosteriorConfig.prune_length_norm
+
+
+@dataclass(frozen=True)
+class Thresholds:
+    """ROUGE cutoffs, in points, between good and bad outputs for ROC-AUC;
+    one field per entry of QUALITY_KEYS."""
+
+    rouge1: float = 40.0
+    rouge2: float = 15.0
+    rougeL: float = 30.0
+
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            if not 0.0 <= value <= 100.0:
+                raise ConfigurationError(
+                    f"eval.thresholds.{key} must lie in [0, 100], got {value}"
+                )
 
 
 @dataclass(frozen=True)
 class EvalSection:
-    ece_bins: int = 15
-    thresholds: tuple = (("rouge1", 40.0), ("rouge2", 15.0), ("rougeL", 30.0))
-    alphas: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+    ece_bins: int = EceConfig.bins
+    thresholds: Thresholds = field(default_factory=Thresholds)
+    alphas: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     bootstrap_resamples: int = 200
-
-    def threshold_map(self) -> dict:
-        return dict(self.thresholds)
 
 
 @dataclass(frozen=True)
@@ -153,10 +163,16 @@ class RunConfig:
     n_examples: int = 2000
     task: TaskSection = field(default_factory=TaskSection)
     model: ModelSection = field(default_factory=ModelSection)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: TrainHyper = field(default_factory=TrainHyper)
     methods: MethodsSection = field(default_factory=MethodsSection)
     decode: DecodeSection = field(default_factory=DecodeSection)
     eval: EvalSection = field(default_factory=EvalSection)
+
+    def __post_init__(self):
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigurationError(f"config.seed must lie in [0, {MAX_SEED}], got {self.seed}")
+        if self.n_examples < 1:
+            raise ConfigurationError(f"config.n_examples must be >= 1, got {self.n_examples}")
 
     def task_spec(self, vocab) -> TaskSpec:
         t = self.task
@@ -211,11 +227,6 @@ class RunConfig:
             seeds=seeds,
         )
 
-    def train_hyper(self) -> TrainHyper:
-        t = self.train
-        return TrainHyper(steps=t.steps, batch_size=t.batch_size,
-                          learning_rate=t.learning_rate)
-
     def posterior_config(self) -> PosteriorConfig:
         d = self.decode
         return PosteriorConfig(
@@ -235,148 +246,24 @@ class RunConfig:
         return derive_seed(self.seed, "bootstrap", method, metric)
 
 
-def _expect(payload, where: str, fields: dict) -> dict:
-    """Pick known keys out of a JSON object, rejecting unknown ones and
-    enforcing scalar types.  `fields` maps name -> (type tuple, default)."""
-    if not isinstance(payload, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
-    unknown = sorted(set(payload) - set(fields))
-    if unknown:
-        raise ConfigurationError(f"{where} has unknown keys {unknown}")
-    out = {}
-    for name, (types, default) in fields.items():
-        if name not in payload:
-            out[name] = default
-            continue
-        value = payload[name]
-        if types is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        expected = (types,) if not isinstance(types, tuple) else types
-        if not isinstance(value, expected) or isinstance(value, bool) and bool not in expected:
-            raise ConfigurationError(
-                f"{where}.{name} must be {getattr(types, '__name__', types)}, "
-                f"got {type(value).__name__}"
-            )
-        out[name] = value
-    return out
-
-
-def _int_field(value, where, minimum=None, maximum=None):
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{where} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigurationError(f"{where} must be <= {maximum}, got {value}")
-    return value
-
-
 def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too deep
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigurationError(f"config {path} must be a JSON object")
-    top = _expect(payload, "config", {
-        "seed": (int, 0),
-        "vocab_size": (int, 20),
-        "n_examples": (int, 2000),
-        "task": (dict, {}),
-        "model": (dict, {}),
-        "train": (dict, {}),
-        "methods": (dict, {}),
-        "decode": (dict, {}),
-        "eval": (dict, {}),
-    })
-    _int_field(top["seed"], "config.seed", 0, MAX_SEED)
-    _int_field(top["vocab_size"], "config.vocab_size", 4)
-    _int_field(top["n_examples"], "config.n_examples", 1)
-
-    task = _expect(top["task"], "task", {
-        "kind": (str, "copy"),
-        "input_len": (int, 5),
-        "output_len": (int, 5),
-        "noise_rate": (float, 0.0),
-        "num_keywords": (int, 4),
-    })
-    model = _expect(top["model"], "model", {
-        "embed_dim": (int, 16),
-        "hidden_dim": (int, 32),
-    })
-    _int_field(model["embed_dim"], "model.embed_dim", 1)
-    _int_field(model["hidden_dim"], "model.hidden_dim", 1)
-    train = _expect(top["train"], "train", {
-        "steps": (int, 300),
-        "batch_size": (int, 32),
-        "learning_rate": (float, 0.5),
-    })
-    methods = _expect(top["methods"], "methods", {
-        "samples": (int, 10),
-        "dropout_rate": (float, 0.1),
-        "be_size": (int, 5),
-        "de_size": (int, 10),
-        "sngp": (dict, {}),
-    })
-    sngp = _expect(methods["sngp"], "methods.sngp", {
-        "rff_dim": (int, 128),
-        "kernel_scale": (float, 1.0),
-        "mean_field_factor": (float, 1e-4),
-        "spec_norm_bound": (float, 1.0),
-    })
-    decode = _expect(top["decode"], "decode", {
-        "beam_size": (int, 3),
-        "length_norm": (bool, True),
-        "prune_length_norm": (bool, False),
-    })
-    ev = _expect(top["eval"], "eval", {
-        "ece_bins": (int, 15),
-        "thresholds": (dict, {}),
-        "alphas": (list, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
-        "bootstrap_resamples": (int, 200),
-    })
-    thresholds = _expect(ev["thresholds"], "eval.thresholds", {
-        "rouge1": (float, 40.0),
-        "rouge2": (float, 15.0),
-        "rougeL": (float, 30.0),
-    })
-    for key, value in thresholds.items():
-        if not 0.0 <= value <= 100.0:
-            raise ConfigurationError(
-                f"eval.thresholds.{key} must lie in [0, 100], got {value}"
-            )
-    alphas = ev["alphas"]
-    if not all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in alphas):
-        raise ConfigurationError("eval.alphas must be a list of numbers")
-
-    config = RunConfig(
-        seed=top["seed"],
-        vocab_size=top["vocab_size"],
-        n_examples=top["n_examples"],
-        task=TaskSection(**task),
-        model=ModelSection(**model),
-        train=TrainSection(**train),
-        methods=MethodsSection(
-            samples=methods["samples"],
-            dropout_rate=methods["dropout_rate"],
-            be_size=methods["be_size"],
-            de_size=methods["de_size"],
-            sngp=SngpConfig(**sngp),
-        ),
-        decode=DecodeSection(**decode),
-        eval=EvalSection(
-            ece_bins=ev["ece_bins"],
-            thresholds=tuple(sorted(thresholds.items())),
-            alphas=check_alphas(alphas),
-            bootstrap_resamples=check_resamples(ev["bootstrap_resamples"]),
-        ),
-    )
+    config = from_json(RunConfig, payload, "config")
     # Build what the later stages build, so a bad value fails every stage,
     # gen-data included, instead of only the stage that first uses it.
-    config.train_hyper()
     config.posterior_config()
     for method in METHODS:
         config.method_config(method)
     EceConfig(bins=config.eval.ece_bins)
+    check_alphas(config.eval.alphas)
+    check_resamples(config.eval.bootstrap_resamples)
+    vocab = make_vocabulary(config.vocab_size)
+    config.dims(vocab)
+    config.task_spec(vocab)
     return config
 
 
@@ -470,12 +357,11 @@ def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
     dims = config.dims(vocab)
     train_rows = split_rows(read_records(out.split("train")), dims)
     dev_rows = split_rows(read_records(out.split("dev")), dims)
-    hyper = config.train_hyper()
     out.ensure("models")
     for method in _resolve_methods(method_arg):
         mcfg = config.method_config(method)
         members = train_method(
-            train_rows, dims, mcfg, hyper,
+            train_rows, dims, mcfg, config.train,
             seed=config.train_seed(method), vocab_sha256=sha,
         )
         write_bundle(members, out.model_bundle(method))
@@ -518,7 +404,7 @@ def _eval_one_method(method, joined, config: RunConfig, gaps):
     rows = {"ece": [], "corr": [], "roc": [], "abstention": []}
     headline = {}
     seq = sequence_pairs(joined)
-    for level, pairs in (("sequence", seq), ("token", token_pairs(joined).pairs)):
+    for level, pairs in (("sequence", seq), ("token", token_pairs(joined))):
         try:
             value = ece(pairs, EceConfig(bins=ev.ece_bins, level=level))
             rows["ece"].append((method, level, ev.ece_bins, value))
@@ -527,7 +413,6 @@ def _eval_one_method(method, joined, config: RunConfig, gaps):
         except (MetricError, ConfigurationError) as exc:
             gaps.append((method, "ece", level, str(exc)))
     u = [r.uncertainty for r in joined]
-    thresholds = ev.threshold_map()
     for metric in QUALITY_KEYS:
         q = [r.quality[metric] for r in joined]
         seed = config.bootstrap_seed(method, metric)
@@ -540,7 +425,7 @@ def _eval_one_method(method, joined, config: RunConfig, gaps):
                 headline["rho"] = boot.rho
         except (UndefinedCorrelationError, MetricError) as exc:
             gaps.append((method, "corr", metric, str(exc)))
-        theta = thresholds[metric]
+        theta = getattr(ev.thresholds, metric)
         try:
             auc = roc_auc(u, q, theta)
             rows["roc"].append((method, metric, theta, auc))

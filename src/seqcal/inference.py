@@ -107,15 +107,10 @@ class PredictionRecord:
 
 
 @dataclass(frozen=True)
-class JoinedRecord:
+class JoinedRecord(PredictionRecord):
     """A prediction joined with its reference and quality scores; the
     record surface every calibration metric consumes."""
 
-    id: str
-    hypothesis: TokenSeq
-    token_logp: tuple[float, ...]
-    eos_logp: float
-    uncertainty: float
     reference: TokenSeq
     quality: dict
 
@@ -478,11 +473,7 @@ def join_with_references(predictions, examples) -> tuple[JoinedRecord, ...]:
         ex = by_id[rec.id]
         out.append(
             JoinedRecord(
-                id=rec.id,
-                hypothesis=rec.hypothesis,
-                token_logp=rec.token_logp,
-                eos_logp=rec.eos_logp,
-                uncertainty=rec.uncertainty,
+                **vars(rec),
                 reference=tuple(ex.reference),
                 quality=score_quality(rec.hypothesis, ex.reference),
             )

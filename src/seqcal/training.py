@@ -40,7 +40,6 @@ from .model import (
     ModelDims,
     ModelParams,
     RowStructure,
-    SngpConfig,
     SngpState,
     TrainedModel,
     _forward_rows,
@@ -57,6 +56,7 @@ from .model import (
     uses_gp,
 )
 from .rng import derive_seed, stream
+from .schema import from_json
 
 BUNDLE_FORMAT_VERSION = 2
 
@@ -227,17 +227,28 @@ def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:
 # Bundle serialization.
 
 
+def _float_array(value, shape, what):
+    """`value` as a float64 array, refused unless it is a regular array of
+    finite JSON numbers with the given shape (any length when `shape` is
+    None): a string, object or ragged list is a ValidationError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be an array of numbers")
+    if arr.shape != shape and not (shape is None and arr.ndim == 1):
+        raise ValidationError(f"{what} has shape {arr.shape}, expected {shape}")
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} contains non-finite values")
+    return arr
+
+
 def _array_field(payload, key, shape, where):
     if key not in payload:
         raise ValidationError(f"{where} is missing array {key!r}")
-    arr = np.asarray(payload[key], dtype=float)
-    if arr.shape != shape:
-        raise ValidationError(
-            f"{where} array {key!r} has shape {arr.shape}, expected {shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{where} array {key!r} contains non-finite values")
-    return arr
+    return _float_array(payload[key], shape, f"{where} array {key!r}")
 
 
 def _member_payload(model: TrainedModel) -> dict:
@@ -324,11 +335,9 @@ def _load_member(payload, dims: ModelDims, config: MethodConfig, vocab_sha256, w
     if not isinstance(payload, dict):
         raise ValidationError(f"{where} must be an object")
     seed = payload.get("seed")
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValidationError(f"{where} has a missing or non-integer seed")
-    history = payload.get("loss_history", [])
-    if not isinstance(history, list):
-        raise ValidationError(f"{where} loss_history must be a list")
+    history = _float_array(payload.get("loss_history", []), None, f"{where} loss_history")
     d, dh, v = dims.embed_dim, dims.hidden_dim, dims.vocab_size
     params = ModelParams(
         embed=_array_field(payload, "embed", (v, d), where),
@@ -348,6 +357,8 @@ def _load_member(payload, dims: ModelDims, config: MethodConfig, vocab_sha256, w
         if payload.get("be") is None:
             raise ValidationError(f"{where} is missing its batch-ensemble state")
         bep = payload["be"]
+        if not isinstance(bep, dict):
+            raise ValidationError(f"{where} batch-ensemble state must be an object")
         be_state = BatchEnsembleState(
             r=_array_field(bep, "r", (config.be_size, dh), where),
             s=_array_field(bep, "s", (config.be_size, 2 * d), where),
@@ -355,7 +366,7 @@ def _load_member(payload, dims: ModelDims, config: MethodConfig, vocab_sha256, w
     return TrainedModel(
         dims=dims, config=config, params=params, be_state=be_state,
         sngp_state=sngp_state, seed=seed, vocab_sha256=vocab_sha256,
-        loss_history=tuple(float(x) for x in history),
+        loss_history=tuple(history.tolist()),
     )
 
 
@@ -363,7 +374,7 @@ def read_bundle(path) -> tuple[TrainedModel, ...]:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too deep
             raise ValidationError(f"bundle {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"bundle {path} must be a JSON object")
@@ -376,12 +387,9 @@ def read_bundle(path) -> tuple[TrainedModel, ...]:
         if key not in payload:
             raise ValidationError(f"bundle {path} is missing {key!r}")
     try:
-        method_raw = dict(payload["method"])
-        sngp_raw = method_raw.pop("sngp", {})
-        method_raw["seeds"] = tuple(method_raw.get("seeds", ()))
-        config = MethodConfig(sngp=SngpConfig(**sngp_raw), **method_raw)
-        dims = ModelDims(**payload["dims"])
-    except (TypeError, ConfigurationError) as exc:
+        config = from_json(MethodConfig, payload["method"], "method")
+        dims = from_json(ModelDims, payload["dims"], "dims")
+    except ConfigurationError as exc:
         raise ValidationError(f"bundle {path} has an invalid header: {exc}") from exc
     members_raw = payload["members"]
     if not isinstance(members_raw, list) or not members_raw:

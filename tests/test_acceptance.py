@@ -45,7 +45,6 @@ from seqcal.cli import (
     ModelSection,
     RunConfig,
     TaskSection,
-    TrainSection,
     main,
 )
 from seqcal.corpus import (
@@ -307,7 +306,7 @@ def test_criterion_4_structural_invariants(announce):
         seed=5, vocab_size=10, n_examples=200,
         task=TaskSection(kind="copy", input_len=3, output_len=3),
         model=ModelSection(embed_dim=8, hidden_dim=16),
-        train=TrainSection(steps=120, batch_size=16, learning_rate=0.5),
+        train=TrainHyper(steps=120, batch_size=16, learning_rate=0.5),
         methods=MethodsSection(samples=3, sngp=SngpConfig(rff_dim=32)),
     )
     vocab = make_vocabulary(cfg.vocab_size)
@@ -322,7 +321,7 @@ def test_criterion_4_structural_invariants(announce):
         sigmas.append(float(np.linalg.svd(model.params.w_h, compute_uv=False)[0]))
 
     train_member(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
-                 cfg.method_config("sngp"), cfg.train_hyper(), seed=cfg.train_seed("sngp"),
+                 cfg.method_config("sngp"), cfg.train, seed=cfg.train_seed("sngp"),
                  vocab_sha256=sha, on_step=watch)
     spectral_ok = len(sigmas) == cfg.train.steps and max(sigmas) <= bound * 1.001
 
@@ -430,7 +429,7 @@ def _trend_config(global_seed):
         seed=global_seed, vocab_size=20, n_examples=2000,
         task=TaskSection(kind="keyword-extract", input_len=8, output_len=5,
                          num_keywords=5),
-        train=TrainSection(steps=500, batch_size=32, learning_rate=0.5),
+        train=TrainHyper(steps=500, batch_size=32, learning_rate=0.5),
         methods=MethodsSection(de_size=5),
     )
 
@@ -445,7 +444,7 @@ def _trend_one_seed(global_seed):
     for method in ("base", "de"):
         members = train_method(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
                                cfg.method_config(method),
-                               cfg.train_hyper(), seed=cfg.train_seed(method),
+                               cfg.train, seed=cfg.train_seed(method),
                                vocab_sha256=sha)
         preds = decode_corpus(members, test, cfg.posterior_config(),
                               run_seed=cfg.run_seed(method))

@@ -1,10 +1,12 @@
 """Run-config loading, derivations, subcommands, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 
 import pytest
 
@@ -22,8 +24,10 @@ from seqcal.training import read_bundle
 
 
 def write_config(tmp_path, payload, name="run.json"):
+    # an infinite value is written as 1e400, the plain-JSON number that
+    # parses to it, rather than json's nonstandard Infinity
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload).replace("Infinity", "1e400"))
     return str(path)
 
 
@@ -55,7 +59,7 @@ class TestLoadConfig:
         assert cfg.methods.sngp.mean_field_factor == 1e-4
         assert cfg.decode.beam_size == 3
         assert cfg.eval.ece_bins == 15
-        assert cfg.eval.threshold_map() == {"rouge1": 40.0, "rouge2": 15.0, "rougeL": 30.0}
+        assert asdict(cfg.eval.thresholds) == {"rouge1": 40.0, "rouge2": 15.0, "rougeL": 30.0}
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ConfigurationError, match="unknown keys.*extra"):
@@ -95,6 +99,12 @@ class TestLoadConfig:
         ("eval", {"alphas": [0.0, 1.0]}, r"\[0, 1\)"),
         ("eval", {"alphas": []}, "at least one alpha"),
         ("eval", {"bootstrap_resamples": 1}, ">= 2 resamples"),
+        ("task", {"kind": "bogus"}, "task.kind"),
+        ("task", {"kind": "noisy-paraphrase", "noise_rate": 2.0}, "noise_rate"),
+        ("task", {"input_len": 3, "output_len": 4}, "exceeds input_len"),
+        ("task", {"kind": "keyword-extract", "num_keywords": -1}, "num_keywords"),
+        ("methods", {"sngp": {"mean_field_factor": math.inf}}, "mean_field_factor.*finite"),
+        ("methods", {"sngp": {"kernel_scale": math.inf}}, "kernel_scale.*finite"),
     ])
     def test_bad_values_fail_at_load(self, tmp_path, section, values, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -136,13 +146,13 @@ class TestDerivations:
         assert spec.keyword_ids == vocab.content_ids[:3]
 
     def test_too_many_keywords(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, {
+        path = write_config(tmp_path, {
             "vocab_size": 6,
             "task": {"kind": "keyword-extract", "input_len": 4, "output_len": 3,
                      "num_keywords": 5},
-        }))
+        })
         with pytest.raises(ConfigurationError, match="num_keywords"):
-            cfg.task_spec(make_vocabulary(6))
+            load_config(path)
 
     def test_decode_cap_tracks_output_len(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {
@@ -264,6 +274,23 @@ class TestExitCodes:
         assert main(["gen-data", "--config", str(path), "--out", out]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blob", [b"[" * 100000 + b"]" * 100000, b"{\"seed\": \xff}"],
+                             ids=["too-deep", "not-utf8"])
+    def test_unreadable_config_and_bundle_are_one(self, tmp_path, capsys, blob):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(blob)
+        assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+        cfg_path = write_config(tmp_path, SMALL)
+        out = str(tmp_path / "run")
+        assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
+        assert main(["train", "--config", cfg_path, "--out", out, "--method", "base"]) == 0
+        with open(os.path.join(out, "models", "base.json"), "wb") as fh:
+            fh.write(blob)
+        capsys.readouterr()
+        assert main(["infer", "--config", cfg_path, "--out", out, "--method", "base"]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_bad_task_kind_is_one(self, tmp_path):
         cfg_path = write_config(tmp_path, {"task": {"kind": "sort"}})
         assert main(["gen-data", "--config", cfg_path, "--out",
@@ -338,6 +365,12 @@ class TestExitCodes:
         ("decode", {"beam_size": 0}),
         ("eval", {"alphas": [0.5, 0.0]}),
         ("eval", {"bootstrap_resamples": 1}),
+        ("task", {"kind": "bogus"}),
+        ("task", {"kind": "noisy-paraphrase", "noise_rate": 2.0}),
+        ("task", {"output_len": 4}),
+        ("task", {"kind": "keyword-extract", "num_keywords": -1}),
+        ("methods", {"sngp": {"rff_dim": 16, "mean_field_factor": math.inf}}),
+        ("methods", {"sngp": {"rff_dim": 16, "kernel_scale": math.inf}}),
     ])
     def test_bad_value_fails_every_stage(self, tmp_path, capsys, section, values):
         cfg_path, out = run_pipeline(tmp_path, methods="base")
@@ -394,6 +427,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"member {member}" in err and message in err and "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "preds", "sngp_de.jsonl"))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b["method"].update(samples=2.5), "invalid header: method.samples must be int"),
+        (lambda b: b["method"].update(be_size=5.0), "invalid header: method.be_size must be int"),
+        (lambda b: b["dims"].update(embed_dim=6.0), "invalid header: dims.embed_dim must be int"),
+        (lambda b: b["method"].update(seeds=5), "invalid header: method.seeds must be a list"),
+        (lambda b: b["members"][0].update(be=5), "member 0 batch-ensemble state must be an object"),
+        (lambda b: b["members"][0]["be"].update(r=[["x"] * 8] * 5),
+         "member 0 array 'r' must be an array of numbers"),
+        (lambda b: b["members"][0].update(loss_history=["x"]),
+         "member 0 loss_history must be an array of numbers"),
+        (lambda b: b["members"][0].update(embed={"a": 1}),
+         "member 0 array 'embed' must be an array of numbers"),
+        (lambda b: b["members"][0].update(seed=True), "member 0 has a missing or non-integer seed"),
+    ], ids=["samples-float", "be_size-float", "embed_dim-float", "seeds-number", "be-number",
+            "r-strings", "loss-history-strings", "embed-object", "seed-bool"])
+    def test_malformed_bundle_infer_is_one(self, tmp_path, capsys, edit, message):
+        cfg_path = write_config(tmp_path, SMALL)
+        out = str(tmp_path / "run")
+        assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
+        assert main(["train", "--config", cfg_path, "--out", out, "--method", "be"]) == 0
+        bundle_path = os.path.join(out, "models", "be.json")
+        bundle = json.loads(open(bundle_path).read())
+        edit(bundle)
+        with open(bundle_path, "w") as fh:
+            json.dump(bundle, fh)
+        capsys.readouterr()
+        assert main(["infer", "--config", cfg_path, "--out", out, "--method", "be"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "preds", "be.jsonl"))
 
     @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters"])
     def test_retired_sngp_knob_is_one(self, tmp_path, capsys, knob):

@@ -1,0 +1,243 @@
+"""The strict dataclass loader behind run configs and bundle headers."""
+
+import json
+import math
+import os
+import re
+import tempfile
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqcal.calib import QUALITY_KEYS
+from seqcal.cli import RunConfig, Thresholds, load_config
+from seqcal.corpus import TASK_KINDS
+from seqcal.errors import ConfigurationError, ValidationError
+from seqcal.model import METHODS, MethodConfig, ModelDims, init_model
+from seqcal.schema import from_json
+from seqcal.training import read_bundle, write_bundle
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@dataclass(frozen=True)
+class Inner:
+    x: float = 1.0
+
+    def __post_init__(self):
+        if self.x < 0.0:
+            raise ConfigurationError(f"x must be >= 0, got {self.x}")
+
+
+@dataclass(frozen=True)
+class Outer:
+    name: str
+    n: int = 2
+    flag: bool = False
+    values: tuple[float, ...] = ()
+    inner: Inner = field(default_factory=Inner)
+
+
+class TestFromJson:
+    def test_defaults_fill_absent_keys(self):
+        assert from_json(Outer, {"name": "a"}, "o") == Outer(name="a")
+
+    def test_nested_and_tuple_values(self):
+        got = from_json(Outer, {"name": "a", "values": [1, 2.5], "inner": {"x": 3}}, "o")
+        assert got == Outer(name="a", values=(1.0, 2.5), inner=Inner(x=3.0))
+        assert type(got.values[0]) is float and type(got.inner.x) is float
+
+    @pytest.mark.parametrize("payload, message", [
+        ([], "o must be a JSON object"),
+        ({"name": "a", "m": 1}, r"o has unknown keys \['m'\]"),
+        ({}, r"o is missing keys \['name'\]"),
+        ({"name": 1}, "o.name must be str, got int"),
+        ({"name": "a", "n": True}, "o.n must be int, got bool"),
+        ({"name": "a", "n": 2.0}, "o.n must be int, got float"),
+        ({"name": "a", "flag": 1}, "o.flag must be bool, got int"),
+        ({"name": "a", "values": (1.0,)}, "o.values must be a list"),
+        ({"name": "a", "values": [1.0, "x"]}, r"o.values\[1\] must be float, got str"),
+        ({"name": "a", "values": [False]}, r"o.values\[0\] must be float, got bool"),
+        ({"name": "a", "inner": {"x": math.inf}}, "o.inner.x must be a finite number"),
+        ({"name": "a", "inner": {"x": -math.inf}}, "o.inner.x must be a finite number"),
+        ({"name": "a", "inner": {"x": math.nan}}, "o.inner.x must be a finite number"),
+        ({"name": "a", "inner": {"x": 10**400}}, "o.inner.x must be a finite number"),
+        ({"name": "a", "inner": 3}, "o.inner must be a JSON object"),
+        ({"name": "a", "inner": {"x": -1}}, "x must be >= 0"),
+    ])
+    def test_refusals(self, payload, message):
+        with pytest.raises(ConfigurationError, match=message):
+            from_json(Outer, payload, "o")
+
+    def test_largest_integer_below_overflow_is_widened(self):
+        assert from_json(Inner, {"x": 2**1023}, "i").x == 2.0**1023
+
+
+def test_thresholds_cover_the_quality_keys():
+    assert tuple(f.name for f in fields(Thresholds)) == QUALITY_KEYS
+
+
+@pytest.mark.parametrize("path", ["configs/demo.json", "configs/trend.json",
+                                  "perfbench/workloads/wide.json"])
+def test_committed_configs_load_and_round_trip(path):
+    cfg = load_config(os.path.join(ROOT, path))
+    assert from_json(RunConfig, json.loads(json.dumps(asdict(cfg))), "config") == cfg
+
+
+@pytest.mark.parametrize("seed, ok", [(0, True), (2**64 - 1, True), (2**64, False), (-1, False)])
+def test_seed_range(tmp_path, seed, ok):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"seed": seed}))
+    if ok:
+        assert load_config(str(path)).seed == seed
+    else:
+        with pytest.raises(ConfigurationError, match="config.seed"):
+            load_config(str(path))
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing.  Integers stay small: a config's vocab_size and de_size size what
+# loading builds (the vocabulary, one seed per ensemble member), so a huge
+# one makes loading slow in proportion, which these properties do not
+# measure; the rules at the integer edges are checked by the tests above.
+
+INTS = st.integers(-3, 40)
+JSON_SCALARS = (st.none() | st.booleans() | INTS | st.text(max_size=4)
+                | st.floats(allow_nan=True, allow_infinity=True))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                               max_size=3),
+    max_leaves=8,
+)
+
+
+def rarely(rare, common):
+    """`rare` about one time in eight, `common` otherwise (hypothesis favours
+    the ends of a range, so the rare branch sits inside it)."""
+    return st.integers(0, 7).flatmap(lambda i: rare if i == 4 else common)
+
+
+def typed(tp):
+    """Values of the annotated type, mostly inside the usual ranges."""
+    if is_dataclass(tp):
+        return payloads(tp)
+    if get_origin(tp) is tuple:
+        return st.lists(typed(get_args(tp)[0]), max_size=4).map(sorted)
+    return {
+        int: st.integers(1, 12) | INTS,
+        float: st.floats(0.0, 0.9) | st.floats(allow_nan=True, allow_infinity=True),
+        bool: st.booleans(),
+        str: st.sampled_from(TASK_KINDS + METHODS) | st.text(max_size=4),
+    }[tp]
+
+
+def payloads(cls):
+    """JSON objects shaped like `cls`: any subset of its keys, each holding
+    a value of its type or, rarely, any JSON value."""
+    hints = get_type_hints(cls)
+    return st.fixed_dictionaries({}, optional={
+        f.name: rarely(JSON_VALUES, typed(hints[f.name])) for f in fields(cls)})
+
+
+def _load(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        return load_config(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=rarely(JSON_VALUES, payloads(RunConfig)))
+def test_any_json_config_loads_or_is_refused(payload):
+    try:
+        cfg = _load(payload)
+    except ConfigurationError:
+        return
+    assert isinstance(cfg, RunConfig)
+    # the manifest echoes asdict(config): that echo is itself a valid config
+    assert from_json(RunConfig, json.loads(json.dumps(asdict(cfg))), "config") == cfg
+
+
+DIMS = ModelDims(vocab_size=6, embed_dim=2, hidden_dim=3)
+DROP = object()
+
+
+def _mutated(header: dict, cls):
+    """Rarely any JSON value; otherwise `header` with most values kept and
+    the others replaced by a value of the field's type or by any JSON
+    value, or dropped, and rarely an unknown key added."""
+    hints = get_type_hints(cls)
+    entries = {
+        name: st.integers(0, 11).flatmap(
+            lambda i, name=name, value=value: typed(hints[name]) if i == 7
+            else JSON_VALUES if i == 8 else st.just(DROP) if i == 9 else st.just(value))
+        for name, value in header.items()
+    }
+    kept = st.fixed_dictionaries(entries).map(
+        lambda d: {k: v for k, v in d.items() if v is not DROP})
+    extra = rarely(st.fixed_dictionaries({"extra": JSON_VALUES}), st.just({}))
+    return rarely(JSON_VALUES, st.tuples(kept, extra).map(lambda kv: {**kv[0], **kv[1]}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(method=_mutated(asdict(MethodConfig(method="base")), MethodConfig),
+       dims=_mutated(asdict(DIMS), ModelDims))
+def test_any_bundle_header_loads_or_is_refused(method, dims):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "base.json")
+        write_bundle([init_model(DIMS, MethodConfig(method="base"), seed=1)], path)
+        bundle = json.loads(open(path).read())
+        bundle.update(method=method, dims=dims)
+        with open(path, "w") as fh:
+            json.dump(bundle, fh)
+        try:
+            members = read_bundle(path)
+        except ValidationError:
+            return
+    assert len(members) == 1
+    assert members[0].config == from_json(MethodConfig, json.loads(json.dumps(method)), "method")
+    assert members[0].dims == from_json(ModelDims, dims, "dims")
+    assert np.isfinite(members[0].params.embed).all()
+
+
+# ---------------------------------------------------------------------------
+# The README's config table is a view of the schema.
+
+
+def _schema_leaves(cls, prefix=""):
+    for f in fields(cls):
+        default = f.default if f.default is not MISSING else f.default_factory()
+        if is_dataclass(default):
+            yield from _schema_leaves(type(default), f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", default
+
+
+def _readme_rows():
+    text = open(os.path.join(ROOT, "README.md"), encoding="utf-8").read()
+    table = text.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    section = None
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or cells[0] in ("section", "---"):
+            continue
+        if cells[0]:
+            section = "" if cells[0] == "(top)" else cells[0].strip("`") + "."
+        yield section + cells[1].strip("`"), cells[2]
+
+
+def test_readme_table_lists_the_schema():
+    leaves = dict(_schema_leaves(RunConfig))
+    rows = dict(_readme_rows())
+    assert sorted(rows) == sorted(leaves)
+    for key, default in leaves.items():
+        if isinstance(default, tuple):
+            continue
+        shown = json.loads(re.sub(r"^`(.*)`$", r"\1", rows[key]))
+        assert shown == default and type(shown) is type(default), key

@@ -1,0 +1,53 @@
+"""Smoke tests of the scripts under scripts/ on a tiny config."""
+
+import importlib.util
+import json
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+TINY = {
+    "seed": 3,
+    "vocab_size": 10,
+    "n_examples": 60,
+    "task": {"kind": "copy", "input_len": 3, "output_len": 3},
+    "model": {"embed_dim": 4, "hidden_dim": 6},
+    "train": {"steps": 10, "batch_size": 8},
+    "methods": {"samples": 2, "de_size": 2, "sngp": {"rff_dim": 8}},
+    "decode": {"beam_size": 2},
+    "eval": {"bootstrap_resamples": 10},
+}
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_tiny(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY))
+    return str(path)
+
+
+def test_run_pipeline_script(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = load_script("run_pipeline").main(
+        ["--config", write_tiny(tmp_path), "--out", str(out), "--method", "base,sngp"])
+    assert code == 0
+    summary = (out / "reports" / "summary.csv").read_text().splitlines()
+    assert sorted(line.split(",")[0] for line in summary[1:]) == ["base", "sngp"]
+
+
+def test_trend_experiment_main(tmp_path, capsys):
+    code = load_script("trend_experiment").main(
+        ["--config", write_tiny(tmp_path), "--methods", "base,de", "--seeds", "0,1"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines if line.split()[:1] in (["0"], ["1"])]
+    assert [(r[0], r[1]) for r in rows] == [("0", "base"), ("0", "de"),
+                                            ("1", "base"), ("1", "de")]
+    assert any(line.split()[:1] == ["mean"] for line in lines)
