@@ -33,6 +33,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from .calib import (
     EceConfig,
@@ -82,7 +83,7 @@ from .inference import (
 )
 from .model import METHODS, MethodConfig, ModelDims, SngpConfig, is_deep_ensemble
 from .rng import derive_seed
-from .schema import from_json
+from .schema import from_json, parse_json
 from .training import (
     TrainHyper,
     check_vocab_match,
@@ -122,6 +123,10 @@ class MethodsSection:
     be_size: int = MethodConfig.be_size
     de_size: int = 10
     sngp: SngpConfig = field(default_factory=SngpConfig)
+
+    def __post_init__(self):
+        if self.de_size < 2:
+            raise ConfigurationError(f"methods.de_size must be >= 2, got {self.de_size}")
 
 
 @dataclass(frozen=True)
@@ -213,8 +218,6 @@ class RunConfig:
         m = self.methods
         seeds = ()
         if is_deep_ensemble(method):
-            if m.de_size < 2:
-                raise ConfigurationError(f"methods.de_size must be >= 2, got {m.de_size}")
             seeds = tuple(
                 derive_seed(self.seed, "train", method, i) for i in range(m.de_size)
             )
@@ -247,11 +250,7 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too deep
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+    payload = parse_json(Path(path).read_bytes(), f"config {path}")
     config = from_json(RunConfig, payload, "config")
     # Build what the later stages build, so a bad value fails every stage,
     # gen-data included, instead of only the stage that first uses it.

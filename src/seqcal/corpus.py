@@ -19,11 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ParseError, ValidationError
 from .rng import stream
+from .schema import from_json, parse_json, read_jsonl
 
 TokenSeq = tuple[int, ...]
 
@@ -75,6 +77,16 @@ def make_vocabulary(size: int) -> Vocabulary:
     return Vocabulary(symbols=symbols, pad_id=0, bos_id=1, eos_id=2)
 
 
+@dataclass(frozen=True)
+class VocabularyFile:
+    """The layout of vocab.json."""
+
+    symbols: tuple[str, ...]
+    pad: int
+    bos: int
+    eos: int
+
+
 def write_vocabulary(vocab: Vocabulary, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(vocabulary_json(vocab))
@@ -82,13 +94,8 @@ def write_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def vocabulary_json(vocab: Vocabulary) -> str:
-    payload = {
-        "symbols": list(vocab.symbols),
-        "pad": vocab.pad_id,
-        "bos": vocab.bos_id,
-        "eos": vocab.eos_id,
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    layout = VocabularyFile(vocab.symbols, vocab.pad_id, vocab.bos_id, vocab.eos_id)
+    return json.dumps(vars(layout), separators=(",", ":"))
 
 
 def vocabulary_sha256(vocab: Vocabulary) -> str:
@@ -97,47 +104,12 @@ def vocabulary_sha256(vocab: Vocabulary) -> str:
 
 
 def read_vocabulary(path) -> Vocabulary:
+    where = f"vocabulary file {path}"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"vocabulary file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or set(raw) != {"symbols", "pad", "bos", "eos"}:
-        raise ParseError(
-            f"vocabulary file {path} must hold exactly the keys symbols/pad/bos/eos"
-        )
-    symbols = raw["symbols"]
-    if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
-        raise ParseError(f"vocabulary file {path}: 'symbols' must be a list of strings")
-    for key in ("pad", "bos", "eos"):
-        if not isinstance(raw[key], int) or isinstance(raw[key], bool):
-            raise ParseError(f"vocabulary file {path}: '{key}' must be an integer")
-    return Vocabulary(
-        symbols=tuple(symbols), pad_id=raw["pad"], bos_id=raw["bos"], eos_id=raw["eos"]
-    )
-
-
-def check_token_seq(tokens, vocab: Vocabulary, what: str = "sequence") -> TokenSeq:
-    """Validate a token sequence against its invariants and return it as a tuple.
-
-    Rules: at least one token, every id within the vocabulary, the end
-    symbol may appear only in terminal position, padding ids are allowed
-    (the model treats them as ordinary symbols).
-    """
-    toks = tuple(tokens)
-    if len(toks) == 0:
-        raise ValidationError(f"{what} must contain at least one token")
-    for t in toks:
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-            raise ValidationError(f"{what} contains non-integer token {t!r}")
-        if not 0 <= t < vocab.size:
-            raise ValidationError(
-                f"{what} contains token id {t} outside 0..{vocab.size - 1}"
-            )
-    for t in toks[:-1]:
-        if t == vocab.eos_id:
-            raise ValidationError(f"{what} contains a non-terminal eos token")
-    return tuple(int(t) for t in toks)
+        layout = from_json(VocabularyFile, parse_json(Path(path).read_bytes(), where), where)
+    except ConfigurationError as exc:
+        raise ParseError(str(exc)) from exc
+    return Vocabulary(layout.symbols, layout.pad, layout.bos, layout.eos)
 
 
 @dataclass(frozen=True)
@@ -198,6 +170,14 @@ class ExampleRecord:
     id: str
     input: TokenSeq
     reference: TokenSeq
+
+    def __post_init__(self):
+        for name in ("input", "reference"):
+            tokens = getattr(self, name)
+            if not tokens:
+                raise ValidationError(f"{name} must hold at least one token")
+            if min(tokens) < 0:
+                raise ValidationError(f"{name} contains negative id {min(tokens)}")
 
 
 def copy_reference(input_tokens, output_len: int) -> TokenSeq:
@@ -283,68 +263,13 @@ def write_records(records, path) -> None:
         if rec.id in seen:
             raise ValidationError(f"duplicate record id {rec.id!r}")
         seen.add(rec.id)
-        payload = {
-            "id": rec.id,
-            "input": [int(t) for t in rec.input],
-            "reference": [int(t) for t in rec.reference],
-        }
-        lines.append(json.dumps(payload, separators=(",", ":")))
+        lines.append(json.dumps(vars(rec), separators=(",", ":")))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
 
 
-def _check_int_list(value, field_name: str, line_no: int) -> TokenSeq:
-    if not isinstance(value, list) or len(value) == 0:
-        raise ParseError(f"field {field_name!r} must be a non-empty list", line=line_no)
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ParseError(
-                f"field {field_name!r} contains non-integer {v!r}", line=line_no
-            )
-        if v < 0:
-            raise ParseError(f"field {field_name!r} contains negative id {v}", line=line_no)
-    return tuple(value)
-
-
 def read_records(path) -> list[ExampleRecord]:
     """Read a JSONL corpus, reporting the line number on any malformed row."""
-    records = []
-    seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-            if not isinstance(raw, dict):
-                raise ParseError("record must be a JSON object", line=line_no)
-            expected = {"id", "input", "reference"}
-            if set(raw) != expected:
-                missing = expected - set(raw)
-                extra = set(raw) - expected
-                detail = []
-                if missing:
-                    detail.append(f"missing field(s) {sorted(missing)}")
-                if extra:
-                    detail.append(f"unexpected field(s) {sorted(extra)}")
-                raise ParseError("; ".join(detail), line=line_no)
-            if not isinstance(raw["id"], str) or not raw["id"]:
-                raise ParseError("field 'id' must be a non-empty string", line=line_no)
-            if raw["id"] in seen:
-                raise ValidationError(
-                    f"line {line_no}: duplicate record id {raw['id']!r}"
-                )
-            seen.add(raw["id"])
-            records.append(
-                ExampleRecord(
-                    id=raw["id"],
-                    input=_check_int_list(raw["input"], "input", line_no),
-                    reference=_check_int_list(raw["reference"], "reference", line_no),
-                )
-            )
-    return records
+    return read_jsonl(path, ExampleRecord)

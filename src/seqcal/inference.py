@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,6 @@ from .errors import (
     ConfigurationError,
     InputError,
     NumericalStateError,
-    ParseError,
     ValidationError,
 )
 from .model import (
@@ -66,6 +64,7 @@ from .model import (
     _check_tokens,
     _mean_embedding,
     _softmax_rows,
+    check_members,
     dropout_mask,
     forward,
     mean_field_logits,
@@ -74,6 +73,7 @@ from .model import (
 )
 from .rng import derive_seed
 from .rouge import score_quality
+from .schema import read_jsonl
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,11 @@ class PredictionRecord:
     eos_logp: float
     uncertainty: float
 
+    def __post_init__(self):
+        if len(self.token_logp) != len(self.hypothesis):
+            raise ValidationError(f"token_logp has {len(self.token_logp)} entries "
+                                  f"for {len(self.hypothesis)} tokens")
+
 
 @dataclass(frozen=True)
 class JoinedRecord(PredictionRecord):
@@ -113,23 +118,6 @@ class JoinedRecord(PredictionRecord):
 
     reference: TokenSeq
     quality: dict
-
-
-def _check_members(members) -> tuple[TrainedModel, ...]:
-    members = tuple(members)
-    if not members:
-        raise InputError("posterior needs at least one trained member")
-    first = members[0]
-    for m in members[1:]:
-        if m.config != first.config or m.dims != first.dims:
-            raise ValidationError("posterior members disagree on method or dimensions")
-    method = first.config.method
-    expected = len(first.config.seeds) if method in ("de", "sngp_de") else 1
-    if len(members) != expected:
-        raise ValidationError(
-            f"method {method} expects {expected} members, got {len(members)}"
-        )
-    return members
 
 
 def _prefix_states(embed: np.ndarray, tokens: np.ndarray, bos_id: int) -> np.ndarray:
@@ -218,7 +206,7 @@ def step_distributions(
     The decoder's member pass on one example, so prefixes may differ in
     length here.
     """
-    members = _check_members(members)
+    members = check_members(members, "posterior")
     dims = members[0].dims
     _check_tokens(input_tokens, dims.vocab_size, "input")
     prefixes = [tuple(p) for p in prefixes]
@@ -257,7 +245,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig, run_seed: int
     sorts before its extensions, as tuples do.  dist_hook(step, tokens,
     dists) sees each (n, live, vocab) batch of distributions.
     """
-    members = _check_members(members)
+    members = check_members(members, "posterior")
     dims = members[0].dims
     for x in inputs:
         _check_tokens(x, dims.vocab_size, "input")
@@ -360,9 +348,6 @@ def decode_corpus(members, examples, config: PosteriorConfig,
 # ---------------------------------------------------------------------------
 # Prediction files: one compact JSON object per line.
 
-_PREDICTION_KEYS = {"id", "hypothesis", "token_logp", "eos_logp", "uncertainty"}
-
-
 def write_predictions(records, path) -> None:
     seen = set()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -370,85 +355,11 @@ def write_predictions(records, path) -> None:
             if rec.id in seen:
                 raise ValidationError(f"duplicate prediction id {rec.id!r}")
             seen.add(rec.id)
-            payload = {
-                "id": rec.id,
-                "hypothesis": [int(t) for t in rec.hypothesis],
-                "token_logp": [float(x) for x in rec.token_logp],
-                "eos_logp": float(rec.eos_logp),
-                "uncertainty": float(rec.uncertainty),
-            }
-            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
-
-
-def _is_finite_number(x) -> bool:
-    """A JSON number that float64 holds as a finite value (json reads NaN,
-    Infinity and out-of-range exponents as non-finite floats)."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    return math.isfinite(x) if isinstance(x, float) else abs(x) <= sys.float_info.max
-
-
-def _float_list(payload, key, lineno):
-    value = payload[key]
-    if not isinstance(value, list) or not all(_is_finite_number(x) for x in value):
-        raise ParseError(f"field {key!r} must be a list of finite numbers", line=lineno)
-    return tuple(float(x) for x in value)
+            fh.write(json.dumps(vars(rec), separators=(",", ":")) + "\n")
 
 
 def read_predictions(path) -> tuple[PredictionRecord, ...]:
-    out = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", line=lineno) from exc
-            if not isinstance(payload, dict):
-                raise ParseError("each line must be a JSON object", line=lineno)
-            keys = set(payload)
-            if keys != _PREDICTION_KEYS:
-                missing = _PREDICTION_KEYS - keys
-                extra = keys - _PREDICTION_KEYS
-                detail = []
-                if missing:
-                    detail.append(f"missing {sorted(missing)}")
-                if extra:
-                    detail.append(f"unexpected {sorted(extra)}")
-                raise ParseError("bad field set: " + ", ".join(detail), line=lineno)
-            rec_id = payload["id"]
-            if not isinstance(rec_id, str) or not rec_id:
-                raise ParseError("id must be a non-empty string", line=lineno)
-            if rec_id in seen:
-                raise ParseError(f"duplicate prediction id {rec_id!r}", line=lineno)
-            seen.add(rec_id)
-            hyp = payload["hypothesis"]
-            if not isinstance(hyp, list) or not all(
-                isinstance(t, int) and not isinstance(t, bool) for t in hyp
-            ):
-                raise ParseError("hypothesis must be a list of integers", line=lineno)
-            token_logp = _float_list(payload, "token_logp", lineno)
-            if len(token_logp) != len(hyp):
-                raise ParseError(
-                    f"token_logp has {len(token_logp)} entries for {len(hyp)} tokens",
-                    line=lineno,
-                )
-            for key in ("eos_logp", "uncertainty"):
-                if not _is_finite_number(payload[key]):
-                    raise ParseError(f"field {key!r} must be a finite number", line=lineno)
-            out.append(
-                PredictionRecord(
-                    id=rec_id,
-                    hypothesis=tuple(int(t) for t in hyp),
-                    token_logp=token_logp,
-                    eos_logp=float(payload["eos_logp"]),
-                    uncertainty=float(payload["uncertainty"]),
-                )
-            )
-    return tuple(out)
+    return tuple(read_jsonl(path, PredictionRecord))
 
 
 def join_with_references(predictions, examples) -> tuple[JoinedRecord, ...]:

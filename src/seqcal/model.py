@@ -51,6 +51,7 @@ from .errors import (
     ConfigurationError,
     InputError,
     NumericalStateError,
+    ValidationError,
 )
 from .rng import rekey, stream
 
@@ -153,6 +154,15 @@ class MethodConfig:
                 f"single-model method {self.method} takes at most one seed"
             )
 
+    def member_seeds(self, seed: int) -> tuple[int, ...]:
+        """The training seed of each member: one per configured seed for a
+        deep ensemble, otherwise `seed` for the one shared model."""
+        return self.seeds if is_deep_ensemble(self.method) else (seed,)
+
+    @property
+    def n_members(self) -> int:
+        return len(self.member_seeds(0))
+
 
 @dataclass
 class ModelParams:
@@ -204,6 +214,22 @@ class TrainedModel:
     seed: int = 0
     vocab_sha256: str = ""
     loss_history: tuple[float, ...] = ()
+
+
+def check_members(members, what: str) -> tuple[TrainedModel, ...]:
+    """`members` as a tuple, refused unless they are one trained method:
+    at least one, all of one method and dims, as many as it trains."""
+    members = tuple(members)
+    if not members:
+        raise InputError(f"{what} needs at least one member")
+    config, dims = members[0].config, members[0].dims
+    if any(m.config != config or m.dims != dims for m in members):
+        raise ValidationError(f"{what} members disagree on method or dimensions")
+    if len(members) != config.n_members:
+        raise ValidationError(
+            f"method {config.method} expects {config.n_members} members, got {len(members)}"
+        )
+    return members
 
 
 @dataclass

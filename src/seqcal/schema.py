@@ -1,10 +1,13 @@
-"""One strict JSON loader for the frozen dataclasses the package reads back:
-the run config and the method and dims headers of a model bundle.
+"""One strict JSON loader for every file a stage reads back: the run
+config, the vocabulary, the split and prediction JSONL files, and the
+method and dims headers of a model bundle.
 
-`from_json` takes the keys, types and defaults from the dataclass
-itself, so no field is described twice.  It refuses unknown keys and
-missing required ones, and checks each present value against its
-annotation:
+`parse_json` is the package's only JSON parse.  Bad syntax, text that is
+not UTF-8 and nesting too deep for the parser are one refusal.
+
+`from_json` takes the keys, types and defaults from a dataclass itself,
+so no field is described twice.  It refuses unknown keys and missing
+required ones, and checks each present value against its annotation:
 
   int             a JSON integer, never a boolean
   float           a JSON number (an integer is widened), never non-finite
@@ -13,16 +16,42 @@ annotation:
   a dataclass     a JSON object, loaded the same way
 
 Then it calls the constructor, so each type's `__post_init__` keeps its
-own range rules.  Every refusal is a ConfigurationError.
+own range rules.  Every refusal of these two is a ConfigurationError.
+
+`read_jsonl` loads one dataclass per non-blank line of a JSONL file and
+requires a non-empty `id` that is unique in the file.  Each of its
+refusals is a ParseError that names the line.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
 import math
 import typing
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParseError, ValidationError
+
+
+def parse_json(data: bytes, where: str):
+    """`data` read as UTF-8 and parsed as JSON; `where` names it in the
+    error message."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too deep
+        raise ConfigurationError(f"{where} is not valid JSON: {exc}") from exc
+
+
+@functools.cache
+def _fields(cls) -> tuple[dict, tuple[str, ...]]:
+    """The init fields of dataclass `cls` as {name: annotation}, and the
+    names of those without a default."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    required = tuple(f.name for f in fields if f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING)
+    return {f.name: hints[f.name] for f in fields}, required
 
 
 def from_json(cls, payload, where: str):
@@ -30,28 +59,35 @@ def from_json(cls, payload, where: str):
     names the value in error messages (nested values get dotted paths)."""
     if not isinstance(payload, dict):
         raise ConfigurationError(f"{where} must be a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
-    unknown = sorted(set(payload) - set(fields))
+    types, required = _fields(cls)
+    unknown = sorted(payload.keys() - types.keys())
     if unknown:
         raise ConfigurationError(f"{where} has unknown keys {unknown}")
-    missing = [name for name, f in fields.items() if name not in payload
-               and f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING]
+    missing = [name for name in required if name not in payload]
     if missing:
         raise ConfigurationError(f"{where} is missing keys {missing}")
-    hints = typing.get_type_hints(cls)
-    return cls(**{name: _value(hints[name], value, f"{where}.{name}")
+    return cls(**{name: _value(types[name], value, f"{where}.{name}")
                   for name, value in payload.items()})
 
 
+@functools.cache
+def _tuple_item(tp):
+    """X for the annotation tuple[X, ...], None for any other."""
+    return typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else None
+
+
 def _value(tp, value, where: str):
-    if dataclasses.is_dataclass(tp):
-        return from_json(tp, value, where)
-    if typing.get_origin(tp) is tuple:
-        item, _ = typing.get_args(tp)
+    item = _tuple_item(tp)
+    if item is not None:
         if not isinstance(value, list):
             raise ConfigurationError(f"{where} must be a list, got {type(value).__name__}")
+        # The common case in one pass; the per-item path names a bad item.
+        if all(type(v) is item for v in value) and (
+                item is not float or all(map(math.isfinite, value))):
+            return tuple(value)
         return tuple(_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(tp):
+        return from_json(tp, value, where)
     if tp is float and type(value) is int:
         try:
             value = float(value)
@@ -62,3 +98,26 @@ def _value(tp, value, where: str):
     if tp is float and not math.isfinite(value):
         raise ConfigurationError(f"{where} must be a finite number, got {value}")
     return value
+
+
+def read_jsonl(path, cls) -> list:
+    """One `cls` per non-blank line of the JSONL file at `path`.  Line
+    numbers count every line the way text-mode reading splits them."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    records = []
+    seen = set()
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = from_json(cls, parse_json(line, "record"), "record")
+            if not rec.id:
+                raise ValidationError("record.id must be a non-empty string")
+            if rec.id in seen:
+                raise ValidationError(f"duplicate id {rec.id!r}")
+        except (ConfigurationError, ValidationError) as exc:
+            raise ParseError(f"{path}: {exc}", line=line_no) from exc
+        seen.add(rec.id)
+        records.append(rec)
+    return records

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -46,17 +47,17 @@ from .model import (
     _loss_and_grads,
     _rows_loss,
     build_rows,
+    check_members,
     factor_precision,
     finalize_covariance,
     init_model,
-    is_deep_ensemble,
     spectral_normalize,
     update_precision,
     uses_dropout,
     uses_gp,
 )
 from .rng import derive_seed, stream
-from .schema import from_json
+from .schema import from_json, parse_json
 
 BUNDLE_FORMAT_VERSION = 2
 
@@ -202,13 +203,9 @@ def train_method(
 ) -> tuple[TrainedModel, ...]:
     """All members for one method: the configured seeds for a deep
     ensemble, otherwise a single model trained from `seed`."""
-    if is_deep_ensemble(config.method):
-        member_seeds = config.seeds
-    else:
-        member_seeds = (seed,)
     return tuple(
         train_member(structure, dims, config, hyper, s, vocab_sha256, on_step)
-        for s in member_seeds
+        for s in config.member_seeds(seed)
     )
 
 
@@ -280,14 +277,9 @@ def _member_payload(model: TrainedModel) -> dict:
 
 def write_bundle(members, path) -> None:
     members = tuple(members)
-    if not members:
-        raise InputError("bundle needs at least one member")
-    first = members[0]
-    for m in members[1:]:
-        if m.config != first.config or m.dims != first.dims:
-            raise ValidationError("bundle members disagree on method or dimensions")
-        if m.vocab_sha256 != first.vocab_sha256:
-            raise ValidationError("bundle members disagree on vocabulary hash")
+    if len({m.vocab_sha256 for m in members}) > 1:
+        raise ValidationError("bundle members disagree on vocabulary hash")
+    first = check_members(members, "bundle")[0]
     head = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "method": asdict(first.config),
@@ -371,11 +363,10 @@ def _load_member(payload, dims: ModelDims, config: MethodConfig, vocab_sha256, w
 
 
 def read_bundle(path) -> tuple[TrainedModel, ...]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too deep
-            raise ValidationError(f"bundle {path} is not valid JSON: {exc}") from exc
+    try:
+        payload = parse_json(Path(path).read_bytes(), f"bundle {path}")
+    except ConfigurationError as exc:
+        raise ValidationError(str(exc)) from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"bundle {path} must be a JSON object")
     version = payload.get("format_version")
@@ -394,11 +385,9 @@ def read_bundle(path) -> tuple[TrainedModel, ...]:
     members_raw = payload["members"]
     if not isinstance(members_raw, list) or not members_raw:
         raise ValidationError(f"bundle {path} must contain at least one member")
-    expected = len(config.seeds) if is_deep_ensemble(config.method) else 1
-    if len(members_raw) != expected:
-        raise ValidationError(
-            f"bundle {path} has {len(members_raw)} members, method {config.method} expects {expected}"
-        )
+    if len(members_raw) != config.n_members:
+        raise ValidationError(f"bundle {path} has {len(members_raw)} members, "
+                              f"method {config.method} expects {config.n_members}")
     vocab_sha = payload["vocab_sha256"]
     if not isinstance(vocab_sha, str):
         raise ValidationError(f"bundle {path} vocab_sha256 must be a string")

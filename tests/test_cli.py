@@ -281,15 +281,23 @@ class TestExitCodes:
         bad.write_bytes(blob)
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
         assert "not valid JSON" in capsys.readouterr().err
-        cfg_path = write_config(tmp_path, SMALL)
-        out = str(tmp_path / "run")
-        assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
-        assert main(["train", "--config", cfg_path, "--out", out, "--method", "base"]) == 0
-        with open(os.path.join(out, "models", "base.json"), "wb") as fh:
-            fh.write(blob)
-        capsys.readouterr()
-        assert main(["infer", "--config", cfg_path, "--out", out, "--method", "base"]) == 1
-        assert "not valid JSON" in capsys.readouterr().err
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        # every file a later stage reads back, with the stages that read it
+        for name, stages in [("models/base.json", ["infer"]), ("vocab.json", ["infer"]),
+                             ("test.jsonl", ["infer", "eval"]),
+                             ("preds/base.jsonl", ["eval"])]:
+            path = os.path.join(out, *name.split("/"))
+            good = open(path, "rb").read()
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            for stage in stages:
+                method = ["--method", "base"] if stage == "infer" else []
+                capsys.readouterr()
+                assert main([stage, "--config", cfg_path, "--out", out] + method) == 1, name
+                err = capsys.readouterr().err
+                assert "not valid JSON" in err and "Traceback" not in err, (name, stage)
+            with open(path, "wb") as fh:
+                fh.write(good)
 
     def test_bad_task_kind_is_one(self, tmp_path):
         cfg_path = write_config(tmp_path, {"task": {"kind": "sort"}})

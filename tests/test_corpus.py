@@ -9,7 +9,6 @@ from seqcal.corpus import (
     ExampleRecord,
     TaskSpec,
     Vocabulary,
-    check_token_seq,
     copy_reference,
     generate_corpus,
     keyword_reference,
@@ -65,25 +64,6 @@ class TestVocabulary:
         path.write_text('{"symbols": ["a","b","c","d"], "pad": 0, "bos": 1, "eos": 2, "x": 5}')
         with pytest.raises(ParseError):
             read_vocabulary(path)
-
-
-class TestTokenSeqChecks:
-    def test_interior_eos_rejected(self):
-        v = make_vocabulary(6)
-        with pytest.raises(ValidationError):
-            check_token_seq((3, v.eos_id, 4), v)
-
-    def test_terminal_eos_allowed(self):
-        v = make_vocabulary(6)
-        assert check_token_seq((3, 4, v.eos_id), v) == (3, 4, v.eos_id)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            check_token_seq((), make_vocabulary(6))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            check_token_seq((3, 99), make_vocabulary(6))
 
 
 class TestTaskRules:

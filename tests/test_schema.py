@@ -1,5 +1,7 @@
-"""The strict dataclass loader behind run configs and bundle headers."""
+"""The strict loader behind every file a stage reads back: run configs,
+vocabularies, split and prediction files, and bundle headers."""
 
+import ast
 import json
 import math
 import os
@@ -15,10 +17,11 @@ from hypothesis import strategies as st
 
 from seqcal.calib import QUALITY_KEYS
 from seqcal.cli import RunConfig, Thresholds, load_config
-from seqcal.corpus import TASK_KINDS
-from seqcal.errors import ConfigurationError, ValidationError
+from seqcal.corpus import TASK_KINDS, ExampleRecord, read_records, write_records
+from seqcal.errors import ConfigurationError, ParseError, ValidationError
+from seqcal.inference import PredictionRecord, read_predictions, write_predictions
 from seqcal.model import METHODS, MethodConfig, ModelDims, init_model
-from seqcal.schema import from_json
+from seqcal.schema import from_json, parse_json, read_jsonl
 from seqcal.training import read_bundle, write_bundle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -75,6 +78,67 @@ class TestFromJson:
 
     def test_largest_integer_below_overflow_is_widened(self):
         assert from_json(Inner, {"x": 2**1023}, "i").x == 2.0**1023
+
+
+@pytest.mark.parametrize("data", [b"{nope", b"[" * 100000 + b"]" * 100000, b'{"a": \xff}'],
+                         ids=["syntax", "too-deep", "not-utf8"])
+def test_unreadable_json_is_one_refusal(data):
+    with pytest.raises(ConfigurationError, match="^f is not valid JSON"):
+        parse_json(data, "f")
+
+
+def test_json_is_parsed_only_in_schema():
+    """parse_json is the one place the package parses JSON, so every file
+    a stage reads back gets the same guard."""
+    src = os.path.join(ROOT, "src", "seqcal")
+    calls = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "schema.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                calls.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json" and any(
+                    alias.name in ("load", "loads") for alias in node.names):
+                calls.append(f"{name}:{node.lineno}")
+    assert calls == []
+
+
+GOOD_PRED = '{"id":"a","hypothesis":[3],"token_logp":[-1.0],"eos_logp":-1.0,"uncertainty":-1.0}'
+
+
+class TestReadJsonl:
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b"\n" + GOOD_PRED.encode() + b"\r\n  \n{")
+        with pytest.raises(ParseError, match="line 4: .*not valid JSON") as info:
+            read_jsonl(path, PredictionRecord)
+        assert info.value.line == 4
+
+    def test_bare_carriage_returns_end_lines(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(GOOD_PRED.encode() + b"\r" + GOOD_PRED.replace('"a"', '"b"').encode())
+        assert [r.id for r in read_jsonl(path, PredictionRecord)] == ["a", "b"]
+
+    @pytest.mark.parametrize("line, message", [
+        (b'{"id":"b","input":[3],"reference":[\xff]}', "not valid JSON"),
+        (b"[" * 100000 + b"]" * 100000, "not valid JSON"),
+        (b"[]", "record must be a JSON object"),
+        (b'{"id":"","input":[3],"reference":[3]}', "record.id must be a non-empty string"),
+        (b'{"id":1,"input":[3],"reference":[3]}', "record.id must be str"),
+        (b'{"id":"b","input":[],"reference":[3]}', "input must hold at least one token"),
+        (b'{"id":"b","input":[3],"reference":[-1]}', "reference contains negative id -1"),
+        (b'{"id":"b","input":[3,true],"reference":[3]}', r"record.input\[1\] must be int"),
+        (b'{"id":"b","input":[3],"reference":[3],"x":0}', "unknown keys"),
+    ])
+    def test_refusals_name_the_line(self, tmp_path, line, message):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"id":"a","input":[3],"reference":[3]}\n' + line + b"\n")
+        with pytest.raises(ParseError, match=f"^line 2: .*{message}"):
+            read_records(path)
 
 
 def test_thresholds_cover_the_quality_keys():
@@ -204,6 +268,46 @@ def test_any_bundle_header_loads_or_is_refused(method, dims):
     assert members[0].config == from_json(MethodConfig, json.loads(json.dumps(method)), "method")
     assert members[0].dims == from_json(ModelDims, dims, "dims")
     assert np.isfinite(members[0].params.embed).all()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+IDS = st.text(min_size=1, max_size=3)
+TOKENS = st.lists(st.integers(0, 40), min_size=1, max_size=4)
+PREDICTION_ROWS = st.builds(
+    lambda id_, steps, eos: {"id": id_, "hypothesis": [t for t, _ in steps],
+                             "token_logp": [lp for _, lp in steps],
+                             "eos_logp": eos, "uncertainty": eos},
+    IDS, st.lists(st.tuples(st.integers(0, 40), FINITE), max_size=4), FINITE)
+EXAMPLE_ROWS = st.builds(lambda id_, inp, ref: {"id": id_, "input": inp, "reference": ref},
+                         IDS, TOKENS, TOKENS)
+
+
+def _lines(rows, cls):
+    """Lists of valid rows, each rarely mutated by `_mutated`."""
+    return st.lists(rows.flatmap(lambda row: rarely(_mutated(row, cls), st.just(row))),
+                    max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(preds=_lines(PREDICTION_ROWS, PredictionRecord),
+       examples=_lines(EXAMPLE_ROWS, ExampleRecord))
+def test_any_jsonl_line_loads_or_names_its_line(preds, examples):
+    """Any JSON value on a line gives a record or a ParseError naming a
+    line, and a file that loads is written back to the same records."""
+    for rows, read, write in ((preds, read_predictions, write_predictions),
+                              (examples, read_records, write_records)):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.jsonl")
+            with open(path, "w") as fh:
+                fh.write("".join(json.dumps(row) + "\n" for row in rows))
+            try:
+                records = read(path)
+            except ParseError as exc:
+                assert 1 <= exc.line <= len(rows)
+                continue
+            assert len(records) == len(rows)
+            write(records, path)
+            assert read(path) == records
 
 
 # ---------------------------------------------------------------------------

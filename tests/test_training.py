@@ -361,6 +361,15 @@ class TestBundles:
         with pytest.raises(ValidationError, match="JSON"):
             read_bundle(path)
 
+    def test_write_refuses_a_partial_ensemble(self, tmp_path):
+        # write_bundle and read_bundle apply one member-count rule
+        vocab, examples = copy_corpus(n=20)
+        members = train_method(rows_for(vocab, examples), dims_for(vocab),
+                               MethodConfig(method="de", seeds=(1, 2)),
+                               TrainHyper(steps=1), seed=0)
+        with pytest.raises(ValidationError, match="expects 2 members, got 1"):
+            write_bundle(members[:1], tmp_path / "de.json")
+
     def test_mixed_members_rejected(self, tmp_path):
         vocab, examples = copy_corpus(n=20)
         a = train_method(rows_for(vocab, examples), dims_for(vocab), MethodConfig(method="base"),
