@@ -354,8 +354,8 @@ def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
     vocab = read_vocabulary(out.vocab)
     sha = vocabulary_sha256(vocab)
     dims = config.dims(vocab)
-    train_rows = split_rows(read_records(out.split("train")), dims)
-    dev_rows = split_rows(read_records(out.split("dev")), dims)
+    train_rows = split_rows(read_records(out.split("train"), vocab.size), dims)
+    dev_rows = split_rows(read_records(out.split("dev"), vocab.size), dims)
     out.ensure("models")
     for method in _resolve_methods(method_arg):
         mcfg = config.method_config(method)
@@ -373,7 +373,7 @@ def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
 def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> None:
     vocab = read_vocabulary(out.vocab)
     sha = vocabulary_sha256(vocab)
-    examples = read_records(out.split(split))
+    examples = read_records(out.split(split), vocab.size)
     for method in _resolve_methods(method_arg):
         bundle_path = out.model_bundle(method)
         if not os.path.exists(bundle_path):
@@ -475,7 +475,7 @@ def _summary_rows(headlines: dict) -> list[tuple]:
 
 
 def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
-    test = read_records(out.split("test"))
+    test = read_records(out.split("test"), read_vocabulary(out.vocab).size)
     if method_arg is None:
         methods = [m for m in METHODS if os.path.exists(out.predictions(m))]
         if not methods:

@@ -170,18 +170,18 @@ def _posterior_rows(members, ctxs, states, *, run_seed: int, example_ids, step: 
 
     Dropout samples draw one mask per (example, step, sample index), shared
     by all of that example's prefixes, so hypotheses inside one beam step
-    see the same subnetwork and remain comparable.
+    see the same subnetwork and remain comparable.  Each mask is the start
+    of the stream keyed by derive_seed(run_seed, "mcd", example id, step,
+    sample), the same draws whether an example is decoded alone or in a
+    batch; the step's (samples, examples, hidden) masks come from one
+    batched `dropout_mask` call.
     """
     config = members[0].config
     if uses_dropout(config.method) and config.dropout_rate > 0.0:
-        units = []
-        for m in range(config.samples):
-            masks = np.stack([
-                dropout_mask(derive_seed(run_seed, "mcd", eid, step, m),
-                             config.dropout_rate, members[0].dims.hidden_dim)
-                for eid in example_ids
-            ])
-            units.append((0, masks, 0))
+        seeds = [[derive_seed(run_seed, "mcd", eid, step, m) for eid in example_ids]
+                 for m in range(config.samples)]
+        masks = dropout_mask(seeds, config.dropout_rate, members[0].dims.hidden_dim)
+        units = [(0, sample_masks, 0) for sample_masks in masks]
     elif config.method == "be":
         units = [(0, None, k) for k in range(config.be_size)]
     else:

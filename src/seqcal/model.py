@@ -53,7 +53,7 @@ from .errors import (
     NumericalStateError,
     ValidationError,
 )
-from .rng import rekey, stream
+from .rng import derive_key, philox_random, rekey, stream
 
 METHODS = ("base", "mcd", "be", "sngp", "sngp_mcd", "de", "sngp_de")
 
@@ -292,18 +292,29 @@ def _mean_embedding(embed: np.ndarray, tokens, bos_id: int) -> np.ndarray:
     return embed[np.asarray(tokens, dtype=int)].mean(axis=0)
 
 
-# Every mask draws from this one generator, rewound to the mask's own
-# stream first: re-keying costs far less than building a generator.
+# Every single-seed mask draws from this one generator, rewound to the
+# mask's own stream first: re-keying costs far less than building one.
 _MASK_GENERATOR = np.random.Generator(np.random.Philox(0))
 
 
-def dropout_mask(seed: int, rate: float, shape) -> np.ndarray:
-    """Inverted-dropout mask: kept units scaled by 1/(1-rate).
+def dropout_mask(seeds, rate: float, shape) -> np.ndarray:
+    """Inverted-dropout masks: kept units scaled by 1/(1-rate).
 
-    The draws are those of `stream(seed, "dropout-mask").random(shape)`.
+    The mask of a seed holds the draws of
+    `stream(seed, "dropout-mask").random(shape)`.  A single seed (a
+    training step's rows x hidden mask) draws through the re-keyed numpy
+    generator; an array of seeds (a decode step's samples x examples) draws
+    every mask in one `philox_random` batch, giving shape
+    `np.shape(seeds) + shape`.
     """
-    keep = rekey(_MASK_GENERATOR, seed, "dropout-mask").random(shape) >= rate
-    return keep.astype(float) / (1.0 - rate)
+    if np.ndim(seeds) == 0:
+        draws = rekey(_MASK_GENERATOR, seeds, "dropout-mask").random(shape)
+    else:
+        seeds = np.asarray(seeds, dtype=object)
+        shape = tuple(np.atleast_1d(shape).tolist())
+        keys = [derive_key(seed, "dropout-mask") for seed in seeds.flat]
+        draws = philox_random(keys, math.prod(shape)).reshape(seeds.shape + shape)
+    return (draws >= rate).astype(float) / (1.0 - rate)
 
 
 def _gp_arg_and_features(h: np.ndarray, state: SngpState):
@@ -364,9 +375,11 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
 def spectral_normalize(w: np.ndarray, bound: float) -> np.ndarray:
     """Rescale `w` so its top singular value is at most `bound`.
 
-    The top singular value is the exact matrix 2-norm.  A matrix within
-    the bound is returned unchanged; otherwise the whole matrix is scaled
-    by bound / sigma, so columns keep their direction.
+    The top singular value is the exact matrix 2-norm, read straight from
+    LAPACK's descending singular values: the same bits `np.linalg.norm(w, 2)`
+    returns, without its wrapper.  A matrix within the bound is returned
+    unchanged; otherwise the whole matrix is scaled by bound / sigma, so
+    columns keep their direction.
     """
     if bound <= 0.0:
         raise ConfigurationError(f"spectral bound must be positive, got {bound}")
@@ -375,7 +388,7 @@ def spectral_normalize(w: np.ndarray, bound: float) -> np.ndarray:
         raise InputError(f"spectral_normalize expects a matrix, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise NumericalStateError("spectral_normalize got non-finite entries")
-    sigma = float(np.linalg.norm(w, 2))
+    sigma = float(np.linalg.svd(w, compute_uv=False)[0])
     if sigma <= bound:
         return w.copy()
     return w * (bound / sigma)

@@ -100,9 +100,11 @@ def _value(tp, value, where: str):
     return value
 
 
-def read_jsonl(path, cls) -> list:
+def read_jsonl(path, cls, check=None) -> list:
     """One `cls` per non-blank line of the JSONL file at `path`.  Line
-    numbers count every line the way text-mode reading splits them."""
+    numbers count every line the way text-mode reading splits them.
+    `check(record)`, when given, may refuse a record that needs context
+    its class does not hold by raising ValidationError."""
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     records = []
@@ -116,6 +118,8 @@ def read_jsonl(path, cls) -> list:
                 raise ValidationError("record.id must be a non-empty string")
             if rec.id in seen:
                 raise ValidationError(f"duplicate id {rec.id!r}")
+            if check is not None:
+                check(rec)
         except (ConfigurationError, ValidationError) as exc:
             raise ParseError(f"{path}: {exc}", line=line_no) from exc
         seen.add(rec.id)

@@ -102,6 +102,9 @@ def _batch_rows(spans: np.ndarray, example_idx) -> np.ndarray:
 
 
 def _params_finite(model: TrainedModel) -> bool:
+    """Whether every trained array is finite.  A finite sum of the arrays'
+    sums proves it with one reduction per array; a non-finite one, which
+    overflow alone can also give, falls back to checking every element."""
     arrays = [model.params.embed, model.params.w_h, model.params.b_h]
     if model.params.w_o is not None:
         arrays += [model.params.w_o, model.params.b_o]
@@ -109,6 +112,8 @@ def _params_finite(model: TrainedModel) -> bool:
         arrays.append(model.sngp_state.beta)
     if model.be_state is not None:
         arrays += [model.be_state.r, model.be_state.s]
+    if math.isfinite(sum(float(a.sum()) for a in arrays)):
+        return True
     return all(np.all(np.isfinite(a)) for a in arrays)
 
 

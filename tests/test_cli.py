@@ -198,7 +198,7 @@ class TestPipeline:
         splits = manifest["derived"]["splits"]
         assert splits["train"] + splits["dev"] + splits["test"] == 60
         assert manifest["config"]["seed"] == 11
-        records = read_records(os.path.join(out, "train.jsonl"))
+        records = read_records(os.path.join(out, "train.jsonl"), SMALL["vocab_size"])
         assert len(records) == splits["train"]
 
     def test_gen_data_rerun_is_byte_identical(self, tmp_path):
@@ -250,7 +250,7 @@ class TestPipeline:
                      "--method", "base", "--split", "dev"]) == 0
         dev_preds = os.path.join(out, "preds", "dev", "base.jsonl")
         assert [r.id for r in read_predictions(dev_preds)] == [
-            r.id for r in read_records(os.path.join(out, "dev.jsonl"))]
+            r.id for r in read_records(os.path.join(out, "dev.jsonl"), SMALL["vocab_size"])]
         assert open(test_preds, "rb").read() == before
         assert main(["eval", "--config", cfg_path, "--out", out]) == 0
 
@@ -298,6 +298,34 @@ class TestExitCodes:
                 assert "not valid JSON" in err and "Traceback" not in err, (name, stage)
             with open(path, "wb") as fh:
                 fh.write(good)
+
+    @pytest.mark.parametrize("stage, split, earlier, output", [
+        ("train", "train", [], "models/base.json"),
+        ("infer", "test", ["train"], "preds/base.jsonl"),
+        ("eval", "test", ["train", "infer"], "reports"),
+    ])
+    def test_token_outside_the_vocabulary_is_one(self, tmp_path, capsys, stage, split,
+                                                 earlier, output):
+        cfg_path = write_config(tmp_path, SMALL)
+        out = str(tmp_path / "run")
+        method = ["--method", "base"]
+        assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
+        for before in earlier:
+            assert main([before, "--config", cfg_path, "--out", out] + method) == 0
+        path = os.path.join(out, f"{split}.jsonl")
+        lines = open(path).read().splitlines()
+        row = json.loads(lines[1])
+        row["input" if stage != "eval" else "reference"][-1] = 99
+        lines[1] = json.dumps(row)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        args = [stage, "--config", cfg_path, "--out", out]
+        assert main(args + (method if stage != "eval" else [])) == 1
+        err = capsys.readouterr().err
+        assert f"line 2: {path}:" in err and "token id 99 outside 0..9" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, output))
 
     def test_bad_task_kind_is_one(self, tmp_path):
         cfg_path = write_config(tmp_path, {"task": {"kind": "sort"}})

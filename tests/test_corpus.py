@@ -219,7 +219,7 @@ class TestRecordIO:
         ]
         path = tmp_path / "c.jsonl"
         write_records(records, path)
-        assert read_records(path) == records
+        assert read_records(path, 51) == records
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -239,13 +239,13 @@ class TestRecordIO:
         ]
         path = tmp_path_factory.mktemp("io") / "c.jsonl"
         write_records(records, path)
-        assert read_records(path) == records
+        assert read_records(path, 51) == records
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id":"a","input":[3],"reference":[3]}\n{not json}\n')
         with pytest.raises(ParseError, match="line 2"):
-            read_records(path)
+            read_records(path, 10)
 
     def test_missing_field_reports_line_and_field(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -253,14 +253,25 @@ class TestRecordIO:
             '{"id":"a","input":[3],"reference":[3]}\n{"id":"b","input":[4]}\n'
         )
         with pytest.raises(ParseError, match="line 2.*reference"):
-            read_records(path)
+            read_records(path, 10)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rows = [{"id": "a", "input": [3], "reference": [3]}] * 2
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         with pytest.raises(ValidationError, match="duplicate"):
-            read_records(path)
+            read_records(path, 10)
+
+    @pytest.mark.parametrize("name, row", [
+        ("input", {"id": "b", "input": [3, 10], "reference": [3]}),
+        ("reference", {"id": "b", "input": [3], "reference": [99]}),
+    ])
+    def test_token_outside_the_vocabulary_names_the_line(self, tmp_path, name, row):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id":"a","input":[3,9],"reference":[9]}\n' + json.dumps(row) + "\n")
+        with pytest.raises(ParseError, match=f"^line 2: .*c.jsonl: {name} token id "
+                                             r"\d+ outside 0\.\.9"):
+            read_records(path, 10)
 
     def test_write_rejects_duplicate_ids(self, tmp_path):
         records = [

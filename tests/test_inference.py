@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import seqcal.inference as inference
 from oracles import exhaustive_oracle, forward_oracle, greedy_oracle, posterior_mean_dist
 from seqcal.corpus import ExampleRecord, TaskSpec, generate_corpus, make_vocabulary
 from seqcal.errors import (
@@ -190,6 +191,22 @@ class TestPosteriorMean:
         got = step_distributions(members, (3, 4, 1), [(5, 0)], run_seed=3,
                                  example_id="u", step=1)[0]
         assert np.allclose(got, want / len(units), atol=1e-12)
+
+
+class TestDropoutDraws:
+    def test_one_mask_draw_per_decode_step(self, monkeypatch):
+        members = make_members("mcd", seed=4, dropout_rate=0.4, samples=3)
+        examples = [ExampleRecord(id=f"e{i}", input=(3, 4 + i % 2), reference=(3,))
+                    for i in range(5)]
+        draws = []
+
+        def counted(seeds, rate, shape):
+            draws.append(np.shape(seeds))
+            return dropout_mask(seeds, rate, shape)
+
+        monkeypatch.setattr(inference, "dropout_mask", counted)
+        decode_corpus(members, examples, PosteriorConfig(beam_size=2, max_len=4), run_seed=9)
+        assert draws == [(3, 5)] * 5
 
 
 class TestBeamDecode:

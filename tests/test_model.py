@@ -322,6 +322,16 @@ class TestSpectralNormalize:
             assert np.allclose(got, w * (0.5 / sigma), rtol=1e-13, atol=0)
             assert abs(np.linalg.svd(got, compute_uv=False)[0] - 0.5) <= 1e-13
 
+    def test_sigma_is_bitwise_the_matrix_two_norm(self):
+        rs = np.random.default_rng(8)
+        for _ in range(300):
+            shape = (int(rs.integers(1, 40)), int(rs.integers(1, 40)))
+            w = rs.standard_normal(shape) * rs.uniform(0.01, 100.0)
+            norm = float(np.linalg.norm(w, 2))
+            # a bound of exactly the norm keeps w only if sigma has its bits
+            assert np.array_equal(spectral_normalize(w, norm), w)
+            assert np.array_equal(spectral_normalize(w, 0.5 * norm), w * (0.5 * norm / norm))
+
     def test_within_bound_is_identity(self):
         rs = np.random.default_rng(5)
         w = rs.standard_normal((4, 4)) * 0.01

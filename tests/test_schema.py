@@ -8,6 +8,7 @@ import os
 import re
 import tempfile
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -138,7 +139,7 @@ class TestReadJsonl:
         path = tmp_path / "c.jsonl"
         path.write_bytes(b'{"id":"a","input":[3],"reference":[3]}\n' + line + b"\n")
         with pytest.raises(ParseError, match=f"^line 2: .*{message}"):
-            read_records(path)
+            read_records(path, 10)
 
 
 def test_thresholds_cover_the_quality_keys():
@@ -295,7 +296,7 @@ def test_any_jsonl_line_loads_or_names_its_line(preds, examples):
     """Any JSON value on a line gives a record or a ParseError naming a
     line, and a file that loads is written back to the same records."""
     for rows, read, write in ((preds, read_predictions, write_predictions),
-                              (examples, read_records, write_records)):
+                              (examples, partial(read_records, vocab_size=41), write_records)):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "f.jsonl")
             with open(path, "w") as fh:

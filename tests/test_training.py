@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import seqcal.training as training
 from oracles import batch_rows_oracle, bundle_dump_oracle, precision_oracle
 from seqcal.corpus import TaskSpec, generate_corpus, make_vocabulary
 from seqcal.errors import ConfigurationError, InputError, TrainingError, ValidationError
@@ -24,6 +25,7 @@ from seqcal.model import (
 from seqcal.training import (
     TrainHyper,
     _batch_rows,
+    _params_finite,
     check_vocab_match,
     evaluate_loss,
     read_bundle,
@@ -168,6 +170,44 @@ class TestTrainMember:
         with pytest.raises(TrainingError, match="step .*diverged"):
             train_member(rows_for(vocab, examples), dims_for(vocab), MethodConfig(method="base"),
                          TrainHyper(steps=50, learning_rate=1e300), seed=1)
+
+    @pytest.mark.parametrize("method, owner, name", [
+        ("base", "params", "embed"),
+        ("base", "params", "w_h"),
+        ("base", "params", "b_h"),
+        ("base", "params", "w_o"),
+        ("base", "params", "b_o"),
+        ("sngp", "sngp_state", "beta"),
+        ("be", "be_state", "r"),
+        ("be", "be_state", "s"),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_update_fails_its_step(self, monkeypatch, method, owner, name, bad):
+        vocab, examples = copy_corpus(n=30)
+        apply_update = training._apply_update
+        steps_done = []
+
+        def poisoned(model, grads, lr):
+            apply_update(model, grads, lr)
+            if len(steps_done) == 3:
+                array = getattr(getattr(model, owner), name)
+                array.flat[array.size // 2] = bad
+            steps_done.append(True)
+
+        monkeypatch.setattr(training, "_apply_update", poisoned)
+        with pytest.raises(TrainingError, match="non-finite") as err:
+            train_member(rows_for(vocab, examples), dims_for(vocab),
+                         MethodConfig(method=method), TrainHyper(steps=8), seed=1)
+        assert err.value.step == 3
+
+    def test_finite_parameters_whose_sum_overflows_pass(self):
+        vocab, _ = copy_corpus(n=10)
+        model = init_model(dims_for(vocab), MethodConfig(method="base"), seed=1)
+        model.params.embed[:] = 1e308
+        with np.errstate(over="ignore"):
+            assert _params_finite(model)
+            model.params.w_o[0, 0] = math.inf
+            assert not _params_finite(model)
 
     def test_empty_examples_rejected(self):
         vocab, _ = copy_corpus(n=10)
