@@ -116,6 +116,13 @@ class ModelSection:
     hidden_dim: int = ModelDims.hidden_dim
 
 
+# Ceilings on the config values that `load_config` builds one object per
+# unit of (a symbol, a member seed), so an absurd value fails at once
+# instead of stalling every stage.
+MAX_VOCAB_SIZE = 100_000
+MAX_DE_SIZE = 1_000
+
+
 @dataclass(frozen=True)
 class MethodsSection:
     samples: int = MethodConfig.samples
@@ -125,8 +132,10 @@ class MethodsSection:
     sngp: SngpConfig = field(default_factory=SngpConfig)
 
     def __post_init__(self):
-        if self.de_size < 2:
-            raise ConfigurationError(f"methods.de_size must be >= 2, got {self.de_size}")
+        if not 2 <= self.de_size <= MAX_DE_SIZE:
+            raise ConfigurationError(
+                f"methods.de_size must lie in [2, {MAX_DE_SIZE}], got {self.de_size}"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,6 +185,10 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigurationError(f"config.seed must lie in [0, {MAX_SEED}], got {self.seed}")
+        if self.vocab_size > MAX_VOCAB_SIZE:
+            raise ConfigurationError(
+                f"config.vocab_size must be <= {MAX_VOCAB_SIZE}, got {self.vocab_size}"
+            )
         if self.n_examples < 1:
             raise ConfigurationError(f"config.n_examples must be >= 1, got {self.n_examples}")
 

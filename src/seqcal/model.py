@@ -28,13 +28,16 @@ All arrays are float64.  `forward` is the one implementation of this
 body.  It takes z rows of any leading shape and returns raw logits plus
 the intermediates the backward pass needs; for the gaussian-process head
 these include the cosine argument u = h W_r^T + b_r, so the backward pass
-takes sin(u) without repeating the product.  Three callers run it:
+takes sin(u) without repeating the product.  Two callers run it:
 
-  _forward_rows                  teacher-forced rows for the training loss,
-                                 its gradients and `evaluate_loss`
+  _forward_rows                  teacher-forced rows: a training step's
+                                 batch for the loss and its gradients, and
+                                 through it training.evaluate_loss (one
+                                 LOSS_CHUNK_ROWS chunk of a split at a time)
+                                 and training._finalize_precision (the
+                                 features phi, one batch_size chunk at a
+                                 time)
   inference._member_pass         stacked (examples, live, 2d) decode rows
-  training._finalize_precision   the features phi of the precision pass,
-                                 through _forward_rows
 
 The posterior machinery in inference.py applies mean-field scaling and
 the softmax.
@@ -502,37 +505,40 @@ class RowStructure:
 
 def build_rows(examples, dims: ModelDims) -> RowStructure:
     """Rows for next-token prediction: one per reference position plus the
-    closing eos step."""
-    ctx_rows = []
-    prefix_rows = []
-    targets = []
-    spans = []
+    closing eos step.  The rows are counted first and each is written in
+    place into the (rows, vocab) arrays: the input's token counts over its
+    length, then the bos indicator followed by the running prefix counts
+    over the prefix length."""
+    examples = list(examples)
     v = dims.vocab_size
     for ex in examples:
         _check_tokens(ex.input, v, "input")
         _check_tokens(ex.reference, v, "reference")
-        ctx = np.zeros(v)
+    n_rows = sum(len(ex.reference) + 1 for ex in examples)
+    ctx_weights = np.zeros((n_rows, v))
+    prefix_weights = np.zeros((n_rows, v))
+    targets = np.empty(n_rows, dtype=int)
+    spans = []
+    start = 0
+    for ex in examples:
+        end = start + len(ex.reference) + 1
+        ctx = ctx_weights[start]
         for t in ex.input:
             ctx[t] += 1.0
         ctx /= len(ex.input)
-        ref = tuple(ex.reference)
-        start = len(targets)
+        ctx_weights[start + 1:end] = ctx
+        prefix_weights[start, dims.bos_id] = 1.0
         running = np.zeros(v)
-        for t in range(len(ref) + 1):
-            if t == 0:
-                row = np.zeros(v)
-                row[dims.bos_id] = 1.0
-            else:
-                running[ref[t - 1]] += 1.0
-                row = running / t
-            ctx_rows.append(ctx)
-            prefix_rows.append(row.copy())
-            targets.append(ref[t] if t < len(ref) else dims.eos_id)
-        spans.append((start, len(targets)))
+        for t, token in enumerate(ex.reference, start=1):
+            running[token] += 1.0
+            np.divide(running, t, out=prefix_weights[start + t])
+        targets[start:end] = (*ex.reference, dims.eos_id)
+        spans.append((start, end))
+        start = end
     return RowStructure(
-        ctx_weights=np.asarray(ctx_rows),
-        prefix_weights=np.asarray(prefix_rows),
-        targets=np.asarray(targets, dtype=int),
+        ctx_weights=ctx_weights,
+        prefix_weights=prefix_weights,
+        targets=targets,
         row_spans=tuple(spans),
     )
 
@@ -559,11 +565,18 @@ def _forward_rows(model: TrainedModel, structure: RowStructure, rows, *,
     return cache
 
 
-def _rows_loss(logits: np.ndarray, targets: np.ndarray) -> float:
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """The rows' mean cross-entropy, with the exp of the max-shifted logits
+    and its row sums, which the softmax of the backward pass reuses."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    exp = np.exp(shifted)
+    sums = exp.sum(axis=1)
     picked = shifted[np.arange(len(targets)), targets]
-    return float(np.mean(lse - picked))
+    return float(np.mean(np.log(sums) - picked)), exp, sums
+
+
+def _rows_loss(logits: np.ndarray, targets: np.ndarray) -> float:
+    return _cross_entropy(logits, targets)[0]
 
 
 def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
@@ -572,11 +585,9 @@ def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
     targets = structure.targets[rows]
     cache = _forward_rows(model, structure, rows, be_member=be_member,
                           dropout_seed=dropout_seed)
-    logits = cache["logits"]
     n = len(targets)
-    loss = _rows_loss(logits, targets)
-
-    dlogits = _softmax_rows(logits)
+    loss, dlogits, sums = _cross_entropy(cache["logits"], targets)
+    dlogits /= sums[:, None]
     dlogits[np.arange(n), targets] -= 1.0
     dlogits /= n
 

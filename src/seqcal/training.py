@@ -3,7 +3,10 @@
 The teacher-forced rows of a split are built once (`split_rows`) and
 shared: every member of every method trains on the same train rows, and
 `evaluate_loss` reads them too.  A step picks its batch's rows by index
-from the per-example spans.
+from the per-example spans.  The passes over a whole split,
+`evaluate_loss` and the precision pass, walk it in consecutive row chunks
+(`_row_chunks`), so besides the rows themselves nothing they hold is sized
+by the split.
 
 One `train_method` call produces every member the method needs: several
 independently seeded models for the deep ensembles, one shared model for
@@ -65,6 +68,10 @@ BUNDLE_FORMAT_VERSION = 2
 # diverged even when saturation keeps every float finite.
 LOSS_DIVERGENCE_LIMIT = 1e6
 
+# Rows per forward pass of `evaluate_loss`: its temporaries scale with this
+# times max(vocab, rff_dim), whatever the size of the split.
+LOSS_CHUNK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class TrainHyper:
@@ -99,6 +106,12 @@ def _batch_rows(spans: np.ndarray, example_idx) -> np.ndarray:
     lengths = spans[example_idx, 1] - starts
     ends = np.cumsum(lengths)
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
+
+
+def _row_chunks(n_rows: int, size: int):
+    """Consecutive row index arrays of `size` rows, the last one ragged."""
+    for start in range(0, n_rows, size):
+        yield np.arange(start, min(start + size, n_rows))
 
 
 def _params_finite(model: TrainedModel) -> bool:
@@ -137,9 +150,7 @@ def _finalize_precision(model: TrainedModel, structure, batch_size: int) -> None
     memory stays flat, adding every row's features to the identity prior;
     then mark the precision usable."""
     state = model.sngp_state
-    n_rows = len(structure.targets)
-    for start in range(0, n_rows, batch_size):
-        rows = np.arange(start, min(start + batch_size, n_rows))
+    for rows in _row_chunks(len(structure.targets), batch_size):
         phi = _forward_rows(model, structure, rows, be_member=None, dropout_seed=None)["phi"]
         state = update_precision(state, phi)
     model.sngp_state = finalize_covariance(state)
@@ -217,12 +228,15 @@ def train_method(
 def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:
     """Mean next-token cross-entropy over every row of a split
     (`split_rows`), with dropout off (first batch-ensemble member for that
-    method)."""
-    rows = np.arange(len(structure.targets))
-    # Keep only the logits, so the rest of the forward cache is freed
-    # before the loss allocates its own temporaries.
-    logits = _forward_rows(model, structure, rows, be_member=None, dropout_seed=None)["logits"]
-    return _rows_loss(logits, structure.targets)
+    method): the row-weighted mean of the losses of `LOSS_CHUNK_ROWS`-row
+    chunks, so no temporary is sized by the split."""
+    n_rows = len(structure.targets)
+    total = 0.0
+    for rows in _row_chunks(n_rows, LOSS_CHUNK_ROWS):
+        logits = _forward_rows(model, structure, rows, be_member=None,
+                               dropout_seed=None)["logits"]
+        total += _rows_loss(logits, structure.targets[rows]) * len(rows)
+    return total / n_rows
 
 
 # ---------------------------------------------------------------------------

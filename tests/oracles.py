@@ -414,6 +414,35 @@ def bootstrap_oracle(u, q, n_resamples, seed, corr):
     return values, failed
 
 
+def rows_oracle(examples, dims):
+    """Teacher-forced rows built one python list entry per row and stacked
+    at the end, the route build_rows took before it wrote in place.
+    Returns (ctx_weights, prefix_weights, targets, row_spans)."""
+    ctx_rows, prefix_rows, targets, spans = [], [], [], []
+    v = dims.vocab_size
+    for ex in examples:
+        ctx = np.zeros(v)
+        for t in ex.input:
+            ctx[t] += 1.0
+        ctx /= len(ex.input)
+        ref = tuple(ex.reference)
+        start = len(targets)
+        running = np.zeros(v)
+        for t in range(len(ref) + 1):
+            if t == 0:
+                row = np.zeros(v)
+                row[dims.bos_id] = 1.0
+            else:
+                running[ref[t - 1]] += 1.0
+                row = running / t
+            ctx_rows.append(ctx)
+            prefix_rows.append(row.copy())
+            targets.append(ref[t] if t < len(ref) else dims.eos_id)
+        spans.append((start, len(targets)))
+    return (np.asarray(ctx_rows), np.asarray(prefix_rows),
+            np.asarray(targets, dtype=int), tuple(spans))
+
+
 def batch_rows_oracle(structure, example_idx):
     """Each chosen example's rows, concatenated in order."""
     return np.concatenate([np.arange(*structure.row_spans[i]) for i in example_idx])

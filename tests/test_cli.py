@@ -11,6 +11,8 @@ from dataclasses import asdict
 import pytest
 
 from seqcal.cli import (
+    MAX_DE_SIZE,
+    MAX_VOCAB_SIZE,
     OutDir,
     _resolve_methods,
     load_config,
@@ -29,6 +31,15 @@ def write_config(tmp_path, payload, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload).replace("Infinity", "1e400"))
     return str(path)
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    running the package in a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 SMALL = {
@@ -109,6 +120,16 @@ class TestLoadConfig:
     def test_bad_values_fail_at_load(self, tmp_path, section, values, message):
         with pytest.raises(ConfigurationError, match=message):
             load_config(write_config(tmp_path, {section: values}))
+
+    def test_size_ceilings_are_accepted_and_one_past_refused(self, tmp_path):
+        cfg = load_config(write_config(
+            tmp_path, {"vocab_size": MAX_VOCAB_SIZE, "methods": {"de_size": MAX_DE_SIZE}}))
+        assert cfg.vocab_size == MAX_VOCAB_SIZE
+        assert len(cfg.method_config("sngp_de").seeds) == MAX_DE_SIZE
+        with pytest.raises(ConfigurationError, match="vocab_size"):
+            load_config(write_config(tmp_path, {"vocab_size": MAX_VOCAB_SIZE + 1}))
+        with pytest.raises(ConfigurationError, match="de_size"):
+            load_config(write_config(tmp_path, {"methods": {"de_size": MAX_DE_SIZE + 1}}))
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -326,6 +347,21 @@ class TestExitCodes:
         assert f"line 2: {path}:" in err and "token id 99 outside 0..9" in err
         assert "Traceback" not in err
         assert not os.path.exists(os.path.join(out, output))
+
+    @pytest.mark.parametrize("payload", [{"vocab_size": 10**9},
+                                         {"methods": {"de_size": 10**9}}],
+                             ids=["vocab_size", "de_size"])
+    def test_huge_size_is_one_at_once(self, tmp_path, payload):
+        # without a ceiling this would build 10**9 symbols or member seeds
+        # before failing; the timeout stands in for "at once"
+        cfg_path = write_config(tmp_path, payload)
+        done = subprocess.run(
+            [sys.executable, "-m", "seqcal.cli", "gen-data", "--config", cfg_path,
+             "--out", str(tmp_path / "run")],
+            env=src_env(), capture_output=True, text=True, timeout=20)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+        assert not os.path.exists(tmp_path / "run")
 
     def test_bad_task_kind_is_one(self, tmp_path):
         cfg_path = write_config(tmp_path, {"task": {"kind": "sort"}})
@@ -556,9 +592,6 @@ class TestOutDir:
 
 def test_cli_import_leaves_scipy_out():
     code = "import sys, seqcal.cli; print('scipy' in sys.modules)"
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"

@@ -1,11 +1,12 @@
 """Forward pass, heads, and numerical components of the model."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import batch_loss, forward_oracle, posterior_mean_dist
+from oracles import batch_loss, forward_oracle, posterior_mean_dist, rows_oracle
 from seqcal.corpus import ExampleRecord
 from seqcal.errors import ConfigurationError, InputError, NumericalStateError
 from seqcal.model import (
@@ -554,6 +555,25 @@ class TestRowStructure:
         assert np.allclose(rows.prefix_weights[2][[5, 6]], [0.5, 0.5], atol=1e-15)
         assert np.allclose(rows.ctx_weights.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(rows.prefix_weights.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_in_place_rows_equal_the_stacked_lists(self):
+        # ragged references, a zero-length one among them; inputs and
+        # prefixes up to 8 long make most weights inexact (1/3, 2/7, ...)
+        rng = np.random.default_rng(8)
+        dims = ModelDims(vocab_size=23, bos_id=1, eos_id=2)
+        for _ in range(50):
+            examples = [SimpleNamespace(
+                input=tuple(rng.integers(3, 23, size=int(rng.integers(1, 9))).tolist()),
+                reference=tuple(rng.integers(3, 23, size=int(rng.integers(0, 8))).tolist()),
+            ) for _ in range(int(rng.integers(1, 12)))]
+            examples.append(SimpleNamespace(input=(5, 5, 9), reference=()))
+            rows = build_rows(examples, dims)
+            want_ctx, want_prefix, want_targets, want_spans = rows_oracle(examples, dims)
+            for got, want in ((rows.ctx_weights, want_ctx),
+                              (rows.prefix_weights, want_prefix),
+                              (rows.targets, want_targets)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert rows.row_spans == want_spans
 
     def test_batch_loss_matches_stepwise_forward(self):
         dims = small_dims()

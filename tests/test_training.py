@@ -2,13 +2,14 @@
 
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import seqcal.training as training
-from oracles import batch_rows_oracle, bundle_dump_oracle, precision_oracle
+from oracles import batch_loss, batch_rows_oracle, bundle_dump_oracle, precision_oracle
 from seqcal.corpus import TaskSpec, generate_corpus, make_vocabulary
 from seqcal.errors import ConfigurationError, InputError, TrainingError, ValidationError
 from seqcal.model import (
@@ -23,6 +24,7 @@ from seqcal.model import (
     predictive_variance,
 )
 from seqcal.training import (
+    LOSS_CHUNK_ROWS,
     TrainHyper,
     _batch_rows,
     _params_finite,
@@ -215,6 +217,49 @@ class TestTrainMember:
         # refuses an empty split
         with pytest.raises(InputError, match="at least one"):
             split_rows([], dims_for(vocab))
+
+
+def chunked_split(vocab_size, n_examples):
+    """A copy split with 4 rows per example (3 reference tokens plus eos)."""
+    vocab = make_vocabulary(vocab_size)
+    spec = TaskSpec(kind="copy", input_len=3, output_len=3, seed=2)
+    examples = generate_corpus(spec, n_examples, vocab)
+    dims = ModelDims(vocab_size=vocab.size, embed_dim=6, hidden_dim=8)
+    return examples, dims, split_rows(examples, dims)
+
+
+class TestEvaluateLoss:
+    @pytest.mark.parametrize("method", ["base", "be", "sngp"])
+    def test_chunks_agree_with_the_whole_split_loss(self, method):
+        # three full chunks and a ragged fourth
+        examples, dims, rows = chunked_split(12, LOSS_CHUNK_ROWS - 5)
+        n_rows = len(rows.targets)
+        assert 3 * LOSS_CHUNK_ROWS < n_rows < 4 * LOSS_CHUNK_ROWS
+        cfg = MethodConfig(method=method, be_size=3, sngp=SngpConfig(rff_dim=16))
+        model = init_model(dims, cfg, seed=4)
+        # large embeddings spread the row losses, so a chunk weighted
+        # wrongly moves the mean far beyond the tolerance
+        model.params.embed *= 40.0
+        got = evaluate_loss(model, rows)
+        assert math.isclose(got, batch_loss(model, examples), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("method, rff_dim", [("base", 16), ("sngp", 256)])
+    def test_peak_memory_is_set_by_the_chunk(self, method, rff_dim):
+        _, dims, rows = chunked_split(200, 2 * LOSS_CHUNK_ROWS + 10)
+        assert len(rows.targets) > 8 * LOSS_CHUNK_ROWS
+        cfg = MethodConfig(method=method, sngp=SngpConfig(rff_dim=rff_dim))
+        model = init_model(dims, cfg, seed=1)
+        # one (chunk, max(vocab, rff_dim)) float64 array per unit; an
+        # unchunked pass over this split peaks above 30 units
+        unit = LOSS_CHUNK_ROWS * max(dims.vocab_size, rff_dim) * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            evaluate_loss(model, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * unit
 
 
 class TestBatchRows:
