@@ -43,22 +43,14 @@ class ScoredPair:
 
 @dataclass(frozen=True)
 class EceConfig:
-    """Bin count for expected calibration error plus the reporting level.
-
-    `level` only labels report rows; the caller chooses which pairs to
-    feed (sequence_pairs or token_pairs output).
-    """
+    """Bin count for expected calibration error; the caller chooses which
+    pairs to feed (sequence_pairs or token_pairs output)."""
 
     bins: int = 15
-    level: str = "sequence"
 
     def __post_init__(self):
         if self.bins < 1:
             raise ConfigurationError(f"ece bins must be >= 1, got {self.bins}")
-        if self.level not in ("sequence", "token"):
-            raise ConfigurationError(
-                f"ece level must be 'sequence' or 'token', got {self.level!r}"
-            )
 
 
 @dataclass(frozen=True)

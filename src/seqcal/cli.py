@@ -40,6 +40,7 @@ from .calib import (
     QUALITY_KEYS,
     _average_ranks,
     _fmt_float,
+    _write_csv,
     abstention_curve,
     bootstrap_std,
     check_alphas,
@@ -418,7 +419,7 @@ def _eval_one_method(method, joined, config: RunConfig, gaps):
     seq = sequence_pairs(joined)
     for level, pairs in (("sequence", seq), ("token", token_pairs(joined))):
         try:
-            value = ece(pairs, EceConfig(bins=ev.ece_bins, level=level))
+            value = ece(pairs, EceConfig(bins=ev.ece_bins))
             rows["ece"].append((method, level, ev.ece_bins, value))
             if level == "sequence":
                 headline["ece"] = value
@@ -519,16 +520,11 @@ def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
     write_corr_csv(all_rows["corr"], out.report("corr.csv"))
     write_roc_csv(all_rows["roc"], out.report("roc.csv"))
     write_abstention_csv(all_rows["abstention"], out.report("abstention.csv"))
-    with open(out.report("summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,ece_sequence,spearman_rougeL,auc_rougeL,"
-                 "rank_ece,rank_spearman,rank_auc,mean_rank\n")
-        for row in _summary_rows(headlines):
-            fh.write(",".join(row) + "\n")
-    with open(out.report("gaps.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,report,metric,reason\n")
-        for method, report, metric, reason in gaps:
-            reason = reason.replace('"', "'")
-            fh.write(f'{method},{report},{metric},"{reason}"\n')
+    _write_csv(out.report("summary.csv"), "method,ece_sequence,spearman_rougeL,auc_rougeL,"
+               "rank_ece,rank_spearman,rank_auc,mean_rank", _summary_rows(headlines))
+    _write_csv(out.report("gaps.csv"), "method,report,metric,reason",
+               ((m, report, metric, '"' + reason.replace('"', "'") + '"')
+                for m, report, metric, reason in gaps))
     note = f", {len(gaps)} metric gap(s) listed in gaps.csv" if gaps else ""
     print(f"wrote reports for {len(methods)} method(s) to {out.path('reports')}{note}")
 

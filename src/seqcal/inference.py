@@ -62,11 +62,11 @@ from .errors import (
 from .model import (
     TrainedModel,
     _check_tokens,
-    _mean_embedding,
     _softmax_rows,
     check_members,
     dropout_mask,
     forward,
+    mean_embeddings,
     mean_field_logits,
     predictive_variance,
     uses_dropout,
@@ -118,22 +118,6 @@ class JoinedRecord(PredictionRecord):
 
     reference: TokenSeq
     quality: dict
-
-
-def _prefix_states(embed: np.ndarray, tokens: np.ndarray, bos_id: int) -> np.ndarray:
-    """Mean prefix embeddings for equal-length prefixes, tokens (n, live, t).
-
-    The sum runs from zero in token order and is then divided by the
-    length, which is exactly how `embed[idx].mean(axis=0)` reduces, so the
-    states keep their bits.  Empty prefixes take the bos embedding.
-    """
-    n, live, t = tokens.shape
-    if t == 0:
-        return np.broadcast_to(embed[bos_id], (n, live, embed.shape[1]))
-    total = np.zeros((n, live, embed.shape[1]))
-    for j in range(t):
-        total += embed[tokens[:, :, j]]
-    return total / t
 
 
 def _member_pass(model: TrainedModel, ctx, states, mask, be_member: int) -> np.ndarray:
@@ -214,9 +198,8 @@ def step_distributions(
         _check_tokens(tokens, dims.vocab_size, "prefix")
     if not prefixes:
         raise InputError("step_distributions needs at least one prefix")
-    ctxs = [_mean_embedding(m.params.embed, tuple(input_tokens), dims.bos_id)[None]
-            for m in members]
-    states = [np.stack([_mean_embedding(m.params.embed, p, dims.bos_id) for p in prefixes])[None]
+    ctxs = [mean_embeddings(m.params.embed, input_tokens, dims.bos_id)[None] for m in members]
+    states = [np.stack([mean_embeddings(m.params.embed, p, dims.bos_id) for p in prefixes])[None]
               for m in members]
     return _posterior_rows(members, ctxs, states, run_seed=run_seed,
                            example_ids=(example_id,), step=step)[0]
@@ -255,7 +238,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig, run_seed: int
     width = config.max_len
     eos = dims.eos_id
     content = np.array([v for v in range(dims.vocab_size) if v != eos])
-    ctxs = [np.stack([_mean_embedding(m.params.embed, tuple(x), dims.bos_id) for x in inputs])
+    ctxs = [np.stack([mean_embeddings(m.params.embed, x, dims.bos_id) for x in inputs])
             for m in members]
     rows = np.arange(n)[:, None]
     tokens = np.full((n, 1, width), -1)
@@ -264,7 +247,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig, run_seed: int
     closed = []  # (tokens, logps, totals, eos log-prob) for each step from 1 on
     for step in range(width + 1):
         prefixes = tokens[:, :, :step]
-        states = [_prefix_states(m.params.embed, prefixes, dims.bos_id) for m in members]
+        states = [mean_embeddings(m.params.embed, prefixes, dims.bos_id) for m in members]
         dists = _posterior_rows(members, ctxs, states, run_seed=run_seed,
                                 example_ids=example_ids, step=step)
         if dist_hook is not None:

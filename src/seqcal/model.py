@@ -201,8 +201,8 @@ class SngpState:
     precision: np.ndarray  # (rff_dim, rff_dim)
     covariance_valid: bool = False
     # cached inverse of the lower Cholesky factor of precision; reset on
-    # every update
-    chol_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # every update and never stored
+    chol_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -289,10 +289,20 @@ def _check_tokens(tokens, vocab_size: int, what: str) -> None:
             raise InputError(f"{what} token id {t} outside 0..{vocab_size - 1}")
 
 
-def _mean_embedding(embed: np.ndarray, tokens, bos_id: int) -> np.ndarray:
-    if len(tokens) == 0:
-        return embed[bos_id].copy()
-    return embed[np.asarray(tokens, dtype=int)].mean(axis=0)
+def mean_embeddings(embed: np.ndarray, tokens, bos_id: int) -> np.ndarray:
+    """Mean embeddings over the last axis of tokens (..., t), the context
+    of an input or the state of a prefix; an empty one takes the bos
+    embedding.  The sum runs from zero in token order and is then divided
+    by t, exactly how `embed[idx].mean(axis=0)` reduces, so a row keeps its
+    bits whatever is stacked with it."""
+    tokens = np.asarray(tokens, dtype=int)
+    *lead, t = tokens.shape
+    if t == 0:
+        return np.broadcast_to(embed[bos_id], (*lead, embed.shape[1]))
+    total = np.zeros((*lead, embed.shape[1]))
+    for j in range(t):
+        total += embed[tokens[..., j]]
+    return total / t
 
 
 # Every single-seed mask draws from this one generator, rewound to the
@@ -422,7 +432,7 @@ def update_precision(state: SngpState, phi_batch: np.ndarray) -> SngpState:
 
 def finalize_covariance(state: SngpState) -> SngpState:
     """Mark the precision estimate usable for predictive variances."""
-    return replace(state, covariance_valid=True, chol_inv=None)
+    return replace(state, covariance_valid=True)
 
 
 def factor_precision(state: SngpState) -> np.ndarray:

@@ -1,6 +1,6 @@
 """One strict JSON loader for every file a stage reads back: the run
-config, the vocabulary, the split and prediction JSONL files, and the
-method and dims headers of a model bundle.
+config, the vocabulary, the split and prediction JSONL files, and whole
+model bundles.
 
 `parse_json` is the package's only JSON parse.  Bad syntax, text that is
 not UTF-8 and nesting too deep for the parser are one refusal.
@@ -13,10 +13,15 @@ required ones, and checks each present value against its annotation:
   float           a JSON number (an integer is widened), never non-finite
   bool, str       exactly that JSON type
   tuple[X, ...]   a JSON list whose items are X
+  np.ndarray      a regular nested JSON list of finite numbers, returned
+                  as float64; its shape is the caller's to check
+  X | None        null, or a value of X
   a dataclass     a JSON object, loaded the same way
 
 Then it calls the constructor, so each type's `__post_init__` keeps its
 own range rules.  Every refusal of these two is a ConfigurationError.
+`to_json` is its inverse: a dataclass becomes an object of its init
+fields in declaration order, arrays and tuples become lists.
 
 `read_jsonl` loads one dataclass per non-blank line of a JSONL file and
 requires a non-empty `id` that is unique in the file.  Each of its
@@ -30,6 +35,8 @@ import functools
 import json
 import math
 import typing
+
+import numpy as np
 
 from .errors import ConfigurationError, ParseError, ValidationError
 
@@ -76,11 +83,36 @@ def _tuple_item(tp):
     return typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else None
 
 
+@functools.cache
+def _optional(tp):
+    """X for the annotation X | None, None for any other."""
+    args = typing.get_args(tp)
+    return args[0] if len(args) == 2 and args[1] is type(None) else None
+
+
+def _array(value: list, where: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{where} must be a regular array of numbers")
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{where} must hold finite numbers only")
+    return arr
+
+
 def _value(tp, value, where: str):
+    inner = _optional(tp)
+    if inner is not None:
+        return None if value is None else _value(inner, value, where)
     item = _tuple_item(tp)
+    if (item is not None or tp is np.ndarray) and not isinstance(value, list):
+        raise ConfigurationError(f"{where} must be a list, got {type(value).__name__}")
+    if tp is np.ndarray:
+        return _array(value, where)
     if item is not None:
-        if not isinstance(value, list):
-            raise ConfigurationError(f"{where} must be a list, got {type(value).__name__}")
         # The common case in one pass; the per-item path names a bad item.
         if all(type(v) is item for v in value) and (
                 item is not float or all(map(math.isfinite, value))):
@@ -98,6 +130,18 @@ def _value(tp, value, where: str):
     if tp is float and not math.isfinite(value):
         raise ConfigurationError(f"{where} must be a finite number, got {value}")
     return value
+
+
+def to_json(obj):
+    """The JSON value `from_json` reads back as `obj`."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if f.init}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, tuple):
+        return [to_json(v) for v in obj]
+    return obj
 
 
 def read_jsonl(path, cls, check=None) -> list:

@@ -17,15 +17,17 @@ is accumulated exactly in a single pass over every training row after the
 last step, with dropout off and the final weights, so the Laplace
 covariance describes the model actually used at inference time.
 
-Bundles are plain JSON: floats survive a round trip exactly because the
-writer emits shortest-repr values and the reader restores float64.
+A bundle is one `BundleFile`, written with `schema.to_json` and read with
+`schema.from_json`; each member's arrays must have the shapes of a fresh
+`init_model` of the stored method and dims.  Floats survive a round trip
+exactly: the writer emits shortest-repr values, the reader float64.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +62,7 @@ from .model import (
     uses_gp,
 )
 from .rng import derive_seed, stream
-from .schema import from_json, parse_json
+from .schema import from_json, parse_json, to_json
 
 BUNDLE_FORMAT_VERSION = 2
 
@@ -243,55 +245,39 @@ def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:
 # Bundle serialization.
 
 
-def _float_array(value, shape, what):
-    """`value` as a float64 array, refused unless it is a regular array of
-    finite JSON numbers with the given shape (any length when `shape` is
-    None): a string, object or ragged list is a ValidationError."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{what} must be an array of numbers")
-    if arr.shape != shape and not (shape is None and arr.ndim == 1):
-        raise ValidationError(f"{what} has shape {arr.shape}, expected {shape}")
-    arr = arr.astype(float, copy=False)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} contains non-finite values")
-    return arr
+@dataclass(kw_only=True)
+class MemberFile:
+    """One bundle member as stored.  Each head is null unless its method
+    has it; `read_bundle` checks every array's shape."""
+
+    seed: int
+    loss_history: tuple[float, ...] = ()
+    embed: np.ndarray
+    w_h: np.ndarray
+    b_h: np.ndarray
+    w_o: np.ndarray | None
+    b_o: np.ndarray | None
+    be: BatchEnsembleState | None
+    sngp: SngpState | None
 
 
-def _array_field(payload, key, shape, where):
-    if key not in payload:
-        raise ValidationError(f"{where} is missing array {key!r}")
-    return _float_array(payload[key], shape, f"{where} array {key!r}")
+@dataclass(frozen=True)
+class BundleFile:
+    """A whole bundle as stored; `members` comes last, as the streamed
+    writer needs."""
+
+    format_version: int
+    method: MethodConfig
+    dims: ModelDims
+    vocab_sha256: str
+    members: tuple[MemberFile, ...]
 
 
-def _member_payload(model: TrainedModel) -> dict:
-    params = model.params
-    out = {
-        "seed": model.seed,
-        "loss_history": list(model.loss_history),
-        "embed": params.embed.tolist(),
-        "w_h": params.w_h.tolist(),
-        "b_h": params.b_h.tolist(),
-        "w_o": None if params.w_o is None else params.w_o.tolist(),
-        "b_o": None if params.b_o is None else params.b_o.tolist(),
-        "be": None,
-        "sngp": None,
-    }
-    if model.be_state is not None:
-        out["be"] = {"r": model.be_state.r.tolist(), "s": model.be_state.s.tolist()}
-    if model.sngp_state is not None:
-        st = model.sngp_state
-        out["sngp"] = {
-            "w_r": st.w_r.tolist(),
-            "b_r": st.b_r.tolist(),
-            "beta": st.beta.tolist(),
-            "precision": st.precision.tolist(),
-            "covariance_valid": st.covariance_valid,
-        }
-    return out
+def _member_file(model: TrainedModel) -> MemberFile:
+    p = model.params
+    return MemberFile(seed=model.seed, loss_history=model.loss_history, embed=p.embed,
+                      w_h=p.w_h, b_h=p.b_h, w_o=p.w_o, b_o=p.b_o, be=model.be_state,
+                      sngp=model.sngp_state)
 
 
 def write_bundle(members, path) -> None:
@@ -299,121 +285,81 @@ def write_bundle(members, path) -> None:
     if len({m.vocab_sha256 for m in members}) > 1:
         raise ValidationError("bundle members disagree on vocabulary hash")
     first = check_members(members, "bundle")[0]
-    head = {
-        "format_version": BUNDLE_FORMAT_VERSION,
-        "method": asdict(first.config),
-        "dims": asdict(first.dims),
-        "vocab_sha256": first.vocab_sha256,
-    }
-    # The bytes of json.dump({**head, "members": [...]}), but encoded by
-    # json.dumps, which uses the C encoder where json.dump streams through
-    # the pure-python one, one member at a time so that only one member's
-    # lists exist at once.
+    head = BundleFile(format_version=BUNDLE_FORMAT_VERSION, method=first.config,
+                      dims=first.dims, vocab_sha256=first.vocab_sha256, members=())
+    # The bytes of json.dump(to_json(bundle)), but encoded by json.dumps
+    # (the C encoder; json.dump streams through the pure-python one) one
+    # member at a time, so only one member's lists exist at once.  The
+    # head's empty member list loses its closing "]}".
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"members":[')
+        fh.write(json.dumps(to_json(head), separators=(",", ":"))[:-2])
         for i, member in enumerate(members):
             if i:
                 fh.write(",")
-            fh.write(json.dumps(_member_payload(member), separators=(",", ":")))
+            fh.write(json.dumps(to_json(_member_file(member)), separators=(",", ":")))
         fh.write("]}\n")
 
 
-def _load_sngp_state(sp, big_d: int, dims: ModelDims, where) -> SngpState:
-    """The gaussian-process state of a bundle member, refused unless its
-    precision was finalized and is symmetric positive definite.  The
-    Cholesky factor this check computes is the one inference uses."""
-    if not isinstance(sp, dict):
-        raise ValidationError(f"{where} gaussian-process state must be an object")
-    if sp.get("covariance_valid") is not True:
-        raise ValidationError(f"{where} gaussian-process precision was never finalized")
-    state = SngpState(
-        w_r=_array_field(sp, "w_r", (big_d, dims.hidden_dim), where),
-        b_r=_array_field(sp, "b_r", (big_d,), where),
-        beta=_array_field(sp, "beta", (dims.vocab_size, big_d), where),
-        precision=_array_field(sp, "precision", (big_d, big_d), where),
-        covariance_valid=True,
-    )
+def _layout(obj, where: str) -> dict:
+    """{field path: what it holds} for the arrays and heads of a member
+    file; a head's own arrays follow its entry."""
+    out = {}
+    for name in (f.name for f in fields(obj) if f.init):
+        value, at = getattr(obj, name), f"{where}.{name}"
+        if value is None:
+            out[at] = "null"
+        elif isinstance(value, np.ndarray):
+            out[at] = f"an array of shape {value.shape}"
+        elif is_dataclass(value):
+            out[at] = "an object"
+            out.update(_layout(value, at))
+    return out
+
+
+def _check_member(member: MemberFile, fresh: MemberFile, where: str) -> None:
+    """Refuse a member whose arrays and heads differ from those of `fresh`,
+    a new model of the bundle's method and dims, or whose gaussian-process
+    precision was never finalized, is not exactly symmetric or has no
+    Cholesky factor; the factor is cached for inference."""
+    got = _layout(member, where)
+    for at, expected in _layout(fresh, where).items():
+        if got[at] != expected:  # a head's entry comes before its arrays
+            raise ValidationError(f"{at} is {got[at]}, expected {expected}")
+    state = member.sngp
+    if state is None:
+        return
+    if not state.covariance_valid:
+        raise ValidationError(f"{where}.sngp precision was never finalized")
     if not np.array_equal(state.precision, state.precision.T):
-        raise ValidationError(f"{where} gaussian-process precision is not symmetric")
+        raise ValidationError(f"{where}.sngp.precision is not symmetric")
     try:
         factor_precision(state)
     except NumericalStateError as exc:
-        raise ValidationError(f"{where} gaussian-process {exc}") from exc
-    return state
-
-
-def _load_member(payload, dims: ModelDims, config: MethodConfig, vocab_sha256, where):
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{where} must be an object")
-    seed = payload.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError(f"{where} has a missing or non-integer seed")
-    history = _float_array(payload.get("loss_history", []), None, f"{where} loss_history")
-    d, dh, v = dims.embed_dim, dims.hidden_dim, dims.vocab_size
-    params = ModelParams(
-        embed=_array_field(payload, "embed", (v, d), where),
-        w_h=_array_field(payload, "w_h", (dh, 2 * d), where),
-        b_h=_array_field(payload, "b_h", (dh,), where),
-    )
-    be_state = None
-    sngp_state = None
-    if uses_gp(config.method):
-        if payload.get("sngp") is None:
-            raise ValidationError(f"{where} is missing its gaussian-process state")
-        sngp_state = _load_sngp_state(payload["sngp"], config.sngp.rff_dim, dims, where)
-    else:
-        params.w_o = _array_field(payload, "w_o", (v, dh), where)
-        params.b_o = _array_field(payload, "b_o", (v,), where)
-    if config.method == "be":
-        if payload.get("be") is None:
-            raise ValidationError(f"{where} is missing its batch-ensemble state")
-        bep = payload["be"]
-        if not isinstance(bep, dict):
-            raise ValidationError(f"{where} batch-ensemble state must be an object")
-        be_state = BatchEnsembleState(
-            r=_array_field(bep, "r", (config.be_size, dh), where),
-            s=_array_field(bep, "s", (config.be_size, 2 * d), where),
-        )
-    return TrainedModel(
-        dims=dims, config=config, params=params, be_state=be_state,
-        sngp_state=sngp_state, seed=seed, vocab_sha256=vocab_sha256,
-        loss_history=tuple(history.tolist()),
-    )
+        raise ValidationError(f"{where}.sngp {exc}") from exc
 
 
 def read_bundle(path) -> tuple[TrainedModel, ...]:
+    """The members of the bundle at `path`; every refusal is a
+    ValidationError that names the file and the field path."""
     try:
-        payload = parse_json(Path(path).read_bytes(), f"bundle {path}")
-    except ConfigurationError as exc:
-        raise ValidationError(str(exc)) from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"bundle {path} must be a JSON object")
-    version = payload.get("format_version")
-    if version != BUNDLE_FORMAT_VERSION:
-        raise ValidationError(
-            f"bundle {path} has format_version {version!r}, expected {BUNDLE_FORMAT_VERSION}"
-        )
-    for key in ("method", "dims", "vocab_sha256", "members"):
-        if key not in payload:
-            raise ValidationError(f"bundle {path} is missing {key!r}")
-    try:
-        config = from_json(MethodConfig, payload["method"], "method")
-        dims = from_json(ModelDims, payload["dims"], "dims")
-    except ConfigurationError as exc:
-        raise ValidationError(f"bundle {path} has an invalid header: {exc}") from exc
-    members_raw = payload["members"]
-    if not isinstance(members_raw, list) or not members_raw:
-        raise ValidationError(f"bundle {path} must contain at least one member")
-    if len(members_raw) != config.n_members:
-        raise ValidationError(f"bundle {path} has {len(members_raw)} members, "
-                              f"method {config.method} expects {config.n_members}")
-    vocab_sha = payload["vocab_sha256"]
-    if not isinstance(vocab_sha, str):
-        raise ValidationError(f"bundle {path} vocab_sha256 must be a string")
-    return tuple(
-        _load_member(raw, dims, config, vocab_sha, f"bundle {path} member {i}")
-        for i, raw in enumerate(members_raw)
-    )
+        payload = parse_json(Path(path).read_bytes(), "bundle")
+        # Older formats hold keys this one refuses, so the version comes first.
+        if isinstance(payload, dict) and payload.get("format_version") != BUNDLE_FORMAT_VERSION:
+            raise ValidationError(f"bundle has format_version {payload.get('format_version')!r}"
+                                  f", expected {BUNDLE_FORMAT_VERSION}")
+        bundle = from_json(BundleFile, payload, "bundle")
+        fresh = _member_file(init_model(bundle.dims, bundle.method, 0))
+        members = []
+        for i, m in enumerate(bundle.members):
+            _check_member(m, fresh, f"bundle.members[{i}]")
+            members.append(TrainedModel(
+                dims=bundle.dims, config=bundle.method, params=ModelParams(
+                    embed=m.embed, w_h=m.w_h, b_h=m.b_h, w_o=m.w_o, b_o=m.b_o),
+                be_state=m.be, sngp_state=m.sngp, seed=m.seed,
+                vocab_sha256=bundle.vocab_sha256, loss_history=m.loss_history))
+        return check_members(members, "bundle")
+    except (ConfigurationError, InputError, ValidationError) as exc:  # InputError: no members
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def check_vocab_match(members, vocab_sha256: str) -> None:

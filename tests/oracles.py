@@ -449,12 +449,39 @@ def batch_rows_oracle(structure, example_idx):
 
 
 def bundle_dump_oracle(members, path):
-    """A bundle streamed to disk with json.dump, the route the writer
-    used before it encoded in one call."""
+    """A bundle streamed to disk with json.dump, its members listed key by
+    key: the format as written before the bundle layout was declared as a
+    schema, and the route the writer used before it encoded in one call."""
     import json
     from dataclasses import asdict
 
-    from seqcal.training import BUNDLE_FORMAT_VERSION, _member_payload
+    from seqcal.training import BUNDLE_FORMAT_VERSION
+
+    def member_payload(model):
+        params = model.params
+        out = {
+            "seed": model.seed,
+            "loss_history": list(model.loss_history),
+            "embed": params.embed.tolist(),
+            "w_h": params.w_h.tolist(),
+            "b_h": params.b_h.tolist(),
+            "w_o": None if params.w_o is None else params.w_o.tolist(),
+            "b_o": None if params.b_o is None else params.b_o.tolist(),
+            "be": None,
+            "sngp": None,
+        }
+        if model.be_state is not None:
+            out["be"] = {"r": model.be_state.r.tolist(), "s": model.be_state.s.tolist()}
+        if model.sngp_state is not None:
+            st = model.sngp_state
+            out["sngp"] = {
+                "w_r": st.w_r.tolist(),
+                "b_r": st.b_r.tolist(),
+                "beta": st.beta.tolist(),
+                "precision": st.precision.tolist(),
+                "covariance_valid": st.covariance_valid,
+            }
+        return out
 
     first = members[0]
     payload = {
@@ -462,7 +489,7 @@ def bundle_dump_oracle(members, path):
         "method": asdict(first.config),
         "dims": asdict(first.dims),
         "vocab_sha256": first.vocab_sha256,
-        "members": [_member_payload(m) for m in members],
+        "members": [member_payload(m) for m in members],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, separators=(",", ":"))

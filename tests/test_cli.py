@@ -497,22 +497,23 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["infer", "--config", cfg_path, "--out", out, "--method", "sngp_de"]) == 1
         err = capsys.readouterr().err
-        assert f"member {member}" in err and message in err and "Traceback" not in err
+        assert f"bundle.members[{member}].sngp" in err and message in err
+        assert err.startswith(f"error: {bundle_path}: ") and "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "preds", "sngp_de.jsonl"))
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda b: b["method"].update(samples=2.5), "invalid header: method.samples must be int"),
-        (lambda b: b["method"].update(be_size=5.0), "invalid header: method.be_size must be int"),
-        (lambda b: b["dims"].update(embed_dim=6.0), "invalid header: dims.embed_dim must be int"),
-        (lambda b: b["method"].update(seeds=5), "invalid header: method.seeds must be a list"),
-        (lambda b: b["members"][0].update(be=5), "member 0 batch-ensemble state must be an object"),
+        (lambda b: b["method"].update(samples=2.5), "bundle.method.samples must be int, got float"),
+        (lambda b: b["method"].update(be_size=5.0), "bundle.method.be_size must be int, got float"),
+        (lambda b: b["dims"].update(embed_dim=6.0), "bundle.dims.embed_dim must be int, got float"),
+        (lambda b: b["method"].update(seeds=5), "bundle.method.seeds must be a list, got int"),
+        (lambda b: b["members"][0].update(be=5), "bundle.members[0].be must be a JSON object"),
         (lambda b: b["members"][0]["be"].update(r=[["x"] * 8] * 5),
-         "member 0 array 'r' must be an array of numbers"),
+         "bundle.members[0].be.r must be a regular array of numbers"),
         (lambda b: b["members"][0].update(loss_history=["x"]),
-         "member 0 loss_history must be an array of numbers"),
+         "bundle.members[0].loss_history[0] must be float, got str"),
         (lambda b: b["members"][0].update(embed={"a": 1}),
-         "member 0 array 'embed' must be an array of numbers"),
-        (lambda b: b["members"][0].update(seed=True), "member 0 has a missing or non-integer seed"),
+         "bundle.members[0].embed must be a list, got dict"),
+        (lambda b: b["members"][0].update(seed=True), "bundle.members[0].seed must be int, got bool"),
     ], ids=["samples-float", "be_size-float", "embed_dim-float", "seeds-number", "be-number",
             "r-strings", "loss-history-strings", "embed-object", "seed-bool"])
     def test_malformed_bundle_infer_is_one(self, tmp_path, capsys, edit, message):
@@ -528,7 +529,8 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["infer", "--config", cfg_path, "--out", out, "--method", "be"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert err.startswith(f"error: {bundle_path}: ") and message in err
+        assert "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "preds", "be.jsonl"))
 
     @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters"])
@@ -549,7 +551,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["infer", "--config", cfg_path, "--out", out, "--method", "sngp"]) == 1
         err = capsys.readouterr().err
-        assert "invalid header" in err and knob in err
+        assert f"bundle.method.sngp has unknown keys ['{knob}']" in err
 
     def test_underflowing_posterior_infer_is_two(self, tmp_path, capsys):
         # finite logits whose spread makes every other probability exactly 0:

@@ -19,6 +19,7 @@ from seqcal.model import (
     forward,
     gp_features,
     init_model,
+    mean_embeddings,
     mean_field_logits,
     predictive_variance,
     spectral_normalize,
@@ -248,6 +249,28 @@ class TestForward:
         m.params.w_o[0, 0] = np.inf
         with pytest.raises(NumericalStateError, match="non-finite"):
             one_step(m, (3,), ())
+
+
+class TestMeanEmbeddings:
+    def test_rows_equal_numpy_mean_bitwise(self):
+        rng = np.random.default_rng(5)
+        embed = rng.uniform(-0.1, 0.1, size=(30, 7))
+        for _ in range(200):
+            tokens = tuple(rng.integers(0, 30, size=rng.integers(1, 12)).tolist())
+            got = mean_embeddings(embed, tokens, bos_id=1)
+            want = embed[np.asarray(tokens)].mean(axis=0)
+            assert got.shape == (7,) and np.array_equal(got, want)
+        assert np.array_equal(mean_embeddings(embed, (), bos_id=1), embed[1])
+
+    def test_stacked_prefixes_equal_one_row_at_a_time(self):
+        rng = np.random.default_rng(6)
+        embed = rng.uniform(-0.1, 0.1, size=(30, 7))
+        for t in range(6):
+            tokens = rng.integers(0, 30, size=(4, 3, t))
+            got = mean_embeddings(embed, tokens, bos_id=2)
+            assert got.shape == (4, 3, 7)
+            for i, j in np.ndindex(4, 3):
+                assert np.array_equal(got[i, j], mean_embeddings(embed, tokens[i, j], 2))
 
 
 class TestDropoutMask:

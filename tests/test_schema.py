@@ -1,5 +1,5 @@
 """The strict loader behind every file a stage reads back: run configs,
-vocabularies, split and prediction files, and bundle headers."""
+vocabularies, split and prediction files, and model bundles."""
 
 import ast
 import json
@@ -22,7 +22,7 @@ from seqcal.corpus import TASK_KINDS, ExampleRecord, read_records, write_records
 from seqcal.errors import ConfigurationError, ParseError, ValidationError
 from seqcal.inference import PredictionRecord, read_predictions, write_predictions
 from seqcal.model import METHODS, MethodConfig, ModelDims, init_model
-from seqcal.schema import from_json, parse_json, read_jsonl
+from seqcal.schema import from_json, parse_json, read_jsonl, to_json
 from seqcal.training import read_bundle, write_bundle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -79,6 +79,59 @@ class TestFromJson:
 
     def test_largest_integer_below_overflow_is_widened(self):
         assert from_json(Inner, {"x": 2**1023}, "i").x == 2.0**1023
+
+
+@dataclass
+class Arrays:
+    a: np.ndarray
+    b: np.ndarray | None = None
+    inner: Inner | None = None
+    cached: int = field(default=0, init=False)
+
+
+class TestArraysAndNull:
+    def test_arrays_load_as_float64_and_null_as_none(self):
+        got = from_json(Arrays, {"a": [[1, 2.5], [3, 4]], "b": None, "inner": None}, "o")
+        assert got.a.dtype == np.float64
+        assert np.array_equal(got.a, [[1.0, 2.5], [3.0, 4.0]])
+        assert got.b is None and got.inner is None
+        got = from_json(Arrays, {"a": [], "b": [7], "inner": {"x": 2}}, "o")
+        assert got.a.shape == (0,) and got.b.dtype == np.float64 and got.b.tolist() == [7.0]
+        assert got.inner == Inner(x=2.0)
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"a": None}, "o.a must be a list, got NoneType"),
+        ({"a": 3.0}, "o.a must be a list, got float"),
+        ({"a": {"x": 1}}, "o.a must be a list, got dict"),
+        ({"a": [[1.0], [2.0, 3.0]]}, "o.a must be a regular array of numbers"),
+        ({"a": [1.0, "x"]}, "o.a must be a regular array of numbers"),
+        ({"a": [True, False]}, "o.a must be a regular array of numbers"),
+        ({"a": [{"x": 1}]}, "o.a must be a regular array of numbers"),
+        ({"a": [1.0, None]}, "o.a must be a regular array of numbers"),
+        ({"a": [10**400]}, "o.a must be a regular array of numbers"),
+        ({"a": [1.0, math.nan]}, "o.a must hold finite numbers only"),
+        ({"a": [[-math.inf]]}, "o.a must hold finite numbers only"),
+        ({"a": [1.0], "b": "x"}, "o.b must be a list, got str"),
+        ({"a": [1.0], "inner": 3}, "o.inner must be a JSON object"),
+        ({"a": [1.0], "inner": {"x": -1}}, "x must be >= 0"),
+        ({"a": [1.0], "cached": 1}, r"o has unknown keys \['cached'\]"),
+    ])
+    def test_refusals(self, payload, message):
+        with pytest.raises(ConfigurationError, match=message):
+            from_json(Arrays, payload, "o")
+
+    def test_to_json_is_the_inverse(self):
+        value = Arrays(a=np.arange(6.0).reshape(2, 3), inner=Inner(x=0.5))
+        payload = to_json(value)
+        assert payload == {"a": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], "b": None,
+                           "inner": {"x": 0.5}}
+        back = from_json(Arrays, json.loads(json.dumps(payload)), "o")
+        assert np.array_equal(back.a, value.a) and back.b is None and back.inner == value.inner
+        outer = Outer(name="a", values=(1.0, 2.5))
+        assert to_json(outer) == {"name": "a", "n": 2, "flag": False, "values": [1.0, 2.5],
+                                  "inner": {"x": 1.0}}
+        assert list(to_json(outer)) == [f.name for f in fields(Outer)]
+        assert from_json(Outer, to_json(outer), "o") == outer
 
 
 @pytest.mark.parametrize("data", [b"{nope", b"[" * 100000 + b"]" * 100000, b'{"a": \xff}'],

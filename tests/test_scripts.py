@@ -41,13 +41,3 @@ def test_run_pipeline_script(tmp_path, capsys):
     summary = (out / "reports" / "summary.csv").read_text().splitlines()
     assert sorted(line.split(",")[0] for line in summary[1:]) == ["base", "sngp"]
 
-
-def test_trend_experiment_main(tmp_path, capsys):
-    code = load_script("trend_experiment").main(
-        ["--config", write_tiny(tmp_path), "--methods", "base,de", "--seeds", "0,1"])
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    rows = [line.split() for line in lines if line.split()[:1] in (["0"], ["1"])]
-    assert [(r[0], r[1]) for r in rows] == [("0", "base"), ("0", "de"),
-                                            ("1", "base"), ("1", "de")]
-    assert any(line.split()[:1] == ["mean"] for line in lines)

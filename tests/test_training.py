@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -18,15 +19,20 @@ from seqcal.model import (
     ModelDims,
     SngpConfig,
     build_rows,
+    finalize_covariance,
     forward,
     gp_features,
     init_model,
     predictive_variance,
+    uses_gp,
 )
+from seqcal.schema import from_json, to_json
 from seqcal.training import (
     LOSS_CHUNK_ROWS,
+    MemberFile,
     TrainHyper,
     _batch_rows,
+    _member_file,
     _params_finite,
     check_vocab_match,
     evaluate_loss,
@@ -373,6 +379,10 @@ class TestBundles:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="members"):
             read_bundle(path)
+        payload["members"] = []
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="bundle needs at least one member"):
+            read_bundle(path)
 
     def test_shape_mismatch(self, tmp_path):
         path = self._round_trip(tmp_path, MethodConfig(method="base"))
@@ -404,7 +414,8 @@ class TestBundles:
     @pytest.mark.parametrize("edit, message", [
         (lambda sp: sp.update(covariance_valid=False), "never finalized"),
         (lambda sp: sp.pop("covariance_valid"), "never finalized"),
-        (lambda sp: sp.update(covariance_valid=1), "never finalized"),
+        (lambda sp: sp.update(covariance_valid=1),
+         r"members\[0\]\.sngp\.covariance_valid must be bool, got int"),
         (lambda sp: sp["precision"][0].__setitem__(1, sp["precision"][0][1] + 1e-3),
          "not symmetric"),
         (lambda sp: sp.update(precision=(-np.eye(10)).tolist()), "not positive definite"),
@@ -437,7 +448,8 @@ class TestBundles:
         payload = json.loads(path.read_text())
         payload["members"][0]["sngp"] = None
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValidationError, match="gaussian-process"):
+        with pytest.raises(ValidationError,
+                           match=r"members\[0\]\.sngp is null, expected an object"):
             read_bundle(path)
 
     def test_not_json(self, tmp_path):
@@ -463,6 +475,111 @@ class TestBundles:
                          TrainHyper(steps=1), seed=2, vocab_sha256="y")[0]
         with pytest.raises(ValidationError, match="vocabulary hash"):
             write_bundle([a, b], tmp_path / "bad.json")
+
+
+def small_config(method):
+    seeds = (3, 4) if method in ("de", "sngp_de") else ()
+    return MethodConfig(method=method, be_size=2, seeds=seeds, sngp=SngpConfig(rff_dim=5))
+
+
+SMALL_DIMS = ModelDims(vocab_size=8, embed_dim=3, hidden_dim=4)
+BODY = (("embed", 2), ("w_h", 2), ("b_h", 1))
+LINEAR_HEAD = (("w_o", 2), ("b_o", 1))
+GP_HEAD = (("sngp.w_r", 2), ("sngp.b_r", 1), ("sngp.beta", 2), ("sngp.precision", 2))
+BE_HEAD = (("be.r", 2), ("be.s", 2))
+ARRAY_AXES = [
+    (method, key, axis)
+    for method in METHODS
+    for key, ndim in BODY + (GP_HEAD if uses_gp(method) else LINEAR_HEAD)
+    + (BE_HEAD if method == "be" else ())
+    for axis in range(ndim)
+]
+
+
+def fresh_bundle(tmp_path, method):
+    """A bundle of untrained members with finalized precisions, and its JSON."""
+    config = small_config(method)
+    members = []
+    for seed in config.member_seeds(0):
+        model = init_model(SMALL_DIMS, config, seed)
+        if model.sngp_state is not None:
+            model.sngp_state = finalize_covariance(model.sngp_state)
+        members.append(model)
+    path = tmp_path / f"{method}.json"
+    write_bundle(members, path)
+    return path, json.loads(path.read_text())
+
+
+class TestBundleLayout:
+    """Every array of every method is checked against the shape a fresh
+    model of the bundle's method and dims has, by field path."""
+
+    @pytest.mark.parametrize("method, key, axis", ARRAY_AXES,
+                             ids=[f"{m}-{k}-{a}" for m, k, a in ARRAY_AXES])
+    def test_each_dimension_off_by_one_refused(self, tmp_path, method, key, axis):
+        path, payload = fresh_bundle(tmp_path, method)
+        last = len(payload["members"]) - 1
+        *heads, name = key.split(".")
+        holder = payload["members"][last]
+        for head in heads:
+            holder = holder[head]
+        good = np.asarray(holder[name])
+        n = good.shape[axis]
+        for bad in (np.take(good, range(n + 1), axis=axis, mode="clip"),
+                    np.take(good, range(n - 1), axis=axis)):
+            holder[name] = bad.tolist()
+            path.write_text(json.dumps(payload))
+            message = (f"bundle.members[{last}].{key} is an array of shape {bad.shape}, "
+                       f"expected an array of shape {good.shape}")
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+                read_bundle(path)
+        holder[name] = good.tolist()
+        path.write_text(json.dumps(payload))
+        assert len(read_bundle(path)) == len(payload["members"])
+
+    @pytest.mark.parametrize("method, key, value, message", [
+        ("be", "be", None, "be is null, expected an object"),
+        ("sngp", "sngp", None, "sngp is null, expected an object"),
+        ("sngp_de", "sngp", None, "sngp is null, expected an object"),
+        ("base", "w_o", None, "w_o is null, expected an array of shape (8, 4)"),
+        ("sngp", "w_o", [[0.0] * 4] * 8, "w_o is an array of shape (8, 4), expected null"),
+        ("base", "be", {"r": [[1.0] * 4] * 2, "s": [[1.0] * 6] * 2},
+         "be is an object, expected null"),
+    ], ids=["be-null", "sngp-null", "sngp_de-null", "w_o-null", "gp-with-w_o", "base-with-be"])
+    def test_head_presence_follows_the_method(self, tmp_path, method, key, value, message):
+        path, payload = fresh_bundle(tmp_path, method)
+        last = len(payload["members"]) - 1
+        payload["members"][last][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"bundle.members[{last}].{message}")):
+            read_bundle(path)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_member_file_round_trip(self, method):
+        vocab, examples = copy_corpus(n=30)
+        members = train_method(rows_for(vocab, examples), dims_for(vocab), small_config(method),
+                               TrainHyper(steps=3), seed=1)
+        for model in members:
+            stored = _member_file(model)
+            payload = json.loads(json.dumps(to_json(stored)))
+            assert "chol_inv" not in json.dumps(payload)
+            back = from_json(MemberFile, payload, "member")
+            assert back.seed == model.seed and back.loss_history == model.loss_history
+            assert len(back.loss_history) == 3
+            for name in ("embed", "w_h", "b_h", "w_o", "b_o", "be", "sngp"):
+                want, got = getattr(stored, name), getattr(back, name)
+                if want is None:
+                    assert got is None, name
+                    continue
+                pairs = ([(name, want, got)] if isinstance(want, np.ndarray) else
+                         [(f"{name}.{k}", v, getattr(got, k)) for k, v in vars(want).items()
+                          if isinstance(v, np.ndarray) and k != "chol_inv"])
+                assert pairs, name
+                for at, w, g in pairs:
+                    assert g.dtype == np.float64 and np.array_equal(g, w), at
+            if model.sngp_state is not None:
+                assert back.sngp.covariance_valid is True and back.sngp.chol_inv is None
 
 
 class TestVocabGuard:
