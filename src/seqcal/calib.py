@@ -21,6 +21,7 @@ depend on summation order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ from .errors import (
     MetricError,
     UndefinedCorrelationError,
 )
+from .schema import write_text
 
 QUALITY_KEYS = ("rouge1", "rouge2", "rougeL")
 
@@ -306,50 +308,14 @@ def abstention_curve(records, quality_key: str, alphas) -> AbstentionCurve:
     return AbstentionCurve(alphas=alphas, values=tuple(values))
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+def write_csv(path, header: str, rows) -> None:
+    """`header`, then one comma-joined line per row.  A float cell is
+    written with `.17g` (exact, not always shortest), None as an empty
+    cell, anything else with `str`."""
+    def cell(value) -> str:
+        if isinstance(value, float):
+            return format(value, ".17g")
+        return "" if value is None else str(value)
 
-
-def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
-        fh.write("\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row))
-            fh.write("\n")
-
-
-def write_ece_csv(rows, path) -> None:
-    """Rows of (method, level, K, ece)."""
-    _write_csv(
-        path,
-        "method,level,K,ece",
-        ((m, lvl, k, _fmt_float(e)) for m, lvl, k, e in rows),
-    )
-
-
-def write_corr_csv(rows, path) -> None:
-    """Rows of (method, metric, rho, boot_std, B, seed)."""
-    _write_csv(
-        path,
-        "method,metric,rho,boot_std,B,seed",
-        ((m, met, _fmt_float(r), _fmt_float(s), b, seed) for m, met, r, s, b, seed in rows),
-    )
-
-
-def write_roc_csv(rows, path) -> None:
-    """Rows of (method, metric, theta, auc)."""
-    _write_csv(
-        path,
-        "method,metric,theta,auc",
-        ((m, met, _fmt_float(t), _fmt_float(a)) for m, met, t, a in rows),
-    )
-
-
-def write_abstention_csv(rows, path) -> None:
-    """Rows of (method, metric, alpha, mean_quality)."""
-    _write_csv(
-        path,
-        "method,metric,alpha,mean_quality",
-        ((m, met, _fmt_float(a), _fmt_float(v)) for m, met, a, v in rows),
-    )
+    write_text(path, itertools.chain(
+        (header + "\n",), (",".join(map(cell, row)) + "\n" for row in rows)))

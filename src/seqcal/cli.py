@@ -17,6 +17,9 @@ Layout under --out:
     preds/<split>/<method>.jsonl  decoded train or dev predictions
     reports/*.csv            calibration, correlation, selection reports
 
+Each file replaces its old version only once it is complete, so a stage
+that fails leaves the previous file or none.
+
 Every stochastic choice derives from the single top-level seed, so a
 rerun of any stage writes byte-identical files.  Model-intrinsic knobs
 (sample count, dropout rate, ensemble sizes) travel inside the bundle;
@@ -39,8 +42,6 @@ from .calib import (
     EceConfig,
     QUALITY_KEYS,
     _average_ranks,
-    _fmt_float,
-    _write_csv,
     abstention_curve,
     bootstrap_std,
     check_alphas,
@@ -49,10 +50,7 @@ from .calib import (
     roc_auc,
     sequence_pairs,
     token_pairs,
-    write_abstention_csv,
-    write_corr_csv,
-    write_ece_csv,
-    write_roc_csv,
+    write_csv,
 )
 from .corpus import (
     MAX_SEED,
@@ -84,7 +82,7 @@ from .inference import (
 )
 from .model import METHODS, MethodConfig, ModelDims, SngpConfig, is_deep_ensemble
 from .rng import derive_seed
-from .schema import from_json, parse_json
+from .schema import from_json, parse_json, write_text
 from .training import (
     TrainHyper,
     check_vocab_match,
@@ -357,9 +355,7 @@ def cmd_gen_data(config: RunConfig, out: OutDir) -> None:
             "splits": {"train": len(train), "dev": len(dev), "test": len(test)},
         },
     }
-    with open(out.manifest, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(out.manifest, (json.dumps(manifest, indent=2, sort_keys=True), "\n"))
     print(f"wrote {len(records)} {spec.kind} examples to {out.root} "
           f"(train {len(train)}, dev {len(dev)}, test {len(test)})")
 
@@ -411,10 +407,20 @@ def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> No
         print(f"decoded {len(preds)} examples with {method} -> {path}")
 
 
+# {report: CSV header} for the per-metric reports; reports/<report>.csv
+# holds the rows `_eval_one_method` gives under that key.
+REPORTS = {
+    "ece": "method,level,K,ece",
+    "corr": "method,metric,rho,boot_std,B,seed",
+    "roc": "method,metric,theta,auc",
+    "abstention": "method,metric,alpha,mean_quality",
+}
+
+
 def _eval_one_method(method, joined, config: RunConfig, gaps):
     """All metric rows for one method; failures become gap entries."""
     ev = config.eval
-    rows = {"ece": [], "corr": [], "roc": [], "abstention": []}
+    rows = {report: [] for report in REPORTS}
     headline = {}
     seq = sequence_pairs(joined)
     for level, pairs in (("sequence", seq), ("token", token_pairs(joined))):
@@ -473,19 +479,9 @@ def _summary_rows(headlines: dict) -> list[tuple]:
         mean_rank = sum(rank_values) / len(rank_values) if rank_values else None
         rows.append((m, headlines[m], ranks[m], mean_rank))
     rows.sort(key=lambda r: (r[3] is None, r[3] if r[3] is not None else 0.0, r[0]))
-    out = []
-    for m, head, rank, mean_rank in rows:
-        out.append((
-            m,
-            _fmt_float(head["ece"]) if "ece" in head else "",
-            _fmt_float(head["rho"]) if "rho" in head else "",
-            _fmt_float(head["auc"]) if "auc" in head else "",
-            _fmt_float(rank["ece"]) if "ece" in rank else "",
-            _fmt_float(rank["rho"]) if "rho" in rank else "",
-            _fmt_float(rank["auc"]) if "auc" in rank else "",
-            _fmt_float(mean_rank) if mean_rank is not None else "",
-        ))
-    return out
+    return [(m, *(head.get(name) for name, _ in columns),
+             *(rank.get(name) for name, _ in columns), mean_rank)
+            for m, head, rank, mean_rank in rows]
 
 
 def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
@@ -504,7 +500,7 @@ def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
                     f"no predictions for {m!r} at {out.predictions(m)}; run infer first"
                 )
     out.ensure("reports")
-    all_rows = {"ece": [], "corr": [], "roc": [], "abstention": []}
+    all_rows = {report: [] for report in REPORTS}
     gaps = []
     headlines = {}
     for method in methods:
@@ -516,15 +512,13 @@ def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
         shown = {k: f"{v:.4f}" for k, v in headline.items()}
         print(f"eval {method}: " + (", ".join(f"{k} {v}" for k, v in shown.items())
                                     or "no headline metrics"))
-    write_ece_csv(all_rows["ece"], out.report("ece.csv"))
-    write_corr_csv(all_rows["corr"], out.report("corr.csv"))
-    write_roc_csv(all_rows["roc"], out.report("roc.csv"))
-    write_abstention_csv(all_rows["abstention"], out.report("abstention.csv"))
-    _write_csv(out.report("summary.csv"), "method,ece_sequence,spearman_rougeL,auc_rougeL,"
-               "rank_ece,rank_spearman,rank_auc,mean_rank", _summary_rows(headlines))
-    _write_csv(out.report("gaps.csv"), "method,report,metric,reason",
-               ((m, report, metric, '"' + reason.replace('"', "'") + '"')
-                for m, report, metric, reason in gaps))
+    for report, header in REPORTS.items():
+        write_csv(out.report(f"{report}.csv"), header, all_rows[report])
+    write_csv(out.report("summary.csv"), "method,ece_sequence,spearman_rougeL,auc_rougeL,"
+              "rank_ece,rank_spearman,rank_auc,mean_rank", _summary_rows(headlines))
+    write_csv(out.report("gaps.csv"), "method,report,metric,reason",
+              ((m, report, metric, '"' + reason.replace('"', "'") + '"')
+               for m, report, metric, reason in gaps))
     note = f", {len(gaps)} metric gap(s) listed in gaps.csv" if gaps else ""
     print(f"wrote reports for {len(methods)} method(s) to {out.path('reports')}{note}")
 

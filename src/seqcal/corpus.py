@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParseError, ValidationError
 from .rng import stream
-from .schema import from_json, parse_json, read_jsonl
+from .schema import from_json, parse_json, read_jsonl, write_jsonl, write_text
 
 TokenSeq = tuple[int, ...]
 
@@ -88,9 +88,7 @@ class VocabularyFile:
 
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(vocabulary_json(vocab))
-        fh.write("\n")
+    write_text(path, (vocabulary_json(vocab), "\n"))
 
 
 def vocabulary_json(vocab: Vocabulary) -> str:
@@ -257,17 +255,7 @@ def split_corpus(records, seed: int):
 
 def write_records(records, path) -> None:
     """Write records as JSONL; one compact object per line."""
-    seen = set()
-    lines = []
-    for rec in records:
-        if rec.id in seen:
-            raise ValidationError(f"duplicate record id {rec.id!r}")
-        seen.add(rec.id)
-        lines.append(json.dumps(vars(rec), separators=(",", ":")))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    write_jsonl(path, records)
 
 
 def read_records(path, vocab_size: int) -> list[ExampleRecord]:

@@ -46,7 +46,6 @@ so lower u means a less confident, more uncertain prediction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -73,7 +72,7 @@ from .model import (
 )
 from .rng import derive_seed
 from .rouge import score_quality
-from .schema import read_jsonl
+from .schema import read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -332,13 +331,7 @@ def decode_corpus(members, examples, config: PosteriorConfig,
 # Prediction files: one compact JSON object per line.
 
 def write_predictions(records, path) -> None:
-    seen = set()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            if rec.id in seen:
-                raise ValidationError(f"duplicate prediction id {rec.id!r}")
-            seen.add(rec.id)
-            fh.write(json.dumps(vars(rec), separators=(",", ":")) + "\n")
+    write_jsonl(path, records)
 
 
 def read_predictions(path) -> tuple[PredictionRecord, ...]:

@@ -601,20 +601,15 @@ def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
     dlogits[np.arange(n), targets] -= 1.0
     dlogits /= n
 
-    grads = Gradients(
-        embed=np.zeros_like(params.embed),
-        w_h=np.zeros_like(params.w_h),
-        b_h=np.zeros_like(params.b_h),
-    )
-
+    head = {}
     if model.sngp_state is None:
-        grads.w_o = dlogits.T @ cache["h"]
-        grads.b_o = dlogits.sum(axis=0)
+        head["w_o"] = dlogits.T @ cache["h"]
+        head["b_o"] = dlogits.sum(axis=0)
         dh = dlogits @ params.w_o
     else:
         state = model.sngp_state
         phi = cache["phi"]
-        grads.beta = dlogits.T @ phi
+        head["beta"] = dlogits.T @ phi
         dphi = dlogits @ state.beta
         big_d = state.w_r.shape[0]
         # phi = sqrt(2/D) cos(u) with u = h W_r^T + b_r, kept by forward
@@ -626,26 +621,25 @@ def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
 
     da = dh * (1.0 - cache["h_raw"] ** 2)
 
+    b_h = da.sum(axis=0)
     if model.be_state is None:
-        grads.w_h = da.T @ cache["z"]
-        grads.b_h = da.sum(axis=0)
+        w_h = da.T @ cache["z"]
         dz = da @ params.w_h
     else:
         k = cache["be_member"]
-        grads.b_h = da.sum(axis=0)
         g_r = (da * cache["pre"]).sum(axis=0)
         da_pre = da * cache["r_k"]
-        grads.w_h = da_pre.T @ cache["zs"]
+        w_h = da_pre.T @ cache["zs"]
         dzs = da_pre @ params.w_h
         g_s = (dzs * cache["z"]).sum(axis=0)
         dz = dzs * cache["s_k"]
-        grads.be_r = np.zeros_like(model.be_state.r)
-        grads.be_s = np.zeros_like(model.be_state.s)
-        grads.be_r[k] = g_r
-        grads.be_s[k] = g_s
+        head["be_r"] = np.zeros_like(model.be_state.r)
+        head["be_s"] = np.zeros_like(model.be_state.s)
+        head["be_r"][k] = g_r
+        head["be_s"][k] = g_s
 
     d = model.dims.embed_dim
     dctx = dz[:, :d]
     dpre = dz[:, d:]
-    grads.embed = cache["ctx_w"].T @ dctx + cache["pre_w"].T @ dpre
-    return loss, grads
+    embed = cache["ctx_w"].T @ dctx + cache["pre_w"].T @ dpre
+    return loss, Gradients(embed=embed, w_h=w_h, b_h=b_h, **head)

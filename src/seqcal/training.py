@@ -62,7 +62,7 @@ from .model import (
     uses_gp,
 )
 from .rng import derive_seed, stream
-from .schema import from_json, parse_json, to_json
+from .schema import from_json, parse_json, to_json, write_text
 
 BUNDLE_FORMAT_VERSION = 2
 
@@ -287,17 +287,20 @@ def write_bundle(members, path) -> None:
     first = check_members(members, "bundle")[0]
     head = BundleFile(format_version=BUNDLE_FORMAT_VERSION, method=first.config,
                       dims=first.dims, vocab_sha256=first.vocab_sha256, members=())
-    # The bytes of json.dump(to_json(bundle)), but encoded by json.dumps
-    # (the C encoder; json.dump streams through the pure-python one) one
-    # member at a time, so only one member's lists exist at once.  The
-    # head's empty member list loses its closing "]}".
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(to_json(head), separators=(",", ":"))[:-2])
-        for i, member in enumerate(members):
-            if i:
-                fh.write(",")
-            fh.write(json.dumps(to_json(_member_file(member)), separators=(",", ":")))
-        fh.write("]}\n")
+    write_text(path, _bundle_chunks(head, members))
+
+
+def _bundle_chunks(head: BundleFile, members):
+    """The bytes of json.dump(to_json(bundle)), but encoded by json.dumps
+    (the C encoder; json.dump streams through the pure-python one) one
+    member at a time, so only one member's lists exist at once.  The
+    head's empty member list loses its closing "]}"."""
+    yield json.dumps(to_json(head), separators=(",", ":"))[:-2]
+    for i, member in enumerate(members):
+        if i:
+            yield ","
+        yield json.dumps(to_json(_member_file(member)), separators=(",", ":"))
+    yield "]}\n"
 
 
 def _layout(obj, where: str) -> dict:

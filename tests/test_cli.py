@@ -363,6 +363,24 @@ class TestExitCodes:
         assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
         assert not os.path.exists(tmp_path / "run")
 
+    def test_unwritable_predictions_is_one(self, tmp_path):
+        # preds/ is a regular file, so infer cannot put a prediction file
+        # under it (a path conflict, which a chmod cannot give a root user)
+        cfg_path = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["train", "--config", cfg_path, "--out", str(out),
+                     "--method", "base"]) == 0
+        (out / "preds").write_bytes(b"not a directory\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "seqcal.cli", "infer", "--config", cfg_path,
+             "--out", str(out), "--method", "base"],
+            env=src_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+        assert (out / "preds").read_bytes() == b"not a directory\n"
+        assert list(out.rglob("*.tmp")) == []
+
     def test_bad_task_kind_is_one(self, tmp_path):
         cfg_path = write_config(tmp_path, {"task": {"kind": "sort"}})
         assert main(["gen-data", "--config", cfg_path, "--out",

@@ -1,5 +1,6 @@
-"""The strict loader behind every file a stage reads back: run configs,
-vocabularies, split and prediction files, and model bundles."""
+"""The strict loader behind every file a stage reads back (run configs,
+vocabularies, split and prediction files, and model bundles) and the
+atomic writer behind every file a stage leaves behind."""
 
 import ast
 import json
@@ -7,7 +8,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from typing import get_args, get_origin, get_type_hints
 
@@ -22,8 +23,9 @@ from seqcal.corpus import TASK_KINDS, ExampleRecord, read_records, write_records
 from seqcal.errors import ConfigurationError, ParseError, ValidationError
 from seqcal.inference import PredictionRecord, read_predictions, write_predictions
 from seqcal.model import METHODS, MethodConfig, ModelDims, init_model
-from seqcal.schema import from_json, parse_json, read_jsonl, to_json
-from seqcal.training import read_bundle, write_bundle
+from seqcal import training
+from seqcal.schema import from_json, parse_json, read_jsonl, to_json, write_text
+from seqcal.training import MemberFile, read_bundle, write_bundle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -115,10 +117,24 @@ class TestArraysAndNull:
         ({"a": [1.0], "inner": 3}, "o.inner must be a JSON object"),
         ({"a": [1.0], "inner": {"x": -1}}, "x must be >= 0"),
         ({"a": [1.0], "cached": 1}, r"o has unknown keys \['cached'\]"),
+        # a boolean among numbers, which numpy alone reads as 0 or 1
+        ({"a": [1.5, True]}, "o.a must be a regular array of numbers"),
+        ({"a": [0.0, False]}, "o.a must be a regular array of numbers"),
+        ({"a": [1, True]}, "o.a must be a regular array of numbers"),
+        ({"a": [[1.0, 2.0], [0.5, False]]}, "o.a must be a regular array of numbers"),
+        ({"a": [[[2.0], [True]]]}, "o.a must be a regular array of numbers"),
+        ({"a": [1.0], "b": [[0.0], [True]]}, "o.b must be a regular array of numbers"),
     ])
     def test_refusals(self, payload, message):
         with pytest.raises(ConfigurationError, match=message):
             from_json(Arrays, payload, "o")
+
+    def test_zeros_and_ones_are_numbers(self):
+        # numpy reads a boolean as 0 or 1, so these arrays are the ones
+        # scanned for a boolean; every item here is a number
+        got = from_json(Arrays, {"a": [[0, 1.0], [1, 0.0]], "b": [1, 2.5]}, "o")
+        assert np.array_equal(got.a, [[0.0, 1.0], [1.0, 0.0]]) and got.a.dtype == np.float64
+        assert got.b.tolist() == [1.0, 2.5]
 
     def test_to_json_is_the_inverse(self):
         value = Arrays(a=np.arange(6.0).reshape(2, 3), inner=Inner(x=0.5))
@@ -141,24 +157,51 @@ def test_unreadable_json_is_one_refusal(data):
         parse_json(data, "f")
 
 
-def test_json_is_parsed_only_in_schema():
-    """parse_json is the one place the package parses JSON, so every file
-    a stage reads back gets the same guard."""
+def _package_modules():
+    """(file name, syntax tree) of each package module but schema.py."""
     src = os.path.join(ROOT, "src", "seqcal")
-    calls = []
     for name in sorted(os.listdir(src)):
-        if not name.endswith(".py") or name == "schema.py":
-            continue
-        with open(os.path.join(src, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+        if name.endswith(".py") and name != "schema.py":
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
+def _json_uses(names):
+    """Where a package module outside schema.py reaches json.<name> or
+    imports it, for any of `names`."""
+    calls = []
+    for name, tree in _package_modules():
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+            if (isinstance(node, ast.Attribute) and node.attr in names
                     and isinstance(node.value, ast.Name) and node.value.id == "json"):
                 calls.append(f"{name}:{node.lineno}")
             if isinstance(node, ast.ImportFrom) and node.module == "json" and any(
-                    alias.name in ("load", "loads") for alias in node.names):
+                    alias.name in names for alias in node.names):
                 calls.append(f"{name}:{node.lineno}")
-    assert calls == []
+    return calls
+
+
+def test_json_is_parsed_only_in_schema():
+    """parse_json is the one place the package parses JSON, so every file
+    a stage reads back gets the same guard."""
+    assert _json_uses(("load", "loads")) == []
+
+
+def test_files_are_written_only_in_schema():
+    """write_text is the one place the package writes a file, so every
+    file a stage leaves behind is replaced only once it is complete.  An
+    open() whose mode is not a literal counts as a write."""
+    writes = _json_uses(("dump",))
+    for name, tree in _package_modules():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                   for m in modes):
+                writes.append(f"{name}:{node.lineno}")
+    assert writes == []
 
 
 GOOD_PRED = '{"id":"a","hypothesis":[3],"token_logp":[-1.0],"eos_logp":-1.0,"uncertainty":-1.0}'
@@ -193,6 +236,84 @@ class TestReadJsonl:
         path.write_bytes(b'{"id":"a","input":[3],"reference":[3]}\n' + line + b"\n")
         with pytest.raises(ParseError, match=f"^line 2: .*{message}"):
             read_records(path, 10)
+
+
+PRED = PredictionRecord(id="a", hypothesis=(3,), token_logp=(-1.0,), eos_logp=-1.0,
+                        uncertainty=-1.0)
+EXAMPLE = ExampleRecord(id="a", input=(3,), reference=(3,))
+
+
+def _temp_files(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
+
+
+class TestAtomicWrites:
+    """A write that is refused or fails leaves the target as it was, or
+    absent, and no temp file beside it."""
+
+    @pytest.mark.parametrize("write, record", [(write_predictions, PRED),
+                                               (write_records, EXAMPLE)],
+                             ids=["predictions", "records"])
+    def test_duplicate_id_leaves_the_old_file(self, tmp_path, write, record):
+        path = tmp_path / "f.jsonl"
+        write([replace(record, id="old")], path)
+        old = path.read_bytes()
+        with pytest.raises(ValidationError, match="duplicate id 'a'"):
+            write([record, replace(record, id="b"), record], path)
+        assert path.read_bytes() == old
+        assert _temp_files(tmp_path) == []
+
+    @pytest.mark.parametrize("old", [None, b"old bundle\n"], ids=["absent", "present"])
+    def test_bundle_failing_after_member_zero(self, tmp_path, monkeypatch, old):
+        config = MethodConfig(method="de", seeds=(3, 4))
+        members = [init_model(DIMS, config, seed) for seed in config.member_seeds(0)]
+        models = tmp_path / "models"
+        models.mkdir()
+        path = models / "de.json"
+        if old is not None:
+            path.write_bytes(old)
+        encoded = []
+
+        def encode_one_member(obj):
+            if isinstance(obj, MemberFile):
+                if encoded:
+                    raise OSError("no space left on device")
+                encoded.append(obj)
+            return to_json(obj)
+
+        monkeypatch.setattr(training, "to_json", encode_one_member)
+        with pytest.raises(OSError, match="no space left"):
+            write_bundle(members, path)
+        assert len(encoded) == 1
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert _temp_files(models) == []
+
+    def test_failing_chunk_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_text(path, ["old\n"])
+
+        def chunks():
+            yield "new, partly written\n"
+            raise ValidationError("refused mid-file")
+
+        with pytest.raises(ValidationError, match="mid-file"):
+            write_text(path, chunks())
+        assert path.read_bytes() == b"old\n"
+        assert _temp_files(tmp_path) == []
+
+    def test_directory_at_the_target_is_left_alone(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.mkdir()
+        with pytest.raises(OSError):
+            write_text(path, ["text\n"])
+        assert path.is_dir() and list(path.iterdir()) == []
+        assert _temp_files(tmp_path) == []
+
+    def test_text_is_utf8_with_newline_ends(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_text(path, ("é", "\n", "b\n"))
+        assert path.read_bytes() == "é\nb\n".encode("utf-8")
+        assert _temp_files(tmp_path) == []
 
 
 def test_thresholds_cover_the_quality_keys():
