@@ -33,8 +33,13 @@ are bit-identical to decoding each example on its own, and that is kept
 on purpose: the member pass feeds BLAS stacked (n, live, K) operands, one
 GEMM per example at the one-example (live, K) shape, because a GEMM's
 per-row results depend on its row count, and a last-bit change in a
-log-probability can reorder near-tied hypotheses.  `beam_decode` and
-`step_distributions` are the same code on a single example.
+log-probability can reorder near-tied hypotheses.  `beam_decode` is the
+same search on a single example.
+
+`step_distributions` is the one routine that forms a decode step's
+posterior-mean rows, the only place the methods differ: the search calls
+it once per step, max_len + 1 times per decode, with the (examples, live,
+step) token array of every live prefix.
 
 Sequence uncertainty is the length-normalized total log-probability
 including the eos step,
@@ -52,23 +57,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TokenSeq
-from .errors import (
-    ConfigurationError,
-    InputError,
-    NumericalStateError,
-    ValidationError,
-)
+from .errors import ConfigurationError, NumericalStateError, ValidationError
 from .model import (
     TrainedModel,
     _check_tokens,
     _softmax_rows,
     check_members,
+    dropout_active,
     dropout_mask,
     forward,
     mean_embeddings,
     mean_field_logits,
     predictive_variance,
-    uses_dropout,
 )
 from .rng import derive_seed
 from .rouge import score_quality
@@ -146,10 +146,11 @@ def _member_pass(model: TrainedModel, ctx, states, mask, be_member: int) -> np.n
     return _softmax_rows(logits.reshape(n * live, -1)).reshape(n, live, -1)
 
 
-def _posterior_rows(members, ctxs, states, *, run_seed: int, example_ids, step: int):
-    """Posterior-mean next-token rows (n, live, vocab): the mean of the
-    member pass over every stochastic unit.  ctxs and states hold one
-    array per member model.
+def step_distributions(members, ctxs, prefixes, *, run_seed: int, example_ids, step: int):
+    """Posterior-mean next-token rows (n, live, vocab) for the prefixes
+    (n, live, step): the mean of the member pass over every stochastic
+    unit.  ctxs holds one (n, d) context array per member model, and each
+    member's prefix states come from its own embeddings.
 
     Dropout samples draw one mask per (example, step, sample index), shared
     by all of that example's prefixes, so hypotheses inside one beam step
@@ -160,48 +161,21 @@ def _posterior_rows(members, ctxs, states, *, run_seed: int, example_ids, step: 
     batched `dropout_mask` call.
     """
     config = members[0].config
-    if uses_dropout(config.method) and config.dropout_rate > 0.0:
+    dims = members[0].dims
+    if dropout_active(config):
         seeds = [[derive_seed(run_seed, "mcd", eid, step, m) for eid in example_ids]
                  for m in range(config.samples)]
-        masks = dropout_mask(seeds, config.dropout_rate, members[0].dims.hidden_dim)
+        masks = dropout_mask(seeds, config.dropout_rate, dims.hidden_dim)
         units = [(0, sample_masks, 0) for sample_masks in masks]
     elif config.method == "be":
         units = [(0, None, k) for k in range(config.be_size)]
     else:
         units = [(i, None, 0) for i in range(len(members))]
-    total = np.zeros(states[0].shape[:2] + (members[0].dims.vocab_size,))
+    states = [mean_embeddings(m.params.embed, prefixes, dims.bos_id) for m in members]
+    total = np.zeros(prefixes.shape[:2] + (dims.vocab_size,))
     for i, mask, be_member in units:
         total += _member_pass(members[i], ctxs[i], states[i], mask, be_member)
     return total / len(units)
-
-
-def step_distributions(
-    members,
-    input_tokens,
-    prefixes,
-    *,
-    run_seed: int,
-    example_id: str,
-    step: int,
-) -> np.ndarray:
-    """Posterior-mean next-token distributions, one row per prefix.
-
-    The decoder's member pass on one example, so prefixes may differ in
-    length here.
-    """
-    members = check_members(members, "posterior")
-    dims = members[0].dims
-    _check_tokens(input_tokens, dims.vocab_size, "input")
-    prefixes = [tuple(p) for p in prefixes]
-    for tokens in prefixes:
-        _check_tokens(tokens, dims.vocab_size, "prefix")
-    if not prefixes:
-        raise InputError("step_distributions needs at least one prefix")
-    ctxs = [mean_embeddings(m.params.embed, input_tokens, dims.bos_id)[None] for m in members]
-    states = [np.stack([mean_embeddings(m.params.embed, p, dims.bos_id) for p in prefixes])[None]
-              for m in members]
-    return _posterior_rows(members, ctxs, states, run_seed=run_seed,
-                           example_ids=(example_id,), step=step)[0]
 
 
 def uncertainty_score(token_logp, eos_logp: float) -> float:
@@ -216,16 +190,16 @@ def _sorted_by(key: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     return np.lexsort(columns + [key], axis=-1)
 
 
-def _search(members, inputs, example_ids, config: PosteriorConfig, run_seed: int,
-            dist_hook=None) -> tuple[PredictionRecord, ...]:
+def _search(members, inputs, example_ids, config: PosteriorConfig,
+            run_seed: int) -> tuple[PredictionRecord, ...]:
     """Beam search over all examples at once.
 
     The beam state is arrays over examples x live hypotheses: tokens and
     per-token log-probs (n, live, max_len) and running totals (n, live).
     Every example has the same live count at every step, so the arrays
     stay rectangular.  Unused token positions hold -1, so a hypothesis
-    sorts before its extensions, as tuples do.  dist_hook(step, tokens,
-    dists) sees each (n, live, vocab) batch of distributions.
+    sorts before its extensions, as tuples do.  Each step makes one
+    `step_distributions` call over every live prefix of every example.
     """
     members = check_members(members, "posterior")
     dims = members[0].dims
@@ -245,12 +219,8 @@ def _search(members, inputs, example_ids, config: PosteriorConfig, run_seed: int
     totals = np.zeros((n, 1))
     closed = []  # (tokens, logps, totals, eos log-prob) for each step from 1 on
     for step in range(width + 1):
-        prefixes = tokens[:, :, :step]
-        states = [mean_embeddings(m.params.embed, prefixes, dims.bos_id) for m in members]
-        dists = _posterior_rows(members, ctxs, states, run_seed=run_seed,
-                                example_ids=example_ids, step=step)
-        if dist_hook is not None:
-            dist_hook(step, prefixes, dists)
+        dists = step_distributions(members, ctxs, tokens[:, :, :step], run_seed=run_seed,
+                                   example_ids=example_ids, step=step)
         if not np.all(dists > 0.0):
             raise NumericalStateError(
                 f"{members[0].config.method} posterior probability underflowed to 0 "
@@ -302,21 +272,14 @@ def beam_decode(
     *,
     run_seed: int,
     example_id: str,
-    dist_hook=None,
 ) -> PredictionRecord:
     """Beam search over posterior-mean distributions for one example.
 
     eos is never a candidate at the first step, so every hypothesis emits
     at least one token; hypotheses reaching max_len are closed with the
-    eos score of their final state.  dist_hook(step, prefixes, dists) sees
-    every distribution batch the search evaluates.
+    eos score of their final state.
     """
-    hook = None
-    if dist_hook is not None:
-        def hook(step, tokens, dists):
-            dist_hook(step, [tuple(p) for p in tokens[0].tolist()], dists[0])
-    return _search(members, [tuple(input_tokens)], [example_id], config, run_seed,
-                   dist_hook=hook)[0]
+    return _search(members, [tuple(input_tokens)], [example_id], config, run_seed)[0]
 
 
 def decode_corpus(members, examples, config: PosteriorConfig,

@@ -61,8 +61,9 @@ from .rng import derive_key, philox_random, rekey, stream
 METHODS = ("base", "mcd", "be", "sngp", "sngp_mcd", "de", "sngp_de")
 
 
-def uses_dropout(method: str) -> bool:
-    return method in ("mcd", "sngp_mcd")
+def dropout_active(config: MethodConfig) -> bool:
+    """Whether `config` draws dropout masks, in training and in decoding."""
+    return config.method in ("mcd", "sngp_mcd") and config.dropout_rate > 0.0
 
 
 def uses_gp(method: str) -> bool:
@@ -330,21 +331,14 @@ def dropout_mask(seeds, rate: float, shape) -> np.ndarray:
     return (draws >= rate).astype(float) / (1.0 - rate)
 
 
-def _gp_arg_and_features(h: np.ndarray, state: SngpState):
-    """The cosine argument u = h W_r^T + b_r and phi = sqrt(2/D) cos(u)."""
+def gp_features(h: np.ndarray, state: SngpState):
+    """The cosine argument u = h W_r^T + b_r and the random cosine features
+    phi = sqrt(2/D) cos(u), on one activation vector or a stack of rows;
+    the squared norm of each feature vector is at most 2 by construction."""
     u = h @ state.w_r.T + state.b_r
     phi = np.cos(u)
     phi *= math.sqrt(2.0 / state.w_r.shape[0])
     return u, phi
-
-
-def gp_features(h, state: SngpState) -> np.ndarray:
-    """Random cosine features phi_i = sqrt(2/D) cos(<w_i, h> + b_i).
-
-    Works on a single activation vector or a stack of rows; the squared
-    norm of each feature vector is at most 2 by construction.
-    """
-    return _gp_arg_and_features(np.asarray(h, dtype=float), state)[1]
 
 
 def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
@@ -379,7 +373,7 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
     if model.sngp_state is None:
         logits, phi = h @ params.w_o.T + params.b_o, None
     else:
-        out["u"], phi = _gp_arg_and_features(h, model.sngp_state)
+        out["u"], phi = gp_features(h, model.sngp_state)
         logits = phi @ model.sngp_state.beta.T
     out.update(a=a, h_raw=h_raw, h=h, logits=logits, phi=phi)
     return out
@@ -567,7 +561,7 @@ def _forward_rows(model: TrainedModel, structure: RowStructure, rows, *,
     pre_w = structure.prefix_weights[rows]
     z = np.concatenate([ctx_w @ model.params.embed, pre_w @ model.params.embed], axis=1)
     mask = None
-    if dropout_seed is not None and uses_dropout(model.config.method) and model.config.dropout_rate > 0.0:
+    if dropout_seed is not None and dropout_active(model.config):
         mask = dropout_mask(dropout_seed, model.config.dropout_rate,
                             (len(z), model.dims.hidden_dim))
     cache = forward(model, z, be_member=be_member, mask=mask)

@@ -32,7 +32,8 @@ refusals is a ParseError that names the line.
 LF line ends to a temp file beside the target and renames it over the
 target only once the last chunk is written, so a stage that fails leaves
 the previous file or none, never a partial one.  `write_jsonl` is the
-inverse of `read_jsonl` and refuses a duplicate id before writing.
+inverse of `read_jsonl` and refuses an empty or duplicate id before
+writing.
 """
 
 from __future__ import annotations
@@ -164,6 +165,15 @@ def to_json(obj):
     return obj
 
 
+def _check_id(rec, seen: set) -> None:
+    """Refuse a record whose id is empty or in `seen`, else add it."""
+    if not rec.id:
+        raise ValidationError("record.id must be a non-empty string")
+    if rec.id in seen:
+        raise ValidationError(f"duplicate id {rec.id!r}")
+    seen.add(rec.id)
+
+
 def read_jsonl(path, cls, check=None) -> list:
     """One `cls` per non-blank line of the JSONL file at `path`.  Line
     numbers count every line the way text-mode reading splits them.
@@ -178,15 +188,11 @@ def read_jsonl(path, cls, check=None) -> list:
             continue
         try:
             rec = from_json(cls, parse_json(line, "record"), "record")
-            if not rec.id:
-                raise ValidationError("record.id must be a non-empty string")
-            if rec.id in seen:
-                raise ValidationError(f"duplicate id {rec.id!r}")
+            _check_id(rec, seen)
             if check is not None:
                 check(rec)
         except (ConfigurationError, ValidationError) as exc:
             raise ParseError(f"{path}: {exc}", line=line_no) from exc
-        seen.add(rec.id)
         records.append(rec)
     return records
 
@@ -212,14 +218,13 @@ def write_text(path, chunks) -> None:
 
 def write_jsonl(path, records) -> None:
     """One compact JSON object per dataclass in `records`, the file
-    `read_jsonl` reads back; a duplicate id is refused before `path` is
-    touched.  A record's fields must be JSON values or tuples of them:
-    `vars` gives the same bytes as `to_json` at a quarter of the cost."""
+    `read_jsonl` reads back; an empty or duplicate id is refused before
+    `path` is touched.  A record's fields must be JSON values or tuples of
+    them: `vars` gives the same bytes as `to_json` at a quarter of the
+    cost."""
     records = tuple(records)
     seen = set()
     for rec in records:
-        if rec.id in seen:
-            raise ValidationError(f"duplicate id {rec.id!r}")
-        seen.add(rec.id)
+        _check_id(rec, seen)
     write_text(path, (json.dumps(vars(rec), separators=(",", ":")) + "\n"
                       for rec in records))

@@ -53,12 +53,12 @@ from .model import (
     _rows_loss,
     build_rows,
     check_members,
+    dropout_active,
     factor_precision,
     finalize_covariance,
     init_model,
     spectral_normalize,
     update_precision,
-    uses_dropout,
     uses_gp,
 )
 from .rng import derive_seed, stream
@@ -188,7 +188,7 @@ def train_member(
         example_idx = order.choice(n, size=batch, replace=False)
         rows = _batch_rows(spans, example_idx)
         dropout_seed = None
-        if uses_dropout(config.method) and config.dropout_rate > 0.0:
+        if dropout_active(config):
             dropout_seed = derive_seed(seed, "train-dropout", step)
         be_member = step % config.be_size if config.method == "be" else None
         loss, grads = _loss_and_grads(

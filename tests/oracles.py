@@ -258,6 +258,22 @@ def backprop_gradients(model, examples, *, be_member=None, dropout_seed=None):
     return grads
 
 
+def one_example_distributions(members, input_tokens, prefixes, *, run_seed, example_id,
+                              step):
+    """The package's posterior-mean rows (live, vocab) for one example's
+    equal-length prefixes: contexts through `mean_embeddings`, then one
+    (1, live, step) `step_distributions` call, as the batched decoder
+    makes it."""
+    from seqcal.inference import step_distributions
+    from seqcal.model import mean_embeddings
+
+    bos = members[0].dims.bos_id
+    ctxs = [mean_embeddings(m.params.embed, input_tokens, bos)[None] for m in members]
+    tokens = np.array([tuple(p) for p in prefixes], dtype=int)[None]
+    return step_distributions(members, ctxs, tokens, run_seed=run_seed,
+                              example_ids=(example_id,), step=step)[0]
+
+
 def posterior_mean_dist(members, input_tokens, prefix, *, run_seed, example_id, step):
     """The package's posterior-mean distribution for a single prefix.
 
@@ -265,10 +281,8 @@ def posterior_mean_dist(members, input_tokens, prefix, *, run_seed, example_id, 
     search strategy, not the distribution itself (forward_oracle covers
     that).
     """
-    from seqcal.inference import step_distributions
-
-    return step_distributions(members, input_tokens, [tuple(prefix)], run_seed=run_seed,
-                              example_id=example_id, step=step)[0]
+    return one_example_distributions(members, input_tokens, [prefix], run_seed=run_seed,
+                                     example_id=example_id, step=step)[0]
 
 
 def greedy_oracle(members, input_tokens, config, run_seed, example_id):
@@ -339,7 +353,7 @@ def beam_oracle(members, input_tokens, config, run_seed, example_id):
     """One-example beam search with python lists, one step_distributions
     call per step.  The batched decoder must reproduce its records
     exactly, floats included."""
-    from seqcal.inference import PredictionRecord, step_distributions, uncertainty_score
+    from seqcal.inference import PredictionRecord, uncertainty_score
 
     eos = members[0].dims.eos_id
     vocab = members[0].dims.vocab_size
@@ -348,7 +362,7 @@ def beam_oracle(members, input_tokens, config, run_seed, example_id):
     completed = []
     for step in range(config.max_len):
         prefixes = [tokens for tokens, _, _ in live]
-        dists = step_distributions(
+        dists = one_example_distributions(
             members, input_tokens, prefixes,
             run_seed=run_seed, example_id=example_id, step=step,
         )
@@ -369,7 +383,7 @@ def beam_oracle(members, input_tokens, config, run_seed, example_id):
         candidates.sort(key=key)
         live = candidates[: config.beam_size]
     final_prefixes = [tokens for tokens, _, _ in live]
-    dists = step_distributions(
+    dists = one_example_distributions(
         members, input_tokens, final_prefixes,
         run_seed=run_seed, example_id=example_id, step=config.max_len,
     )

@@ -55,11 +55,13 @@ from seqcal.corpus import (
     vocabulary_sha256,
 )
 from seqcal.errors import MetricError
+from seqcal import inference
 from seqcal.inference import (
     PosteriorConfig,
     beam_decode,
     decode_corpus,
     join_with_references,
+    step_distributions,
 )
 from seqcal.model import (
     BatchEnsembleState,
@@ -281,7 +283,7 @@ def test_criterion_3_collapse_cases(announce):
     sngp = init_model(dims, MethodConfig(method="sngp"), seed=11)
     state = sngp.sngp_state
     for _ in range(3):
-        phi = gp_features(np.tanh(rng.standard_normal((6, dims.hidden_dim))), state)
+        phi = gp_features(np.tanh(rng.standard_normal((6, dims.hidden_dim))), state)[1]
         state = update_precision(state, phi)
     frozen = update_precision(state, np.zeros((5, state.precision.shape[0])))
     prec_exact = bool(np.array_equal(frozen.precision, state.precision))
@@ -300,7 +302,7 @@ def test_criterion_3_collapse_cases(announce):
 # ---------------------------------------------------------------- criterion 4
 
 
-def test_criterion_4_structural_invariants(announce):
+def test_criterion_4_structural_invariants(announce, monkeypatch):
     """Spectral bound, precision definiteness, normalized posteriors."""
     cfg = RunConfig(
         seed=5, vocab_size=10, n_examples=200,
@@ -329,7 +331,7 @@ def test_criterion_4_structural_invariants(announce):
     state = init_model(cfg.dims(vocab), cfg.method_config("sngp"), seed=3).sngp_state
     for _ in range(100):
         h = np.tanh(rng.standard_normal((8, cfg.model.hidden_dim)))
-        state = update_precision(state, gp_features(h, state))
+        state = update_precision(state, gp_features(h, state)[1])
     eigmin = float(np.linalg.eigvalsh(state.precision).min())
     # the exact pass adds positive semidefinite terms to the identity prior
     spd_ok = eigmin >= 1.0 and bool(np.array_equal(state.precision, state.precision.T))
@@ -341,17 +343,19 @@ def test_criterion_4_structural_invariants(announce):
     rows_seen = 0
     worst_sum = 0.0
 
-    def hook(step, prefixes, dists):
+    def watched(*args, **kwargs):
         nonlocal rows_seen, worst_sum
-        for row in dists:
+        dists = step_distributions(*args, **kwargs)
+        for row in dists.reshape(-1, dists.shape[-1]):
             rows_seen += 1
             worst_sum = max(worst_sum, abs(float(np.sum(row)) - 1.0))
+        return dists
 
     pcfg = cfg.posterior_config()
+    monkeypatch.setattr(inference, "step_distributions", watched)
     for example in test:
         beam_decode(members, example.input, pcfg,
-                    run_seed=cfg.run_seed("sngp_mcd"), example_id=example.id,
-                    dist_hook=hook)
+                    run_seed=cfg.run_seed("sngp_mcd"), example_id=example.id)
     sums_ok = rows_seen > 0 and worst_sum <= 1e-9
 
     ok = spectral_ok and spd_ok and sums_ok

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import seqcal.inference as inference
-from oracles import exhaustive_oracle, forward_oracle, greedy_oracle, posterior_mean_dist
+from oracles import (
+    exhaustive_oracle,
+    forward_oracle,
+    greedy_oracle,
+    one_example_distributions,
+    posterior_mean_dist,
+)
 from seqcal.corpus import ExampleRecord, TaskSpec, generate_corpus, make_vocabulary
 from seqcal.errors import (
     ConfigurationError,
@@ -23,7 +29,6 @@ from seqcal.inference import (
     decode_corpus,
     join_with_references,
     read_predictions,
-    step_distributions,
     uncertainty_score,
     write_predictions,
 )
@@ -118,7 +123,7 @@ class TestPosteriorMean:
         ctx = p.embed[[3, 4]].mean(axis=0)
         pre = p.embed[[5]].mean(axis=0)
         h = np.tanh(p.w_h @ np.concatenate([ctx, pre]) + p.b_h)
-        phi = gp_features(h, model.sngp_state)
+        phi = gp_features(h, model.sngp_state)[1]
         sigma2 = predictive_variance(model.sngp_state, phi[None, :])
         logits = mean_field_logits(phi @ model.sngp_state.beta.T, sigma2[0], 0.7)
         assert np.allclose(dist, softmax(logits), atol=1e-12)
@@ -142,8 +147,8 @@ class TestPosteriorMean:
 
     def test_masks_shared_across_prefixes(self):
         members = make_members("mcd", seed=4, dropout_rate=0.5, samples=3)
-        both = step_distributions(members, (3, 4), [(5,), (3,)], run_seed=2,
-                                  example_id="e", step=1)
+        both = one_example_distributions(members, (3, 4), [(5,), (3,)], run_seed=2,
+                                         example_id="e", step=1)
         solo = posterior_mean_dist(members, (3, 4), (3,), run_seed=2,
                                    example_id="e", step=1)
         assert np.allclose(both[1], solo, atol=1e-12)
@@ -157,19 +162,18 @@ class TestPosteriorMean:
         assert not np.allclose(a, b, atol=1e-15)
 
     def test_member_validation(self):
+        config = PosteriorConfig()
         with pytest.raises(InputError, match="at least one"):
-            posterior_mean_dist((), (3,), (), run_seed=0, example_id="x", step=0)
+            beam_decode((), (3,), config, run_seed=0, example_id="x")
         members = make_members("de", seeds=(7, 8, 9))
         with pytest.raises(ValidationError, match="expects 3 members"):
-            posterior_mean_dist(members[:2], (3,), (), run_seed=0,
-                                example_id="x", step=0)
+            beam_decode(members[:2], (3,), config, run_seed=0, example_id="x")
 
     def test_token_range_validation(self):
+        # prefixes come only from the search, so only the input is checked
         members = make_members("base")
         with pytest.raises(InputError, match="input token"):
-            posterior_mean_dist(members, (9,), (), run_seed=0, example_id="x", step=0)
-        with pytest.raises(InputError, match="prefix token"):
-            posterior_mean_dist(members, (3,), (9,), run_seed=0, example_id="x", step=0)
+            beam_decode(members, (9,), PosteriorConfig(), run_seed=0, example_id="x")
 
     @pytest.mark.parametrize("method", METHODS)
     def test_single_prefix_equals_oracle_unit_average(self, method):
@@ -188,8 +192,8 @@ class TestPosteriorMean:
         elif method == "be":
             units = [(members[0], {"be_member": k}) for k in range(3)]
         want = sum(softmax(forward_oracle(m, (3, 4, 1), (5, 0), **kw)) for m, kw in units)
-        got = step_distributions(members, (3, 4, 1), [(5, 0)], run_seed=3,
-                                 example_id="u", step=1)[0]
+        got = posterior_mean_dist(members, (3, 4, 1), (5, 0), run_seed=3,
+                                  example_id="u", step=1)
         assert np.allclose(got, want / len(units), atol=1e-12)
 
 
@@ -285,18 +289,21 @@ class TestBeamDecode:
             assert len(rec.token_logp) == len(rec.hypothesis)
             assert rec.uncertainty == uncertainty_score(rec.token_logp, rec.eos_logp)
 
-    def test_dist_hook_sees_normalized_rows(self):
+    def test_step_distributions_rows_are_normalized(self, monkeypatch):
         config = PosteriorConfig(beam_size=3, max_len=4)
         members = make_members("mcd", seed=1, dropout_rate=0.3, samples=3)
         seen_steps = []
+        original = inference.step_distributions
 
-        def hook(step, prefixes, dists):
-            seen_steps.append(step)
-            assert dists.shape == (len(prefixes), 6)
-            assert np.all(np.abs(dists.sum(axis=1) - 1.0) < 1e-9)
+        def watched(members, ctxs, prefixes, **kwargs):
+            dists = original(members, ctxs, prefixes, **kwargs)
+            seen_steps.append(kwargs["step"])
+            assert dists.shape == prefixes.shape[:2] + (6,)
+            assert np.all(np.abs(dists.sum(axis=2) - 1.0) < 1e-9)
+            return dists
 
-        beam_decode(members, (3, 4), config, run_seed=5, example_id="h",
-                    dist_hook=hook)
+        monkeypatch.setattr(inference, "step_distributions", watched)
+        beam_decode(members, (3, 4), config, run_seed=5, example_id="h")
         assert seen_steps == [0, 1, 2, 3, 4]
 
     def test_stored_logps_match_recomputation(self):

@@ -387,7 +387,7 @@ class TestGpFeatures:
     def test_matches_manual_formula(self):
         state = self._state()
         h = np.array([0.2, -0.4, 0.1, 0.9])
-        got = gp_features(h, state)
+        got = gp_features(h, state)[1]
         want = [math.sqrt(2.0 / 6) * math.cos(float(state.w_r[i] @ h) + float(state.b_r[i]))
                 for i in range(6)]
         assert np.allclose(got, want, atol=1e-12)
@@ -395,7 +395,7 @@ class TestGpFeatures:
     def test_squared_norm_at_most_two(self):
         state = self._state(rff_dim=32)
         rs = np.random.default_rng(8)
-        phi = gp_features(rs.standard_normal((50, 4)), state)
+        phi = gp_features(rs.standard_normal((50, 4)), state)[1]
         assert np.all(np.sum(phi**2, axis=1) <= 2.0 + 1e-12)
 
     def test_forward_keeps_the_cosine_argument(self):
@@ -407,17 +407,17 @@ class TestGpFeatures:
         state = model.sngp_state
         assert np.array_equal(out["u"], out["h"] @ state.w_r.T + state.b_r)
         assert np.array_equal(out["phi"], math.sqrt(2.0 / 6) * np.cos(out["u"]))
-        assert np.array_equal(out["phi"], gp_features(out["h"], state))
+        assert np.array_equal(out["phi"], gp_features(out["h"], state)[1])
         base = init_model(dims, MethodConfig(method="base"), seed=3)
         assert "u" not in forward(base, z)
 
     def test_row_stack_consistent_with_single(self):
         state = self._state()
         rows = np.random.default_rng(9).standard_normal((5, 4))
-        stacked = gp_features(rows, state)
+        stacked = gp_features(rows, state)[1]
         # gemm and gemv may round differently in the last ulp
         for i in range(5):
-            assert np.allclose(stacked[i], gp_features(rows[i], state), rtol=1e-13, atol=0)
+            assert np.allclose(stacked[i], gp_features(rows[i], state)[1], rtol=1e-13, atol=0)
 
 
 class TestPrecisionUpdate:

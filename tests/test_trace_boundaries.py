@@ -75,15 +75,12 @@ def test_traced_pipeline_fills_every_boundary_and_counter(tmp_path):
     names = {span[3] for span in tracer.spans}
     silent = [key for _, _, key, _, _ in tracing.BOUNDARIES
               if not any(n == key or n.startswith(key + ".") for n in names)]
-    # the batched decoder calls the member pass below step_distributions,
-    # the single-example entry point, so that boundary and its counter
-    # stay silent until perfbench traces the decoder's own call
-    assert silent == ["inference.step_distributions"]
+    assert silent == []
     counters = tracer.counters
     assert set(counters) == {
         "model.loss_and_grads.rows", "model.build_rows.dense_mb",
-        "model.predictive_variance.rows", "training.bundle.mb",
-        "calib.bootstrap.used", "calib.bootstrap.attempted",
+        "model.predictive_variance.rows", "inference.step_distributions.rows",
+        "training.bundle.mb", "calib.bootstrap.used", "calib.bootstrap.attempted",
     }
     assert all(value > 0 for value in counters.values()), counters
     # the dense-rows hook reads the (rows, vocab) weight pair of the

@@ -167,7 +167,7 @@ class TestTrainMember:
         z = np.concatenate([rows.ctx_weights @ embed, rows.prefix_weights @ embed], axis=1)
         seen = predictive_variance(model.sngp_state, forward(model, z)["phi"])
         far_h = np.random.default_rng(0).uniform(-1.0, 1.0, (500, dims.hidden_dim))
-        far = predictive_variance(model.sngp_state, gp_features(far_h, model.sngp_state))
+        far = predictive_variance(model.sngp_state, gp_features(far_h, model.sngp_state)[1])
         assert 10.0 * seen.mean() < far.mean()
 
     @pytest.mark.filterwarnings("ignore:overflow")
