@@ -44,18 +44,6 @@ class ScoredPair:
 
 
 @dataclass(frozen=True)
-class EceConfig:
-    """Bin count for expected calibration error; the caller chooses which
-    pairs to feed (sequence_pairs or token_pairs output)."""
-
-    bins: int = 15
-
-    def __post_init__(self):
-        if self.bins < 1:
-            raise ConfigurationError(f"ece bins must be >= 1, got {self.bins}")
-
-
-@dataclass(frozen=True)
 class AbstentionCurve:
     alphas: tuple[float, ...]
     values: tuple[float, ...]
@@ -81,10 +69,19 @@ def _check_pairs(pairs):
     return pairs
 
 
-def ece(pairs, config: EceConfig) -> float:
-    """Expected calibration error over equal-width bins ((k-1)/K, k/K]."""
+def check_bins(bins: int) -> int:
+    """Expected calibration error needs at least one bin."""
+    if bins < 1:
+        raise ConfigurationError(f"ece bins must be >= 1, got {bins}")
+    return bins
+
+
+def ece(pairs, bins: int) -> float:
+    """Expected calibration error over `bins` equal-width bins
+    ((k-1)/K, k/K]; the caller chooses which pairs to feed (sequence_pairs
+    or token_pairs output)."""
+    k = check_bins(bins)
     pairs = _check_pairs(pairs)
-    k = config.bins
     conf = np.array([p.confidence for p in pairs], dtype=float)
     corr = np.array([1.0 if p.correct else 0.0 for p in pairs])
     bounds = np.arange(1, k + 1) / k

@@ -39,12 +39,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .calib import (
-    EceConfig,
     QUALITY_KEYS,
     _average_ranks,
     abstention_curve,
     bootstrap_std,
     check_alphas,
+    check_bins,
     check_resamples,
     ece,
     roc_auc,
@@ -53,8 +53,8 @@ from .calib import (
     write_csv,
 )
 from .corpus import (
-    MAX_SEED,
     TaskSpec,
+    check_corpus_size,
     generate_corpus,
     make_vocabulary,
     read_records,
@@ -97,16 +97,8 @@ from .training import (
 # ---------------------------------------------------------------------------
 # Run configuration: a JSON file with strict keys and full defaults.  Each
 # section is a frozen dataclass read by `schema.from_json`; a default owned
-# by a model, decode or metric type is taken from that type.
-
-
-@dataclass(frozen=True)
-class TaskSection:
-    kind: str = "copy"
-    input_len: int = 5
-    output_len: int = 5
-    noise_rate: float = TaskSpec.noise_rate
-    num_keywords: int = 4
+# by a model or decode type is taken from that type.  The task section is
+# `corpus.TaskSpec` itself.
 
 
 @dataclass(frozen=True)
@@ -120,6 +112,9 @@ class ModelSection:
 # instead of stalling every stage.
 MAX_VOCAB_SIZE = 100_000
 MAX_DE_SIZE = 1_000
+
+# Ceiling for seeds serialized into configs and file names.
+MAX_SEED = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -163,10 +158,17 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class EvalSection:
-    ece_bins: int = EceConfig.bins
+    """Metric settings, checked by the rules the metrics themselves apply."""
+
+    ece_bins: int = 15
     thresholds: Thresholds = field(default_factory=Thresholds)
     alphas: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     bootstrap_resamples: int = 200
+
+    def __post_init__(self):
+        check_bins(self.ece_bins)
+        check_alphas(self.alphas)
+        check_resamples(self.bootstrap_resamples)
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ class RunConfig:
     seed: int = 0
     vocab_size: int = 20
     n_examples: int = 2000
-    task: TaskSection = field(default_factory=TaskSection)
+    task: TaskSpec = field(default_factory=TaskSpec)
     model: ModelSection = field(default_factory=ModelSection)
     train: TrainHyper = field(default_factory=TrainHyper)
     methods: MethodsSection = field(default_factory=MethodsSection)
@@ -188,42 +190,15 @@ class RunConfig:
             raise ConfigurationError(
                 f"config.vocab_size must be <= {MAX_VOCAB_SIZE}, got {self.vocab_size}"
             )
-        if self.n_examples < 1:
-            raise ConfigurationError(f"config.n_examples must be >= 1, got {self.n_examples}")
-
-    def task_spec(self, vocab) -> TaskSpec:
-        t = self.task
-        keyword_ids = ()
-        if t.kind == "keyword-extract":
-            if t.num_keywords < 1:
-                raise ConfigurationError(
-                    f"task.num_keywords must be >= 1, got {t.num_keywords}"
-                )
-            content = vocab.content_ids
-            if t.num_keywords > len(content):
-                raise ConfigurationError(
-                    f"task.num_keywords {t.num_keywords} exceeds the "
-                    f"{len(content)} content tokens"
-                )
-            keyword_ids = tuple(content[: t.num_keywords])
-        spec = TaskSpec(
-            kind=t.kind,
-            input_len=t.input_len,
-            output_len=t.output_len,
-            noise_rate=t.noise_rate,
-            seed=derive_seed(self.seed, "task"),
-            keyword_ids=keyword_ids,
-        )
-        spec.validate(vocab)
-        return spec
+        check_corpus_size(self.n_examples, "config.n_examples")
 
     def dims(self, vocab) -> ModelDims:
         return ModelDims(
             vocab_size=vocab.size,
             embed_dim=self.model.embed_dim,
             hidden_dim=self.model.hidden_dim,
-            bos_id=vocab.bos_id,
-            eos_id=vocab.eos_id,
+            bos_id=vocab.bos,
+            eos_id=vocab.eos,
         )
 
     def method_config(self, method: str) -> MethodConfig:
@@ -251,6 +226,9 @@ class RunConfig:
             prune_length_norm=d.prune_length_norm,
         )
 
+    def task_seed(self) -> int:
+        return derive_seed(self.seed, "task")
+
     def train_seed(self, method: str) -> int:
         return derive_seed(self.seed, "train", method)
 
@@ -264,17 +242,16 @@ class RunConfig:
 def load_config(path) -> RunConfig:
     payload = parse_json(Path(path).read_bytes(), f"config {path}")
     config = from_json(RunConfig, payload, "config")
-    # Build what the later stages build, so a bad value fails every stage,
+    # The decode, methods and model sections are checked by the objects the
+    # later stages build from them, and the keyword count needs the
+    # vocabulary; build those here so a bad value fails every stage,
     # gen-data included, instead of only the stage that first uses it.
     config.posterior_config()
     for method in METHODS:
         config.method_config(method)
-    EceConfig(bins=config.eval.ece_bins)
-    check_alphas(config.eval.alphas)
-    check_resamples(config.eval.bootstrap_resamples)
     vocab = make_vocabulary(config.vocab_size)
     config.dims(vocab)
-    config.task_spec(vocab)
+    config.task.keyword_ids(vocab)
     return config
 
 
@@ -339,8 +316,7 @@ def _resolve_methods(arg: str) -> list[str]:
 
 def cmd_gen_data(config: RunConfig, out: OutDir) -> None:
     vocab = make_vocabulary(config.vocab_size)
-    spec = config.task_spec(vocab)
-    records = generate_corpus(spec, config.n_examples, vocab)
+    records = generate_corpus(config.task, config.n_examples, vocab, config.task_seed())
     train, dev, test = split_corpus(records, seed=config.seed)
     out.ensure()
     write_vocabulary(vocab, out.vocab)
@@ -349,14 +325,14 @@ def cmd_gen_data(config: RunConfig, out: OutDir) -> None:
     manifest = {
         "config": asdict(config),
         "derived": {
-            "task_seed": spec.seed,
-            "keyword_ids": list(spec.keyword_ids),
+            "task_seed": config.task_seed(),
+            "keyword_ids": list(config.task.keyword_ids(vocab)),
             "vocab_sha256": vocabulary_sha256(vocab),
             "splits": {"train": len(train), "dev": len(dev), "test": len(test)},
         },
     }
     write_text(out.manifest, (json.dumps(manifest, indent=2, sort_keys=True), "\n"))
-    print(f"wrote {len(records)} {spec.kind} examples to {out.root} "
+    print(f"wrote {len(records)} {config.task.kind} examples to {out.root} "
           f"(train {len(train)}, dev {len(dev)}, test {len(test)})")
 
 
@@ -425,11 +401,11 @@ def _eval_one_method(method, joined, config: RunConfig, gaps):
     seq = sequence_pairs(joined)
     for level, pairs in (("sequence", seq), ("token", token_pairs(joined))):
         try:
-            value = ece(pairs, EceConfig(bins=ev.ece_bins))
+            value = ece(pairs, ev.ece_bins)
             rows["ece"].append((method, level, ev.ece_bins, value))
             if level == "sequence":
                 headline["ece"] = value
-        except (MetricError, ConfigurationError) as exc:
+        except MetricError as exc:
             gaps.append((method, "ece", level, str(exc)))
     u = [r.uncertainty for r in joined]
     for metric in QUALITY_KEYS:

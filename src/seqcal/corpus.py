@@ -5,44 +5,54 @@ processing happens anywhere.  Three task kinds with graded difficulty are
 provided:
 
   copy              reference is the input truncated to `output_len`
-  keyword-extract   reference is the in-order subsequence of designated
-                    keyword tokens, capped at `output_len`
+  keyword-extract   reference is the in-order subsequence of the keyword
+                    tokens, capped at `output_len`; the keywords are the
+                    first `num_keywords` content ids of the vocabulary
   noisy-paraphrase  the copy reference with each token independently
-                    resampled with probability `noise_rate`
+                    resampled with probability `noise_rate`, the one kind
+                    that takes a nonzero rate
 
-Generation is a pure function of (spec, n, vocabulary): the same arguments
-produce byte-identical corpora on any machine.
+`TaskSpec` is the run config's `task` section and checks its own fields
+when it is built; the one rule that needs the vocabulary (no more
+keywords than content ids) lives in `TaskSpec.keyword_ids`.  A corpus is
+split 80/10/10, so it needs at least `MIN_CORPUS_SIZE` records for every
+part to hold one.
+
+Generation is a pure function of (spec, n, vocabulary, seed): the same
+arguments produce byte-identical corpora on any machine.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ParseError, ValidationError
 from .rng import stream
-from .schema import from_json, parse_json, read_jsonl, write_jsonl, write_text
+from .schema import from_json, parse_json, read_jsonl, to_json, write_jsonl, write_text
 
 TokenSeq = tuple[int, ...]
 
 TASK_KINDS = ("copy", "keyword-extract", "noisy-paraphrase")
 
-# Ceiling for seeds serialized into configs and file names.
-MAX_SEED = 2**64 - 1
+# The fewest records whose 80/10/10 split leaves no part empty: dev gets
+# floor(0.1 n) of them.
+MIN_CORPUS_SIZE = 10
 
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense token inventory with reserved padding/begin/end symbols."""
+    """Dense token inventory with reserved padding/begin/end symbols; its
+    fields are the keys of vocab.json."""
 
     symbols: tuple[str, ...]
-    pad_id: int
-    bos_id: int
-    eos_id: int
+    pad: int
+    bos: int
+    eos: int
 
     def __post_init__(self):
         if len(self.symbols) < 4:
@@ -51,7 +61,7 @@ class Vocabulary:
             )
         if len(set(self.symbols)) != len(self.symbols):
             raise ConfigurationError("vocabulary symbols must be distinct")
-        specials = (self.pad_id, self.bos_id, self.eos_id)
+        specials = (self.pad, self.bos, self.eos)
         for name, idx in zip(("pad", "bos", "eos"), specials):
             if not isinstance(idx, int) or not 0 <= idx < len(self.symbols):
                 raise ConfigurationError(f"{name} id {idx!r} outside 0..{len(self.symbols) - 1}")
@@ -65,7 +75,7 @@ class Vocabulary:
     @property
     def content_ids(self) -> TokenSeq:
         """Ids usable inside inputs and references (everything non-special)."""
-        specials = {self.pad_id, self.bos_id, self.eos_id}
+        specials = {self.pad, self.bos, self.eos}
         return tuple(i for i in range(self.size) if i not in specials)
 
 
@@ -74,17 +84,7 @@ def make_vocabulary(size: int) -> Vocabulary:
     if size < 4:
         raise ConfigurationError(f"vocabulary size must be >= 4, got {size}")
     symbols = ("<pad>", "<bos>", "<eos>") + tuple(f"w{i}" for i in range(3, size))
-    return Vocabulary(symbols=symbols, pad_id=0, bos_id=1, eos_id=2)
-
-
-@dataclass(frozen=True)
-class VocabularyFile:
-    """The layout of vocab.json."""
-
-    symbols: tuple[str, ...]
-    pad: int
-    bos: int
-    eos: int
+    return Vocabulary(symbols=symbols, pad=0, bos=1, eos=2)
 
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:
@@ -92,8 +92,7 @@ def write_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def vocabulary_json(vocab: Vocabulary) -> str:
-    layout = VocabularyFile(vocab.symbols, vocab.pad_id, vocab.bos_id, vocab.eos_id)
-    return json.dumps(vars(layout), separators=(",", ":"))
+    return json.dumps(to_json(vocab), separators=(",", ":"))
 
 
 def vocabulary_sha256(vocab: Vocabulary) -> str:
@@ -104,63 +103,55 @@ def vocabulary_sha256(vocab: Vocabulary) -> str:
 def read_vocabulary(path) -> Vocabulary:
     where = f"vocabulary file {path}"
     try:
-        layout = from_json(VocabularyFile, parse_json(Path(path).read_bytes(), where), where)
+        return from_json(Vocabulary, parse_json(Path(path).read_bytes(), where), where)
     except ConfigurationError as exc:
         raise ParseError(str(exc)) from exc
-    return Vocabulary(layout.symbols, layout.pad, layout.bos, layout.eos)
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Parameters of one synthetic task.
+    """The run config's `task` section: which task, its lengths, and the
+    knob of each kind (`noise_rate` for noisy-paraphrase, `num_keywords`
+    for keyword-extract)."""
 
-    `keyword_ids` designates the keyword subset of the vocabulary and is
-    required (non-empty) for keyword-extract; the other kinds ignore it.
-    """
-
-    kind: str
-    input_len: int
-    output_len: int
+    kind: str = "copy"
+    input_len: int = 5
+    output_len: int = 5
     noise_rate: float = 0.0
-    seed: int = 0
-    keyword_ids: TokenSeq = field(default=())
+    num_keywords: int = 4
 
-    def validate(self, vocab: Vocabulary) -> None:
+    def __post_init__(self):
         if self.kind not in TASK_KINDS:
-            raise ConfigurationError(
-                f"task.kind must be one of {TASK_KINDS}, got {self.kind!r}"
-            )
+            raise ConfigurationError(f"task.kind must be one of {TASK_KINDS}, got {self.kind!r}")
         if self.input_len < 1:
             raise ConfigurationError(f"task.input_len must be >= 1, got {self.input_len}")
         if self.output_len < 1:
-            raise ConfigurationError(
-                f"task.output_len must be >= 1, got {self.output_len}"
-            )
+            raise ConfigurationError(f"task.output_len must be >= 1, got {self.output_len}")
         if self.output_len > self.input_len:
             raise ConfigurationError(
                 f"task.output_len {self.output_len} exceeds input_len {self.input_len}"
             )
         if not 0.0 <= self.noise_rate <= 1.0:
+            raise ConfigurationError(f"task.noise_rate must lie in [0, 1], got {self.noise_rate}")
+        if self.kind != "noisy-paraphrase" and self.noise_rate != 0.0:
             raise ConfigurationError(
-                f"task.noise_rate must lie in [0, 1], got {self.noise_rate}"
+                f"task.noise_rate must be 0 for the {self.kind} task, got {self.noise_rate}"
             )
-        if self.kind == "copy" and self.noise_rate != 0.0:
-            raise ConfigurationError("task.noise_rate must be 0 for the copy task")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ConfigurationError(f"task.seed must be a 64-bit integer, got {self.seed}")
-        if self.kind == "keyword-extract":
-            if len(self.keyword_ids) == 0:
-                raise ConfigurationError(
-                    "task.keyword_ids must be non-empty for keyword-extract"
-                )
-            content = set(vocab.content_ids)
-            for k in self.keyword_ids:
-                if k not in content:
-                    raise ConfigurationError(
-                        f"task.keyword_ids contains {k}, not a content token id"
-                    )
-            if len(set(self.keyword_ids)) != len(self.keyword_ids):
-                raise ConfigurationError("task.keyword_ids must be distinct")
+        if self.kind == "keyword-extract" and self.num_keywords < 1:
+            raise ConfigurationError(f"task.num_keywords must be >= 1, got {self.num_keywords}")
+
+    def keyword_ids(self, vocab: Vocabulary) -> TokenSeq:
+        """The keywords of keyword-extract, the first `num_keywords` content
+        ids of `vocab`; empty for the other kinds."""
+        if self.kind != "keyword-extract":
+            return ()
+        content = vocab.content_ids
+        if self.num_keywords > len(content):
+            raise ConfigurationError(
+                f"task.num_keywords {self.num_keywords} exceeds the "
+                f"{len(content)} content tokens"
+            )
+        return content[: self.num_keywords]
 
 
 @dataclass(frozen=True)
@@ -206,19 +197,20 @@ def noisy_reference(
     return tuple(int(t) for t in np.where(flips, replacements, base))
 
 
-def generate_corpus(spec: TaskSpec, n: int, vocab: Vocabulary) -> list[ExampleRecord]:
-    """Deterministically generate `n` example records for the task.
+def generate_corpus(spec: TaskSpec, n: int, vocab: Vocabulary, seed: int) -> list[ExampleRecord]:
+    """Deterministically generate `n` example records for the task from
+    `seed`.
 
     Inputs are drawn uniformly (with replacement) over content ids.  For
     keyword-extract an input that happens to contain no keyword gets one
     spliced in at a random position so references are never empty.
     """
-    spec.validate(vocab)
     if n < 1:
         raise ConfigurationError(f"corpus size must be >= 1, got {n}")
-    rng = stream(spec.seed, "corpus", spec.kind)
+    keyword_ids = spec.keyword_ids(vocab)
+    rng = stream(seed, "corpus", spec.kind)
     content = np.asarray(vocab.content_ids)
-    keywords = np.asarray(spec.keyword_ids) if spec.keyword_ids else None
+    keywords = np.asarray(keyword_ids)
     records = []
     for i in range(n):
         drawn = content[rng.integers(0, len(content), size=spec.input_len)]
@@ -229,7 +221,7 @@ def generate_corpus(spec: TaskSpec, n: int, vocab: Vocabulary) -> list[ExampleRe
         if spec.kind == "copy":
             ref = copy_reference(inp, spec.output_len)
         elif spec.kind == "keyword-extract":
-            ref = keyword_reference(inp, spec.keyword_ids, spec.output_len)
+            ref = keyword_reference(inp, keyword_ids, spec.output_len)
         else:
             ref = noisy_reference(
                 inp, spec.output_len, spec.noise_rate, rng, vocab.content_ids
@@ -238,11 +230,20 @@ def generate_corpus(spec: TaskSpec, n: int, vocab: Vocabulary) -> list[ExampleRe
     return records
 
 
+def check_corpus_size(n: int, name: str = "corpus size") -> None:
+    """Refuse a corpus too small for every part of the 80/10/10 split to
+    hold an example; `name` names `n` in the message."""
+    if n < MIN_CORPUS_SIZE:
+        raise ConfigurationError(
+            f"{name} must be >= {MIN_CORPUS_SIZE} so that no part of the "
+            f"80/10/10 split is empty, got {n}"
+        )
+
+
 def split_corpus(records, seed: int):
     """Shuffled 80/10/10 split: floor for train and dev, remainder to test."""
     n = len(records)
-    if n < 3:
-        raise ValidationError(f"need at least 3 records to split, got {n}")
+    check_corpus_size(n)
     order = stream(seed, "split").permutation(n)
     shuffled = [records[i] for i in order]
     n_train = int(np.floor(0.8 * n))

@@ -32,7 +32,6 @@ from oracles import (
     spearman_oracle,
 )
 from seqcal.calib import (
-    EceConfig,
     ScoredPair,
     abstention_curve,
     ece,
@@ -44,11 +43,11 @@ from seqcal.cli import (
     MethodsSection,
     ModelSection,
     RunConfig,
-    TaskSection,
     main,
 )
 from seqcal.corpus import (
     ExampleRecord,
+    TaskSpec,
     generate_corpus,
     make_vocabulary,
     split_corpus,
@@ -107,7 +106,7 @@ def test_criterion_1_metric_oracles(announce):
             ScoredPair(float(rng.uniform(1e-6, 1.0)), bool(rng.random() < 0.5))
             for _ in range(size)
         ]
-        got = ece(pairs, EceConfig(bins=k))
+        got = ece(pairs, k)
         worst = max(worst, abs(got - ece_oracle(pairs, k)))
 
     for _ in range(n_inst):
@@ -306,13 +305,13 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
     """Spectral bound, precision definiteness, normalized posteriors."""
     cfg = RunConfig(
         seed=5, vocab_size=10, n_examples=200,
-        task=TaskSection(kind="copy", input_len=3, output_len=3),
+        task=TaskSpec(kind="copy", input_len=3, output_len=3),
         model=ModelSection(embed_dim=8, hidden_dim=16),
         train=TrainHyper(steps=120, batch_size=16, learning_rate=0.5),
         methods=MethodsSection(samples=3, sngp=SngpConfig(rff_dim=32)),
     )
     vocab = make_vocabulary(cfg.vocab_size)
-    records = generate_corpus(cfg.task_spec(vocab), cfg.n_examples, vocab)
+    records = generate_corpus(cfg.task, cfg.n_examples, vocab, cfg.task_seed())
     train, _, test = split_corpus(records, seed=cfg.seed)
     sha = vocabulary_sha256(vocab)
 
@@ -419,7 +418,7 @@ def test_criterion_6_calibrated_population(announce):
     conf = rng.uniform(1e-9, 1.0, n)
     correct = rng.random(n) < conf
     pairs = [ScoredPair(float(c), bool(b)) for c, b in zip(conf, correct)]
-    value = ece(pairs, EceConfig(bins=15))
+    value = ece(pairs, 15)
     ok = value < 0.01
     announce(6, "calibrated population", ok, f"n={n}, K=15, ece {value:.5f}")
     assert value < 0.01
@@ -431,8 +430,7 @@ def test_criterion_6_calibrated_population(announce):
 def _trend_config(global_seed):
     return RunConfig(
         seed=global_seed, vocab_size=20, n_examples=2000,
-        task=TaskSection(kind="keyword-extract", input_len=8, output_len=5,
-                         num_keywords=5),
+        task=TaskSpec(kind="keyword-extract", input_len=8, output_len=5, num_keywords=5),
         train=TrainHyper(steps=500, batch_size=32, learning_rate=0.5),
         methods=MethodsSection(de_size=5),
     )
@@ -441,7 +439,7 @@ def _trend_config(global_seed):
 def _trend_one_seed(global_seed):
     cfg = _trend_config(global_seed)
     vocab = make_vocabulary(cfg.vocab_size)
-    records = generate_corpus(cfg.task_spec(vocab), cfg.n_examples, vocab)
+    records = generate_corpus(cfg.task, cfg.n_examples, vocab, cfg.task_seed())
     train, _, test = split_corpus(records, seed=cfg.seed)
     sha = vocabulary_sha256(vocab)
     out = {}
@@ -465,7 +463,7 @@ def _trend_one_seed(global_seed):
             curves[metric] = (rho, curve.values[0], curve.values[1])
         out[method] = {
             "r1": math.fsum(r.quality["rouge1"] for r in joined) / len(joined),
-            "ece": ece(sequence_pairs(joined), EceConfig(bins=15)),
+            "ece": ece(sequence_pairs(joined), 15),
             "curves": curves,
         }
     return out

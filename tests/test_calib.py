@@ -15,11 +15,11 @@ from oracles import (
     spearman_oracle,
 )
 from seqcal.calib import (
-    EceConfig,
     ScoredPair,
     _average_ranks,
     abstention_curve,
     bootstrap_std,
+    check_bins,
     check_resamples,
     ece,
     roc_auc,
@@ -74,29 +74,35 @@ def make_records(rng, n):
 class TestEce:
     def test_single_pair_gap(self):
         # one pair at confidence 0.7, incorrect: ece = 0.7
-        assert ece([ScoredPair(0.7, False)], EceConfig(bins=10)) == pytest.approx(0.7)
+        assert ece([ScoredPair(0.7, False)], 10) == pytest.approx(0.7)
 
     def test_perfectly_calibrated_two_bins(self):
         # two pairs in one bin, conf 0.75 each, one correct: gap 0.25
         pairs = [ScoredPair(0.75, True), ScoredPair(0.75, False)]
-        assert ece(pairs, EceConfig(bins=2)) == pytest.approx(0.25)
+        assert ece(pairs, 2) == pytest.approx(0.25)
 
     def test_boundary_goes_to_lower_bin(self):
         # confidence exactly 1/K belongs to bin 1: ((0, 1/K]), not bin 2
         pairs = [ScoredPair(1.0 / 15.0, True)]
-        cfg = EceConfig(bins=15)
-        assert ece(pairs, cfg) == pytest.approx(abs(1.0 / 15.0 - 1.0))
+        assert ece(pairs, 15) == pytest.approx(abs(1.0 / 15.0 - 1.0))
 
     def test_confidence_one_allowed(self):
-        assert ece([ScoredPair(1.0, True)], EceConfig(bins=15)) == 0.0
+        assert ece([ScoredPair(1.0, True)], 15) == 0.0
 
     def test_zero_confidence_rejected(self):
         with pytest.raises(MetricError):
-            ece([ScoredPair(0.0, False)], EceConfig(bins=15))
+            ece([ScoredPair(0.0, False)], 15)
 
     def test_empty_rejected(self):
         with pytest.raises(MetricError):
-            ece([], EceConfig(bins=15))
+            ece([], 15)
+
+    def test_bin_rule_has_one_owner(self):
+        assert check_bins(1) == 1
+        with pytest.raises(ConfigurationError, match="ece bins must be >= 1"):
+            check_bins(0)
+        with pytest.raises(ConfigurationError, match="ece bins must be >= 1"):
+            ece([ScoredPair(0.5, True)], 0)
 
     def test_matches_scan_oracle_randomized(self):
         rng = stream(77, "ece-test")
@@ -111,7 +117,7 @@ class TestEce:
             if n > 2:
                 pairs[0] = ScoredPair(1.0 / k, True)
                 pairs[1] = ScoredPair(min(2.0 / k, 1.0), False)
-            got = ece(pairs, EceConfig(bins=k))
+            got = ece(pairs, k)
             want = ece_oracle(pairs, k)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -125,7 +131,7 @@ class TestEce:
     )
     def test_oracle_property(self, confs, flags, k):
         pairs = [ScoredPair(c, f) for c, f in zip(confs, flags)]
-        assert ece(pairs, EceConfig(bins=k)) == pytest.approx(
+        assert ece(pairs, k) == pytest.approx(
             ece_oracle(pairs, k), abs=1e-12
         )
 

@@ -98,7 +98,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("section, values, message", [
         ("decode", {"beam_size": 0}, "beam_size"),
-        ("task", {"output_len": 0}, "max_len"),
+        ("task", {"output_len": 0}, "task.output_len must be >= 1"),
         ("train", {"batch_size": 0}, "batch_size"),
         ("train", {"learning_rate": 0.0}, "learning_rate"),
         ("methods", {"samples": 0}, "samples"),
@@ -116,10 +116,13 @@ class TestLoadConfig:
         ("task", {"kind": "keyword-extract", "num_keywords": -1}, "num_keywords"),
         ("methods", {"sngp": {"mean_field_factor": math.inf}}, "mean_field_factor.*finite"),
         ("methods", {"sngp": {"kernel_scale": math.inf}}, "kernel_scale.*finite"),
+        ("task", {"kind": "keyword-extract", "noise_rate": 0.5},
+         "noise_rate must be 0 for the keyword-extract task"),
+        (None, {"n_examples": 9}, "config.n_examples must be >= 10"),
     ])
     def test_bad_values_fail_at_load(self, tmp_path, section, values, message):
         with pytest.raises(ConfigurationError, match=message):
-            load_config(write_config(tmp_path, {section: values}))
+            load_config(write_config(tmp_path, {section: values} if section else values))
 
     def test_size_ceilings_are_accepted_and_one_past_refused(self, tmp_path):
         cfg = load_config(write_config(
@@ -163,8 +166,7 @@ class TestDerivations:
                      "num_keywords": 3},
         }))
         vocab = make_vocabulary(10)
-        spec = cfg.task_spec(vocab)
-        assert spec.keyword_ids == vocab.content_ids[:3]
+        assert cfg.task.keyword_ids(vocab) == vocab.content_ids[:3]
 
     def test_too_many_keywords(self, tmp_path):
         path = write_config(tmp_path, {
@@ -381,6 +383,41 @@ class TestExitCodes:
         assert (out / "preds").read_bytes() == b"not a directory\n"
         assert list(out.rglob("*.tmp")) == []
 
+    @pytest.mark.parametrize("stage, name", [
+        ("infer", "models/base.json"),
+        ("train", "dev.jsonl"),
+        ("infer", "test.jsonl"),
+        ("eval", "test.jsonl"),
+    ], ids=["truncated-bundle-infer", "missing-dev-train", "missing-test-infer",
+            "missing-test-eval"])
+    def test_damaged_run_directory_is_one(self, tmp_path, capsys, stage, name):
+        # a bundle is cut in half; a split file is removed
+        cfg_path = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        method = ["--method", "base"]
+        assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+        for earlier in {"train": [], "infer": ["train"], "eval": ["train", "infer"]}[stage]:
+            assert main([earlier, "--config", cfg_path, "--out", str(out)] + method) == 0
+        path = out / name
+        if name.startswith("models/"):
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            path.unlink()
+
+        def tree():
+            return {p.relative_to(out): p.read_bytes() if p.is_file() else None
+                    for p in out.rglob("*")}
+
+        before = tree()
+        capsys.readouterr()
+        code = main([stage, "--config", cfg_path, "--out", str(out)]
+                    + (method if stage != "eval" else []))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert tree() == before
+        assert list(out.rglob("*.tmp")) == []
+
     def test_bad_task_kind_is_one(self, tmp_path):
         cfg_path = write_config(tmp_path, {"task": {"kind": "sort"}})
         assert main(["gen-data", "--config", cfg_path, "--out",
@@ -461,11 +498,16 @@ class TestExitCodes:
         ("task", {"kind": "keyword-extract", "num_keywords": -1}),
         ("methods", {"sngp": {"rff_dim": 16, "mean_field_factor": math.inf}}),
         ("methods", {"sngp": {"rff_dim": 16, "kernel_scale": math.inf}}),
+        ("task", {"kind": "keyword-extract", "noise_rate": 0.5}),
+        (None, {"n_examples": 9}),
     ])
     def test_bad_value_fails_every_stage(self, tmp_path, capsys, section, values):
         cfg_path, out = run_pipeline(tmp_path, methods="base")
         payload = dict(SMALL)
-        payload[section] = dict(payload.get(section, {}), **values)
+        if section is None:
+            payload.update(values)
+        else:
+            payload[section] = dict(payload.get(section, {}), **values)
         bad_path = write_config(tmp_path, payload, name="bad.json")
         fresh = str(tmp_path / "fresh")
         for argv in (["gen-data", "--out", fresh],
@@ -474,7 +516,8 @@ class TestExitCodes:
                      ["eval", "--out", out]):
             capsys.readouterr()
             assert main(argv + ["--config", bad_path]) == 1, argv[0]
-            assert "error:" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err, argv[0]
         assert not os.path.exists(fresh)
 
     def test_version_one_bundle_is_one(self, tmp_path, capsys):

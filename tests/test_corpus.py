@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcal.corpus import (
+    MIN_CORPUS_SIZE,
     ExampleRecord,
     TaskSpec,
     Vocabulary,
+    check_corpus_size,
     copy_reference,
     generate_corpus,
     keyword_reference,
@@ -36,7 +38,7 @@ class TestVocabulary:
     def test_standard_layout(self):
         v = make_vocabulary(8)
         assert v.size == 8
-        assert (v.pad_id, v.bos_id, v.eos_id) == (0, 1, 2)
+        assert (v.pad, v.bos, v.eos) == (0, 1, 2)
         assert v.content_ids == (3, 4, 5, 6, 7)
 
     def test_too_small(self):
@@ -45,11 +47,11 @@ class TestVocabulary:
 
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(ConfigurationError):
-            Vocabulary(symbols=("a", "a", "b", "c"), pad_id=0, bos_id=1, eos_id=2)
+            Vocabulary(symbols=("a", "a", "b", "c"), pad=0, bos=1, eos=2)
 
     def test_specials_must_be_distinct(self):
         with pytest.raises(ConfigurationError):
-            Vocabulary(symbols=("a", "b", "c", "d"), pad_id=0, bos_id=0, eos_id=2)
+            Vocabulary(symbols=("a", "b", "c", "d"), pad=0, bos=0, eos=2)
 
     def test_round_trip_and_hash(self, tmp_path):
         v = make_vocabulary(12)
@@ -58,6 +60,16 @@ class TestVocabulary:
         loaded = read_vocabulary(path)
         assert loaded == v
         assert vocabulary_sha256(loaded) == vocabulary_sha256(v)
+
+    def test_sha256_is_pinned(self, tmp_path):
+        # bundles store this digest, so the bytes of vocab.json must not move
+        v = make_vocabulary(20)
+        assert vocabulary_sha256(v) == (
+            "465216389a5c94a27f0c6e285ba3c4440f22e7fd3f395d6246b145b89470bed2")
+        write_vocabulary(v, tmp_path / "vocab.json")
+        assert (tmp_path / "vocab.json").read_text() == (
+            '{"symbols":["<pad>","<bos>","<eos>",' + ",".join(f'"w{i}"' for i in range(3, 20))
+            + '],"pad":0,"bos":1,"eos":2}\n')
 
     def test_read_rejects_extra_keys(self, tmp_path):
         path = tmp_path / "vocab.json"
@@ -108,96 +120,89 @@ class TestTaskRules:
 
 class TestTaskSpecValidation:
     def test_bad_kind(self):
-        spec = TaskSpec(kind="reverse", input_len=4, output_len=2)
         with pytest.raises(ConfigurationError, match="kind"):
-            spec.validate(make_vocabulary(8))
+            TaskSpec(kind="reverse", input_len=4, output_len=2)
 
     def test_output_longer_than_input(self):
-        spec = TaskSpec(kind="copy", input_len=3, output_len=4)
         with pytest.raises(ConfigurationError, match="output_len"):
-            spec.validate(make_vocabulary(8))
+            TaskSpec(kind="copy", input_len=3, output_len=4)
 
     def test_copy_with_noise_rejected(self):
-        spec = TaskSpec(kind="copy", input_len=4, output_len=2, noise_rate=0.1)
         with pytest.raises(ConfigurationError, match="noise_rate"):
-            spec.validate(make_vocabulary(8))
+            TaskSpec(kind="copy", input_len=4, output_len=2, noise_rate=0.1)
 
     def test_keyword_requires_keyword_ids(self):
-        spec = TaskSpec(kind="keyword-extract", input_len=4, output_len=2)
-        with pytest.raises(ConfigurationError, match="keyword_ids"):
-            spec.validate(make_vocabulary(8))
+        with pytest.raises(ConfigurationError, match="num_keywords"):
+            TaskSpec(kind="keyword-extract", input_len=4, output_len=2, num_keywords=0)
+        # the other kinds take no keywords at all
+        assert TaskSpec(kind="copy", num_keywords=0).keyword_ids(make_vocabulary(8)) == ()
 
     def test_keyword_ids_must_be_content(self):
-        spec = TaskSpec(
-            kind="keyword-extract", input_len=4, output_len=2, keyword_ids=(1,)
-        )
-        with pytest.raises(ConfigurationError, match="keyword_ids"):
-            spec.validate(make_vocabulary(8))
+        vocab = make_vocabulary(8)
+        for k in range(1, 6):
+            spec = TaskSpec(kind="keyword-extract", input_len=4, output_len=2, num_keywords=k)
+            assert spec.keyword_ids(vocab) == vocab.content_ids[:k]
+        spec = TaskSpec(kind="keyword-extract", input_len=4, output_len=2, num_keywords=6)
+        with pytest.raises(ConfigurationError, match="num_keywords 6 exceeds the 5 content"):
+            spec.keyword_ids(vocab)
 
 
 class TestGeneration:
     def test_copy_corpus_obeys_rule(self):
         vocab = make_vocabulary(10)
-        spec = TaskSpec(kind="copy", input_len=6, output_len=4, seed=11)
-        for rec in generate_corpus(spec, 50, vocab):
+        spec = TaskSpec(kind="copy", input_len=6, output_len=4)
+        for rec in generate_corpus(spec, 50, vocab, seed=11):
             assert rec.reference == rec.input[:4]
 
     def test_keyword_corpus_matches_oracle_on_1000_inputs(self):
         vocab = make_vocabulary(20)
-        spec = TaskSpec(
-            kind="keyword-extract",
-            input_len=10,
-            output_len=8,
-            seed=5,
-            keyword_ids=(3, 4, 5, 6),
-        )
-        records = generate_corpus(spec, 1000, vocab)
+        spec = TaskSpec(kind="keyword-extract", input_len=10, output_len=8, num_keywords=4)
+        records = generate_corpus(spec, 1000, vocab, seed=5)
         for rec in records:
             assert rec.reference == keyword_filter_oracle(rec.input, (3, 4, 5, 6), 8)
             assert len(rec.reference) >= 1
 
     def test_noisy_rate_one_resamples_everything_from_content(self):
         vocab = make_vocabulary(10)
-        spec = TaskSpec(kind="noisy-paraphrase", input_len=5, output_len=5, noise_rate=1.0, seed=3)
+        spec = TaskSpec(kind="noisy-paraphrase", input_len=5, output_len=5, noise_rate=1.0)
         content = set(vocab.content_ids)
-        for rec in generate_corpus(spec, 30, vocab):
+        for rec in generate_corpus(spec, 30, vocab, seed=3):
             assert set(rec.reference) <= content
 
     def test_determinism_byte_identical(self, tmp_path):
         vocab = make_vocabulary(16)
-        spec = TaskSpec(
-            kind="keyword-extract", input_len=8, output_len=6, seed=42, keyword_ids=(3, 7, 9)
-        )
+        spec = TaskSpec(kind="keyword-extract", input_len=8, output_len=6, num_keywords=3)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_records(generate_corpus(spec, 200, vocab), p1)
-        write_records(generate_corpus(spec, 200, vocab), p2)
+        write_records(generate_corpus(spec, 200, vocab, seed=42), p1)
+        write_records(generate_corpus(spec, 200, vocab, seed=42), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_distinct_seeds_differ(self):
         vocab = make_vocabulary(16)
-        base = dict(kind="copy", input_len=8, output_len=8)
-        c1 = generate_corpus(TaskSpec(seed=1, **base), 20, vocab)
-        c2 = generate_corpus(TaskSpec(seed=2, **base), 20, vocab)
+        spec = TaskSpec(kind="copy", input_len=8, output_len=8)
+        c1 = generate_corpus(spec, 20, vocab, seed=1)
+        c2 = generate_corpus(spec, 20, vocab, seed=2)
         assert [r.input for r in c1] != [r.input for r in c2]
 
     def test_ids_unique(self):
         vocab = make_vocabulary(8)
-        spec = TaskSpec(kind="copy", input_len=4, output_len=4, seed=0)
-        records = generate_corpus(spec, 100, vocab)
+        spec = TaskSpec(kind="copy", input_len=4, output_len=4)
+        records = generate_corpus(spec, 100, vocab, seed=0)
         assert len({r.id for r in records}) == 100
 
 
 class TestSplit:
     def test_floor_then_remainder(self):
         vocab = make_vocabulary(8)
-        spec = TaskSpec(kind="copy", input_len=4, output_len=4, seed=0)
-        records = generate_corpus(spec, 10, vocab)
+        spec = TaskSpec(kind="copy", input_len=4, output_len=4)
+        records = generate_corpus(spec, 10, vocab, seed=0)
         train, dev, test = split_corpus(records, seed=1)
         assert (len(train), len(dev), len(test)) == (8, 1, 1)
 
     def test_partition_is_exact(self):
         vocab = make_vocabulary(8)
-        records = generate_corpus(TaskSpec(kind="copy", input_len=4, output_len=4), 103, vocab)
+        records = generate_corpus(TaskSpec(kind="copy", input_len=4, output_len=4), 103, vocab,
+                                  seed=0)
         train, dev, test = split_corpus(records, seed=9)
         ids = [r.id for r in train + dev + test]
         assert sorted(ids) == sorted(r.id for r in records)
@@ -205,10 +210,27 @@ class TestSplit:
 
     def test_split_deterministic(self):
         vocab = make_vocabulary(8)
-        records = generate_corpus(TaskSpec(kind="copy", input_len=4, output_len=4), 50, vocab)
+        records = generate_corpus(TaskSpec(kind="copy", input_len=4, output_len=4), 50, vocab,
+                                  seed=0)
         a = split_corpus(records, seed=4)
         b = split_corpus(records, seed=4)
         assert [[r.id for r in part] for part in a] == [[r.id for r in part] for part in b]
+
+    def test_size_rule_is_exactly_every_part_non_empty(self):
+        records = [ExampleRecord(id=f"r{i}", input=(3,), reference=(3,)) for i in range(100)]
+        for n in range(1, 101):
+            # the part sizes the split's floors give, worked out independently
+            sizes = (8 * n // 10, n // 10, n - 8 * n // 10 - n // 10)
+            if min(sizes) > 0:
+                check_corpus_size(n)
+                parts = split_corpus(records[:n], seed=n)
+                assert tuple(map(len, parts)) == sizes, n
+            else:
+                assert n < MIN_CORPUS_SIZE
+                with pytest.raises(ConfigurationError, match=f">= {MIN_CORPUS_SIZE}"):
+                    check_corpus_size(n)
+                with pytest.raises(ConfigurationError, match=f"got {n}$"):
+                    split_corpus(records[:n], seed=n)
 
 
 class TestRecordIO:

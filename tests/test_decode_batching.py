@@ -50,8 +50,8 @@ def method_config(method):
 @pytest.fixture(scope="module")
 def examples():
     vocab = make_vocabulary(VOCAB)
-    spec = TaskSpec(kind="copy", input_len=4, output_len=4, seed=2)
-    return generate_corpus(spec, 40, vocab)
+    spec = TaskSpec(kind="copy", input_len=4, output_len=4)
+    return generate_corpus(spec, 40, vocab, seed=2)
 
 
 @pytest.fixture(scope="module")

@@ -336,8 +336,8 @@ class TestBeamDecode:
 class TestDecodeCorpus:
     def _corpus(self, n=6):
         vocab = make_vocabulary(8)
-        spec = TaskSpec(kind="copy", input_len=3, output_len=3, seed=5)
-        return vocab, generate_corpus(spec, n, vocab)
+        spec = TaskSpec(kind="copy", input_len=3, output_len=3)
+        return vocab, generate_corpus(spec, n, vocab, seed=5)
 
     def test_deterministic_and_seed_sensitive(self):
         vocab, examples = self._corpus()

@@ -8,7 +8,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from typing import get_args, get_origin, get_type_hints
 
@@ -24,7 +24,7 @@ from seqcal.errors import ConfigurationError, ParseError, ValidationError
 from seqcal.inference import PredictionRecord, read_predictions, write_predictions
 from seqcal.model import METHODS, MethodConfig, ModelDims, init_model
 from seqcal import training
-from seqcal.schema import from_json, parse_json, read_jsonl, to_json, write_text
+from seqcal.schema import _fields, from_json, parse_json, read_jsonl, to_json, write_text
 from seqcal.training import MemberFile, read_bundle, write_bundle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -529,12 +529,15 @@ def test_any_jsonl_line_loads_or_names_its_line(preds, examples):
 
 
 def _schema_leaves(cls, prefix=""):
-    for f in fields(cls):
-        default = f.default if f.default is not MISSING else f.default_factory()
-        if is_dataclass(default):
-            yield from _schema_leaves(type(default), f"{prefix}{f.name}.")
+    """Every leaf field path `from_json(cls, ...)` accepts, with its default:
+    the walk goes through the loader's own field table."""
+    types, _ = _fields(cls)
+    defaults = cls()
+    for name, tp in types.items():
+        if is_dataclass(tp):
+            yield from _schema_leaves(tp, f"{prefix}{name}.")
         else:
-            yield f"{prefix}{f.name}", default
+            yield f"{prefix}{name}", getattr(defaults, name)
 
 
 def _readme_rows():

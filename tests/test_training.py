@@ -46,8 +46,8 @@ from seqcal.training import (
 
 def copy_corpus(n=120, seed=0):
     vocab = make_vocabulary(8)
-    spec = TaskSpec(kind="copy", input_len=3, output_len=3, seed=seed)
-    return vocab, generate_corpus(spec, n, vocab)
+    spec = TaskSpec(kind="copy", input_len=3, output_len=3)
+    return vocab, generate_corpus(spec, n, vocab, seed)
 
 
 def dims_for(vocab):
@@ -228,8 +228,8 @@ class TestTrainMember:
 def chunked_split(vocab_size, n_examples):
     """A copy split with 4 rows per example (3 reference tokens plus eos)."""
     vocab = make_vocabulary(vocab_size)
-    spec = TaskSpec(kind="copy", input_len=3, output_len=3, seed=2)
-    examples = generate_corpus(spec, n_examples, vocab)
+    spec = TaskSpec(kind="copy", input_len=3, output_len=3)
+    examples = generate_corpus(spec, n_examples, vocab, seed=2)
     dims = ModelDims(vocab_size=vocab.size, embed_dim=6, hidden_dim=8)
     return examples, dims, split_rows(examples, dims)
 
@@ -287,9 +287,8 @@ class TestBatchRows:
 
     def test_variable_length_split(self):
         vocab = make_vocabulary(12)
-        spec = TaskSpec(kind="keyword-extract", input_len=6, output_len=4, seed=3,
-                        keyword_ids=vocab.content_ids[:4])
-        examples = generate_corpus(spec, 60, vocab)
+        spec = TaskSpec(kind="keyword-extract", input_len=6, output_len=4, num_keywords=4)
+        examples = generate_corpus(spec, 60, vocab, seed=3)
         structure = split_rows(examples, ModelDims(vocab_size=vocab.size))
         assert len({b - a for a, b in structure.row_spans}) > 1
         order = np.random.default_rng(1)
