@@ -98,7 +98,9 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("section, values, message", [
         ("decode", {"beam_size": 0}, "beam_size"),
-        ("task", {"output_len": 0}, "task.output_len must be >= 1"),
+        # The id predates the message naming the field the user wrote.
+        pytest.param("task", {"output_len": 0}, "task.output_len must be >= 1",
+                     id="task-values1-max_len"),
         ("train", {"batch_size": 0}, "batch_size"),
         ("train", {"learning_rate": 0.0}, "learning_rate"),
         ("methods", {"samples": 0}, "samples"),
