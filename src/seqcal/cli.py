@@ -35,7 +35,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .calib import (
@@ -82,7 +82,7 @@ from .inference import (
 )
 from .model import METHODS, MethodConfig, ModelDims, SngpConfig, is_deep_ensemble
 from .rng import derive_seed
-from .schema import from_json, parse_json, write_text
+from .schema import from_json, parse_json, to_json, write_text
 from .training import (
     TrainHyper,
     check_vocab_match,
@@ -259,6 +259,30 @@ def load_config(path) -> RunConfig:
 # Output directory layout.
 
 
+@dataclass(frozen=True)
+class SplitSizes:
+    train: int
+    dev: int
+    test: int
+
+
+@dataclass(frozen=True)
+class Derived:
+    task_seed: int
+    keyword_ids: tuple[int, ...]
+    vocab_sha256: str
+    splits: SplitSizes
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """manifest.json: the config a run directory belongs to, and what
+    gen-data derived from it."""
+
+    config: RunConfig
+    derived: Derived
+
+
 class OutDir:
     def __init__(self, root):
         self.root = str(root)
@@ -294,6 +318,22 @@ class OutDir:
         os.makedirs(self.path(*parts) if parts else self.root, exist_ok=True)
 
 
+def check_manifest(config: RunConfig, out: OutDir, vocab=None) -> None:
+    """Refuse a run directory whose manifest.json records another config
+    or, when `vocab` is given, another vocabulary than `vocab`."""
+    payload = parse_json(Path(out.manifest).read_bytes(), out.manifest)
+    manifest = from_json(Manifest, payload, "manifest")
+    differ = [f.name for f in fields(RunConfig)
+              if getattr(manifest.config, f.name) != getattr(config, f.name)]
+    if differ:
+        raise ConfigurationError(
+            f"{out.root} belongs to another config (it differs in {', '.join(differ)}); "
+            "use that config or another --out"
+        )
+    if vocab is not None and manifest.derived.vocab_sha256 != vocabulary_sha256(vocab):
+        raise ValidationError(f"{out.vocab} is not the vocabulary {out.manifest} records")
+
+
 def _resolve_methods(arg: str) -> list[str]:
     if arg == "all":
         return list(METHODS)
@@ -315,6 +355,8 @@ def _resolve_methods(arg: str) -> list[str]:
 
 
 def cmd_gen_data(config: RunConfig, out: OutDir) -> None:
+    if os.path.exists(out.manifest):
+        check_manifest(config, out)
     vocab = make_vocabulary(config.vocab_size)
     records = generate_corpus(config.task, config.n_examples, vocab, config.task_seed())
     train, dev, test = split_corpus(records, seed=config.seed)
@@ -322,22 +364,18 @@ def cmd_gen_data(config: RunConfig, out: OutDir) -> None:
     write_vocabulary(vocab, out.vocab)
     for name, part in (("train", train), ("dev", dev), ("test", test)):
         write_records(part, out.split(name))
-    manifest = {
-        "config": asdict(config),
-        "derived": {
-            "task_seed": config.task_seed(),
-            "keyword_ids": list(config.task.keyword_ids(vocab)),
-            "vocab_sha256": vocabulary_sha256(vocab),
-            "splits": {"train": len(train), "dev": len(dev), "test": len(test)},
-        },
-    }
-    write_text(out.manifest, (json.dumps(manifest, indent=2, sort_keys=True), "\n"))
+    manifest = Manifest(config, Derived(
+        task_seed=config.task_seed(), keyword_ids=config.task.keyword_ids(vocab),
+        vocab_sha256=vocabulary_sha256(vocab),
+        splits=SplitSizes(train=len(train), dev=len(dev), test=len(test))))
+    write_text(out.manifest, (json.dumps(to_json(manifest), indent=2, sort_keys=True), "\n"))
     print(f"wrote {len(records)} {config.task.kind} examples to {out.root} "
           f"(train {len(train)}, dev {len(dev)}, test {len(test)})")
 
 
 def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
     vocab = read_vocabulary(out.vocab)
+    check_manifest(config, out, vocab)
     sha = vocabulary_sha256(vocab)
     dims = config.dims(vocab)
     train_rows = split_rows(read_records(out.split("train"), vocab.size), dims)
@@ -358,6 +396,7 @@ def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
 
 def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> None:
     vocab = read_vocabulary(out.vocab)
+    check_manifest(config, out, vocab)
     sha = vocabulary_sha256(vocab)
     examples = read_records(out.split(split), vocab.size)
     for method in _resolve_methods(method_arg):
@@ -461,7 +500,9 @@ def _summary_rows(headlines: dict) -> list[tuple]:
 
 
 def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
-    test = read_records(out.split("test"), read_vocabulary(out.vocab).size)
+    vocab = read_vocabulary(out.vocab)
+    check_manifest(config, out, vocab)
+    test = read_records(out.split("test"), vocab.size)
     if method_arg is None:
         methods = [m for m in METHODS if os.path.exists(out.predictions(m))]
         if not methods:

@@ -137,7 +137,7 @@ def _member_pass(model: TrainedModel, ctx, states, mask, be_member: int) -> np.n
                   mask=None if mask is None else mask[:, None, :])
     logits = out["logits"]
     if out["phi"] is not None:
-        sigma2 = predictive_variance(model.sngp_state, out["phi"])
+        sigma2 = predictive_variance(model.sngp, out["phi"])
         logits = mean_field_logits(logits, sigma2[..., None],
                                    model.config.sngp.mean_field_factor)
     if not np.all(np.isfinite(logits)):
@@ -171,7 +171,7 @@ def step_distributions(members, ctxs, prefixes, *, run_seed: int, example_ids, s
         units = [(0, None, k) for k in range(config.be_size)]
     else:
         units = [(i, None, 0) for i in range(len(members))]
-    states = [mean_embeddings(m.params.embed, prefixes, dims.bos_id) for m in members]
+    states = [mean_embeddings(m.embed, prefixes, dims.bos_id) for m in members]
     total = np.zeros(prefixes.shape[:2] + (dims.vocab_size,))
     for i, mask, be_member in units:
         total += _member_pass(members[i], ctxs[i], states[i], mask, be_member)
@@ -211,7 +211,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
     width = config.max_len
     eos = dims.eos_id
     content = np.array([v for v in range(dims.vocab_size) if v != eos])
-    ctxs = [np.stack([mean_embeddings(m.params.embed, x, dims.bos_id) for x in inputs])
+    ctxs = [np.stack([mean_embeddings(m.embed, x, dims.bos_id) for x in inputs])
             for m in members]
     rows = np.arange(n)[:, None]
     tokens = np.full((n, 1, width), -1)

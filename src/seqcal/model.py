@@ -24,6 +24,12 @@ Heads modify this skeleton:
   dropout          inverted dropout on the hidden activation only, active
                    for the mc-dropout method variants
 
+A member's arrays are declared once, in `Member`, in the order its
+bundle stores them; `TrainedModel` is a `Member` plus the cards its
+bundle holds once.  `trainable` names the arrays SGD updates by field
+path (`embed`, `sngp.beta`, `be.r`, ...), the keys of the gradients
+`_loss_and_grads` returns.
+
 All arrays are float64.  `forward` is the one implementation of this
 body.  It takes z rows of any leading shape and returns raw logits plus
 the intermediates the backward pass needs; for the gaussian-process head
@@ -169,18 +175,6 @@ class MethodConfig:
 
 
 @dataclass
-class ModelParams:
-    """Trainable arrays.  w_o/b_o are None when a gaussian-process head owns
-    the output layer (its beta lives in SngpState)."""
-
-    embed: np.ndarray
-    w_h: np.ndarray
-    b_h: np.ndarray
-    w_o: np.ndarray | None = None
-    b_o: np.ndarray | None = None
-
-
-@dataclass
 class BatchEnsembleState:
     """Rank-1 fast weights, one (r_k, s_k) pair per member."""
 
@@ -206,18 +200,43 @@ class SngpState:
     chol_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass
-class TrainedModel:
-    """One trained member: parameters, head state, and provenance."""
+@dataclass(kw_only=True)
+class Member:
+    """One member's arrays, in the order its bundle stores them.  w_o/b_o
+    are None when a gaussian-process head owns the output layer (its beta
+    lives in `sngp`); each head is None unless the method has it."""
+
+    seed: int
+    loss_history: tuple[float, ...] = ()
+    embed: np.ndarray
+    w_h: np.ndarray
+    b_h: np.ndarray
+    w_o: np.ndarray | None
+    b_o: np.ndarray | None
+    be: BatchEnsembleState | None
+    sngp: SngpState | None
+
+
+@dataclass(kw_only=True)
+class TrainedModel(Member):
+    """A member with the cards its bundle stores once for all members."""
 
     dims: ModelDims
     config: MethodConfig
-    params: ModelParams
-    be_state: BatchEnsembleState | None = None
-    sngp_state: SngpState | None = None
-    seed: int = 0
     vocab_sha256: str = ""
-    loss_history: tuple[float, ...] = ()
+
+
+def trainable(model: Member) -> dict[str, np.ndarray]:
+    """{field path: array} for every array SGD updates, the paths
+    `read_bundle` names; the gradients of `_loss_and_grads` share the keys."""
+    arrays = {"embed": model.embed, "w_h": model.w_h, "b_h": model.b_h}
+    if model.sngp is None:
+        arrays.update({"w_o": model.w_o, "b_o": model.b_o})
+    else:
+        arrays["sngp.beta"] = model.sngp.beta
+    if model.be is not None:
+        arrays.update({"be.r": model.be.r, "be.s": model.be.s})
+    return arrays
 
 
 def check_members(members, what: str) -> tuple[TrainedModel, ...]:
@@ -236,20 +255,6 @@ def check_members(members, what: str) -> tuple[TrainedModel, ...]:
     return members
 
 
-@dataclass
-class Gradients:
-    """Mirror of the trainable arrays; None where the head has no such array."""
-
-    embed: np.ndarray
-    w_h: np.ndarray
-    b_h: np.ndarray
-    w_o: np.ndarray | None = None
-    b_o: np.ndarray | None = None
-    beta: np.ndarray | None = None
-    be_r: np.ndarray | None = None
-    be_s: np.ndarray | None = None
-
-
 def init_model(dims: ModelDims, config: MethodConfig, seed: int) -> TrainedModel:
     """Seeded initialization: weights uniform(-0.1, 0.1), biases zero,
     batch-ensemble fast weights near one, random features standard normal
@@ -257,31 +262,24 @@ def init_model(dims: ModelDims, config: MethodConfig, seed: int) -> TrainedModel
     rs = stream(seed, "init")
     embed = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, dims.embed_dim))
     w_h = rs.uniform(-0.1, 0.1, size=(dims.hidden_dim, 2 * dims.embed_dim))
-    b_h = np.zeros(dims.hidden_dim)
-    params = ModelParams(embed=embed, w_h=w_h, b_h=b_h)
-    sngp_state = None
-    be_state = None
+    w_o = b_o = be = sngp = None
     if uses_gp(config.method):
         cfg = config.sngp
         beta = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, cfg.rff_dim))
         feat = stream(seed, "rff")
         w_r = feat.standard_normal((cfg.rff_dim, dims.hidden_dim)) / cfg.kernel_scale
         b_r = feat.uniform(0.0, 2.0 * math.pi, size=cfg.rff_dim)
-        sngp_state = SngpState(
-            w_r=w_r, b_r=b_r, beta=beta, precision=np.eye(cfg.rff_dim)
-        )
+        sngp = SngpState(w_r=w_r, b_r=b_r, beta=beta, precision=np.eye(cfg.rff_dim))
     else:
-        params.w_o = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, dims.hidden_dim))
-        params.b_o = np.zeros(dims.vocab_size)
+        w_o = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, dims.hidden_dim))
+        b_o = np.zeros(dims.vocab_size)
     if config.method == "be":
-        be_state = BatchEnsembleState(
+        be = BatchEnsembleState(
             r=1.0 + rs.uniform(-0.1, 0.1, size=(config.be_size, dims.hidden_dim)),
             s=1.0 + rs.uniform(-0.1, 0.1, size=(config.be_size, 2 * dims.embed_dim)),
         )
-    return TrainedModel(
-        dims=dims, config=config, params=params, be_state=be_state,
-        sngp_state=sngp_state, seed=seed,
-    )
+    return TrainedModel(seed=seed, embed=embed, w_h=w_h, b_h=np.zeros(dims.hidden_dim),
+                        w_o=w_o, b_o=b_o, be=be, sngp=sngp, dims=dims, config=config)
 
 
 def _check_tokens(tokens, vocab_size: int, what: str) -> None:
@@ -355,26 +353,25 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
     "be_member", its fast weights "r_k"/"s_k", the scaled input "zs" and
     the pre-modulation product "pre".
     """
-    params = model.params
     out = {}
-    if model.be_state is None:
-        a = z @ params.w_h.T + params.b_h
+    if model.be is None:
+        a = z @ model.w_h.T + model.b_h
     else:
         k = 0 if be_member is None else be_member
-        if not 0 <= k < model.be_state.size:
-            raise InputError(f"batch-ensemble member {k} outside 0..{model.be_state.size - 1}")
-        r_k, s_k = model.be_state.r[k], model.be_state.s[k]
+        if not 0 <= k < model.be.size:
+            raise InputError(f"batch-ensemble member {k} outside 0..{model.be.size - 1}")
+        r_k, s_k = model.be.r[k], model.be.s[k]
         zs = z * s_k
-        pre = zs @ params.w_h.T
-        a = pre * r_k + params.b_h
+        pre = zs @ model.w_h.T
+        a = pre * r_k + model.b_h
         out.update(be_member=k, r_k=r_k, s_k=s_k, zs=zs, pre=pre)
     h_raw = np.tanh(a)
     h = h_raw if mask is None else h_raw * mask
-    if model.sngp_state is None:
-        logits, phi = h @ params.w_o.T + params.b_o, None
+    if model.sngp is None:
+        logits, phi = h @ model.w_o.T + model.b_o, None
     else:
-        out["u"], phi = gp_features(h, model.sngp_state)
-        logits = phi @ model.sngp_state.beta.T
+        out["u"], phi = gp_features(h, model.sngp)
+        logits = phi @ model.sngp.beta.T
     out.update(a=a, h_raw=h_raw, h=h, logits=logits, phi=phi)
     return out
 
@@ -418,10 +415,7 @@ def update_precision(state: SngpState, phi_batch: np.ndarray) -> SngpState:
         raise InputError(
             f"feature batch has dimension {phi.shape[1]}, precision expects {big_d}"
         )
-    return SngpState(
-        w_r=state.w_r, b_r=state.b_r, beta=state.beta,
-        precision=state.precision + phi.T @ phi, covariance_valid=False,
-    )
+    return replace(state, precision=state.precision + phi.T @ phi, covariance_valid=False)
 
 
 def finalize_covariance(state: SngpState) -> SngpState:
@@ -559,7 +553,7 @@ def _forward_rows(model: TrainedModel, structure: RowStructure, rows, *,
     rows and the z rows the backward pass needs added to its cache."""
     ctx_w = structure.ctx_weights[rows]
     pre_w = structure.prefix_weights[rows]
-    z = np.concatenate([ctx_w @ model.params.embed, pre_w @ model.params.embed], axis=1)
+    z = np.concatenate([ctx_w @ model.embed, pre_w @ model.embed], axis=1)
     mask = None
     if dropout_seed is not None and dropout_active(model.config):
         mask = dropout_mask(dropout_seed, model.config.dropout_rate,
@@ -585,7 +579,6 @@ def _rows_loss(logits: np.ndarray, targets: np.ndarray) -> float:
 
 def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
                     be_member: int | None, dropout_seed: int | None):
-    params = model.params
     targets = structure.targets[rows]
     cache = _forward_rows(model, structure, rows, be_member=be_member,
                           dropout_seed=dropout_seed)
@@ -595,15 +588,14 @@ def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
     dlogits[np.arange(n), targets] -= 1.0
     dlogits /= n
 
-    head = {}
-    if model.sngp_state is None:
-        head["w_o"] = dlogits.T @ cache["h"]
-        head["b_o"] = dlogits.sum(axis=0)
-        dh = dlogits @ params.w_o
+    grads = {}
+    if model.sngp is None:
+        grads["w_o"] = dlogits.T @ cache["h"]
+        grads["b_o"] = dlogits.sum(axis=0)
+        dh = dlogits @ model.w_o
     else:
-        state = model.sngp_state
-        phi = cache["phi"]
-        head["beta"] = dlogits.T @ phi
+        state = model.sngp
+        grads["sngp.beta"] = dlogits.T @ cache["phi"]
         dphi = dlogits @ state.beta
         big_d = state.w_r.shape[0]
         # phi = sqrt(2/D) cos(u) with u = h W_r^T + b_r, kept by forward
@@ -615,25 +607,21 @@ def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
 
     da = dh * (1.0 - cache["h_raw"] ** 2)
 
-    b_h = da.sum(axis=0)
-    if model.be_state is None:
-        w_h = da.T @ cache["z"]
-        dz = da @ params.w_h
+    grads["b_h"] = da.sum(axis=0)
+    if model.be is None:
+        grads["w_h"] = da.T @ cache["z"]
+        dz = da @ model.w_h
     else:
         k = cache["be_member"]
-        g_r = (da * cache["pre"]).sum(axis=0)
         da_pre = da * cache["r_k"]
-        w_h = da_pre.T @ cache["zs"]
-        dzs = da_pre @ params.w_h
-        g_s = (dzs * cache["z"]).sum(axis=0)
+        grads["w_h"] = da_pre.T @ cache["zs"]
+        dzs = da_pre @ model.w_h
+        grads["be.r"] = np.zeros_like(model.be.r)
+        grads["be.s"] = np.zeros_like(model.be.s)
+        grads["be.r"][k] = (da * cache["pre"]).sum(axis=0)
+        grads["be.s"][k] = (dzs * cache["z"]).sum(axis=0)
         dz = dzs * cache["s_k"]
-        head["be_r"] = np.zeros_like(model.be_state.r)
-        head["be_s"] = np.zeros_like(model.be_state.s)
-        head["be_r"][k] = g_r
-        head["be_s"][k] = g_s
 
     d = model.dims.embed_dim
-    dctx = dz[:, :d]
-    dpre = dz[:, d:]
-    embed = cache["ctx_w"].T @ dctx + cache["pre_w"].T @ dpre
-    return loss, Gradients(embed=embed, w_h=w_h, b_h=b_h, **head)
+    grads["embed"] = cache["ctx_w"].T @ dz[:, :d] + cache["pre_w"].T @ dz[:, d:]
+    return loss, grads

@@ -11,16 +11,19 @@ by the split.
 One `train_method` call produces every member the method needs: several
 independently seeded models for the deep ensembles, one shared model for
 everything else.  Batch-ensemble members take turns, one member per step.
+A step updates, and then checks for finiteness, the arrays one
+`model.trainable` call lists, each by the gradient of the same key.
 Models with a gaussian-process head get their hidden weights spectrally
 normalized after every update, and their feature precision I + sum phi phi^T
 is accumulated exactly in a single pass over every training row after the
 last step, with dropout off and the final weights, so the Laplace
 covariance describes the model actually used at inference time.
 
-A bundle is one `BundleFile`, written with `schema.to_json` and read with
-`schema.from_json`; each member's arrays must have the shapes of a fresh
-`init_model` of the stored method and dims.  Floats survive a round trip
-exactly: the writer emits shortest-repr values, the reader float64.
+A bundle is one `BundleFile` of `model.Member` records, written with
+`schema.to_json` and read with `schema.from_json`; each member's arrays
+must have the shapes of a fresh `init_model` of the stored method and
+dims.  Floats survive a round trip exactly: the writer emits
+shortest-repr values, the reader float64.
 """
 
 from __future__ import annotations
@@ -40,13 +43,10 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    BatchEnsembleState,
-    Gradients,
+    Member,
     MethodConfig,
     ModelDims,
-    ModelParams,
     RowStructure,
-    SngpState,
     TrainedModel,
     _forward_rows,
     _loss_and_grads,
@@ -58,6 +58,7 @@ from .model import (
     finalize_covariance,
     init_model,
     spectral_normalize,
+    trainable,
     update_precision,
     uses_gp,
 )
@@ -116,46 +117,31 @@ def _row_chunks(n_rows: int, size: int):
         yield np.arange(start, min(start + size, n_rows))
 
 
-def _params_finite(model: TrainedModel) -> bool:
-    """Whether every trained array is finite.  A finite sum of the arrays'
-    sums proves it with one reduction per array; a non-finite one, which
-    overflow alone can also give, falls back to checking every element."""
-    arrays = [model.params.embed, model.params.w_h, model.params.b_h]
-    if model.params.w_o is not None:
-        arrays += [model.params.w_o, model.params.b_o]
-    if model.sngp_state is not None:
-        arrays.append(model.sngp_state.beta)
-    if model.be_state is not None:
-        arrays += [model.be_state.r, model.be_state.s]
-    if math.isfinite(sum(float(a.sum()) for a in arrays)):
+def _params_finite(arrays: dict) -> bool:
+    """Whether every array of `arrays` (`trainable`) is finite.  A finite
+    sum of the arrays' sums proves it with one reduction per array; a
+    non-finite one, which overflow alone can also give, falls back to
+    checking every element."""
+    if math.isfinite(sum(float(a.sum()) for a in arrays.values())):
         return True
-    return all(np.all(np.isfinite(a)) for a in arrays)
+    return all(np.all(np.isfinite(a)) for a in arrays.values())
 
 
-def _apply_update(model: TrainedModel, grads: Gradients, lr: float) -> None:
-    params = model.params
-    params.embed -= lr * grads.embed
-    params.w_h -= lr * grads.w_h
-    params.b_h -= lr * grads.b_h
-    if grads.w_o is not None:
-        params.w_o -= lr * grads.w_o
-        params.b_o -= lr * grads.b_o
-    if grads.beta is not None:
-        model.sngp_state.beta -= lr * grads.beta
-    if grads.be_r is not None:
-        model.be_state.r -= lr * grads.be_r
-        model.be_state.s -= lr * grads.be_s
+def _apply_update(arrays: dict, grads: dict, lr: float) -> None:
+    """One SGD step, in place, on each array of `arrays` (`trainable`)."""
+    for path, array in arrays.items():
+        array -= lr * grads[path]
 
 
 def _finalize_precision(model: TrainedModel, structure, batch_size: int) -> None:
     """One deterministic pass over the training rows, batch by batch so
     memory stays flat, adding every row's features to the identity prior;
     then mark the precision usable."""
-    state = model.sngp_state
+    state = model.sngp
     for rows in _row_chunks(len(structure.targets), batch_size):
         phi = _forward_rows(model, structure, rows, be_member=None, dropout_seed=None)["phi"]
         state = update_precision(state, phi)
-    model.sngp_state = finalize_covariance(state)
+    model.sngp = finalize_covariance(state)
 
 
 def train_member(
@@ -178,7 +164,7 @@ def train_member(
     model.vocab_sha256 = vocab_sha256
     gp = uses_gp(config.method)
     if gp:
-        model.params.w_h = spectral_normalize(model.params.w_h, config.sngp.spec_norm_bound)
+        model.w_h = spectral_normalize(model.w_h, config.sngp.spec_norm_bound)
     order = stream(seed, "train", "order")
     history = []
     spans = np.asarray(structure.row_spans)
@@ -196,11 +182,12 @@ def train_member(
         )
         if not math.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
             raise TrainingError(f"loss diverged ({loss})", step=step)
-        _apply_update(model, grads, hyper.learning_rate)
-        if not _params_finite(model):
+        arrays = trainable(model)
+        _apply_update(arrays, grads, hyper.learning_rate)
+        if not _params_finite(arrays):
             raise TrainingError("parameters became non-finite", step=step)
         if gp:
-            model.params.w_h = spectral_normalize(model.params.w_h, config.sngp.spec_norm_bound)
+            model.w_h = spectral_normalize(model.w_h, config.sngp.spec_norm_bound)
         history.append(loss)
         if on_step is not None:
             on_step(step, loss, model)
@@ -245,22 +232,6 @@ def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:
 # Bundle serialization.
 
 
-@dataclass(kw_only=True)
-class MemberFile:
-    """One bundle member as stored.  Each head is null unless its method
-    has it; `read_bundle` checks every array's shape."""
-
-    seed: int
-    loss_history: tuple[float, ...] = ()
-    embed: np.ndarray
-    w_h: np.ndarray
-    b_h: np.ndarray
-    w_o: np.ndarray | None
-    b_o: np.ndarray | None
-    be: BatchEnsembleState | None
-    sngp: SngpState | None
-
-
 @dataclass(frozen=True)
 class BundleFile:
     """A whole bundle as stored; `members` comes last, as the streamed
@@ -270,14 +241,12 @@ class BundleFile:
     method: MethodConfig
     dims: ModelDims
     vocab_sha256: str
-    members: tuple[MemberFile, ...]
+    members: tuple[Member, ...]
 
 
-def _member_file(model: TrainedModel) -> MemberFile:
-    p = model.params
-    return MemberFile(seed=model.seed, loss_history=model.loss_history, embed=p.embed,
-                      w_h=p.w_h, b_h=p.b_h, w_o=p.w_o, b_o=p.b_o, be=model.be_state,
-                      sngp=model.sngp_state)
+def _member_file(model: TrainedModel) -> Member:
+    """The `Member` fields of `model`, the part its bundle stores per member."""
+    return Member(**{f.name: getattr(model, f.name) for f in fields(Member)})
 
 
 def write_bundle(members, path) -> None:
@@ -319,7 +288,7 @@ def _layout(obj, where: str) -> dict:
     return out
 
 
-def _check_member(member: MemberFile, fresh: MemberFile, where: str) -> None:
+def _check_member(member: Member, fresh: Member, where: str) -> None:
     """Refuse a member whose arrays and heads differ from those of `fresh`,
     a new model of the bundle's method and dims, or whose gaussian-process
     precision was never finalized, is not exactly symmetric or has no
@@ -355,11 +324,8 @@ def read_bundle(path) -> tuple[TrainedModel, ...]:
         members = []
         for i, m in enumerate(bundle.members):
             _check_member(m, fresh, f"bundle.members[{i}]")
-            members.append(TrainedModel(
-                dims=bundle.dims, config=bundle.method, params=ModelParams(
-                    embed=m.embed, w_h=m.w_h, b_h=m.b_h, w_o=m.w_o, b_o=m.b_o),
-                be_state=m.be, sngp_state=m.sngp, seed=m.seed,
-                vocab_sha256=bundle.vocab_sha256, loss_history=m.loss_history))
+            members.append(TrainedModel(**vars(m), dims=bundle.dims, config=bundle.method,
+                                        vocab_sha256=bundle.vocab_sha256))
         return check_members(members, "bundle")
     except (ConfigurationError, InputError, ValidationError) as exc:  # InputError: no members
         raise ValidationError(f"{path}: {exc}") from exc

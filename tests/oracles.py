@@ -137,17 +137,16 @@ def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None
     an optional inverted-dropout mask multiplied into each hidden unit,
     then either the linear output layer or the cosine feature head.
     """
-    params = model.params
     hidden = _hidden_oracle(model, input_tokens, prefix_tokens, mask, be_member)
-    if model.sngp_state is None:
+    if model.sngp is None:
         logits = []
         for v in range(model.dims.vocab_size):
-            out = float(params.b_o[v])
+            out = float(model.b_o[v])
             for i in range(len(hidden)):
-                out += float(params.w_o[v, i]) * hidden[i]
+                out += float(model.w_o[v, i]) * hidden[i]
             logits.append(out)
         return np.array(logits)
-    state = model.sngp_state
+    state = model.sngp
     phi = _features_oracle(state, hidden)
     logits = []
     for v in range(model.dims.vocab_size):
@@ -159,32 +158,31 @@ def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None
 
 
 def _hidden_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None):
-    params = model.params
     d = model.dims.embed_dim
     dh = model.dims.hidden_dim
 
     def mean_embed(tokens):
         if len(tokens) == 0:
-            return [float(params.embed[model.dims.bos_id, j]) for j in range(d)]
+            return [float(model.embed[model.dims.bos_id, j]) for j in range(d)]
         acc = [0.0] * d
         for t in tokens:
             for j in range(d):
-                acc[j] += float(params.embed[t, j])
+                acc[j] += float(model.embed[t, j])
         return [a / len(tokens) for a in acc]
 
     z = mean_embed(input_tokens) + mean_embed(prefix_tokens)
     r = [1.0] * dh
     s = [1.0] * (2 * d)
-    if model.be_state is not None:
+    if model.be is not None:
         k = 0 if be_member is None else be_member
-        r = [float(x) for x in model.be_state.r[k]]
-        s = [float(x) for x in model.be_state.s[k]]
+        r = [float(x) for x in model.be.r[k]]
+        s = [float(x) for x in model.be.s[k]]
     hidden = []
     for i in range(dh):
         pre = 0.0
         for j in range(2 * d):
-            pre += float(params.w_h[i, j]) * s[j] * z[j]
-        h = math.tanh(r[i] * pre + float(params.b_h[i]))
+            pre += float(model.w_h[i, j]) * s[j] * z[j]
+        h = math.tanh(r[i] * pre + float(model.b_h[i]))
         if mask is not None:
             h *= float(mask[i])
         hidden.append(h)
@@ -206,12 +204,12 @@ def precision_oracle(model, examples):
     """I + sum of phi phi^T over every teacher-forced row of every example
     (each reference prefix plus the closing eos step), with phi from the
     scalar-loop hidden layer without dropout."""
-    big_d = model.sngp_state.w_r.shape[0]
+    big_d = model.sngp.w_r.shape[0]
     precision = [[1.0 if i == j else 0.0 for j in range(big_d)] for i in range(big_d)]
     for ex in examples:
         ref = tuple(ex.reference)
         for t in range(len(ref) + 1):
-            phi = _features_oracle(model.sngp_state, _hidden_oracle(model, ex.input, ref[:t]))
+            phi = _features_oracle(model.sngp, _hidden_oracle(model, ex.input, ref[:t]))
             for i in range(big_d):
                 for j in range(big_d):
                     precision[i][j] += phi[i] * phi[j]
@@ -268,7 +266,7 @@ def one_example_distributions(members, input_tokens, prefixes, *, run_seed, exam
     from seqcal.model import mean_embeddings
 
     bos = members[0].dims.bos_id
-    ctxs = [mean_embeddings(m.params.embed, input_tokens, bos)[None] for m in members]
+    ctxs = [mean_embeddings(m.embed, input_tokens, bos)[None] for m in members]
     tokens = np.array([tuple(p) for p in prefixes], dtype=int)[None]
     return step_distributions(members, ctxs, tokens, run_seed=run_seed,
                               example_ids=(example_id,), step=step)[0]
@@ -472,22 +470,21 @@ def bundle_dump_oracle(members, path):
     from seqcal.training import BUNDLE_FORMAT_VERSION
 
     def member_payload(model):
-        params = model.params
         out = {
             "seed": model.seed,
             "loss_history": list(model.loss_history),
-            "embed": params.embed.tolist(),
-            "w_h": params.w_h.tolist(),
-            "b_h": params.b_h.tolist(),
-            "w_o": None if params.w_o is None else params.w_o.tolist(),
-            "b_o": None if params.b_o is None else params.b_o.tolist(),
+            "embed": model.embed.tolist(),
+            "w_h": model.w_h.tolist(),
+            "b_h": model.b_h.tolist(),
+            "w_o": None if model.w_o is None else model.w_o.tolist(),
+            "b_o": None if model.b_o is None else model.b_o.tolist(),
             "be": None,
             "sngp": None,
         }
-        if model.be_state is not None:
-            out["be"] = {"r": model.be_state.r.tolist(), "s": model.be_state.s.tolist()}
-        if model.sngp_state is not None:
-            st = model.sngp_state
+        if model.be is not None:
+            out["be"] = {"r": model.be.r.tolist(), "s": model.be.s.tolist()}
+        if model.sngp is not None:
+            st = model.sngp
             out["sngp"] = {
                 "w_r": st.w_r.tolist(),
                 "b_r": st.b_r.tolist(),

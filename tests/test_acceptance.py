@@ -203,18 +203,18 @@ def test_criterion_2_gradient_checks(announce):
             model = init_model(dims, config, seed=seed)
             grads = backprop_gradients(model, batch, be_member=member)
             arrays = [
-                ("embed", model.params.embed, grads.embed),
-                ("w_h", model.params.w_h, grads.w_h),
-                ("b_h", model.params.b_h, grads.b_h),
+                ("embed", model.embed, grads["embed"]),
+                ("w_h", model.w_h, grads["w_h"]),
+                ("b_h", model.b_h, grads["b_h"]),
             ]
             if name == "sngp":
-                arrays.append(("beta", model.sngp_state.beta, grads.beta))
+                arrays.append(("beta", model.sngp.beta, grads["sngp.beta"]))
             else:
-                arrays.append(("w_o", model.params.w_o, grads.w_o))
-                arrays.append(("b_o", model.params.b_o, grads.b_o))
+                arrays.append(("w_o", model.w_o, grads["w_o"]))
+                arrays.append(("b_o", model.b_o, grads["b_o"]))
             if name == "be":
-                arrays.append(("be_r", model.be_state.r, grads.be_r))
-                arrays.append(("be_s", model.be_state.s, grads.be_s))
+                arrays.append(("be_r", model.be.r, grads["be.r"]))
+                arrays.append(("be_s", model.be.s, grads["be.s"]))
 
             def loss_fn():
                 return batch_loss(model, batch, be_member=member)
@@ -261,9 +261,9 @@ def test_criterion_3_collapse_cases(announce):
         mcd_dev = max(mcd_dev, float(np.max(np.abs(got - want))))
 
     be = init_model(dims, MethodConfig(method="be", be_size=4), seed=11)
-    be.be_state = BatchEnsembleState(np.ones_like(be.be_state.r),
-                                     np.ones_like(be.be_state.s))
-    embed = base.params.embed
+    be.be = BatchEnsembleState(np.ones_like(be.be.r),
+                                     np.ones_like(be.be.s))
+    embed = base.embed
     z = np.stack([
         np.concatenate([embed[list(inp)].mean(axis=0),
                         embed[list(prefix)].mean(axis=0) if prefix else embed[dims.bos_id]])
@@ -280,7 +280,7 @@ def test_criterion_3_collapse_cases(announce):
     mf_exact = bool(np.array_equal(mean_field_logits(logits, variances, 0.0), logits))
 
     sngp = init_model(dims, MethodConfig(method="sngp"), seed=11)
-    state = sngp.sngp_state
+    state = sngp.sngp
     for _ in range(3):
         phi = gp_features(np.tanh(rng.standard_normal((6, dims.hidden_dim))), state)[1]
         state = update_precision(state, phi)
@@ -319,7 +319,7 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
     sigmas = []
 
     def watch(step, loss, model):
-        sigmas.append(float(np.linalg.svd(model.params.w_h, compute_uv=False)[0]))
+        sigmas.append(float(np.linalg.svd(model.w_h, compute_uv=False)[0]))
 
     train_member(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
                  cfg.method_config("sngp"), cfg.train, seed=cfg.train_seed("sngp"),
@@ -327,7 +327,7 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
     spectral_ok = len(sigmas) == cfg.train.steps and max(sigmas) <= bound * 1.001
 
     rng = np.random.default_rng(77)
-    state = init_model(cfg.dims(vocab), cfg.method_config("sngp"), seed=3).sngp_state
+    state = init_model(cfg.dims(vocab), cfg.method_config("sngp"), seed=3).sngp
     for _ in range(100):
         h = np.tanh(rng.standard_normal((8, cfg.model.hidden_dim)))
         state = update_precision(state, gp_features(h, state)[1])

@@ -643,6 +643,66 @@ class TestExitCodes:
                      "--method", "bogus"]) == 1
 
 
+def run_tree(out):
+    """{path: bytes, or None for a directory} for everything under `out`."""
+    return {p.relative_to(out): p.read_bytes() if p.is_file() else None
+            for p in out.rglob("*")}
+
+
+class TestRunDirectoryBelongsToOneConfig:
+    """A run directory belongs to the config gen-data made it with: a stage
+    run with another config, or against a vocab.json the manifest does not
+    record, exits 1 with the directory byte-for-byte unchanged."""
+
+    def _refused(self, capsys, argv, out, message):
+        before = run_tree(out)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+        assert run_tree(out) == before
+
+    def test_gen_data_for_another_config_is_refused(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL)
+        other = write_config(tmp_path, dict(SMALL, seed=12), name="other.json")
+        out = tmp_path / "run"
+        base = ["--out", str(out), "--method", "base"]
+        assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["train", "--config", cfg_path] + base) == 0
+        self._refused(capsys, ["gen-data", "--config", other, "--out", str(out)], out,
+                      "belongs to another config (it differs in seed)")
+        # the directory still serves its own config, gen-data included
+        assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["infer", "--config", cfg_path] + base) == 0
+        assert main(["eval", "--config", cfg_path, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("stage", ["train", "infer", "eval"])
+    def test_stage_with_another_config_is_refused(self, tmp_path, capsys, stage):
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        other = write_config(tmp_path, dict(SMALL, train=dict(SMALL["train"], steps=41)),
+                             name="other.json")
+        method = ["--method", "base"] if stage != "eval" else []
+        self._refused(capsys, [stage, "--config", other, "--out", out] + method,
+                      tmp_path / "run", "differs in train")
+
+    def test_train_after_vocab_edit_is_refused(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+        vocab = json.loads((out / "vocab.json").read_text())
+        vocab["symbols"][-1] = "edited"
+        (out / "vocab.json").write_text(json.dumps(vocab))
+        self._refused(capsys, ["train", "--config", cfg_path, "--out", str(out),
+                               "--method", "base"], out, "is not the vocabulary")
+
+    def test_missing_manifest_is_refused(self, tmp_path, capsys):
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        os.remove(os.path.join(out, "manifest.json"))
+        self._refused(capsys, ["infer", "--config", cfg_path, "--out", out,
+                               "--method", "base"], tmp_path / "run", "manifest.json")
+
+
 class TestOutDir:
     def test_paths(self, tmp_path):
         out = OutDir(str(tmp_path / "x"))

@@ -71,13 +71,13 @@ def untrained(method, zero=False):
     members = tuple(init_model(DIMS, config, s) for s in seeds)
     for m in members:
         if uses_gp(method):
-            m.sngp_state = finalize_covariance(m.sngp_state)
+            m.sngp = finalize_covariance(m.sngp)
         if zero:
             # all logits zero: uniform rows, so every score ties exactly
             # and only the token order decides
-            for array in (m.params.embed, m.params.w_h, m.params.b_h,
-                          m.params.w_o, m.params.b_o,
-                          getattr(m.sngp_state, "beta", None)):
+            for array in (m.embed, m.w_h, m.b_h,
+                          m.w_o, m.b_o,
+                          getattr(m.sngp, "beta", None)):
                 if array is not None:
                     array[:] = 0.0
     return members

@@ -56,11 +56,11 @@ class TestBaseHead:
         def loss():
             return batch_loss(model, batch)
 
-        check_array(rs, model.params.embed, grads.embed, loss, "embed")
-        check_array(rs, model.params.w_h, grads.w_h, loss, "w_h")
-        check_array(rs, model.params.b_h, grads.b_h, loss, "b_h")
-        check_array(rs, model.params.w_o, grads.w_o, loss, "w_o")
-        check_array(rs, model.params.b_o, grads.b_o, loss, "b_o")
+        check_array(rs, model.embed, grads["embed"], loss, "embed")
+        check_array(rs, model.w_h, grads["w_h"], loss, "w_h")
+        check_array(rs, model.b_h, grads["b_h"], loss, "b_h")
+        check_array(rs, model.w_o, grads["w_o"], loss, "w_o")
+        check_array(rs, model.b_o, grads["b_o"], loss, "b_o")
 
 
 class TestGpHead:
@@ -72,15 +72,15 @@ class TestGpHead:
         model = init_model(dims, cfg, seed=seed)
         batch = make_batch(rs, 8)
         grads = backprop_gradients(model, batch)
-        assert grads.w_o is None and grads.b_o is None
+        assert "w_o" not in grads and "b_o" not in grads
 
         def loss():
             return batch_loss(model, batch)
 
-        check_array(rs, model.params.embed, grads.embed, loss, "embed")
-        check_array(rs, model.params.w_h, grads.w_h, loss, "w_h")
-        check_array(rs, model.params.b_h, grads.b_h, loss, "b_h")
-        check_array(rs, model.sngp_state.beta, grads.beta, loss, "beta")
+        check_array(rs, model.embed, grads["embed"], loss, "embed")
+        check_array(rs, model.w_h, grads["w_h"], loss, "w_h")
+        check_array(rs, model.b_h, grads["b_h"], loss, "b_h")
+        check_array(rs, model.sngp.beta, grads["sngp.beta"], loss, "beta")
 
 
 class TestBatchEnsemble:
@@ -95,13 +95,13 @@ class TestBatchEnsemble:
         def loss():
             return batch_loss(model, batch, be_member=member)
 
-        check_array(rs, model.params.embed, grads.embed, loss, "embed")
-        check_array(rs, model.params.w_h, grads.w_h, loss, "w_h")
-        check_array(rs, model.params.b_h, grads.b_h, loss, "b_h")
-        check_array(rs, model.params.w_o, grads.w_o, loss, "w_o")
-        check_array(rs, model.params.b_o, grads.b_o, loss, "b_o")
-        check_array(rs, model.be_state.r, grads.be_r, loss, "be_r")
-        check_array(rs, model.be_state.s, grads.be_s, loss, "be_s")
+        check_array(rs, model.embed, grads["embed"], loss, "embed")
+        check_array(rs, model.w_h, grads["w_h"], loss, "w_h")
+        check_array(rs, model.b_h, grads["b_h"], loss, "b_h")
+        check_array(rs, model.w_o, grads["w_o"], loss, "w_o")
+        check_array(rs, model.b_o, grads["b_o"], loss, "b_o")
+        check_array(rs, model.be.r, grads["be.r"], loss, "be_r")
+        check_array(rs, model.be.s, grads["be.s"], loss, "be_s")
 
     def test_other_members_get_zero_gradient(self):
         rs = np.random.default_rng(3100)
@@ -109,9 +109,9 @@ class TestBatchEnsemble:
         model = init_model(dims, MethodConfig(method="be", be_size=4), seed=6)
         grads = backprop_gradients(model, make_batch(rs, 8), be_member=1)
         for k in (0, 2, 3):
-            assert np.all(grads.be_r[k] == 0.0)
-            assert np.all(grads.be_s[k] == 0.0)
-        assert np.any(grads.be_r[1] != 0.0)
+            assert np.all(grads["be.r"][k] == 0.0)
+            assert np.all(grads["be.s"][k] == 0.0)
+        assert np.any(grads["be.r"][1] != 0.0)
 
 
 class TestDropoutPath:
@@ -127,9 +127,9 @@ class TestDropoutPath:
         def loss():
             return batch_loss(model, batch, dropout_seed=55)
 
-        check_array(rs, model.params.embed, grads.embed, loss, "embed")
-        check_array(rs, model.params.w_h, grads.w_h, loss, "w_h")
-        check_array(rs, model.params.w_o, grads.w_o, loss, "w_o")
+        check_array(rs, model.embed, grads["embed"], loss, "embed")
+        check_array(rs, model.w_h, grads["w_h"], loss, "w_h")
+        check_array(rs, model.w_o, grads["w_o"], loss, "w_o")
 
     def test_gp_dropout_combination(self):
         rs = np.random.default_rng(4100)
@@ -142,8 +142,8 @@ class TestDropoutPath:
         def loss():
             return batch_loss(model, batch, dropout_seed=77)
 
-        check_array(rs, model.params.w_h, grads.w_h, loss, "w_h")
-        check_array(rs, model.sngp_state.beta, grads.beta, loss, "beta")
+        check_array(rs, model.w_h, grads["w_h"], loss, "w_h")
+        check_array(rs, model.sngp.beta, grads["sngp.beta"], loss, "beta")
 
 
 class TestGradientStructure:
@@ -155,13 +155,13 @@ class TestGradientStructure:
         single = backprop_gradients(model, ex)
         doubled = backprop_gradients(model, ex + ex)
         for name in ("embed", "w_h", "b_h", "w_o", "b_o"):
-            assert np.allclose(getattr(single, name), getattr(doubled, name), atol=1e-12)
+            assert np.allclose(single[name], doubled[name], atol=1e-12)
 
     def test_shapes_mirror_parameters(self):
         rs = np.random.default_rng(5100)
         dims = ModelDims(vocab_size=8, embed_dim=4, hidden_dim=5)
         model = init_model(dims, MethodConfig(method="base"), seed=8)
         grads = backprop_gradients(model, make_batch(rs, 8))
-        assert grads.embed.shape == model.params.embed.shape
-        assert grads.w_h.shape == model.params.w_h.shape
-        assert grads.beta is None and grads.be_r is None
+        assert grads["embed"].shape == model.embed.shape
+        assert grads["w_h"].shape == model.w_h.shape
+        assert "sngp.beta" not in grads and "be.r" not in grads

@@ -62,7 +62,7 @@ def make_members(method, seed=0, vocab=6, **kwargs):
         members = (init_model(dims, cfg, seed),)
     if uses_gp(method):
         for m in members:
-            m.sngp_state = finalize_covariance(m.sngp_state)
+            m.sngp = finalize_covariance(m.sngp)
     return members
 
 
@@ -119,13 +119,12 @@ class TestPosteriorMean:
         model = members[0]
         dist = posterior_mean_dist(members, (3, 4), (5,), run_seed=0,
                                    example_id="x", step=0)
-        p = model.params
-        ctx = p.embed[[3, 4]].mean(axis=0)
-        pre = p.embed[[5]].mean(axis=0)
-        h = np.tanh(p.w_h @ np.concatenate([ctx, pre]) + p.b_h)
-        phi = gp_features(h, model.sngp_state)[1]
-        sigma2 = predictive_variance(model.sngp_state, phi[None, :])
-        logits = mean_field_logits(phi @ model.sngp_state.beta.T, sigma2[0], 0.7)
+        ctx = model.embed[[3, 4]].mean(axis=0)
+        pre = model.embed[[5]].mean(axis=0)
+        h = np.tanh(model.w_h @ np.concatenate([ctx, pre]) + model.b_h)
+        phi = gp_features(h, model.sngp)[1]
+        sigma2 = predictive_variance(model.sngp, phi[None, :])
+        logits = mean_field_logits(phi @ model.sngp.beta.T, sigma2[0], 0.7)
         assert np.allclose(dist, softmax(logits), atol=1e-12)
 
     def test_mean_of_probs_differs_from_probs_of_mean(self):
@@ -133,11 +132,11 @@ class TestPosteriorMean:
         # averaging probabilities keeps both modes, averaging logits does not
         members = make_members("de", seeds=(1, 2))
         for m in members:
-            m.params.w_o[:] = 0.0
+            m.w_o[:] = 0.0
         a = np.array([8.0, 0.0, 0.0, -8.0, 0.0, 0.0])
         b = np.array([-8.0, 0.0, 0.0, 8.0, 0.0, 0.0])
-        members[0].params.b_o = a
-        members[1].params.b_o = b
+        members[0].b_o = a
+        members[1].b_o = b
         dist = posterior_mean_dist(members, (3,), (), run_seed=0,
                                    example_id="x", step=0)
         prob_mean = (softmax(a) + softmax(b)) / 2.0
@@ -233,7 +232,7 @@ class TestBeamDecode:
         # members all do so is no better
         members = make_members(method, seeds=(1, 2) if method == "de" else ())
         for m in members:
-            m.params.b_o[3] = 800.0
+            m.b_o[3] = 800.0
         with pytest.raises(NumericalStateError, match="underflowed to 0 at decode step 0"):
             beam_decode(members, (3, 4), PosteriorConfig(beam_size=2, max_len=3),
                         run_seed=0, example_id="u")
@@ -357,8 +356,8 @@ class TestDecodeCorpus:
         # 1e308 output row overflows; decoding must not emit NaN scores
         vocab, examples = self._corpus(n=4)
         members = make_members("base", vocab=vocab.size)
-        members[0].params.b_h[:] = 10.0
-        members[0].params.w_o[0] = 1e308
+        members[0].b_h[:] = 10.0
+        members[0].w_o[0] = 1e308
         with np.errstate(over="ignore"), pytest.raises(NumericalStateError,
                                                        match="non-finite"):
             decode_corpus(members, examples, PosteriorConfig(beam_size=2, max_len=3),

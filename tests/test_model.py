@@ -88,50 +88,50 @@ class TestInit:
     def test_base_shapes_and_zero_biases(self):
         dims = small_dims()
         m = init_model(dims, MethodConfig(method="base"), seed=11)
-        assert m.params.embed.shape == (8, 5)
-        assert m.params.w_h.shape == (7, 10)
-        assert m.params.w_o.shape == (8, 7)
-        assert np.all(m.params.b_h == 0.0) and np.all(m.params.b_o == 0.0)
-        assert m.sngp_state is None and m.be_state is None
+        assert m.embed.shape == (8, 5)
+        assert m.w_h.shape == (7, 10)
+        assert m.w_o.shape == (8, 7)
+        assert np.all(m.b_h == 0.0) and np.all(m.b_o == 0.0)
+        assert m.sngp is None and m.be is None
 
     def test_deterministic_and_seed_sensitive(self):
         dims = small_dims()
         a = init_model(dims, MethodConfig(method="base"), seed=3)
         b = init_model(dims, MethodConfig(method="base"), seed=3)
         c = init_model(dims, MethodConfig(method="base"), seed=4)
-        assert np.array_equal(a.params.embed, b.params.embed)
-        assert np.array_equal(a.params.w_o, b.params.w_o)
-        assert not np.array_equal(a.params.embed, c.params.embed)
+        assert np.array_equal(a.embed, b.embed)
+        assert np.array_equal(a.w_o, b.w_o)
+        assert not np.array_equal(a.embed, c.embed)
 
     def test_gp_head_replaces_output_layer(self):
         dims = small_dims()
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16))
         m = init_model(dims, cfg, seed=5)
-        assert m.params.w_o is None and m.params.b_o is None
-        assert m.sngp_state.beta.shape == (8, 16)
-        assert m.sngp_state.w_r.shape == (16, 7)
-        assert np.array_equal(m.sngp_state.precision, np.eye(16))
-        assert not m.sngp_state.covariance_valid
-        assert np.all((m.sngp_state.b_r >= 0.0) & (m.sngp_state.b_r < 2.0 * math.pi))
+        assert m.w_o is None and m.b_o is None
+        assert m.sngp.beta.shape == (8, 16)
+        assert m.sngp.w_r.shape == (16, 7)
+        assert np.array_equal(m.sngp.precision, np.eye(16))
+        assert not m.sngp.covariance_valid
+        assert np.all((m.sngp.b_r >= 0.0) & (m.sngp.b_r < 2.0 * math.pi))
 
     def test_kernel_scale_divides_feature_weights(self):
         dims = small_dims()
         m1 = init_model(dims, MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16, kernel_scale=1.0)), seed=9)
         m2 = init_model(dims, MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16, kernel_scale=2.0)), seed=9)
-        assert np.allclose(m1.sngp_state.w_r, 2.0 * m2.sngp_state.w_r)
+        assert np.allclose(m1.sngp.w_r, 2.0 * m2.sngp.w_r)
 
     def test_batch_ensemble_fast_weights_near_one(self):
         dims = small_dims()
         m = init_model(dims, MethodConfig(method="be", be_size=3), seed=2)
-        assert m.be_state.r.shape == (3, 7)
-        assert m.be_state.s.shape == (3, 10)
-        assert np.all(np.abs(m.be_state.r - 1.0) <= 0.1)
-        assert np.all(np.abs(m.be_state.s - 1.0) <= 0.1)
+        assert m.be.r.shape == (3, 7)
+        assert m.be.s.shape == (3, 10)
+        assert np.all(np.abs(m.be.r - 1.0) <= 0.1)
+        assert np.all(np.abs(m.be.s - 1.0) <= 0.1)
 
 
 def z_row(model, inp, prefix):
     """[mean input embedding; mean prefix embedding, bos when empty]."""
-    embed = model.params.embed
+    embed = model.embed
     state = embed[list(prefix)].mean(axis=0) if prefix else embed[model.dims.bos_id]
     return np.concatenate([embed[list(inp)].mean(axis=0), state])
 
@@ -216,8 +216,8 @@ class TestForward:
         dims = small_dims()
         base = init_model(dims, MethodConfig(method="base"), seed=13)
         be = init_model(dims, MethodConfig(method="be", be_size=3), seed=13)
-        be.be_state.r[:] = 1.0
-        be.be_state.s[:] = 1.0
+        be.be.r[:] = 1.0
+        be.be.s[:] = 1.0
         want = logits(base, (3, 4, 6), (7,))
         for k in range(3):
             got = logits(be, (3, 4, 6), (7,), be_member=k)
@@ -246,7 +246,7 @@ class TestForward:
 
     def test_non_finite_guard(self):
         m = init_model(small_dims(), MethodConfig(method="base"), seed=1)
-        m.params.w_o[0, 0] = np.inf
+        m.w_o[0, 0] = np.inf
         with pytest.raises(NumericalStateError, match="non-finite"):
             one_step(m, (3,), ())
 
@@ -382,7 +382,7 @@ class TestGpFeatures:
         m = init_model(ModelDims(vocab_size=5, embed_dim=3, hidden_dim=hidden),
                        MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=rff_dim)),
                        seed=seed)
-        return m.sngp_state
+        return m.sngp
 
     def test_matches_manual_formula(self):
         state = self._state()
@@ -404,7 +404,7 @@ class TestGpFeatures:
                            seed=3)
         z = np.random.default_rng(2).standard_normal((9, 6))
         out = forward(model, z)
-        state = model.sngp_state
+        state = model.sngp
         assert np.array_equal(out["u"], out["h"] @ state.w_r.T + state.b_r)
         assert np.array_equal(out["phi"], math.sqrt(2.0 / 6) * np.cos(out["u"]))
         assert np.array_equal(out["phi"], gp_features(out["h"], state)[1])
@@ -425,7 +425,7 @@ class TestPrecisionUpdate:
         m = init_model(ModelDims(vocab_size=5, embed_dim=3, hidden_dim=4),
                        MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=rff_dim)),
                        seed=1)
-        return m.sngp_state
+        return m.sngp
 
     def test_hand_case(self):
         state = self._state(2)
@@ -475,7 +475,7 @@ class TestPredictiveVariance:
         m = init_model(ModelDims(vocab_size=5, embed_dim=3, hidden_dim=4),
                        MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=rff_dim)),
                        seed=4)
-        return m.sngp_state
+        return m.sngp
 
     def test_identity_precision_gives_squared_norm(self):
         state = finalize_covariance(self._state(4))

@@ -22,10 +22,10 @@ from seqcal.cli import RunConfig, Thresholds, load_config
 from seqcal.corpus import TASK_KINDS, ExampleRecord, read_records, write_records
 from seqcal.errors import ConfigurationError, ParseError, ValidationError
 from seqcal.inference import PredictionRecord, read_predictions, write_predictions
-from seqcal.model import METHODS, MethodConfig, ModelDims, init_model
+from seqcal.model import METHODS, Member, MethodConfig, ModelDims, init_model
 from seqcal import training
 from seqcal.schema import _fields, from_json, parse_json, read_jsonl, to_json, write_text
-from seqcal.training import MemberFile, read_bundle, write_bundle
+from seqcal.training import read_bundle, write_bundle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -314,7 +314,7 @@ class TestAtomicWrites:
         encoded = []
 
         def encode_one_member(obj):
-            if isinstance(obj, MemberFile):
+            if isinstance(obj, Member):
                 if encoded:
                     raise OSError("no space left on device")
                 encoded.append(obj)
@@ -438,8 +438,8 @@ def test_any_json_config_loads_or_is_refused(payload):
     except ConfigurationError:
         return
     assert isinstance(cfg, RunConfig)
-    # the manifest echoes asdict(config): that echo is itself a valid config
-    assert from_json(RunConfig, json.loads(json.dumps(asdict(cfg))), "config") == cfg
+    # the manifest echoes to_json(config): that echo is itself a valid config
+    assert from_json(RunConfig, json.loads(json.dumps(to_json(cfg))), "config") == cfg
 
 
 DIMS = ModelDims(vocab_size=6, embed_dim=2, hidden_dim=3)
@@ -481,7 +481,7 @@ def test_any_bundle_header_loads_or_is_refused(method, dims):
     assert len(members) == 1
     assert members[0].config == from_json(MethodConfig, json.loads(json.dumps(method)), "method")
     assert members[0].dims == from_json(ModelDims, dims, "dims")
-    assert np.isfinite(members[0].params.embed).all()
+    assert np.isfinite(members[0].embed).all()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,21 +16,23 @@ from seqcal.corpus import TaskSpec, generate_corpus, make_vocabulary
 from seqcal.errors import ConfigurationError, InputError, TrainingError, ValidationError
 from seqcal.model import (
     METHODS,
+    Member,
     MethodConfig,
     ModelDims,
     SngpConfig,
+    _loss_and_grads,
     build_rows,
     finalize_covariance,
     forward,
     gp_features,
     init_model,
     predictive_variance,
+    trainable,
     uses_gp,
 )
 from seqcal.schema import from_json, to_json
 from seqcal.training import (
     LOSS_CHUNK_ROWS,
-    MemberFile,
     TrainHyper,
     _batch_rows,
     _member_file,
@@ -76,8 +79,8 @@ class TestTrainMember:
         trained = train_member(split_rows(examples, dims), dims, cfg,
                                TrainHyper(steps=0), seed=5)
         fresh = init_model(dims, cfg, seed=5)
-        assert np.array_equal(trained.params.embed, fresh.params.embed)
-        assert np.array_equal(trained.params.w_o, fresh.params.w_o)
+        assert np.array_equal(trained.embed, fresh.embed)
+        assert np.array_equal(trained.w_o, fresh.w_o)
         assert trained.loss_history == ()
 
     def test_loss_drops_and_beats_uniform(self):
@@ -99,8 +102,8 @@ class TestTrainMember:
         rows = split_rows(examples, dims)
         a = train_member(rows, dims, cfg, TrainHyper(steps=40), seed=9)
         b = train_member(rows, dims, cfg, TrainHyper(steps=40), seed=9)
-        assert np.array_equal(a.params.embed, b.params.embed)
-        assert np.array_equal(a.params.w_o, b.params.w_o)
+        assert np.array_equal(a.embed, b.embed)
+        assert np.array_equal(a.w_o, b.w_o)
         assert a.loss_history == b.loss_history
 
     def test_on_step_sees_every_step(self):
@@ -120,8 +123,8 @@ class TestTrainMember:
                              TrainHyper(steps=30), seed=4)
         fresh = init_model(dims, cfg, seed=4)
         for k in range(3):
-            assert not np.array_equal(model.be_state.r[k], fresh.be_state.r[k])
-            assert not np.array_equal(model.be_state.s[k], fresh.be_state.s[k])
+            assert not np.array_equal(model.be.r[k], fresh.be.r[k])
+            assert not np.array_equal(model.be.s[k], fresh.be.s[k])
 
     def test_spectral_bound_holds_throughout(self):
         vocab, examples = copy_corpus(n=60)
@@ -130,20 +133,20 @@ class TestTrainMember:
         worst = []
 
         def watch(step, loss, model):
-            worst.append(np.linalg.svd(model.params.w_h, compute_uv=False)[0])
+            worst.append(np.linalg.svd(model.w_h, compute_uv=False)[0])
 
         model = train_member(split_rows(examples, dims), dims, cfg,
                              TrainHyper(steps=30), seed=3, on_step=watch)
         bound = cfg.sngp.spec_norm_bound
         assert max(worst) <= bound * 1.001
-        assert np.linalg.svd(model.params.w_h, compute_uv=False)[0] <= bound * 1.001
+        assert np.linalg.svd(model.w_h, compute_uv=False)[0] <= bound * 1.001
 
     def test_gp_precision_finalized_after_training(self):
         vocab, examples = copy_corpus(n=50)
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=12))
         model = train_member(rows_for(vocab, examples), dims_for(vocab), cfg,
                              TrainHyper(steps=10), seed=6)
-        state = model.sngp_state
+        state = model.sngp
         assert state.covariance_valid
         assert not np.array_equal(state.precision, np.eye(12))
         assert np.min(np.linalg.eigvalsh(state.precision)) > 0.0
@@ -154,7 +157,7 @@ class TestTrainMember:
         model = train_member(rows_for(vocab, examples), dims_for(vocab), cfg,
                              TrainHyper(steps=10), seed=6)
         want = precision_oracle(model, examples)
-        assert np.allclose(model.sngp_state.precision, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(model.sngp.precision, want, rtol=1e-12, atol=1e-12)
 
     def test_gp_variance_is_distance_aware(self):
         vocab, examples = copy_corpus()
@@ -163,11 +166,11 @@ class TestTrainMember:
         model = train_member(split_rows(examples, dims), dims, cfg,
                              TrainHyper(steps=30), seed=3)
         rows = build_rows(examples, dims)
-        embed = model.params.embed
+        embed = model.embed
         z = np.concatenate([rows.ctx_weights @ embed, rows.prefix_weights @ embed], axis=1)
-        seen = predictive_variance(model.sngp_state, forward(model, z)["phi"])
+        seen = predictive_variance(model.sngp, forward(model, z)["phi"])
         far_h = np.random.default_rng(0).uniform(-1.0, 1.0, (500, dims.hidden_dim))
-        far = predictive_variance(model.sngp_state, gp_features(far_h, model.sngp_state)[1])
+        far = predictive_variance(model.sngp, gp_features(far_h, model.sngp)[1])
         assert 10.0 * seen.mean() < far.mean()
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -179,26 +182,28 @@ class TestTrainMember:
             train_member(rows_for(vocab, examples), dims_for(vocab), MethodConfig(method="base"),
                          TrainHyper(steps=50, learning_rate=1e300), seed=1)
 
-    @pytest.mark.parametrize("method, owner, name", [
-        ("base", "params", "embed"),
-        ("base", "params", "w_h"),
-        ("base", "params", "b_h"),
-        ("base", "params", "w_o"),
-        ("base", "params", "b_o"),
-        ("sngp", "sngp_state", "beta"),
-        ("be", "be_state", "r"),
-        ("be", "be_state", "s"),
+    # The ids are those of the cases before the arrays moved onto the
+    # member itself (then under `params`, `sngp_state` and `be_state`).
+    @pytest.mark.parametrize("method, path", [
+        pytest.param("base", "embed", id="base-params-embed"),
+        pytest.param("base", "w_h", id="base-params-w_h"),
+        pytest.param("base", "b_h", id="base-params-b_h"),
+        pytest.param("base", "w_o", id="base-params-w_o"),
+        pytest.param("base", "b_o", id="base-params-b_o"),
+        pytest.param("sngp", "sngp.beta", id="sngp-sngp_state-beta"),
+        pytest.param("be", "be.r", id="be-be_state-r"),
+        pytest.param("be", "be.s", id="be-be_state-s"),
     ])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_update_fails_its_step(self, monkeypatch, method, owner, name, bad):
+    def test_non_finite_update_fails_its_step(self, monkeypatch, method, path, bad):
         vocab, examples = copy_corpus(n=30)
         apply_update = training._apply_update
         steps_done = []
 
-        def poisoned(model, grads, lr):
-            apply_update(model, grads, lr)
+        def poisoned(arrays, grads, lr):
+            apply_update(arrays, grads, lr)
             if len(steps_done) == 3:
-                array = getattr(getattr(model, owner), name)
+                array = arrays[path]
                 array.flat[array.size // 2] = bad
             steps_done.append(True)
 
@@ -211,11 +216,11 @@ class TestTrainMember:
     def test_finite_parameters_whose_sum_overflows_pass(self):
         vocab, _ = copy_corpus(n=10)
         model = init_model(dims_for(vocab), MethodConfig(method="base"), seed=1)
-        model.params.embed[:] = 1e308
+        model.embed[:] = 1e308
         with np.errstate(over="ignore"):
-            assert _params_finite(model)
-            model.params.w_o[0, 0] = math.inf
-            assert not _params_finite(model)
+            assert _params_finite(trainable(model))
+            model.w_o[0, 0] = math.inf
+            assert not _params_finite(trainable(model))
 
     def test_empty_examples_rejected(self):
         vocab, _ = copy_corpus(n=10)
@@ -245,7 +250,7 @@ class TestEvaluateLoss:
         model = init_model(dims, cfg, seed=4)
         # large embeddings spread the row losses, so a chunk weighted
         # wrongly moves the mean far beyond the tolerance
-        model.params.embed *= 40.0
+        model.embed *= 40.0
         got = evaluate_loss(model, rows)
         assert math.isclose(got, batch_loss(model, examples), rel_tol=1e-12)
 
@@ -312,8 +317,8 @@ class TestTrainMethod:
         members = train_method(rows_for(vocab, examples), dims_for(vocab), cfg,
                                TrainHyper(steps=5), seed=0)
         assert [m.seed for m in members] == [11, 12, 13]
-        assert not np.array_equal(members[0].params.embed, members[1].params.embed)
-        assert not np.array_equal(members[1].params.w_o, members[2].params.w_o)
+        assert not np.array_equal(members[0].embed, members[1].embed)
+        assert not np.array_equal(members[1].w_o, members[2].w_o)
 
 
 class TestBundles:
@@ -331,20 +336,20 @@ class TestBundles:
             assert back.seed == orig.seed
             assert back.vocab_sha256 == vocab_sha
             assert back.loss_history == orig.loss_history
-            assert np.array_equal(back.params.embed, orig.params.embed)
-            assert np.array_equal(back.params.w_h, orig.params.w_h)
-            assert np.array_equal(back.params.b_h, orig.params.b_h)
-            if orig.params.w_o is not None:
-                assert np.array_equal(back.params.w_o, orig.params.w_o)
-                assert np.array_equal(back.params.b_o, orig.params.b_o)
-            if orig.be_state is not None:
-                assert np.array_equal(back.be_state.r, orig.be_state.r)
-                assert np.array_equal(back.be_state.s, orig.be_state.s)
-            if orig.sngp_state is not None:
-                assert np.array_equal(back.sngp_state.w_r, orig.sngp_state.w_r)
-                assert np.array_equal(back.sngp_state.beta, orig.sngp_state.beta)
-                assert np.array_equal(back.sngp_state.precision, orig.sngp_state.precision)
-                assert back.sngp_state.covariance_valid == orig.sngp_state.covariance_valid
+            assert np.array_equal(back.embed, orig.embed)
+            assert np.array_equal(back.w_h, orig.w_h)
+            assert np.array_equal(back.b_h, orig.b_h)
+            if orig.w_o is not None:
+                assert np.array_equal(back.w_o, orig.w_o)
+                assert np.array_equal(back.b_o, orig.b_o)
+            if orig.be is not None:
+                assert np.array_equal(back.be.r, orig.be.r)
+                assert np.array_equal(back.be.s, orig.be.s)
+            if orig.sngp is not None:
+                assert np.array_equal(back.sngp.w_r, orig.sngp.w_r)
+                assert np.array_equal(back.sngp.beta, orig.sngp.beta)
+                assert np.array_equal(back.sngp.precision, orig.sngp.precision)
+                assert back.sngp.covariance_valid == orig.sngp.covariance_valid
         return path
 
     def test_round_trip_base(self, tmp_path):
@@ -430,7 +435,7 @@ class TestBundles:
 
     def test_loaded_gp_precision_factored_once(self, tmp_path, monkeypatch):
         path, _ = self._gp_bundle(tmp_path)
-        state = read_bundle(path)[0].sngp_state
+        state = read_bundle(path)[0].sngp
         chol = np.linalg.cholesky(state.precision)
         assert np.array_equal(state.chol_inv, np.tril(np.linalg.inv(chol)))
 
@@ -501,8 +506,8 @@ def fresh_bundle(tmp_path, method):
     members = []
     for seed in config.member_seeds(0):
         model = init_model(SMALL_DIMS, config, seed)
-        if model.sngp_state is not None:
-            model.sngp_state = finalize_covariance(model.sngp_state)
+        if model.sngp is not None:
+            model.sngp = finalize_covariance(model.sngp)
         members.append(model)
     path = tmp_path / f"{method}.json"
     write_bundle(members, path)
@@ -563,7 +568,7 @@ class TestBundleLayout:
             stored = _member_file(model)
             payload = json.loads(json.dumps(to_json(stored)))
             assert "chol_inv" not in json.dumps(payload)
-            back = from_json(MemberFile, payload, "member")
+            back = from_json(Member, payload, "member")
             assert back.seed == model.seed and back.loss_history == model.loss_history
             assert len(back.loss_history) == 3
             for name in ("embed", "w_h", "b_h", "w_o", "b_o", "be", "sngp"):
@@ -577,8 +582,29 @@ class TestBundleLayout:
                 assert pairs, name
                 for at, w, g in pairs:
                     assert g.dtype == np.float64 and np.array_equal(g, w), at
-            if model.sngp_state is not None:
+            if model.sngp is not None:
                 assert back.sngp.covariance_valid is True and back.sngp.chol_inv is None
+
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_trainable_is_the_gradient_layout(self, method):
+        # the gradients hold exactly the trainable arrays' keys and shapes,
+        # and each key is the path of its array from a Member field
+        vocab, examples = copy_corpus(n=10)
+        model = init_model(dims_for(vocab), small_config(method), seed=2)
+        rows = rows_for(vocab, examples)
+        _, grads = _loss_and_grads(model, rows, np.arange(len(rows.targets)),
+                                   be_member=1 if method == "be" else None, dropout_seed=5)
+        arrays = trainable(model)
+        assert sorted(grads) == sorted(arrays)
+        for path, array in arrays.items():
+            assert grads[path].shape == array.shape, path
+            head, *names = path.split(".")
+            assert head in {f.name for f in fields(Member)}, path
+            value = getattr(model, head)
+            for name in names:
+                value = getattr(value, name)
+            assert value is array, path
 
 
 class TestVocabGuard:
