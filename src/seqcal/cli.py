@@ -12,7 +12,7 @@ Layout under --out:
     manifest.json            resolved config echo plus derived values
     vocab.json               vocabulary for every later stage
     train.jsonl dev.jsonl test.jsonl
-    models/<method>.json     trained member bundle
+    models/<method>.json     trained member bundle, stamped with the run
     preds/<method>.jsonl     decoded test predictions, the ones eval scores
     preds/<split>/<method>.jsonl  decoded train or dev predictions
     reports/*.csv            calibration, correlation, selection reports
@@ -32,6 +32,7 @@ problems, 2 for runtime numerical failures.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -85,7 +86,6 @@ from .rng import derive_seed
 from .schema import from_json, parse_json, to_json, write_text
 from .training import (
     TrainHyper,
-    check_vocab_match,
     evaluate_loss,
     read_bundle,
     split_rows,
@@ -318,10 +318,11 @@ class OutDir:
         os.makedirs(self.path(*parts) if parts else self.root, exist_ok=True)
 
 
-def check_manifest(config: RunConfig, out: OutDir, vocab=None) -> None:
-    """Refuse a run directory whose manifest.json records another config
-    or, when `vocab` is given, another vocabulary than `vocab`."""
-    payload = parse_json(Path(out.manifest).read_bytes(), out.manifest)
+def check_manifest(config: RunConfig, out: OutDir, vocab=None) -> bytes:
+    """manifest.json's bytes, refused when they record another config or,
+    when `vocab` is given, another vocabulary than `vocab`."""
+    blob = Path(out.manifest).read_bytes()
+    payload = parse_json(blob, out.manifest)
     manifest = from_json(Manifest, payload, "manifest")
     differ = [f.name for f in fields(RunConfig)
               if getattr(manifest.config, f.name) != getattr(config, f.name)]
@@ -332,6 +333,19 @@ def check_manifest(config: RunConfig, out: OutDir, vocab=None) -> None:
         )
     if vocab is not None and manifest.derived.vocab_sha256 != vocabulary_sha256(vocab):
         raise ValidationError(f"{out.vocab} is not the vocabulary {out.manifest} records")
+    return blob
+
+
+def open_run(config: RunConfig, out: OutDir):
+    """The vocabulary of a run directory that belongs to `config`, and the
+    directory's run stamp: the SHA-256 of manifest.json's bytes followed by
+    train.jsonl's.  The manifest records the config and vocab.json's
+    digest, so the stamp names the config, the vocabulary and the train
+    split; a bundle stores the stamp of the run that trained it."""
+    vocab = read_vocabulary(out.vocab)
+    stamp = hashlib.sha256(check_manifest(config, out, vocab))
+    stamp.update(Path(out.split("train")).read_bytes())
+    return vocab, stamp.hexdigest()
 
 
 def _resolve_methods(arg: str) -> list[str]:
@@ -374,20 +388,16 @@ def cmd_gen_data(config: RunConfig, out: OutDir) -> None:
 
 
 def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
-    vocab = read_vocabulary(out.vocab)
-    check_manifest(config, out, vocab)
-    sha = vocabulary_sha256(vocab)
+    vocab, stamp = open_run(config, out)
     dims = config.dims(vocab)
     train_rows = split_rows(read_records(out.split("train"), vocab.size), dims)
     dev_rows = split_rows(read_records(out.split("dev"), vocab.size), dims)
     out.ensure("models")
     for method in _resolve_methods(method_arg):
         mcfg = config.method_config(method)
-        members = train_method(
-            train_rows, dims, mcfg, config.train,
-            seed=config.train_seed(method), vocab_sha256=sha,
-        )
-        write_bundle(members, out.model_bundle(method))
+        members = train_method(train_rows, dims, mcfg, config.train,
+                               seed=config.train_seed(method))
+        write_bundle(members, out.model_bundle(method), stamp)
         train_ce = evaluate_loss(members[0], train_rows)
         dev_ce = evaluate_loss(members[0], dev_rows)
         print(f"trained {method}: {len(members)} member(s), "
@@ -395,9 +405,7 @@ def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
 
 
 def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> None:
-    vocab = read_vocabulary(out.vocab)
-    check_manifest(config, out, vocab)
-    sha = vocabulary_sha256(vocab)
+    vocab, stamp = open_run(config, out)
     examples = read_records(out.split(split), vocab.size)
     for method in _resolve_methods(method_arg):
         bundle_path = out.model_bundle(method)
@@ -405,13 +413,12 @@ def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> No
             raise ConfigurationError(
                 f"no trained model for {method!r} at {bundle_path}; run train first"
             )
-        members = read_bundle(bundle_path)
+        members = read_bundle(bundle_path, stamp)
         if members[0].config.method != method:
             raise ValidationError(
                 f"bundle at {bundle_path} holds method "
                 f"{members[0].config.method!r}, expected {method!r}"
             )
-        check_vocab_match(members, sha)
         preds = decode_corpus(
             members, examples, config.posterior_config(),
             run_seed=config.run_seed(method),
@@ -476,32 +483,37 @@ def _eval_one_method(method, joined, config: RunConfig, gaps):
     return rows, headline
 
 
-def _summary_rows(headlines: dict) -> list[tuple]:
-    """Per-method headline values plus average ranks; lower rank is better
-    on every column, absent values leave empty cells."""
+# (headline, its summary.csv rank column, sign that makes lower better)
+SUMMARY_COLUMNS = (("ece", "rank_ece", 1.0), ("rho", "rank_spearman", -1.0),
+                   ("auc", "rank_auc", -1.0))
+
+
+def _summary_rows(headlines: dict, gaps: list) -> list[tuple]:
+    """Per-method headline values plus ranks, lower better on every column.
+    A column is ranked only when every method has a value for it, so each
+    mean_rank averages the same columns; an unranked column adds one gaps
+    entry, and absent values leave empty cells."""
     methods = list(headlines)
-    columns = (("ece", 1.0), ("rho", -1.0), ("auc", -1.0))
     ranks = {m: {} for m in methods}
-    for name, sign in columns:
-        have = [m for m in methods if name in headlines[m]]
-        if have:
-            values = [sign * headlines[m][name] for m in have]
-            for m, rank in zip(have, _average_ranks(values)):
-                ranks[m][name] = float(rank)
+    for name, rank_name, sign in SUMMARY_COLUMNS:
+        missing = [m for m in methods if name not in headlines[m]]
+        if missing:
+            gaps.append(("all", "summary", rank_name, f"{name} is undefined for "
+                         f"{' '.join(missing)}, so no method is ranked on it"))
+            continue
+        for m, rank in zip(methods, _average_ranks([sign * headlines[m][name] for m in methods])):
+            ranks[m][name] = float(rank)
     rows = []
     for m in methods:
-        rank_values = [ranks[m][name] for name, _ in columns if name in ranks[m]]
-        mean_rank = sum(rank_values) / len(rank_values) if rank_values else None
-        rows.append((m, headlines[m], ranks[m], mean_rank))
-    rows.sort(key=lambda r: (r[3] is None, r[3] if r[3] is not None else 0.0, r[0]))
-    return [(m, *(head.get(name) for name, _ in columns),
-             *(rank.get(name) for name, _ in columns), mean_rank)
-            for m, head, rank, mean_rank in rows]
+        mean_rank = sum(ranks[m].values()) / len(ranks[m]) if ranks[m] else None
+        rows.append((m, *(headlines[m].get(name) for name, _, _ in SUMMARY_COLUMNS),
+                     *(ranks[m].get(name) for name, _, _ in SUMMARY_COLUMNS), mean_rank))
+    rows.sort(key=lambda r: (r[-1] is None, r[-1] or 0.0, r[0]))
+    return rows
 
 
 def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
-    vocab = read_vocabulary(out.vocab)
-    check_manifest(config, out, vocab)
+    vocab, _ = open_run(config, out)
     test = read_records(out.split("test"), vocab.size)
     if method_arg is None:
         methods = [m for m in METHODS if os.path.exists(out.predictions(m))]
@@ -532,7 +544,8 @@ def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
     for report, header in REPORTS.items():
         write_csv(out.report(f"{report}.csv"), header, all_rows[report])
     write_csv(out.report("summary.csv"), "method,ece_sequence,spearman_rougeL,auc_rougeL,"
-              "rank_ece,rank_spearman,rank_auc,mean_rank", _summary_rows(headlines))
+              + ",".join(rank for _, rank, _ in SUMMARY_COLUMNS) + ",mean_rank",
+              _summary_rows(headlines, gaps))
     write_csv(out.report("gaps.csv"), "method,report,metric,reason",
               ((m, report, metric, '"' + reason.replace('"', "'") + '"')
                for m, report, metric, reason in gaps))

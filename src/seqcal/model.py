@@ -62,7 +62,7 @@ from .errors import (
     NumericalStateError,
     ValidationError,
 )
-from .rng import derive_key, philox_random, rekey, stream
+from .rng import derive_key, philox_random, stream
 
 METHODS = ("base", "mcd", "be", "sngp", "sngp_mcd", "de", "sngp_de")
 
@@ -223,7 +223,6 @@ class TrainedModel(Member):
 
     dims: ModelDims
     config: MethodConfig
-    vocab_sha256: str = ""
 
 
 def trainable(model: Member) -> dict[str, np.ndarray]:
@@ -304,23 +303,17 @@ def mean_embeddings(embed: np.ndarray, tokens, bos_id: int) -> np.ndarray:
     return total / t
 
 
-# Every single-seed mask draws from this one generator, rewound to the
-# mask's own stream first: re-keying costs far less than building one.
-_MASK_GENERATOR = np.random.Generator(np.random.Philox(0))
-
-
 def dropout_mask(seeds, rate: float, shape) -> np.ndarray:
     """Inverted-dropout masks: kept units scaled by 1/(1-rate).
 
     The mask of a seed holds the draws of
     `stream(seed, "dropout-mask").random(shape)`.  A single seed (a
-    training step's rows x hidden mask) draws through the re-keyed numpy
-    generator; an array of seeds (a decode step's samples x examples) draws
-    every mask in one `philox_random` batch, giving shape
-    `np.shape(seeds) + shape`.
+    training step's rows x hidden mask) draws them from that stream; an
+    array of seeds (a decode step's samples x examples) draws every mask in
+    one `philox_random` batch, giving shape `np.shape(seeds) + shape`.
     """
     if np.ndim(seeds) == 0:
-        draws = rekey(_MASK_GENERATOR, seeds, "dropout-mask").random(shape)
+        draws = stream(seeds, "dropout-mask").random(shape)
     else:
         seeds = np.asarray(seeds, dtype=object)
         shape = tuple(np.atleast_1d(shape).tolist())
@@ -571,10 +564,6 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
     sums = exp.sum(axis=1)
     picked = shifted[np.arange(len(targets)), targets]
     return float(np.mean(np.log(sums) - picked)), exp, sums
-
-
-def _rows_loss(logits: np.ndarray, targets: np.ndarray) -> float:
-    return _cross_entropy(logits, targets)[0]
 
 
 def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,

@@ -11,7 +11,7 @@ or strings; float repr is not a stable key.
 A stream is drawn by one of two routes that give the same bits, which the
 tests check against each other:
 
-  stream, rekey   numpy's Philox generator, fastest for one long stream
+  stream          numpy's Philox generator, fastest for one long stream
   philox_random   the first n doubles of many keys' streams in one batch of
                   uint64 array arithmetic, fastest for many short streams
 """
@@ -35,29 +35,6 @@ def derive_seed(*parts) -> int:
 def stream(*parts) -> np.random.Generator:
     """Independent Philox stream for the given part tuple."""
     return np.random.Generator(np.random.Philox(key=derive_key(*parts)))
-
-
-def rekey(generator: np.random.Generator, *parts) -> np.random.Generator:
-    """Rewind a Philox-backed generator to the start of `stream(*parts)`.
-
-    Setting the bit generator's state to the key's two little-endian
-    64-bit words, with a zero counter and an empty buffer, is the state
-    `Philox(key=...)` starts from, so a reused generator draws the same
-    numbers as a fresh stream at a fraction of the construction cost.
-    """
-    key = derive_key(*parts)
-    generator.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return generator
 
 
 # Philox4x64-10 round multipliers and Weyl key increments, as numpy uses them.

@@ -20,10 +20,11 @@ last step, with dropout off and the final weights, so the Laplace
 covariance describes the model actually used at inference time.
 
 A bundle is one `BundleFile` of `model.Member` records, written with
-`schema.to_json` and read with `schema.from_json`; each member's arrays
-must have the shapes of a fresh `init_model` of the stored method and
-dims.  Floats survive a round trip exactly: the writer emits
-shortest-repr values, the reader float64.
+`schema.to_json` and read with `schema.from_json`.  It stores the stamp
+of the run that trained it, and `read_bundle` refuses it in any run with
+another stamp; each member's arrays must have the shapes of a fresh
+`init_model` of the stored method and dims.  Floats survive a round trip
+exactly: the writer emits shortest-repr values, the reader float64.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from .model import (
     ModelDims,
     RowStructure,
     TrainedModel,
+    _cross_entropy,
     _forward_rows,
     _loss_and_grads,
-    _rows_loss,
     build_rows,
     check_members,
     dropout_active,
@@ -65,7 +66,7 @@ from .model import (
 from .rng import derive_seed, stream
 from .schema import from_json, parse_json, to_json, write_text
 
-BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSION = 3
 
 # Cross-entropy this far above any legitimate value means the run has
 # diverged even when saturation keeps every float finite.
@@ -150,7 +151,6 @@ def train_member(
     config: MethodConfig,
     hyper: TrainHyper,
     seed: int,
-    vocab_sha256: str = "",
     on_step=None,
 ) -> TrainedModel:
     """Train one model from a fresh seeded initialization on the rows of
@@ -161,7 +161,6 @@ def train_member(
     update was applied.
     """
     model = init_model(dims, config, seed)
-    model.vocab_sha256 = vocab_sha256
     gp = uses_gp(config.method)
     if gp:
         model.w_h = spectral_normalize(model.w_h, config.sngp.spec_norm_bound)
@@ -203,13 +202,12 @@ def train_method(
     config: MethodConfig,
     hyper: TrainHyper,
     seed: int,
-    vocab_sha256: str = "",
     on_step=None,
 ) -> tuple[TrainedModel, ...]:
     """All members for one method: the configured seeds for a deep
     ensemble, otherwise a single model trained from `seed`."""
     return tuple(
-        train_member(structure, dims, config, hyper, s, vocab_sha256, on_step)
+        train_member(structure, dims, config, hyper, s, on_step)
         for s in config.member_seeds(seed)
     )
 
@@ -224,7 +222,7 @@ def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:
     for rows in _row_chunks(n_rows, LOSS_CHUNK_ROWS):
         logits = _forward_rows(model, structure, rows, be_member=None,
                                dropout_seed=None)["logits"]
-        total += _rows_loss(logits, structure.targets[rows]) * len(rows)
+        total += _cross_entropy(logits, structure.targets[rows])[0] * len(rows)
     return total / n_rows
 
 
@@ -235,12 +233,13 @@ def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:
 @dataclass(frozen=True)
 class BundleFile:
     """A whole bundle as stored; `members` comes last, as the streamed
-    writer needs."""
+    writer needs.  `run_sha256` is the stamp of the run directory whose
+    config, vocabulary and train split trained the members."""
 
     format_version: int
     method: MethodConfig
     dims: ModelDims
-    vocab_sha256: str
+    run_sha256: str
     members: tuple[Member, ...]
 
 
@@ -249,13 +248,11 @@ def _member_file(model: TrainedModel) -> Member:
     return Member(**{f.name: getattr(model, f.name) for f in fields(Member)})
 
 
-def write_bundle(members, path) -> None:
-    members = tuple(members)
-    if len({m.vocab_sha256 for m in members}) > 1:
-        raise ValidationError("bundle members disagree on vocabulary hash")
-    first = check_members(members, "bundle")[0]
+def write_bundle(members, path, run_sha256: str) -> None:
+    members = check_members(members, "bundle")
+    first = members[0]
     head = BundleFile(format_version=BUNDLE_FORMAT_VERSION, method=first.config,
-                      dims=first.dims, vocab_sha256=first.vocab_sha256, members=())
+                      dims=first.dims, run_sha256=run_sha256, members=())
     write_text(path, _bundle_chunks(head, members))
 
 
@@ -310,9 +307,10 @@ def _check_member(member: Member, fresh: Member, where: str) -> None:
         raise ValidationError(f"{where}.sngp {exc}") from exc
 
 
-def read_bundle(path) -> tuple[TrainedModel, ...]:
-    """The members of the bundle at `path`; every refusal is a
-    ValidationError that names the file and the field path."""
+def read_bundle(path, run_sha256: str) -> tuple[TrainedModel, ...]:
+    """The members of the bundle at `path`, refused unless the run stamp it
+    stores is `run_sha256`; every refusal is a ValidationError that names
+    the file and the field path."""
     try:
         payload = parse_json(Path(path).read_bytes(), "bundle")
         # Older formats hold keys this one refuses, so the version comes first.
@@ -320,22 +318,15 @@ def read_bundle(path) -> tuple[TrainedModel, ...]:
             raise ValidationError(f"bundle has format_version {payload.get('format_version')!r}"
                                   f", expected {BUNDLE_FORMAT_VERSION}")
         bundle = from_json(BundleFile, payload, "bundle")
+        if bundle.run_sha256 != run_sha256:
+            raise ValidationError(f"bundle was trained in another run: its run_sha256 is "
+                                  f"{bundle.run_sha256[:12]!r}, this run's {run_sha256[:12]!r}")
         fresh = _member_file(init_model(bundle.dims, bundle.method, 0))
         members = []
         for i, m in enumerate(bundle.members):
             _check_member(m, fresh, f"bundle.members[{i}]")
-            members.append(TrainedModel(**vars(m), dims=bundle.dims, config=bundle.method,
-                                        vocab_sha256=bundle.vocab_sha256))
+            members.append(TrainedModel(**vars(m), dims=bundle.dims, config=bundle.method))
         return check_members(members, "bundle")
     except (ConfigurationError, InputError, ValidationError) as exc:  # InputError: no members
         raise ValidationError(f"{path}: {exc}") from exc
 
-
-def check_vocab_match(members, vocab_sha256: str) -> None:
-    """Refuse to run models against a vocabulary they were not trained on."""
-    for m in members:
-        if m.vocab_sha256 and vocab_sha256 and m.vocab_sha256 != vocab_sha256:
-            raise ValidationError(
-                "model was trained against a different vocabulary "
-                f"({m.vocab_sha256[:12]}... vs {vocab_sha256[:12]}...)"
-            )

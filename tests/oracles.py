@@ -235,13 +235,13 @@ def batch_loss(model, examples, *, be_member=None, dropout_seed=None):
     """The package's mean cross-entropy over every teacher-forced row of
     the batch, the route training takes.  The gradient checks compare
     backprop_gradients against central differences of it."""
-    from seqcal.model import _forward_rows, _rows_loss, build_rows
+    from seqcal.model import _cross_entropy, _forward_rows, build_rows
 
     structure = build_rows(examples, model.dims)
     rows = np.arange(len(structure.targets))
     cache = _forward_rows(model, structure, rows, be_member=be_member,
                           dropout_seed=dropout_seed)
-    return _rows_loss(cache["logits"], structure.targets)
+    return _cross_entropy(cache["logits"], structure.targets)[0]
 
 
 def backprop_gradients(model, examples, *, be_member=None, dropout_seed=None):
@@ -460,7 +460,7 @@ def batch_rows_oracle(structure, example_idx):
     return np.concatenate([np.arange(*structure.row_spans[i]) for i in example_idx])
 
 
-def bundle_dump_oracle(members, path):
+def bundle_dump_oracle(members, path, run_sha256):
     """A bundle streamed to disk with json.dump, its members listed key by
     key: the format as written before the bundle layout was declared as a
     schema, and the route the writer used before it encoded in one call."""
@@ -499,7 +499,7 @@ def bundle_dump_oracle(members, path):
         "format_version": BUNDLE_FORMAT_VERSION,
         "method": asdict(first.config),
         "dims": asdict(first.dims),
-        "vocab_sha256": first.vocab_sha256,
+        "run_sha256": run_sha256,
         "members": [member_payload(m) for m in members],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

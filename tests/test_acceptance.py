@@ -51,7 +51,6 @@ from seqcal.corpus import (
     generate_corpus,
     make_vocabulary,
     split_corpus,
-    vocabulary_sha256,
 )
 from seqcal.errors import MetricError
 from seqcal import inference
@@ -313,7 +312,6 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
     vocab = make_vocabulary(cfg.vocab_size)
     records = generate_corpus(cfg.task, cfg.n_examples, vocab, cfg.task_seed())
     train, _, test = split_corpus(records, seed=cfg.seed)
-    sha = vocabulary_sha256(vocab)
 
     bound = cfg.methods.sngp.spec_norm_bound
     sigmas = []
@@ -323,7 +321,7 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
 
     train_member(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
                  cfg.method_config("sngp"), cfg.train, seed=cfg.train_seed("sngp"),
-                 vocab_sha256=sha, on_step=watch)
+                 on_step=watch)
     spectral_ok = len(sigmas) == cfg.train.steps and max(sigmas) <= bound * 1.001
 
     rng = np.random.default_rng(77)
@@ -338,7 +336,7 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
     members = train_method(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
                            cfg.method_config("sngp_mcd"),
                            TrainHyper(steps=100, batch_size=16, learning_rate=0.5),
-                           seed=cfg.train_seed("sngp_mcd"), vocab_sha256=sha)
+                           seed=cfg.train_seed("sngp_mcd"))
     rows_seen = 0
     worst_sum = 0.0
 
@@ -441,13 +439,11 @@ def _trend_one_seed(global_seed):
     vocab = make_vocabulary(cfg.vocab_size)
     records = generate_corpus(cfg.task, cfg.n_examples, vocab, cfg.task_seed())
     train, _, test = split_corpus(records, seed=cfg.seed)
-    sha = vocabulary_sha256(vocab)
     out = {}
     for method in ("base", "de"):
         members = train_method(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
                                cfg.method_config(method),
-                               cfg.train, seed=cfg.train_seed(method),
-                               vocab_sha256=sha)
+                               cfg.train, seed=cfg.train_seed(method))
         preds = decode_corpus(members, test, cfg.posterior_config(),
                               run_seed=cfg.run_seed(method))
         joined = join_with_references(preds, test)

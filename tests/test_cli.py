@@ -1,5 +1,6 @@
 """Run-config loading, derivations, subcommands, and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from seqcal.cli import (
     MAX_VOCAB_SIZE,
     OutDir,
     _resolve_methods,
+    _summary_rows,
     load_config,
     main,
 )
@@ -201,6 +203,14 @@ class TestResolveMethods:
             _resolve_methods("dropout")
 
 
+def run_stamp(out):
+    """The run stamp of the run directory `out`: the SHA-256 of
+    manifest.json's bytes followed by train.jsonl's."""
+    blob = b"".join(open(os.path.join(out, name), "rb").read()
+                    for name in ("manifest.json", "train.jsonl"))
+    return hashlib.sha256(blob).hexdigest()
+
+
 def run_pipeline(tmp_path, methods="base,mcd"):
     cfg_path = write_config(tmp_path, SMALL)
     out = str(tmp_path / "run")
@@ -285,10 +295,11 @@ class TestPipeline:
         assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
         assert main(["train", "--config", cfg_path, "--out", out,
                      "--method", "de"]) == 0
-        members = read_bundle(os.path.join(out, "models", "de.json"))
+        bundle_path = os.path.join(out, "models", "de.json")
+        members = read_bundle(bundle_path, run_stamp(out))
         assert len(members) == 2
         assert members[0].config.method == "de"
-        assert members[0].vocab_sha256
+        assert json.loads(open(bundle_path).read())["run_sha256"] == run_stamp(out)
 
 
 class TestExitCodes:
@@ -466,7 +477,7 @@ class TestExitCodes:
         member["w_o"][0] = [1e308] * len(member["w_o"][0])
         with open(bundle_path, "w") as fh:
             json.dump(bundle, fh)
-        assert len(read_bundle(bundle_path)) == 1
+        assert len(read_bundle(bundle_path, run_stamp(out))) == 1
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -523,21 +534,29 @@ class TestExitCodes:
         assert not os.path.exists(fresh)
 
     def test_version_one_bundle_is_one(self, tmp_path, capsys):
+        # versions 1 and 2 stored a vocabulary hash; 1 also the retired knobs
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
         assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
         assert main(["train", "--config", cfg_path, "--out", out, "--method", "sngp"]) == 0
         bundle_path = os.path.join(out, "models", "sngp.json")
-        bundle = json.loads(open(bundle_path).read())
-        bundle["format_version"] = 1
-        bundle["method"]["sngp"].update(cov_momentum=0.999, power_iters=100)
-        with open(bundle_path, "w") as fh:
-            json.dump(bundle, fh)
-        capsys.readouterr()
-        assert main(["infer", "--config", cfg_path, "--out", out, "--method", "sngp"]) == 1
-        err = capsys.readouterr().err
-        assert "format_version 1, expected 2" in err and "Traceback" not in err
-        assert not os.path.exists(os.path.join(out, "preds", "sngp.jsonl"))
+        current = open(bundle_path).read()
+        for version in (1, 2):
+            bundle = json.loads(current)
+            bundle["format_version"] = version
+            bundle["vocab_sha256"] = hashlib.sha256(b"vocab").hexdigest()
+            del bundle["run_sha256"]
+            if version == 1:
+                bundle["method"]["sngp"].update(cov_momentum=0.999, power_iters=100)
+            with open(bundle_path, "w") as fh:
+                json.dump(bundle, fh)
+            capsys.readouterr()
+            assert main(["infer", "--config", cfg_path, "--out", out,
+                         "--method", "sngp"]) == 1, version
+            err = capsys.readouterr().err
+            assert f"format_version {version}, expected 3" in err, version
+            assert "Traceback" not in err, version
+            assert not os.path.exists(os.path.join(out, "preds", "sngp.jsonl")), version
 
     @pytest.mark.parametrize("member, edit, message", [
         (0, lambda sp: sp.update(covariance_valid=False), "never finalized"),
@@ -696,11 +715,95 @@ class TestRunDirectoryBelongsToOneConfig:
         self._refused(capsys, ["train", "--config", cfg_path, "--out", str(out),
                                "--method", "base"], out, "is not the vocabulary")
 
+    def test_bundle_from_another_run_is_refused(self, tmp_path, capsys):
+        # two runs whose configs differ only in seed share one vocabulary,
+        # so only the run stamp tells their bundles apart
+        runs = {}
+        for seed in (11, 12):
+            cfg_path = write_config(tmp_path, dict(SMALL, seed=seed), name=f"run{seed}.json")
+            out = tmp_path / f"run{seed}"
+            assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+            assert main(["train", "--config", cfg_path, "--out", str(out),
+                         "--method", "base"]) == 0
+            runs[seed] = cfg_path, out
+        vocab = {seed: (out / "vocab.json").read_bytes() for seed, (_, out) in runs.items()}
+        assert vocab[11] == vocab[12]
+        cfg_path, out = runs[12]
+        bundle = out / "models" / "base.json"
+        bundle.write_bytes((runs[11][1] / "models" / "base.json").read_bytes())
+        self._refused(capsys, ["infer", "--config", cfg_path, "--out", str(out),
+                               "--method", "base"], out,
+                      f"{bundle}: bundle was trained in another run: its run_sha256 is "
+                      f"{run_stamp(runs[11][1])[:12]!r}, this run's {run_stamp(out)[:12]!r}")
+        self._refused(capsys, ["eval", "--config", cfg_path, "--out", str(out)], out,
+                      "run infer first")
+
+    def test_bundle_without_a_run_stamp_is_refused(self, tmp_path, capsys):
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        bundle = tmp_path / "run" / "models" / "base.json"
+        payload = json.loads(bundle.read_text())
+        payload["run_sha256"] = ""
+        bundle.write_text(json.dumps(payload))
+        self._refused(capsys, ["infer", "--config", cfg_path, "--out", out,
+                               "--method", "base"], tmp_path / "run",
+                      f"{bundle}: bundle was trained in another run: its run_sha256 is ''")
+
     def test_missing_manifest_is_refused(self, tmp_path, capsys):
         cfg_path, out = run_pipeline(tmp_path, methods="base")
         os.remove(os.path.join(out, "manifest.json"))
         self._refused(capsys, ["infer", "--config", cfg_path, "--out", out,
                                "--method", "base"], tmp_path / "run", "manifest.json")
+
+
+class TestSummaryRanking:
+    """summary.csv ranks a headline column only when every method has a
+    value for it, so every mean_rank averages the same columns."""
+
+    def test_all_defined_columns_are_ranked(self):
+        gaps = []
+        rows = _summary_rows({"a": {"ece": 0.1, "rho": 0.2, "auc": 0.6},
+                              "c": {"ece": 0.3, "rho": 0.2, "auc": 0.6},
+                              "b": {"ece": 0.2, "rho": 0.5, "auc": 0.7}}, gaps)
+        assert rows == [("b", 0.2, 0.5, 0.7, 2.0, 1.0, 1.0, 4 / 3),
+                        ("a", 0.1, 0.2, 0.6, 1.0, 2.5, 2.5, 2.0),
+                        ("c", 0.3, 0.2, 0.6, 3.0, 2.5, 2.5, 8 / 3)]
+        assert gaps == []
+
+    def test_a_column_undefined_for_one_method_is_ranked_for_none(self):
+        # an all-correct method has no rho and no AUC; ranked on the other
+        # methods' columns alone it came last on its ECE, though it was
+        # the best generator, and b beat a on the columns a had
+        headlines = {"a": {"ece": 0.1, "rho": 0.2, "auc": 0.6},
+                     "perfect": {"ece": 0.3},
+                     "b": {"ece": 0.2, "rho": 0.5, "auc": 0.7}}
+        gaps = [("a", "roc", "rouge1", "earlier entry")]
+        rows = _summary_rows(headlines, gaps)
+        assert rows == [("a", 0.1, 0.2, 0.6, 1.0, None, None, 1.0),
+                        ("b", 0.2, 0.5, 0.7, 2.0, None, None, 2.0),
+                        ("perfect", 0.3, None, None, 3.0, None, None, 3.0)]
+        assert gaps[1:] == [
+            ("all", "summary", "rank_spearman",
+             "rho is undefined for perfect, so no method is ranked on it"),
+            ("all", "summary", "rank_auc",
+             "auc is undefined for perfect, so no method is ranked on it"),
+        ]
+
+    def test_every_mean_rank_averages_the_same_columns(self):
+        # a method with no rho or AUC was ranked on its ECE alone while the
+        # others averaged three columns; now both average the ECE rank only
+        gaps = []
+        rows = _summary_rows({"gp": {"ece": 0.01},
+                              "a": {"ece": 0.2, "rho": 0.9, "auc": 0.9}}, gaps)
+        assert rows == [("gp", 0.01, None, None, 1.0, None, None, 1.0),
+                        ("a", 0.2, 0.9, 0.9, 2.0, None, None, 2.0)]
+        assert [gap[2] for gap in gaps] == ["rank_spearman", "rank_auc"]
+
+    def test_no_ranked_column_leaves_mean_rank_empty(self):
+        gaps = []
+        rows = _summary_rows({"a": {}, "b": {"ece": 0.1}}, gaps)
+        assert rows == [("a", None, None, None, None, None, None, None),
+                        ("b", 0.1, None, None, None, None, None, None)]
+        assert len(gaps) == 3
 
 
 class TestOutDir:

@@ -59,8 +59,7 @@ def trained(examples):
     hyper = TrainHyper(steps=40, batch_size=16, learning_rate=0.5)
     rows = split_rows(examples[:28], DIMS)
     return {
-        method: train_method(rows, DIMS, method_config(method), hyper,
-                             seed=1, vocab_sha256="v")
+        method: train_method(rows, DIMS, method_config(method), hyper, seed=1)
         for method in METHODS
     }
 

@@ -342,8 +342,7 @@ class TestDecodeCorpus:
         vocab, examples = self._corpus()
         dims = ModelDims(vocab_size=vocab.size, embed_dim=4, hidden_dim=5)
         cfg = MethodConfig(method="mcd", dropout_rate=0.3, samples=4)
-        members = train_method(split_rows(examples, dims), dims, cfg, TrainHyper(steps=30), seed=3,
-                               vocab_sha256="v")
+        members = train_method(split_rows(examples, dims), dims, cfg, TrainHyper(steps=30), seed=3)
         config = PosteriorConfig(beam_size=2, max_len=3)
         a = decode_corpus(members, examples, config, run_seed=10)
         b = decode_corpus(members, examples, config, run_seed=10)

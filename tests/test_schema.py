@@ -29,6 +29,9 @@ from seqcal.training import read_bundle, write_bundle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# The run stamp the bundles of these tests are written and read with.
+STAMP = "5a" * 32
+
 
 @dataclass(frozen=True)
 class Inner:
@@ -322,7 +325,7 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(training, "to_json", encode_one_member)
         with pytest.raises(OSError, match="no space left"):
-            write_bundle(members, path)
+            write_bundle(members, path, STAMP)
         assert len(encoded) == 1
         assert (path.read_bytes() if path.exists() else None) == old
         assert _temp_files(models) == []
@@ -469,13 +472,13 @@ def _mutated(header: dict, cls):
 def test_any_bundle_header_loads_or_is_refused(method, dims):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "base.json")
-        write_bundle([init_model(DIMS, MethodConfig(method="base"), seed=1)], path)
+        write_bundle([init_model(DIMS, MethodConfig(method="base"), seed=1)], path, STAMP)
         bundle = json.loads(open(path).read())
         bundle.update(method=method, dims=dims)
         with open(path, "w") as fh:
             json.dump(bundle, fh)
         try:
-            members = read_bundle(path)
+            members = read_bundle(path, STAMP)
         except ValidationError:
             return
     assert len(members) == 1

@@ -37,7 +37,6 @@ from seqcal.training import (
     _batch_rows,
     _member_file,
     _params_finite,
-    check_vocab_match,
     evaluate_loss,
     read_bundle,
     split_rows,
@@ -45,6 +44,10 @@ from seqcal.training import (
     train_method,
     write_bundle,
 )
+
+
+# The run stamp the bundles of these tests are written and read with.
+STAMP = "5a" * 32
 
 
 def copy_corpus(n=120, seed=0):
@@ -322,19 +325,18 @@ class TestTrainMethod:
 
 
 class TestBundles:
-    def _round_trip(self, tmp_path, cfg, seed=5, vocab_sha="abc123"):
+    def _round_trip(self, tmp_path, cfg, seed=5):
         vocab, examples = copy_corpus(n=30)
         members = train_method(rows_for(vocab, examples), dims_for(vocab), cfg,
-                               TrainHyper(steps=5), seed=seed, vocab_sha256=vocab_sha)
+                               TrainHyper(steps=5), seed=seed)
         path = tmp_path / "bundle.json"
-        write_bundle(members, path)
-        loaded = read_bundle(path)
+        write_bundle(members, path, STAMP)
+        loaded = read_bundle(path, STAMP)
         assert len(loaded) == len(members)
         for orig, back in zip(members, loaded):
             assert back.config == orig.config
             assert back.dims == orig.dims
             assert back.seed == orig.seed
-            assert back.vocab_sha256 == vocab_sha
             assert back.loss_history == orig.loss_history
             assert np.array_equal(back.embed, orig.embed)
             assert np.array_equal(back.w_h, orig.w_h)
@@ -374,7 +376,7 @@ class TestBundles:
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="format_version"):
-            read_bundle(path)
+            read_bundle(path, STAMP)
 
     def test_member_count_mismatch(self, tmp_path):
         path = self._round_trip(tmp_path, MethodConfig(method="de", seeds=(3, 4)))
@@ -382,11 +384,11 @@ class TestBundles:
         payload["members"] = payload["members"][:1]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="members"):
-            read_bundle(path)
+            read_bundle(path, STAMP)
         payload["members"] = []
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="bundle needs at least one member"):
-            read_bundle(path)
+            read_bundle(path, STAMP)
 
     def test_shape_mismatch(self, tmp_path):
         path = self._round_trip(tmp_path, MethodConfig(method="base"))
@@ -394,7 +396,7 @@ class TestBundles:
         payload["members"][0]["embed"] = [[0.0, 1.0], [2.0, 3.0]]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="shape"):
-            read_bundle(path)
+            read_bundle(path, STAMP)
 
     def test_bytes_match_streamed_json_dump(self, tmp_path):
         vocab, examples = copy_corpus(n=30)
@@ -403,10 +405,9 @@ class TestBundles:
             seeds = (3, 4) if method in ("de", "sngp_de") else ()
             cfg = MethodConfig(method=method, be_size=2, seeds=seeds,
                                sngp=SngpConfig(rff_dim=10))
-            members = train_method(rows, dims_for(vocab), cfg, TrainHyper(steps=4), seed=2,
-                                   vocab_sha256="ab12")
-            write_bundle(members, tmp_path / "new.json")
-            bundle_dump_oracle(members, tmp_path / "old.json")
+            members = train_method(rows, dims_for(vocab), cfg, TrainHyper(steps=4), seed=2)
+            write_bundle(members, tmp_path / "new.json", STAMP)
+            bundle_dump_oracle(members, tmp_path / "old.json", STAMP)
             new = (tmp_path / "new.json").read_bytes()
             assert new == (tmp_path / "old.json").read_bytes(), method
 
@@ -431,11 +432,11 @@ class TestBundles:
         edit(payload["members"][0]["sngp"])
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match=message):
-            read_bundle(path)
+            read_bundle(path, STAMP)
 
     def test_loaded_gp_precision_factored_once(self, tmp_path, monkeypatch):
         path, _ = self._gp_bundle(tmp_path)
-        state = read_bundle(path)[0].sngp
+        state = read_bundle(path, STAMP)[0].sngp
         chol = np.linalg.cholesky(state.precision)
         assert np.array_equal(state.chol_inv, np.tril(np.linalg.inv(chol)))
 
@@ -454,13 +455,13 @@ class TestBundles:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError,
                            match=r"members\[0\]\.sngp is null, expected an object"):
-            read_bundle(path)
+            read_bundle(path, STAMP)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json at all")
         with pytest.raises(ValidationError, match="JSON"):
-            read_bundle(path)
+            read_bundle(path, STAMP)
 
     def test_write_refuses_a_partial_ensemble(self, tmp_path):
         # write_bundle and read_bundle apply one member-count rule
@@ -469,16 +470,18 @@ class TestBundles:
                                MethodConfig(method="de", seeds=(1, 2)),
                                TrainHyper(steps=1), seed=0)
         with pytest.raises(ValidationError, match="expects 2 members, got 1"):
-            write_bundle(members[:1], tmp_path / "de.json")
+            write_bundle(members[:1], tmp_path / "de.json", STAMP)
 
     def test_mixed_members_rejected(self, tmp_path):
         vocab, examples = copy_corpus(n=20)
-        a = train_method(rows_for(vocab, examples), dims_for(vocab), MethodConfig(method="base"),
-                         TrainHyper(steps=1), seed=1, vocab_sha256="x")[0]
-        b = train_method(rows_for(vocab, examples), dims_for(vocab), MethodConfig(method="base"),
-                         TrainHyper(steps=1), seed=2, vocab_sha256="y")[0]
-        with pytest.raises(ValidationError, match="vocabulary hash"):
-            write_bundle([a, b], tmp_path / "bad.json")
+        rows = rows_for(vocab, examples)
+        a = train_method(rows, dims_for(vocab), MethodConfig(method="de", seeds=(1, 2)),
+                         TrainHyper(steps=1), seed=0)[0]
+        b = train_method(rows, dims_for(vocab), MethodConfig(method="de", seeds=(1, 3)),
+                         TrainHyper(steps=1), seed=0)[1]
+        with pytest.raises(ValidationError, match="disagree on method"):
+            write_bundle([a, b], tmp_path / "bad.json", STAMP)
+        assert not (tmp_path / "bad.json").exists()
 
 
 def small_config(method):
@@ -510,7 +513,7 @@ def fresh_bundle(tmp_path, method):
             model.sngp = finalize_covariance(model.sngp)
         members.append(model)
     path = tmp_path / f"{method}.json"
-    write_bundle(members, path)
+    write_bundle(members, path, STAMP)
     return path, json.loads(path.read_text())
 
 
@@ -536,10 +539,10 @@ class TestBundleLayout:
             message = (f"bundle.members[{last}].{key} is an array of shape {bad.shape}, "
                        f"expected an array of shape {good.shape}")
             with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
-                read_bundle(path)
+                read_bundle(path, STAMP)
         holder[name] = good.tolist()
         path.write_text(json.dumps(payload))
-        assert len(read_bundle(path)) == len(payload["members"])
+        assert len(read_bundle(path, STAMP)) == len(payload["members"])
 
     @pytest.mark.parametrize("method, key, value, message", [
         ("be", "be", None, "be is null, expected an object"),
@@ -557,7 +560,7 @@ class TestBundleLayout:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError,
                            match=re.escape(f"bundle.members[{last}].{message}")):
-            read_bundle(path)
+            read_bundle(path, STAMP)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_member_file_round_trip(self, method):
@@ -607,18 +610,34 @@ class TestBundleLayout:
             assert value is array, path
 
 
-class TestVocabGuard:
-    def test_mismatch_rejected_and_match_passes(self):
-        vocab, examples = copy_corpus(n=20)
-        member = train_method(rows_for(vocab, examples), dims_for(vocab),
-                              MethodConfig(method="base"), TrainHyper(steps=1), seed=1,
-                              vocab_sha256="aaa111")[0]
-        check_vocab_match([member], "aaa111")
-        with pytest.raises(ValidationError, match="different vocabulary"):
-            check_vocab_match([member], "bbb222")
+class TestRunStamp:
+    """A bundle loads only in the run whose stamp it stores."""
 
-    def test_unknown_hash_is_tolerated(self):
+    def test_mismatch_rejected_and_match_passes(self, tmp_path):
         vocab, examples = copy_corpus(n=20)
-        member = train_method(rows_for(vocab, examples), dims_for(vocab),
-                              MethodConfig(method="base"), TrainHyper(steps=1), seed=1)[0]
-        check_vocab_match([member], "anything")
+        members = train_method(rows_for(vocab, examples), dims_for(vocab),
+                               MethodConfig(method="base"), TrainHyper(steps=1), seed=1)
+        path = tmp_path / "base.json"
+        write_bundle(members, path, STAMP)
+        assert json.loads(path.read_text())["run_sha256"] == STAMP
+        assert len(read_bundle(path, STAMP)) == 1
+        other = "c3" * 32
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: bundle was trained in another run: its run_sha256 is "
+                f"{STAMP[:12]!r}, this run's {other[:12]!r}")):
+            read_bundle(path, other)
+
+    @pytest.mark.parametrize("stored", ["", "5a", STAMP.upper()])
+    def test_any_other_stored_stamp_is_refused(self, tmp_path, stored):
+        path, payload = fresh_bundle(tmp_path, "base")
+        payload["run_sha256"] = stored
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="trained in another run"):
+            read_bundle(path, STAMP)
+
+    def test_missing_stamp_is_refused(self, tmp_path):
+        path, payload = fresh_bundle(tmp_path, "base")
+        del payload["run_sha256"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="run_sha256"):
+            read_bundle(path, STAMP)
