@@ -15,16 +15,18 @@ Averaging happens strictly in probability space: softmax first, mean
 second.  Collapsing the mean into the logits changes the distribution
 whenever members disagree, so the two orders are never interchangeable.
 
-Beam search scores hypotheses by summed mean-probability log scores.  A
-candidate is always a fully terminated sequence: eos is one of the scored
-continuations from length 1 on, and hypotheses still alive at the length
-cap are closed with a forced eos score.  Stored hypotheses and per-token
-log-probabilities exclude the terminal eos; the eos log-probability is
-kept alongside so every ranking score can be reproduced.  A member pass
-whose logits are not finite, or a posterior probability that underflows
-to 0 and so has no finite log score, stops decoding with
-NumericalStateError, and prediction files with NaN or infinite scores are
-refused on reading.
+Beam search has one scoring rule.  Pruning keeps the beam_size prefixes
+with the highest summed mean-probability log score, and the output is the
+closed hypothesis with the highest (total + eos log score) / (T + 1), the
+u below.  A candidate is always a fully terminated sequence: eos is one
+of the scored continuations from length 1 on, and hypotheses still alive
+at the length cap are closed with a forced eos score.  Stored hypotheses
+and per-token log-probabilities exclude the terminal eos; the eos
+log-probability is kept alongside so every ranking score can be
+reproduced.  A member pass whose logits are not finite, or a posterior
+probability that underflows to 0 and so has no finite log score, stops
+decoding with NumericalStateError, and prediction files with NaN or
+infinite scores are refused on reading.
 
 Decoding is batched over examples: `decode_corpus` runs one search over
 the whole split, keeping the beam state as arrays over examples x live
@@ -77,14 +79,10 @@ from .schema import read_jsonl, write_jsonl
 
 @dataclass(frozen=True)
 class PosteriorConfig:
-    """Decode-time knobs.  length_norm controls the final ranking score;
-    prune_length_norm switches the mid-search pruning key to the
-    per-step-normalized score as well."""
+    """Decode-time knobs: the beam width and the output length cap."""
 
     beam_size: int = 3
     max_len: int = 8
-    length_norm: bool = True
-    prune_length_norm: bool = False
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -237,8 +235,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
         cand_total = totals[:, parent] + cand_logp
         cand_tokens = tokens[:, parent]
         cand_tokens[:, :, step] = np.tile(content, live)
-        key = -(cand_total / (step + 1)) if config.prune_length_norm else -cand_total
-        keep = _sorted_by(key, cand_tokens)[:, : config.beam_size]
+        keep = _sorted_by(-cand_total, cand_tokens)[:, : config.beam_size]
         tokens = cand_tokens[rows, keep]
         logps = logps[rows, parent[keep]]
         logps[:, :, step] = cand_logp[rows, keep]
@@ -246,10 +243,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
 
     tokens, logps, totals, eos_logp = (np.concatenate(part, axis=1) for part in zip(*closed))
     lengths = np.repeat(np.arange(1, width + 1), [c[0].shape[1] for c in closed])
-    score = totals + eos_logp
-    if config.length_norm:
-        score = score / (lengths + 1)
-    best = _sorted_by(-score, tokens)[:, 0]
+    best = _sorted_by(-(totals + eos_logp) / (lengths + 1), tokens)[:, 0]
     out = []
     for e, j in enumerate(best.tolist()):
         length = int(lengths[j])

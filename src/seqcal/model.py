@@ -454,15 +454,14 @@ def predictive_variance(state: SngpState, phi_rows: np.ndarray) -> np.ndarray:
 def mean_field_logits(logits, variances, factor: float) -> np.ndarray:
     """Scale logits by 1/sqrt(1 + factor * variance).
 
-    factor=0 returns the logits unchanged.  Variances broadcast against
-    the logits, so a scalar variance shared across classes is the common
-    case; negative variances are a numerical-state error.
+    factor=0 returns the logits unchanged, since sqrt(1 + 0 * v) is exactly
+    1 for finite v.  Variances broadcast against the logits, so a scalar
+    variance shared across classes is the common case; negative variances
+    are a numerical-state error.
     """
     logits = np.asarray(logits, dtype=float)
     if factor < 0.0:
         raise ConfigurationError(f"mean-field factor must be nonnegative, got {factor}")
-    if factor == 0.0:
-        return logits.copy()
     variances = np.asarray(variances, dtype=float)
     if np.any(variances < 0.0):
         raise NumericalStateError(

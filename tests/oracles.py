@@ -157,20 +157,23 @@ def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None
     return np.array(logits)
 
 
+def _mean_state(model, tokens):
+    """A running sum of the embeddings in token order, divided by the
+    length; an empty sequence takes the bos embedding."""
+    d = model.dims.embed_dim
+    if len(tokens) == 0:
+        return [float(model.embed[model.dims.bos_id, j]) for j in range(d)]
+    acc = [0.0] * d
+    for t in tokens:
+        for j in range(d):
+            acc[j] += float(model.embed[t, j])
+    return [a / len(tokens) for a in acc]
+
+
 def _hidden_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None):
     d = model.dims.embed_dim
     dh = model.dims.hidden_dim
-
-    def mean_embed(tokens):
-        if len(tokens) == 0:
-            return [float(model.embed[model.dims.bos_id, j]) for j in range(d)]
-        acc = [0.0] * d
-        for t in tokens:
-            for j in range(d):
-                acc[j] += float(model.embed[t, j])
-        return [a / len(tokens) for a in acc]
-
-    z = mean_embed(input_tokens) + mean_embed(prefix_tokens)
+    z = _mean_state(model, input_tokens) + _mean_state(model, prefix_tokens)
     r = [1.0] * dh
     s = [1.0] * (2 * d)
     if model.be is not None:
@@ -258,29 +261,70 @@ def backprop_gradients(model, examples, *, be_member=None, dropout_seed=None):
 
 def one_example_distributions(members, input_tokens, prefixes, *, run_seed, example_id,
                               step):
-    """The package's posterior-mean rows (live, vocab) for one example's
-    equal-length prefixes: contexts through `mean_embeddings`, then one
-    (1, live, step) `step_distributions` call, as the batched decoder
-    makes it."""
+    """Posterior-mean rows (live, vocab) for one example's equal-length
+    prefixes, derived without the package's posterior routine.
+
+    Contexts and prefix states are forward_oracle's running means.  The
+    units are one dropout pass per sample (member 0, the mask drawn from
+    the stream keyed by (run_seed, "mcd", example id, step, sample) and
+    shared by every prefix), one pass per batch-ensemble member, or one
+    pass per model.  The rows are the mean of the unit passes, summed in
+    unit order.  Each unit's pass is `_member_pass`, whose forward pass
+    forward_oracle checks.
+    """
+    from seqcal.inference import _member_pass
+    from seqcal.rng import derive_seed, stream
+
+    config = members[0].config
+    dims = members[0].dims
+    if config.method in ("mcd", "sngp_mcd") and config.dropout_rate > 0.0:
+        units = []
+        for m in range(config.samples):
+            seed = derive_seed(run_seed, "mcd", example_id, step, m)
+            draws = stream(seed, "dropout-mask").random(dims.hidden_dim)
+            mask = (draws >= config.dropout_rate).astype(float) / (1.0 - config.dropout_rate)
+            units.append((members[0], mask[None], 0))
+    elif config.method == "be":
+        units = [(members[0], None, k) for k in range(config.be_size)]
+    else:
+        units = [(model, None, 0) for model in members]
+    total = np.zeros((len(prefixes), dims.vocab_size))
+    for model, mask, be_member in units:
+        ctx = np.array([_mean_state(model, input_tokens)])
+        states = np.array([[_mean_state(model, p) for p in prefixes]])
+        total = total + _member_pass(model, ctx, states, mask, be_member)[0]
+    return total / len(units)
+
+
+def posterior_mean_dist(members, input_tokens, prefix, *, run_seed, example_id, step):
+    """The posterior-mean distribution for a single prefix, from
+    one_example_distributions."""
+    return one_example_distributions(members, input_tokens, [prefix], run_seed=run_seed,
+                                     example_id=example_id, step=step)[0]
+
+
+def package_rows(members, input_tokens, prefixes, *, run_seed, example_id, step):
+    """The package's posterior-mean rows for one example's equal-length
+    prefixes, from one step_distributions call, as the batched decoder
+    makes it; asserts they equal one_example_distributions to the last
+    bit."""
     from seqcal.inference import step_distributions
     from seqcal.model import mean_embeddings
 
     bos = members[0].dims.bos_id
     ctxs = [mean_embeddings(m.embed, input_tokens, bos)[None] for m in members]
     tokens = np.array([tuple(p) for p in prefixes], dtype=int)[None]
-    return step_distributions(members, ctxs, tokens, run_seed=run_seed,
+    rows = step_distributions(members, ctxs, tokens, run_seed=run_seed,
                               example_ids=(example_id,), step=step)[0]
+    oracle = one_example_distributions(members, input_tokens, prefixes, run_seed=run_seed,
+                                       example_id=example_id, step=step)
+    assert np.array_equal(rows, oracle)
+    return rows
 
 
-def posterior_mean_dist(members, input_tokens, prefix, *, run_seed, example_id, step):
-    """The package's posterior-mean distribution for a single prefix.
-
-    The decoding oracles below deliberately reuse it: they cross-check the
-    search strategy, not the distribution itself (forward_oracle covers
-    that).
-    """
-    return one_example_distributions(members, input_tokens, [prefix], run_seed=run_seed,
-                                     example_id=example_id, step=step)[0]
+def package_dist(members, input_tokens, prefix, **kwargs):
+    """package_rows for a single prefix."""
+    return package_rows(members, input_tokens, [prefix], **kwargs)[0]
 
 
 def greedy_oracle(members, input_tokens, config, run_seed, example_id):
@@ -311,8 +355,7 @@ def greedy_oracle(members, input_tokens, config, run_seed, example_id):
 
     def key(c):
         tokens, _, tot, eos_lp = c
-        score = (tot + eos_lp) / (len(tokens) + 1) if config.length_norm else tot + eos_lp
-        return (-score, tokens)
+        return (-(tot + eos_lp) / (len(tokens) + 1), tokens)
 
     return min(candidates, key=key)
 
@@ -338,9 +381,7 @@ def exhaustive_oracle(members, input_tokens, config, run_seed, example_id):
         dist = posterior_mean_dist(members, input_tokens, seq, run_seed=run_seed,
                                    example_id=example_id, step=len(seq))
         eos_lp = float(np.log(dist[eos]))
-        total = sum(logps) + eos_lp
-        score = total / (len(seq) + 1) if config.length_norm else total
-        key = (-score, seq)
+        key = (-(sum(logps) + eos_lp) / (len(seq) + 1), seq)
         if best_key is None or key < best_key:
             best_key = key
             best = (seq, tuple(logps), eos_lp)
@@ -348,9 +389,9 @@ def exhaustive_oracle(members, input_tokens, config, run_seed, example_id):
 
 
 def beam_oracle(members, input_tokens, config, run_seed, example_id):
-    """One-example beam search with python lists, one step_distributions
-    call per step.  The batched decoder must reproduce its records
-    exactly, floats included."""
+    """One-example beam search with python lists, one
+    one_example_distributions call per step.  The batched decoder must
+    reproduce its records exactly, floats included."""
     from seqcal.inference import PredictionRecord, uncertainty_score
 
     eos = members[0].dims.eos_id
@@ -374,11 +415,7 @@ def beam_oracle(members, input_tokens, config, run_seed, example_id):
                     continue
                 lp = float(logd[i, v])
                 candidates.append((tokens + (v,), logps + (lp,), total + lp))
-        if config.prune_length_norm:
-            key = lambda c: (-(c[2] / len(c[0])), c[0])
-        else:
-            key = lambda c: (-c[2], c[0])
-        candidates.sort(key=key)
+        candidates.sort(key=lambda c: (-c[2], c[0]))
         live = candidates[: config.beam_size]
     final_prefixes = [tokens for tokens, _, _ in live]
     dists = one_example_distributions(
@@ -391,9 +428,7 @@ def beam_oracle(members, input_tokens, config, run_seed, example_id):
 
     def final_key(item):
         tokens, _, total, eos_lp = item
-        total = total + eos_lp
-        score = total / (len(tokens) + 1) if config.length_norm else total
-        return (-score, tokens)
+        return (-(total + eos_lp) / (len(tokens) + 1), tokens)
 
     tokens, logps, _, eos_lp = min(completed, key=final_key)
     return PredictionRecord(

@@ -6,11 +6,13 @@ desk-scale trend study; its soft sub-checks print effect sizes and only
 the quality-tolerance breach (and the wall-clock budget) hard-fails.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +28,7 @@ from oracles import (
     finite_difference_gradient,
     greedy_oracle,
     lcs_oracle,
-    posterior_mean_dist,
+    package_dist,
     rouge_l_oracle,
     rouge_n_oracle,
     spearman_oracle,
@@ -43,6 +45,7 @@ from seqcal.cli import (
     MethodsSection,
     ModelSection,
     RunConfig,
+    load_config,
     main,
 )
 from seqcal.corpus import (
@@ -253,10 +256,10 @@ def test_criterion_3_collapse_cases(announce):
                       seed=11)
     mcd_dev = 0.0
     for step, prefix in enumerate(prefixes):
-        want = posterior_mean_dist([base], inp, prefix, run_seed=9,
-                                   example_id="c3", step=step)
-        got = posterior_mean_dist([mcd0], inp, prefix, run_seed=9,
-                                  example_id="c3", step=step)
+        want = package_dist([base], inp, prefix, run_seed=9,
+                            example_id="c3", step=step)
+        got = package_dist([mcd0], inp, prefix, run_seed=9,
+                           example_id="c3", step=step)
         mcd_dev = max(mcd_dev, float(np.max(np.abs(got - want))))
 
     be = init_model(dims, MethodConfig(method="be", be_size=4), seed=11)
@@ -374,8 +377,7 @@ def test_criterion_5_beam_oracle(announce):
     exhaustive_matches = 0
     for seed in range(50):
         model = init_model(dims4, MethodConfig(method="base"), seed=seed)
-        config = PosteriorConfig(beam_size=64, max_len=3,
-                                 length_norm=seed % 2 == 0)
+        config = PosteriorConfig(beam_size=64, max_len=3)
         rec = beam_decode([model], (3, 1, 0), config, run_seed=2,
                           example_id=f"x{seed}")
         tokens, logps, eos_lp = exhaustive_oracle([model], (3, 1, 0), config, 2,
@@ -425,13 +427,11 @@ def test_criterion_6_calibrated_population(announce):
 # ---------------------------------------------------------------- criterion 7
 
 
+TREND_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "trend.json"
+
+
 def _trend_config(global_seed):
-    return RunConfig(
-        seed=global_seed, vocab_size=20, n_examples=2000,
-        task=TaskSpec(kind="keyword-extract", input_len=8, output_len=5, num_keywords=5),
-        train=TrainHyper(steps=500, batch_size=32, learning_rate=0.5),
-        methods=MethodsSection(de_size=5),
-    )
+    return dataclasses.replace(load_config(TREND_CONFIG), seed=global_seed)
 
 
 def _trend_one_seed(global_seed):

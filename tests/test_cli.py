@@ -87,8 +87,8 @@ class TestLoadConfig:
     def test_type_errors_name_the_field(self, tmp_path):
         with pytest.raises(ConfigurationError, match="config.seed"):
             load_config(write_config(tmp_path, {"seed": "zero"}))
-        with pytest.raises(ConfigurationError, match="decode.length_norm"):
-            load_config(write_config(tmp_path, {"decode": {"length_norm": 1}}))
+        with pytest.raises(ConfigurationError, match="decode.beam_size"):
+            load_config(write_config(tmp_path, {"decode": {"beam_size": True}}))
 
     def test_threshold_range(self, tmp_path):
         with pytest.raises(ConfigurationError, match="thresholds.rouge1"):
@@ -747,6 +747,18 @@ class TestRunDirectoryBelongsToOneConfig:
         self._refused(capsys, ["infer", "--config", cfg_path, "--out", out,
                                "--method", "base"], tmp_path / "run",
                       f"{bundle}: bundle was trained in another run: its run_sha256 is ''")
+
+    def test_predictions_of_another_split_are_refused(self, tmp_path, capsys):
+        # ids are unique across the corpus, so dev predictions join no test
+        # reference; eval leaves the reports of the last good run as they were
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        assert main(["infer", "--config", cfg_path, "--out", out,
+                     "--method", "base", "--split", "dev"]) == 0
+        dev = read_predictions(os.path.join(out, "preds", "dev", "base.jsonl"))
+        preds = tmp_path / "run" / "preds" / "base.jsonl"
+        preds.write_bytes((tmp_path / "run" / "preds" / "dev" / "base.jsonl").read_bytes())
+        self._refused(capsys, ["eval", "--config", cfg_path, "--out", out],
+                      tmp_path / "run", f"prediction {dev[0].id!r} has no reference example")
 
     def test_missing_manifest_is_refused(self, tmp_path, capsys):
         cfg_path, out = run_pipeline(tmp_path, methods="base")

@@ -11,6 +11,7 @@ where the one-example oracle shares the bug.
 import numpy as np
 import pytest
 
+import seqcal.inference as inference
 from oracles import beam_oracle
 from seqcal.corpus import TaskSpec, generate_corpus, make_vocabulary
 from seqcal.errors import InputError
@@ -31,13 +32,13 @@ VOCAB = 14
 DIMS = ModelDims(vocab_size=VOCAB, embed_dim=16, hidden_dim=32)
 RUN_SEED = 17
 
+# The last three keys keep their names so the test ids stay the same.
 CONFIGS = {
     "beam3": PosteriorConfig(beam_size=3, max_len=4),
     "greedy": PosteriorConfig(beam_size=1, max_len=4),
-    "wide-raw": PosteriorConfig(beam_size=VOCAB + 2, max_len=3, length_norm=False),
-    "prune-norm": PosteriorConfig(beam_size=3, max_len=4, prune_length_norm=True),
-    "prune-norm-raw": PosteriorConfig(beam_size=2, max_len=5, length_norm=False,
-                                      prune_length_norm=True),
+    "wide-raw": PosteriorConfig(beam_size=VOCAB + 2, max_len=3),
+    "prune-norm": PosteriorConfig(beam_size=4, max_len=4),
+    "prune-norm-raw": PosteriorConfig(beam_size=2, max_len=5),
 }
 
 
@@ -106,11 +107,30 @@ def test_untrained_models_match_oracle(examples, method, zero):
             members, test, config)
 
 
+def test_oracle_sees_a_changed_prefix_state(trained, examples, monkeypatch):
+    # the oracle builds its own means, so a package mean that divides by
+    # t - 1 from t = 2 on moves the decode away from it
+    def shifted_mean(embed, tokens, bos_id):
+        tokens = np.asarray(tokens, dtype=int)
+        t = tokens.shape[-1]
+        if t == 0:
+            return np.broadcast_to(embed[bos_id], tokens.shape[:-1] + embed.shape[1:])
+        return embed[tokens].sum(axis=-2) / (t - 1 if t >= 2 else t)
+
+    members = trained["base"]
+    test = examples[28:]
+    config = CONFIGS["beam3"]
+    expected = oracle_records(members, test, config)
+    assert decode_corpus(members, test, config, RUN_SEED) == expected
+    monkeypatch.setattr(inference, "mean_embeddings", shifted_mean)
+    assert decode_corpus(members, test, config, RUN_SEED) != expected
+
+
 def test_uniform_rows_pick_smallest_tokens(examples):
-    # uniform rows tie every candidate of one length, so the token order
-    # decides; unnormalized scores fall with length, so one token wins
+    # uniform rows score every closed hypothesis log(1/VOCAB) exactly,
+    # whatever its length, so the token order decides and (0,) sorts first
     members = untrained("base", zero=True)
-    config = PosteriorConfig(beam_size=3, max_len=4, length_norm=False)
+    config = CONFIGS["beam3"]
     for rec in decode_corpus(members, examples[:5], config, RUN_SEED):
         assert rec.hypothesis == (0,)
         assert rec.token_logp == (float(np.log(1.0 / VOCAB)),)

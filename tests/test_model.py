@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import batch_loss, forward_oracle, posterior_mean_dist, rows_oracle
+from oracles import batch_loss, forward_oracle, package_dist, rows_oracle
 from seqcal.corpus import ExampleRecord
 from seqcal.errors import ConfigurationError, InputError, NumericalStateError
 from seqcal.model import (
@@ -141,8 +141,8 @@ def logits(model, inp, prefix, **kwargs):
 
 
 def one_step(model, inp, prefix, run_seed=0):
-    return posterior_mean_dist([model], inp, prefix, run_seed=run_seed,
-                               example_id="x", step=0)
+    return package_dist([model], inp, prefix, run_seed=run_seed,
+                        example_id="x", step=0)
 
 
 class TestForward:
