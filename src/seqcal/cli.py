@@ -84,6 +84,7 @@ from .model import METHODS, MethodConfig, ModelDims, SngpConfig, is_deep_ensembl
 from .rng import derive_seed
 from .schema import from_json, parse_json, to_json, write_text
 from .training import (
+    EnsembleWorkers,
     TrainHyper,
     evaluate_loss,
     read_bundle,
@@ -383,15 +384,18 @@ def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
     train_rows = split_rows(read_records(out.split("train"), vocab.size), dims)
     dev_rows = split_rows(read_records(out.split("dev"), vocab.size), dims)
     out.ensure("models")
-    for method in _resolve_methods(method_arg):
-        mcfg = config.method_config(method)
-        members = train_method(train_rows, dims, mcfg, config.train,
-                               seed=config.train_seed(method))
-        write_bundle(members, out.model_bundle(method), stamp)
-        train_ce = evaluate_loss(members[0], train_rows)
-        dev_ce = evaluate_loss(members[0], dev_rows)
-        print(f"trained {method}: {len(members)} member(s), "
-              f"train CE {train_ce:.4f}, dev CE {dev_ce:.4f}")
+    methods = _resolve_methods(method_arg)
+    configs = {method: config.method_config(method) for method in methods}
+    ensembles = [c for c in configs.values() if is_deep_ensemble(c.method)]
+    with EnsembleWorkers(train_rows, dims, ensembles, config.train) as workers:
+        for method in methods:
+            members = train_method(train_rows, dims, configs[method], config.train,
+                                   seed=config.train_seed(method), workers=workers)
+            write_bundle(members, out.model_bundle(method), stamp)
+            train_ce = evaluate_loss(members[0], train_rows)
+            dev_ce = evaluate_loss(members[0], dev_rows)
+            print(f"trained {method}: {len(members)} member(s), "
+                  f"train CE {train_ce:.4f}, dev CE {dev_ce:.4f}")
 
 
 def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> None:

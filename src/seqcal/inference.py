@@ -72,7 +72,7 @@ from .model import (
     mean_field_logits,
     predictive_variance,
 )
-from .rng import derive_seed
+from .rng import derive_seeds
 from .rouge import score_quality
 from .schema import read_jsonl, write_jsonl
 
@@ -155,13 +155,14 @@ def step_distributions(members, ctxs, prefixes, *, run_seed: int, example_ids, s
     see the same subnetwork and remain comparable.  Each mask is the start
     of the stream keyed by derive_seed(run_seed, "mcd", example id, step,
     sample), the same draws whether an example is decoded alone or in a
-    batch; the step's (samples, examples, hidden) masks come from one
+    batch (`derive_seeds` hashes the shared (run_seed, "mcd") head once
+    per sample); the step's (samples, examples, hidden) masks come from one
     batched `dropout_mask` call.
     """
     config = members[0].config
     dims = members[0].dims
     if dropout_active(config):
-        seeds = [[derive_seed(run_seed, "mcd", eid, step, m) for eid in example_ids]
+        seeds = [derive_seeds((run_seed, "mcd"), example_ids, (step, m))
                  for m in range(config.samples)]
         masks = dropout_mask(seeds, config.dropout_rate, dims.hidden_dim)
         units = [(0, sample_masks, 0) for sample_masks in masks]

@@ -21,15 +21,36 @@ import hashlib
 import numpy as np
 
 
+_SEP = "\x1f"
+_SEED_BITS = 0x7FFF_FFFF_FFFF_FFFF
+
+
+def _blob(parts) -> bytes:
+    return _SEP.join(map(str, parts)).encode("utf-8")
+
+
 def derive_key(*parts) -> int:
     """128-bit stream key from a stable hash of the parts."""
-    blob = "\x1f".join(str(p) for p in parts).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(blob).digest()[:16], "little")
+    return int.from_bytes(hashlib.sha256(_blob(parts)).digest()[:16], "little")
 
 
 def derive_seed(*parts) -> int:
     """Nonnegative 63-bit integer seed derived like `derive_key`."""
-    return derive_key(*parts) & 0x7FFF_FFFF_FFFF_FFFF
+    return derive_key(*parts) & _SEED_BITS
+
+
+def derive_seeds(head, keys, tail=()) -> list[int]:
+    """[derive_seed(*head, key, *tail) for key in keys] for a non-empty
+    head: the head is hashed once, and each key and the tail go on from a
+    copy of that hash state."""
+    state = hashlib.sha256(_blob(head) + _SEP.encode())
+    end = _blob(("", *tail))
+    out = []
+    for key in keys:
+        h = state.copy()
+        h.update(str(key).encode("utf-8") + end)
+        out.append(int.from_bytes(h.digest()[:16], "little") & _SEED_BITS)
+    return out
 
 
 def stream(*parts) -> np.random.Generator:

@@ -19,6 +19,15 @@ is accumulated exactly in a single pass over every training row after the
 last step, with dropout off and the final weights, so the Laplace
 covariance describes the model actually used at inference time.
 
+Who trains what, and in which process: in the train stage, the stage
+process trains the single-model methods (base, mcd, be, sngp, sngp_mcd)
+itself.  Meanwhile forked worker processes (`EnsembleWorkers`), one per
+CPU the stage may use, train the deep-ensemble members (de, sngp_de), and
+`train_method` hands back the members the workers trained.  Every member,
+in whichever process, is one `train_member` call, a pure function of its
+seed, so the bundles hold the same bits as when one process trains them
+all.
+
 A bundle is one `BundleFile` of `model.Member` records, written with
 `schema.to_json` and read with `schema.from_json`.  It stores the stamp
 of the run that trained it, and `read_bundle` refuses it in any run with
@@ -31,6 +40,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -58,6 +70,7 @@ from .model import (
     factor_precision,
     finalize_covariance,
     init_model,
+    is_deep_ensemble,
     spectral_normalize,
     trainable,
     update_precision,
@@ -203,13 +216,128 @@ def train_method(
     hyper: TrainHyper,
     seed: int,
     on_step=None,
+    workers: EnsembleWorkers | None = None,
 ) -> tuple[TrainedModel, ...]:
     """All members for one method: the configured seeds for a deep
-    ensemble, otherwise a single model trained from `seed`."""
+    ensemble, otherwise a single model trained from `seed`.  A deep
+    ensemble comes from `workers` when given, which trained it on the same
+    rows, dims and hyperparameters (`on_step` is then not called)."""
+    if workers is not None and is_deep_ensemble(config.method):
+        return workers.members(config)
     return tuple(
         train_member(structure, dims, config, hyper, s, on_step)
         for s in config.member_seeds(seed)
     )
+
+
+class EnsembleWorkers:
+    """The members of the deep ensembles in `configs`, trained in forked
+    worker processes while the caller trains the other methods.
+
+    One worker is forked per CPU this process may use, but no more than
+    there are members.  The workers deal out one job list round-robin: every
+    member, the GP ensemble's (the slowest) first.  A worker trains each of
+    its members through `train_member`, sends the pickled list of them down
+    its pipe (a member whose training raised is sent as the exception) and
+    leaves through `os._exit`.  The first `members` call reads every
+    worker's list and reaps the worker.  A worker that exits without a
+    complete list is a TrainingError that names its members.  `close`
+    (also on leaving a `with` block) kills and reaps every worker still
+    unread, so none outlives the stage, whether it succeeds or fails.
+    """
+
+    def __init__(self, structure: RowStructure, dims: ModelDims, configs,
+                 hyper: TrainHyper):
+        jobs = [(config, i, seed)
+                for config in sorted(configs, key=lambda c: not uses_gp(c.method))
+                for i, seed in enumerate(config.seeds)]
+        n_workers = min(len(os.sched_getaffinity(0)), len(jobs))
+        self._running = []  # (pid, read end of its pipe, its jobs), unread
+        self._results = None  # {(method, member index): member or exception}
+        try:
+            for k in range(n_workers):
+                self._running.append(_fork_worker(structure, dims, hyper, jobs[k::n_workers]))
+        except BaseException:
+            self.close()
+            raise
+
+    def members(self, config: MethodConfig) -> tuple[TrainedModel, ...]:
+        """The members of `config`'s ensemble in seed order, or the
+        exception of the first one whose training raised."""
+        if self._results is None:
+            results = {}
+            while self._running:
+                pid, pipe, jobs = self._running[0]
+                payload = pipe.read()
+                pipe.close()
+                status = os.waitpid(pid, 0)[1]
+                del self._running[0]
+                results.update(_worker_results(payload, status, jobs))
+            self._results = results
+        members = tuple(self._results[config.method, i] for i in range(config.n_members))
+        for member in members:
+            if isinstance(member, BaseException):
+                raise member
+        return members
+
+    def close(self) -> None:
+        while self._running:
+            pid, pipe, _ = self._running.pop()
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def _fork_worker(structure, dims, hyper, jobs):
+    """Fork a worker that trains the (config, member index, seed) `jobs`
+    and sends the pickled list of their members; (pid, pipe, jobs).  The
+    stage runs no threads of its own, and OpenBLAS stops its thread pool
+    around a fork itself (pthread_atfork), so the child starts sound."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            results = []
+            for config, _, seed in jobs:
+                try:
+                    results.append(train_member(structure, dims, config, hyper, seed))
+                except Exception as exc:
+                    results.append(exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb"), jobs
+
+
+def _worker_results(payload: bytes, status: int, jobs) -> dict:
+    """{(method, member index): member or exception} from a reaped worker's
+    payload; a TrainingError, naming how the worker ended, unless the
+    payload holds one result per job."""
+    try:
+        results = pickle.loads(payload)
+    except Exception:
+        results = None
+    if isinstance(results, list) and len(results) == len(jobs):
+        return {(config.method, i): r for (config, i, _), r in zip(jobs, results)}
+    code = os.waitstatus_to_exitcode(status)
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    held = {}
+    for config, _, seed in jobs:
+        held.setdefault(config.method, []).append(str(seed))
+    names = "; ".join(f"{method} member seeds {', '.join(seeds)}"
+                      for method, seeds in held.items())
+    raise TrainingError(f"the worker training {names} {how} before sending its members")
 
 
 def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:

@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import asdict
 
@@ -20,11 +22,12 @@ from seqcal.cli import (
     load_config,
     main,
 )
-from seqcal.corpus import make_vocabulary, read_records
-from seqcal.errors import ConfigurationError
+import seqcal.training as training
+from seqcal.corpus import make_vocabulary, read_records, read_vocabulary
+from seqcal.errors import ConfigurationError, TrainingError
 from seqcal.inference import read_predictions
 from seqcal.model import METHODS
-from seqcal.training import read_bundle
+from seqcal.training import read_bundle, split_rows, train_member, write_bundle
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -206,8 +209,10 @@ class TestResolveMethods:
 def run_stamp(out):
     """The run stamp of the run directory `out`: the SHA-256 of
     manifest.json's bytes followed by train.jsonl's."""
-    blob = b"".join(open(os.path.join(out, name), "rb").read()
-                    for name in ("manifest.json", "train.jsonl"))
+    blob = b""
+    for name in ("manifest.json", "train.jsonl"):
+        with open(os.path.join(out, name), "rb") as fh:
+            blob += fh.read()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -818,6 +823,107 @@ class TestSummaryRanking:
         assert len(gaps) == 3
 
 
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestEnsembleWorkers:
+    """train's deep-ensemble members come from forked workers; the stage
+    process writes every bundle and the CE line, and no worker outlives
+    the stage."""
+
+    def gen_data(self, tmp_path, capsys, payload=SMALL):
+        cfg_path = write_config(tmp_path, payload)
+        out = str(tmp_path / "run")
+        assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
+        capsys.readouterr()
+        return cfg_path, out
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_de_alone_writes_the_bundle_of_serial_training(self, tmp_path, monkeypatch,
+                                                           capsys, cpus):
+        cfg_path, out = self.gen_data(tmp_path, capsys)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert main(["train", "--config", cfg_path, "--out", out, "--method", "de"]) == 0
+        assert capsys.readouterr().out.startswith("trained de: 2 member(s), train CE ")
+        config = load_config(cfg_path)
+        vocab = read_vocabulary(os.path.join(out, "vocab.json"))
+        dims = config.dims(vocab)
+        rows = split_rows(read_records(os.path.join(out, "train.jsonl"), vocab.size), dims)
+        mcfg = config.method_config("de")
+        serial = [train_member(rows, dims, mcfg, config.train, s) for s in mcfg.seeds]
+        write_bundle(serial, tmp_path / "serial.json", run_stamp(out))
+        assert (tmp_path / "serial.json").read_bytes() == \
+            (tmp_path / "run" / "models" / "de.json").read_bytes()
+        assert_no_children()
+
+    def test_a_killed_worker_is_two_and_names_its_members(self, tmp_path, monkeypatch, capsys):
+        cfg_path, out = self.gen_data(tmp_path, capsys)
+        victim = load_config(cfg_path).method_config("de").seeds[1]
+        stage = os.getpid()
+        real = training.train_member
+
+        def kill_victim(structure, dims, config, hyper, seed, on_step=None):
+            if seed == victim and os.getpid() != stage:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(structure, dims, config, hyper, seed, on_step)
+
+        monkeypatch.setattr(training, "train_member", kill_victim)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code = main(["train", "--config", cfg_path, "--out", out, "--method", "all"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"de member seeds {victim}" in err and "killed by signal 9" in err
+        assert not os.path.exists(os.path.join(out, "models", "de.json"))
+        assert_no_children()
+
+    def test_a_diverging_single_model_kills_the_running_workers(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        payload = dict(SMALL, train={"steps": 30, "batch_size": 16, "learning_rate": 1e300})
+        cfg_path, out = self.gen_data(tmp_path, capsys, payload)
+        stage = os.getpid()
+        real = training.train_member
+
+        def slow_workers(*args, **kwargs):
+            if os.getpid() != stage:
+                time.sleep(60)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_member", slow_workers)
+        begin = time.monotonic()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["train", "--config", cfg_path, "--out", out, "--method", "all"])
+        assert code == 2
+        assert "diverged" in capsys.readouterr().err
+        assert time.monotonic() - begin < 30
+        assert_no_children()
+
+    def test_a_failing_member_fails_its_own_method_in_order(self, tmp_path, monkeypatch,
+                                                            capsys):
+        """As in one process: every method before sngp_de keeps its bundle."""
+        cfg_path, out = self.gen_data(tmp_path, capsys)
+        victim = load_config(cfg_path).method_config("sngp_de").seeds[0]
+        real = training.train_member
+
+        def fail_victim(structure, dims, config, hyper, seed, on_step=None):
+            if seed == victim:
+                raise TrainingError("loss diverged (inf)", step=3)
+            return real(structure, dims, config, hyper, seed, on_step)
+
+        monkeypatch.setattr(training, "train_member", fail_victim)
+        code = main(["train", "--config", cfg_path, "--out", out, "--method", "all"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: step 3: loss diverged (inf)\n"
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+            f"trained {m}" for m in METHODS[:-1]]
+        assert sorted(os.listdir(os.path.join(out, "models"))) == sorted(
+            f"{m}.json" for m in METHODS[:-1])
+        assert_no_children()
+
+
 class TestOutDir:
     def test_paths(self, tmp_path):
         out = OutDir(str(tmp_path / "x"))
@@ -835,3 +941,14 @@ def test_cli_import_leaves_scipy_out():
     done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_process_pools_out():
+    """The ensemble workers are plain forks: a process-pool module would
+    add import time and memory to every stage."""
+    code = ("import sys, seqcal.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

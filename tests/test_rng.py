@@ -1,4 +1,5 @@
-"""The batched Philox kernel against numpy's Philox generator."""
+"""The batched Philox kernel against numpy's Philox generator, and the
+batched seed derivation against the one-seed one."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcal.model import dropout_mask
-from seqcal.rng import derive_key, derive_seed, philox_random, stream
+from seqcal.rng import derive_key, derive_seed, derive_seeds, philox_random, stream
 
 EDGE_KEYS = [0, 2**64 - 1, 2**64, 2**128 - 1]
 
@@ -52,3 +53,25 @@ class TestBatchedDropoutMask:
         for m in range(samples):
             for i, seed in enumerate(grid[m]):
                 assert np.array_equal(got[m, i], dropout_mask(seed, rate, shape))
+
+
+PART = st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
+                 st.text(min_size=0, max_size=8))
+
+
+class TestDeriveSeeds:
+    @settings(max_examples=200, deadline=None)
+    @given(head=st.lists(PART, min_size=1, max_size=3),
+           keys=st.lists(PART, max_size=6),
+           tail=st.lists(PART, max_size=3))
+    def test_equals_derive_seed_per_key(self, head, keys, tail):
+        assert derive_seeds(head, keys, tail) == [derive_seed(*head, k, *tail) for k in keys]
+
+    def test_mask_seed_shape_with_non_ascii_ids(self):
+        """The decoder's (run_seed, "mcd", example id, step, sample) seeds,
+        ids outside ASCII and holding the separator included."""
+        ids = ["ex-0", "ünï-¢ødé", "例子", "emoji-🙂", "", "a\x1fb", "x" * 300]
+        for run_seed in (0, 2**63 - 1, 2**64 - 1):
+            for step, sample in ((0, 0), (3, 9), (12, 1)):
+                assert derive_seeds((run_seed, "mcd"), ids, (step, sample)) == [
+                    derive_seed(run_seed, "mcd", eid, step, sample) for eid in ids]

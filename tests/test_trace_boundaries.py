@@ -89,8 +89,10 @@ def test_traced_pipeline_fills_every_boundary_and_counter(tmp_path):
         train_rows = sum(len(json.loads(line)["reference"]) + 1 for line in fh)
     want_mb = 2 * train_rows * TINY["vocab_size"] * 8 / tracing.MiB
     assert counters["model.build_rows.dense_mb"] == want_mb
-    # every training step's rows are counted: steps x batch for each of
-    # the 10 trained models (de and sngp_de train 2 members each)
+    # every training step of the stage process's own models is counted:
+    # steps x batch examples of 4 rows each for the 5 single-model methods
+    # (de and sngp_de train their members in forked workers, whose spans
+    # stay in those processes)
     assert counters["model.loss_and_grads.rows"] > 10 * TINY["train"]["steps"] * 8
     _, missing = tracing.layer_values([tracer.report()])
     assert missing == []

@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
 import re
+import signal
+import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +36,7 @@ from seqcal.model import (
 from seqcal.schema import from_json, to_json
 from seqcal.training import (
     LOSS_CHUNK_ROWS,
+    EnsembleWorkers,
     TrainHyper,
     _batch_rows,
     _member_file,
@@ -322,6 +326,136 @@ class TestTrainMethod:
         assert [m.seed for m in members] == [11, 12, 13]
         assert not np.array_equal(members[0].embed, members[1].embed)
         assert not np.array_equal(members[1].w_o, members[2].w_o)
+
+
+def assert_same_bits(a, b, where="member"):
+    """Every field of two models equal, arrays in dtype, shape and bytes."""
+    assert type(a) is type(b), where
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        at = f"{where}.{f.name}"
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), at
+        elif is_dataclass(x) and not isinstance(x, (MethodConfig, ModelDims)):
+            assert_same_bits(x, y, at)
+        else:
+            assert x == y, at
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+ENSEMBLES = (MethodConfig(method="de", seeds=(11, 12, 13)),
+             MethodConfig(method="sngp_de", seeds=(21, 22), sngp=SngpConfig(rff_dim=8)))
+
+
+class TestEnsembleWorkers:
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_members_equal_serial_training_bit_for_bit(self, monkeypatch, cpus):
+        vocab, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=12)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with EnsembleWorkers(rows, dims, ENSEMBLES, hyper) as workers:
+            for cfg in ENSEMBLES:
+                got = train_method(rows, dims, cfg, hyper, seed=0, workers=workers)
+                assert len(got) == len(cfg.seeds)
+                for member, seed in zip(got, cfg.seeds):
+                    assert_same_bits(member, train_member(rows, dims, cfg, hyper, seed))
+        assert_no_children()
+
+    def test_single_model_methods_train_in_the_caller(self, monkeypatch):
+        vocab, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
+        caller = os.getpid()
+        pids = []
+
+        def record(*args, **kwargs):
+            pids.append(os.getpid())
+            return train_member(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_member", record)
+        with EnsembleWorkers(rows, dims, (), hyper) as workers:
+            train_method(rows, dims, MethodConfig(method="mcd"), hyper, seed=3, workers=workers)
+        assert pids == [caller]
+
+    def test_a_member_that_raises_is_raised_for_its_method_only(self, monkeypatch):
+        vocab, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
+
+        def fail_22(structure, dims, config, hyper, seed, on_step=None):
+            if seed == 22:
+                raise TrainingError("loss diverged (inf)", step=4)
+            return train_member(structure, dims, config, hyper, seed, on_step)
+
+        monkeypatch.setattr(training, "train_member", fail_22)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with EnsembleWorkers(rows, dims, ENSEMBLES, hyper) as workers:
+            assert len(workers.members(ENSEMBLES[0])) == 3
+            with pytest.raises(TrainingError, match="^step 4: loss diverged") as info:
+                workers.members(ENSEMBLES[1])
+            assert info.value.step == 4
+        assert_no_children()
+
+    def test_a_dead_worker_is_a_training_error_naming_its_members(self, monkeypatch):
+        vocab, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
+        caller = os.getpid()
+
+        def kill_12(structure, dims, config, hyper, seed, on_step=None):
+            if seed == 12 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train_member(structure, dims, config, hyper, seed, on_step)
+
+        monkeypatch.setattr(training, "train_member", kill_12)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        with pytest.raises(TrainingError, match=r"de member seeds 12\b.* killed by signal 9"):
+            with EnsembleWorkers(rows, dims, ENSEMBLES, hyper) as workers:
+                workers.members(ENSEMBLES[0])
+        assert_no_children()
+
+    def test_a_worker_leaving_without_its_list_is_a_training_error(self, monkeypatch):
+        vocab, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
+        caller = os.getpid()
+
+        def leave(structure, dims, config, hyper, seed, on_step=None):
+            if os.getpid() != caller:
+                os._exit(0)
+            return train_member(structure, dims, config, hyper, seed, on_step)
+
+        monkeypatch.setattr(training, "train_member", leave)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(TrainingError, match="sngp_de member seeds 21, 22; de member seeds "
+                                                "11, 12, 13 exited with status 0"):
+            with EnsembleWorkers(rows, dims, ENSEMBLES, hyper) as workers:
+                workers.members(ENSEMBLES[1])
+        assert_no_children()
+
+    def test_close_kills_and_reaps_running_workers(self, monkeypatch):
+        vocab, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
+        started, told = os.pipe()
+        caller = os.getpid()
+
+        def hang(*args, **kwargs):
+            if os.getpid() != caller:
+                os.write(told, b".")
+                time.sleep(60)
+            return train_member(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_member", hang)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        begin = time.monotonic()
+        try:
+            with EnsembleWorkers(rows, dims, ENSEMBLES, hyper):
+                assert os.read(started, 1) == b"."  # a worker is training
+        finally:
+            os.close(started)
+            os.close(told)
+        assert time.monotonic() - begin < 30
+        assert_no_children()
 
 
 class TestBundles:
