@@ -1,7 +1,7 @@
 """Calibration and selective-generation metrics over scored predictions.
 
-The unit of account is a `ScoredPair`: a confidence in (0, 1] plus a
-correctness flag.  Sequence-level pairs treat a prediction as correct only
+The unit of account is a pair of arrays: confidences in (0, 1] and
+correctness flags.  Sequence-level pairs treat a prediction as correct only
 on exact token match with the reference; token-level pairs compare
 positionally up to the shorter length.
 
@@ -32,21 +32,17 @@ from .errors import (
     MetricError,
     UndefinedCorrelationError,
 )
+from .rng import stream
 from .schema import write_text
 
 QUALITY_KEYS = ("rouge1", "rouge2", "rougeL")
 
-
-@dataclass(frozen=True)
-class ScoredPair:
-    confidence: float
-    correct: bool
-
-
-@dataclass(frozen=True)
-class AbstentionCurve:
-    alphas: tuple[float, ...]
-    values: tuple[float, ...]
+# The report settings: the ECE bin count K, the ROUGE cutoff in points
+# between good and bad outputs for ROC-AUC (one per quality key), and the
+# fractions of most uncertain records the abstention curve drops.
+ECE_BINS = 15
+THRESHOLDS = {"rouge1": 40.0, "rouge2": 15.0, "rougeL": 30.0}
+ALPHAS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 @dataclass(frozen=True)
@@ -55,18 +51,6 @@ class BootstrapResult:
     std: float
     resamples_used: int
     resamples_failed: int
-
-
-def _check_pairs(pairs):
-    pairs = list(pairs)
-    if not pairs:
-        raise MetricError("ece needs at least one scored pair")
-    for p in pairs:
-        if not (0.0 < p.confidence <= 1.0):
-            raise MetricError(
-                f"pair confidence {p.confidence} outside the half-open interval (0, 1]"
-            )
-    return pairs
 
 
 def check_bins(bins: int) -> int:
@@ -78,12 +62,16 @@ def check_bins(bins: int) -> int:
 
 def ece(pairs, bins: int) -> float:
     """Expected calibration error over `bins` equal-width bins
-    ((k-1)/K, k/K]; the caller chooses which pairs to feed (sequence_pairs
-    or token_pairs output)."""
+    ((k-1)/K, k/K]; `pairs` is a (confidences, correct flags) pair of
+    equal-length arrays, as sequence_pairs and token_pairs return."""
     k = check_bins(bins)
-    pairs = _check_pairs(pairs)
-    conf = np.array([p.confidence for p in pairs], dtype=float)
-    corr = np.array([1.0 if p.correct else 0.0 for p in pairs])
+    conf, corr = (np.asarray(side, dtype=float) for side in pairs)
+    if not len(conf):
+        raise MetricError("ece needs at least one scored pair")
+    outside = ~((conf > 0.0) & (conf <= 1.0))
+    if outside.any():
+        raise MetricError(f"pair confidence {float(conf[outside][0])} "
+                          "outside the half-open interval (0, 1]")
     bounds = np.arange(1, k + 1) / k
     # side='left' puts p in the first bin whose upper edge satisfies p <= k/K,
     # using the same float comparisons a scan over the edges would use.
@@ -91,7 +79,7 @@ def ece(pairs, bins: int) -> float:
     counts = np.bincount(idx, minlength=k)
     conf_sums = np.bincount(idx, weights=conf, minlength=k)
     corr_sums = np.bincount(idx, weights=corr, minlength=k)
-    n = len(pairs)
+    n = len(conf)
     total = 0.0
     for b in range(k):
         if counts[b] == 0:
@@ -101,47 +89,60 @@ def ece(pairs, bins: int) -> float:
     return float(total)
 
 
-def sequence_pairs(records) -> list[ScoredPair]:
-    """One pair per prediction: joint confidence and exact-match correctness.
+def sequence_pairs(records) -> tuple[np.ndarray, np.ndarray]:
+    """Per prediction, its joint confidence and exact-match correctness.
 
     Confidence is exp of the summed per-token log-probabilities; hypotheses
     and references are stored without terminal eos, so plain tuple equality
     is the eos-stripped exact match.
     """
-    out = []
+    records = list(records)
+    conf = [math.exp(math.fsum(rec.token_logp)) for rec in records]
+    correct = [tuple(rec.hypothesis) == tuple(rec.reference) for rec in records]
+    return np.array(conf, dtype=float), np.array(correct, dtype=bool)
+
+
+def token_pairs(records) -> tuple[np.ndarray, np.ndarray]:
+    """Positional token confidences and correctness up to min(|hyp|, |ref|);
+    hypothesis positions past the reference's end are skipped."""
+    conf, correct = [], []
     for rec in records:
-        conf = math.exp(math.fsum(rec.token_logp))
-        out.append(ScoredPair(confidence=conf, correct=tuple(rec.hypothesis) == tuple(rec.reference)))
-    return out
+        matches = [h == r for h, r in zip(rec.hypothesis, rec.reference)]
+        conf.extend(math.exp(lp) for lp in rec.token_logp[:len(matches)])
+        correct.extend(matches)
+    return np.array(conf, dtype=float), np.array(correct, dtype=bool)
 
 
-def token_pairs(records) -> list[ScoredPair]:
-    """Positional token pairs up to min(|hyp|, |ref|); hypothesis positions
-    past the reference's end are skipped."""
-    pairs = []
-    for rec in records:
-        hyp = tuple(rec.hypothesis)
-        ref = tuple(rec.reference)
-        for t in range(min(len(hyp), len(ref))):
-            pairs.append(
-                ScoredPair(
-                    confidence=math.exp(rec.token_logp[t]),
-                    correct=hyp[t] == ref[t],
-                )
-            )
-    return pairs
+def _centred_ranks(values, resamples=None) -> np.ndarray:
+    """Average ranks (tied values share the mean rank of their run) minus
+    their mean (n+1)/2.
 
+    Without `resamples` the n values are ranked and the result has shape
+    (n,).  With `resamples`, a (B, n) matrix of indices into `values`, row
+    b ranks values[resamples[b]] and the result has shape (B, n).  Per row,
+    a count of each distinct value and its running sum give every value's
+    average rank (count below) + (count + 1) / 2.
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties getting the average rank of their run."""
+    The result is exact: average ranks are half-integers and their mean is
+    exactly (n+1)/2, so the centred ranks, their squares and their products
+    are multiples of 1/4, and every partial sum of them is exact in float64
+    whatever the summation order (the largest, the rank variance
+    (n^3 - n)/12, stays below 2^51 for n up to about 3e5).  So the batched
+    route and one call per resample give the same bits, rounding only in
+    the final square root and division.  NaN has no rank and is refused.
+    """
     values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], len(values)) - 1
-    ranks = np.empty(len(values), dtype=float)
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
-    return ranks
+    if np.isnan(values).any():
+        raise MetricError("cannot rank NaN values")
+    uniq, ids = np.unique(values, return_inverse=True)
+    ids = ids.reshape(1, -1) if resamples is None else ids[resamples]
+    n_rows, n = ids.shape
+    k = len(uniq)
+    rows = np.arange(n_rows)[:, None]
+    counts = np.bincount((ids + k * rows).ravel(), minlength=n_rows * k).reshape(n_rows, k)
+    below = np.cumsum(counts, axis=1) - counts
+    ranks = below[rows, ids] + (counts[rows, ids] + 1) / 2.0 - (n + 1) / 2.0
+    return ranks[0] if resamples is None else ranks
 
 
 def spearman(u, q) -> float:
@@ -156,10 +157,8 @@ def spearman(u, q) -> float:
         raise MetricError(f"spearman needs two equal-length vectors, got {u.shape} and {q.shape}")
     if len(u) < 2:
         raise UndefinedCorrelationError(f"spearman needs n >= 2, got n={len(u)}")
-    ru = _average_ranks(u)
-    rq = _average_ranks(q)
-    ru_c = ru - ru.mean()
-    rq_c = rq - rq.mean()
+    ru_c = _centred_ranks(u)
+    rq_c = _centred_ranks(q)
     var_u = float(np.dot(ru_c, ru_c))
     var_q = float(np.dot(rq_c, rq_c))
     if var_u == 0.0 or var_q == 0.0:
@@ -177,22 +176,6 @@ def check_resamples(n_resamples: int) -> int:
     return n_resamples
 
 
-def _resample_centred_ranks(ids: np.ndarray, n_ids: int) -> np.ndarray:
-    """Average ranks minus their mean (n+1)/2, one row per resample.
-
-    `ids` is a (B, n) matrix of dense value ids (equal values share an id,
-    ids ascend with the values).  Per resample, a count of each id and its
-    running sum give every value's average rank
-    (count below) + (count + 1) / 2.
-    """
-    n_rows, n = ids.shape
-    rows = np.arange(n_rows)[:, None]
-    counts = np.bincount((ids + n_ids * rows).ravel(), minlength=n_rows * n_ids)
-    counts = counts.reshape(n_rows, n_ids)
-    below = np.cumsum(counts, axis=1) - counts
-    return below[rows, ids] + (counts[rows, ids] + 1) / 2.0 - (n + 1) / 2.0
-
-
 def bootstrap_std(u, q, n_resamples: int, seed: int) -> BootstrapResult:
     """Full-sample Spearman rho plus its bootstrap standard deviation.
 
@@ -200,31 +183,20 @@ def bootstrap_std(u, q, n_resamples: int, seed: int) -> BootstrapResult:
     is undefined are skipped and counted, never silently zeroed.  The std
     is the ddof=1 standard deviation over successful resamples.
 
-    All resamples are ranked at once, as a (B, n) array.  The result is
-    bitwise the one a `spearman` call per resample gives: average ranks
-    are half-integers and their mean is exactly (n+1)/2, so the centred
-    ranks, their squares and their products are multiples of 1/4, and
-    every partial sum of them is exact in float64 whatever the summation
-    order (the largest, the rank variance (n^3 - n)/12, stays below 2^51
-    for n up to about 3e5).  Only the final square root and division
-    round, the same way in both routes.  NaN has no rank and is refused.
+    All resamples are ranked at once, as a (B, n) array, by
+    `_centred_ranks`, whose exactness makes the result bitwise the one a
+    `spearman` call per resample gives.  An undefined full-sample rho
+    propagates as UndefinedCorrelationError; fewer than two usable
+    resamples is a plain MetricError.
     """
-    from .rng import stream
-
     check_resamples(n_resamples)
     u = np.asarray(u, dtype=float)
     q = np.asarray(q, dtype=float)
     rho = spearman(u, q)  # propagate undefined-correlation errors directly
-    if np.isnan(u).any() or np.isnan(q).any():
-        raise MetricError("bootstrap rank correlation got NaN values")
-    rng = stream(seed, "bootstrap")
     n = len(u)
-    idx = rng.integers(0, n, size=(n_resamples, n))
-    centred = []
-    for side in (u, q):
-        uniq, ids = np.unique(side, return_inverse=True)
-        centred.append(_resample_centred_ranks(ids[idx], len(uniq)))
-    ru_c, rq_c = centred
+    idx = stream(seed, "bootstrap").integers(0, n, size=(n_resamples, n))
+    ru_c = _centred_ranks(u, idx)
+    rq_c = _centred_ranks(q, idx)
     var_u = (ru_c * ru_c).sum(axis=1)
     var_q = (rq_c * rq_c).sum(axis=1)
     usable = (var_u != 0.0) & (var_q != 0.0)
@@ -261,9 +233,11 @@ def roc_auc(u, quality, theta: float) -> float:
             f"roc_auc requires both classes at theta={theta}: "
             f"{n_good} good, {n_bad} bad"
         )
-    ranks = _average_ranks(u)
-    r_good = float(ranks[good].sum())
-    return (r_good - n_good * (n_good + 1) / 2.0) / (n_good * n_bad)
+    # The good outputs' ranks sum to their centred ranks' sum plus
+    # n_good (n+1)/2; less the least such sum, n_good (n_good+1)/2, that is
+    # the count of good-over-bad wins (ties one half), an exact half-integer.
+    wins = float(_centred_ranks(u)[good].sum()) + n_good * n_bad / 2.0
+    return wins / (n_good * n_bad)
 
 
 def check_alphas(alphas) -> tuple[float, ...]:
@@ -280,8 +254,9 @@ def check_alphas(alphas) -> tuple[float, ...]:
     return alphas
 
 
-def abstention_curve(records, quality_key: str, alphas) -> AbstentionCurve:
-    """Mean retained quality after dropping the most uncertain records.
+def abstention_curve(records, quality_key: str, alphas) -> tuple[float, ...]:
+    """Mean retained quality after dropping the most uncertain records, one
+    value per alpha.
 
     Records are ordered by uncertainty ascending (lowest u = most
     uncertain), ties broken by record id; at each alpha the floor(alpha*n)
@@ -297,12 +272,8 @@ def abstention_curve(records, quality_key: str, alphas) -> AbstentionCurve:
     ordered = sorted(records, key=lambda r: (r.uncertainty, r.id))
     qualities = [r.quality[quality_key] for r in ordered]
     n = len(qualities)
-    values = []
-    for a in alphas:
-        drop = int(math.floor(a * n))
-        kept = qualities[drop:]
-        values.append(math.fsum(kept) / len(kept))
-    return AbstentionCurve(alphas=alphas, values=tuple(values))
+    return tuple(math.fsum(qualities[drop:]) / (n - drop)
+                 for drop in (int(math.floor(a * n)) for a in alphas))
 
 
 def write_csv(path, header: str, rows) -> None:

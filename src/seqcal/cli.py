@@ -40,12 +40,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .calib import (
+    ALPHAS,
+    ECE_BINS,
     QUALITY_KEYS,
-    _average_ranks,
+    THRESHOLDS,
+    _centred_ranks,
     abstention_curve,
     bootstrap_std,
-    check_alphas,
-    check_bins,
     check_resamples,
     ece,
     roc_auc,
@@ -138,34 +139,13 @@ class DecodeSection:
 
 
 @dataclass(frozen=True)
-class Thresholds:
-    """ROUGE cutoffs, in points, between good and bad outputs for ROC-AUC;
-    one field per entry of QUALITY_KEYS."""
-
-    rouge1: float = 40.0
-    rouge2: float = 15.0
-    rougeL: float = 30.0
-
-    def __post_init__(self):
-        for key, value in vars(self).items():
-            if not 0.0 <= value <= 100.0:
-                raise ConfigurationError(
-                    f"eval.thresholds.{key} must lie in [0, 100], got {value}"
-                )
-
-
-@dataclass(frozen=True)
 class EvalSection:
-    """Metric settings, checked by the rules the metrics themselves apply."""
+    """The bootstrap size of the rho standard deviation; the other report
+    settings are calib's constants (ECE_BINS, THRESHOLDS, ALPHAS)."""
 
-    ece_bins: int = 15
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    alphas: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     bootstrap_resamples: int = 200
 
     def __post_init__(self):
-        check_bins(self.ece_bins)
-        check_alphas(self.alphas)
         check_resamples(self.bootstrap_resamples)
 
 
@@ -351,6 +331,8 @@ def _resolve_methods(arg: str) -> list[str]:
             raise ConfigurationError(
                 f"unknown method {name!r}; choose from {', '.join(METHODS)} or 'all'"
             )
+        if name in out:
+            raise ConfigurationError(f"method {name!r} is named more than once in {arg!r}")
         out.append(name)
     return out
 
@@ -379,12 +361,12 @@ def cmd_gen_data(config: RunConfig, out: OutDir) -> None:
 
 
 def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
+    methods = _resolve_methods(method_arg)
     vocab, stamp = open_run(config, out)
     dims = config.dims(vocab)
     train_rows = split_rows(read_records(out.split("train"), vocab.size), dims)
     dev_rows = split_rows(read_records(out.split("dev"), vocab.size), dims)
     out.ensure("models")
-    methods = _resolve_methods(method_arg)
     configs = {method: config.method_config(method) for method in methods}
     ensembles = [c for c in configs.values() if is_deep_ensemble(c.method)]
     with EnsembleWorkers(train_rows, dims, ensembles, config.train) as workers:
@@ -399,9 +381,10 @@ def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
 
 
 def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> None:
+    methods = _resolve_methods(method_arg)
     vocab, stamp = open_run(config, out)
     examples = read_records(out.split(split), vocab.size)
-    for method in _resolve_methods(method_arg):
+    for method in methods:
         bundle_path = out.model_bundle(method)
         if not os.path.exists(bundle_path):
             raise ConfigurationError(
@@ -435,14 +418,13 @@ REPORTS = {
 
 def _eval_one_method(method, joined, config: RunConfig, gaps):
     """All metric rows for one method; failures become gap entries."""
-    ev = config.eval
+    resamples = config.eval.bootstrap_resamples
     rows = {report: [] for report in REPORTS}
     headline = {}
-    seq = sequence_pairs(joined)
-    for level, pairs in (("sequence", seq), ("token", token_pairs(joined))):
+    for level, pairs in (("sequence", sequence_pairs(joined)), ("token", token_pairs(joined))):
         try:
-            value = ece(pairs, ev.ece_bins)
-            rows["ece"].append((method, level, ev.ece_bins, value))
+            value = ece(pairs, ECE_BINS)
+            rows["ece"].append((method, level, ECE_BINS, value))
             if level == "sequence":
                 headline["ece"] = value
         except MetricError as exc:
@@ -452,15 +434,13 @@ def _eval_one_method(method, joined, config: RunConfig, gaps):
         q = [r.quality[metric] for r in joined]
         seed = config.bootstrap_seed(method, metric)
         try:
-            boot = bootstrap_std(u, q, ev.bootstrap_resamples, seed)
-            rows["corr"].append(
-                (method, metric, boot.rho, boot.std, ev.bootstrap_resamples, seed)
-            )
+            boot = bootstrap_std(u, q, resamples, seed)
+            rows["corr"].append((method, metric, boot.rho, boot.std, resamples, seed))
             if metric == "rougeL":
                 headline["rho"] = boot.rho
         except MetricError as exc:
             gaps.append((method, "corr", metric, str(exc)))
-        theta = getattr(ev.thresholds, metric)
+        theta = THRESHOLDS[metric]
         try:
             auc = roc_auc(u, q, theta)
             rows["roc"].append((method, metric, theta, auc))
@@ -469,17 +449,21 @@ def _eval_one_method(method, joined, config: RunConfig, gaps):
         except MetricError as exc:
             gaps.append((method, "roc", metric, str(exc)))
         try:
-            curve = abstention_curve(joined, metric, ev.alphas)
-            for alpha, value in zip(curve.alphas, curve.values):
-                rows["abstention"].append((method, metric, alpha, value))
+            values = abstention_curve(joined, metric, ALPHAS)
+            rows["abstention"].extend((method, metric, alpha, value)
+                                      for alpha, value in zip(ALPHAS, values))
         except MetricError as exc:
             gaps.append((method, "abstention", metric, str(exc)))
     return rows, headline
 
 
-# (headline, its summary.csv rank column, sign that makes lower better)
-SUMMARY_COLUMNS = (("ece", "rank_ece", 1.0), ("rho", "rank_spearman", -1.0),
-                   ("auc", "rank_auc", -1.0))
+# (headline, its summary.csv value and rank columns, sign that makes lower
+# better)
+SUMMARY_COLUMNS = (("ece", "ece_sequence", "rank_ece", 1.0),
+                   ("rho", "spearman_rougeL", "rank_spearman", -1.0),
+                   ("auc", "auc_rougeL", "rank_auc", -1.0))
+SUMMARY_HEADER = ",".join(("method", *(value for _, value, _, _ in SUMMARY_COLUMNS),
+                           *(rank for _, _, rank, _ in SUMMARY_COLUMNS), "mean_rank"))
 
 
 def _summary_rows(headlines: dict, gaps: list) -> list[tuple]:
@@ -489,19 +473,20 @@ def _summary_rows(headlines: dict, gaps: list) -> list[tuple]:
     entry, and absent values leave empty cells."""
     methods = list(headlines)
     ranks = {m: {} for m in methods}
-    for name, rank_name, sign in SUMMARY_COLUMNS:
+    for name, _, rank_name, sign in SUMMARY_COLUMNS:
         missing = [m for m in methods if name not in headlines[m]]
         if missing:
             gaps.append(("all", "summary", rank_name, f"{name} is undefined for "
                          f"{' '.join(missing)}, so no method is ranked on it"))
             continue
-        for m, rank in zip(methods, _average_ranks([sign * headlines[m][name] for m in methods])):
+        centred = _centred_ranks([sign * headlines[m][name] for m in methods])
+        for m, rank in zip(methods, centred + (len(methods) + 1) / 2.0):
             ranks[m][name] = float(rank)
     rows = []
     for m in methods:
         mean_rank = sum(ranks[m].values()) / len(ranks[m]) if ranks[m] else None
-        rows.append((m, *(headlines[m].get(name) for name, _, _ in SUMMARY_COLUMNS),
-                     *(ranks[m].get(name) for name, _, _ in SUMMARY_COLUMNS), mean_rank))
+        rows.append((m, *(headlines[m].get(name) for name, *_ in SUMMARY_COLUMNS),
+                     *(ranks[m].get(name) for name, *_ in SUMMARY_COLUMNS), mean_rank))
     rows.sort(key=lambda r: (r[-1] is None, r[-1] or 0.0, r[0]))
     return rows
 
@@ -537,9 +522,7 @@ def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
                                     or "no headline metrics"))
     for report, header in REPORTS.items():
         write_csv(out.report(f"{report}.csv"), header, all_rows[report])
-    write_csv(out.report("summary.csv"), "method,ece_sequence,spearman_rougeL,auc_rougeL,"
-              + ",".join(rank for _, rank, _ in SUMMARY_COLUMNS) + ",mean_rank",
-              _summary_rows(headlines, gaps))
+    write_csv(out.report("summary.csv"), SUMMARY_HEADER, _summary_rows(headlines, gaps))
     write_csv(out.report("gaps.csv"), "method,report,metric,reason",
               ((m, report, metric, '"' + reason.replace('"', "'") + '"')
                for m, report, metric, reason in gaps))

@@ -50,4 +50,10 @@ class MetricError(SeqcalError):
 
 
 class UndefinedCorrelationError(MetricError):
-    """Rank correlation is undefined because one side has zero rank variance."""
+    """Rank correlation is undefined because one side has zero rank variance.
+
+    Kept apart from MetricError on purpose: a bootstrap whose full-sample
+    rho is undefined raises this and ran no resamples, while one left with
+    too few usable resamples raises a plain MetricError after running them
+    all, and perfbench's bootstrap-use counter tells the two apart by type.
+    """

@@ -159,9 +159,9 @@ class MethodConfig:
                 )
             if len(set(self.seeds)) != len(self.seeds):
                 raise ConfigurationError("ensemble member seeds must be distinct")
-        elif self.seeds and len(self.seeds) != 1:
+        elif self.seeds:
             raise ConfigurationError(
-                f"single-model method {self.method} takes at most one seed"
+                f"single-model method {self.method} takes no member seeds, got {len(self.seeds)}"
             )
 
     def member_seeds(self, seed: int) -> tuple[int, ...]:

@@ -12,24 +12,26 @@ import numpy as np
 
 
 def ece_oracle(pairs, k):
-    """Scan each pair over the bin edges (k-1)/K < p <= k/K."""
-    n = len(pairs)
+    """Scan each (confidence, correct) pair over the bin edges
+    (k-1)/K < p <= k/K."""
+    confs, flags = (list(side) for side in pairs)
+    n = len(confs)
     bins = [[] for _ in range(k)]
-    for p in pairs:
+    for p, correct in zip(confs, flags):
         for b in range(1, k + 1):
             low = (b - 1) / k
             high = b / k
-            if low < p.confidence <= high:
-                bins[b - 1].append(p)
+            if low < p <= high:
+                bins[b - 1].append((p, correct))
                 break
         else:
-            raise AssertionError(f"confidence {p.confidence} fell outside every bin")
+            raise AssertionError(f"confidence {p} fell outside every bin")
     total = 0.0
     for members in bins:
         if not members:
             continue
-        conf = sum(m.confidence for m in members) / len(members)
-        acc = sum(1.0 for m in members if m.correct) / len(members)
+        conf = sum(p for p, _ in members) / len(members)
+        acc = sum(1.0 for _, correct in members if correct) / len(members)
         total += len(members) / n * abs(conf - acc)
     return total
 

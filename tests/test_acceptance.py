@@ -34,7 +34,6 @@ from oracles import (
     spearman_oracle,
 )
 from seqcal.calib import (
-    ScoredPair,
     abstention_curve,
     ece,
     roc_auc,
@@ -104,10 +103,9 @@ def test_criterion_1_metric_oracles(announce):
     for _ in range(n_inst):
         size = int(rng.integers(1, 41))
         k = int(rng.integers(1, 21))
-        pairs = [
-            ScoredPair(float(rng.uniform(1e-6, 1.0)), bool(rng.random() < 0.5))
-            for _ in range(size)
-        ]
+        drawn = [(float(rng.uniform(1e-6, 1.0)), bool(rng.random() < 0.5))
+                 for _ in range(size)]
+        pairs = (np.array([c for c, _ in drawn]), np.array([f for _, f in drawn]))
         got = ece(pairs, k)
         worst = max(worst, abs(got - ece_oracle(pairs, k)))
 
@@ -146,7 +144,7 @@ def test_criterion_1_metric_oracles(announce):
         ]
         key = str(rng.choice(["rouge1", "rouge2", "rougeL"]))
         alphas = tuple(sorted({0.0, *(float(a) for a in rng.uniform(0.0, 0.95, 3))}))
-        got = abstention_curve(records, key, alphas).values
+        got = abstention_curve(records, key, alphas)
         want = abstention_oracle(records, key, alphas)
         worst = max(worst, max(abs(g - w) for g, w in zip(got, want)))
 
@@ -417,8 +415,7 @@ def test_criterion_6_calibrated_population(announce):
     n = 100_000
     conf = rng.uniform(1e-9, 1.0, n)
     correct = rng.random(n) < conf
-    pairs = [ScoredPair(float(c), bool(b)) for c, b in zip(conf, correct)]
-    value = ece(pairs, 15)
+    value = ece((conf, correct), 15)
     ok = value < 0.01
     announce(6, "calibrated population", ok, f"n={n}, K=15, ece {value:.5f}")
     assert value < 0.01
@@ -455,8 +452,7 @@ def _trend_one_seed(global_seed):
                 rho = spearman(u, q)
             except MetricError:
                 continue
-            curve = abstention_curve(joined, metric, (0.0, 0.5))
-            curves[metric] = (rho, curve.values[0], curve.values[1])
+            curves[metric] = (rho, *abstention_curve(joined, metric, (0.0, 0.5)))
         out[method] = {
             "r1": math.fsum(r.quality["rouge1"] for r in joined) / len(joined),
             "ece": ece(sequence_pairs(joined), 15),

@@ -15,8 +15,7 @@ from oracles import (
     spearman_oracle,
 )
 from seqcal.calib import (
-    ScoredPair,
-    _average_ranks,
+    _centred_ranks,
     abstention_curve,
     bootstrap_std,
     check_bins,
@@ -33,6 +32,13 @@ from seqcal.errors import (
     UndefinedCorrelationError,
 )
 from seqcal.rng import stream
+
+
+def scored(*pairs):
+    """(confidences, correct flags) arrays from (confidence, correct) pairs,
+    the shape sequence_pairs and token_pairs return."""
+    return (np.array([c for c, _ in pairs], dtype=float),
+            np.array([f for _, f in pairs], dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -74,49 +80,47 @@ def make_records(rng, n):
 class TestEce:
     def test_single_pair_gap(self):
         # one pair at confidence 0.7, incorrect: ece = 0.7
-        assert ece([ScoredPair(0.7, False)], 10) == pytest.approx(0.7)
+        assert ece(scored((0.7, False)), 10) == pytest.approx(0.7)
 
     def test_perfectly_calibrated_two_bins(self):
         # two pairs in one bin, conf 0.75 each, one correct: gap 0.25
-        pairs = [ScoredPair(0.75, True), ScoredPair(0.75, False)]
+        pairs = scored((0.75, True), (0.75, False))
         assert ece(pairs, 2) == pytest.approx(0.25)
 
     def test_boundary_goes_to_lower_bin(self):
         # confidence exactly 1/K belongs to bin 1: ((0, 1/K]), not bin 2
-        pairs = [ScoredPair(1.0 / 15.0, True)]
+        pairs = scored((1.0 / 15.0, True))
         assert ece(pairs, 15) == pytest.approx(abs(1.0 / 15.0 - 1.0))
 
     def test_confidence_one_allowed(self):
-        assert ece([ScoredPair(1.0, True)], 15) == 0.0
+        assert ece(scored((1.0, True)), 15) == 0.0
 
     def test_zero_confidence_rejected(self):
-        with pytest.raises(MetricError):
-            ece([ScoredPair(0.0, False)], 15)
+        with pytest.raises(MetricError, match=r"pair confidence 0.0 outside .*\(0, 1\]"):
+            ece(scored((0.5, True), (0.0, False)), 15)
 
     def test_empty_rejected(self):
-        with pytest.raises(MetricError):
-            ece([], 15)
+        with pytest.raises(MetricError, match="at least one scored pair"):
+            ece(scored(), 15)
 
     def test_bin_rule_has_one_owner(self):
         assert check_bins(1) == 1
         with pytest.raises(ConfigurationError, match="ece bins must be >= 1"):
             check_bins(0)
         with pytest.raises(ConfigurationError, match="ece bins must be >= 1"):
-            ece([ScoredPair(0.5, True)], 0)
+            ece(scored((0.5, True)), 0)
 
     def test_matches_scan_oracle_randomized(self):
         rng = stream(77, "ece-test")
         for trial in range(250):
             n = int(rng.integers(1, 60))
             k = int(rng.integers(1, 25))
-            pairs = [
-                ScoredPair(float(rng.uniform(1e-9, 1.0)), bool(rng.integers(0, 2)))
-                for _ in range(n)
-            ]
+            pairs = scored(*[(float(rng.uniform(1e-9, 1.0)), bool(rng.integers(0, 2)))
+                             for _ in range(n)])
             # mix in exact boundary values to stress the edge comparisons
             if n > 2:
-                pairs[0] = ScoredPair(1.0 / k, True)
-                pairs[1] = ScoredPair(min(2.0 / k, 1.0), False)
+                pairs[0][:2] = 1.0 / k, min(2.0 / k, 1.0)
+                pairs[1][:2] = True, False
             got = ece(pairs, k)
             want = ece_oracle(pairs, k)
             assert got == pytest.approx(want, abs=1e-12)
@@ -130,7 +134,7 @@ class TestEce:
         k=st.integers(min_value=1, max_value=20),
     )
     def test_oracle_property(self, confs, flags, k):
-        pairs = [ScoredPair(c, f) for c, f in zip(confs, flags)]
+        pairs = scored(*zip(confs, flags))
         assert ece(pairs, k) == pytest.approx(
             ece_oracle(pairs, k), abs=1e-12
         )
@@ -142,17 +146,17 @@ class TestPairExtraction:
             id="a", hypothesis=(3, 4), reference=(3, 4), token_logp=(0.0, 0.0),
             uncertainty=0.0,
         )
-        (pair,) = sequence_pairs([rec])
-        assert pair == ScoredPair(1.0, True)
+        conf, correct = sequence_pairs([rec])
+        assert conf.tolist() == [1.0] and correct.tolist() == [True]
 
     def test_sequence_pair_confidence_product(self):
         rec = FakeRecord(
             id="a", hypothesis=(3,), reference=(4,),
             token_logp=(math.log(0.25),), uncertainty=math.log(0.25),
         )
-        (pair,) = sequence_pairs([rec])
-        assert pair.confidence == pytest.approx(0.25)
-        assert not pair.correct
+        conf, correct = sequence_pairs([rec])
+        assert conf.tolist() == [pytest.approx(0.25)]
+        assert correct.tolist() == [False]
 
     def test_token_pairs_positional(self):
         # hyp "a b" vs ref "a c" with probs (0.9, 0.8)
@@ -160,12 +164,9 @@ class TestPairExtraction:
             id="a", hypothesis=(3, 4), reference=(3, 5),
             token_logp=(math.log(0.9), math.log(0.8)), uncertainty=-0.1,
         )
-        pairs = token_pairs([rec])
-        assert len(pairs) == 2
-        assert pairs[0].confidence == pytest.approx(0.9)
-        assert pairs[0].correct
-        assert pairs[1].confidence == pytest.approx(0.8)
-        assert not pairs[1].correct
+        conf, correct = token_pairs([rec])
+        assert conf.tolist() == [pytest.approx(0.9), pytest.approx(0.8)]
+        assert correct.tolist() == [True, False]
 
     def test_token_pairs_skip_counted(self):
         # |hyp| = 3, |ref| = 2: exactly 2 pairs, one skipped position
@@ -173,7 +174,8 @@ class TestPairExtraction:
             id="a", hypothesis=(3, 4, 5), reference=(3, 4),
             token_logp=(-0.1, -0.1, -0.1), uncertainty=-0.1,
         )
-        assert len(token_pairs([rec])) == 2
+        conf, correct = token_pairs([rec])
+        assert len(conf) == len(correct) == 2
 
 
 class TestSpearman:
@@ -208,11 +210,31 @@ class TestSpearman:
     @given(
         values=st.lists(
             st.sampled_from([-2.5, -0.0, 0.0, 0.125, 1.0, 3.0, 1e300]), max_size=40
-        )
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 8),
     )
-    def test_average_ranks_equal_oracle_exactly(self, values):
-        # a small value set makes ties common; ranks are exact half-integers
-        assert _average_ranks(values).tolist() == ranks_oracle(values)
+    def test_average_ranks_equal_oracle_exactly(self, values, seed, n_rows):
+        # a small value set makes ties common; ranks are exact half-integers,
+        # both for the values themselves and for every row of a (B, n)
+        # resample index matrix
+        n = len(values)
+        centre = (n + 1) / 2.0
+        assert _centred_ranks(values).tolist() == [r - centre for r in ranks_oracle(values)]
+        if not n:
+            return
+        idx = np.random.default_rng(seed).integers(0, n, size=(n_rows, n))
+        batched = _centred_ranks(values, idx)
+        assert batched.shape == (n_rows, n)
+        for row, picks in zip(batched, idx):
+            want = [r - centre for r in ranks_oracle([values[i] for i in picks])]
+            assert row.tolist() == want
+
+    def test_nan_has_no_rank(self):
+        with pytest.raises(MetricError, match="NaN"):
+            spearman([0.0, np.nan, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(MetricError, match="NaN"):
+            roc_auc([0.0, np.nan], [10.0, 90.0], 40.0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -398,17 +420,16 @@ class TestAbstention:
             FakeRecord("c", (3,), (3,), (-1.0,), -1.0, {"rouge1": 50.0, "rouge2": 0, "rougeL": 0}),
             FakeRecord("d", (3,), (3,), (-2.0,), -2.0, {"rouge1": 10.0, "rouge2": 0, "rougeL": 0}),
         ]
-        curve = abstention_curve(records, "rouge1", (0.0, 0.5))
-        assert curve.values[0] == pytest.approx(55.0)
-        assert curve.values[1] == pytest.approx(80.0)
+        values = abstention_curve(records, "rouge1", (0.0, 0.5))
+        assert values == (pytest.approx(55.0), pytest.approx(80.0))
 
     def test_alpha_zero_equals_corpus_mean_exactly(self):
         rng = stream(3, "abst")
         records = make_records(rng, 37)
-        curve = abstention_curve(records, "rougeL", (0.0,))
+        (value,) = abstention_curve(records, "rougeL", (0.0,))
         ordered = sorted(records, key=lambda r: (r.uncertainty, r.id))
         want = math.fsum(r.quality["rougeL"] for r in ordered) / len(records)
-        assert curve.values[0] == want
+        assert value == want
 
     def test_tie_break_by_id(self):
         records = [
@@ -416,8 +437,7 @@ class TestAbstention:
             FakeRecord("a", (3,), (3,), (-1.0,), -1.0, {"rouge1": 90.0, "rouge2": 0, "rougeL": 0}),
         ]
         # equal u: id "a" sorts first and is dropped first
-        curve = abstention_curve(records, "rouge1", (0.5,))
-        assert curve.values[0] == pytest.approx(10.0)
+        assert abstention_curve(records, "rouge1", (0.5,)) == (pytest.approx(10.0),)
 
     def test_alpha_one_rejected(self):
         records = make_records(stream(4, "abst2"), 5)
@@ -434,6 +454,5 @@ class TestAbstention:
         for _ in range(200):
             records = make_records(rng, int(rng.integers(1, 40)))
             alphas = sorted(set(float(a) for a in rng.uniform(0, 0.99, size=4)))
-            curve = abstention_curve(records, "rouge2", tuple(alphas))
-            want = abstention_oracle(records, "rouge2", alphas)
-            assert list(curve.values) == want
+            values = abstention_curve(records, "rouge2", tuple(alphas))
+            assert list(values) == abstention_oracle(records, "rouge2", alphas)

@@ -13,6 +13,7 @@ from dataclasses import asdict
 
 import pytest
 
+from seqcal.calib import ALPHAS, THRESHOLDS, check_alphas
 from seqcal.cli import (
     MAX_DE_SIZE,
     MAX_VOCAB_SIZE,
@@ -74,8 +75,7 @@ class TestLoadConfig:
         assert cfg.methods.sngp.spec_norm_bound == 1.0
         assert cfg.methods.sngp.mean_field_factor == 1e-4
         assert cfg.decode.beam_size == 3
-        assert cfg.eval.ece_bins == 15
-        assert asdict(cfg.eval.thresholds) == {"rouge1": 40.0, "rouge2": 15.0, "rougeL": 30.0}
+        assert asdict(cfg.eval) == {"bootstrap_resamples": 200}
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ConfigurationError, match="unknown keys.*extra"):
@@ -84,8 +84,8 @@ class TestLoadConfig:
     def test_unknown_nested_key(self, tmp_path):
         with pytest.raises(ConfigurationError, match="task has unknown keys"):
             load_config(write_config(tmp_path, {"task": {"n_tokens": 4}}))
-        with pytest.raises(ConfigurationError, match="thresholds has unknown keys.*bleu"):
-            load_config(write_config(tmp_path, {"eval": {"thresholds": {"bleu": 1.0}}}))
+        with pytest.raises(ConfigurationError, match=r"config.eval has unknown keys \['bleu'\]"):
+            load_config(write_config(tmp_path, {"eval": {"bleu": 1.0}}))
 
     def test_type_errors_name_the_field(self, tmp_path):
         with pytest.raises(ConfigurationError, match="config.seed"):
@@ -93,13 +93,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match="decode.beam_size"):
             load_config(write_config(tmp_path, {"decode": {"beam_size": True}}))
 
-    def test_threshold_range(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="thresholds.rouge1"):
-            load_config(write_config(tmp_path, {"eval": {"thresholds": {"rouge1": 101.0}}}))
+    def test_threshold_range(self):
+        # the ROC cutoffs are calib's constants (a config naming them is
+        # refused, see the eval-removed cases below): ROUGE scores in points
+        assert all(0.0 <= theta <= 100.0 for theta in THRESHOLDS.values())
 
-    def test_alpha_types(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="alphas"):
-            load_config(write_config(tmp_path, {"eval": {"alphas": [0.0, "x"]}}))
+    def test_alpha_types(self):
+        # the abstention fractions are calib's constants: floats the
+        # abstention curve accepts
+        assert check_alphas(ALPHAS) == ALPHAS and all(type(a) is float for a in ALPHAS)
 
     @pytest.mark.parametrize("section, values, message", [
         ("decode", {"beam_size": 0}, "beam_size"),
@@ -112,10 +114,17 @@ class TestLoadConfig:
         ("methods", {"dropout_rate": 1.0}, "dropout_rate"),
         ("methods", {"be_size": 0}, "be_size"),
         ("methods", {"de_size": 1}, "de_size"),
-        ("eval", {"ece_bins": 0}, "ece bins"),
-        ("eval", {"alphas": [0.2, 0.1]}, "sorted"),
-        ("eval", {"alphas": [0.0, 1.0]}, r"\[0, 1\)"),
-        ("eval", {"alphas": []}, "at least one alpha"),
+        # the report settings that left the config are unknown keys
+        pytest.param("eval", {"ece_bins": 15}, r"config.eval has unknown keys \['ece_bins'\]",
+                     id="eval-removed-ece_bins"),
+        pytest.param("eval", {"thresholds": {}}, r"config.eval has unknown keys \['thresholds'\]",
+                     id="eval-removed-thresholds"),
+        pytest.param("eval", {"alphas": [0.0]}, r"config.eval has unknown keys \['alphas'\]",
+                     id="eval-removed-alphas"),
+        pytest.param("eval", {"alphas": [0.0], "ece_bins": 15, "thresholds": {},
+                              "bootstrap_resamples": 9},
+                     r"config.eval has unknown keys \['alphas', 'ece_bins', 'thresholds'\]",
+                     id="eval-removed-all"),
         ("eval", {"bootstrap_resamples": 1}, ">= 2 resamples"),
         ("task", {"kind": "bogus"}, "task.kind"),
         ("task", {"kind": "noisy-paraphrase", "noise_rate": 2.0}, "noise_rate"),
@@ -204,6 +213,11 @@ class TestResolveMethods:
     def test_unknown_method(self):
         with pytest.raises(ConfigurationError, match="unknown method"):
             _resolve_methods("dropout")
+
+    def test_repeated_method(self):
+        with pytest.raises(ConfigurationError,
+                           match="method 'base' is named more than once in 'base,mcd, base'"):
+            _resolve_methods("base,mcd, base")
 
 
 def run_stamp(out):
@@ -508,7 +522,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("section, values", [
         ("decode", {"beam_size": 0}),
-        ("eval", {"alphas": [0.5, 0.0]}),
+        ("eval", {"alphas": [0.0, 0.5]}),
         ("eval", {"bootstrap_resamples": 1}),
         ("task", {"kind": "bogus"}),
         ("task", {"kind": "noisy-paraphrase", "noise_rate": 2.0}),
@@ -601,8 +615,10 @@ class TestExitCodes:
         (lambda b: b["members"][0].update(embed={"a": 1}),
          "bundle.members[0].embed must be a list, got dict"),
         (lambda b: b["members"][0].update(seed=True), "bundle.members[0].seed must be int, got bool"),
+        (lambda b: b["method"].update(seeds=[7]),
+         "single-model method be takes no member seeds, got 1"),
     ], ids=["samples-float", "be_size-float", "embed_dim-float", "seeds-number", "be-number",
-            "r-strings", "loss-history-strings", "embed-object", "seed-bool"])
+            "r-strings", "loss-history-strings", "embed-object", "seed-bool", "one-seed"])
     def test_malformed_bundle_infer_is_one(self, tmp_path, capsys, edit, message):
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
@@ -770,6 +786,25 @@ class TestRunDirectoryBelongsToOneConfig:
         os.remove(os.path.join(out, "manifest.json"))
         self._refused(capsys, ["infer", "--config", cfg_path, "--out", out,
                                "--method", "base"], tmp_path / "run", "manifest.json")
+
+    @pytest.mark.parametrize("key, value", [("ece_bins", 15), ("alphas", [0.0, 0.5]),
+                                            ("thresholds", {"rouge1": 40.0})])
+    def test_manifest_naming_a_removed_eval_key_is_refused(self, tmp_path, capsys, key, value):
+        # manifests written while the report settings were config keys
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["eval"][key] = value
+        path.write_text(json.dumps(manifest))
+        self._refused(capsys, ["eval", "--config", cfg_path, "--out", out], tmp_path / "run",
+                      f"manifest.config.eval has unknown keys ['{key}']")
+
+    @pytest.mark.parametrize("stage", ["train", "infer", "eval"])
+    def test_repeated_method_touches_nothing(self, tmp_path, capsys, stage):
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        self._refused(capsys, [stage, "--config", cfg_path, "--out", out,
+                               "--method", "base,base"], tmp_path / "run",
+                      "method 'base' is named more than once in 'base,base'")
 
 
 class TestSummaryRanking:

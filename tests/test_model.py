@@ -65,8 +65,14 @@ class TestMethodConfig:
             MethodConfig(method="de", seeds=(1, 1, 2))
 
     def test_single_model_rejects_seed_list(self):
-        with pytest.raises(ConfigurationError, match="at most one seed"):
+        with pytest.raises(ConfigurationError, match="takes no member seeds, got 2"):
             MethodConfig(method="mcd", seeds=(1, 2))
+
+    @pytest.mark.parametrize("method", ["base", "mcd", "be", "sngp", "sngp_mcd"])
+    def test_single_model_rejects_one_seed(self, method):
+        # member_seeds would ignore it and train from the stage seed
+        with pytest.raises(ConfigurationError, match="takes no member seeds, got 1"):
+            MethodConfig(method=method, seeds=(7,))
 
     def test_dropout_rate_range(self):
         with pytest.raises(ConfigurationError, match="dropout_rate"):
