@@ -20,6 +20,12 @@ Layout under --out:
 Each file replaces its old version only once it is complete, so a stage
 that fails leaves the previous file or none.
 
+`train` and `infer` spread their independent jobs, every member of every
+method in `train` and every method's decode in `infer`, over the CPUs the
+stage may use with one `training.JobPool`; the stage process takes the
+results back in method order and writes every file and prints every line
+itself, so the outputs do not depend on the CPU count.
+
 Every stochastic choice derives from the single top-level seed, so a
 rerun of any stage writes byte-identical files.  Model-intrinsic knobs
 (sample count, dropout rate, ensemble sizes) travel inside the bundle;
@@ -81,13 +87,14 @@ from .inference import (
     read_predictions,
     write_predictions,
 )
-from .model import METHODS, MethodConfig, ModelDims, SngpConfig, is_deep_ensemble
+from .model import METHODS, MethodConfig, ModelDims, SngpConfig, is_deep_ensemble, uses_gp
 from .rng import derive_seed
 from .schema import from_json, parse_json, to_json, write_text
 from .training import (
-    EnsembleWorkers,
+    JobPool,
     TrainHyper,
     evaluate_loss,
+    member_pool,
     read_bundle,
     split_rows,
     train_method,
@@ -368,23 +375,25 @@ def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
     dev_rows = split_rows(read_records(out.split("dev"), vocab.size), dims)
     out.ensure("models")
     configs = {method: config.method_config(method) for method in methods}
-    ensembles = [c for c in configs.values() if is_deep_ensemble(c.method)]
-    with EnsembleWorkers(train_rows, dims, ensembles, config.train) as workers:
+    with member_pool(train_rows, dims, config.train,
+                     [(configs[m], config.train_seed(m)) for m in methods]) as pool:
         for method in methods:
             members = train_method(train_rows, dims, configs[method], config.train,
-                                   seed=config.train_seed(method), workers=workers)
+                                   seed=config.train_seed(method), pool=pool)
             write_bundle(members, out.model_bundle(method), stamp)
             train_ce = evaluate_loss(members[0], train_rows)
             dev_ce = evaluate_loss(members[0], dev_rows)
             print(f"trained {method}: {len(members)} member(s), "
                   f"train CE {train_ce:.4f}, dev CE {dev_ce:.4f}")
+            del members  # before the pool runs the next method's jobs here
 
 
 def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> None:
     methods = _resolve_methods(method_arg)
     vocab, stamp = open_run(config, out)
     examples = read_records(out.split(split), vocab.size)
-    for method in methods:
+
+    def decode(method):
         bundle_path = out.model_bundle(method)
         if not os.path.exists(bundle_path):
             raise ConfigurationError(
@@ -396,14 +405,21 @@ def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> No
                 f"bundle at {bundle_path} holds method "
                 f"{members[0].config.method!r}, expected {method!r}"
             )
-        preds = decode_corpus(
+        return decode_corpus(
             members, examples, config.posterior_config(),
             run_seed=config.run_seed(method),
         )
-        path = out.predictions(method, split)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_predictions(preds, path)
-        print(f"decoded {len(preds)} examples with {method} -> {path}")
+
+    # Each method is one job; the ones with the most member passes per
+    # decode step go first, the GP methods first among equals.
+    jobs = sorted(methods, key=lambda m: (-config.method_config(m).decode_passes, not uses_gp(m)))
+    with JobPool(decode, jobs, lambda method: f"{method} decoding") as pool:
+        for method in methods:
+            preds = pool.take(method)
+            path = out.predictions(method, split)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write_predictions(preds, path)
+            print(f"decoded {len(preds)} examples with {method} -> {path}")
 
 
 # {report: CSV header} for the per-metric reports; reports/<report>.csv

@@ -36,7 +36,10 @@ on purpose: the member pass feeds BLAS stacked (n, live, K) operands, one
 GEMM per example at the one-example (live, K) shape, because a GEMM's
 per-row results depend on its row count, and a last-bit change in a
 log-probability can reorder near-tied hypotheses.  `beam_decode` is the
-same search on a single example.
+same search on a single example.  A decode is a pure function of the
+members, the examples, the config and the run seed, so the `infer` stage
+decodes its methods as the jobs of one `training.JobPool`, each in
+whichever process pulls it, and writes the same records.
 
 `step_distributions` is the one routine that forms a decode step's
 posterior-mean rows, the only place the methods differ: the search calls

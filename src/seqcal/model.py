@@ -173,6 +173,13 @@ class MethodConfig:
     def n_members(self) -> int:
         return len(self.member_seeds(0))
 
+    @property
+    def decode_passes(self) -> int:
+        """Member forward passes per decode step (`inference.step_distributions`)."""
+        if dropout_active(self):
+            return self.samples
+        return self.be_size if self.method == "be" else self.n_members
+
 
 @dataclass
 class BatchEnsembleState:

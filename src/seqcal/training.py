@@ -19,14 +19,14 @@ is accumulated exactly in a single pass over every training row after the
 last step, with dropout off and the final weights, so the Laplace
 covariance describes the model actually used at inference time.
 
-Who trains what, and in which process: in the train stage, the stage
-process trains the single-model methods (base, mcd, be, sngp, sngp_mcd)
-itself.  Meanwhile forked worker processes (`EnsembleWorkers`), one per
-CPU the stage may use, train the deep-ensemble members (de, sngp_de), and
-`train_method` hands back the members the workers trained.  Every member,
-in whichever process, is one `train_member` call, a pure function of its
-seed, so the bundles hold the same bits as when one process trains them
-all.
+Who trains what, and in which process: every member is one
+`train_member` call, a pure function of its seed, and is one job of a
+`JobPool`, the one fork routine of the train and infer stages.  The train
+stage builds one `member_pool` of every member of every requested method,
+the GP members first; the stage process and one forked worker per further
+CPU pull them from one queue, and `train_method` takes each method's
+members from the pool in method order.  So the bundles hold the same bits
+as when one process trains them all.
 
 A bundle is one `BundleFile` of `model.Member` records, written with
 `schema.to_json` and read with `schema.from_json`.  It stores the stamp
@@ -70,7 +70,6 @@ from .model import (
     factor_precision,
     finalize_covariance,
     init_model,
-    is_deep_ensemble,
     spectral_normalize,
     trainable,
     update_precision,
@@ -215,77 +214,111 @@ def train_method(
     config: MethodConfig,
     hyper: TrainHyper,
     seed: int,
-    on_step=None,
-    workers: EnsembleWorkers | None = None,
+    pool: JobPool | None = None,
 ) -> tuple[TrainedModel, ...]:
     """All members for one method: the configured seeds for a deep
-    ensemble, otherwise a single model trained from `seed`.  A deep
-    ensemble comes from `workers` when given, which trained it on the same
-    rows, dims and hyperparameters (`on_step` is then not called)."""
-    if workers is not None and is_deep_ensemble(config.method):
-        return workers.members(config)
-    return tuple(
-        train_member(structure, dims, config, hyper, s, on_step)
-        for s in config.member_seeds(seed)
-    )
+    ensemble, otherwise a single model trained from `seed`.  They come
+    from `pool`, a `member_pool` of the same rows, dims and
+    hyperparameters that holds them, or else from a pool of their own."""
+    if pool is None:
+        with member_pool(structure, dims, hyper, [(config, seed)]) as own:
+            return train_method(structure, dims, config, hyper, seed, own)
+    return tuple(pool.take((config, s)) for s in config.member_seeds(seed))
 
 
-class EnsembleWorkers:
-    """The members of the deep ensembles in `configs`, trained in forked
-    worker processes while the caller trains the other methods.
+def member_pool(structure: RowStructure, dims: ModelDims, hyper: TrainHyper,
+                methods) -> JobPool:
+    """A `JobPool` whose jobs are the members of the (config, seed)
+    `methods`, one `train_member` call each, the GP methods' (the slowest)
+    first; `train_method` takes a method's members from it."""
+    jobs = [(config, s)
+            for config, seed in sorted(methods, key=lambda m: not uses_gp(m[0].method))
+            for s in config.member_seeds(seed)]
+    return JobPool(lambda job: train_member(structure, dims, job[0], hyper, job[1]), jobs,
+                   lambda job: f"{job[0].method} member seed {job[1]}")
 
-    One worker is forked per CPU this process may use, but no more than
-    there are members.  The workers deal out one job list round-robin: every
-    member, the GP ensemble's (the slowest) first.  A worker trains each of
-    its members through `train_member`, sends the pickled list of them down
-    its pipe (a member whose training raised is sent as the exception) and
-    leaves through `os._exit`.  The first `members` call reads every
-    worker's list and reaps the worker.  A worker that exits without a
-    complete list is a TrainingError that names its members.  `close`
-    (also on leaving a `with` block) kills and reaps every worker still
-    unread, so none outlives the stage, whether it succeeds or fails.
+
+# A result pipe holds this much, so a worker can send a member and pull its
+# next job while the stage process is busy with a job of its own.
+PIPE_BYTES = 1 << 20
+
+# The queue pipe is filled before anyone reads it, so it must hold every
+# job index (4 bytes each) in the default 64 KiB; a config asks for at
+# most 2 * MAX_DE_SIZE + 5.
+MAX_JOBS = 16_384
+
+_HEAD = 12  # a message's job index (4 bytes) and payload length (8 bytes)
+
+
+class JobPool:
+    """`run(job)` for every job in `jobs`, spread over the CPUs this process
+    may use; `take(job)` hands back one job's result, or raises the
+    exception the job raised.  Every job must be a pure function of its
+    inputs, so the results do not depend on which process runs which job.
+
+    min(CPUs in the affinity mask, jobs) processes pull job indices, in
+    list order, from one shared pipe queue: this process and one forked
+    worker per further CPU, so at one CPU nothing is forked.  This process
+    runs the jobs it pulls inside `take`, while the result it asks for is
+    not in; once the queue is empty it waits for the workers.  A worker
+    announces each job it pulls, runs it, sends the pickled result (or the
+    exception) down its own pipe, and leaves through `os._exit` when the
+    queue is empty.  When a worker ends without sending the result of a job
+    it announced, that job's result is a TrainingError naming it
+    (`label(job)`) and how the worker ended.  `close` (also on leaving a
+    `with` block) kills and reaps every worker still running, so none
+    outlives the stage, whether it succeeds or fails.  The stage runs no
+    threads of its own, and OpenBLAS stops its thread pool around a fork
+    itself (pthread_atfork), so a worker starts sound.
     """
 
-    def __init__(self, structure: RowStructure, dims: ModelDims, configs,
-                 hyper: TrainHyper):
-        jobs = [(config, i, seed)
-                for config in sorted(configs, key=lambda c: not uses_gp(c.method))
-                for i, seed in enumerate(config.seeds)]
-        n_workers = min(len(os.sched_getaffinity(0)), len(jobs))
-        self._running = []  # (pid, read end of its pipe, its jobs), unread
-        self._results = None  # {(method, member index): member or exception}
+    def __init__(self, run, jobs, label):
+        self._run, self._jobs, self._label = run, list(jobs), label
+        if len(self._jobs) > MAX_JOBS:
+            raise ValueError(f"a pool takes at most {MAX_JOBS} jobs, got {len(self._jobs)}")
+        self._index = {job: i for i, job in enumerate(self._jobs)}
+        self._results = {}  # {job index: (True, result) or (False, exception)}
+        self._workers = {}  # {read end of its pipe: [pid, unread bytes, announced job]}
+        self._queue, tail = os.pipe()
+        os.write(tail, b"".join(i.to_bytes(4, "little") for i in range(len(self._jobs))))
+        os.close(tail)
         try:
-            for k in range(n_workers):
-                self._running.append(_fork_worker(structure, dims, hyper, jobs[k::n_workers]))
+            for _ in range(min(len(os.sched_getaffinity(0)), len(self._jobs)) - 1):
+                self._fork()
         except BaseException:
             self.close()
             raise
 
-    def members(self, config: MethodConfig) -> tuple[TrainedModel, ...]:
-        """The members of `config`'s ensemble in seed order, or the
-        exception of the first one whose training raised."""
-        if self._results is None:
-            results = {}
-            while self._running:
-                pid, pipe, jobs = self._running[0]
-                payload = pipe.read()
-                pipe.close()
-                status = os.waitpid(pid, 0)[1]
-                del self._running[0]
-                results.update(_worker_results(payload, status, jobs))
-            self._results = results
-        members = tuple(self._results[config.method, i] for i in range(config.n_members))
-        for member in members:
-            if isinstance(member, BaseException):
-                raise member
-        return members
+    def take(self, job):
+        """`job`'s result, once this process or a worker has it; drops it
+        from the pool."""
+        i = self._index[job]
+        while i not in self._results:
+            self._read(timeout=0)
+            if i in self._results:
+                break
+            pulled = self._pull()
+            if pulled is not None:
+                self._results[pulled] = self._call(pulled)
+            elif self._workers:
+                self._read(timeout=None)
+            else:
+                self._results[i] = (False, TrainingError(
+                    f"{self._label(job)} was lost by a worker that ended before announcing it"))
+        ok, value = self._results.pop(i)
+        if not ok:
+            raise value
+        return value
 
     def close(self) -> None:
-        while self._running:
-            pid, pipe, _ = self._running.pop()
-            pipe.close()
+        for fd, (pid, _, _) in self._workers.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            os.close(fd)
+        self._workers.clear()
+        if self._queue is not None:
+            os.close(self._queue)
+            self._queue = None
 
     def __enter__(self):
         return self
@@ -293,51 +326,85 @@ class EnsembleWorkers:
     def __exit__(self, *exc_info):
         self.close()
 
+    def _pull(self):
+        index = os.read(self._queue, 4)
+        return int.from_bytes(index, "little") if index else None
 
-def _fork_worker(structure, dims, hyper, jobs):
-    """Fork a worker that trains the (config, member index, seed) `jobs`
-    and sends the pickled list of their members; (pid, pipe, jobs).  The
-    stage runs no threads of its own, and OpenBLAS stops its thread pool
-    around a fork itself (pthread_atfork), so the child starts sound."""
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
+    def _call(self, i):
         try:
-            os.close(read_end)
-            results = []
-            for config, _, seed in jobs:
-                try:
-                    results.append(train_member(structure, dims, config, hyper, seed))
-                except Exception as exc:
-                    results.append(exc)
-            with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, os.fdopen(read_end, "rb"), jobs
+            return True, self._run(self._jobs[i])
+        except Exception as exc:
+            return False, exc
+
+    def _fork(self) -> None:
+        import fcntl  # as `select` in `_read`: only a pool that forks needs it
+
+        read_end, write_end = os.pipe()
+        try:
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except OSError:  # above the user's pipe limit: sends wait for reads
+            pass
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                while (i := self._pull()) is not None:
+                    _send(write_end, i, b"")
+                    _send(write_end, i, pickle.dumps(self._call(i), pickle.HIGHEST_PROTOCOL))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        self._workers[read_end] = [pid, bytearray(), None]
+
+    def _read(self, timeout) -> None:
+        """Take in what the workers sent, waiting up to `timeout` seconds
+        (None: until one sends or ends) when none has sent anything."""
+        if not self._workers:
+            return
+        import select
+
+        for fd in select.select(list(self._workers), [], [], timeout)[0]:
+            worker = self._workers[fd]
+            chunk = os.read(fd, PIPE_BYTES)
+            if not chunk:
+                self._reap(fd)
+                continue
+            buf = worker[1]
+            buf += chunk
+            while len(buf) >= _HEAD:
+                i = int.from_bytes(buf[:4], "little")
+                end = _HEAD + int.from_bytes(buf[4:_HEAD], "little")
+                if len(buf) < end:
+                    break
+                if end == _HEAD:
+                    worker[2] = i
+                else:
+                    try:
+                        self._results[i] = pickle.loads(buf[_HEAD:end])
+                    except Exception as exc:
+                        self._results[i] = (False, TrainingError(
+                            f"the result of {self._label(self._jobs[i])} is unreadable: {exc}"))
+                    worker[2] = None
+                del buf[:end]
+
+    def _reap(self, fd) -> None:
+        pid, _, held = self._workers.pop(fd)
+        os.close(fd)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if held is not None:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            self._results[held] = (False, TrainingError(
+                f"the worker running {self._label(self._jobs[held])} {how} "
+                "before sending its result"))
 
 
-def _worker_results(payload: bytes, status: int, jobs) -> dict:
-    """{(method, member index): member or exception} from a reaped worker's
-    payload; a TrainingError, naming how the worker ended, unless the
-    payload holds one result per job."""
-    try:
-        results = pickle.loads(payload)
-    except Exception:
-        results = None
-    if isinstance(results, list) and len(results) == len(jobs):
-        return {(config.method, i): r for (config, i, _), r in zip(jobs, results)}
-    code = os.waitstatus_to_exitcode(status)
-    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    held = {}
-    for config, _, seed in jobs:
-        held.setdefault(config.method, []).append(str(seed))
-    names = "; ".join(f"{method} member seeds {', '.join(seeds)}"
-                      for method, seeds in held.items())
-    raise TrainingError(f"the worker training {names} {how} before sending its members")
+def _send(fd: int, i: int, payload: bytes) -> None:
+    """One message: job index, payload length, payload (empty: job i started)."""
+    data = memoryview(i.to_bytes(4, "little") + len(payload).to_bytes(8, "little") + payload)
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:

@@ -23,10 +23,11 @@ from seqcal.cli import (
     load_config,
     main,
 )
+import seqcal.cli as cli
 import seqcal.training as training
 from seqcal.corpus import make_vocabulary, read_records, read_vocabulary
-from seqcal.errors import ConfigurationError, TrainingError
-from seqcal.inference import read_predictions
+from seqcal.errors import ConfigurationError, NumericalStateError, TrainingError
+from seqcal.inference import decode_corpus, read_predictions, write_predictions
 from seqcal.model import METHODS
 from seqcal.training import read_bundle, split_rows, train_member, write_bundle
 
@@ -864,9 +865,11 @@ def assert_no_children():
 
 
 class TestEnsembleWorkers:
-    """train's deep-ensemble members come from forked workers; the stage
-    process writes every bundle and the CE line, and no worker outlives
-    the stage."""
+    """train's members and infer's methods are the jobs of one forked pool;
+    the stage process writes every file and prints every line in method
+    order, and no worker outlives the stage.  No assertion depends on which
+    process pulls which job, except where `worker_takes_first_job` hands
+    the first one to the worker."""
 
     def gen_data(self, tmp_path, capsys, payload=SMALL):
         cfg_path = write_config(tmp_path, payload)
@@ -875,12 +878,15 @@ class TestEnsembleWorkers:
         capsys.readouterr()
         return cfg_path, out
 
+    def run(self, stage, cfg_path, out, method="all"):
+        return main([stage, "--config", cfg_path, "--out", out, "--method", method])
+
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_de_alone_writes_the_bundle_of_serial_training(self, tmp_path, monkeypatch,
                                                            capsys, cpus):
         cfg_path, out = self.gen_data(tmp_path, capsys)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert main(["train", "--config", cfg_path, "--out", out, "--method", "de"]) == 0
+        assert self.run("train", cfg_path, out, "de") == 0
         assert capsys.readouterr().out.startswith("trained de: 2 member(s), train CE ")
         config = load_config(cfg_path)
         vocab = read_vocabulary(os.path.join(out, "vocab.json"))
@@ -893,43 +899,77 @@ class TestEnsembleWorkers:
             (tmp_path / "run" / "models" / "de.json").read_bytes()
         assert_no_children()
 
-    def test_a_killed_worker_is_two_and_names_its_members(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bundles_and_predictions_equal_serial_calls(self, tmp_path, monkeypatch, capsys,
+                                                        cpus):
         cfg_path, out = self.gen_data(tmp_path, capsys)
-        victim = load_config(cfg_path).method_config("de").seeds[1]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert self.run("train", cfg_path, out) == 0
+        assert self.run("infer", cfg_path, out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:7]] == [f"trained {m}" for m in METHODS]
+        assert [line.split()[4] for line in lines[7:]] == list(METHODS)
+        config = load_config(cfg_path)
+        vocab = read_vocabulary(os.path.join(out, "vocab.json"))
+        dims = config.dims(vocab)
+        rows = split_rows(read_records(os.path.join(out, "train.jsonl"), vocab.size), dims)
+        test = read_records(os.path.join(out, "test.jsonl"), vocab.size)
+        for method in METHODS:
+            mcfg = config.method_config(method)
+            members = [train_member(rows, dims, mcfg, config.train, s)
+                       for s in mcfg.member_seeds(config.train_seed(method))]
+            write_bundle(members, tmp_path / "serial.json", run_stamp(out))
+            assert (tmp_path / "serial.json").read_bytes() == \
+                (tmp_path / "run" / "models" / f"{method}.json").read_bytes(), method
+            preds = decode_corpus(members, test, config.posterior_config(),
+                                  run_seed=config.run_seed(method))
+            write_predictions(preds, tmp_path / "serial.jsonl")
+            assert (tmp_path / "serial.jsonl").read_bytes() == \
+                (tmp_path / "run" / "preds" / f"{method}.jsonl").read_bytes(), method
+        assert_no_children()
+
+    def test_a_killed_worker_is_two_and_names_its_members(self, tmp_path, monkeypatch, capsys,
+                                                          worker_takes_first_job):
+        cfg_path, out = self.gen_data(tmp_path, capsys)
+        victim = load_config(cfg_path).method_config("de").seeds[0]
         stage = os.getpid()
         real = training.train_member
 
-        def kill_victim(structure, dims, config, hyper, seed, on_step=None):
-            if seed == victim and os.getpid() != stage:
+        def kill_in_worker(structure, dims, config, hyper, seed, on_step=None):
+            if os.getpid() != stage:
+                worker_takes_first_job()
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(structure, dims, config, hyper, seed, on_step)
 
-        monkeypatch.setattr(training, "train_member", kill_victim)
+        monkeypatch.setattr(training, "train_member", kill_in_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        code = main(["train", "--config", cfg_path, "--out", out, "--method", "all"])
-        assert code == 2
+        assert self.run("train", cfg_path, out, "de") == 2
         err = capsys.readouterr().err
-        assert f"de member seeds {victim}" in err and "killed by signal 9" in err
+        assert f"de member seed {victim} was killed by signal 9" in err
         assert not os.path.exists(os.path.join(out, "models", "de.json"))
         assert_no_children()
 
     def test_a_diverging_single_model_kills_the_running_workers(self, tmp_path, monkeypatch,
-                                                                  capsys):
+                                                                  capsys, worker_takes_first_job):
+        """The worker hangs in the first job, sngp's member, while the
+        stage process finds that base diverges."""
         payload = dict(SMALL, train={"steps": 30, "batch_size": 16, "learning_rate": 1e300})
         cfg_path, out = self.gen_data(tmp_path, capsys, payload)
         stage = os.getpid()
         real = training.train_member
 
-        def slow_workers(*args, **kwargs):
+        def hang_in_worker(*args, **kwargs):
             if os.getpid() != stage:
+                worker_takes_first_job()
                 time.sleep(60)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(training, "train_member", slow_workers)
+        monkeypatch.setattr(training, "train_member", hang_in_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         begin = time.monotonic()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            code = main(["train", "--config", cfg_path, "--out", out, "--method", "all"])
+            code = self.run("train", cfg_path, out)
         assert code == 2
         assert "diverged" in capsys.readouterr().err
         assert time.monotonic() - begin < 30
@@ -948,7 +988,7 @@ class TestEnsembleWorkers:
             return real(structure, dims, config, hyper, seed, on_step)
 
         monkeypatch.setattr(training, "train_member", fail_victim)
-        code = main(["train", "--config", cfg_path, "--out", out, "--method", "all"])
+        code = self.run("train", cfg_path, out)
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == "error: step 3: loss diverged (inf)\n"
@@ -956,6 +996,67 @@ class TestEnsembleWorkers:
             f"trained {m}" for m in METHODS[:-1]]
         assert sorted(os.listdir(os.path.join(out, "models"))) == sorted(
             f"{m}.json" for m in METHODS[:-1])
+        assert_no_children()
+
+    def trained(self, tmp_path, monkeypatch, capsys):
+        cfg_path, out = self.gen_data(tmp_path, capsys)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self.run("train", cfg_path, out) == 0
+        capsys.readouterr()
+        return cfg_path, out
+
+    def test_infer_queues_the_most_member_passes_first(self, tmp_path, monkeypatch, capsys):
+        """SMALL: be_size 5, samples 3, de_size 2; GP first among equals."""
+        cfg_path, out = self.trained(tmp_path, monkeypatch, capsys)
+        order = []
+
+        def record(members, *args, **kwargs):
+            order.append(members[0].config.method)
+            return decode_corpus(members, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "decode_corpus", record)
+        assert self.run("infer", cfg_path, out) == 0
+        assert order == ["be", "sngp_mcd", "mcd", "sngp_de", "de", "sngp", "base"]
+
+    def test_a_killed_decode_worker_is_two_and_names_its_method(self, tmp_path, monkeypatch,
+                                                                capsys, worker_takes_first_job):
+        """The worker dies in the first job, be's decode; base and mcd,
+        before be in method order, keep their predictions."""
+        cfg_path, out = self.trained(tmp_path, monkeypatch, capsys)
+        stage = os.getpid()
+
+        def kill_in_worker(members, *args, **kwargs):
+            if os.getpid() != stage:
+                worker_takes_first_job()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return decode_corpus(members, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "decode_corpus", kill_in_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert self.run("infer", cfg_path, out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the worker running be decoding was killed by signal 9 "
+                                "before sending its result\n")
+        assert sorted(os.listdir(os.path.join(out, "preds"))) == ["base.jsonl", "mcd.jsonl"]
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_a_failing_method_fails_at_its_turn(self, tmp_path, monkeypatch, capsys, cpus):
+        cfg_path, out = self.trained(tmp_path, monkeypatch, capsys)
+
+        def fail_sngp(members, *args, **kwargs):
+            if members[0].config.method == "sngp":
+                raise NumericalStateError("non-finite logits")
+            return decode_corpus(members, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "decode_corpus", fail_sngp)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert self.run("infer", cfg_path, out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite logits\n"
+        assert [line.split()[4] for line in captured.out.splitlines()] == ["base", "mcd", "be"]
+        assert sorted(os.listdir(os.path.join(out, "preds"))) == [
+            "base.jsonl", "be.jsonl", "mcd.jsonl"]
         assert_no_children()
 
 
@@ -979,7 +1080,7 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_cli_import_leaves_process_pools_out():
-    """The ensemble workers are plain forks: a process-pool module would
+    """The job pool's workers are plain forks: a process-pool module would
     add import time and memory to every stage."""
     code = ("import sys, seqcal.cli; "
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "

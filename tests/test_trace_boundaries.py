@@ -15,6 +15,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 from seqcal.cli import main
@@ -57,7 +58,11 @@ def test_every_traced_boundary_resolves():
     assert missing == []
 
 
-def test_traced_pipeline_fills_every_boundary_and_counter(tmp_path):
+def test_traced_pipeline_fills_every_boundary_and_counter(tmp_path, monkeypatch):
+    # One CPU: the train and infer job pools fork no worker, so the traced
+    # process runs every member and every decode itself, whichever
+    # process would pull which job on more CPUs.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     tracing = load_tracing()
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(TINY))
@@ -89,10 +94,8 @@ def test_traced_pipeline_fills_every_boundary_and_counter(tmp_path):
         train_rows = sum(len(json.loads(line)["reference"]) + 1 for line in fh)
     want_mb = 2 * train_rows * TINY["vocab_size"] * 8 / tracing.MiB
     assert counters["model.build_rows.dense_mb"] == want_mb
-    # every training step of the stage process's own models is counted:
-    # steps x batch examples of 4 rows each for the 5 single-model methods
-    # (de and sngp_de train their members in forked workers, whose spans
-    # stay in those processes)
+    # every training step of every member is counted, all in the traced
+    # process: steps x batch examples of 4 rows each, for 9 members
     assert counters["model.loss_and_grads.rows"] > 10 * TINY["train"]["steps"] * 8
     _, missing = tracing.layer_values([tracer.report()])
     assert missing == []

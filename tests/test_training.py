@@ -36,12 +36,12 @@ from seqcal.model import (
 from seqcal.schema import from_json, to_json
 from seqcal.training import (
     LOSS_CHUNK_ROWS,
-    EnsembleWorkers,
     TrainHyper,
     _batch_rows,
     _member_file,
     _params_finite,
     evaluate_loss,
+    member_pool,
     read_bundle,
     split_rows,
     train_member,
@@ -349,23 +349,47 @@ def assert_no_children():
 
 ENSEMBLES = (MethodConfig(method="de", seeds=(11, 12, 13)),
              MethodConfig(method="sngp_de", seeds=(21, 22), sngp=SngpConfig(rff_dim=8)))
+SINGLE = (MethodConfig(method="base"), MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=8)))
 
 
 class TestEnsembleWorkers:
-    @pytest.mark.parametrize("cpus", [1, 3])
+    """Every member comes from one `member_pool`: the caller and forked
+    workers pull the members from one queue, GP members first.  No
+    assertion depends on which process pulls which member, except where
+    `worker_takes_first_job` hands the first one to the worker."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_members_equal_serial_training_bit_for_bit(self, monkeypatch, cpus):
         vocab, examples = copy_corpus(n=40)
         rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=12)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        with EnsembleWorkers(rows, dims, ENSEMBLES, hyper) as workers:
-            for cfg in ENSEMBLES:
-                got = train_method(rows, dims, cfg, hyper, seed=0, workers=workers)
-                assert len(got) == len(cfg.seeds)
-                for member, seed in zip(got, cfg.seeds):
-                    assert_same_bits(member, train_member(rows, dims, cfg, hyper, seed))
+        methods = [(cfg, 7) for cfg in SINGLE + ENSEMBLES]
+        with member_pool(rows, dims, hyper, methods) as pool:
+            for cfg, seed in methods:
+                got = train_method(rows, dims, cfg, hyper, seed=seed, pool=pool)
+                assert len(got) == cfg.n_members
+                for member, s in zip(got, cfg.member_seeds(seed)):
+                    assert_same_bits(member, train_member(rows, dims, cfg, hyper, s))
         assert_no_children()
 
+    def test_gp_members_are_queued_first(self, monkeypatch):
+        vocab, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=2)
+        order = []
+
+        def record(structure, dims, config, hyper, seed, on_step=None):
+            order.append((config.method, seed))
+            return train_member(structure, dims, config, hyper, seed, on_step)
+
+        monkeypatch.setattr(training, "train_member", record)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        methods = [(cfg, 7) for cfg in SINGLE + ENSEMBLES]
+        with member_pool(rows, dims, hyper, methods) as pool:
+            train_method(rows, dims, SINGLE[0], hyper, seed=7, pool=pool)
+        assert order == [("sngp", 7), ("sngp_de", 21), ("sngp_de", 22), ("base", 7)]
+
     def test_single_model_methods_train_in_the_caller(self, monkeypatch):
+        """A pool of one job forks nothing, whatever the CPU count."""
         vocab, examples = copy_corpus(n=40)
         rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
         caller = os.getpid()
@@ -376,9 +400,10 @@ class TestEnsembleWorkers:
             return train_member(*args, **kwargs)
 
         monkeypatch.setattr(training, "train_member", record)
-        with EnsembleWorkers(rows, dims, (), hyper) as workers:
-            train_method(rows, dims, MethodConfig(method="mcd"), hyper, seed=3, workers=workers)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        train_method(rows, dims, MethodConfig(method="mcd"), hyper, seed=3)
         assert pids == [caller]
+        assert_no_children()
 
     def test_a_member_that_raises_is_raised_for_its_method_only(self, monkeypatch):
         vocab, examples = copy_corpus(n=40)
@@ -391,46 +416,55 @@ class TestEnsembleWorkers:
 
         monkeypatch.setattr(training, "train_member", fail_22)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with EnsembleWorkers(rows, dims, ENSEMBLES, hyper) as workers:
-            assert len(workers.members(ENSEMBLES[0])) == 3
+        with member_pool(rows, dims, hyper, [(cfg, 0) for cfg in ENSEMBLES]) as pool:
+            assert len(train_method(rows, dims, ENSEMBLES[0], hyper, 0, pool)) == 3
             with pytest.raises(TrainingError, match="^step 4: loss diverged") as info:
-                workers.members(ENSEMBLES[1])
+                train_method(rows, dims, ENSEMBLES[1], hyper, 0, pool)
             assert info.value.step == 4
         assert_no_children()
 
-    def test_a_dead_worker_is_a_training_error_naming_its_members(self, monkeypatch):
+    def test_a_dead_worker_is_a_training_error_naming_its_members(self, monkeypatch,
+                                                                    worker_takes_first_job):
+        """The worker pulls sngp_de's seed 21, the first job, and dies;
+        de, which the caller trains meanwhile, still comes back."""
         vocab, examples = copy_corpus(n=40)
         rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
         caller = os.getpid()
 
-        def kill_12(structure, dims, config, hyper, seed, on_step=None):
-            if seed == 12 and os.getpid() != caller:
+        def kill_in_worker(structure, dims, config, hyper, seed, on_step=None):
+            if os.getpid() != caller:
+                worker_takes_first_job()
                 os.kill(os.getpid(), signal.SIGKILL)
             return train_member(structure, dims, config, hyper, seed, on_step)
 
-        monkeypatch.setattr(training, "train_member", kill_12)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        with pytest.raises(TrainingError, match=r"de member seeds 12\b.* killed by signal 9"):
-            with EnsembleWorkers(rows, dims, ENSEMBLES, hyper) as workers:
-                workers.members(ENSEMBLES[0])
+        monkeypatch.setattr(training, "train_member", kill_in_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with member_pool(rows, dims, hyper, [(cfg, 0) for cfg in ENSEMBLES]) as pool:
+            assert len(train_method(rows, dims, ENSEMBLES[0], hyper, 0, pool)) == 3
+            with pytest.raises(TrainingError, match=r"^the worker running sngp_de member "
+                                                    r"seed 21 was killed by signal 9"):
+                train_method(rows, dims, ENSEMBLES[1], hyper, 0, pool)
         assert_no_children()
 
-    def test_a_worker_leaving_without_its_list_is_a_training_error(self, monkeypatch):
+    def test_a_worker_leaving_without_its_list_is_a_training_error(self, monkeypatch,
+                                                                   worker_takes_first_job):
+        """A worker that exits cleanly in the middle of a member leaves no
+        result for it."""
         vocab, examples = copy_corpus(n=40)
         rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
         caller = os.getpid()
 
         def leave(structure, dims, config, hyper, seed, on_step=None):
             if os.getpid() != caller:
+                worker_takes_first_job()
                 os._exit(0)
             return train_member(structure, dims, config, hyper, seed, on_step)
 
         monkeypatch.setattr(training, "train_member", leave)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        with pytest.raises(TrainingError, match="sngp_de member seeds 21, 22; de member seeds "
-                                                "11, 12, 13 exited with status 0"):
-            with EnsembleWorkers(rows, dims, ENSEMBLES, hyper) as workers:
-                workers.members(ENSEMBLES[1])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(TrainingError, match="sngp_de member seed 21 exited with status 0"):
+            with member_pool(rows, dims, hyper, [(cfg, 0) for cfg in ENSEMBLES]) as pool:
+                train_method(rows, dims, ENSEMBLES[1], hyper, 0, pool)
         assert_no_children()
 
     def test_close_kills_and_reaps_running_workers(self, monkeypatch):
@@ -449,11 +483,37 @@ class TestEnsembleWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         begin = time.monotonic()
         try:
-            with EnsembleWorkers(rows, dims, ENSEMBLES, hyper):
-                assert os.read(started, 1) == b"."  # a worker is training
+            with member_pool(rows, dims, hyper, [(cfg, 0) for cfg in ENSEMBLES]):
+                assert os.read(started, 1) == b"."  # the worker is training
         finally:
             os.close(started)
             os.close(told)
+        assert time.monotonic() - begin < 30
+        assert_no_children()
+
+
+class TestJobPool:
+    def test_every_job_runs_once_with_more_workers_than_cores(self, monkeypatch):
+        """Four processes on this machine's CPUs pull 300 jobs from the one
+        queue; each job leaves its index in a side pipe when it runs, so a
+        job lost or pulled twice shows there."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        ran, record = os.pipe()
+
+        def square(j):
+            os.write(record, j.to_bytes(2, "little"))
+            return j * j
+
+        begin = time.monotonic()
+        try:
+            with training.JobPool(square, range(300), str) as pool:
+                assert [pool.take(j) for j in range(300)] == [j * j for j in range(300)]
+            log = os.read(ran, 1000)
+        finally:
+            os.close(ran)
+            os.close(record)
+        assert sorted(int.from_bytes(log[k:k + 2], "little")
+                      for k in range(0, len(log), 2)) == list(range(300))
         assert time.monotonic() - begin < 30
         assert_no_children()
 
