@@ -32,6 +32,7 @@ from .errors import (
     MetricError,
     UndefinedCorrelationError,
 )
+from .inference import sequence_logp
 from .rng import stream
 from .schema import write_text
 
@@ -92,12 +93,12 @@ def ece(pairs, bins: int) -> float:
 def sequence_pairs(records) -> tuple[np.ndarray, np.ndarray]:
     """Per prediction, its joint confidence and exact-match correctness.
 
-    Confidence is exp of the summed per-token log-probabilities; hypotheses
-    and references are stored without terminal eos, so plain tuple equality
-    is the eos-stripped exact match.
+    Confidence is exp(`sequence_logp`), the probability of emitting exactly
+    the hypothesis and then eos; hypotheses and references are stored
+    without terminal eos, so plain tuple equality is the exact match.
     """
     records = list(records)
-    conf = [math.exp(math.fsum(rec.token_logp)) for rec in records]
+    conf = [math.exp(sequence_logp(rec.token_logp, rec.eos_logp)) for rec in records]
     correct = [tuple(rec.hypothesis) == tuple(rec.reference) for rec in records]
     return np.array(conf, dtype=float), np.array(correct, dtype=bool)
 

@@ -4,13 +4,18 @@ Tokens are plain integer ids into an explicit `Vocabulary`; no text
 processing happens anywhere.  Three task kinds with graded difficulty are
 provided:
 
-  copy              reference is the input truncated to `output_len`
-  keyword-extract   reference is the in-order subsequence of the keyword
-                    tokens, capped at `output_len`; the keywords are the
-                    first `num_keywords` content ids of the vocabulary
+  copy              reference is the input's first `output_len` tokens,
+                    in ascending id order
+  keyword-extract   reference is the input's first `output_len` keyword
+                    occurrences, in ascending id order; the keywords are
+                    the first `num_keywords` content ids of the vocabulary
   noisy-paraphrase  the copy reference with each token independently
                     resampled with probability `noise_rate`, the one kind
                     that takes a nonzero rate
+
+References are in ascending id order because the model's context, the
+sum of the input's embeddings, cannot see input order.  The cap applies
+first, so where it cuts, the reference still depends on input positions.
 
 `TaskSpec` is the run config's `task` section and checks its own fields
 when it is built; the one rule that needs the vocabulary (no more
@@ -170,14 +175,14 @@ class ExampleRecord:
 
 
 def copy_reference(input_tokens, output_len: int) -> TokenSeq:
-    return tuple(input_tokens)[:output_len]
+    """The first output_len input tokens, in ascending id order."""
+    return tuple(sorted(int(t) for t in tuple(input_tokens)[:output_len]))
 
 
 def keyword_reference(input_tokens, keyword_ids, output_len: int) -> TokenSeq:
-    """In-order subsequence of keyword occurrences, capped at output_len."""
+    """The first output_len keyword occurrences, in ascending id order."""
     keywords = {int(k) for k in keyword_ids}
-    kept = [int(t) for t in input_tokens if int(t) in keywords]
-    return tuple(kept[:output_len])
+    return copy_reference([t for t in input_tokens if int(t) in keywords], output_len)
 
 
 def noisy_reference(

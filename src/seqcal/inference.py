@@ -44,12 +44,14 @@ whichever process pulls it, and writes the same records.
 `step_distributions` is the one routine that forms a decode step's
 posterior-mean rows, the only place the methods differ: the search calls
 it once per step, max_len + 1 times per decode, with the (examples, live,
-step) token array of every live prefix.
+step) token array of every live prefix; a prefix's state sums the
+embeddings of bos and its tokens (`model.sum_embeddings`).
 
-Sequence uncertainty is the length-normalized total log-probability
-including the eos step,
+`sequence_logp` is log P = sum_t log pbar(y_t) + log pbar(eos), that of
+emitting exactly the tokens and then stopping.  Its exp is the sequence
+confidence calibration scores, and sequence uncertainty normalizes it,
 
-    u = (sum_t log pbar(y_t) + log pbar(eos)) / (T + 1)
+    u = log P / (T + 1)
 
 so lower u means a less confident, more uncertain prediction.
 """
@@ -71,9 +73,9 @@ from .model import (
     dropout_active,
     dropout_mask,
     forward,
-    mean_embeddings,
     mean_field_logits,
     predictive_variance,
+    sum_embeddings,
 )
 from .rng import derive_seeds
 from .rouge import score_quality
@@ -151,7 +153,8 @@ def step_distributions(members, ctxs, prefixes, *, run_seed: int, example_ids, s
     """Posterior-mean next-token rows (n, live, vocab) for the prefixes
     (n, live, step): the mean of the member pass over every stochastic
     unit.  ctxs holds one (n, d) context array per member model, and each
-    member's prefix states come from its own embeddings.
+    member's prefix states are `sum_embeddings` of bos followed by the
+    prefix, in its own embeddings.
 
     Dropout samples draw one mask per (example, step, sample index), shared
     by all of that example's prefixes, so hypotheses inside one beam step
@@ -173,16 +176,23 @@ def step_distributions(members, ctxs, prefixes, *, run_seed: int, example_ids, s
         units = [(0, None, k) for k in range(config.be_size)]
     else:
         units = [(i, None, 0) for i in range(len(members))]
-    states = [mean_embeddings(m.embed, prefixes, dims.bos_id) for m in members]
+    bos = np.full(prefixes.shape[:2] + (1,), dims.bos_id)
+    states = [sum_embeddings(m.embed, np.concatenate([bos, prefixes], axis=2))
+              for m in members]
     total = np.zeros(prefixes.shape[:2] + (dims.vocab_size,))
     for i, mask, be_member in units:
         total += _member_pass(members[i], ctxs[i], states[i], mask, be_member)
     return total / len(units)
 
 
+def sequence_logp(token_logp, eos_logp: float) -> float:
+    """Log-probability of emitting exactly these tokens and then eos."""
+    return math.fsum(token_logp) + float(eos_logp)
+
+
 def uncertainty_score(token_logp, eos_logp: float) -> float:
-    """Length-normalized sequence log score including the eos step."""
-    return (math.fsum(token_logp) + float(eos_logp)) / (len(tuple(token_logp)) + 1)
+    """Length-normalized sequence log-probability, the eos step counted."""
+    return sequence_logp(token_logp, eos_logp) / (len(tuple(token_logp)) + 1)
 
 
 def _sorted_by(key: np.ndarray, tokens: np.ndarray) -> np.ndarray:
@@ -213,8 +223,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
     width = config.max_len
     eos = dims.eos_id
     content = np.array([v for v in range(dims.vocab_size) if v != eos])
-    ctxs = [np.stack([mean_embeddings(m.embed, x, dims.bos_id) for x in inputs])
-            for m in members]
+    ctxs = [np.stack([sum_embeddings(m.embed, x) for x in inputs]) for m in members]
     rows = np.arange(n)[:, None]
     tokens = np.full((n, 1, width), -1)
     logps = np.zeros((n, 1, width))

@@ -3,9 +3,9 @@
 The architecture is deliberately tiny so the exact backward pass stays
 hand-checkable:
 
-    ctx    = mean of input-token embeddings                  (d,)
-    state  = mean of emitted-prefix embeddings, or the       (d,)
-             bos embedding when the prefix is empty
+    ctx    = sum of input-token embeddings                   (d,)
+    state  = sum of the embeddings of bos and the emitted    (d,)
+             prefix, so it counts the tokens emitted
     z      = [ctx; state]                                    (2d,)
     a      = W_h z + b_h                                     (d',)
     h      = dropout(tanh(a))                                (d',)
@@ -294,20 +294,16 @@ def _check_tokens(tokens, vocab_size: int, what: str) -> None:
             raise InputError(f"{what} token id {t} outside 0..{vocab_size - 1}")
 
 
-def mean_embeddings(embed: np.ndarray, tokens, bos_id: int) -> np.ndarray:
-    """Mean embeddings over the last axis of tokens (..., t), the context
-    of an input or the state of a prefix; an empty one takes the bos
-    embedding.  The sum runs from zero in token order and is then divided
-    by t, exactly how `embed[idx].mean(axis=0)` reduces, so a row keeps its
-    bits whatever is stacked with it."""
+def sum_embeddings(embed: np.ndarray, tokens) -> np.ndarray:
+    """Sum of the embeddings over the last axis of tokens (..., t): the
+    context of an input, or the state of a bos-prefixed prefix.  The sum
+    runs from zero in token order, so a row keeps its bits whatever is
+    stacked with it."""
     tokens = np.asarray(tokens, dtype=int)
-    *lead, t = tokens.shape
-    if t == 0:
-        return np.broadcast_to(embed[bos_id], (*lead, embed.shape[1]))
-    total = np.zeros((*lead, embed.shape[1]))
-    for j in range(t):
+    total = np.zeros(tokens.shape[:-1] + embed.shape[1:])
+    for j in range(tokens.shape[-1]):
         total += embed[tokens[..., j]]
-    return total / t
+    return total
 
 
 def dropout_mask(seeds, rate: float, shape) -> np.ndarray:
@@ -486,7 +482,7 @@ def mean_field_logits(logits, variances, factor: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RowStructure:
-    """Averaging-weight form of a batch of teacher-forced decode steps.
+    """Count form of a batch of teacher-forced decode steps.
 
     ctx_weights @ embed gives the input context row and prefix_weights @
     embed the prefix state row, which keeps the loss an explicit linear
@@ -502,10 +498,9 @@ class RowStructure:
 
 def build_rows(examples, dims: ModelDims) -> RowStructure:
     """Rows for next-token prediction: one per reference position plus the
-    closing eos step.  The rows are counted first and each is written in
-    place into the (rows, vocab) arrays: the input's token counts over its
-    length, then the bos indicator followed by the running prefix counts
-    over the prefix length."""
+    closing eos step, written in place into (rows, vocab) arrays: the
+    input's token counts, and in an example's prefix row t the counts of
+    bos and the reference's first t tokens, a running sum down its rows."""
     examples = list(examples)
     v = dims.vocab_size
     for ex in examples:
@@ -519,25 +514,14 @@ def build_rows(examples, dims: ModelDims) -> RowStructure:
     start = 0
     for ex in examples:
         end = start + len(ex.reference) + 1
-        ctx = ctx_weights[start]
-        for t in ex.input:
-            ctx[t] += 1.0
-        ctx /= len(ex.input)
-        ctx_weights[start + 1:end] = ctx
-        prefix_weights[start, dims.bos_id] = 1.0
-        running = np.zeros(v)
-        for t, token in enumerate(ex.reference, start=1):
-            running[token] += 1.0
-            np.divide(running, t, out=prefix_weights[start + t])
+        np.add.at(ctx_weights, (start, list(ex.input)), 1.0)
+        ctx_weights[start + 1:end] = ctx_weights[start]
+        np.add.at(prefix_weights, (np.arange(start, end), (dims.bos_id, *ex.reference)), 1.0)
+        np.cumsum(prefix_weights[start:end], axis=0, out=prefix_weights[start:end])
         targets[start:end] = (*ex.reference, dims.eos_id)
         spans.append((start, end))
         start = end
-    return RowStructure(
-        ctx_weights=ctx_weights,
-        prefix_weights=prefix_weights,
-        targets=targets,
-        row_spans=tuple(spans),
-    )
+    return RowStructure(ctx_weights, prefix_weights, targets, tuple(spans))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -548,7 +532,7 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def _forward_rows(model: TrainedModel, structure: RowStructure, rows, *,
                   be_member: int | None, dropout_seed: int | None):
-    """`forward` over selected teacher-forced rows, with the dense weight
+    """`forward` over selected teacher-forced rows, with the dense count
     rows and the z rows the backward pass needs added to its cache."""
     ctx_w = structure.ctx_weights[rows]
     pre_w = structure.prefix_weights[rows]

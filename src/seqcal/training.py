@@ -163,15 +163,10 @@ def train_member(
     config: MethodConfig,
     hyper: TrainHyper,
     seed: int,
-    on_step=None,
 ) -> TrainedModel:
     """Train one model from a fresh seeded initialization on the rows of
-    the training split (`split_rows`).
-
-    on_step, when given, is called as on_step(step, loss, model) after
-    each update, with the loss measured on the step's batch before the
-    update was applied.
-    """
+    the training split (`split_rows`).  Its `loss_history` holds each
+    step's loss, measured on the step's batch before the update."""
     model = init_model(dims, config, seed)
     gp = uses_gp(config.method)
     if gp:
@@ -200,8 +195,6 @@ def train_member(
         if gp:
             model.w_h = spectral_normalize(model.w_h, config.sngp.spec_norm_bound)
         history.append(loss)
-        if on_step is not None:
-            on_step(step, loss, model)
     if gp:
         _finalize_precision(model, structure, hyper.batch_size)
     model.loss_history = tuple(history)
@@ -279,6 +272,12 @@ class JobPool:
         self._index = {job: i for i, job in enumerate(self._jobs)}
         self._results = {}  # {job index: (True, result) or (False, exception)}
         self._workers = {}  # {read end of its pipe: [pid, unread bytes, announced job]}
+        # Freeing a 3 MB block raises glibc's mmap threshold to 3 MB and its
+        # trim threshold to 6 MB, here and in every forked worker, so a
+        # training step's temporaries stay in the heap instead of being
+        # unmapped and page-faulted again every step.  Other allocators
+        # ignore it.
+        np.empty(3 << 20, dtype=np.uint8)
         self._queue, tail = os.pipe()
         os.write(tail, b"".join(i.to_bytes(4, "little") for i in range(len(self._jobs))))
         os.close(tail)

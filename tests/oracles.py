@@ -133,7 +133,7 @@ def rouge_l_oracle(hyp, ref):
 def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None):
     """Scalar-loop forward pass for every head.
 
-    Mirrors the documented architecture directly: mean embeddings, the
+    Mirrors the documented architecture directly: summed embeddings, the
     tanh hidden layer (modulated by the batch-ensemble member's fast
     weights, a_i = r_i * sum_j w_ij s_j z_j + b_i, member 0 by default),
     an optional inverted-dropout mask multiplied into each hidden unit,
@@ -159,23 +159,20 @@ def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None
     return np.array(logits)
 
 
-def _mean_state(model, tokens):
-    """A running sum of the embeddings in token order, divided by the
-    length; an empty sequence takes the bos embedding."""
-    d = model.dims.embed_dim
-    if len(tokens) == 0:
-        return [float(model.embed[model.dims.bos_id, j]) for j in range(d)]
-    acc = [0.0] * d
+def _sum_state(model, tokens):
+    """A running sum of the embeddings from zero, in token order."""
+    acc = [0.0] * model.dims.embed_dim
     for t in tokens:
-        for j in range(d):
+        for j in range(len(acc)):
             acc[j] += float(model.embed[t, j])
-    return [a / len(tokens) for a in acc]
+    return acc
 
 
 def _hidden_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None):
     d = model.dims.embed_dim
     dh = model.dims.hidden_dim
-    z = _mean_state(model, input_tokens) + _mean_state(model, prefix_tokens)
+    bos = model.dims.bos_id
+    z = _sum_state(model, input_tokens) + _sum_state(model, (bos, *prefix_tokens))
     r = [1.0] * dh
     s = [1.0] * (2 * d)
     if model.be is not None:
@@ -266,13 +263,13 @@ def one_example_distributions(members, input_tokens, prefixes, *, run_seed, exam
     """Posterior-mean rows (live, vocab) for one example's equal-length
     prefixes, derived without the package's posterior routine.
 
-    Contexts and prefix states are forward_oracle's running means.  The
-    units are one dropout pass per sample (member 0, the mask drawn from
-    the stream keyed by (run_seed, "mcd", example id, step, sample) and
-    shared by every prefix), one pass per batch-ensemble member, or one
-    pass per model.  The rows are the mean of the unit passes, summed in
-    unit order.  Each unit's pass is `_member_pass`, whose forward pass
-    forward_oracle checks.
+    Contexts and prefix states are forward_oracle's running sums, bos
+    first in a prefix.  The units are one dropout pass per sample (member
+    0, the mask drawn from the stream keyed by (run_seed, "mcd", example
+    id, step, sample) and shared by every prefix), one pass per
+    batch-ensemble member, or one pass per model.  The rows are the mean of
+    the unit passes, summed in unit order.  Each unit's pass is
+    `_member_pass`, whose forward pass forward_oracle checks.
     """
     from seqcal.inference import _member_pass
     from seqcal.rng import derive_seed, stream
@@ -291,9 +288,10 @@ def one_example_distributions(members, input_tokens, prefixes, *, run_seed, exam
     else:
         units = [(model, None, 0) for model in members]
     total = np.zeros((len(prefixes), dims.vocab_size))
+    bos = dims.bos_id
     for model, mask, be_member in units:
-        ctx = np.array([_mean_state(model, input_tokens)])
-        states = np.array([[_mean_state(model, p) for p in prefixes]])
+        ctx = np.array([_sum_state(model, input_tokens)])
+        states = np.array([[_sum_state(model, (bos, *p)) for p in prefixes]])
         total = total + _member_pass(model, ctx, states, mask, be_member)[0]
     return total / len(units)
 
@@ -311,10 +309,9 @@ def package_rows(members, input_tokens, prefixes, *, run_seed, example_id, step)
     makes it; asserts they equal one_example_distributions to the last
     bit."""
     from seqcal.inference import step_distributions
-    from seqcal.model import mean_embeddings
+    from seqcal.model import sum_embeddings
 
-    bos = members[0].dims.bos_id
-    ctxs = [mean_embeddings(m.embed, input_tokens, bos)[None] for m in members]
+    ctxs = [sum_embeddings(m.embed, input_tokens)[None] for m in members]
     tokens = np.array([tuple(p) for p in prefixes], dtype=int)[None]
     rows = step_distributions(members, ctxs, tokens, run_seed=run_seed,
                               example_ids=(example_id,), step=step)[0]
@@ -473,19 +470,13 @@ def rows_oracle(examples, dims):
         ctx = np.zeros(v)
         for t in ex.input:
             ctx[t] += 1.0
-        ctx /= len(ex.input)
         ref = tuple(ex.reference)
         start = len(targets)
         running = np.zeros(v)
-        for t in range(len(ref) + 1):
-            if t == 0:
-                row = np.zeros(v)
-                row[dims.bos_id] = 1.0
-            else:
-                running[ref[t - 1]] += 1.0
-                row = running / t
+        for t, token in enumerate((dims.bos_id, *ref)):
+            running[token] += 1.0
             ctx_rows.append(ctx)
-            prefix_rows.append(row.copy())
+            prefix_rows.append(running.copy())
             targets.append(ref[t] if t < len(ref) else dims.eos_id)
         spans.append((start, len(targets)))
     return (np.asarray(ctx_rows), np.asarray(prefix_rows),

@@ -51,6 +51,7 @@ class FakeRecord:
     token_logp: tuple
     uncertainty: float
     quality: dict = field(default_factory=dict)
+    eos_logp: float = 0.0
 
 
 def make_records(rng, n):
@@ -150,13 +151,15 @@ class TestPairExtraction:
         assert conf.tolist() == [1.0] and correct.tolist() == [True]
 
     def test_sequence_pair_confidence_product(self):
+        # the probability of the hypothesis and then eos: 0.25 * 0.5
         rec = FakeRecord(
-            id="a", hypothesis=(3,), reference=(4,),
-            token_logp=(math.log(0.25),), uncertainty=math.log(0.25),
+            id="a", hypothesis=(3,), reference=(4,), token_logp=(math.log(0.25),),
+            eos_logp=math.log(0.5), uncertainty=math.log(0.125) / 2,
         )
         conf, correct = sequence_pairs([rec])
-        assert conf.tolist() == [pytest.approx(0.25)]
+        assert conf.tolist() == [pytest.approx(0.125)]
         assert correct.tolist() == [False]
+        assert math.log(conf[0]) == pytest.approx(rec.uncertainty * 2)
 
     def test_token_pairs_positional(self):
         # hyp "a b" vs ref "a c" with probs (0.9, 0.8)

@@ -935,11 +935,11 @@ class TestEnsembleWorkers:
         stage = os.getpid()
         real = training.train_member
 
-        def kill_in_worker(structure, dims, config, hyper, seed, on_step=None):
+        def kill_in_worker(structure, dims, config, hyper, seed):
             if os.getpid() != stage:
                 worker_takes_first_job()
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(structure, dims, config, hyper, seed, on_step)
+            return real(structure, dims, config, hyper, seed)
 
         monkeypatch.setattr(training, "train_member", kill_in_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -982,10 +982,10 @@ class TestEnsembleWorkers:
         victim = load_config(cfg_path).method_config("sngp_de").seeds[0]
         real = training.train_member
 
-        def fail_victim(structure, dims, config, hyper, seed, on_step=None):
+        def fail_victim(structure, dims, config, hyper, seed):
             if seed == victim:
                 raise TrainingError("loss diverged (inf)", step=3)
-            return real(structure, dims, config, hyper, seed, on_step)
+            return real(structure, dims, config, hyper, seed)
 
         monkeypatch.setattr(training, "train_member", fail_victim)
         code = self.run("train", cfg_path, out)

@@ -28,10 +28,11 @@ from seqcal.rng import stream
 
 
 def keyword_filter_oracle(tokens, keyword_ids, cap):
-    # Independent route: boolean mask via numpy membership, then slicing.
+    # Independent route: boolean mask via numpy membership, slicing, then
+    # numpy's sort.
     arr = np.asarray(tokens)
     mask = np.isin(arr, np.asarray(keyword_ids))
-    return tuple(int(t) for t in arr[mask][:cap])
+    return tuple(int(t) for t in np.sort(arr[mask][:cap]))
 
 
 class TestVocabulary:
@@ -86,10 +87,13 @@ class TestTaskRules:
     def test_copy_truncates(self):
         assert copy_reference((5, 6, 7, 8), 2) == (5, 6)
 
-    def test_keyword_preserves_order(self):
-        # input "a k2 b k1" with keywords {k1, k2} -> "k2 k1"
+    def test_keyword_reference_is_in_ascending_id_order(self):
+        # input "a k2 b k1" with keywords {k1, k2} -> "k1 k2"
         a, k2, b, k1 = 3, 9, 4, 8
-        assert keyword_reference((a, k2, b, k1), (k1, k2), cap_len := 4) == (k2, k1)
+        assert keyword_reference((a, k2, b, k1), (k1, k2), 4) == (k1, k2)
+        # the cap keeps the first occurrences, then they are sorted
+        assert keyword_reference((k2, a, k1, k1), (k1, k2), 2) == (k1, k2)
+        assert copy_reference((7, 5, 6, 4), 2) == (5, 7)
 
     def test_keyword_cap(self):
         assert keyword_reference((8, 8, 8), (8,), 2) == (8, 8)
@@ -152,7 +156,7 @@ class TestGeneration:
         vocab = make_vocabulary(10)
         spec = TaskSpec(kind="copy", input_len=6, output_len=4)
         for rec in generate_corpus(spec, 50, vocab, seed=11):
-            assert rec.reference == rec.input[:4]
+            assert rec.reference == tuple(sorted(rec.input[:4]))
 
     def test_keyword_corpus_matches_oracle_on_1000_inputs(self):
         vocab = make_vocabulary(20)

@@ -108,21 +108,21 @@ def test_untrained_models_match_oracle(examples, method, zero):
 
 
 def test_oracle_sees_a_changed_prefix_state(trained, examples, monkeypatch):
-    # the oracle builds its own means, so a package mean that divides by
-    # t - 1 from t = 2 on moves the decode away from it
-    def shifted_mean(embed, tokens, bos_id):
+    # the oracle builds its own sums, so a package whose prefix states
+    # (the decoder's (n, live, t) arrays) leave out the bos moves the
+    # decode away from it
+    real = inference.sum_embeddings
+
+    def without_bos(embed, tokens):
         tokens = np.asarray(tokens, dtype=int)
-        t = tokens.shape[-1]
-        if t == 0:
-            return np.broadcast_to(embed[bos_id], tokens.shape[:-1] + embed.shape[1:])
-        return embed[tokens].sum(axis=-2) / (t - 1 if t >= 2 else t)
+        return real(embed, tokens[..., 1:] if tokens.ndim == 3 else tokens)
 
     members = trained["base"]
     test = examples[28:]
     config = CONFIGS["beam3"]
     expected = oracle_records(members, test, config)
     assert decode_corpus(members, test, config, RUN_SEED) == expected
-    monkeypatch.setattr(inference, "mean_embeddings", shifted_mean)
+    monkeypatch.setattr(inference, "sum_embeddings", without_bos)
     assert decode_corpus(members, test, config, RUN_SEED) != expected
 
 

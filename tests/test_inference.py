@@ -122,8 +122,8 @@ class TestPosteriorMean:
         model = members[0]
         dist = package_dist(members, (3, 4), (5,), run_seed=0,
                             example_id="x", step=0)
-        ctx = model.embed[[3, 4]].mean(axis=0)
-        pre = model.embed[[5]].mean(axis=0)
+        ctx = model.embed[3] + model.embed[4]
+        pre = model.embed[model.dims.bos_id] + model.embed[5]
         h = np.tanh(model.w_h @ np.concatenate([ctx, pre]) + model.b_h)
         phi = gp_features(h, model.sngp)[1]
         sigma2 = predictive_variance(model.sngp, phi[None, :])

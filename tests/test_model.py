@@ -19,10 +19,10 @@ from seqcal.model import (
     forward,
     gp_features,
     init_model,
-    mean_embeddings,
     mean_field_logits,
     predictive_variance,
     spectral_normalize,
+    sum_embeddings,
     update_precision,
 )
 from seqcal.rng import derive_key, derive_seed, stream
@@ -136,10 +136,10 @@ class TestInit:
 
 
 def z_row(model, inp, prefix):
-    """[mean input embedding; mean prefix embedding, bos when empty]."""
+    """[summed input embeddings; summed embeddings of bos and the prefix]."""
     embed = model.embed
-    state = embed[list(prefix)].mean(axis=0) if prefix else embed[model.dims.bos_id]
-    return np.concatenate([embed[list(inp)].mean(axis=0), state])
+    state = embed[[model.dims.bos_id, *prefix]].sum(axis=0)
+    return np.concatenate([embed[list(inp)].sum(axis=0), state])
 
 
 def logits(model, inp, prefix, **kwargs):
@@ -178,12 +178,19 @@ class TestForward:
             want = forward_oracle(m, inp, prefix)
             assert np.allclose(got, want, atol=1e-12)
 
-    def test_empty_prefix_equals_bos_prefix(self):
+    def test_prefix_state_is_the_sum_over_bos_and_its_tokens(self):
         dims = small_dims()
         m = init_model(dims, MethodConfig(method="base"), seed=7)
-        a = one_step(m, (3, 4), ())
-        b = one_step(m, (3, 4), (dims.bos_id,))
-        assert np.array_equal(a, b)
+        inp = (3, 4)
+        ctx = m.embed[3] + m.embed[4]
+        bos = m.embed[dims.bos_id]
+        for prefix, state in (((), bos), ((5,), bos + m.embed[5]),
+                              ((5, 5, 6), bos + m.embed[5] + m.embed[5] + m.embed[6])):
+            want = forward(m, np.concatenate([ctx, state]))["logits"]
+            probs = np.exp(want - want.max())
+            assert np.allclose(one_step(m, inp, prefix), probs / probs.sum(), atol=1e-12)
+        # a state counts its tokens: a repeated token moves it
+        assert not np.allclose(one_step(m, inp, (5,)), one_step(m, inp, (5, 5)))
 
     def test_dropout_methods_without_seed_match_base(self):
         # same init seed draws identical shared weights for base and mcd
@@ -257,26 +264,27 @@ class TestForward:
             one_step(m, (3,), ())
 
 
-class TestMeanEmbeddings:
-    def test_rows_equal_numpy_mean_bitwise(self):
+class TestSumEmbeddings:
+    def test_rows_add_from_zero_in_token_order(self):
         rng = np.random.default_rng(5)
         embed = rng.uniform(-0.1, 0.1, size=(30, 7))
         for _ in range(200):
             tokens = tuple(rng.integers(0, 30, size=rng.integers(1, 12)).tolist())
-            got = mean_embeddings(embed, tokens, bos_id=1)
-            want = embed[np.asarray(tokens)].mean(axis=0)
+            want = np.zeros(7)
+            for t in tokens:
+                want = want + embed[t]
+            got = sum_embeddings(embed, tokens)
             assert got.shape == (7,) and np.array_equal(got, want)
-        assert np.array_equal(mean_embeddings(embed, (), bos_id=1), embed[1])
 
     def test_stacked_prefixes_equal_one_row_at_a_time(self):
         rng = np.random.default_rng(6)
         embed = rng.uniform(-0.1, 0.1, size=(30, 7))
         for t in range(6):
             tokens = rng.integers(0, 30, size=(4, 3, t))
-            got = mean_embeddings(embed, tokens, bos_id=2)
+            got = sum_embeddings(embed, tokens)
             assert got.shape == (4, 3, 7)
             for i, j in np.ndindex(4, 3):
-                assert np.array_equal(got[i, j], mean_embeddings(embed, tokens[i, j], 2))
+                assert np.array_equal(got[i, j], sum_embeddings(embed, tokens[i, j]))
 
 
 class TestDropoutMask:
@@ -560,21 +568,22 @@ class TestRowStructure:
         rows = build_rows([ex], dims)
         assert rows.targets.tolist() == [5, 6, dims.eos_id]
         assert rows.row_spans == ((0, 3),)
-        # context weights: half weight on each input token, every row
+        # context weights: a count of one on each input token, every row
         want_ctx = np.zeros(8)
-        want_ctx[3] = want_ctx[4] = 0.5
+        want_ctx[3] = want_ctx[4] = 1.0
         for r in range(3):
-            assert np.allclose(rows.ctx_weights[r], want_ctx, atol=1e-15)
-        # prefix weights: bos one-hot, then growing reference averages
-        assert rows.prefix_weights[0][dims.bos_id] == 1.0
-        assert rows.prefix_weights[1][5] == 1.0
-        assert np.allclose(rows.prefix_weights[2][[5, 6]], [0.5, 0.5], atol=1e-15)
-        assert np.allclose(rows.ctx_weights.sum(axis=1), 1.0, atol=1e-12)
-        assert np.allclose(rows.prefix_weights.sum(axis=1), 1.0, atol=1e-12)
+            assert np.array_equal(rows.ctx_weights[r], want_ctx)
+        # prefix weights: bos in every row, plus the counts of the first t
+        # reference tokens
+        want_prefix = np.zeros((3, 8))
+        want_prefix[:, dims.bos_id] = 1.0
+        want_prefix[1:, 5] = 1.0
+        want_prefix[2, 6] = 1.0
+        assert np.array_equal(rows.prefix_weights, want_prefix)
 
     def test_in_place_rows_equal_the_stacked_lists(self):
-        # ragged references, a zero-length one among them; inputs and
-        # prefixes up to 8 long make most weights inexact (1/3, 2/7, ...)
+        # ragged references, a zero-length one among them, and inputs up
+        # to 8 long with repeated tokens
         rng = np.random.default_rng(8)
         dims = ModelDims(vocab_size=23, bos_id=1, eos_id=2)
         for _ in range(50):

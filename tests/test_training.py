@@ -101,6 +101,7 @@ class TestTrainMember:
         assert final < initial - 0.1
         assert final < math.log(vocab.size)
         assert len(model.loss_history) == 300
+        assert all(math.isfinite(loss) for loss in model.loss_history)
 
     def test_deterministic_repetition(self):
         vocab, examples = copy_corpus(n=60)
@@ -113,15 +114,6 @@ class TestTrainMember:
         assert np.array_equal(a.w_o, b.w_o)
         assert a.loss_history == b.loss_history
 
-    def test_on_step_sees_every_step(self):
-        vocab, examples = copy_corpus(n=40)
-        seen = []
-        train_member(rows_for(vocab, examples), dims_for(vocab), MethodConfig(method="base"),
-                     TrainHyper(steps=7), seed=2,
-                     on_step=lambda step, loss, model: seen.append((step, loss)))
-        assert [s for s, _ in seen] == list(range(7))
-        assert all(math.isfinite(l) for _, l in seen)
-
     def test_batch_ensemble_trains_every_member(self):
         vocab, examples = copy_corpus(n=60)
         dims = dims_for(vocab)
@@ -133,18 +125,24 @@ class TestTrainMember:
             assert not np.array_equal(model.be.r[k], fresh.be.r[k])
             assert not np.array_equal(model.be.s[k], fresh.be.s[k])
 
-    def test_spectral_bound_holds_throughout(self):
+    def test_spectral_bound_holds_throughout(self, monkeypatch):
         vocab, examples = copy_corpus(n=60)
         dims = dims_for(vocab)
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16))
         worst = []
+        real = training.spectral_normalize
 
-        def watch(step, loss, model):
-            worst.append(np.linalg.svd(model.w_h, compute_uv=False)[0])
+        def watch(w, bound):
+            # W_h as training holds it: the initial weights, then after each update
+            out = real(w, bound)
+            worst.append(np.linalg.svd(out, compute_uv=False)[0])
+            return out
 
+        monkeypatch.setattr(training, "spectral_normalize", watch)
         model = train_member(split_rows(examples, dims), dims, cfg,
-                             TrainHyper(steps=30), seed=3, on_step=watch)
+                             TrainHyper(steps=30), seed=3)
         bound = cfg.sngp.spec_norm_bound
+        assert len(worst) == 30 + 1
         assert max(worst) <= bound * 1.001
         assert np.linalg.svd(model.w_h, compute_uv=False)[0] <= bound * 1.001
 
@@ -377,9 +375,9 @@ class TestEnsembleWorkers:
         rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=2)
         order = []
 
-        def record(structure, dims, config, hyper, seed, on_step=None):
+        def record(structure, dims, config, hyper, seed):
             order.append((config.method, seed))
-            return train_member(structure, dims, config, hyper, seed, on_step)
+            return train_member(structure, dims, config, hyper, seed)
 
         monkeypatch.setattr(training, "train_member", record)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -409,10 +407,10 @@ class TestEnsembleWorkers:
         vocab, examples = copy_corpus(n=40)
         rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
 
-        def fail_22(structure, dims, config, hyper, seed, on_step=None):
+        def fail_22(structure, dims, config, hyper, seed):
             if seed == 22:
                 raise TrainingError("loss diverged (inf)", step=4)
-            return train_member(structure, dims, config, hyper, seed, on_step)
+            return train_member(structure, dims, config, hyper, seed)
 
         monkeypatch.setattr(training, "train_member", fail_22)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -431,11 +429,11 @@ class TestEnsembleWorkers:
         rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
         caller = os.getpid()
 
-        def kill_in_worker(structure, dims, config, hyper, seed, on_step=None):
+        def kill_in_worker(structure, dims, config, hyper, seed):
             if os.getpid() != caller:
                 worker_takes_first_job()
                 os.kill(os.getpid(), signal.SIGKILL)
-            return train_member(structure, dims, config, hyper, seed, on_step)
+            return train_member(structure, dims, config, hyper, seed)
 
         monkeypatch.setattr(training, "train_member", kill_in_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -454,11 +452,11 @@ class TestEnsembleWorkers:
         rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
         caller = os.getpid()
 
-        def leave(structure, dims, config, hyper, seed, on_step=None):
+        def leave(structure, dims, config, hyper, seed):
             if os.getpid() != caller:
                 worker_takes_first_job()
                 os._exit(0)
-            return train_member(structure, dims, config, hyper, seed, on_step)
+            return train_member(structure, dims, config, hyper, seed)
 
         monkeypatch.setattr(training, "train_member", leave)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
