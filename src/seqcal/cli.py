@@ -385,7 +385,7 @@ def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
             dev_ce = evaluate_loss(members[0], dev_rows)
             print(f"trained {method}: {len(members)} member(s), "
                   f"train CE {train_ce:.4f}, dev CE {dev_ce:.4f}")
-            del members  # before the pool runs the next method's jobs here
+            del members  # at one CPU the pool runs the next method's jobs here
 
 
 def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> None:

@@ -38,8 +38,9 @@ per-row results depend on its row count, and a last-bit change in a
 log-probability can reorder near-tied hypotheses.  `beam_decode` is the
 same search on a single example.  A decode is a pure function of the
 members, the examples, the config and the run seed, so the `infer` stage
-decodes its methods as the jobs of one `training.JobPool`, each in
-whichever process pulls it, and writes the same records.
+decodes its methods as the jobs of one `training.JobPool`, each in a
+forked child of its own (at one CPU, in the stage process), and writes
+the same records.
 
 `step_distributions` is the one routine that forms a decode step's
 posterior-mean rows, the only place the methods differ: the search calls

@@ -23,10 +23,10 @@ Who trains what, and in which process: every member is one
 `train_member` call, a pure function of its seed, and is one job of a
 `JobPool`, the one fork routine of the train and infer stages.  The train
 stage builds one `member_pool` of every member of every requested method,
-the GP members first; the stage process and one forked worker per further
-CPU pull them from one queue, and `train_method` takes each method's
-members from the pool in method order.  So the bundles hold the same bits
-as when one process trains them all.
+the GP members first; each member is trained in a forked child of its
+own, one per CPU at a time (at one CPU, in the stage process), and
+`train_method` takes each method's members from the pool in method order.
+So the bundles hold the same bits as when one process trains them all.
 
 A bundle is one `BundleFile` of `model.Member` records, written with
 `schema.to_json` and read with `schema.from_json`.  It stores the stamp
@@ -231,93 +231,71 @@ def member_pool(structure: RowStructure, dims: ModelDims, hyper: TrainHyper,
                    lambda job: f"{job[0].method} member seed {job[1]}")
 
 
-# A result pipe holds this much, so a worker can send a member and pull its
-# next job while the stage process is busy with a job of its own.
-PIPE_BYTES = 1 << 20
-
-# The queue pipe is filled before anyone reads it, so it must hold every
-# job index (4 bytes each) in the default 64 KiB; a config asks for at
-# most 2 * MAX_DE_SIZE + 5.
-MAX_JOBS = 16_384
-
-_HEAD = 12  # a message's job index (4 bytes) and payload length (8 bytes)
-
-
 class JobPool:
     """`run(job)` for every job in `jobs`, spread over the CPUs this process
     may use; `take(job)` hands back one job's result, or raises the
     exception the job raised.  Every job must be a pure function of its
     inputs, so the results do not depend on which process runs which job.
 
-    min(CPUs in the affinity mask, jobs) processes pull job indices, in
-    list order, from one shared pipe queue: this process and one forked
-    worker per further CPU, so at one CPU nothing is forked.  This process
-    runs the jobs it pulls inside `take`, while the result it asks for is
-    not in; once the queue is empty it waits for the workers.  A worker
-    announces each job it pulls, runs it, sends the pickled result (or the
-    exception) down its own pipe, and leaves through `os._exit` when the
-    queue is empty.  When a worker ends without sending the result of a job
-    it announced, that job's result is a TrainingError naming it
-    (`label(job)`) and how the worker ended.  `close` (also on leaving a
-    `with` block) kills and reaps every worker still running, so none
+    Each job runs in a child of its own: while fewer than min(CPUs in the
+    affinity mask, jobs) children are running, the next pending job, in
+    list order, is forked.  The child runs its job, writes the pickled
+    result (or the exception) to its pipe and leaves through `os._exit`.
+    `take` reads each finished child's pipe to EOF, reaps the child and
+    forks pending jobs onto the CPUs that frees, until the result it asks
+    for is in.  A child that ends without a readable result leaves a
+    TrainingError naming its job (`label(job)`) and how the child ended.
+    At one CPU, or with one job, nothing is forked: `take` runs the
+    pending jobs in list order in this process.  `close` (also on leaving
+    a `with` block) kills and reaps every child still running, so none
     outlives the stage, whether it succeeds or fails.  The stage runs no
     threads of its own, and OpenBLAS stops its thread pool around a fork
-    itself (pthread_atfork), so a worker starts sound.
+    itself (pthread_atfork), so a child starts sound.
     """
 
     def __init__(self, run, jobs, label):
         self._run, self._jobs, self._label = run, list(jobs), label
-        if len(self._jobs) > MAX_JOBS:
-            raise ValueError(f"a pool takes at most {MAX_JOBS} jobs, got {len(self._jobs)}")
-        self._index = {job: i for i, job in enumerate(self._jobs)}
+        self._index = {job: i for i, job in enumerate(self._jobs)}  # jobs not yet taken
         self._results = {}  # {job index: (True, result) or (False, exception)}
-        self._workers = {}  # {read end of its pipe: [pid, unread bytes, announced job]}
+        self._children = {}  # {read end of its pipe: (pid, job index)}
+        self._next = 0  # the first job neither run nor forked
+        width = min(len(os.sched_getaffinity(0)), len(self._jobs))
+        self._width = width if width > 1 else 0  # children at once; 0: run jobs here
         # Freeing a 3 MB block raises glibc's mmap threshold to 3 MB and its
-        # trim threshold to 6 MB, here and in every forked worker, so a
+        # trim threshold to 6 MB, here and in every forked child, so a
         # training step's temporaries stay in the heap instead of being
         # unmapped and page-faulted again every step.  Other allocators
         # ignore it.
         np.empty(3 << 20, dtype=np.uint8)
-        self._queue, tail = os.pipe()
-        os.write(tail, b"".join(i.to_bytes(4, "little") for i in range(len(self._jobs))))
-        os.close(tail)
         try:
-            for _ in range(min(len(os.sched_getaffinity(0)), len(self._jobs)) - 1):
-                self._fork()
+            self._collect(0)
         except BaseException:
             self.close()
             raise
 
     def take(self, job):
-        """`job`'s result, once this process or a worker has it; drops it
-        from the pool."""
-        i = self._index[job]
+        """`job`'s result, once this process or its child has it; drops it
+        from the pool.  A job not in the pool, or already taken, is a
+        KeyError."""
+        i = self._index.pop(job)
         while i not in self._results:
-            self._read(timeout=0)
-            if i in self._results:
-                break
-            pulled = self._pull()
-            if pulled is not None:
-                self._results[pulled] = self._call(pulled)
-            elif self._workers:
-                self._read(timeout=None)
+            if self._width:
+                self._collect(None)
             else:
-                self._results[i] = (False, TrainingError(
-                    f"{self._label(job)} was lost by a worker that ended before announcing it"))
+                self._results[self._next] = self._call(self._next)
+                self._next += 1
+        self._collect(0)
         ok, value = self._results.pop(i)
         if not ok:
             raise value
         return value
 
     def close(self) -> None:
-        for fd, (pid, _, _) in self._workers.items():
+        for fd, (pid, _) in self._children.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
-        self._workers.clear()
-        if self._queue is not None:
-            os.close(self._queue)
-            self._queue = None
+        self._children.clear()
 
     def __enter__(self):
         return self
@@ -325,85 +303,58 @@ class JobPool:
     def __exit__(self, *exc_info):
         self.close()
 
-    def _pull(self):
-        index = os.read(self._queue, 4)
-        return int.from_bytes(index, "little") if index else None
-
     def _call(self, i):
         try:
             return True, self._run(self._jobs[i])
         except Exception as exc:
             return False, exc
 
-    def _fork(self) -> None:
-        import fcntl  # as `select` in `_read`: only a pool that forks needs it
+    def _collect(self, timeout) -> None:
+        """Reap the children whose results are ready within `timeout`
+        seconds (None: until one is), then fork pending jobs onto the free
+        CPUs."""
+        if self._children:
+            import select  # only a pool that forks needs it
 
+            for fd in select.select(list(self._children), [], [], timeout)[0]:
+                self._reap(fd)
+        while len(self._children) < self._width and self._next < len(self._jobs):
+            self._fork(self._next)
+            self._next += 1
+
+    def _fork(self, i) -> None:
         read_end, write_end = os.pipe()
         try:
-            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-        except OSError:  # above the user's pipe limit: sends wait for reads
-            pass
-        pid = os.fork()
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
         if pid == 0:
             code = 1
             try:
                 os.close(read_end)
-                while (i := self._pull()) is not None:
-                    _send(write_end, i, b"")
-                    _send(write_end, i, pickle.dumps(self._call(i), pickle.HIGHEST_PROTOCOL))
+                payload = memoryview(pickle.dumps(self._call(i), pickle.HIGHEST_PROTOCOL))
+                while payload:
+                    payload = payload[os.write(write_end, payload):]
                 code = 0
             finally:
                 os._exit(code)
         os.close(write_end)
-        self._workers[read_end] = [pid, bytearray(), None]
-
-    def _read(self, timeout) -> None:
-        """Take in what the workers sent, waiting up to `timeout` seconds
-        (None: until one sends or ends) when none has sent anything."""
-        if not self._workers:
-            return
-        import select
-
-        for fd in select.select(list(self._workers), [], [], timeout)[0]:
-            worker = self._workers[fd]
-            chunk = os.read(fd, PIPE_BYTES)
-            if not chunk:
-                self._reap(fd)
-                continue
-            buf = worker[1]
-            buf += chunk
-            while len(buf) >= _HEAD:
-                i = int.from_bytes(buf[:4], "little")
-                end = _HEAD + int.from_bytes(buf[4:_HEAD], "little")
-                if len(buf) < end:
-                    break
-                if end == _HEAD:
-                    worker[2] = i
-                else:
-                    try:
-                        self._results[i] = pickle.loads(buf[_HEAD:end])
-                    except Exception as exc:
-                        self._results[i] = (False, TrainingError(
-                            f"the result of {self._label(self._jobs[i])} is unreadable: {exc}"))
-                    worker[2] = None
-                del buf[:end]
+        self._children[read_end] = (pid, i)
 
     def _reap(self, fd) -> None:
-        pid, _, held = self._workers.pop(fd)
-        os.close(fd)
+        pid, i = self._children.pop(fd)
+        with open(fd, "rb") as pipe:
+            payload = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if held is not None:
+        try:
+            self._results[i] = pickle.loads(payload)
+        except Exception:  # EOFError when empty; a cut payload can raise any error
             how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            self._results[held] = (False, TrainingError(
-                f"the worker running {self._label(self._jobs[held])} {how} "
+            self._results[i] = (False, TrainingError(
+                f"the worker running {self._label(self._jobs[i])} {how} "
                 "before sending its result"))
-
-
-def _send(fd: int, i: int, payload: bytes) -> None:
-    """One message: job index, payload length, payload (empty: job i started)."""
-    data = memoryview(i.to_bytes(4, "little") + len(payload).to_bytes(8, "little") + payload)
-    while data:
-        data = data[os.write(fd, data):]
 
 
 def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:

@@ -859,17 +859,12 @@ class TestSummaryRanking:
         assert len(gaps) == 3
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestEnsembleWorkers:
-    """train's members and infer's methods are the jobs of one forked pool;
-    the stage process writes every file and prints every line in method
-    order, and no worker outlives the stage.  No assertion depends on which
-    process pulls which job, except where `worker_takes_first_job` hands
-    the first one to the worker."""
+    """train's members and infer's methods are the jobs of one forked pool,
+    each in a child of its own (at one CPU, in the stage process); the
+    stage process writes every file and prints every line in method order,
+    and no child outlives the stage (`no_children_left`).  A test that
+    kills or hangs a child keys on its job."""
 
     def gen_data(self, tmp_path, capsys, payload=SMALL):
         cfg_path = write_config(tmp_path, payload)
@@ -897,7 +892,6 @@ class TestEnsembleWorkers:
         write_bundle(serial, tmp_path / "serial.json", run_stamp(out))
         assert (tmp_path / "serial.json").read_bytes() == \
             (tmp_path / "run" / "models" / "de.json").read_bytes()
-        assert_no_children()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_bundles_and_predictions_equal_serial_calls(self, tmp_path, monkeypatch, capsys,
@@ -926,18 +920,15 @@ class TestEnsembleWorkers:
             write_predictions(preds, tmp_path / "serial.jsonl")
             assert (tmp_path / "serial.jsonl").read_bytes() == \
                 (tmp_path / "run" / "preds" / f"{method}.jsonl").read_bytes(), method
-        assert_no_children()
 
-    def test_a_killed_worker_is_two_and_names_its_members(self, tmp_path, monkeypatch, capsys,
-                                                          worker_takes_first_job):
+    def test_a_killed_worker_is_two_and_names_its_members(self, tmp_path, monkeypatch, capsys):
         cfg_path, out = self.gen_data(tmp_path, capsys)
         victim = load_config(cfg_path).method_config("de").seeds[0]
         stage = os.getpid()
         real = training.train_member
 
         def kill_in_worker(structure, dims, config, hyper, seed):
-            if os.getpid() != stage:
-                worker_takes_first_job()
+            if seed == victim and os.getpid() != stage:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(structure, dims, config, hyper, seed)
 
@@ -947,22 +938,20 @@ class TestEnsembleWorkers:
         err = capsys.readouterr().err
         assert f"de member seed {victim} was killed by signal 9" in err
         assert not os.path.exists(os.path.join(out, "models", "de.json"))
-        assert_no_children()
 
     def test_a_diverging_single_model_kills_the_running_workers(self, tmp_path, monkeypatch,
-                                                                  capsys, worker_takes_first_job):
-        """The worker hangs in the first job, sngp's member, while the
-        stage process finds that base diverges."""
+                                                                  capsys):
+        """The child training sngp's member hangs while the stage process
+        finds that base diverges."""
         payload = dict(SMALL, train={"steps": 30, "batch_size": 16, "learning_rate": 1e300})
         cfg_path, out = self.gen_data(tmp_path, capsys, payload)
         stage = os.getpid()
         real = training.train_member
 
-        def hang_in_worker(*args, **kwargs):
-            if os.getpid() != stage:
-                worker_takes_first_job()
+        def hang_in_worker(structure, dims, config, hyper, seed):
+            if config.method == "sngp" and os.getpid() != stage:
                 time.sleep(60)
-            return real(*args, **kwargs)
+            return real(structure, dims, config, hyper, seed)
 
         monkeypatch.setattr(training, "train_member", hang_in_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -973,7 +962,6 @@ class TestEnsembleWorkers:
         assert code == 2
         assert "diverged" in capsys.readouterr().err
         assert time.monotonic() - begin < 30
-        assert_no_children()
 
     def test_a_failing_member_fails_its_own_method_in_order(self, tmp_path, monkeypatch,
                                                             capsys):
@@ -996,7 +984,6 @@ class TestEnsembleWorkers:
             f"trained {m}" for m in METHODS[:-1]]
         assert sorted(os.listdir(os.path.join(out, "models"))) == sorted(
             f"{m}.json" for m in METHODS[:-1])
-        assert_no_children()
 
     def trained(self, tmp_path, monkeypatch, capsys):
         cfg_path, out = self.gen_data(tmp_path, capsys)
@@ -1019,15 +1006,14 @@ class TestEnsembleWorkers:
         assert order == ["be", "sngp_mcd", "mcd", "sngp_de", "de", "sngp", "base"]
 
     def test_a_killed_decode_worker_is_two_and_names_its_method(self, tmp_path, monkeypatch,
-                                                                capsys, worker_takes_first_job):
-        """The worker dies in the first job, be's decode; base and mcd,
-        before be in method order, keep their predictions."""
+                                                                capsys):
+        """The child decoding be dies; base and mcd, before be in method
+        order, keep their predictions."""
         cfg_path, out = self.trained(tmp_path, monkeypatch, capsys)
         stage = os.getpid()
 
         def kill_in_worker(members, *args, **kwargs):
-            if os.getpid() != stage:
-                worker_takes_first_job()
+            if members[0].config.method == "be" and os.getpid() != stage:
                 os.kill(os.getpid(), signal.SIGKILL)
             return decode_corpus(members, *args, **kwargs)
 
@@ -1038,7 +1024,6 @@ class TestEnsembleWorkers:
         assert captured.err == ("error: the worker running be decoding was killed by signal 9 "
                                 "before sending its result\n")
         assert sorted(os.listdir(os.path.join(out, "preds"))) == ["base.jsonl", "mcd.jsonl"]
-        assert_no_children()
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_a_failing_method_fails_at_its_turn(self, tmp_path, monkeypatch, capsys, cpus):
@@ -1057,7 +1042,6 @@ class TestEnsembleWorkers:
         assert [line.split()[4] for line in captured.out.splitlines()] == ["base", "mcd", "be"]
         assert sorted(os.listdir(os.path.join(out, "preds"))) == [
             "base.jsonl", "be.jsonl", "mcd.jsonl"]
-        assert_no_children()
 
 
 class TestOutDir:

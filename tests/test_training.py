@@ -340,21 +340,16 @@ def assert_same_bits(a, b, where="member"):
             assert x == y, at
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 ENSEMBLES = (MethodConfig(method="de", seeds=(11, 12, 13)),
              MethodConfig(method="sngp_de", seeds=(21, 22), sngp=SngpConfig(rff_dim=8)))
 SINGLE = (MethodConfig(method="base"), MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=8)))
 
 
 class TestEnsembleWorkers:
-    """Every member comes from one `member_pool`: the caller and forked
-    workers pull the members from one queue, GP members first.  No
-    assertion depends on which process pulls which member, except where
-    `worker_takes_first_job` hands the first one to the worker."""
+    """Every member comes from one `member_pool`, GP members first: at
+    one CPU the caller trains them, on more each one trains in a forked
+    child of its own.  A test that kills or hangs a child keys on its
+    job, and `no_children_left` checks that no child outlives the test."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_members_equal_serial_training_bit_for_bit(self, monkeypatch, cpus):
@@ -368,7 +363,6 @@ class TestEnsembleWorkers:
                 assert len(got) == cfg.n_members
                 for member, s in zip(got, cfg.member_seeds(seed)):
                     assert_same_bits(member, train_member(rows, dims, cfg, hyper, s))
-        assert_no_children()
 
     def test_gp_members_are_queued_first(self, monkeypatch):
         vocab, examples = copy_corpus(n=40)
@@ -401,7 +395,6 @@ class TestEnsembleWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         train_method(rows, dims, MethodConfig(method="mcd"), hyper, seed=3)
         assert pids == [caller]
-        assert_no_children()
 
     def test_a_member_that_raises_is_raised_for_its_method_only(self, monkeypatch):
         vocab, examples = copy_corpus(n=40)
@@ -419,19 +412,16 @@ class TestEnsembleWorkers:
             with pytest.raises(TrainingError, match="^step 4: loss diverged") as info:
                 train_method(rows, dims, ENSEMBLES[1], hyper, 0, pool)
             assert info.value.step == 4
-        assert_no_children()
 
-    def test_a_dead_worker_is_a_training_error_naming_its_members(self, monkeypatch,
-                                                                    worker_takes_first_job):
-        """The worker pulls sngp_de's seed 21, the first job, and dies;
-        de, which the caller trains meanwhile, still comes back."""
+    def test_a_dead_worker_is_a_training_error_naming_its_members(self, monkeypatch):
+        """The child training sngp_de's seed 21 dies; de, whose members
+        other children train, still comes back."""
         vocab, examples = copy_corpus(n=40)
         rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
         caller = os.getpid()
 
         def kill_in_worker(structure, dims, config, hyper, seed):
-            if os.getpid() != caller:
-                worker_takes_first_job()
+            if seed == 21 and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             return train_member(structure, dims, config, hyper, seed)
 
@@ -442,19 +432,16 @@ class TestEnsembleWorkers:
             with pytest.raises(TrainingError, match=r"^the worker running sngp_de member "
                                                     r"seed 21 was killed by signal 9"):
                 train_method(rows, dims, ENSEMBLES[1], hyper, 0, pool)
-        assert_no_children()
 
-    def test_a_worker_leaving_without_its_list_is_a_training_error(self, monkeypatch,
-                                                                   worker_takes_first_job):
-        """A worker that exits cleanly in the middle of a member leaves no
-        result for it."""
+    def test_a_worker_leaving_without_its_list_is_a_training_error(self, monkeypatch):
+        """A child that exits cleanly in the middle of its member, sngp_de's
+        seed 21, leaves no result for it."""
         vocab, examples = copy_corpus(n=40)
         rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
         caller = os.getpid()
 
         def leave(structure, dims, config, hyper, seed):
-            if os.getpid() != caller:
-                worker_takes_first_job()
+            if seed == 21 and os.getpid() != caller:
                 os._exit(0)
             return train_member(structure, dims, config, hyper, seed)
 
@@ -463,7 +450,6 @@ class TestEnsembleWorkers:
         with pytest.raises(TrainingError, match="sngp_de member seed 21 exited with status 0"):
             with member_pool(rows, dims, hyper, [(cfg, 0) for cfg in ENSEMBLES]) as pool:
                 train_method(rows, dims, ENSEMBLES[1], hyper, 0, pool)
-        assert_no_children()
 
     def test_close_kills_and_reaps_running_workers(self, monkeypatch):
         vocab, examples = copy_corpus(n=40)
@@ -487,14 +473,13 @@ class TestEnsembleWorkers:
             os.close(started)
             os.close(told)
         assert time.monotonic() - begin < 30
-        assert_no_children()
 
 
 class TestJobPool:
     def test_every_job_runs_once_with_more_workers_than_cores(self, monkeypatch):
-        """Four processes on this machine's CPUs pull 300 jobs from the one
-        queue; each job leaves its index in a side pipe when it runs, so a
-        job lost or pulled twice shows there."""
+        """300 jobs, each in a child of its own, four at a time on this
+        machine's CPUs; each job leaves its index in a side pipe when it
+        runs, so a job lost or run twice shows there."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         ran, record = os.pipe()
 
@@ -513,7 +498,67 @@ class TestJobPool:
         assert sorted(int.from_bytes(log[k:k + 2], "little")
                       for k in range(0, len(log), 2)) == list(range(300))
         assert time.monotonic() - begin < 30
-        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_unknown_job_is_a_key_error_at_once(self, monkeypatch, cpus):
+        """Every job hangs, so a take that ran one or waited on a child
+        would take a minute."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        begin = time.monotonic()
+        with training.JobPool(lambda j: time.sleep(60), range(6), str) as pool:
+            with pytest.raises(KeyError):
+                pool.take(6)
+        assert time.monotonic() - begin < 30
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_job_already_taken_is_a_key_error_at_once(self, monkeypatch, cpus):
+        """Every job but 0 hangs, so a second take of 0 that ran another
+        job or waited on a child would take a minute."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        begin = time.monotonic()
+        with training.JobPool(lambda j: time.sleep(60) if j else "done", range(6), str) as pool:
+            assert pool.take(0) == "done"
+            with pytest.raises(KeyError):
+                pool.take(0)
+        assert time.monotonic() - begin < 30
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_results_larger_than_a_pipe_come_back_bit_identical(self, monkeypatch, cpus):
+        """3 MB per result, far more than a pipe holds (64 KiB by default
+        on Linux), so a child's write waits for this process to read."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+        def draw(j):
+            return np.random.default_rng(j).random(3 << 17)
+
+        with training.JobPool(draw, range(5), str) as pool:
+            got = [pool.take(j) for j in range(5)]
+        for j, array in enumerate(got):
+            assert array.tobytes() == draw(j).tobytes(), j
+
+    def test_a_refused_fork_is_raised_and_leaks_no_pipe(self, monkeypatch):
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", refuse)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            training.JobPool(str, range(3), str)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_a_result_that_cannot_be_pickled_fails_its_own_take_only(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def run(j):
+            return (lambda: j) if j == 2 else j * j
+
+        with training.JobPool(run, range(5), lambda j: f"job {j}") as pool:
+            assert [pool.take(j) for j in (0, 1)] == [0, 1]
+            with pytest.raises(TrainingError, match=r"^the worker running job 2 exited with "
+                                                    r"status 1 before sending its result$"):
+                pool.take(2)
+            assert [pool.take(j) for j in (3, 4)] == [9, 16]
 
 
 class TestBundles:
