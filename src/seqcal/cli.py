@@ -28,7 +28,7 @@ itself, so the outputs do not depend on the CPU count.
 
 Every stochastic choice derives from the single top-level seed, so a
 rerun of any stage writes byte-identical files.  Model-intrinsic knobs
-(sample count, dropout rate, ensemble sizes) travel inside the bundle;
+(sample count, ensemble sizes, the sngp block) travel inside the bundle;
 the config's decode section only controls the search.
 
 Exit codes: 0 on success, 1 for configuration or file-validation
@@ -128,7 +128,6 @@ MAX_SEED = 2**64 - 1
 @dataclass(frozen=True)
 class MethodsSection:
     samples: int = MethodConfig.samples
-    dropout_rate: float = MethodConfig.dropout_rate
     be_size: int = MethodConfig.be_size
     de_size: int = 10
     sngp: SngpConfig = field(default_factory=SngpConfig)
@@ -196,7 +195,6 @@ class RunConfig:
         return MethodConfig(
             method=method,
             samples=m.samples,
-            dropout_rate=m.dropout_rate,
             be_size=m.be_size,
             sngp=m.sngp,
             seeds=seeds,

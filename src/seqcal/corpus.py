@@ -86,8 +86,6 @@ class Vocabulary:
 
 def make_vocabulary(size: int) -> Vocabulary:
     """Standard layout: pad=0, bos=1, eos=2, content symbols w3..w{size-1}."""
-    if size < 4:
-        raise ConfigurationError(f"vocabulary size must be >= 4, got {size}")
     symbols = ("<pad>", "<bos>", "<eos>") + tuple(f"w{i}" for i in range(3, size))
     return Vocabulary(symbols=symbols, pad=0, bos=1, eos=2)
 

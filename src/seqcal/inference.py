@@ -168,10 +168,10 @@ def step_distributions(members, ctxs, prefixes, *, run_seed: int, example_ids, s
     """
     config = members[0].config
     dims = members[0].dims
-    if dropout_active(config):
+    if dropout_active(config.method):
         seeds = [derive_seeds((run_seed, "mcd"), example_ids, (step, m))
                  for m in range(config.samples)]
-        masks = dropout_mask(seeds, config.dropout_rate, dims.hidden_dim)
+        masks = dropout_mask(seeds, dims.hidden_dim)
         units = [(0, sample_masks, 0) for sample_masks in masks]
     elif config.method == "be":
         units = [(0, None, k) for k in range(config.be_size)]

@@ -66,10 +66,16 @@ from .rng import derive_key, philox_random, stream
 
 METHODS = ("base", "mcd", "be", "sngp", "sngp_mcd", "de", "sngp_de")
 
+# The methods' fixed settings: the inverted-dropout rate of the
+# mc-dropout variants and the bound on the top singular value of the
+# gaussian-process methods' hidden weights.
+DROPOUT_RATE = 0.1
+SPEC_NORM_BOUND = 1.0
 
-def dropout_active(config: MethodConfig) -> bool:
-    """Whether `config` draws dropout masks, in training and in decoding."""
-    return config.method in ("mcd", "sngp_mcd") and config.dropout_rate > 0.0
+
+def dropout_active(method: str) -> bool:
+    """Whether `method` draws dropout masks, in training and in decoding."""
+    return method in ("mcd", "sngp_mcd")
 
 
 def uses_gp(method: str) -> bool:
@@ -106,22 +112,14 @@ class ModelDims:
 @dataclass(frozen=True)
 class SngpConfig:
     rff_dim: int = 128
-    kernel_scale: float = 1.0
     mean_field_factor: float = 1e-4
-    spec_norm_bound: float = 1.0
 
     def __post_init__(self):
         if self.rff_dim < 1:
             raise ConfigurationError(f"rff_dim must be >= 1, got {self.rff_dim}")
-        if self.kernel_scale <= 0.0:
-            raise ConfigurationError(f"kernel_scale must be positive, got {self.kernel_scale}")
         if self.mean_field_factor < 0.0:
             raise ConfigurationError(
                 f"mean_field_factor must be nonnegative, got {self.mean_field_factor}"
-            )
-        if self.spec_norm_bound <= 0.0:
-            raise ConfigurationError(
-                f"spec_norm_bound must be positive, got {self.spec_norm_bound}"
             )
 
 
@@ -136,7 +134,6 @@ class MethodConfig:
 
     method: str
     samples: int = 10
-    dropout_rate: float = 0.1
     be_size: int = 5
     sngp: SngpConfig = field(default_factory=SngpConfig)
     seeds: tuple[int, ...] = ()
@@ -146,10 +143,6 @@ class MethodConfig:
             raise ConfigurationError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.samples < 1:
             raise ConfigurationError(f"samples must be >= 1, got {self.samples}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError(
-                f"dropout_rate must lie in [0, 1), got {self.dropout_rate}"
-            )
         if self.be_size < 1:
             raise ConfigurationError(f"be_size must be >= 1, got {self.be_size}")
         if is_deep_ensemble(self.method):
@@ -176,7 +169,7 @@ class MethodConfig:
     @property
     def decode_passes(self) -> int:
         """Member forward passes per decode step (`inference.step_distributions`)."""
-        if dropout_active(self):
+        if dropout_active(self.method):
             return self.samples
         return self.be_size if self.method == "be" else self.n_members
 
@@ -264,7 +257,7 @@ def check_members(members, what: str) -> tuple[TrainedModel, ...]:
 def init_model(dims: ModelDims, config: MethodConfig, seed: int) -> TrainedModel:
     """Seeded initialization: weights uniform(-0.1, 0.1), biases zero,
     batch-ensemble fast weights near one, random features standard normal
-    scaled by 1/kernel_scale with phases uniform over [0, 2pi)."""
+    with phases uniform over [0, 2pi)."""
     rs = stream(seed, "init")
     embed = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, dims.embed_dim))
     w_h = rs.uniform(-0.1, 0.1, size=(dims.hidden_dim, 2 * dims.embed_dim))
@@ -273,7 +266,7 @@ def init_model(dims: ModelDims, config: MethodConfig, seed: int) -> TrainedModel
         cfg = config.sngp
         beta = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, cfg.rff_dim))
         feat = stream(seed, "rff")
-        w_r = feat.standard_normal((cfg.rff_dim, dims.hidden_dim)) / cfg.kernel_scale
+        w_r = feat.standard_normal((cfg.rff_dim, dims.hidden_dim))
         b_r = feat.uniform(0.0, 2.0 * math.pi, size=cfg.rff_dim)
         sngp = SngpState(w_r=w_r, b_r=b_r, beta=beta, precision=np.eye(cfg.rff_dim))
     else:
@@ -306,8 +299,9 @@ def sum_embeddings(embed: np.ndarray, tokens) -> np.ndarray:
     return total
 
 
-def dropout_mask(seeds, rate: float, shape) -> np.ndarray:
-    """Inverted-dropout masks: kept units scaled by 1/(1-rate).
+def dropout_mask(seeds, shape) -> np.ndarray:
+    """Inverted-dropout masks at DROPOUT_RATE: kept units scaled by
+    1/(1-DROPOUT_RATE).
 
     The mask of a seed holds the draws of
     `stream(seed, "dropout-mask").random(shape)`.  A single seed (a
@@ -322,7 +316,7 @@ def dropout_mask(seeds, rate: float, shape) -> np.ndarray:
         shape = tuple(np.atleast_1d(shape).tolist())
         keys = [derive_key(seed, "dropout-mask") for seed in seeds.flat]
         draws = philox_random(keys, math.prod(shape)).reshape(seeds.shape + shape)
-    return (draws >= rate).astype(float) / (1.0 - rate)
+    return (draws >= DROPOUT_RATE).astype(float) / (1.0 - DROPOUT_RATE)
 
 
 def gp_features(h: np.ndarray, state: SngpState):
@@ -372,8 +366,8 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
     return out
 
 
-def spectral_normalize(w: np.ndarray, bound: float) -> np.ndarray:
-    """Rescale `w` so its top singular value is at most `bound`.
+def spectral_normalize(w: np.ndarray) -> np.ndarray:
+    """Rescale `w` so its top singular value is at most SPEC_NORM_BOUND.
 
     The top singular value is the exact matrix 2-norm, read straight from
     LAPACK's descending singular values: the same bits `np.linalg.norm(w, 2)`
@@ -381,17 +375,15 @@ def spectral_normalize(w: np.ndarray, bound: float) -> np.ndarray:
     unchanged; otherwise the whole matrix is scaled by bound / sigma, so
     columns keep their direction.
     """
-    if bound <= 0.0:
-        raise ConfigurationError(f"spectral bound must be positive, got {bound}")
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise InputError(f"spectral_normalize expects a matrix, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise NumericalStateError("spectral_normalize got non-finite entries")
     sigma = float(np.linalg.svd(w, compute_uv=False)[0])
-    if sigma <= bound:
+    if sigma <= SPEC_NORM_BOUND:
         return w.copy()
-    return w * (bound / sigma)
+    return w * (SPEC_NORM_BOUND / sigma)
 
 
 def update_precision(state: SngpState, phi_batch: np.ndarray) -> SngpState:
@@ -458,9 +450,9 @@ def mean_field_logits(logits, variances, factor: float) -> np.ndarray:
     """Scale logits by 1/sqrt(1 + factor * variance).
 
     factor=0 returns the logits unchanged, since sqrt(1 + 0 * v) is exactly
-    1 for finite v.  Variances broadcast against the logits, so a scalar
-    variance shared across classes is the common case; negative variances
-    are a numerical-state error.
+    1 for finite v.  Variances broadcast against the logits, so a row's
+    variance, shared across its classes, carries a trailing axis of length
+    one; negative variances are a numerical-state error.
     """
     logits = np.asarray(logits, dtype=float)
     if factor < 0.0:
@@ -470,10 +462,7 @@ def mean_field_logits(logits, variances, factor: float) -> np.ndarray:
         raise NumericalStateError(
             f"negative predictive variance {variances.min()} in mean-field scaling"
         )
-    scale = np.sqrt(1.0 + factor * variances)
-    if logits.ndim == 2 and variances.ndim == 1:
-        return logits / scale[:, None]
-    return logits / scale
+    return logits / np.sqrt(1.0 + factor * variances)
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +527,8 @@ def _forward_rows(model: TrainedModel, structure: RowStructure, rows, *,
     pre_w = structure.prefix_weights[rows]
     z = np.concatenate([ctx_w @ model.embed, pre_w @ model.embed], axis=1)
     mask = None
-    if dropout_seed is not None and dropout_active(model.config):
-        mask = dropout_mask(dropout_seed, model.config.dropout_rate,
-                            (len(z), model.dims.hidden_dim))
+    if dropout_seed is not None and dropout_active(model.config.method):
+        mask = dropout_mask(dropout_seed, (len(z), model.dims.hidden_dim))
     cache = forward(model, z, be_member=be_member, mask=mask)
     cache.update(ctx_w=ctx_w, pre_w=pre_w, z=z, mask=mask)
     return cache

@@ -78,7 +78,7 @@ from .model import (
 from .rng import derive_seed, stream
 from .schema import from_json, parse_json, to_json, write_text
 
-BUNDLE_FORMAT_VERSION = 3
+BUNDLE_FORMAT_VERSION = 4
 
 # Cross-entropy this far above any legitimate value means the run has
 # diverged even when saturation keeps every float finite.
@@ -170,7 +170,7 @@ def train_member(
     model = init_model(dims, config, seed)
     gp = uses_gp(config.method)
     if gp:
-        model.w_h = spectral_normalize(model.w_h, config.sngp.spec_norm_bound)
+        model.w_h = spectral_normalize(model.w_h)
     order = stream(seed, "train", "order")
     history = []
     spans = np.asarray(structure.row_spans)
@@ -180,7 +180,7 @@ def train_member(
         example_idx = order.choice(n, size=batch, replace=False)
         rows = _batch_rows(spans, example_idx)
         dropout_seed = None
-        if dropout_active(config):
+        if dropout_active(config.method):
             dropout_seed = derive_seed(seed, "train-dropout", step)
         be_member = step % config.be_size if config.method == "be" else None
         loss, grads = _loss_and_grads(
@@ -193,7 +193,7 @@ def train_member(
         if not _params_finite(arrays):
             raise TrainingError("parameters became non-finite", step=step)
         if gp:
-            model.w_h = spectral_normalize(model.w_h, config.sngp.spec_norm_bound)
+            model.w_h = spectral_normalize(model.w_h)
         history.append(loss)
     if gp:
         _finalize_precision(model, structure, hyper.batch_size)

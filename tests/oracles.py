@@ -271,17 +271,19 @@ def one_example_distributions(members, input_tokens, prefixes, *, run_seed, exam
     the unit passes, summed in unit order.  Each unit's pass is
     `_member_pass`, whose forward pass forward_oracle checks.
     """
+    import seqcal.model
     from seqcal.inference import _member_pass
     from seqcal.rng import derive_seed, stream
 
     config = members[0].config
     dims = members[0].dims
-    if config.method in ("mcd", "sngp_mcd") and config.dropout_rate > 0.0:
+    if config.method in ("mcd", "sngp_mcd"):
+        rate = seqcal.model.DROPOUT_RATE
         units = []
         for m in range(config.samples):
             seed = derive_seed(run_seed, "mcd", example_id, step, m)
             draws = stream(seed, "dropout-mask").random(dims.hidden_dim)
-            mask = (draws >= config.dropout_rate).astype(float) / (1.0 - config.dropout_rate)
+            mask = (draws >= rate).astype(float) / (1.0 - rate)
             units.append((members[0], mask[None], 0))
     elif config.method == "be":
         units = [(members[0], None, k) for k in range(config.be_size)]

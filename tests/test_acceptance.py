@@ -64,6 +64,7 @@ from seqcal.inference import (
     step_distributions,
 )
 from seqcal.model import (
+    SPEC_NORM_BOUND,
     BatchEnsembleState,
     MethodConfig,
     ModelDims,
@@ -72,6 +73,7 @@ from seqcal.model import (
     gp_features,
     init_model,
     mean_field_logits,
+    sum_embeddings,
     update_precision,
 )
 from seqcal.rouge import lcs_length, rouge_l, rouge_n
@@ -243,7 +245,7 @@ def test_criterion_2_gradient_checks(announce):
 # ---------------------------------------------------------------- criterion 3
 
 
-def test_criterion_3_collapse_cases(announce):
+def test_criterion_3_collapse_cases(announce, monkeypatch):
     """Degenerate settings reduce every method to its simpler twin."""
     dims = ModelDims(vocab_size=8, embed_dim=5, hidden_dim=6)
     rng = np.random.default_rng(42)
@@ -251,23 +253,25 @@ def test_criterion_3_collapse_cases(announce):
     inp = (3, 6, 7)
 
     base = init_model(dims, MethodConfig(method="base"), seed=11)
-    mcd0 = init_model(dims, MethodConfig(method="mcd", samples=4, dropout_rate=0.0),
-                      seed=11)
+    mcd0 = init_model(dims, MethodConfig(method="mcd", samples=4), seed=11)
     mcd_dev = 0.0
-    for step, prefix in enumerate(prefixes):
-        want = package_dist([base], inp, prefix, run_seed=9,
-                            example_id="c3", step=step)
-        got = package_dist([mcd0], inp, prefix, run_seed=9,
-                           example_id="c3", step=step)
-        mcd_dev = max(mcd_dev, float(np.max(np.abs(got - want))))
+    with monkeypatch.context() as patch:
+        # at rate 0 every mask keeps every unit: each sample is the base pass
+        patch.setattr("seqcal.model.DROPOUT_RATE", 0.0)
+        for step, prefix in enumerate(prefixes):
+            want = package_dist([base], inp, prefix, run_seed=9,
+                                example_id="c3", step=step)
+            got = package_dist([mcd0], inp, prefix, run_seed=9,
+                               example_id="c3", step=step)
+            mcd_dev = max(mcd_dev, float(np.max(np.abs(got - want))))
 
     be = init_model(dims, MethodConfig(method="be", be_size=4), seed=11)
     be.be = BatchEnsembleState(np.ones_like(be.be.r),
                                      np.ones_like(be.be.s))
     embed = base.embed
     z = np.stack([
-        np.concatenate([embed[list(inp)].mean(axis=0),
-                        embed[list(prefix)].mean(axis=0) if prefix else embed[dims.bos_id]])
+        np.concatenate([sum_embeddings(embed, inp),
+                        sum_embeddings(embed, (dims.bos_id, *prefix))])
         for prefix in prefixes
     ])
     want = forward(base, z)["logits"]
@@ -277,7 +281,7 @@ def test_criterion_3_collapse_cases(announce):
         be_dev = max(be_dev, float(np.max(np.abs(got - want))))
 
     logits = rng.standard_normal((3, dims.vocab_size))
-    variances = rng.uniform(0.1, 2.0, 3)
+    variances = rng.uniform(0.1, 2.0, (3, 1))
     mf_exact = bool(np.array_equal(mean_field_logits(logits, variances, 0.0), logits))
 
     sngp = init_model(dims, MethodConfig(method="sngp"), seed=11)
@@ -315,13 +319,13 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
     records = generate_corpus(cfg.task, cfg.n_examples, vocab, cfg.task_seed())
     train, _, test = split_corpus(records, seed=cfg.seed)
 
-    bound = cfg.methods.sngp.spec_norm_bound
+    bound = SPEC_NORM_BOUND
     sigmas = []
     real_normalize = training.spectral_normalize
 
-    def watch(w, bound):
+    def watch(w):
         # W_h as training holds it: the initial weights, then after each update
-        out = real_normalize(w, bound)
+        out = real_normalize(w)
         sigmas.append(float(np.linalg.svd(out, compute_uv=False)[0]))
         return out
 

@@ -71,10 +71,7 @@ class TestLoadConfig:
         assert cfg.methods.samples == 10
         assert cfg.methods.be_size == 5
         assert cfg.methods.de_size == 10
-        assert cfg.methods.dropout_rate == 0.1
-        assert cfg.methods.sngp.rff_dim == 128
-        assert cfg.methods.sngp.spec_norm_bound == 1.0
-        assert cfg.methods.sngp.mean_field_factor == 1e-4
+        assert asdict(cfg.methods.sngp) == {"rff_dim": 128, "mean_field_factor": 1e-4}
         assert cfg.decode.beam_size == 3
         assert asdict(cfg.eval) == {"bootstrap_resamples": 200}
 
@@ -112,7 +109,10 @@ class TestLoadConfig:
         ("train", {"batch_size": 0}, "batch_size"),
         ("train", {"learning_rate": 0.0}, "learning_rate"),
         ("methods", {"samples": 0}, "samples"),
-        ("methods", {"dropout_rate": 1.0}, "dropout_rate"),
+        # the method settings that left the config are unknown keys
+        pytest.param("methods", {"dropout_rate": 0.1},
+                     r"config.methods has unknown keys \['dropout_rate'\]",
+                     id="methods-removed-dropout_rate"),
         ("methods", {"be_size": 0}, "be_size"),
         ("methods", {"de_size": 1}, "de_size"),
         # the report settings that left the config are unknown keys
@@ -132,10 +132,15 @@ class TestLoadConfig:
         ("task", {"input_len": 3, "output_len": 4}, "exceeds input_len"),
         ("task", {"kind": "keyword-extract", "num_keywords": -1}, "num_keywords"),
         ("methods", {"sngp": {"mean_field_factor": math.inf}}, "mean_field_factor.*finite"),
-        ("methods", {"sngp": {"kernel_scale": math.inf}}, "kernel_scale.*finite"),
+        pytest.param("methods", {"sngp": {"kernel_scale": 1.0}},
+                     r"config.methods.sngp has unknown keys \['kernel_scale'\]",
+                     id="methods-removed-kernel_scale"),
         ("task", {"kind": "keyword-extract", "noise_rate": 0.5},
          "noise_rate must be 0 for the keyword-extract task"),
         (None, {"n_examples": 9}, "config.n_examples must be >= 10"),
+        pytest.param("methods", {"sngp": {"spec_norm_bound": 1.0}},
+                     r"config.methods.sngp has unknown keys \['spec_norm_bound'\]",
+                     id="methods-removed-spec_norm_bound"),
     ])
     def test_bad_values_fail_at_load(self, tmp_path, section, values, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -530,9 +535,12 @@ class TestExitCodes:
         ("task", {"output_len": 4}),
         ("task", {"kind": "keyword-extract", "num_keywords": -1}),
         ("methods", {"sngp": {"rff_dim": 16, "mean_field_factor": math.inf}}),
-        ("methods", {"sngp": {"rff_dim": 16, "kernel_scale": math.inf}}),
+        # a retired method setting is an unknown key
+        ("methods", {"sngp": {"rff_dim": 16, "kernel_scale": 1.0}}),
         ("task", {"kind": "keyword-extract", "noise_rate": 0.5}),
         (None, {"n_examples": 9}),
+        ("methods", {"dropout_rate": 0.1}),
+        ("methods", {"sngp": {"rff_dim": 16, "spec_norm_bound": 1.0}}),
     ])
     def test_bad_value_fails_every_stage(self, tmp_path, capsys, section, values):
         cfg_path, out = run_pipeline(tmp_path, methods="base")
@@ -554,18 +562,22 @@ class TestExitCodes:
         assert not os.path.exists(fresh)
 
     def test_version_one_bundle_is_one(self, tmp_path, capsys):
-        # versions 1 and 2 stored a vocabulary hash; 1 also the retired knobs
+        # versions 1 to 3 stored the dropout rate, kernel scale and spectral
+        # bound; 1 and 2 a vocabulary hash; 1 also the retired knobs
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
         assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
         assert main(["train", "--config", cfg_path, "--out", out, "--method", "sngp"]) == 0
         bundle_path = os.path.join(out, "models", "sngp.json")
         current = open(bundle_path).read()
-        for version in (1, 2):
+        for version in (1, 2, 3):
             bundle = json.loads(current)
             bundle["format_version"] = version
-            bundle["vocab_sha256"] = hashlib.sha256(b"vocab").hexdigest()
-            del bundle["run_sha256"]
+            bundle["method"]["dropout_rate"] = 0.1
+            bundle["method"]["sngp"].update(kernel_scale=1.0, spec_norm_bound=1.0)
+            if version < 3:
+                bundle["vocab_sha256"] = hashlib.sha256(b"vocab").hexdigest()
+                del bundle["run_sha256"]
             if version == 1:
                 bundle["method"]["sngp"].update(cov_momentum=0.999, power_iters=100)
             with open(bundle_path, "w") as fh:
@@ -574,7 +586,7 @@ class TestExitCodes:
             assert main(["infer", "--config", cfg_path, "--out", out,
                          "--method", "sngp"]) == 1, version
             err = capsys.readouterr().err
-            assert f"format_version {version}, expected 3" in err, version
+            assert f"format_version {version}, expected 4" in err, version
             assert "Traceback" not in err, version
             assert not os.path.exists(os.path.join(out, "preds", "sngp.jsonl")), version
 
@@ -637,12 +649,13 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "preds", "be.jsonl"))
 
-    @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters"])
+    @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters", "kernel_scale",
+                                      "spec_norm_bound"])
     def test_retired_sngp_knob_is_one(self, tmp_path, capsys, knob):
         payload = dict(SMALL, methods=dict(SMALL["methods"], sngp={"rff_dim": 16, knob: 1}))
         bad_path = write_config(tmp_path, payload, name="bad.json")
         assert main(["gen-data", "--config", bad_path, "--out", str(tmp_path / "x")]) == 1
-        assert knob in capsys.readouterr().err
+        assert f"config.methods.sngp has unknown keys ['{knob}']" in capsys.readouterr().err
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
         assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0

@@ -44,7 +44,7 @@ CONFIGS = {
 
 def method_config(method):
     seeds = (3, 4, 5) if is_deep_ensemble(method) else ()
-    return MethodConfig(method=method, samples=3, dropout_rate=0.3, be_size=3,
+    return MethodConfig(method=method, samples=3, be_size=3,
                         sngp=SngpConfig(rff_dim=64), seeds=seeds)
 
 

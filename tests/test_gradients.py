@@ -120,7 +120,7 @@ class TestDropoutPath:
         # differences see exactly the masked network
         rs = np.random.default_rng(4000)
         dims = ModelDims(vocab_size=8, embed_dim=4, hidden_dim=12)
-        model = init_model(dims, MethodConfig(method="mcd", dropout_rate=0.4), seed=3)
+        model = init_model(dims, MethodConfig(method="mcd"), seed=3)
         batch = make_batch(rs, 8)
         grads = backprop_gradients(model, batch, dropout_seed=55)
 
@@ -134,7 +134,7 @@ class TestDropoutPath:
     def test_gp_dropout_combination(self):
         rs = np.random.default_rng(4100)
         dims = ModelDims(vocab_size=8, embed_dim=4, hidden_dim=6)
-        cfg = MethodConfig(method="sngp_mcd", dropout_rate=0.3, sngp=SngpConfig(rff_dim=10))
+        cfg = MethodConfig(method="sngp_mcd", sngp=SngpConfig(rff_dim=10))
         model = init_model(dims, cfg, seed=9)
         batch = make_batch(rs, 8)
         grads = backprop_gradients(model, batch, dropout_seed=77)

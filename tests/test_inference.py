@@ -87,12 +87,12 @@ class TestPosteriorMean:
         assert abs(dist.sum() - 1.0) < 1e-12
 
     def test_dropout_average_matches_manual_passes(self):
-        members = make_members("mcd", seed=4, dropout_rate=0.4, samples=6)
+        members = make_members("mcd", seed=4, samples=6)
         dist = package_dist(members, (3, 4), (), run_seed=9,
                             example_id="ex-7", step=2)
         acc = np.zeros(6)
         for m in range(6):
-            mask = dropout_mask(derive_seed(9, "mcd", "ex-7", 2, m), 0.4, 5)
+            mask = dropout_mask(derive_seed(9, "mcd", "ex-7", 2, m), 5)
             acc += softmax(forward_oracle(members[0], (3, 4), (), mask=mask))
         assert np.allclose(dist, acc / 6, atol=1e-12)
 
@@ -148,7 +148,7 @@ class TestPosteriorMean:
         assert np.max(np.abs(dist - logit_mean)) > 0.2
 
     def test_masks_shared_across_prefixes(self):
-        members = make_members("mcd", seed=4, dropout_rate=0.5, samples=3)
+        members = make_members("mcd", seed=4, samples=3)
         both = package_rows(members, (3, 4), [(5,), (3,)], run_seed=2,
                             example_id="e", step=1)
         solo = package_dist(members, (3, 4), (3,), run_seed=2,
@@ -156,7 +156,7 @@ class TestPosteriorMean:
         assert np.allclose(both[1], solo, atol=1e-12)
 
     def test_step_changes_masks(self):
-        members = make_members("mcd", seed=4, dropout_rate=0.5, samples=2)
+        members = make_members("mcd", seed=4, samples=2)
         a = package_dist(members, (3, 4), (5,), run_seed=2,
                          example_id="e", step=0)
         b = package_dist(members, (3, 4), (5,), run_seed=2,
@@ -181,15 +181,14 @@ class TestPosteriorMean:
     def test_single_prefix_equals_oracle_unit_average(self, method):
         # factor 0 leaves GP logits unscaled; test_gp_head_applies_mean_field
         # covers factor > 0
-        kwargs = {"samples": 3, "dropout_rate": 0.4, "be_size": 3,
+        kwargs = {"samples": 3, "be_size": 3,
                   "sngp": SngpConfig(rff_dim=10, mean_field_factor=0.0)}
         if method in ("de", "sngp_de"):
             kwargs["seeds"] = (4, 5, 6)
         members = make_members(method, seed=8, **kwargs)
         units = [(m, {}) for m in members]
         if method in ("mcd", "sngp_mcd"):
-            units = [(members[0], {"mask": dropout_mask(derive_seed(3, "mcd", "u", 1, k),
-                                                        0.4, 5)})
+            units = [(members[0], {"mask": dropout_mask(derive_seed(3, "mcd", "u", 1, k), 5)})
                      for k in range(3)]
         elif method == "be":
             units = [(members[0], {"be_member": k}) for k in range(3)]
@@ -201,14 +200,14 @@ class TestPosteriorMean:
 
 class TestDropoutDraws:
     def test_one_mask_draw_per_decode_step(self, monkeypatch):
-        members = make_members("mcd", seed=4, dropout_rate=0.4, samples=3)
+        members = make_members("mcd", seed=4, samples=3)
         examples = [ExampleRecord(id=f"e{i}", input=(3, 4 + i % 2), reference=(3,))
                     for i in range(5)]
         draws = []
 
-        def counted(seeds, rate, shape):
+        def counted(seeds, shape):
             draws.append(np.shape(seeds))
-            return dropout_mask(seeds, rate, shape)
+            return dropout_mask(seeds, shape)
 
         monkeypatch.setattr(inference, "dropout_mask", counted)
         decode_corpus(members, examples, PosteriorConfig(beam_size=2, max_len=4), run_seed=9)
@@ -243,7 +242,7 @@ class TestBeamDecode:
     def test_beam_one_equals_greedy_with_dropout(self):
         config = PosteriorConfig(beam_size=1, max_len=3)
         for seed in range(5):
-            members = make_members("mcd", seed=seed, dropout_rate=0.4, samples=4)
+            members = make_members("mcd", seed=seed, samples=4)
             rec = beam_decode(members, (4, 5), config, run_seed=seed,
                               example_id="d")
             tokens, logps, total, eos_lp = greedy_oracle(
@@ -284,7 +283,7 @@ class TestBeamDecode:
 
     def test_step_distributions_rows_are_normalized(self, monkeypatch):
         config = PosteriorConfig(beam_size=3, max_len=4)
-        members = make_members("mcd", seed=1, dropout_rate=0.3, samples=3)
+        members = make_members("mcd", seed=1, samples=3)
         seen_steps = []
         original = inference.step_distributions
 
@@ -335,7 +334,7 @@ class TestDecodeCorpus:
     def test_deterministic_and_seed_sensitive(self):
         vocab, examples = self._corpus()
         dims = ModelDims(vocab_size=vocab.size, embed_dim=4, hidden_dim=5)
-        cfg = MethodConfig(method="mcd", dropout_rate=0.3, samples=4)
+        cfg = MethodConfig(method="mcd", samples=4)
         members = train_method(split_rows(examples, dims), dims, cfg, TrainHyper(steps=30), seed=3)
         config = PosteriorConfig(beam_size=2, max_len=3)
         a = decode_corpus(members, examples, config, run_seed=10)

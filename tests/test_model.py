@@ -10,6 +10,8 @@ from oracles import batch_loss, forward_oracle, package_dist, rows_oracle
 from seqcal.corpus import ExampleRecord
 from seqcal.errors import ConfigurationError, InputError, NumericalStateError
 from seqcal.model import (
+    DROPOUT_RATE,
+    SPEC_NORM_BOUND,
     MethodConfig,
     ModelDims,
     SngpConfig,
@@ -74,20 +76,23 @@ class TestMethodConfig:
         with pytest.raises(ConfigurationError, match="takes no member seeds, got 1"):
             MethodConfig(method=method, seeds=(7,))
 
-    def test_dropout_rate_range(self):
-        with pytest.raises(ConfigurationError, match="dropout_rate"):
-            MethodConfig(method="mcd", dropout_rate=1.0)
-
     def test_sngp_knob_ranges(self):
-        with pytest.raises(ConfigurationError, match="spec_norm_bound"):
-            SngpConfig(spec_norm_bound=0.0)
-        with pytest.raises(ConfigurationError, match="kernel_scale"):
-            SngpConfig(kernel_scale=0.0)
+        with pytest.raises(ConfigurationError, match="rff_dim"):
+            SngpConfig(rff_dim=0)
+        with pytest.raises(ConfigurationError, match="mean_field_factor"):
+            SngpConfig(mean_field_factor=-1e-4)
 
-    @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters"])
+    @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters", "kernel_scale",
+                                      "spec_norm_bound"])
     def test_retired_sngp_knobs_refused(self, knob):
         with pytest.raises(TypeError, match=knob):
             SngpConfig(**{knob: 1})
+
+    def test_dropout_rate_is_a_constant(self):
+        # the rate is DROPOUT_RATE for every method; the config has no knob
+        with pytest.raises(TypeError, match="dropout_rate"):
+            MethodConfig(method="mcd", dropout_rate=0.1)
+        assert 0.0 < DROPOUT_RATE < 1.0 and SPEC_NORM_BOUND > 0.0
 
 
 class TestInit:
@@ -120,11 +125,12 @@ class TestInit:
         assert not m.sngp.covariance_valid
         assert np.all((m.sngp.b_r >= 0.0) & (m.sngp.b_r < 2.0 * math.pi))
 
-    def test_kernel_scale_divides_feature_weights(self):
+    def test_feature_weights_are_the_unscaled_rff_draws(self):
+        # an RBF kernel of length scale 1: the feature weights are the rff
+        # stream's standard normal draws as they come
         dims = small_dims()
-        m1 = init_model(dims, MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16, kernel_scale=1.0)), seed=9)
-        m2 = init_model(dims, MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16, kernel_scale=2.0)), seed=9)
-        assert np.allclose(m1.sngp.w_r, 2.0 * m2.sngp.w_r)
+        m = init_model(dims, MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16)), seed=9)
+        assert np.array_equal(m.sngp.w_r, stream(9, "rff").standard_normal((16, 7)))
 
     def test_batch_ensemble_fast_weights_near_one(self):
         dims = small_dims()
@@ -196,18 +202,18 @@ class TestForward:
         # same init seed draws identical shared weights for base and mcd
         dims = small_dims()
         base = init_model(dims, MethodConfig(method="base"), seed=21)
-        mcd = init_model(dims, MethodConfig(method="mcd", dropout_rate=0.3), seed=21)
+        mcd = init_model(dims, MethodConfig(method="mcd"), seed=21)
         a = logits(base, (3, 4, 5), (6,))
         b = logits(mcd, (3, 4, 5), (6,))
         assert np.array_equal(a, b)
 
     def test_dropout_seed_changes_and_reproduces(self):
         dims = small_dims()
-        m = init_model(dims, MethodConfig(method="mcd", dropout_rate=0.5), seed=21)
-        masks = {seed: dropout_mask(seed, 0.5, dims.hidden_dim) for seed in (77, 78)}
+        m = init_model(dims, MethodConfig(method="mcd"), seed=21)
+        masks = {seed: dropout_mask(seed, dims.hidden_dim) for seed in (77, 78)}
         plain = logits(m, (3, 4), (5,))
         s1 = logits(m, (3, 4), (5,), mask=masks[77])
-        s1again = logits(m, (3, 4), (5,), mask=dropout_mask(77, 0.5, dims.hidden_dim))
+        s1again = logits(m, (3, 4), (5,), mask=dropout_mask(77, dims.hidden_dim))
         s2 = logits(m, (3, 4), (5,), mask=masks[78])
         assert np.array_equal(s1, s1again)
         assert not np.array_equal(plain, s1)
@@ -289,15 +295,15 @@ class TestSumEmbeddings:
 
 class TestDropoutMask:
     def test_inverted_scaling_values(self):
-        mask = dropout_mask(5, 0.25, 1000)
+        mask = dropout_mask(5, 1000)
         kept = mask[mask > 0]
-        assert np.allclose(kept, 1.0 / 0.75)
+        assert np.array_equal(kept, np.full(kept.size, 1.0 / (1.0 - DROPOUT_RATE)))
         # keep probability should be near 1 - rate
-        assert 0.65 < kept.size / 1000 < 0.85
+        assert abs(kept.size / 1000 - (1.0 - DROPOUT_RATE)) < 0.05
 
     def test_deterministic_per_seed(self):
-        assert np.array_equal(dropout_mask(9, 0.5, 64), dropout_mask(9, 0.5, 64))
-        assert not np.array_equal(dropout_mask(9, 0.5, 64), dropout_mask(10, 0.5, 64))
+        assert np.array_equal(dropout_mask(9, 64), dropout_mask(9, 64))
+        assert not np.array_equal(dropout_mask(9, 64), dropout_mask(10, 64))
 
     def test_matches_a_fresh_stream_per_mask(self):
         """A single-seed mask holds the draws of the mask's own stream,
@@ -307,13 +313,12 @@ class TestDropoutMask:
         top_bit = 0
         for i, seed in enumerate(seeds):
             shape = shapes[i % len(shapes)]
-            rate = (0.1, 0.25, 0.5, 0.9)[i % 4]
-            keep = stream(seed, "dropout-mask").random(shape) >= rate
+            keep = stream(seed, "dropout-mask").random(shape) >= DROPOUT_RATE
             # a mask of another shape and seed in between must not leak
-            dropout_mask(seed + 1, 0.3, shapes[(i + 1) % len(shapes)])
-            got = dropout_mask(seed, rate, shape)
+            dropout_mask(seed + 1, shapes[(i + 1) % len(shapes)])
+            got = dropout_mask(seed, shape)
             assert got.shape == shape
-            assert np.array_equal(got, keep.astype(float) / (1.0 - rate))
+            assert np.array_equal(got, keep.astype(float) / (1.0 - DROPOUT_RATE))
             key = derive_key(seed, "dropout-mask")
             assert key >> 64 != 0
             top_bit += key >> 127
@@ -323,59 +328,62 @@ class TestDropoutMask:
 
 class TestSpectralNormalize:
     def test_diagonal_known_answer(self):
-        w = np.diag([3.0, 1.0])
-        got = spectral_normalize(w, 1.0)
+        w = np.diag([3.0, 1.0]) * SPEC_NORM_BOUND
+        got = spectral_normalize(w)
         assert np.allclose(got, w / 3.0, atol=1e-9)
 
     def test_random_matrices_meet_bound_and_keep_direction(self):
         rs = np.random.default_rng(4)
         for _ in range(20):
             w = rs.standard_normal((int(rs.integers(2, 12)), int(rs.integers(2, 12))))
-            bound = float(rs.uniform(0.2, 2.0))
-            got = spectral_normalize(w, bound)
+            w *= float(rs.uniform(0.02, 2.0))
+            got = spectral_normalize(w)
             sigma = np.linalg.svd(w, compute_uv=False)[0]
-            assert np.linalg.svd(got, compute_uv=False)[0] <= bound * (1.0 + 1e-6)
-            if sigma > bound:
-                assert np.allclose(got, w * (bound / sigma), rtol=1e-6, atol=1e-9)
+            assert np.linalg.svd(got, compute_uv=False)[0] <= SPEC_NORM_BOUND * (1.0 + 1e-6)
+            if sigma > SPEC_NORM_BOUND:
+                assert np.allclose(got, w * (SPEC_NORM_BOUND / sigma), rtol=1e-6, atol=1e-9)
+            else:
+                assert np.array_equal(got, w)
 
     def test_rescale_uses_exact_top_singular_value(self):
         rs = np.random.default_rng(6)
         for shape in ((24, 24), (32, 32), (32, 16), (5, 9)):
-            w = rs.standard_normal(shape)
+            w = rs.standard_normal(shape) * 2.0
             sigma = np.linalg.svd(w, compute_uv=False)[0]
-            got = spectral_normalize(w, 0.5)
-            assert np.allclose(got, w * (0.5 / sigma), rtol=1e-13, atol=0)
-            assert abs(np.linalg.svd(got, compute_uv=False)[0] - 0.5) <= 1e-13
+            got = spectral_normalize(w)
+            assert np.allclose(got, w * (SPEC_NORM_BOUND / sigma), rtol=1e-13, atol=0)
+            assert abs(np.linalg.svd(got, compute_uv=False)[0] - SPEC_NORM_BOUND) <= 1e-13
 
-    def test_sigma_is_bitwise_the_matrix_two_norm(self):
+    def test_sigma_is_bitwise_the_matrix_two_norm(self, monkeypatch):
         rs = np.random.default_rng(8)
         for _ in range(300):
             shape = (int(rs.integers(1, 40)), int(rs.integers(1, 40)))
             w = rs.standard_normal(shape) * rs.uniform(0.01, 100.0)
             norm = float(np.linalg.norm(w, 2))
             # a bound of exactly the norm keeps w only if sigma has its bits
-            assert np.array_equal(spectral_normalize(w, norm), w)
-            assert np.array_equal(spectral_normalize(w, 0.5 * norm), w * (0.5 * norm / norm))
+            monkeypatch.setattr("seqcal.model.SPEC_NORM_BOUND", norm)
+            assert np.array_equal(spectral_normalize(w), w)
+            monkeypatch.setattr("seqcal.model.SPEC_NORM_BOUND", 0.5 * norm)
+            assert np.array_equal(spectral_normalize(w), w * (0.5 * norm / norm))
 
     def test_within_bound_is_identity(self):
         rs = np.random.default_rng(5)
         w = rs.standard_normal((4, 4)) * 0.01
-        got = spectral_normalize(w, 1.0)
+        got = spectral_normalize(w)
         assert np.array_equal(got, w)
 
     def test_zero_matrix(self):
-        got = spectral_normalize(np.zeros((3, 5)), 1.0)
+        got = spectral_normalize(np.zeros((3, 5)))
         assert np.array_equal(got, np.zeros((3, 5)))
 
     def test_bad_arguments(self):
+        # the bound is SPEC_NORM_BOUND, not an argument
         with pytest.raises(TypeError):
-            spectral_normalize(np.eye(2), 1.0, 10)
-        with pytest.raises(ConfigurationError, match="bound"):
-            spectral_normalize(np.eye(2), 0.0)
+            spectral_normalize(np.eye(2), 1.0)
         with pytest.raises(NumericalStateError, match="non-finite"):
-            spectral_normalize(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
+            spectral_normalize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(InputError, match="matrix"):
-            spectral_normalize(np.zeros(3), 1.0)
+            spectral_normalize(np.zeros(3))
 
 
 class TestGpFeatures:
@@ -547,7 +555,7 @@ class TestMeanFieldLogits:
 
     def test_row_variances_broadcast(self):
         logits = np.arange(6.0).reshape(2, 3)
-        var = np.array([0.0, 8.0])
+        var = np.array([[0.0], [8.0]])
         got = mean_field_logits(logits, var, 1.0)
         assert np.array_equal(got[0], logits[0])
         assert np.allclose(got[1], logits[1] / 3.0, atol=1e-15)

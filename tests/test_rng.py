@@ -43,16 +43,15 @@ class TestBatchedDropoutMask:
         samples=st.integers(1, 3),
         shape=st.one_of(st.integers(1, 40),
                         st.tuples(st.integers(1, 5), st.integers(1, 9))),
-        rate=st.sampled_from([0.1, 0.25, 0.5, 0.9]),
     )
-    def test_batched_masks_equal_per_seed_masks(self, seeds, samples, shape, rate):
+    def test_batched_masks_equal_per_seed_masks(self, seeds, samples, shape):
         grid = [[derive_seed(s, "mcd", m) for s in seeds] for m in range(samples)]
-        got = dropout_mask(grid, rate, shape)
+        got = dropout_mask(grid, shape)
         per_shape = (shape,) if isinstance(shape, int) else shape
         assert got.shape == (samples, len(seeds)) + per_shape
         for m in range(samples):
             for i, seed in enumerate(grid[m]):
-                assert np.array_equal(got[m, i], dropout_mask(seed, rate, shape))
+                assert np.array_equal(got[m, i], dropout_mask(seed, shape))
 
 
 PART = st.one_of(st.integers(min_value=0, max_value=2**64 - 1),

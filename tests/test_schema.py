@@ -3,6 +3,7 @@ vocabularies, split and prediction files, and model bundles) and the
 atomic writer behind every file a stage leaves behind."""
 
 import ast
+import glob
 import json
 import math
 import os
@@ -544,19 +545,48 @@ def _readme_rows():
         yield section + cells[1].strip("`"), cells[2]
 
 
+def _leaves(value, prefix=""):
+    """(dotted key, value) for every leaf of a config's JSON echo."""
+    if not isinstance(value, dict):
+        yield prefix[:-1], value
+        return
+    for name, inner in value.items():
+        yield from _leaves(inner, f"{prefix}{name}.")
+
+
 def test_readme_table_lists_the_schema():
     # every leaf of the default config's JSON echo is one table row, and its
     # default cell, read as JSON, is that leaf's value
-    def leaves(value, prefix=""):
-        if not isinstance(value, dict):
-            yield prefix[:-1], value
-            return
-        for name, inner in value.items():
-            yield from leaves(inner, f"{prefix}{name}.")
-
-    defaults = dict(leaves(to_json(RunConfig())))
+    defaults = dict(_leaves(to_json(RunConfig())))
     rows = dict(_readme_rows())
     assert sorted(rows) == sorted(defaults)
     for key, default in defaults.items():
         shown = json.loads(re.sub(r"^`(.*)`$", r"\1", rows[key]))
         assert shown == default and type(shown) is type(default), key
+
+
+# ---------------------------------------------------------------------------
+# A setting no committed workload varies belongs in the code as a constant.
+
+# Settings that may keep one value across the committed workloads, each
+# with the reason it stays a config key.
+SINGLE_VALUED_EXEMPT = {
+    "seed": "perfbench replaces it on every run",
+    "train.batch_size": "perfbench/workloads/wide.json names it",
+    "train.learning_rate": "perfbench/workloads/wide.json names it",
+    "methods.sngp.mean_field_factor": "tuning the GP head (ROADMAP direction 3) scans it",
+}
+
+
+def test_every_setting_varies_across_the_committed_workloads():
+    paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
+    paths.append(os.path.join(ROOT, "perfbench", "workloads", "wide.json"))
+    assert len(paths) >= 3
+    seen = {}
+    for path in paths:
+        for key, value in _leaves(to_json(load_config(path))):
+            seen.setdefault(key, set()).add(json.dumps(value))
+    single = sorted(key for key, values in seen.items() if len(values) == 1)
+    assert single == sorted(SINGLE_VALUED_EXEMPT), (
+        "a setting with one value across the committed workloads is a constant "
+        "in the code, or an exemption with its reason")

@@ -21,6 +21,7 @@ from seqcal.model import (
     METHODS,
     Member,
     MethodConfig,
+    SPEC_NORM_BOUND,
     ModelDims,
     SngpConfig,
     _loss_and_grads,
@@ -106,7 +107,7 @@ class TestTrainMember:
     def test_deterministic_repetition(self):
         vocab, examples = copy_corpus(n=60)
         dims = dims_for(vocab)
-        cfg = MethodConfig(method="mcd", dropout_rate=0.2)
+        cfg = MethodConfig(method="mcd")
         rows = split_rows(examples, dims)
         a = train_member(rows, dims, cfg, TrainHyper(steps=40), seed=9)
         b = train_member(rows, dims, cfg, TrainHyper(steps=40), seed=9)
@@ -132,16 +133,16 @@ class TestTrainMember:
         worst = []
         real = training.spectral_normalize
 
-        def watch(w, bound):
+        def watch(w):
             # W_h as training holds it: the initial weights, then after each update
-            out = real(w, bound)
+            out = real(w)
             worst.append(np.linalg.svd(out, compute_uv=False)[0])
             return out
 
         monkeypatch.setattr(training, "spectral_normalize", watch)
         model = train_member(split_rows(examples, dims), dims, cfg,
                              TrainHyper(steps=30), seed=3)
-        bound = cfg.sngp.spec_norm_bound
+        bound = SPEC_NORM_BOUND
         assert len(worst) == 30 + 1
         assert max(worst) <= bound * 1.001
         assert np.linalg.svd(model.w_h, compute_uv=False)[0] <= bound * 1.001
@@ -158,7 +159,7 @@ class TestTrainMember:
 
     def test_gp_precision_is_identity_plus_gram_of_every_training_row(self):
         vocab, examples = copy_corpus(n=50)
-        cfg = MethodConfig(method="sngp_mcd", dropout_rate=0.3, sngp=SngpConfig(rff_dim=12))
+        cfg = MethodConfig(method="sngp_mcd", sngp=SngpConfig(rff_dim=12))
         model = train_member(rows_for(vocab, examples), dims_for(vocab), cfg,
                              TrainHyper(steps=10), seed=6)
         want = precision_oracle(model, examples)
