@@ -30,11 +30,14 @@ bundle holds once.  `trainable` names the arrays SGD updates by field
 path (`embed`, `sngp.beta`, `be.r`, ...), the keys of the gradients
 `_loss_and_grads` returns.
 
-All arrays are float64.  `forward` is the one implementation of this
-body.  It takes z rows of any leading shape and returns raw logits plus
-the intermediates the backward pass needs; for the gaussian-process head
-these include the cosine argument u = h W_r^T + b_r, so the backward pass
-takes sin(u) without repeating the product.  Two callers run it:
+All parameters are float64; the teacher-forced count rows of
+`build_rows` are stored in the narrowest unsigned type that holds their
+largest count and cast to float64 at each product.  `forward` is the one
+implementation of this body.  It takes z rows of any leading shape and
+returns raw logits plus the intermediates the backward pass needs; for
+the gaussian-process head these include the cosine argument
+u = h W_r^T + b_r, so the backward pass takes sin(u) without repeating
+the product.  Two callers run it:
 
   _forward_rows                  teacher-forced rows: a training step's
                                  batch for the loss and its gradients, and
@@ -45,8 +48,10 @@ takes sin(u) without repeating the product.  Two callers run it:
                                  time)
   inference._member_pass         stacked (examples, live, 2d) decode rows
 
-The posterior machinery in inference.py applies mean-field scaling and
-the softmax.
+The training loss, `_cross_entropy`, works in place on the logits its
+callers own, so a chunk of `training.evaluate_loss` holds one (rows,
+vocab) float64 array at a time.  The posterior machinery in
+inference.py applies mean-field scaling and the softmax.
 """
 
 from __future__ import annotations
@@ -358,7 +363,8 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
     h_raw = np.tanh(a)
     h = h_raw if mask is None else h_raw * mask
     if model.sngp is None:
-        logits, phi = h @ model.w_o.T + model.b_o, None
+        logits, phi = h @ model.w_o.T, None
+        logits += model.b_o
     else:
         out["u"], phi = gp_features(h, model.sngp)
         logits = phi @ model.sngp.beta.T
@@ -475,12 +481,17 @@ class RowStructure:
 
     ctx_weights @ embed gives the input context row and prefix_weights @
     embed the prefix state row, which keeps the loss an explicit linear
-    chain in the embedding table for the backward pass.  row_spans maps
-    each example to its slice of rows.
+    chain in the embedding table for the backward pass.  The counts are
+    small integers, held in the narrowest unsigned type that fits the
+    split's largest one (uint8 on every committed workload), so they take
+    an eighth of float64's memory; `_forward_rows` casts each gathered
+    batch to float64, which gives every product the same operands, and so
+    the same bits, as float64 counts.  row_spans maps each example to its
+    slice of rows.
     """
 
-    ctx_weights: np.ndarray  # (rows, vocab)
-    prefix_weights: np.ndarray  # (rows, vocab)
+    ctx_weights: np.ndarray  # (rows, vocab), unsigned counts
+    prefix_weights: np.ndarray  # (rows, vocab), unsigned counts
     targets: np.ndarray  # (rows,)
     row_spans: tuple[tuple[int, int], ...]
 
@@ -489,24 +500,30 @@ def build_rows(examples, dims: ModelDims) -> RowStructure:
     """Rows for next-token prediction: one per reference position plus the
     closing eos step, written in place into (rows, vocab) arrays: the
     input's token counts, and in an example's prefix row t the counts of
-    bos and the reference's first t tokens, a running sum down its rows."""
+    bos and the reference's first t tokens, a running sum down its rows.
+    No count exceeds the input length or the reference length plus one,
+    so the arrays take the narrowest unsigned type that holds the larger
+    of the two over the split."""
     examples = list(examples)
     v = dims.vocab_size
     for ex in examples:
         _check_tokens(ex.input, v, "input")
         _check_tokens(ex.reference, v, "reference")
     n_rows = sum(len(ex.reference) + 1 for ex in examples)
-    ctx_weights = np.zeros((n_rows, v))
-    prefix_weights = np.zeros((n_rows, v))
+    largest = max((max(len(ex.input), len(ex.reference) + 1) for ex in examples), default=0)
+    count_type = np.min_scalar_type(largest)
+    ctx_weights = np.zeros((n_rows, v), dtype=count_type)
+    prefix_weights = np.zeros((n_rows, v), dtype=count_type)
     targets = np.empty(n_rows, dtype=int)
     spans = []
     start = 0
     for ex in examples:
         end = start + len(ex.reference) + 1
-        np.add.at(ctx_weights, (start, list(ex.input)), 1.0)
+        np.add.at(ctx_weights, (start, list(ex.input)), 1)
         ctx_weights[start + 1:end] = ctx_weights[start]
-        np.add.at(prefix_weights, (np.arange(start, end), (dims.bos_id, *ex.reference)), 1.0)
-        np.cumsum(prefix_weights[start:end], axis=0, out=prefix_weights[start:end])
+        np.add.at(prefix_weights, (np.arange(start, end), (dims.bos_id, *ex.reference)), 1)
+        np.cumsum(prefix_weights[start:end], axis=0, dtype=count_type,
+                  out=prefix_weights[start:end])
         targets[start:end] = (*ex.reference, dims.eos_id)
         spans.append((start, end))
         start = end
@@ -521,11 +538,15 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def _forward_rows(model: TrainedModel, structure: RowStructure, rows, *,
                   be_member: int | None, dropout_seed: int | None):
-    """`forward` over selected teacher-forced rows, with the dense count
-    rows and the z rows the backward pass needs added to its cache."""
+    """`forward` over selected teacher-forced rows, with the gathered count
+    rows (still in their narrow type) and the z rows the backward pass
+    needs added to its cache.  Each product casts its counts to float64
+    explicitly, never through a mixed-type matmul, so its operands and its
+    bits are those of float64 counts; only one cast is alive at a time."""
     ctx_w = structure.ctx_weights[rows]
     pre_w = structure.prefix_weights[rows]
-    z = np.concatenate([ctx_w @ model.embed, pre_w @ model.embed], axis=1)
+    z = np.concatenate([ctx_w.astype(float) @ model.embed,
+                        pre_w.astype(float) @ model.embed], axis=1)
     mask = None
     if dropout_seed is not None and dropout_active(model.config.method):
         mask = dropout_mask(dropout_seed, (len(z), model.dims.hidden_dim))
@@ -536,12 +557,17 @@ def _forward_rows(model: TrainedModel, structure: RowStructure, rows, *,
 
 def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """The rows' mean cross-entropy, with the exp of the max-shifted logits
-    and its row sums, which the softmax of the backward pass reuses."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    sums = exp.sum(axis=1)
-    picked = shifted[np.arange(len(targets)), targets]
-    return float(np.mean(np.log(sums) - picked)), exp, sums
+    and its row sums, which the softmax of the backward pass reuses.
+
+    Overwrites `logits`, which the caller must own: the max shift and the
+    exp are taken in place, so the returned exp is `logits` itself and no
+    (rows, vocab) temporary is made."""
+    logits -= logits.max(axis=1, keepdims=True)
+    # a copy, taken before the exp overwrites the shifted logits
+    picked = logits[np.arange(len(targets)), targets]
+    np.exp(logits, out=logits)
+    sums = logits.sum(axis=1)
+    return float(np.mean(np.log(sums) - picked)), logits, sums
 
 
 def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
@@ -590,5 +616,6 @@ def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
         dz = dzs * cache["s_k"]
 
     d = model.dims.embed_dim
-    grads["embed"] = cache["ctx_w"].T @ dz[:, :d] + cache["pre_w"].T @ dz[:, d:]
+    grads["embed"] = (cache["ctx_w"].astype(float).T @ dz[:, :d]
+                      + cache["pre_w"].astype(float).T @ dz[:, d:])
     return loss, grads

@@ -361,13 +361,15 @@ def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:
     """Mean next-token cross-entropy over every row of a split
     (`split_rows`), with dropout off (first batch-ensemble member for that
     method): the row-weighted mean of the losses of `LOSS_CHUNK_ROWS`-row
-    chunks, so no temporary is sized by the split."""
+    chunks, so no temporary is sized by the split.  A chunk's logits die
+    with its loss, before the next chunk's forward pass."""
     n_rows = len(structure.targets)
     total = 0.0
     for rows in _row_chunks(n_rows, LOSS_CHUNK_ROWS):
         logits = _forward_rows(model, structure, rows, be_member=None,
                                dropout_seed=None)["logits"]
         total += _cross_entropy(logits, structure.targets[rows])[0] * len(rows)
+        del logits
     return total / n_rows
 
 

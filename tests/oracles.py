@@ -246,6 +246,17 @@ def batch_loss(model, examples, *, be_member=None, dropout_seed=None):
     return _cross_entropy(cache["logits"], structure.targets)[0]
 
 
+def cross_entropy_oracle(logits, targets):
+    """The rows' mean cross-entropy out of place, leaving `logits` as it
+    was: the formula `_cross_entropy` used before it worked in place.
+    Returns (loss, exp of the max-shifted logits, their row sums)."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    sums = exp.sum(axis=1)
+    picked = shifted[np.arange(len(targets)), targets]
+    return float(np.mean(np.log(sums) - picked)), exp, sums
+
+
 def backprop_gradients(model, examples, *, be_member=None, dropout_seed=None):
     """The package's hand-written gradients of batch_loss, as training
     computes them for one step."""

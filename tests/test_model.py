@@ -6,7 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import batch_loss, forward_oracle, package_dist, rows_oracle
+from oracles import (
+    batch_loss,
+    cross_entropy_oracle,
+    forward_oracle,
+    package_dist,
+    rows_oracle,
+)
 from seqcal.corpus import ExampleRecord
 from seqcal.errors import ConfigurationError, InputError, NumericalStateError
 from seqcal.model import (
@@ -15,6 +21,7 @@ from seqcal.model import (
     MethodConfig,
     ModelDims,
     SngpConfig,
+    _cross_entropy,
     build_rows,
     dropout_mask,
     finalize_covariance,
@@ -32,6 +39,26 @@ from seqcal.rng import derive_key, derive_seed, stream
 
 def small_dims(vocab=8):
     return ModelDims(vocab_size=vocab, embed_dim=5, hidden_dim=7)
+
+
+def narrowest_unsigned(largest):
+    """The narrowest unsigned integer type whose range holds `largest`."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if np.iinfo(t).max >= largest)
+
+
+def assert_rows_match_oracle(rows, examples, dims):
+    """build_rows' counts equal rows_oracle's float64 ones in value and
+    sit in the narrowest unsigned type that holds the split's largest
+    count; targets and row_spans are the oracle's exactly."""
+    want_ctx, want_prefix, want_targets, want_spans = rows_oracle(examples, dims)
+    largest = max(want_ctx.max(), want_prefix.max())
+    for got, want in ((rows.ctx_weights, want_ctx), (rows.prefix_weights, want_prefix)):
+        assert got.dtype == narrowest_unsigned(largest)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert rows.targets.dtype == want_targets.dtype
+    assert np.array_equal(rows.targets, want_targets)
+    assert rows.row_spans == want_spans
 
 
 def random_tokens(rs, vocab, lo=1, hi=6):
@@ -600,13 +627,25 @@ class TestRowStructure:
                 reference=tuple(rng.integers(3, 23, size=int(rng.integers(0, 8))).tolist()),
             ) for _ in range(int(rng.integers(1, 12)))]
             examples.append(SimpleNamespace(input=(5, 5, 9), reference=()))
-            rows = build_rows(examples, dims)
-            want_ctx, want_prefix, want_targets, want_spans = rows_oracle(examples, dims)
-            for got, want in ((rows.ctx_weights, want_ctx),
-                              (rows.prefix_weights, want_prefix),
-                              (rows.targets, want_targets)):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert rows.row_spans == want_spans
+            assert_rows_match_oracle(build_rows(examples, dims), examples, dims)
+
+    def test_counts_past_255_widen_and_do_not_wrap(self):
+        # one token 300 times in an input, another 299 times in a
+        # reference: one byte would wrap both to 44 and 43
+        dims = ModelDims(vocab_size=23, bos_id=1, eos_id=2)
+        examples = [SimpleNamespace(input=(7,) * 300 + (4,), reference=(5, 6)),
+                    SimpleNamespace(input=(3, 8), reference=(9,) * 299)]
+        rows = build_rows(examples, dims)
+        assert rows.ctx_weights.dtype == rows.prefix_weights.dtype == np.uint16
+        assert rows.ctx_weights[:3, 7].tolist() == [300] * 3
+        assert rows.prefix_weights[-1, 9] == 299
+        assert_rows_match_oracle(rows, examples, dims)
+
+    def test_empty_split_gives_empty_rows(self):
+        dims = small_dims()
+        rows = build_rows([], dims)
+        assert rows.ctx_weights.shape == rows.prefix_weights.shape == (0, dims.vocab_size)
+        assert rows.targets.shape == (0,) and rows.row_spans == ()
 
     def test_batch_loss_matches_stepwise_forward(self):
         dims = small_dims()
@@ -646,6 +685,22 @@ class TestRowStructure:
             logp = shifted - math.log(float(np.exp(shifted).sum()))
             terms.append(-logp[target])
         assert abs(batch_loss(m, [ex]) - float(np.mean(terms))) < 1e-12
+
+
+class TestCrossEntropy:
+    @pytest.mark.parametrize("vocab, targets", [(8, [0, 7, 3]), (200, [199, 0, 5, 5])])
+    def test_cross_entropy_in_place_equals_out_of_place(self, vocab, targets):
+        rng = np.random.default_rng(vocab)
+        logits = rng.normal(0.0, 30.0, size=(len(targets), vocab))
+        targets = np.array(targets)
+        want_loss, want_exp, want_sums = cross_entropy_oracle(logits, targets)
+        owned = logits.copy()
+        loss, exp, sums = _cross_entropy(owned, targets)
+        assert loss.hex() == want_loss.hex()
+        assert exp.tobytes() == want_exp.tobytes()
+        assert sums.tobytes() == want_sums.tobytes()
+        # the caller's array now holds the exp
+        assert exp is owned and owned.tobytes() == want_exp.tobytes()
 
 
 class TestStreamHelper:

@@ -14,13 +14,20 @@ import numpy as np
 import pytest
 
 import seqcal.training as training
-from oracles import batch_loss, batch_rows_oracle, bundle_dump_oracle, precision_oracle
+from oracles import (
+    batch_loss,
+    batch_rows_oracle,
+    bundle_dump_oracle,
+    precision_oracle,
+    rows_oracle,
+)
 from seqcal.corpus import TaskSpec, generate_corpus, make_vocabulary
 from seqcal.errors import ConfigurationError, InputError, TrainingError, ValidationError
 from seqcal.model import (
     METHODS,
     Member,
     MethodConfig,
+    RowStructure,
     SPEC_NORM_BOUND,
     ModelDims,
     SngpConfig,
@@ -173,7 +180,8 @@ class TestTrainMember:
                              TrainHyper(steps=30), seed=3)
         rows = build_rows(examples, dims)
         embed = model.embed
-        z = np.concatenate([rows.ctx_weights @ embed, rows.prefix_weights @ embed], axis=1)
+        z = np.concatenate([rows.ctx_weights.astype(float) @ embed,
+                            rows.prefix_weights.astype(float) @ embed], axis=1)
         seen = predictive_variance(model.sngp, forward(model, z)["phi"])
         far_h = np.random.default_rng(0).uniform(-1.0, 1.0, (500, dims.hidden_dim))
         far = predictive_variance(model.sngp, gp_features(far_h, model.sngp)[1])
@@ -277,6 +285,68 @@ class TestEvaluateLoss:
         finally:
             tracemalloc.stop()
         assert peak < 8 * unit
+
+    def test_split_rows_peak_under_two_and_a_half_bytes_per_entry(self):
+        # two float64 count arrays took 16 bytes per (row, vocab) entry;
+        # one byte each, the targets and build_rows' temporaries come to
+        # about 2.2
+        examples, dims, _ = chunked_split(200, 2 * LOSS_CHUNK_ROWS + 10)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            rows = split_rows(examples, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(rows.targets) * dims.vocab_size
+
+    def test_base_loss_peaks_under_three_chunk_units(self):
+        # the in-place loss holds one (chunk, vocab) float64 array, and
+        # the counts are cast one at a time: about 1.5 units, where the
+        # out-of-place loss with float64 counts took 5.2
+        _, dims, rows = chunked_split(200, 2 * LOSS_CHUNK_ROWS + 10)
+        model = init_model(dims, MethodConfig(method="base"), seed=1)
+        unit = LOSS_CHUNK_ROWS * dims.vocab_size * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            evaluate_loss(model, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * unit
+
+
+class TestNarrowCounts:
+    """Counts stored in one byte and cast per batch train the same bits
+    as float64 counts."""
+
+    @pytest.mark.parametrize("cfg", [
+        MethodConfig(method="base"),
+        MethodConfig(method="mcd"),
+        MethodConfig(method="be", be_size=3),
+        MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16)),
+    ], ids=lambda cfg: cfg.method)
+    def test_members_equal_those_of_float64_counts_bit_for_bit(self, cfg):
+        # a wide vocabulary and repeated input tokens, so counts above
+        # one enter every product; at embed_dim 4 (and 12, demo's), an
+        # embedding gradient taken as a mixed uint8 x float64 product
+        # rounds differently from the float64 one
+        vocab = make_vocabulary(60)
+        spec = TaskSpec(kind="noisy-paraphrase", input_len=8, output_len=6, noise_rate=0.3)
+        examples = generate_corpus(spec, 80, vocab, seed=5)
+        dims = ModelDims(vocab_size=vocab.size, embed_dim=4, hidden_dim=8)
+        narrow = split_rows(examples, dims)
+        assert narrow.ctx_weights.dtype == np.uint8
+        assert narrow.ctx_weights.max() > 1
+        wide = RowStructure(*rows_oracle(examples, dims))
+        assert wide.ctx_weights.dtype == wide.prefix_weights.dtype == np.float64
+        hyper = TrainHyper(steps=15, batch_size=16)
+        got = train_member(narrow, dims, cfg, hyper, seed=3)
+        want = train_member(wide, dims, cfg, hyper, seed=3)
+        assert_same_bits(got, want)
+        assert [x.hex() for x in got.loss_history] == [x.hex() for x in want.loss_history]
+        assert evaluate_loss(got, narrow).hex() == evaluate_loss(want, wide).hex()
 
 
 class TestBatchRows:
