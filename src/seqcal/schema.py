@@ -14,15 +14,23 @@ required ones, and checks each present value against its annotation:
   float           a JSON number (an integer is widened), never non-finite
   bool, str       exactly that JSON type
   tuple[X, ...]   a JSON list whose items are X
-  np.ndarray      a regular nested JSON list of finite numbers, returned
-                  as float64; its shape is the caller's to check
+  np.ndarray      {"shape": [d0, d1, ...], "f8": base64 text}: the shape
+                  a list of non-negative ints, the text the array's
+                  C-order little-endian float64 bytes, exactly 8 per
+                  element and all finite; returned as a writable native
+                  float64 array, its shape the caller's to check
   X | None        null, or a value of X
   a dataclass     a JSON object, loaded the same way
 
 Then it calls the constructor, so each type's `__post_init__` keeps its
 own range rules.  Every refusal of these two is a ConfigurationError.
 `to_json` is its inverse: a dataclass becomes an object of its init
-fields in declaration order, arrays and tuples become lists.
+fields in declaration order, a tuple a list, an array its shape and
+bytes.  Arrays travel as raw IEEE-754 bytes, so no element becomes a
+Python float or a decimal string on either side, and every bit of every
+element, a negative zero's sign included, survives the round trip.  The
+byte count is checked against the shape on Python ints before the array
+is allocated.
 
 `read_jsonl` loads one dataclass per non-blank line of a JSONL file and
 requires a non-empty `id` that is unique in the file.  Each of its
@@ -38,9 +46,9 @@ writing.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -100,25 +108,32 @@ def _optional(tp):
     return args[0] if len(args) == 2 and args[1] is type(None) else None
 
 
-def _holds_bool(value: list, arr: np.ndarray) -> bool:
-    """Whether the nested list `value`, which numpy read as `arr`, holds a
-    JSON boolean; numpy reads one as 0 or 1, so only an array holding a 0
-    or a 1 is scanned."""
-    if not ((arr == 0) | (arr == 1)).any():
-        return False
-    for _ in range(arr.ndim - 1):
-        value = itertools.chain.from_iterable(value)
-    return bool in set(map(type, value))
+@dataclasses.dataclass(frozen=True)
+class _F8Array:
+    """An array as stored: its shape, and base64 of its C-order
+    little-endian float64 bytes."""
+
+    shape: tuple[int, ...]
+    f8: str
 
 
-def _array(value: list, where: str) -> np.ndarray:
+def _array(value, where: str) -> np.ndarray:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f'{where} must be a regular array of numbers stored as '
+                                 f'{{"shape", "f8"}}, got {type(value).__name__}')
+    stored = from_json(_F8Array, value, where)
+    shape = stored.shape
+    if any(n < 0 for n in shape):
+        raise ConfigurationError(f"{where}.shape must hold non-negative ints, got {list(shape)}")
     try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or _holds_bool(value, arr):
-        raise ConfigurationError(f"{where} must be a regular array of numbers")
-    arr = arr.astype(float, copy=False)
+        data = base64.b64decode(stored.f8, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ConfigurationError(f"{where}.f8 is not valid base64: {exc}") from exc
+    if len(data) != 8 * math.prod(shape):
+        raise ConfigurationError(f"{where}.f8 holds {len(data)} bytes, expected 8 per "
+                                 f"element of shape {list(shape)}")
+    # The copy makes the array writable and native-endian.
+    arr = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ConfigurationError(f"{where} must hold finite numbers only")
     return arr
@@ -128,12 +143,12 @@ def _value(tp, value, where: str):
     inner = _optional(tp)
     if inner is not None:
         return None if value is None else _value(inner, value, where)
-    item = _tuple_item(tp)
-    if (item is not None or tp is np.ndarray) and not isinstance(value, list):
-        raise ConfigurationError(f"{where} must be a list, got {type(value).__name__}")
     if tp is np.ndarray:
         return _array(value, where)
+    item = _tuple_item(tp)
     if item is not None:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where} must be a list, got {type(value).__name__}")
         # The common case in one pass; the per-item path names a bad item.
         if all(type(v) is item for v in value) and (
                 item is not float or all(map(math.isfinite, value))):
@@ -159,7 +174,8 @@ def to_json(obj):
         return {f.name: to_json(getattr(obj, f.name))
                 for f in dataclasses.fields(obj) if f.init}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        data = base64.b64encode(np.ascontiguousarray(obj, dtype="<f8"))
+        return {"shape": list(obj.shape), "f8": data.decode("ascii")}
     if isinstance(obj, tuple):
         return [to_json(v) for v in obj]
     return obj

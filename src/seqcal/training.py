@@ -32,8 +32,11 @@ A bundle is one `BundleFile` of `model.Member` records, written with
 `schema.to_json` and read with `schema.from_json`.  It stores the stamp
 of the run that trained it, and `read_bundle` refuses it in any run with
 another stamp; each member's arrays must have the shapes of a fresh
-`init_model` of the stored method and dims.  Floats survive a round trip
-exactly: the writer emits shortest-repr values, the reader float64.
+`init_model` of the stored method and dims.  Each array is stored as its
+shape and the base64 of its raw float64 bytes (see `schema`), so floats
+survive a round trip bit for bit and no weight becomes a Python float on
+either side.  Format 5 introduced that encoding; a bundle of an earlier
+format is refused by its version.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from .model import (
 from .rng import derive_seed, stream
 from .schema import from_json, parse_json, to_json, write_text
 
-BUNDLE_FORMAT_VERSION = 4
+BUNDLE_FORMAT_VERSION = 5
 
 # Cross-entropy this far above any legitimate value means the run has
 # diverged even when saturation keeps every float finite.
@@ -406,8 +409,8 @@ def write_bundle(members, path, run_sha256: str) -> None:
 def _bundle_chunks(head: BundleFile, members):
     """The bytes of json.dump(to_json(bundle)), but encoded by json.dumps
     (the C encoder; json.dump streams through the pure-python one) one
-    member at a time, so only one member's lists exist at once.  The
-    head's empty member list loses its closing "]}"."""
+    member at a time, so only one member's encoded arrays exist at once.
+    The head's empty member list loses its closing "]}"."""
     yield json.dumps(to_json(head), separators=(",", ":"))[:-2]
     for i, member in enumerate(members):
         if i:

@@ -5,8 +5,10 @@ rank counting, exhaustive enumeration.  These are the second route for
 every derived quantity the test suite freezes.
 """
 
+import base64
 import itertools
 import math
+import struct
 
 import numpy as np
 
@@ -501,10 +503,35 @@ def batch_rows_oracle(structure, example_idx):
     return np.concatenate([np.arange(*structure.row_spans[i]) for i in example_idx])
 
 
+def encode_array(values) -> dict:
+    """The stored form of an array (or nested list): its shape, and base64
+    of its elements packed one by one by struct as little-endian float64,
+    a route that never asks numpy for the bytes."""
+    arr = np.asarray(values, dtype=float)
+    flat = arr.ravel().tolist()
+    data = struct.pack("<%dd" % len(flat), *flat)
+    return {"shape": list(arr.shape), "f8": base64.b64encode(data).decode("ascii")}
+
+
+def decode_array(stored: dict) -> np.ndarray:
+    """The array of a stored form `encode_array` wrote, unpacked by struct."""
+    data = base64.b64decode(stored["f8"])
+    return np.array(struct.unpack("<%dd" % (len(data) // 8), data)).reshape(stored["shape"])
+
+
+def edit_array(holder: dict, key: str, edit) -> None:
+    """Replace the stored array `holder[key]` by its decoded array after
+    `edit(array)` has changed that array in place."""
+    arr = decode_array(holder[key])
+    edit(arr)
+    holder[key] = encode_array(arr)
+
+
 def bundle_dump_oracle(members, path, run_sha256):
     """A bundle streamed to disk with json.dump, its members listed key by
-    key: the format as written before the bundle layout was declared as a
-    schema, and the route the writer used before it encoded in one call."""
+    key and their arrays encoded by `encode_array`: the format as written
+    before the bundle layout was declared as a schema, and the route the
+    writer used before it encoded in one call."""
     import json
     from dataclasses import asdict
 
@@ -514,23 +541,23 @@ def bundle_dump_oracle(members, path, run_sha256):
         out = {
             "seed": model.seed,
             "loss_history": list(model.loss_history),
-            "embed": model.embed.tolist(),
-            "w_h": model.w_h.tolist(),
-            "b_h": model.b_h.tolist(),
-            "w_o": None if model.w_o is None else model.w_o.tolist(),
-            "b_o": None if model.b_o is None else model.b_o.tolist(),
+            "embed": encode_array(model.embed),
+            "w_h": encode_array(model.w_h),
+            "b_h": encode_array(model.b_h),
+            "w_o": None if model.w_o is None else encode_array(model.w_o),
+            "b_o": None if model.b_o is None else encode_array(model.b_o),
             "be": None,
             "sngp": None,
         }
         if model.be is not None:
-            out["be"] = {"r": model.be.r.tolist(), "s": model.be.s.tolist()}
+            out["be"] = {"r": encode_array(model.be.r), "s": encode_array(model.be.s)}
         if model.sngp is not None:
             st = model.sngp
             out["sngp"] = {
-                "w_r": st.w_r.tolist(),
-                "b_r": st.b_r.tolist(),
-                "beta": st.beta.tolist(),
-                "precision": st.precision.tolist(),
+                "w_r": encode_array(st.w_r),
+                "b_r": encode_array(st.b_r),
+                "beta": encode_array(st.beta),
+                "precision": encode_array(st.precision),
                 "covariance_valid": st.covariance_valid,
             }
         return out

@@ -11,8 +11,10 @@ import time
 import warnings
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
+from oracles import decode_array, edit_array
 from seqcal.calib import ALPHAS, THRESHOLDS, check_alphas
 from seqcal.cli import (
     MAX_DE_SIZE,
@@ -498,8 +500,8 @@ class TestExitCodes:
         bundle_path = os.path.join(out, "models", "base.json")
         bundle = json.loads(open(bundle_path).read())
         member = bundle["members"][0]
-        member["b_h"] = [10.0] * len(member["b_h"])
-        member["w_o"][0] = [1e308] * len(member["w_o"][0])
+        edit_array(member, "b_h", lambda b_h: b_h.fill(10.0))
+        edit_array(member, "w_o", lambda w_o: w_o[0].fill(1e308))
         with open(bundle_path, "w") as fh:
             json.dump(bundle, fh)
         assert len(read_bundle(bundle_path, run_stamp(out))) == 1
@@ -562,19 +564,29 @@ class TestExitCodes:
         assert not os.path.exists(fresh)
 
     def test_version_one_bundle_is_one(self, tmp_path, capsys):
-        # versions 1 to 3 stored the dropout rate, kernel scale and spectral
-        # bound; 1 and 2 a vocabulary hash; 1 also the retired knobs
+        # versions 1 to 4 stored every array as nested lists; 1 to 3 the
+        # dropout rate, kernel scale and spectral bound; 1 and 2 a
+        # vocabulary hash; 1 also the retired knobs
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
         assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
         assert main(["train", "--config", cfg_path, "--out", out, "--method", "sngp"]) == 0
         bundle_path = os.path.join(out, "models", "sngp.json")
         current = open(bundle_path).read()
-        for version in (1, 2, 3):
-            bundle = json.loads(current)
+
+        def as_lists(obj):
+            if isinstance(obj, dict) and obj.keys() == {"shape", "f8"}:
+                return decode_array(obj).tolist()
+            if isinstance(obj, dict):
+                return {k: as_lists(v) for k, v in obj.items()}
+            return [as_lists(v) for v in obj] if isinstance(obj, list) else obj
+
+        for version in (1, 2, 3, 4):
+            bundle = as_lists(json.loads(current))
             bundle["format_version"] = version
-            bundle["method"]["dropout_rate"] = 0.1
-            bundle["method"]["sngp"].update(kernel_scale=1.0, spec_norm_bound=1.0)
+            if version < 4:
+                bundle["method"]["dropout_rate"] = 0.1
+                bundle["method"]["sngp"].update(kernel_scale=1.0, spec_norm_bound=1.0)
             if version < 3:
                 bundle["vocab_sha256"] = hashlib.sha256(b"vocab").hexdigest()
                 del bundle["run_sha256"]
@@ -586,16 +598,17 @@ class TestExitCodes:
             assert main(["infer", "--config", cfg_path, "--out", out,
                          "--method", "sngp"]) == 1, version
             err = capsys.readouterr().err
-            assert f"format_version {version}, expected 4" in err, version
+            assert f"format_version {version}, expected 5" in err, version
             assert "Traceback" not in err, version
             assert not os.path.exists(os.path.join(out, "preds", "sngp.jsonl")), version
 
     @pytest.mark.parametrize("member, edit, message", [
         (0, lambda sp: sp.update(covariance_valid=False), "never finalized"),
         (1, lambda sp: sp.pop("covariance_valid"), "never finalized"),
-        (0, lambda sp: sp["precision"][1].__setitem__(0, sp["precision"][1][0] * 2.0),
+        (0, lambda sp: edit_array(sp, "precision",
+                                  lambda p: p.__setitem__((1, 0), p[1, 0] * 2.0)),
          "not symmetric"),
-        (1, lambda sp: sp.update(precision=[[-x for x in row] for row in sp["precision"]]),
+        (1, lambda sp: edit_array(sp, "precision", lambda p: np.negative(p, out=p)),
          "not positive definite"),
     ], ids=["flag-false", "flag-missing", "asymmetric", "negative-definite"])
     def test_unusable_gp_bundle_infer_is_one(self, tmp_path, capsys, member, edit, message):
@@ -621,12 +634,12 @@ class TestExitCodes:
         (lambda b: b["dims"].update(embed_dim=6.0), "bundle.dims.embed_dim must be int, got float"),
         (lambda b: b["method"].update(seeds=5), "bundle.method.seeds must be a list, got int"),
         (lambda b: b["members"][0].update(be=5), "bundle.members[0].be must be a JSON object"),
-        (lambda b: b["members"][0]["be"].update(r=[["x"] * 8] * 5),
-         "bundle.members[0].be.r must be a regular array of numbers"),
+        (lambda b: b["members"][0]["be"]["r"].update(f8="not base64"),
+         "bundle.members[0].be.r.f8 is not valid base64"),
         (lambda b: b["members"][0].update(loss_history=["x"]),
          "bundle.members[0].loss_history[0] must be float, got str"),
         (lambda b: b["members"][0].update(embed={"a": 1}),
-         "bundle.members[0].embed must be a list, got dict"),
+         "bundle.members[0].embed has unknown keys ['a']"),
         (lambda b: b["members"][0].update(seed=True), "bundle.members[0].seed must be int, got bool"),
         (lambda b: b["method"].update(seeds=[7]),
          "single-model method be takes no member seeds, got 1"),
@@ -680,7 +693,7 @@ class TestExitCodes:
         assert main(["train", "--config", cfg_path, "--out", out, "--method", "base"]) == 0
         bundle_path = os.path.join(out, "models", "base.json")
         bundle = json.loads(open(bundle_path).read())
-        bundle["members"][0]["b_o"][3] = 800.0
+        edit_array(bundle["members"][0], "b_o", lambda b_o: b_o.__setitem__(3, 800.0))
         with open(bundle_path, "w") as fh:
             json.dump(bundle, fh)
         capsys.readouterr()

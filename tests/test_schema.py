@@ -9,6 +9,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from typing import get_args, get_origin, get_type_hints
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import decode_array, encode_array
 from seqcal.calib import QUALITY_KEYS, THRESHOLDS
-from seqcal.cli import RunConfig, load_config
+from seqcal.cli import RunConfig, load_config, main
 from seqcal.corpus import TASK_KINDS, ExampleRecord, read_records, write_records
 from seqcal.errors import ConfigurationError, ParseError, ValidationError
 from seqcal.inference import PredictionRecord, read_predictions, write_predictions
@@ -95,56 +97,106 @@ class Arrays:
     cached: int = field(default=0, init=False)
 
 
+def _f8(*values):
+    """Base64 of `values` as little-endian float64 bytes."""
+    return encode_array(values)["f8"]
+
+
+STORED_FORM = ' must be a regular array of numbers stored as {"shape", "f8"}, got '
+
+# Each malformed stored array, and the refusal after its field path, as
+# infer reports it.
+ARRAY_REFUSALS = [
+    pytest.param([[1.0, 2.0]], STORED_FORM + "list", id="nested-list"),
+    pytest.param(3.0, STORED_FORM + "float", id="number"),
+    pytest.param(None, STORED_FORM + "NoneType", id="null"),
+    pytest.param({"shape": [1], "f8": _f8(1.0), "dtype": "f8"}, " has unknown keys ['dtype']",
+                 id="extra-key"),
+    pytest.param({"shape": [1]}, " is missing keys ['f8']", id="missing-f8"),
+    pytest.param({"f8": _f8(1.0)}, " is missing keys ['shape']", id="missing-shape"),
+    pytest.param({"shape": 1, "f8": _f8(1.0)}, ".shape must be a list, got int",
+                 id="shape-number"),
+    pytest.param({"shape": [True], "f8": _f8(1.0)}, ".shape[0] must be int, got bool",
+                 id="shape-true"),
+    pytest.param({"shape": [-1], "f8": ""}, ".shape must hold non-negative ints, got [-1]",
+                 id="shape-negative"),
+    pytest.param({"shape": [2.0], "f8": _f8(1.0, 2.0)}, ".shape[0] must be int, got float",
+                 id="shape-float"),
+    pytest.param({"shape": [1], "f8": [1.0]}, ".f8 must be str, got list", id="f8-list"),
+    pytest.param({"shape": [1], "f8": None}, ".f8 must be str, got NoneType", id="f8-null"),
+    pytest.param({"shape": [1], "f8": "AAAA AAAAAAA="}, ".f8 is not valid base64",
+                 id="f8-space"),
+    pytest.param({"shape": [1], "f8": "AAAAAAAAAAA"}, ".f8 is not valid base64",
+                 id="f8-padding"),
+    pytest.param({"shape": [1], "f8": "\u00e9" * 12}, ".f8 is not valid base64",
+                 id="f8-not-ascii"),
+    pytest.param({"shape": [2], "f8": _f8(1.0)},
+                 ".f8 holds 8 bytes, expected 8 per element of shape [2]", id="too-few-bytes"),
+    pytest.param({"shape": [2, 0], "f8": _f8(1.0)},
+                 ".f8 holds 8 bytes, expected 8 per element of shape [2, 0]",
+                 id="bytes-for-empty"),
+    pytest.param({"shape": [1], "f8": "AAAAAAAAAA=="},
+                 ".f8 holds 7 bytes, expected 8 per element of shape [1]", id="short-element"),
+    pytest.param({"shape": [2**40, 2**40], "f8": _f8(1.0)},
+                 f".f8 holds 8 bytes, expected 8 per element of shape [{2**40}, {2**40}]",
+                 id="huge-shape"),
+    pytest.param({"shape": [2], "f8": _f8(1.0, math.nan)}, " must hold finite numbers only",
+                 id="nan"),
+    pytest.param({"shape": [1, 1], "f8": _f8(math.inf)}, " must hold finite numbers only",
+                 id="inf"),
+    pytest.param({"shape": [1], "f8": _f8(-math.inf)}, " must hold finite numbers only",
+                 id="minus-inf"),
+]
+
+
 class TestArraysAndNull:
     def test_arrays_load_as_float64_and_null_as_none(self):
-        got = from_json(Arrays, {"a": [[1, 2.5], [3, 4]], "b": None, "inner": None}, "o")
+        got = from_json(Arrays, {"a": encode_array([[1, 2.5], [3, 4]]), "b": None,
+                                 "inner": None}, "o")
         assert got.a.dtype == np.float64
         assert np.array_equal(got.a, [[1.0, 2.5], [3.0, 4.0]])
         assert got.b is None and got.inner is None
-        got = from_json(Arrays, {"a": [], "b": [7], "inner": {"x": 2}}, "o")
+        got = from_json(Arrays, {"a": encode_array([]), "b": encode_array([7]),
+                                 "inner": {"x": 2}}, "o")
         assert got.a.shape == (0,) and got.b.dtype == np.float64 and got.b.tolist() == [7.0]
         assert got.inner == Inner(x=2.0)
 
     @pytest.mark.parametrize("payload, message", [
-        ({"a": None}, "o.a must be a list, got NoneType"),
-        ({"a": 3.0}, "o.a must be a list, got float"),
-        ({"a": {"x": 1}}, "o.a must be a list, got dict"),
+        ({"a": None}, "o.a must be a regular array of numbers .*, got NoneType"),
+        ({"a": 3.0}, "o.a must be a regular array of numbers .*, got float"),
+        ({"a": {"x": 1}}, r"o.a has unknown keys \['x'\]"),
+        # format 4's nested lists are refused whatever they hold
         ({"a": [[1.0], [2.0, 3.0]]}, "o.a must be a regular array of numbers"),
         ({"a": [1.0, "x"]}, "o.a must be a regular array of numbers"),
         ({"a": [True, False]}, "o.a must be a regular array of numbers"),
         ({"a": [{"x": 1}]}, "o.a must be a regular array of numbers"),
         ({"a": [1.0, None]}, "o.a must be a regular array of numbers"),
         ({"a": [10**400]}, "o.a must be a regular array of numbers"),
-        ({"a": [1.0, math.nan]}, "o.a must hold finite numbers only"),
-        ({"a": [[-math.inf]]}, "o.a must hold finite numbers only"),
-        ({"a": [1.0], "b": "x"}, "o.b must be a list, got str"),
-        ({"a": [1.0], "inner": 3}, "o.inner must be a JSON object"),
-        ({"a": [1.0], "inner": {"x": -1}}, "x must be >= 0"),
-        ({"a": [1.0], "cached": 1}, r"o has unknown keys \['cached'\]"),
-        # a boolean among numbers, which numpy alone reads as 0 or 1
+        ({"a": encode_array([1.0, math.nan])}, "o.a must hold finite numbers only"),
+        ({"a": encode_array([[-math.inf]])}, "o.a must hold finite numbers only"),
+        ({"a": encode_array([1.0]), "b": "x"},
+         "o.b must be a regular array of numbers .*, got str"),
+        ({"a": encode_array([1.0]), "inner": 3}, "o.inner must be a JSON object"),
+        ({"a": encode_array([1.0]), "inner": {"x": -1}}, "x must be >= 0"),
+        ({"a": encode_array([1.0]), "cached": 1}, r"o has unknown keys \['cached'\]"),
         ({"a": [1.5, True]}, "o.a must be a regular array of numbers"),
         ({"a": [0.0, False]}, "o.a must be a regular array of numbers"),
         ({"a": [1, True]}, "o.a must be a regular array of numbers"),
         ({"a": [[1.0, 2.0], [0.5, False]]}, "o.a must be a regular array of numbers"),
         ({"a": [[[2.0], [True]]]}, "o.a must be a regular array of numbers"),
-        ({"a": [1.0], "b": [[0.0], [True]]}, "o.b must be a regular array of numbers"),
+        ({"a": encode_array([1.0]), "b": [[0.0], [True]]},
+         "o.b must be a regular array of numbers"),
     ])
     def test_refusals(self, payload, message):
         with pytest.raises(ConfigurationError, match=message):
             from_json(Arrays, payload, "o")
 
-    def test_zeros_and_ones_are_numbers(self):
-        # numpy reads a boolean as 0 or 1, so these arrays are the ones
-        # scanned for a boolean; every item here is a number
-        got = from_json(Arrays, {"a": [[0, 1.0], [1, 0.0]], "b": [1, 2.5]}, "o")
-        assert np.array_equal(got.a, [[0.0, 1.0], [1.0, 0.0]]) and got.a.dtype == np.float64
-        assert got.b.tolist() == [1.0, 2.5]
-
     def test_to_json_is_the_inverse(self):
         value = Arrays(a=np.arange(6.0).reshape(2, 3), inner=Inner(x=0.5))
         payload = to_json(value)
-        assert payload == {"a": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], "b": None,
+        assert payload == {"a": encode_array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]), "b": None,
                            "inner": {"x": 0.5}}
+        assert list(payload["a"]) == ["shape", "f8"]
         back = from_json(Arrays, json.loads(json.dumps(payload)), "o")
         assert np.array_equal(back.a, value.a) and back.b is None and back.inner == value.inner
         outer = Outer(name="a", values=(1.0, 2.5))
@@ -152,6 +204,92 @@ class TestArraysAndNull:
                                   "inner": {"x": 1.0}}
         assert list(to_json(outer)) == [f.name for f in fields(Outer)]
         assert from_json(Outer, to_json(outer), "o") == outer
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A run directory with a trained base bundle: (config path, run
+    directory, bundle path, the bundle's bytes)."""
+    tmp = tmp_path_factory.mktemp("run")
+    cfg_path = tmp / "run.json"
+    cfg_path.write_text(json.dumps({
+        "seed": 3, "vocab_size": 10, "n_examples": 40,
+        "task": {"kind": "copy", "input_len": 3, "output_len": 3},
+        "model": {"embed_dim": 4, "hidden_dim": 6},
+        "train": {"steps": 5, "batch_size": 8}, "decode": {"beam_size": 2},
+    }))
+    out = tmp / "out"
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--method", "base"]) == 0
+    assert main(["infer", "--config", str(cfg_path), "--out", str(out),
+                 "--method", "base"]) == 0
+    (out / "preds" / "base.jsonl").unlink()
+    bundle = out / "models" / "base.json"
+    return str(cfg_path), out, bundle, bundle.read_bytes()
+
+
+@pytest.mark.parametrize("value, message", ARRAY_REFUSALS)
+def test_malformed_stored_array_infer_is_one(trained_run, capsys, value, message):
+    cfg_path, out, bundle, good = trained_run
+    payload = json.loads(good)
+    payload["members"][0]["w_h"] = value
+    bundle.write_text(json.dumps(payload))
+    capsys.readouterr()
+    try:
+        code = main(["infer", "--config", cfg_path, "--out", str(out), "--method", "base"])
+    finally:
+        bundle.write_bytes(good)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {bundle}: bundle.members[0].w_h{message}")
+    assert "Traceback" not in err and not (out / "preds" / "base.jsonl").exists()
+
+
+class TestArrayEncoding:
+    """Arrays travel as their raw float64 bytes, so every bit survives."""
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0],
+        [5e-324, -5e-324],
+        [1.7976931348623157e308, -1.7976931348623157e308],
+        [0.1 + 0.2, 0.1, 1.0 / 3.0],
+        np.zeros((0, 3)),
+        np.arange(24.0).reshape(2, 3, 4) / 7.0,
+    ], ids=["signed-zero", "subnormal", "extremes", "inexact-sums", "empty-rows", "3d"])
+    def test_round_trip_is_bit_for_bit(self, values):
+        arr = np.asarray(values, dtype=float)
+        payload = json.loads(json.dumps(to_json(Arrays(a=arr))))
+        assert payload["a"] == encode_array(arr)
+        got = from_json(Arrays, payload, "o").a
+        assert got.shape == arr.shape and got.tobytes() == arr.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(arr))
+        assert np.array_equal(decode_array(payload["a"]), arr)
+
+    def test_loaded_arrays_are_native_writable_c_order(self):
+        payload = to_json(Arrays(a=np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+                                 b=np.arange(4.0)[::2]))
+        got = from_json(Arrays, json.loads(json.dumps(payload)), "o")
+        for arr in (got.a, got.b):
+            assert arr.dtype == np.float64 and arr.dtype.isnative
+            assert arr.flags.c_contiguous and arr.flags.writeable
+        assert np.array_equal(got.a, np.arange(6.0).reshape(2, 3))
+        assert got.b.tolist() == [0.0, 2.0]
+        got.a[0, 0] = 7.0
+
+    def test_huge_shape_is_refused_before_allocating(self):
+        # 2**80 elements would need 8 * 2**80 bytes; the count is compared
+        # on Python ints, so the refusal allocates nothing of that size
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    "o.a.f8 holds 8 bytes, expected 8 per element of shape "
+                    f"[{2**40}, {2**40}]")):
+                from_json(Arrays, {"a": {"shape": [2**40, 2**40], "f8": "AAAAAAAAAAA="}}, "o")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("data", [b"{nope", b"[" * 100000 + b"]" * 100000, b'{"a": \xff}'],
@@ -232,6 +370,22 @@ def test_files_are_written_only_in_schema():
                    for m in modes):
                 writes.append(f"{name}:{node.lineno}")
     assert writes == []
+
+
+def test_array_bytes_are_coded_only_in_schema():
+    """schema is the one home of the array codec: no other package module
+    imports base64 or turns an array into bytes or bytes into an array."""
+    uses = []
+    for name, tree in _package_modules():
+        for node in ast.walk(tree):
+            imported = (isinstance(node, ast.Import) and any(
+                alias.name == "base64" for alias in node.names)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "base64")
+            if (imported or isinstance(node, ast.Name) and node.id == "base64"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in ("tobytes", "frombuffer")):
+                uses.append(f"{name}:{node.lineno}")
+    assert uses == []
 
 
 GOOD_PRED = '{"id":"a","hypothesis":[3],"token_logp":[-1.0],"eos_logp":-1.0,"uncertainty":-1.0}'

@@ -18,6 +18,9 @@ from oracles import (
     batch_loss,
     batch_rows_oracle,
     bundle_dump_oracle,
+    decode_array,
+    edit_array,
+    encode_array,
     precision_oracle,
     rows_oracle,
 )
@@ -701,7 +704,7 @@ class TestBundles:
     def test_shape_mismatch(self, tmp_path):
         path = self._round_trip(tmp_path, MethodConfig(method="base"))
         payload = json.loads(path.read_text())
-        payload["members"][0]["embed"] = [[0.0, 1.0], [2.0, 3.0]]
+        payload["members"][0]["embed"] = encode_array([[0.0, 1.0], [2.0, 3.0]])
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="shape"):
             read_bundle(path, STAMP)
@@ -729,10 +732,11 @@ class TestBundles:
         (lambda sp: sp.pop("covariance_valid"), "never finalized"),
         (lambda sp: sp.update(covariance_valid=1),
          r"members\[0\]\.sngp\.covariance_valid must be bool, got int"),
-        (lambda sp: sp["precision"][0].__setitem__(1, sp["precision"][0][1] + 1e-3),
+        (lambda sp: edit_array(sp, "precision", lambda p: p.__setitem__((0, 1), p[0, 1] + 1e-3)),
          "not symmetric"),
-        (lambda sp: sp.update(precision=(-np.eye(10)).tolist()), "not positive definite"),
-        (lambda sp: sp.update(precision=np.zeros((10, 10)).tolist()), "not positive definite"),
+        (lambda sp: sp.update(precision=encode_array(-np.eye(10))), "not positive definite"),
+        (lambda sp: sp.update(precision=encode_array(np.zeros((10, 10)))),
+         "not positive definite"),
     ], ids=["flag-false", "flag-missing", "flag-not-bool", "asymmetric", "negative-definite",
             "singular"])
     def test_unusable_gp_precision_refused(self, tmp_path, edit, message):
@@ -792,6 +796,59 @@ class TestBundles:
         assert not (tmp_path / "bad.json").exists()
 
 
+def _stored_arrays(obj):
+    """Every array a bundle stores of the member file or head `obj`."""
+    for f in fields(obj):
+        value = getattr(obj, f.name) if f.init else None
+        if isinstance(value, np.ndarray):
+            yield value
+        elif is_dataclass(value):
+            yield from _stored_arrays(value)
+
+
+def _array_bytes(members) -> int:
+    """The bytes of every array a bundle of `members` stores."""
+    return sum(a.nbytes for model in members for a in _stored_arrays(_member_file(model)))
+
+
+def _gp_members(method, seeds=()):
+    """Members of `method` at trend's dims (vocab 20, rff_dim 128), trained
+    two steps so that their arrays hold full-precision floats."""
+    vocab = make_vocabulary(20)
+    examples = generate_corpus(TaskSpec(kind="copy", input_len=3, output_len=3), 40, vocab, 0)
+    dims = ModelDims(vocab_size=vocab.size)
+    config = MethodConfig(method=method, seeds=seeds, sngp=SngpConfig(rff_dim=128))
+    return train_method(split_rows(examples, dims), dims, config, TrainHyper(steps=2), seed=0)
+
+
+class TestBundleMemory:
+    """A bundle's arrays are encoded and decoded as raw bytes, one member
+    at a time on write, with no Python float per element.  Encoding each
+    element as a float and a decimal string peaked at 17.3 times the
+    member's array bytes on write and 9.1 times the bundle's on read."""
+
+    def _peak(self, call) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_peaks_under_six_times_the_member_arrays(self, tmp_path):
+        members = _gp_members("sngp")
+        peak = self._peak(lambda: write_bundle(members, tmp_path / "sngp.json", STAMP))
+        assert peak <= 6 * _array_bytes(members)
+
+    def test_read_peaks_under_six_times_the_bundle_arrays(self, tmp_path):
+        members = _gp_members("sngp_de", seeds=(3, 4, 5))
+        path = tmp_path / "sngp_de.json"
+        write_bundle(members, path, STAMP)
+        peak = self._peak(lambda: read_bundle(path, STAMP))
+        assert peak <= 6 * _array_bytes(members)
+
+
 def small_config(method):
     seeds = (3, 4) if method in ("de", "sngp_de") else ()
     return MethodConfig(method=method, be_size=2, seeds=seeds, sngp=SngpConfig(rff_dim=5))
@@ -838,17 +895,17 @@ class TestBundleLayout:
         holder = payload["members"][last]
         for head in heads:
             holder = holder[head]
-        good = np.asarray(holder[name])
+        good = decode_array(holder[name])
         n = good.shape[axis]
         for bad in (np.take(good, range(n + 1), axis=axis, mode="clip"),
                     np.take(good, range(n - 1), axis=axis)):
-            holder[name] = bad.tolist()
+            holder[name] = encode_array(bad)
             path.write_text(json.dumps(payload))
             message = (f"bundle.members[{last}].{key} is an array of shape {bad.shape}, "
                        f"expected an array of shape {good.shape}")
             with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
                 read_bundle(path, STAMP)
-        holder[name] = good.tolist()
+        holder[name] = encode_array(good)
         path.write_text(json.dumps(payload))
         assert len(read_bundle(path, STAMP)) == len(payload["members"])
 
@@ -857,8 +914,9 @@ class TestBundleLayout:
         ("sngp", "sngp", None, "sngp is null, expected an object"),
         ("sngp_de", "sngp", None, "sngp is null, expected an object"),
         ("base", "w_o", None, "w_o is null, expected an array of shape (8, 4)"),
-        ("sngp", "w_o", [[0.0] * 4] * 8, "w_o is an array of shape (8, 4), expected null"),
-        ("base", "be", {"r": [[1.0] * 4] * 2, "s": [[1.0] * 6] * 2},
+        ("sngp", "w_o", encode_array([[0.0] * 4] * 8),
+         "w_o is an array of shape (8, 4), expected null"),
+        ("base", "be", {"r": encode_array([[1.0] * 4] * 2), "s": encode_array([[1.0] * 6] * 2)},
          "be is an object, expected null"),
     ], ids=["be-null", "sngp-null", "sngp_de-null", "w_o-null", "gp-with-w_o", "base-with-be"])
     def test_head_presence_follows_the_method(self, tmp_path, method, key, value, message):
