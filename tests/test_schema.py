@@ -175,7 +175,7 @@ class TestArraysAndNull:
         ({"a": encode_array([1.0, math.nan])}, "o.a must hold finite numbers only"),
         ({"a": encode_array([[-math.inf]])}, "o.a must hold finite numbers only"),
         ({"a": encode_array([1.0]), "b": "x"},
-         "o.b must be a regular array of numbers .*, got str"),
+         "o.b must be a regular array of numbers.*, got str"),
         ({"a": encode_array([1.0]), "inner": 3}, "o.inner must be a JSON object"),
         ({"a": encode_array([1.0]), "inner": {"x": -1}}, "x must be >= 0"),
         ({"a": encode_array([1.0]), "cached": 1}, r"o has unknown keys \['cached'\]"),
