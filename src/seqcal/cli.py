@@ -22,9 +22,10 @@ that fails leaves the previous file or none.
 
 `train` and `infer` spread their independent jobs, every member of every
 method in `train` and every method's decode in `infer`, over the CPUs the
-stage may use with one `training.JobPool`; the stage process takes the
-results back in method order and writes every file and prints every line
-itself, so the outputs do not depend on the CPU count.
+stage may use with one `training.JobPool`, one warm forked child per CPU
+running job after job; the stage process takes the results back in method
+order and writes every file and prints every line itself, so the outputs
+do not depend on the CPU count.
 
 Every stochastic choice derives from the single top-level seed, so a
 rerun of any stage writes byte-identical files.  Model-intrinsic knobs

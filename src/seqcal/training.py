@@ -23,8 +23,8 @@ Who trains what, and in which process: every member is one
 `train_member` call, a pure function of its seed, and is one job of a
 `JobPool`, the one fork routine of the train and infer stages.  The train
 stage builds one `member_pool` of every member of every requested method,
-the GP members first; each member is trained in a forked child of its
-own, one per CPU at a time (at one CPU, in the stage process), and
+the GP members first; one warm forked child per CPU trains member after
+member (at one CPU, the stage process trains them all), and
 `train_method` takes each method's members from the pool in method order.
 So the bundles hold the same bits as when one process trains them all.
 
@@ -240,30 +240,34 @@ class JobPool:
     exception the job raised.  Every job must be a pure function of its
     inputs, so the results do not depend on which process runs which job.
 
-    Each job runs in a child of its own: while fewer than min(CPUs in the
-    affinity mask, jobs) children are running, the next pending job, in
-    list order, is forked.  The child runs its job, writes the pickled
-    result (or the exception) to its pipe and leaves through `os._exit`.
-    `take` reads each finished child's pipe to EOF, reaps the child and
-    forks pending jobs onto the CPUs that frees, until the result it asks
-    for is in.  A child that ends without a readable result leaves a
-    TrainingError naming its job (`label(job)`) and how the child ended.
-    At one CPU, or with one job, nothing is forked: `take` runs the
-    pending jobs in list order in this process.  `close` (also on leaving
-    a `with` block) kills and reaps every child still running, so none
-    outlives the stage, whether it succeeds or fails.  The stage runs no
-    threads of its own, and OpenBLAS stops its thread pool around a fork
-    itself (pthread_atfork), so a child starts sound.
+    The pool runs min(CPUs in the affinity mask, jobs) children and keeps
+    each one for job after job, so a job pays for neither a fork nor the
+    first touch of pages an earlier job faulted in.  A child reads one job
+    index at a time from its command pipe and writes one frame per job to
+    its result pipe, an 8-byte length and the pickled (ok, value); it
+    leaves through `os._exit` at EOF.  Jobs start in list order, the next
+    one going to a child as soon as `take` has read its frame.  A child
+    that ends without a full frame leaves a TrainingError naming its job
+    (`label(job)`) and how the child ended; while jobs are pending a fresh
+    child replaces it, as it does a child found dead when handed a job.
+    Each child closes the pipe ends it inherited from its siblings, so
+    once this process is gone an idle child sees EOF and a busy one EPIPE.
+    At one CPU, or with one job, nothing is forked: `take` runs the pending
+    jobs in list order in this process.  `close` (also on leaving a `with`
+    block) kills and reaps every child, busy or idle, so none outlives the
+    stage, whether it succeeds or fails.  The stage runs no threads of its
+    own, and OpenBLAS stops its thread pool around a fork itself
+    (pthread_atfork), so a child starts sound.
     """
 
     def __init__(self, run, jobs, label):
         self._run, self._jobs, self._label = run, list(jobs), label
         self._index = {job: i for i, job in enumerate(self._jobs)}  # jobs not yet taken
         self._results = {}  # {job index: (True, result) or (False, exception)}
-        self._children = {}  # {read end of its pipe: (pid, job index)}
-        self._next = 0  # the first job neither run nor forked
+        self._children = {}  # {its result pipe: [pid, its command pipe, job index or None]}
+        self._next = 0  # the first job neither run nor handed to a child
         width = min(len(os.sched_getaffinity(0)), len(self._jobs))
-        self._width = width if width > 1 else 0  # children at once; 0: run jobs here
+        self._width = width if width > 1 else 0  # children at most; 0: run jobs here
         # Freeing a 3 MB block raises glibc's mmap threshold to 3 MB and its
         # trim threshold to 6 MB, here and in every forked child, so a
         # training step's temporaries stay in the heap instead of being
@@ -294,11 +298,9 @@ class JobPool:
         return value
 
     def close(self) -> None:
-        for fd, (pid, _) in self._children.items():
+        for pipe, (pid, _, _) in list(self._children.items()):
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
-        self._children.clear()
+            self._drop(pipe)
 
     def __enter__(self):
         return self
@@ -313,51 +315,89 @@ class JobPool:
             return False, exc
 
     def _collect(self, timeout) -> None:
-        """Reap the children whose results are ready within `timeout`
-        seconds (None: until one is), then fork pending jobs onto the free
-        CPUs."""
+        """Read the frames that are ready within `timeout` seconds (None:
+        until one is), handing each sender the next pending job, then fork
+        children for pending jobs up to the pool's width."""
         if self._children:
             import select  # only a pool that forks needs it
 
-            for fd in select.select(list(self._children), [], [], timeout)[0]:
-                self._reap(fd)
+            for pipe in select.select(list(self._children), [], [], timeout)[0]:
+                self._receive(pipe)
         while len(self._children) < self._width and self._next < len(self._jobs):
-            self._fork(self._next)
-            self._next += 1
+            self._give(self._fork())
 
-    def _fork(self, i) -> None:
-        read_end, write_end = os.pipe()
+    def _fork(self):
+        """A new idle child; its result pipe."""
+        fds = os.pipe()  # commands: (read end, write end)
         try:
+            fds += os.pipe()  # results
             pid = os.fork()
         except OSError:
-            os.close(read_end)
-            os.close(write_end)
+            for fd in fds:
+                os.close(fd)
             raise
         if pid == 0:
             code = 1
             try:
-                os.close(read_end)
-                payload = memoryview(pickle.dumps(self._call(i), pickle.HIGHEST_PROTOCOL))
-                while payload:
-                    payload = payload[os.write(write_end, payload):]
+                for pipe, (_, commands, _) in self._children.items():
+                    pipe.close()
+                    os.close(commands)
+                os.close(fds[1])
+                os.close(fds[2])
+                while head := os.read(fds[0], 4):
+                    payload = pickle.dumps(self._call(int.from_bytes(head, "little")),
+                                           pickle.HIGHEST_PROTOCOL)
+                    for part in (len(payload).to_bytes(8, "little"), payload):
+                        part = memoryview(part)
+                        while part:
+                            part = part[os.write(fds[3], part):]
                 code = 0
             finally:
                 os._exit(code)
-        os.close(write_end)
-        self._children[read_end] = (pid, i)
+        os.close(fds[0])
+        os.close(fds[3])
+        pipe = open(fds[2], "rb")
+        self._children[pipe] = [pid, fds[1], None]
+        return pipe
 
-    def _reap(self, fd) -> None:
-        pid, i = self._children.pop(fd)
-        with open(fd, "rb") as pipe:
-            payload = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    def _give(self, pipe) -> None:
+        """Hand the next pending job to the idle child of `pipe`; one that
+        died idle is reaped instead, and the job stays pending."""
+        child = self._children[pipe]
         try:
-            self._results[i] = pickle.loads(payload)
-        except Exception:  # EOFError when empty; a cut payload can raise any error
+            os.write(child[1], self._next.to_bytes(4, "little"))
+        except BrokenPipeError:
+            self._drop(pipe)
+            return
+        child[2] = self._next
+        self._next += 1
+
+    def _receive(self, pipe) -> None:
+        i, head = self._children[pipe][2], pipe.read(8)
+        size = int.from_bytes(head, "little")
+        if len(head) == 8 and len(payload := pipe.read(size)) == size:
+            self._children[pipe][2] = None
+            try:
+                self._results[i] = pickle.loads(payload)
+            except Exception as exc:  # a result this process cannot rebuild
+                self._results[i] = (False, TrainingError(
+                    f"the result of {self._label(self._jobs[i])} could not be read: {exc}"))
+            if self._next < len(self._jobs):
+                self._give(pipe)
+            return
+        code = self._drop(pipe)
+        if i is not None:
             how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
             self._results[i] = (False, TrainingError(
                 f"the worker running {self._label(self._jobs[i])} {how} "
                 "before sending its result"))
+
+    def _drop(self, pipe) -> int:
+        """Reap the child of `pipe`, ended or killed; its exit code."""
+        pid, commands, _ = self._children.pop(pipe)
+        pipe.close()
+        os.close(commands)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:

@@ -885,12 +885,13 @@ class TestSummaryRanking:
         assert len(gaps) == 3
 
 
+@pytest.mark.usefixtures("watchdog")
 class TestEnsembleWorkers:
     """train's members and infer's methods are the jobs of one forked pool,
-    each in a child of its own (at one CPU, in the stage process); the
-    stage process writes every file and prints every line in method order,
-    and no child outlives the stage (`no_children_left`).  A test that
-    kills or hangs a child keys on its job."""
+    run by one warm child per CPU, job after job (at one CPU, in the stage
+    process); the stage process writes every file and prints every line in
+    method order, and no child outlives the stage (`no_children_left`).  A
+    test that kills or hangs a child keys on its job."""
 
     def gen_data(self, tmp_path, capsys, payload=SMALL):
         cfg_path = write_config(tmp_path, payload)

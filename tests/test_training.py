@@ -419,11 +419,13 @@ ENSEMBLES = (MethodConfig(method="de", seeds=(11, 12, 13)),
 SINGLE = (MethodConfig(method="base"), MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=8)))
 
 
+@pytest.mark.usefixtures("watchdog")
 class TestEnsembleWorkers:
     """Every member comes from one `member_pool`, GP members first: at
-    one CPU the caller trains them, on more each one trains in a forked
-    child of its own.  A test that kills or hangs a child keys on its
-    job, and `no_children_left` checks that no child outlives the test."""
+    one CPU the caller trains them, on more one warm forked child per CPU
+    trains member after member.  A test that kills or hangs a child keys
+    on its job, and `no_children_left` checks that no child outlives the
+    test."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_members_equal_serial_training_bit_for_bit(self, monkeypatch, cpus):
@@ -549,12 +551,52 @@ class TestEnsembleWorkers:
         assert time.monotonic() - begin < 30
 
 
+def count_forks(monkeypatch):
+    """The pids of the children `os.fork` makes from now on in this test."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def gone_or_zombie(pid, within):
+    """Whether process `pid` has ended (no /proc entry, or state Z) within
+    `within` seconds."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                if stat.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+
+
+class Unrebuildable(Exception):
+    """Pickles, but its pickle cannot be loaded: it needs two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+@pytest.mark.usefixtures("watchdog")
 class TestJobPool:
     def test_every_job_runs_once_with_more_workers_than_cores(self, monkeypatch):
-        """300 jobs, each in a child of its own, four at a time on this
-        machine's CPUs; each job leaves its index in a side pipe when it
-        runs, so a job lost or run twice shows there."""
+        """300 jobs over four warm children, one per CPU of a four-CPU
+        mask, whatever this machine has; each job leaves its index in a
+        side pipe when it runs, so a job lost or run twice shows there,
+        and the pool forks exactly four times."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        forks = count_forks(monkeypatch)
         ran, record = os.pipe()
 
         def square(j):
@@ -572,6 +614,7 @@ class TestJobPool:
         assert sorted(int.from_bytes(log[k:k + 2], "little")
                       for k in range(0, len(log), 2)) == list(range(300))
         assert time.monotonic() - begin < 30
+        assert len(forks) == 4
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_an_unknown_job_is_a_key_error_at_once(self, monkeypatch, cpus):
@@ -633,6 +676,117 @@ class TestJobPool:
                                                     r"status 1 before sending its result$"):
                 pool.take(2)
             assert [pool.take(j) for j in (3, 4)] == [9, 16]
+
+    def test_a_result_that_cannot_be_rebuilt_fails_its_own_take_only(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def run(j):
+            if j == 1:
+                raise Unrebuildable("a", "b")
+            return j * j
+
+        with training.JobPool(run, range(4), lambda j: f"job {j}") as pool:
+            assert pool.take(0) == 0
+            with pytest.raises(TrainingError, match=r"^the result of job 1 could not be read: "):
+                pool.take(1)
+            assert [pool.take(j) for j in (2, 3)] == [4, 9]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_child_killed_mid_job_fails_that_take_only_and_is_replaced(self, monkeypatch,
+                                                                         cpus):
+        """Every job after 3 waits for a byte of `gate`, so jobs are still
+        pending when job 3's child dies, whichever child runs faster."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forks = count_forks(monkeypatch)
+        caller = os.getpid()
+        gate, release = os.pipe()
+
+        def run(j):
+            if j == 3 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if j > 3:
+                os.read(gate, 1)
+            return j * j
+
+        try:
+            with training.JobPool(run, range(20), lambda j: f"job {j}") as pool:
+                assert [pool.take(j) for j in range(3)] == [0, 1, 4]
+                with pytest.raises(TrainingError, match=r"^the worker running job 3 was killed "
+                                                        r"by signal 9 before sending its result$"):
+                    pool.take(3)
+                os.write(release, bytes(16))
+                assert [pool.take(j) for j in range(4, 20)] == [j * j for j in range(4, 20)]
+        finally:
+            os.close(gate)
+            os.close(release)
+        assert len(forks) == cpus + 1
+
+    def test_a_child_that_died_idle_is_replaced_and_its_next_job_kept(self, monkeypatch):
+        """Job 0 swaps `os.read` in its child for an exit, so the child
+        ends, having sent its frame, when it goes to read its next job.
+        The pool reads the frame, finds the child dead when it hands it a
+        job, and gives that job to a fresh child instead, failing nothing."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = count_forks(monkeypatch)
+        caller = os.getpid()
+
+        def run(j):
+            if j == 0 and os.getpid() != caller:
+                os.read = lambda fd, n: os._exit(3)
+            return j * j
+
+        with training.JobPool(run, range(4), str) as pool:
+            assert gone_or_zombie(forks[0], within=10)
+            assert [pool.take(j) for j in range(4)] == [0, 1, 4, 9]
+        assert len(forks) == 3
+
+    def test_close_kills_a_hanging_busy_child_and_an_idle_one(self, monkeypatch):
+        """Job 1 hangs for a minute; job 0's child is idle once its result
+        is taken.  `close` returns at once and reaps both."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = count_forks(monkeypatch)
+        begin = time.monotonic()
+        with training.JobPool(lambda j: time.sleep(60) if j else "done", range(2), str) as pool:
+            assert pool.take(0) == "done"
+        assert time.monotonic() - begin < 30
+        assert len(forks) == 2
+
+    def test_children_of_a_pool_whose_owner_died_leave(self, monkeypatch):
+        """A helper process opens a two-CPU pool, takes job 0 and dies
+        without `close`, leaving job 0's child idle and job 1's busy until
+        this test releases it.  The idle child sees EOF on its command
+        pipe and leaves at once; the busy one leaves when its job ends,
+        since writing its frame fails with EPIPE.  Either would wait
+        forever on a sibling that kept a copy of its pipe."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        gate, release = os.pipe()
+        report, tell = os.pipe()
+        helper = os.fork()
+        if helper == 0:
+            code = 1
+            try:
+                forks = count_forks(monkeypatch)  # job 0's child, then job 1's
+                pool = training.JobPool(lambda j: os.read(gate, 1) if j else 0, range(2), str)
+                pool.take(0)
+                os.write(tell, b"".join(pid.to_bytes(4, "little") for pid in forks))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(tell)
+        got = os.read(report, 8)
+        assert os.waitpid(helper, 0)[1] == 0
+        idle, busy = (int.from_bytes(got[k:k + 4], "little") for k in (0, 4))
+        try:
+            assert gone_or_zombie(idle, within=10)
+            assert not gone_or_zombie(busy, within=0)
+            os.write(release, b".")
+            assert gone_or_zombie(busy, within=10)
+        finally:
+            for pid in (idle, busy):  # on failure, leave no orphan behind
+                if not gone_or_zombie(pid, within=0):
+                    os.kill(pid, signal.SIGKILL)
+            for fd in (gate, release, report):
+                os.close(fd)
 
 
 class TestBundles:
