@@ -10,7 +10,7 @@ One JSON run-config drives all four stages against one output directory:
 Layout under --out:
 
     manifest.json            resolved config echo plus derived values
-    vocab.json               vocabulary for every later stage
+    vocab.json               the vocabulary of the config's vocab_size
     train.jsonl dev.jsonl test.jsonl
     models/<method>.json     trained member bundle, stamped with the run
     preds/<method>.jsonl     decoded test predictions, the ones eval scores
@@ -18,7 +18,10 @@ Layout under --out:
     reports/*.csv            calibration, correlation, selection reports
 
 Each file replaces its old version only once it is complete, so a stage
-that fails leaves the previous file or none.
+that fails leaves the previous file or none.  A run directory belongs to
+the config gen-data wrote it for: a later stage refuses it unless
+manifest.json records that config and vocab.json is
+`corpus.make_vocabulary(vocab_size)`.
 
 `train` and `infer` spread their independent jobs, every member of every
 method in `train` and every method's decode in `infer`, over the CPUs the
@@ -69,7 +72,6 @@ from .corpus import (
     read_records,
     read_vocabulary,
     split_corpus,
-    vocabulary_sha256,
     write_records,
     write_vocabulary,
 )
@@ -177,14 +179,9 @@ class RunConfig:
             )
         check_corpus_size(self.n_examples, "config.n_examples")
 
-    def dims(self, vocab) -> ModelDims:
-        return ModelDims(
-            vocab_size=vocab.size,
-            embed_dim=self.model.embed_dim,
-            hidden_dim=self.model.hidden_dim,
-            bos_id=vocab.bos,
-            eos_id=vocab.eos,
-        )
+    def dims(self) -> ModelDims:
+        return ModelDims(vocab_size=self.vocab_size, embed_dim=self.model.embed_dim,
+                         hidden_dim=self.model.hidden_dim)
 
     def method_config(self, method: str) -> MethodConfig:
         m = self.methods
@@ -228,9 +225,8 @@ def load_config(path) -> RunConfig:
     config.posterior_config()
     for method in METHODS:
         config.method_config(method)
-    vocab = make_vocabulary(config.vocab_size)
-    config.dims(vocab)
-    config.task.keyword_ids(vocab)
+    config.dims()
+    config.task.keyword_ids(make_vocabulary(config.vocab_size))
     return config
 
 
@@ -249,7 +245,6 @@ class SplitSizes:
 class Derived:
     task_seed: int
     keyword_ids: tuple[int, ...]
-    vocab_sha256: str
     splits: SplitSizes
 
 
@@ -297,12 +292,13 @@ class OutDir:
         os.makedirs(self.path(*parts) if parts else self.root, exist_ok=True)
 
 
-def check_manifest(config: RunConfig, out: OutDir, vocab=None) -> bytes:
-    """manifest.json's bytes, refused when they record another config or,
-    when `vocab` is given, another vocabulary than `vocab`."""
+def check_manifest(config: RunConfig, out: OutDir) -> bytes:
+    """manifest.json's bytes, refused when they record another config."""
     blob = Path(out.manifest).read_bytes()
-    payload = parse_json(blob, out.manifest)
-    manifest = from_json(Manifest, payload, "manifest")
+    try:
+        manifest = from_json(Manifest, parse_json(blob, out.manifest), "manifest")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{out.manifest}: {exc}") from exc
     differ = [f.name for f in fields(RunConfig)
               if getattr(manifest.config, f.name) != getattr(config, f.name)]
     if differ:
@@ -310,21 +306,21 @@ def check_manifest(config: RunConfig, out: OutDir, vocab=None) -> bytes:
             f"{out.root} belongs to another config (it differs in {', '.join(differ)}); "
             "use that config or another --out"
         )
-    if vocab is not None and manifest.derived.vocab_sha256 != vocabulary_sha256(vocab):
-        raise ValidationError(f"{out.vocab} is not the vocabulary {out.manifest} records")
     return blob
 
 
-def open_run(config: RunConfig, out: OutDir):
-    """The vocabulary of a run directory that belongs to `config`, and the
-    directory's run stamp: the SHA-256 of manifest.json's bytes followed by
-    train.jsonl's.  The manifest records the config and vocab.json's
-    digest, so the stamp names the config, the vocabulary and the train
-    split; a bundle stores the stamp of the run that trained it."""
-    vocab = read_vocabulary(out.vocab)
-    stamp = hashlib.sha256(check_manifest(config, out, vocab))
+def open_run(config: RunConfig, out: OutDir) -> str:
+    """The run stamp of a run directory that belongs to `config`: the
+    SHA-256 of manifest.json's bytes followed by train.jsonl's.  The
+    manifest records the config, and vocab.json must be the vocabulary of
+    its vocab_size, so the stamp names the config, the vocabulary and the
+    train split; a bundle stores the stamp of the run that trained it."""
+    stamp = hashlib.sha256(check_manifest(config, out))
+    if read_vocabulary(out.vocab) != make_vocabulary(config.vocab_size):
+        raise ValidationError(
+            f"{out.vocab} is not the vocabulary of vocab_size {config.vocab_size}")
     stamp.update(Path(out.split("train")).read_bytes())
-    return vocab, stamp.hexdigest()
+    return stamp.hexdigest()
 
 
 def _resolve_methods(arg: str) -> list[str]:
@@ -359,7 +355,6 @@ def cmd_gen_data(config: RunConfig, out: OutDir) -> None:
         write_records(part, out.split(name))
     manifest = Manifest(config, Derived(
         task_seed=config.task_seed(), keyword_ids=config.task.keyword_ids(vocab),
-        vocab_sha256=vocabulary_sha256(vocab),
         splits=SplitSizes(train=len(train), dev=len(dev), test=len(test))))
     write_text(out.manifest, (json.dumps(to_json(manifest), indent=2, sort_keys=True), "\n"))
     print(f"wrote {len(records)} {config.task.kind} examples to {out.root} "
@@ -368,10 +363,10 @@ def cmd_gen_data(config: RunConfig, out: OutDir) -> None:
 
 def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
     methods = _resolve_methods(method_arg)
-    vocab, stamp = open_run(config, out)
-    dims = config.dims(vocab)
-    train_rows = split_rows(read_records(out.split("train"), vocab.size), dims)
-    dev_rows = split_rows(read_records(out.split("dev"), vocab.size), dims)
+    stamp = open_run(config, out)
+    dims = config.dims()
+    train_rows = split_rows(read_records(out.split("train"), config.vocab_size), dims)
+    dev_rows = split_rows(read_records(out.split("dev"), config.vocab_size), dims)
     out.ensure("models")
     configs = {method: config.method_config(method) for method in methods}
     with member_pool(train_rows, dims, config.train,
@@ -389,8 +384,8 @@ def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
 
 def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> None:
     methods = _resolve_methods(method_arg)
-    vocab, stamp = open_run(config, out)
-    examples = read_records(out.split(split), vocab.size)
+    stamp = open_run(config, out)
+    examples = read_records(out.split(split), config.vocab_size)
 
     def decode(method):
         bundle_path = out.model_bundle(method)
@@ -507,8 +502,8 @@ def _summary_rows(headlines: dict, gaps: list) -> list[tuple]:
 
 
 def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
-    vocab, _ = open_run(config, out)
-    test = read_records(out.split("test"), vocab.size)
+    open_run(config, out)
+    test = read_records(out.split("test"), config.vocab_size)
     if method_arg is None:
         methods = [m for m in METHODS if os.path.exists(out.predictions(m))]
         if not methods:

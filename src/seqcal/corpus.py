@@ -1,8 +1,11 @@
 """Synthetic sequence-to-sequence corpora and their JSONL serialization.
 
-Tokens are plain integer ids into an explicit `Vocabulary`; no text
-processing happens anywhere.  Three task kinds with graded difficulty are
-provided:
+Tokens are plain integer ids; no text processing happens anywhere.  This
+module is the one home of their layout: pad, bos and eos are `PAD_ID`,
+`BOS_ID` and `EOS_ID` (0, 1, 2) and content ids start at 3, so a
+vocabulary follows from its size alone.  `make_vocabulary` is the only
+code that writes the layout; vocab.json stores just the symbols.  Three
+task kinds with graded difficulty are provided:
 
   copy              reference is the input's first `output_len` tokens,
                     in ascending id order
@@ -29,7 +32,6 @@ arguments produce byte-identical corpora on any machine.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +46,9 @@ TokenSeq = tuple[int, ...]
 
 TASK_KINDS = ("copy", "keyword-extract", "noisy-paraphrase")
 
+# The token layout of every vocabulary; content ids follow eos.
+PAD_ID, BOS_ID, EOS_ID = 0, 1, 2
+
 # The fewest records whose 80/10/10 split leaves no part empty: dev gets
 # floor(0.1 n) of them.
 MIN_CORPUS_SIZE = 10
@@ -51,56 +56,26 @@ MIN_CORPUS_SIZE = 10
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense token inventory with reserved padding/begin/end symbols; its
-    fields are the keys of vocab.json."""
+    """The symbols of vocab.json, one per id, in the layout `make_vocabulary`
+    writes; its one field is the file's one key."""
 
     symbols: tuple[str, ...]
-    pad: int
-    bos: int
-    eos: int
-
-    def __post_init__(self):
-        if len(self.symbols) < 4:
-            raise ConfigurationError(
-                f"vocabulary needs at least 4 symbols, got {len(self.symbols)}"
-            )
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ConfigurationError("vocabulary symbols must be distinct")
-        specials = (self.pad, self.bos, self.eos)
-        for name, idx in zip(("pad", "bos", "eos"), specials):
-            if not isinstance(idx, int) or not 0 <= idx < len(self.symbols):
-                raise ConfigurationError(f"{name} id {idx!r} outside 0..{len(self.symbols) - 1}")
-        if len(set(specials)) != 3:
-            raise ConfigurationError("pad, bos, and eos ids must be distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
 
     @property
     def content_ids(self) -> TokenSeq:
-        """Ids usable inside inputs and references (everything non-special)."""
-        specials = {self.pad, self.bos, self.eos}
-        return tuple(i for i in range(self.size) if i not in specials)
+        """Ids usable inside inputs and references, every id after eos."""
+        return tuple(range(EOS_ID + 1, len(self.symbols)))
 
 
 def make_vocabulary(size: int) -> Vocabulary:
-    """Standard layout: pad=0, bos=1, eos=2, content symbols w3..w{size-1}."""
-    symbols = ("<pad>", "<bos>", "<eos>") + tuple(f"w{i}" for i in range(3, size))
-    return Vocabulary(symbols=symbols, pad=0, bos=1, eos=2)
+    """The vocabulary of `size` ids: <pad>, <bos> and <eos> at PAD_ID,
+    BOS_ID and EOS_ID, then content symbols w3..w{size-1}."""
+    symbols = ("<pad>", "<bos>", "<eos>") + tuple(f"w{i}" for i in range(EOS_ID + 1, size))
+    return Vocabulary(symbols=symbols)
 
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:
-    write_text(path, (vocabulary_json(vocab), "\n"))
-
-
-def vocabulary_json(vocab: Vocabulary) -> str:
-    return json.dumps(to_json(vocab), separators=(",", ":"))
-
-
-def vocabulary_sha256(vocab: Vocabulary) -> str:
-    """Stable digest of the canonical vocabulary serialization."""
-    return hashlib.sha256(vocabulary_json(vocab).encode("utf-8")).hexdigest()
+    write_text(path, (json.dumps(to_json(vocab), separators=(",", ":")), "\n"))
 
 
 def read_vocabulary(path) -> Vocabulary:

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TokenSeq
+from .corpus import BOS_ID, EOS_ID, TokenSeq
 from .errors import ConfigurationError, NumericalStateError, ValidationError
 from .model import (
     TrainedModel,
@@ -177,7 +177,7 @@ def step_distributions(members, ctxs, prefixes, *, run_seed: int, example_ids, s
         units = [(0, None, k) for k in range(config.be_size)]
     else:
         units = [(i, None, 0) for i in range(len(members))]
-    bos = np.full(prefixes.shape[:2] + (1,), dims.bos_id)
+    bos = np.full(prefixes.shape[:2] + (1,), BOS_ID)
     states = [sum_embeddings(m.embed, np.concatenate([bos, prefixes], axis=2))
               for m in members]
     total = np.zeros(prefixes.shape[:2] + (dims.vocab_size,))
@@ -222,8 +222,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
     if n == 0:
         return ()
     width = config.max_len
-    eos = dims.eos_id
-    content = np.array([v for v in range(dims.vocab_size) if v != eos])
+    content = np.array([v for v in range(dims.vocab_size) if v != EOS_ID])
     ctxs = [np.stack([sum_embeddings(m.embed, x) for x in inputs]) for m in members]
     rows = np.arange(n)[:, None]
     tokens = np.full((n, 1, width), -1)
@@ -240,7 +239,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
         logd = np.log(dists)
         # eos closes every hypothesis from length 1 on; at the cap it is forced
         if step > 0:
-            closed.append((tokens, logps, totals, logd[:, :, eos]))
+            closed.append((tokens, logps, totals, logd[:, :, EOS_ID]))
         if step == width:
             break
         live = tokens.shape[1]

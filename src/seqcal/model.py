@@ -24,6 +24,9 @@ Heads modify this skeleton:
   dropout          inverted dropout on the hidden activation only, active
                    for the mc-dropout method variants
 
+Token ids follow `corpus`'s layout (`BOS_ID` opens every prefix state,
+`EOS_ID` closes every reference), so `ModelDims` holds only shapes.
+
 A member's arrays are declared once, in `Member`, in the order its
 bundle stores them; `TrainedModel` is a `Member` plus the cards its
 bundle holds once.  `trainable` names the arrays SGD updates by field
@@ -61,6 +64,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .corpus import BOS_ID, EOS_ID
 from .errors import (
     ConfigurationError,
     InputError,
@@ -93,25 +97,18 @@ def is_deep_ensemble(method: str) -> bool:
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Shape card for one model, including the special ids decoding needs."""
+    """Shape card for one model; its tokens follow `corpus`'s layout, so
+    at least one content id follows the special ids."""
 
     vocab_size: int
     embed_dim: int = 16
     hidden_dim: int = 32
-    bos_id: int = 1
-    eos_id: int = 2
 
     def __post_init__(self):
         if self.vocab_size < 4:
             raise ConfigurationError(f"vocab_size must be >= 4, got {self.vocab_size}")
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ConfigurationError("embed_dim and hidden_dim must be >= 1")
-        for name in ("bos_id", "eos_id"):
-            idx = getattr(self, name)
-            if not 0 <= idx < self.vocab_size:
-                raise ConfigurationError(f"{name} {idx} outside 0..{self.vocab_size - 1}")
-        if self.bos_id == self.eos_id:
-            raise ConfigurationError("bos_id and eos_id must differ")
 
 
 @dataclass(frozen=True)
@@ -458,11 +455,10 @@ def mean_field_logits(logits, variances, factor: float) -> np.ndarray:
     factor=0 returns the logits unchanged, since sqrt(1 + 0 * v) is exactly
     1 for finite v.  Variances broadcast against the logits, so a row's
     variance, shared across its classes, carries a trailing axis of length
-    one; negative variances are a numerical-state error.
+    one; negative variances are a numerical-state error.  The factor is
+    `SngpConfig.mean_field_factor`, which is never negative.
     """
     logits = np.asarray(logits, dtype=float)
-    if factor < 0.0:
-        raise ConfigurationError(f"mean-field factor must be nonnegative, got {factor}")
     variances = np.asarray(variances, dtype=float)
     if np.any(variances < 0.0):
         raise NumericalStateError(
@@ -521,10 +517,10 @@ def build_rows(examples, dims: ModelDims) -> RowStructure:
         end = start + len(ex.reference) + 1
         np.add.at(ctx_weights, (start, list(ex.input)), 1)
         ctx_weights[start + 1:end] = ctx_weights[start]
-        np.add.at(prefix_weights, (np.arange(start, end), (dims.bos_id, *ex.reference)), 1)
+        np.add.at(prefix_weights, (np.arange(start, end), (BOS_ID, *ex.reference)), 1)
         np.cumsum(prefix_weights[start:end], axis=0, dtype=count_type,
                   out=prefix_weights[start:end])
-        targets[start:end] = (*ex.reference, dims.eos_id)
+        targets[start:end] = (*ex.reference, EOS_ID)
         spans.append((start, end))
         start = end
     return RowStructure(ctx_weights, prefix_weights, targets, tuple(spans))

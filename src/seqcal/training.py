@@ -35,8 +35,9 @@ another stamp; each member's arrays must have the shapes of a fresh
 `init_model` of the stored method and dims.  Each array is stored as its
 shape and the base64 of its raw float64 bytes (see `schema`), so floats
 survive a round trip bit for bit and no weight becomes a Python float on
-either side.  Format 5 introduced that encoding; a bundle of an earlier
-format is refused by its version.
+either side.  Format 5 introduced that encoding and format 6 dropped the
+special token ids from the dims card (they are `corpus`'s constants); a
+bundle of an earlier format is refused by its version.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from .model import (
 from .rng import derive_seed, stream
 from .schema import from_json, parse_json, to_json, write_text
 
-BUNDLE_FORMAT_VERSION = 5
+BUNDLE_FORMAT_VERSION = 6
 
 # Cross-entropy this far above any legitimate value means the run has
 # diverged even when saturation keeps every float finite.
@@ -424,7 +425,7 @@ def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:
 class BundleFile:
     """A whole bundle as stored; `members` comes last, as the streamed
     writer needs.  `run_sha256` is the stamp of the run directory whose
-    config, vocabulary and train split trained the members."""
+    config and train split trained the members."""
 
     format_version: int
     method: MethodConfig

@@ -12,6 +12,8 @@ import struct
 
 import numpy as np
 
+from seqcal.corpus import BOS_ID, EOS_ID
+
 
 def ece_oracle(pairs, k):
     """Scan each (confidence, correct) pair over the bin edges
@@ -173,8 +175,7 @@ def _sum_state(model, tokens):
 def _hidden_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None):
     d = model.dims.embed_dim
     dh = model.dims.hidden_dim
-    bos = model.dims.bos_id
-    z = _sum_state(model, input_tokens) + _sum_state(model, (bos, *prefix_tokens))
+    z = _sum_state(model, input_tokens) + _sum_state(model, (BOS_ID, *prefix_tokens))
     r = [1.0] * dh
     s = [1.0] * (2 * d)
     if model.be is not None:
@@ -303,10 +304,9 @@ def one_example_distributions(members, input_tokens, prefixes, *, run_seed, exam
     else:
         units = [(model, None, 0) for model in members]
     total = np.zeros((len(prefixes), dims.vocab_size))
-    bos = dims.bos_id
     for model, mask, be_member in units:
         ctx = np.array([_sum_state(model, input_tokens)])
-        states = np.array([[_sum_state(model, (bos, *p)) for p in prefixes]])
+        states = np.array([[_sum_state(model, (BOS_ID, *p)) for p in prefixes]])
         total = total + _member_pass(model, ctx, states, mask, be_member)[0]
     return total / len(units)
 
@@ -343,7 +343,6 @@ def package_dist(members, input_tokens, prefix, **kwargs):
 
 def greedy_oracle(members, input_tokens, config, run_seed, example_id):
     """Greedy reference: one path, eos candidates collected along the way."""
-    eos = members[0].dims.eos_id
     vocab = members[0].dims.vocab_size
     prefix = ()
     logps = []
@@ -354,9 +353,9 @@ def greedy_oracle(members, input_tokens, config, run_seed, example_id):
                                    example_id=example_id, step=step)
         logd = np.log(dist)
         if step > 0:
-            candidates.append((tuple(prefix), tuple(logps), total, float(logd[eos])))
+            candidates.append((tuple(prefix), tuple(logps), total, float(logd[EOS_ID])))
         best_v = min(
-            (v for v in range(vocab) if v != eos),
+            (v for v in range(vocab) if v != EOS_ID),
             key=lambda v: (-float(logd[v]), v),
         )
         lp = float(logd[best_v])
@@ -365,7 +364,7 @@ def greedy_oracle(members, input_tokens, config, run_seed, example_id):
         total += lp
     dist = posterior_mean_dist(members, input_tokens, prefix, run_seed=run_seed,
                                example_id=example_id, step=config.max_len)
-    candidates.append((tuple(prefix), tuple(logps), total, float(np.log(dist[eos]))))
+    candidates.append((tuple(prefix), tuple(logps), total, float(np.log(dist[EOS_ID]))))
 
     def key(c):
         tokens, _, tot, eos_lp = c
@@ -376,9 +375,8 @@ def greedy_oracle(members, input_tokens, config, run_seed, example_id):
 
 def exhaustive_oracle(members, input_tokens, config, run_seed, example_id):
     """Score every content sequence up to max_len; independent of search."""
-    eos = members[0].dims.eos_id
     vocab = members[0].dims.vocab_size
-    content = [v for v in range(vocab) if v != eos]
+    content = [v for v in range(vocab) if v != EOS_ID]
     best = None
     best_key = None
     seqs = [()]
@@ -394,7 +392,7 @@ def exhaustive_oracle(members, input_tokens, config, run_seed, example_id):
             logps.append(float(np.log(dist[seq[t]])))
         dist = posterior_mean_dist(members, input_tokens, seq, run_seed=run_seed,
                                    example_id=example_id, step=len(seq))
-        eos_lp = float(np.log(dist[eos]))
+        eos_lp = float(np.log(dist[EOS_ID]))
         key = (-(sum(logps) + eos_lp) / (len(seq) + 1), seq)
         if best_key is None or key < best_key:
             best_key = key
@@ -408,7 +406,6 @@ def beam_oracle(members, input_tokens, config, run_seed, example_id):
     reproduce its records exactly, floats included."""
     from seqcal.inference import PredictionRecord, uncertainty_score
 
-    eos = members[0].dims.eos_id
     vocab = members[0].dims.vocab_size
     # (tokens, per-token log-probs, running total)
     live = [((), (), 0.0)]
@@ -423,9 +420,9 @@ def beam_oracle(members, input_tokens, config, run_seed, example_id):
         candidates = []
         for i, (tokens, logps, total) in enumerate(live):
             if step > 0:
-                completed.append((tokens, logps, total, float(logd[i, eos])))
+                completed.append((tokens, logps, total, float(logd[i, EOS_ID])))
             for v in range(vocab):
-                if v == eos:
+                if v == EOS_ID:
                     continue
                 lp = float(logd[i, v])
                 candidates.append((tokens + (v,), logps + (lp,), total + lp))
@@ -438,7 +435,7 @@ def beam_oracle(members, input_tokens, config, run_seed, example_id):
     )
     logd = np.log(dists)
     for i, (tokens, logps, total) in enumerate(live):
-        completed.append((tokens, logps, total, float(logd[i, eos])))
+        completed.append((tokens, logps, total, float(logd[i, EOS_ID])))
 
     def final_key(item):
         tokens, _, total, eos_lp = item
@@ -488,11 +485,11 @@ def rows_oracle(examples, dims):
         ref = tuple(ex.reference)
         start = len(targets)
         running = np.zeros(v)
-        for t, token in enumerate((dims.bos_id, *ref)):
+        for t, token in enumerate((BOS_ID, *ref)):
             running[token] += 1.0
             ctx_rows.append(ctx)
             prefix_rows.append(running.copy())
-            targets.append(ref[t] if t < len(ref) else dims.eos_id)
+            targets.append(ref[t] if t < len(ref) else EOS_ID)
         spans.append((start, len(targets)))
     return (np.asarray(ctx_rows), np.asarray(prefix_rows),
             np.asarray(targets, dtype=int), tuple(spans))

@@ -48,6 +48,7 @@ from seqcal.cli import (
     main,
 )
 from seqcal.corpus import (
+    BOS_ID,
     ExampleRecord,
     TaskSpec,
     generate_corpus,
@@ -271,7 +272,7 @@ def test_criterion_3_collapse_cases(announce, monkeypatch):
     embed = base.embed
     z = np.stack([
         np.concatenate([sum_embeddings(embed, inp),
-                        sum_embeddings(embed, (dims.bos_id, *prefix))])
+                        sum_embeddings(embed, (BOS_ID, *prefix))])
         for prefix in prefixes
     ])
     want = forward(base, z)["logits"]
@@ -331,12 +332,12 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(training, "spectral_normalize", watch)
-        train_member(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
+        train_member(split_rows(train, cfg.dims()), cfg.dims(),
                      cfg.method_config("sngp"), cfg.train, seed=cfg.train_seed("sngp"))
     spectral_ok = len(sigmas) == cfg.train.steps + 1 and max(sigmas) <= bound * 1.001
 
     rng = np.random.default_rng(77)
-    state = init_model(cfg.dims(vocab), cfg.method_config("sngp"), seed=3).sngp
+    state = init_model(cfg.dims(), cfg.method_config("sngp"), seed=3).sngp
     for _ in range(100):
         h = np.tanh(rng.standard_normal((8, cfg.model.hidden_dim)))
         state = update_precision(state, gp_features(h, state)[1])
@@ -344,7 +345,7 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
     # the exact pass adds positive semidefinite terms to the identity prior
     spd_ok = eigmin >= 1.0 and bool(np.array_equal(state.precision, state.precision.T))
 
-    members = train_method(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
+    members = train_method(split_rows(train, cfg.dims()), cfg.dims(),
                            cfg.method_config("sngp_mcd"),
                            TrainHyper(steps=100, batch_size=16, learning_rate=0.5),
                            seed=cfg.train_seed("sngp_mcd"))
@@ -448,7 +449,7 @@ def _trend_one_seed(global_seed):
     train, _, test = split_corpus(records, seed=cfg.seed)
     out = {}
     for method in ("base", "de"):
-        members = train_method(split_rows(train, cfg.dims(vocab)), cfg.dims(vocab),
+        members = train_method(split_rows(train, cfg.dims()), cfg.dims(),
                                cfg.method_config(method),
                                cfg.train, seed=cfg.train_seed(method))
         preds = decode_corpus(members, test, cfg.posterior_config(),

@@ -27,7 +27,7 @@ from seqcal.cli import (
 )
 import seqcal.cli as cli
 import seqcal.training as training
-from seqcal.corpus import make_vocabulary, read_records, read_vocabulary
+from seqcal.corpus import make_vocabulary, read_records
 from seqcal.errors import ConfigurationError, NumericalStateError, TrainingError
 from seqcal.inference import decode_corpus, read_predictions, write_predictions
 from seqcal.model import METHODS
@@ -564,9 +564,10 @@ class TestExitCodes:
         assert not os.path.exists(fresh)
 
     def test_version_one_bundle_is_one(self, tmp_path, capsys):
-        # versions 1 to 4 stored every array as nested lists; 1 to 3 the
-        # dropout rate, kernel scale and spectral bound; 1 and 2 a
-        # vocabulary hash; 1 also the retired knobs
+        # versions 1 to 5 stored the bos and eos ids in the dims card; 1 to
+        # 4 every array as nested lists; 1 to 3 the dropout rate, kernel
+        # scale and spectral bound; 1 and 2 a vocabulary hash; 1 also the
+        # retired knobs
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
         assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
@@ -581,9 +582,10 @@ class TestExitCodes:
                 return {k: as_lists(v) for k, v in obj.items()}
             return [as_lists(v) for v in obj] if isinstance(obj, list) else obj
 
-        for version in (1, 2, 3, 4):
-            bundle = as_lists(json.loads(current))
+        for version in (1, 2, 3, 4, 5):
+            bundle = json.loads(current) if version == 5 else as_lists(json.loads(current))
             bundle["format_version"] = version
+            bundle["dims"].update(bos_id=1, eos_id=2)
             if version < 4:
                 bundle["method"]["dropout_rate"] = 0.1
                 bundle["method"]["sngp"].update(kernel_scale=1.0, spec_norm_bound=1.0)
@@ -598,7 +600,8 @@ class TestExitCodes:
             assert main(["infer", "--config", cfg_path, "--out", out,
                          "--method", "sngp"]) == 1, version
             err = capsys.readouterr().err
-            assert f"format_version {version}, expected 5" in err, version
+            assert f"{bundle_path}: bundle has format_version {version}, expected 6" in err, \
+                version
             assert "Traceback" not in err, version
             assert not os.path.exists(os.path.join(out, "preds", "sngp.jsonl")), version
 
@@ -718,8 +721,9 @@ def run_tree(out):
 
 class TestRunDirectoryBelongsToOneConfig:
     """A run directory belongs to the config gen-data made it with: a stage
-    run with another config, or against a vocab.json the manifest does not
-    record, exits 1 with the directory byte-for-byte unchanged."""
+    run with another config, or against a vocab.json other than the
+    vocabulary of the config's vocab_size, exits 1 with the directory
+    byte-for-byte unchanged."""
 
     def _refused(self, capsys, argv, out, message):
         before = run_tree(out)
@@ -762,6 +766,29 @@ class TestRunDirectoryBelongsToOneConfig:
         (out / "vocab.json").write_text(json.dumps(vocab))
         self._refused(capsys, ["train", "--config", cfg_path, "--out", str(out),
                                "--method", "base"], out, "is not the vocabulary")
+
+    def test_vocab_storing_the_special_ids_is_refused(self, tmp_path, capsys):
+        # vocab.json stored pad, bos and eos until they became constants
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        path = tmp_path / "run" / "vocab.json"
+        path.write_text(path.read_text()[:-2] + ',"pad":0,"bos":1,"eos":2}\n')
+        self._refused(capsys, ["infer", "--config", cfg_path, "--out", out,
+                               "--method", "base"], tmp_path / "run",
+                      f"vocabulary file {path} has unknown keys ['bos', 'eos', 'pad']")
+
+    @pytest.mark.parametrize("stage", ["gen-data", "train", "eval"])
+    def test_manifest_storing_a_vocabulary_digest_is_refused(self, tmp_path, capsys, stage):
+        # manifests recorded vocab.json's SHA-256 until the vocabulary
+        # became a function of vocab_size
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["derived"]["vocab_sha256"] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        method = ["--method", "base"] if stage == "train" else []
+        self._refused(capsys, [stage, "--config", cfg_path, "--out", out] + method,
+                      tmp_path / "run",
+                      f"{path}: manifest.derived has unknown keys ['vocab_sha256']")
 
     def test_bundle_from_another_run_is_refused(self, tmp_path, capsys):
         # two runs whose configs differ only in seed share one vocabulary,
@@ -911,9 +938,8 @@ class TestEnsembleWorkers:
         assert self.run("train", cfg_path, out, "de") == 0
         assert capsys.readouterr().out.startswith("trained de: 2 member(s), train CE ")
         config = load_config(cfg_path)
-        vocab = read_vocabulary(os.path.join(out, "vocab.json"))
-        dims = config.dims(vocab)
-        rows = split_rows(read_records(os.path.join(out, "train.jsonl"), vocab.size), dims)
+        dims = config.dims()
+        rows = split_rows(read_records(os.path.join(out, "train.jsonl"), config.vocab_size), dims)
         mcfg = config.method_config("de")
         serial = [train_member(rows, dims, mcfg, config.train, s) for s in mcfg.seeds]
         write_bundle(serial, tmp_path / "serial.json", run_stamp(out))
@@ -931,10 +957,9 @@ class TestEnsembleWorkers:
         assert [line.split(":")[0] for line in lines[:7]] == [f"trained {m}" for m in METHODS]
         assert [line.split()[4] for line in lines[7:]] == list(METHODS)
         config = load_config(cfg_path)
-        vocab = read_vocabulary(os.path.join(out, "vocab.json"))
-        dims = config.dims(vocab)
-        rows = split_rows(read_records(os.path.join(out, "train.jsonl"), vocab.size), dims)
-        test = read_records(os.path.join(out, "test.jsonl"), vocab.size)
+        dims = config.dims()
+        rows = split_rows(read_records(os.path.join(out, "train.jsonl"), config.vocab_size), dims)
+        test = read_records(os.path.join(out, "test.jsonl"), config.vocab_size)
         for method in METHODS:
             mcfg = config.method_config(method)
             members = [train_member(rows, dims, mcfg, config.train, s)

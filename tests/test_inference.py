@@ -15,7 +15,7 @@ from oracles import (
     package_rows,
     posterior_mean_dist,
 )
-from seqcal.corpus import ExampleRecord, TaskSpec, generate_corpus, make_vocabulary
+from seqcal.corpus import BOS_ID, ExampleRecord, TaskSpec, generate_corpus, make_vocabulary
 from seqcal.errors import (
     ConfigurationError,
     InputError,
@@ -123,7 +123,7 @@ class TestPosteriorMean:
         dist = package_dist(members, (3, 4), (5,), run_seed=0,
                             example_id="x", step=0)
         ctx = model.embed[3] + model.embed[4]
-        pre = model.embed[model.dims.bos_id] + model.embed[5]
+        pre = model.embed[BOS_ID] + model.embed[5]
         h = np.tanh(model.w_h @ np.concatenate([ctx, pre]) + model.b_h)
         phi = gp_features(h, model.sngp)[1]
         sigma2 = predictive_variance(model.sngp, phi[None, :])
@@ -333,7 +333,7 @@ class TestDecodeCorpus:
 
     def test_deterministic_and_seed_sensitive(self):
         vocab, examples = self._corpus()
-        dims = ModelDims(vocab_size=vocab.size, embed_dim=4, hidden_dim=5)
+        dims = ModelDims(vocab_size=len(vocab.symbols), embed_dim=4, hidden_dim=5)
         cfg = MethodConfig(method="mcd", samples=4)
         members = train_method(split_rows(examples, dims), dims, cfg, TrainHyper(steps=30), seed=3)
         config = PosteriorConfig(beam_size=2, max_len=3)
@@ -347,7 +347,7 @@ class TestDecodeCorpus:
         # every weight is finite, but a saturated hidden layer times a
         # 1e308 output row overflows; decoding must not emit NaN scores
         vocab, examples = self._corpus(n=4)
-        members = make_members("base", vocab=vocab.size)
+        members = make_members("base", vocab=len(vocab.symbols))
         members[0].b_h[:] = 10.0
         members[0].w_o[0] = 1e308
         with np.errstate(over="ignore"), pytest.raises(NumericalStateError,

@@ -13,7 +13,7 @@ from oracles import (
     package_dist,
     rows_oracle,
 )
-from seqcal.corpus import ExampleRecord
+from seqcal.corpus import BOS_ID, EOS_ID, PAD_ID, ExampleRecord, make_vocabulary
 from seqcal.errors import ConfigurationError, InputError, NumericalStateError
 from seqcal.model import (
     DROPOUT_RATE,
@@ -35,6 +35,7 @@ from seqcal.model import (
     update_precision,
 )
 from seqcal.rng import derive_key, derive_seed, stream
+from seqcal.schema import from_json, to_json
 
 
 def small_dims(vocab=8):
@@ -72,12 +73,11 @@ class TestDims:
             ModelDims(vocab_size=3)
 
     def test_special_ids_in_range(self):
-        with pytest.raises(ConfigurationError, match="eos_id"):
-            ModelDims(vocab_size=5, eos_id=5)
-
-    def test_special_ids_distinct(self):
-        with pytest.raises(ConfigurationError, match="differ"):
-            ModelDims(vocab_size=5, bos_id=2, eos_id=2)
+        # the ids are constants, checked here once: distinct, and the
+        # smallest vocabulary ModelDims accepts holds them and a content id
+        ModelDims(vocab_size=4)
+        assert sorted((PAD_ID, BOS_ID, EOS_ID)) == [0, 1, 2]
+        assert make_vocabulary(4).content_ids == (3,)
 
 
 class TestMethodConfig:
@@ -106,8 +106,16 @@ class TestMethodConfig:
     def test_sngp_knob_ranges(self):
         with pytest.raises(ConfigurationError, match="rff_dim"):
             SngpConfig(rff_dim=0)
+
+    def test_negative_factor_rejected(self):
+        # the one check of the factor `mean_field_logits` scales by, made
+        # both for a config and for the method card a bundle stores
         with pytest.raises(ConfigurationError, match="mean_field_factor"):
             SngpConfig(mean_field_factor=-1e-4)
+        card = to_json(MethodConfig(method="sngp"))
+        card["sngp"]["mean_field_factor"] = -1.0
+        with pytest.raises(ConfigurationError, match="mean_field_factor"):
+            from_json(MethodConfig, card, "bundle.method")
 
     @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters", "kernel_scale",
                                       "spec_norm_bound"])
@@ -171,7 +179,7 @@ class TestInit:
 def z_row(model, inp, prefix):
     """[summed input embeddings; summed embeddings of bos and the prefix]."""
     embed = model.embed
-    state = embed[[model.dims.bos_id, *prefix]].sum(axis=0)
+    state = embed[[BOS_ID, *prefix]].sum(axis=0)
     return np.concatenate([embed[list(inp)].sum(axis=0), state])
 
 
@@ -216,7 +224,7 @@ class TestForward:
         m = init_model(dims, MethodConfig(method="base"), seed=7)
         inp = (3, 4)
         ctx = m.embed[3] + m.embed[4]
-        bos = m.embed[dims.bos_id]
+        bos = m.embed[BOS_ID]
         for prefix, state in (((), bos), ((5,), bos + m.embed[5]),
                               ((5, 5, 6), bos + m.embed[5] + m.embed[5] + m.embed[6])):
             want = forward(m, np.concatenate([ctx, state]))["logits"]
@@ -591,17 +599,13 @@ class TestMeanFieldLogits:
         with pytest.raises(NumericalStateError, match="negative"):
             mean_field_logits(np.ones(3), np.array([-0.1]), 1.0)
 
-    def test_negative_factor_rejected(self):
-        with pytest.raises(ConfigurationError, match="factor"):
-            mean_field_logits(np.ones(3), np.ones(1), -1.0)
-
 
 class TestRowStructure:
     def test_single_example_layout(self):
         dims = small_dims()
         ex = ExampleRecord(id="a", input=(3, 4), reference=(5, 6))
         rows = build_rows([ex], dims)
-        assert rows.targets.tolist() == [5, 6, dims.eos_id]
+        assert rows.targets.tolist() == [5, 6, EOS_ID]
         assert rows.row_spans == ((0, 3),)
         # context weights: a count of one on each input token, every row
         want_ctx = np.zeros(8)
@@ -611,7 +615,7 @@ class TestRowStructure:
         # prefix weights: bos in every row, plus the counts of the first t
         # reference tokens
         want_prefix = np.zeros((3, 8))
-        want_prefix[:, dims.bos_id] = 1.0
+        want_prefix[:, BOS_ID] = 1.0
         want_prefix[1:, 5] = 1.0
         want_prefix[2, 6] = 1.0
         assert np.array_equal(rows.prefix_weights, want_prefix)
@@ -620,7 +624,7 @@ class TestRowStructure:
         # ragged references, a zero-length one among them, and inputs up
         # to 8 long with repeated tokens
         rng = np.random.default_rng(8)
-        dims = ModelDims(vocab_size=23, bos_id=1, eos_id=2)
+        dims = ModelDims(vocab_size=23)
         for _ in range(50):
             examples = [SimpleNamespace(
                 input=tuple(rng.integers(3, 23, size=int(rng.integers(1, 9))).tolist()),
@@ -632,7 +636,7 @@ class TestRowStructure:
     def test_counts_past_255_widen_and_do_not_wrap(self):
         # one token 300 times in an input, another 299 times in a
         # reference: one byte would wrap both to 44 and 43
-        dims = ModelDims(vocab_size=23, bos_id=1, eos_id=2)
+        dims = ModelDims(vocab_size=23)
         examples = [SimpleNamespace(input=(7,) * 300 + (4,), reference=(5, 6)),
                     SimpleNamespace(input=(3, 8), reference=(9,) * 299)]
         rows = build_rows(examples, dims)
@@ -656,7 +660,7 @@ class TestRowStructure:
         ]
         terms = []
         for ex in examples:
-            seq = tuple(ex.reference) + (dims.eos_id,)
+            seq = tuple(ex.reference) + (EOS_ID,)
             for t, target in enumerate(seq):
                 out = forward_oracle(m, ex.input, tuple(ex.reference)[:t])
                 shifted = out - out.max()
@@ -677,7 +681,7 @@ class TestRowStructure:
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=12))
         m = init_model(dims, cfg, seed=33)
         ex = ExampleRecord(id="a", input=(3, 4), reference=(5, 6))
-        seq = (5, 6, dims.eos_id)
+        seq = (5, 6, EOS_ID)
         terms = []
         for t, target in enumerate(seq):
             out = forward_oracle(m, ex.input, seq[:t])

@@ -46,6 +46,7 @@ from seqcal.model import (
 )
 from seqcal.schema import from_json, to_json
 from seqcal.training import (
+    BUNDLE_FORMAT_VERSION,
     LOSS_CHUNK_ROWS,
     TrainHyper,
     _batch_rows,
@@ -72,7 +73,7 @@ def copy_corpus(n=120, seed=0):
 
 
 def dims_for(vocab):
-    return ModelDims(vocab_size=vocab.size, embed_dim=6, hidden_dim=8)
+    return ModelDims(vocab_size=len(vocab.symbols), embed_dim=6, hidden_dim=8)
 
 
 def rows_for(vocab, examples):
@@ -110,7 +111,7 @@ class TestTrainMember:
         initial = evaluate_loss(init_model(dims, cfg, seed=1), rows)
         final = evaluate_loss(model, rows)
         assert final < initial - 0.1
-        assert final < math.log(vocab.size)
+        assert final < math.log(len(vocab.symbols))
         assert len(model.loss_history) == 300
         assert all(math.isfinite(loss) for loss in model.loss_history)
 
@@ -252,7 +253,7 @@ def chunked_split(vocab_size, n_examples):
     vocab = make_vocabulary(vocab_size)
     spec = TaskSpec(kind="copy", input_len=3, output_len=3)
     examples = generate_corpus(spec, n_examples, vocab, seed=2)
-    dims = ModelDims(vocab_size=vocab.size, embed_dim=6, hidden_dim=8)
+    dims = ModelDims(vocab_size=len(vocab.symbols), embed_dim=6, hidden_dim=8)
     return examples, dims, split_rows(examples, dims)
 
 
@@ -338,7 +339,7 @@ class TestNarrowCounts:
         vocab = make_vocabulary(60)
         spec = TaskSpec(kind="noisy-paraphrase", input_len=8, output_len=6, noise_rate=0.3)
         examples = generate_corpus(spec, 80, vocab, seed=5)
-        dims = ModelDims(vocab_size=vocab.size, embed_dim=4, hidden_dim=8)
+        dims = ModelDims(vocab_size=len(vocab.symbols), embed_dim=4, hidden_dim=8)
         narrow = split_rows(examples, dims)
         assert narrow.ctx_weights.dtype == np.uint8
         assert narrow.ctx_weights.max() > 1
@@ -373,7 +374,7 @@ class TestBatchRows:
         vocab = make_vocabulary(12)
         spec = TaskSpec(kind="keyword-extract", input_len=6, output_len=4, num_keywords=4)
         examples = generate_corpus(spec, 60, vocab, seed=3)
-        structure = split_rows(examples, ModelDims(vocab_size=vocab.size))
+        structure = split_rows(examples, ModelDims(vocab_size=len(vocab.symbols)))
         assert len({b - a for a, b in structure.row_spans}) > 1
         order = np.random.default_rng(1)
         spans = np.asarray(structure.row_spans)
@@ -970,7 +971,7 @@ def _gp_members(method, seeds=()):
     two steps so that their arrays hold full-precision floats."""
     vocab = make_vocabulary(20)
     examples = generate_corpus(TaskSpec(kind="copy", input_len=3, output_len=3), 40, vocab, 0)
-    dims = ModelDims(vocab_size=vocab.size)
+    dims = ModelDims(vocab_size=len(vocab.symbols))
     config = MethodConfig(method=method, seeds=seeds, sngp=SngpConfig(rff_dim=128))
     return train_method(split_rows(examples, dims), dims, config, TrainHyper(steps=2), seed=0)
 
@@ -1128,6 +1129,54 @@ class TestBundleLayout:
             for name in names:
                 value = getattr(value, name)
             assert value is array, path
+
+
+# The stored layout of bundle format 6, by dotted key path, in file order.
+# A change to `ModelDims`, `MethodConfig`, `SngpConfig`, `Member` or a head
+# moves these paths and is a new format: bump BUNDLE_FORMAT_VERSION and
+# write the new table, so a bundle of the old layout is refused by its
+# version rather than by its unknown keys.
+FORMAT_6_HEAD = ["format_version", "method", "dims", "run_sha256", "members"]
+FORMAT_6_CARDS = {
+    "dims": ["vocab_size", "embed_dim", "hidden_dim"],
+    "method": ["method", "samples", "be_size", "sngp.rff_dim", "sngp.mean_field_factor",
+               "seeds"],
+}
+FORMAT_6_BODY = ["seed", "loss_history", "embed", "w_h", "b_h", "w_o", "b_o"]
+FORMAT_6_GP = ["sngp.w_r", "sngp.b_r", "sngp.beta", "sngp.precision", "sngp.covariance_valid"]
+FORMAT_6_MEMBERS = {
+    "base": FORMAT_6_BODY + ["be", "sngp"],
+    "mcd": FORMAT_6_BODY + ["be", "sngp"],
+    "be": FORMAT_6_BODY + ["be.r", "be.s", "sngp"],
+    "sngp": FORMAT_6_BODY + ["be"] + FORMAT_6_GP,
+    "sngp_mcd": FORMAT_6_BODY + ["be"] + FORMAT_6_GP,
+    "de": FORMAT_6_BODY + ["be", "sngp"],
+    "sngp_de": FORMAT_6_BODY + ["be"] + FORMAT_6_GP,
+}
+
+
+def key_paths(obj, prefix=""):
+    """Dotted key paths of a parsed JSON object, in order; an encoded array,
+    a scalar or a null is a leaf."""
+    paths = []
+    for key, value in obj.items():
+        if isinstance(value, dict) and value.keys() != {"shape", "f8"}:
+            paths += key_paths(value, f"{prefix}{key}.")
+        else:
+            paths.append(prefix + key)
+    return paths
+
+
+class TestBundleFormat:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_stored_layout_is_format_6(self, tmp_path, method):
+        _, payload = fresh_bundle(tmp_path, method)
+        assert payload["format_version"] == BUNDLE_FORMAT_VERSION == 6
+        assert list(payload) == FORMAT_6_HEAD
+        for card, paths in FORMAT_6_CARDS.items():
+            assert key_paths(payload[card]) == paths, card
+        for member in payload["members"]:
+            assert key_paths(member) == FORMAT_6_MEMBERS[method]
 
 
 class TestRunStamp:
