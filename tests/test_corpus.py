@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -37,6 +38,10 @@ def keyword_filter_oracle(tokens, keyword_ids, cap):
     return tuple(int(t) for t in np.sort(arr[mask][:cap]))
 
 
+def file_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestVocabulary:
     def test_standard_layout(self):
         v = make_vocabulary(8)
@@ -45,16 +50,25 @@ class TestVocabulary:
             "<pad>", "<bos>", "<eos>")
         assert v.content_ids == (3, 4, 5, 6, 7)
 
-    def test_file_bytes_are_pinned(self, tmp_path):
-        # open_run compares vocab.json with make_vocabulary, and users read
-        # the file, so its bytes must not move; it reads back unchanged
-        v = make_vocabulary(20)
+    def test_round_trip_and_hash(self, tmp_path):
+        v = make_vocabulary(12)
         path = tmp_path / "vocab.json"
         write_vocabulary(v, path)
+        loaded = read_vocabulary(path)
+        assert loaded == v
+        write_vocabulary(loaded, tmp_path / "again.json")
+        assert file_sha256(tmp_path / "again.json") == file_sha256(path)
+
+    def test_sha256_is_pinned(self, tmp_path):
+        # open_run compares vocab.json with make_vocabulary, and users read
+        # the file, so its bytes must not move
+        path = tmp_path / "vocab.json"
+        write_vocabulary(make_vocabulary(20), path)
         assert path.read_text() == (
             '{"symbols":["<pad>","<bos>","<eos>",' + ",".join(f'"w{i}"' for i in range(3, 20))
             + ']}\n')
-        assert read_vocabulary(path) == v
+        assert file_sha256(path) == (
+            "707021dc2eba27e2cde2a84f1e75077c12fc36ef5063ff13944d517ae9301e2e")
 
     def test_read_rejects_extra_keys(self, tmp_path):
         # vocab.json stored the special ids until they became constants

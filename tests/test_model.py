@@ -73,11 +73,16 @@ class TestDims:
             ModelDims(vocab_size=3)
 
     def test_special_ids_in_range(self):
-        # the ids are constants, checked here once: distinct, and the
-        # smallest vocabulary ModelDims accepts holds them and a content id
+        # the smallest vocabulary ModelDims accepts holds the special ids
+        # and a content id
         ModelDims(vocab_size=4)
-        assert sorted((PAD_ID, BOS_ID, EOS_ID)) == [0, 1, 2]
+        assert max(PAD_ID, BOS_ID, EOS_ID) < 4
         assert make_vocabulary(4).content_ids == (3,)
+
+    def test_special_ids_distinct(self):
+        assert sorted((PAD_ID, BOS_ID, EOS_ID)) == [0, 1, 2]
+        symbols = make_vocabulary(4).symbols
+        assert len({symbols[PAD_ID], symbols[BOS_ID], symbols[EOS_ID]}) == 3
 
 
 class TestMethodConfig:
