@@ -238,12 +238,15 @@ def write_records(records, path) -> None:
 
 
 def read_records(path, vocab_size: int) -> list[ExampleRecord]:
-    """Read a JSONL corpus whose token ids all lie in 0..vocab_size-1,
-    reporting the line number on any malformed row."""
+    """Read a JSONL corpus of at least one record whose token ids all lie
+    in 0..vocab_size-1, reporting the line number on any malformed row."""
     def in_vocabulary(rec: ExampleRecord) -> None:
         for name in ("input", "reference"):
             top = max(getattr(rec, name))
             if top >= vocab_size:
                 raise ValidationError(f"{name} token id {top} outside 0..{vocab_size - 1}")
 
-    return read_jsonl(path, ExampleRecord, in_vocabulary)
+    records = read_jsonl(path, ExampleRecord, in_vocabulary)
+    if not records:
+        raise ParseError(f"{path}: a split file needs at least one record")
+    return records

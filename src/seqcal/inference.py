@@ -45,8 +45,10 @@ process decodes them all), and writes the same records.
 `step_distributions` is the one routine that forms a decode step's
 posterior-mean rows, the only place the methods differ: the search calls
 it once per step, max_len + 1 times per decode, with the (examples, live,
-step) token array of every live prefix; a prefix's state sums the
-embeddings of bos and its tokens (`model.sum_embeddings`).
+step) token array of every live prefix and, for the dropout methods, the
+step's slice of the masks it drew once per decode, one stream per
+example; a prefix's state sums the embeddings of bos and its tokens
+(`model.sum_embeddings`).
 
 `sequence_logp` is log P = sum_t log pbar(y_t) + log pbar(eos), that of
 emitting exactly the tokens and then stopping.  Its exp is the sequence
@@ -78,7 +80,7 @@ from .model import (
     predictive_variance,
     sum_embeddings,
 )
-from .rng import derive_seeds
+from .rng import derive_seed
 from .rouge import score_quality
 from .schema import read_jsonl, write_jsonl
 
@@ -125,8 +127,8 @@ class JoinedRecord(PredictionRecord):
 
 def _member_pass(model: TrainedModel, ctx, states, mask, be_member: int) -> np.ndarray:
     """Probability rows (n, live, vocab) for one stochastic unit over every
-    live prefix of every example: ctx (n, d), states (n, live, d), and an
-    optional per-example dropout mask (n, hidden).
+    live prefix of every example: ctx (n, d), states (n, live, d), and
+    optional per-example dropout keep flags (n, hidden).
 
     The matmuls, the predictive variance's included, take stacked
     (n, live, K) operands, so BLAS runs once per example at the (live, K)
@@ -150,29 +152,20 @@ def _member_pass(model: TrainedModel, ctx, states, mask, be_member: int) -> np.n
     return _softmax_rows(logits.reshape(n * live, -1)).reshape(n, live, -1)
 
 
-def step_distributions(members, ctxs, prefixes, *, run_seed: int, example_ids, step: int):
+def step_distributions(members, ctxs, prefixes, masks):
     """Posterior-mean next-token rows (n, live, vocab) for the prefixes
     (n, live, step): the mean of the member pass over every stochastic
     unit.  ctxs holds one (n, d) context array per member model, and each
     member's prefix states are `sum_embeddings` of bos followed by the
-    prefix, in its own embeddings.
-
-    Dropout samples draw one mask per (example, step, sample index), shared
-    by all of that example's prefixes, so hypotheses inside one beam step
-    see the same subnetwork and remain comparable.  Each mask is the start
-    of the stream keyed by derive_seed(run_seed, "mcd", example id, step,
-    sample), the same draws whether an example is decoded alone or in a
-    batch (`derive_seeds` hashes the shared (run_seed, "mcd") head once
-    per sample); the step's (samples, examples, hidden) masks come from one
-    batched `dropout_mask` call.
+    prefix, in its own embeddings.  masks holds the step's (n, samples,
+    hidden) dropout keep flags for the mc-dropout methods (None for the
+    others): sample m's mask of an example is shared by all of its
+    prefixes, so hypotheses inside one beam step see the same subnetwork
+    and remain comparable.
     """
     config = members[0].config
-    dims = members[0].dims
     if dropout_active(config.method):
-        seeds = [derive_seeds((run_seed, "mcd"), example_ids, (step, m))
-                 for m in range(config.samples)]
-        masks = dropout_mask(seeds, dims.hidden_dim)
-        units = [(0, sample_masks, 0) for sample_masks in masks]
+        units = [(0, masks[:, m], 0) for m in range(config.samples)]
     elif config.method == "be":
         units = [(0, None, k) for k in range(config.be_size)]
     else:
@@ -180,7 +173,7 @@ def step_distributions(members, ctxs, prefixes, *, run_seed: int, example_ids, s
     bos = np.full(prefixes.shape[:2] + (1,), BOS_ID)
     states = [sum_embeddings(m.embed, np.concatenate([bos, prefixes], axis=2))
               for m in members]
-    total = np.zeros(prefixes.shape[:2] + (dims.vocab_size,))
+    total = np.zeros(prefixes.shape[:2] + (members[0].dims.vocab_size,))
     for i, mask, be_member in units:
         total += _member_pass(members[i], ctxs[i], states[i], mask, be_member)
     return total / len(units)
@@ -212,7 +205,15 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
     Every example has the same live count at every step, so the arrays
     stay rectangular.  Unused token positions hold -1, so a hypothesis
     sorts before its extensions, as tuples do.  Each step makes one
-    `step_distributions` call over every live prefix of every example.
+    `step_distributions` call over every live prefix of every example,
+    and the candidates are the content ids, never pad or bos.
+
+    A dropout decode draws each example's masks once, from one stream:
+    `dropout_mask` of derive_seed(run_seed, "mcd", example id) with shape
+    (max_len + 1, samples, hidden), so mask (step, sample) is the next
+    `hidden` draws of that stream.  An example's masks are the same
+    whatever it is decoded with, and a shorter max_len reads a prefix of
+    them.
     """
     members = check_members(members, "posterior")
     dims = members[0].dims
@@ -222,16 +223,20 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
     if n == 0:
         return ()
     width = config.max_len
-    content = np.array([v for v in range(dims.vocab_size) if v != EOS_ID])
+    content = np.arange(EOS_ID + 1, dims.vocab_size)
     ctxs = [np.stack([sum_embeddings(m.embed, x) for x in inputs]) for m in members]
+    masks = None
+    if dropout_active(members[0].config.method):
+        masks = dropout_mask([derive_seed(run_seed, "mcd", i) for i in example_ids],
+                             (width + 1, members[0].config.samples, dims.hidden_dim))
     rows = np.arange(n)[:, None]
     tokens = np.full((n, 1, width), -1)
     logps = np.zeros((n, 1, width))
     totals = np.zeros((n, 1))
     closed = []  # (tokens, logps, totals, eos log-prob) for each step from 1 on
     for step in range(width + 1):
-        dists = step_distributions(members, ctxs, tokens[:, :, :step], run_seed=run_seed,
-                                   example_ids=example_ids, step=step)
+        dists = step_distributions(members, ctxs, tokens[:, :, :step],
+                                   None if masks is None else masks[:, step])
         if not np.all(dists > 0.0):
             raise NumericalStateError(
                 f"{members[0].config.method} posterior probability underflowed to 0 "

@@ -71,7 +71,7 @@ from .errors import (
     NumericalStateError,
     ValidationError,
 )
-from .rng import derive_key, philox_random, stream
+from .rng import stream
 
 METHODS = ("base", "mcd", "be", "sngp", "sngp_mcd", "de", "sngp_de")
 
@@ -302,23 +302,21 @@ def sum_embeddings(embed: np.ndarray, tokens) -> np.ndarray:
 
 
 def dropout_mask(seeds, shape) -> np.ndarray:
-    """Inverted-dropout masks at DROPOUT_RATE: kept units scaled by
-    1/(1-DROPOUT_RATE).
+    """Dropout keep flags at DROPOUT_RATE, one boolean mask of `shape`
+    per seed, so an array of seeds gives `np.shape(seeds) + shape`.
 
-    The mask of a seed holds the draws of
-    `stream(seed, "dropout-mask").random(shape)`.  A single seed (a
-    training step's rows x hidden mask) draws them from that stream; an
-    array of seeds (a decode step's samples x examples) draws every mask in
-    one `philox_random` batch, giving shape `np.shape(seeds) + shape`.
+    The mask of a seed is the start of `stream(seed, "dropout-mask")`: a
+    unit is kept where its draw of `.random(shape)` is >= DROPOUT_RATE.
+    `forward` scales the kept units by 1/(1-DROPOUT_RATE).  A training
+    step draws one (rows, hidden) mask; a decode draws one
+    (steps, samples, hidden) mask per example, seed by seed, so only the
+    flags of the whole array are held.
     """
-    if np.ndim(seeds) == 0:
-        draws = stream(seeds, "dropout-mask").random(shape)
-    else:
-        seeds = np.asarray(seeds, dtype=object)
-        shape = tuple(np.atleast_1d(shape).tolist())
-        keys = [derive_key(seed, "dropout-mask") for seed in seeds.flat]
-        draws = philox_random(keys, math.prod(shape)).reshape(seeds.shape + shape)
-    return (draws >= DROPOUT_RATE).astype(float) / (1.0 - DROPOUT_RATE)
+    seeds = np.asarray(seeds, dtype=object)
+    keep = np.empty(seeds.shape + tuple(np.atleast_1d(shape).tolist()), dtype=bool)
+    for i, seed in np.ndenumerate(seeds):
+        keep[i] = stream(seed, "dropout-mask").random(keep.shape[seeds.ndim:]) >= DROPOUT_RATE
+    return keep
 
 
 def gp_features(h: np.ndarray, state: SngpState):
@@ -336,14 +334,15 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
     """The model body on z rows of any leading shape (..., 2d).
 
     be_member picks the batch-ensemble member (default 0; ignored without
-    fast weights) and mask, when given, is an inverted-dropout mask that
-    broadcasts against the hidden activation.  Returns the pre-activation
-    "a", the tanh activation "h_raw", the masked activation "h", "logits",
-    and the gaussian-process features "phi" (None for the linear head).
-    For the backward pass, the gaussian-process head adds its cosine
-    argument "u", and batch-ensemble passes add the member index
-    "be_member", its fast weights "r_k"/"s_k", the scaled input "zs" and
-    the pre-modulation product "pre".
+    fast weights) and mask, when given, holds `dropout_mask` keep flags
+    that broadcast against the hidden activation: inverted dropout keeps
+    a unit scaled by 1/(1-DROPOUT_RATE).  Returns the pre-activation "a",
+    the tanh activation "h_raw", the masked activation "h", "logits", the
+    gaussian-process features "phi" (None for the linear head) and the
+    scaled mask "mask" (None without one).  For the backward pass, the
+    gaussian-process head adds its cosine argument "u", and batch-ensemble
+    passes add the member index "be_member", its fast weights "r_k"/"s_k",
+    the scaled input "zs" and the pre-modulation product "pre".
     """
     out = {}
     if model.be is None:
@@ -357,15 +356,17 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
         pre = zs @ model.w_h.T
         a = pre * r_k + model.b_h
         out.update(be_member=k, r_k=r_k, s_k=s_k, zs=zs, pre=pre)
-    h_raw = np.tanh(a)
-    h = h_raw if mask is None else h_raw * mask
+    h = h_raw = np.tanh(a)
+    if mask is not None:
+        mask = mask / (1.0 - DROPOUT_RATE)
+        h = h_raw * mask
     if model.sngp is None:
         logits, phi = h @ model.w_o.T, None
         logits += model.b_o
     else:
         out["u"], phi = gp_features(h, model.sngp)
         logits = phi @ model.sngp.beta.T
-    out.update(a=a, h_raw=h_raw, h=h, logits=logits, phi=phi)
+    out.update(a=a, h_raw=h_raw, h=h, logits=logits, phi=phi, mask=mask)
     return out
 
 
@@ -547,7 +548,7 @@ def _forward_rows(model: TrainedModel, structure: RowStructure, rows, *,
     if dropout_seed is not None and dropout_active(model.config.method):
         mask = dropout_mask(dropout_seed, (len(z), model.dims.hidden_dim))
     cache = forward(model, z, be_member=be_member, mask=mask)
-    cache.update(ctx_w=ctx_w, pre_w=pre_w, z=z, mask=mask)
+    cache.update(ctx_w=ctx_w, pre_w=pre_w, z=z)
     return cache
 
 

@@ -12,6 +12,7 @@ import struct
 
 import numpy as np
 
+import seqcal.model
 from seqcal.corpus import BOS_ID, EOS_ID
 
 
@@ -140,8 +141,9 @@ def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None
     Mirrors the documented architecture directly: summed embeddings, the
     tanh hidden layer (modulated by the batch-ensemble member's fast
     weights, a_i = r_i * sum_j w_ij s_j z_j + b_i, member 0 by default),
-    an optional inverted-dropout mask multiplied into each hidden unit,
-    then either the linear output layer or the cosine feature head.
+    optional dropout keep flags (a kept unit scaled by 1/(1-rate), a
+    dropped one zeroed), then either the linear output layer or the
+    cosine feature head.
     """
     hidden = _hidden_oracle(model, input_tokens, prefix_tokens, mask, be_member)
     if model.sngp is None:
@@ -189,7 +191,7 @@ def _hidden_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None
             pre += float(model.w_h[i, j]) * s[j] * z[j]
         h = math.tanh(r[i] * pre + float(model.b_h[i]))
         if mask is not None:
-            h *= float(mask[i])
+            h = h / (1.0 - seqcal.model.DROPOUT_RATE) if mask[i] else 0.0
         hidden.append(h)
     return hidden
 
@@ -279,25 +281,29 @@ def one_example_distributions(members, input_tokens, prefixes, *, run_seed, exam
 
     Contexts and prefix states are forward_oracle's running sums, bos
     first in a prefix.  The units are one dropout pass per sample (member
-    0, the mask drawn from the stream keyed by (run_seed, "mcd", example
-    id, step, sample) and shared by every prefix), one pass per
-    batch-ensemble member, or one pass per model.  The rows are the mean of
-    the unit passes, summed in unit order.  Each unit's pass is
-    `_member_pass`, whose forward pass forward_oracle checks.
+    0, with a mask shared by every prefix), one pass per batch-ensemble
+    member, or one pass per model.  The rows are the mean of the unit
+    passes, summed in unit order.  Each unit's pass is `_member_pass`,
+    whose forward pass forward_oracle checks.
+
+    The example's masks are one stream, keyed by (run_seed, "mcd",
+    example id), read `hidden` draws per mask in (step, sample) order:
+    mask (t, m) is the slice [(t*S + m)*H, (t*S + m + 1)*H) of its draws,
+    a unit kept where its draw is >= the dropout rate.
     """
-    import seqcal.model
     from seqcal.inference import _member_pass
     from seqcal.rng import derive_seed, stream
 
     config = members[0].config
     dims = members[0].dims
     if config.method in ("mcd", "sngp_mcd"):
-        rate = seqcal.model.DROPOUT_RATE
+        h = dims.hidden_dim
+        seed = derive_seed(run_seed, "mcd", example_id)
         units = []
         for m in range(config.samples):
-            seed = derive_seed(run_seed, "mcd", example_id, step, m)
-            draws = stream(seed, "dropout-mask").random(dims.hidden_dim)
-            mask = (draws >= rate).astype(float) / (1.0 - rate)
+            start = (step * config.samples + m) * h
+            draws = stream(seed, "dropout-mask").random(start + h)[start:]
+            mask = draws >= seqcal.model.DROPOUT_RATE
             units.append((members[0], mask[None], 0))
     elif config.method == "be":
         units = [(members[0], None, k) for k in range(config.be_size)]
@@ -320,16 +326,21 @@ def posterior_mean_dist(members, input_tokens, prefix, *, run_seed, example_id, 
 
 def package_rows(members, input_tokens, prefixes, *, run_seed, example_id, step):
     """The package's posterior-mean rows for one example's equal-length
-    prefixes, from one step_distributions call, as the batched decoder
-    makes it; asserts they equal one_example_distributions to the last
-    bit."""
+    prefixes, from one step_distributions call with the step's slice of
+    the example's decode masks, as the batched decoder makes it; asserts
+    they equal one_example_distributions to the last bit."""
     from seqcal.inference import step_distributions
-    from seqcal.model import sum_embeddings
+    from seqcal.model import dropout_active, dropout_mask, sum_embeddings
+    from seqcal.rng import derive_seed
 
+    config = members[0].config
     ctxs = [sum_embeddings(m.embed, input_tokens)[None] for m in members]
     tokens = np.array([tuple(p) for p in prefixes], dtype=int)[None]
-    rows = step_distributions(members, ctxs, tokens, run_seed=run_seed,
-                              example_ids=(example_id,), step=step)[0]
+    masks = None
+    if dropout_active(config.method):
+        shape = (step + 1, config.samples, members[0].dims.hidden_dim)
+        masks = dropout_mask([derive_seed(run_seed, "mcd", example_id)], shape)[:, step]
+    rows = step_distributions(members, ctxs, tokens, masks)[0]
     oracle = one_example_distributions(members, input_tokens, prefixes, run_seed=run_seed,
                                        example_id=example_id, step=step)
     assert np.array_equal(rows, oracle)
@@ -355,7 +366,7 @@ def greedy_oracle(members, input_tokens, config, run_seed, example_id):
         if step > 0:
             candidates.append((tuple(prefix), tuple(logps), total, float(logd[EOS_ID])))
         best_v = min(
-            (v for v in range(vocab) if v != EOS_ID),
+            range(EOS_ID + 1, vocab),
             key=lambda v: (-float(logd[v]), v),
         )
         lp = float(logd[best_v])
@@ -376,7 +387,7 @@ def greedy_oracle(members, input_tokens, config, run_seed, example_id):
 def exhaustive_oracle(members, input_tokens, config, run_seed, example_id):
     """Score every content sequence up to max_len; independent of search."""
     vocab = members[0].dims.vocab_size
-    content = [v for v in range(vocab) if v != EOS_ID]
+    content = range(EOS_ID + 1, vocab)
     best = None
     best_key = None
     seqs = [()]
@@ -421,9 +432,7 @@ def beam_oracle(members, input_tokens, config, run_seed, example_id):
         for i, (tokens, logps, total) in enumerate(live):
             if step > 0:
                 completed.append((tokens, logps, total, float(logd[i, EOS_ID])))
-            for v in range(vocab):
-                if v == EOS_ID:
-                    continue
+            for v in range(EOS_ID + 1, vocab):
                 lp = float(logd[i, v])
                 candidates.append((tokens + (v,), logps + (lp,), total + lp))
         candidates.sort(key=lambda c: (-c[2], c[0]))

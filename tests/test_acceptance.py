@@ -517,17 +517,20 @@ def test_criterion_7_ensemble_trend(announce):
 # SHA-256 of every file criterion 8 compares, pinned once the model
 # inputs became plain sums of embeddings (bos first in a prefix state), the
 # references canonical and the sequence confidence exp(log P(tokens, eos)).
+# The mcd prediction digest and those of the reports with mcd rows (and
+# summary.csv's ranks) were re-pinned when a decode's dropout masks became
+# one stream per example instead of one per (example, step, sample).
 # A speedup must leave every one of them unchanged, so a last-bit drift in
 # any stage fails here even though both runs of one tree would agree.
 PIPELINE_SHA256 = {
-    "preds/mcd.jsonl": "813c7fb228fad8f1bddaf9fd9b8a9515537c4d5b2bccbaa03f75385d1d207bbd",
+    "preds/mcd.jsonl": "6fca1411e99d63071a72f2ca6fdf05be0d8c3d460b0b0729b5434d681afa01c2",
     "preds/sngp.jsonl": "90122ffa36878acf2f784cda201fbf331e3c750c4cab5fe4eebf5047adebff0c",
     "preds/de.jsonl": "8c2772b41e0fbfe358954885622123a3c0361b9b966793fcf5231f59f93d4b2e",
-    "reports/ece.csv": "fe0c4a5d568c79083b0c25d5e4a0abdac2e210a1516d8391ed8962109f06a065",
-    "reports/corr.csv": "5fbf2bba5a835a2dc72376d19ced3bdcc96ae01a3391bdb8369aa6cec25b47fb",
-    "reports/roc.csv": "16b0162415086f76008fd20e4feeb220ebf821ee5d07c8a6b1a545da12fbb428",
-    "reports/abstention.csv": "5678d8aa17ea68d38cc7ef8a2187e48aa1bbb7fc6fad203b45962ea55f092019",
-    "reports/summary.csv": "b03264ac4e8a24a068c74d276bbbccfa9755404f54dfa6192a0f939ca2c5f612",
+    "reports/ece.csv": "aa2ff0e934fca572be944295ef1f187c0687c18be2181e4409979818fbd4d9ed",
+    "reports/corr.csv": "2a34251dfcc133820042828eab0573f4dfc487058c06d965cdfc18512776a351",
+    "reports/roc.csv": "5c8918d3fdf2f4601e2f8bf1816c399a39b7b75e7da11a6429c8d500b3e646a5",
+    "reports/abstention.csv": "0cc20bc9535272ec18abab978e6fbefefe90e401517a3dd8f956feeb4e56f76e",
+    "reports/summary.csv": "4fea3d386e34db8d12a91b3805d766dc9e49f5052ea4e3b2f0740c3cf4c2d174",
     "reports/gaps.csv": "643a8b2c3e786188b8973848661109d4a4955360b9555c100b1cdfb96d996702",
 }
 

@@ -456,6 +456,27 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert tree() == before
+
+    @pytest.mark.parametrize("stage, name", [
+        ("train", "dev.jsonl"),
+        ("infer", "test.jsonl"),
+        ("eval", "test.jsonl"),
+    ], ids=["empty-dev-train", "empty-test-infer", "empty-test-eval"])
+    def test_empty_split_file_is_one(self, tmp_path, capsys, stage, name):
+        # a split file with no records is malformed, not a zero-example run
+        cfg_path = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        method = ["--method", "base"]
+        assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+        for earlier in {"train": [], "infer": ["train"], "eval": ["train", "infer"]}[stage]:
+            assert main([earlier, "--config", cfg_path, "--out", str(out)] + method) == 0
+        (out / name).write_bytes(b"")
+        capsys.readouterr()
+        code = main([stage, "--config", cfg_path, "--out", str(out)]
+                    + (method if stage != "eval" else []))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "needs at least one record" in err
         assert list(out.rglob("*.tmp")) == []
 
     def test_bad_task_kind_is_one(self, tmp_path):

@@ -128,11 +128,12 @@ def test_oracle_sees_a_changed_prefix_state(trained, examples, monkeypatch):
 
 def test_uniform_rows_pick_smallest_tokens(examples):
     # uniform rows score every closed hypothesis log(1/VOCAB) exactly,
-    # whatever its length, so the token order decides and (0,) sorts first
+    # whatever its length, so the token order decides and (3,), the
+    # first content id, sorts first: pad and bos are never candidates
     members = untrained("base", zero=True)
     config = CONFIGS["beam3"]
     for rec in decode_corpus(members, examples[:5], config, RUN_SEED):
-        assert rec.hypothesis == (0,)
+        assert rec.hypothesis == (3,)
         assert rec.token_logp == (float(np.log(1.0 / VOCAB)),)
 
 

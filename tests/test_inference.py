@@ -90,10 +90,11 @@ class TestPosteriorMean:
         members = make_members("mcd", seed=4, samples=6)
         dist = package_dist(members, (3, 4), (), run_seed=9,
                             example_id="ex-7", step=2)
+        # step 2's masks follow steps 0 and 1 in the example's one stream
+        masks = dropout_mask(derive_seed(9, "mcd", "ex-7"), (3, 6, 5))[2]
         acc = np.zeros(6)
         for m in range(6):
-            mask = dropout_mask(derive_seed(9, "mcd", "ex-7", 2, m), 5)
-            acc += softmax(forward_oracle(members[0], (3, 4), (), mask=mask))
+            acc += softmax(forward_oracle(members[0], (3, 4), (), mask=masks[m]))
         assert np.allclose(dist, acc / 6, atol=1e-12)
 
     def test_batch_ensemble_average(self):
@@ -156,12 +157,17 @@ class TestPosteriorMean:
         assert np.allclose(both[1], solo, atol=1e-12)
 
     def test_step_changes_masks(self):
+        # a step keeps all 2 x 5 units with probability 0.9**10 ~ 0.35, so
+        # two steps can share their masks; across 8 examples most do not
         members = make_members("mcd", seed=4, samples=2)
-        a = package_dist(members, (3, 4), (5,), run_seed=2,
-                         example_id="e", step=0)
-        b = package_dist(members, (3, 4), (5,), run_seed=2,
-                         example_id="e", step=1)
-        assert not np.allclose(a, b, atol=1e-15)
+        changed = 0
+        for i in range(8):
+            a = package_dist(members, (3, 4), (5,), run_seed=2,
+                             example_id=f"e{i}", step=0)
+            b = package_dist(members, (3, 4), (5,), run_seed=2,
+                             example_id=f"e{i}", step=1)
+            changed += not np.array_equal(a, b)
+        assert changed >= 4
 
     def test_member_validation(self):
         config = PosteriorConfig()
@@ -188,8 +194,8 @@ class TestPosteriorMean:
         members = make_members(method, seed=8, **kwargs)
         units = [(m, {}) for m in members]
         if method in ("mcd", "sngp_mcd"):
-            units = [(members[0], {"mask": dropout_mask(derive_seed(3, "mcd", "u", 1, k), 5)})
-                     for k in range(3)]
+            masks = dropout_mask(derive_seed(3, "mcd", "u"), (2, 3, 5))[1]
+            units = [(members[0], {"mask": masks[k]}) for k in range(3)]
         elif method == "be":
             units = [(members[0], {"be_member": k}) for k in range(3)]
         want = sum(softmax(forward_oracle(m, (3, 4, 1), (5, 0), **kw)) for m, kw in units)
@@ -199,19 +205,49 @@ class TestPosteriorMean:
 
 
 class TestDropoutDraws:
-    def test_one_mask_draw_per_decode_step(self, monkeypatch):
+    def test_one_mask_draw_per_decode(self, monkeypatch):
+        """A decode draws every example's masks in one call, one seed per
+        example and (max_len + 1, samples, hidden) draws per seed."""
         members = make_members("mcd", seed=4, samples=3)
         examples = [ExampleRecord(id=f"e{i}", input=(3, 4 + i % 2), reference=(3,))
                     for i in range(5)]
         draws = []
 
         def counted(seeds, shape):
-            draws.append(np.shape(seeds))
+            draws.append((np.shape(seeds), shape))
             return dropout_mask(seeds, shape)
 
         monkeypatch.setattr(inference, "dropout_mask", counted)
         decode_corpus(members, examples, PosteriorConfig(beam_size=2, max_len=4), run_seed=9)
-        assert draws == [(3, 5)] * 5
+        assert draws == [((5,), (5, 3, 5))]
+
+    def test_masks_are_the_examples_own(self, monkeypatch):
+        """An example's masks at each step are the same whatever it is
+        decoded with, and a shorter max_len reads a prefix of them."""
+        members = make_members("mcd", seed=4, samples=3)
+        examples = [ExampleRecord(id=f"e{i}", input=(3, 4 + i % 2), reference=(3,))
+                    for i in range(5)]
+        seen = []
+        original = inference.step_distributions
+
+        def watched(members, ctxs, prefixes, masks):
+            seen.append(masks)
+            return original(members, ctxs, prefixes, masks)
+
+        monkeypatch.setattr(inference, "step_distributions", watched)
+
+        def masks_by_id(batch, max_len):
+            seen.clear()
+            decode_corpus(members, batch, PosteriorConfig(beam_size=2, max_len=max_len),
+                          run_seed=9)
+            return {ex.id: np.stack([step[i] for step in seen]) for i, ex in enumerate(batch)}
+
+        full = masks_by_id(examples, 4)
+        assert full["e0"].shape == (5, 3, 5)
+        for batch, max_len in ((examples[::-1], 4), (examples[3:4], 4), (examples[1::2], 2)):
+            for ex_id, masks in masks_by_id(batch, max_len).items():
+                assert np.array_equal(masks, full[ex_id][: max_len + 1])
+        assert not np.array_equal(full["e0"], full["e1"])
 
 
 class TestBeamDecode:
@@ -287,9 +323,10 @@ class TestBeamDecode:
         seen_steps = []
         original = inference.step_distributions
 
-        def watched(members, ctxs, prefixes, **kwargs):
-            dists = original(members, ctxs, prefixes, **kwargs)
-            seen_steps.append(kwargs["step"])
+        def watched(members, ctxs, prefixes, masks):
+            dists = original(members, ctxs, prefixes, masks)
+            seen_steps.append(prefixes.shape[2])
+            assert masks.shape == (1, 3, 5)
             assert dists.shape == prefixes.shape[:2] + (6,)
             assert np.all(np.abs(dists.sum(axis=2) - 1.0) < 1e-9)
             return dists

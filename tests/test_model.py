@@ -335,11 +335,16 @@ class TestSumEmbeddings:
 
 class TestDropoutMask:
     def test_inverted_scaling_values(self):
-        mask = dropout_mask(5, 1000)
-        kept = mask[mask > 0]
-        assert np.array_equal(kept, np.full(kept.size, 1.0 / (1.0 - DROPOUT_RATE)))
+        # forward keeps a unit scaled by 1/(1-rate) and zeroes the rest
+        m = init_model(small_dims(), MethodConfig(method="mcd"), seed=21)
+        z = np.random.default_rng(3).standard_normal((1000, 2 * m.dims.embed_dim))
+        keep = dropout_mask(5, (1000, m.dims.hidden_dim))
+        out = forward(m, z, mask=keep)
+        assert np.array_equal(out["mask"][keep], np.full(keep.sum(), 1.0 / (1.0 - DROPOUT_RATE)))
+        assert np.array_equal(out["h"], out["h_raw"] * out["mask"])
+        assert np.all(out["h"][~keep] == 0.0)
         # keep probability should be near 1 - rate
-        assert abs(kept.size / 1000 - (1.0 - DROPOUT_RATE)) < 0.05
+        assert abs(keep.mean() - (1.0 - DROPOUT_RATE)) < 0.05
 
     def test_deterministic_per_seed(self):
         assert np.array_equal(dropout_mask(9, 64), dropout_mask(9, 64))
@@ -358,7 +363,7 @@ class TestDropoutMask:
             dropout_mask(seed + 1, shapes[(i + 1) % len(shapes)])
             got = dropout_mask(seed, shape)
             assert got.shape == shape
-            assert np.array_equal(got, keep.astype(float) / (1.0 - DROPOUT_RATE))
+            assert np.array_equal(got, keep)
             key = derive_key(seed, "dropout-mask")
             assert key >> 64 != 0
             top_bit += key >> 127
