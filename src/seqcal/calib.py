@@ -16,7 +16,8 @@ ROC-AUC for separating good from bad outputs at a quality threshold
 (Mann-Whitney form, ties count one half), and abstention curves that drop
 the most uncertain fraction of records and track mean quality of the rest.
 Means over retained qualities use math.fsum, so their value does not
-depend on summation order.
+depend on summation order.  K and the fractions are this module's
+constants `ECE_BINS` and `ALPHAS`, not arguments.
 """
 
 from __future__ import annotations
@@ -54,18 +55,10 @@ class BootstrapResult:
     resamples_failed: int
 
 
-def check_bins(bins: int) -> int:
-    """Expected calibration error needs at least one bin."""
-    if bins < 1:
-        raise ConfigurationError(f"ece bins must be >= 1, got {bins}")
-    return bins
-
-
-def ece(pairs, bins: int) -> float:
-    """Expected calibration error over `bins` equal-width bins
+def ece(pairs) -> float:
+    """Expected calibration error over the K = `ECE_BINS` equal-width bins
     ((k-1)/K, k/K]; `pairs` is a (confidences, correct flags) pair of
     equal-length arrays, as sequence_pairs and token_pairs return."""
-    k = check_bins(bins)
     conf, corr = (np.asarray(side, dtype=float) for side in pairs)
     if not len(conf):
         raise MetricError("ece needs at least one scored pair")
@@ -73,16 +66,16 @@ def ece(pairs, bins: int) -> float:
     if outside.any():
         raise MetricError(f"pair confidence {float(conf[outside][0])} "
                           "outside the half-open interval (0, 1]")
-    bounds = np.arange(1, k + 1) / k
+    bounds = np.arange(1, ECE_BINS + 1) / ECE_BINS
     # side='left' puts p in the first bin whose upper edge satisfies p <= k/K,
     # using the same float comparisons a scan over the edges would use.
     idx = np.searchsorted(bounds, conf, side="left")
-    counts = np.bincount(idx, minlength=k)
-    conf_sums = np.bincount(idx, weights=conf, minlength=k)
-    corr_sums = np.bincount(idx, weights=corr, minlength=k)
+    counts = np.bincount(idx, minlength=ECE_BINS)
+    conf_sums = np.bincount(idx, weights=conf, minlength=ECE_BINS)
+    corr_sums = np.bincount(idx, weights=corr, minlength=ECE_BINS)
     n = len(conf)
     total = 0.0
-    for b in range(k):
+    for b in range(ECE_BINS):
         if counts[b] == 0:
             continue
         gap = abs(conf_sums[b] / counts[b] - corr_sums[b] / counts[b])
@@ -241,40 +234,24 @@ def roc_auc(u, quality, theta: float) -> float:
     return wins / (n_good * n_bad)
 
 
-def check_alphas(alphas) -> tuple[float, ...]:
-    """Abstention fractions as floats: at least one, each in [0, 1), sorted
-    ascending."""
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas:
-        raise ConfigurationError("abstention needs at least one alpha")
-    for a in alphas:
-        if not 0.0 <= a < 1.0:
-            raise ConfigurationError(f"abstention alpha must lie in [0, 1), got {a}")
-    if list(alphas) != sorted(alphas):
-        raise ConfigurationError("abstention alphas must be sorted ascending")
-    return alphas
-
-
-def abstention_curve(records, quality_key: str, alphas) -> tuple[float, ...]:
+def abstention_curve(records, quality_key: str) -> tuple[float, ...]:
     """Mean retained quality after dropping the most uncertain records, one
-    value per alpha.
+    value per alpha of `ALPHAS`.
 
     Records are ordered by uncertainty ascending (lowest u = most
     uncertain), ties broken by record id; at each alpha the floor(alpha*n)
-    lowest-u records are removed.  Alphas must be sorted ascending and lie
-    in [0, 1).
+    lowest-u records are removed.
     """
     records = list(records)
     if not records:
         raise MetricError("abstention curve needs at least one record")
     if quality_key not in QUALITY_KEYS:
         raise ConfigurationError(f"unknown quality metric {quality_key!r}")
-    alphas = check_alphas(alphas)
     ordered = sorted(records, key=lambda r: (r.uncertainty, r.id))
     qualities = [r.quality[quality_key] for r in ordered]
     n = len(qualities)
     return tuple(math.fsum(qualities[drop:]) / (n - drop)
-                 for drop in (int(math.floor(a * n)) for a in alphas))
+                 for drop in (int(math.floor(a * n)) for a in ALPHAS))
 
 
 def write_csv(path, header: str, rows) -> None:

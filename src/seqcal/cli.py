@@ -406,7 +406,8 @@ def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> No
 
     # Each method is one job; the ones with the most member passes per
     # decode step go first, the GP methods first among equals.
-    jobs = sorted(methods, key=lambda m: (-config.method_config(m).decode_passes, not uses_gp(m)))
+    jobs = sorted(methods,
+                  key=lambda m: (-len(config.method_config(m).decode_units), not uses_gp(m)))
     with JobPool(decode, jobs, lambda method: f"{method} decoding") as pool:
         for method in methods:
             preds = pool.take(method)
@@ -426,54 +427,47 @@ REPORTS = {
 }
 
 
-def _eval_one_method(method, joined, config: RunConfig, gaps):
-    """All metric rows for one method; failures become gap entries."""
-    resamples = config.eval.bootstrap_resamples
+def _eval_one_method(method, joined, config: RunConfig, gaps) -> dict:
+    """{report: rows} of one method; a metric undefined on these records
+    adds one gaps entry instead of its rows."""
     rows = {report: [] for report in REPORTS}
-    headline = {}
-    for level, pairs in (("sequence", sequence_pairs(joined)), ("token", token_pairs(joined))):
+
+    def add(report, key, tails):
         try:
-            value = ece(pairs, ECE_BINS)
-            rows["ece"].append((method, level, ECE_BINS, value))
-            if level == "sequence":
-                headline["ece"] = value
+            rows[report].extend((method, key, *tail) for tail in tails())
         except MetricError as exc:
-            gaps.append((method, "ece", level, str(exc)))
+            gaps.append((method, report, key, str(exc)))
+
+    for level, pairs in (("sequence", sequence_pairs(joined)), ("token", token_pairs(joined))):
+        add("ece", level, lambda: [(ECE_BINS, ece(pairs))])
     u = [r.uncertainty for r in joined]
+    resamples = config.eval.bootstrap_resamples
     for metric in QUALITY_KEYS:
         q = [r.quality[metric] for r in joined]
-        seed = config.bootstrap_seed(method, metric)
-        try:
-            boot = bootstrap_std(u, q, resamples, seed)
-            rows["corr"].append((method, metric, boot.rho, boot.std, resamples, seed))
-            if metric == "rougeL":
-                headline["rho"] = boot.rho
-        except MetricError as exc:
-            gaps.append((method, "corr", metric, str(exc)))
-        theta = THRESHOLDS[metric]
-        try:
-            auc = roc_auc(u, q, theta)
-            rows["roc"].append((method, metric, theta, auc))
-            if metric == "rougeL":
-                headline["auc"] = auc
-        except MetricError as exc:
-            gaps.append((method, "roc", metric, str(exc)))
-        try:
-            values = abstention_curve(joined, metric, ALPHAS)
-            rows["abstention"].extend((method, metric, alpha, value)
-                                      for alpha, value in zip(ALPHAS, values))
-        except MetricError as exc:
-            gaps.append((method, "abstention", metric, str(exc)))
-    return rows, headline
+        seed, theta = config.bootstrap_seed(method, metric), THRESHOLDS[metric]
+        add("corr", metric, lambda: [(boot.rho, boot.std, resamples, seed)
+                                     for boot in [bootstrap_std(u, q, resamples, seed)]])
+        add("roc", metric, lambda: [(theta, roc_auc(u, q, theta))])
+        add("abstention", metric, lambda: zip(ALPHAS, abstention_curve(joined, metric)))
+    return rows
 
 
-# (headline, its summary.csv value and rank columns, sign that makes lower
-# better)
-SUMMARY_COLUMNS = (("ece", "ece_sequence", "rank_ece", 1.0),
-                   ("rho", "spearman_rougeL", "rank_spearman", -1.0),
-                   ("auc", "auc_rougeL", "rank_auc", -1.0))
-SUMMARY_HEADER = ",".join(("method", *(value for _, value, _, _ in SUMMARY_COLUMNS),
-                           *(rank for _, _, rank, _ in SUMMARY_COLUMNS), "mean_rank"))
+# Each summary headline is one report row's value: (report, row key, the
+# report column holding the headline, its summary.csv value and rank
+# columns, sign that makes lower better).
+SUMMARY_COLUMNS = (("ece", "sequence", "ece", "ece_sequence", "rank_ece", 1.0),
+                   ("corr", "rougeL", "rho", "spearman_rougeL", "rank_spearman", -1.0),
+                   ("roc", "rougeL", "auc", "auc_rougeL", "rank_auc", -1.0))
+SUMMARY_HEADER = ",".join(("method", *(column[3] for column in SUMMARY_COLUMNS),
+                           *(column[4] for column in SUMMARY_COLUMNS), "mean_rank"))
+
+
+def _headline(rows: dict) -> dict:
+    """{headline: value} of one method's report rows; a headline whose row
+    is missing, a gap, is absent."""
+    return {name: row[REPORTS[report].split(",").index(name)]
+            for report, key, name, *_ in SUMMARY_COLUMNS
+            for row in rows[report] if row[1] == key}
 
 
 def _summary_rows(headlines: dict, gaps: list) -> list[tuple]:
@@ -483,7 +477,7 @@ def _summary_rows(headlines: dict, gaps: list) -> list[tuple]:
     entry, and absent values leave empty cells."""
     methods = list(headlines)
     ranks = {m: {} for m in methods}
-    for name, _, rank_name, sign in SUMMARY_COLUMNS:
+    for _, _, name, _, rank_name, sign in SUMMARY_COLUMNS:
         missing = [m for m in methods if name not in headlines[m]]
         if missing:
             gaps.append(("all", "summary", rank_name, f"{name} is undefined for "
@@ -495,8 +489,8 @@ def _summary_rows(headlines: dict, gaps: list) -> list[tuple]:
     rows = []
     for m in methods:
         mean_rank = sum(ranks[m].values()) / len(ranks[m]) if ranks[m] else None
-        rows.append((m, *(headlines[m].get(name) for name, *_ in SUMMARY_COLUMNS),
-                     *(ranks[m].get(name) for name, *_ in SUMMARY_COLUMNS), mean_rank))
+        rows.append((m, *(headlines[m].get(column[2]) for column in SUMMARY_COLUMNS),
+                     *(ranks[m].get(column[2]) for column in SUMMARY_COLUMNS), mean_rank))
     rows.sort(key=lambda r: (r[-1] is None, r[-1] or 0.0, r[0]))
     return rows
 
@@ -522,13 +516,13 @@ def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
     gaps = []
     headlines = {}
     for method in methods:
-        joined = join_with_references(read_predictions(out.predictions(method)), test)
-        rows, headline = _eval_one_method(method, joined, config, gaps)
+        joined = join_with_references(
+            read_predictions(out.predictions(method), config.vocab_size), test)
+        rows = _eval_one_method(method, joined, config, gaps)
         for key in all_rows:
             all_rows[key].extend(rows[key])
-        headlines[method] = headline
-        shown = {k: f"{v:.4f}" for k, v in headline.items()}
-        print(f"eval {method}: " + (", ".join(f"{k} {v}" for k, v in shown.items())
+        headline = headlines[method] = _headline(rows)
+        print(f"eval {method}: " + (", ".join(f"{k} {v:.4f}" for k, v in headline.items())
                                     or "no headline metrics"))
     for report, header in REPORTS.items():
         write_csv(out.report(f"{report}.csv"), header, all_rows[report])

@@ -25,8 +25,8 @@ and per-token log-probabilities exclude the terminal eos; the eos
 log-probability is kept alongside so every ranking score can be
 reproduced.  A member pass whose logits are not finite, or a posterior
 probability that underflows to 0 and so has no finite log score, stops
-decoding with NumericalStateError, and prediction files with NaN or
-infinite scores are refused on reading.
+decoding with NumericalStateError, and `read_predictions` refuses any
+record the search cannot write, NaN or infinite scores included.
 
 Decoding is batched over examples: `decode_corpus` runs one search over
 the whole split, keeping the beam state as arrays over examples x live
@@ -155,26 +155,21 @@ def _member_pass(model: TrainedModel, ctx, states, mask, be_member: int) -> np.n
 def step_distributions(members, ctxs, prefixes, masks):
     """Posterior-mean next-token rows (n, live, vocab) for the prefixes
     (n, live, step): the mean of the member pass over every stochastic
-    unit.  ctxs holds one (n, d) context array per member model, and each
-    member's prefix states are `sum_embeddings` of bos followed by the
-    prefix, in its own embeddings.  masks holds the step's (n, samples,
-    hidden) dropout keep flags for the mc-dropout methods (None for the
-    others): sample m's mask of an example is shared by all of its
-    prefixes, so hypotheses inside one beam step see the same subnetwork
-    and remain comparable.
+    unit of `MethodConfig.decode_units`.  ctxs holds one (n, d) context
+    array per member model, and each member's prefix states are
+    `sum_embeddings` of bos followed by the prefix, in its own embeddings.
+    masks holds the step's (n, samples, hidden) dropout keep flags for the
+    mc-dropout methods (None for the others): sample m's mask of an
+    example is shared by all of its prefixes, so hypotheses inside one
+    beam step see the same subnetwork and remain comparable.
     """
-    config = members[0].config
-    if dropout_active(config.method):
-        units = [(0, masks[:, m], 0) for m in range(config.samples)]
-    elif config.method == "be":
-        units = [(0, None, k) for k in range(config.be_size)]
-    else:
-        units = [(i, None, 0) for i in range(len(members))]
+    units = members[0].config.decode_units
     bos = np.full(prefixes.shape[:2] + (1,), BOS_ID)
     states = [sum_embeddings(m.embed, np.concatenate([bos, prefixes], axis=2))
               for m in members]
     total = np.zeros(prefixes.shape[:2] + (members[0].dims.vocab_size,))
-    for i, mask, be_member in units:
+    for i, sample, be_member in units:
+        mask = None if sample is None else masks[:, sample]
         total += _member_pass(members[i], ctxs[i], states[i], mask, be_member)
     return total / len(units)
 
@@ -309,8 +304,30 @@ def write_predictions(records, path) -> None:
     write_jsonl(path, records)
 
 
-def read_predictions(path) -> tuple[PredictionRecord, ...]:
-    return tuple(read_jsonl(path, PredictionRecord))
+def read_predictions(path, vocab_size: int) -> tuple[PredictionRecord, ...]:
+    """The records of a prediction file, each refused, naming its line,
+    unless the search could have written it: a non-empty hypothesis of
+    content ids below `vocab_size`, log-probabilities at most 0, and
+    exactly the uncertainty `uncertainty_score` gives them."""
+    def searchable(rec: PredictionRecord) -> None:
+        if not rec.hypothesis:
+            raise ValidationError("hypothesis must hold at least one token")
+        outside = [t for t in rec.hypothesis if not EOS_ID < t < vocab_size]
+        if outside:
+            raise ValidationError(f"hypothesis token id {outside[0]} outside the content "
+                                  f"ids {EOS_ID + 1}..{vocab_size - 1}")
+        top = max((*rec.token_logp, rec.eos_logp))
+        if top > 0.0:
+            raise ValidationError(f"log-probability {top!r} is above 0")
+        try:
+            score = uncertainty_score(rec.token_logp, rec.eos_logp)
+        except OverflowError:  # math.fsum overflows on a sum below -1.8e308
+            score = -math.inf
+        if rec.uncertainty != score:
+            raise ValidationError(f"uncertainty {rec.uncertainty!r} is not {score!r}, "
+                                  "the score of its log-probabilities")
+
+    return tuple(read_jsonl(path, PredictionRecord, searchable))
 
 
 def join_with_references(predictions, examples) -> tuple[JoinedRecord, ...]:

@@ -169,11 +169,15 @@ class MethodConfig:
         return len(self.member_seeds(0))
 
     @property
-    def decode_passes(self) -> int:
-        """Member forward passes per decode step (`inference.step_distributions`)."""
+    def decode_units(self) -> tuple[tuple[int, int | None, int], ...]:
+        """The stochastic units a decode step averages over, one member pass
+        each (`inference.step_distributions`): (member model, dropout sample
+        or None, BatchEnsemble member)."""
         if dropout_active(self.method):
-            return self.samples
-        return self.be_size if self.method == "be" else self.n_members
+            return tuple((0, m, 0) for m in range(self.samples))
+        if self.method == "be":
+            return tuple((0, None, k) for k in range(self.be_size))
+        return tuple((i, None, 0) for i in range(self.n_members))
 
 
 @dataclass

@@ -34,6 +34,8 @@ from oracles import (
     spearman_oracle,
 )
 from seqcal.calib import (
+    ALPHAS,
+    ECE_BINS,
     abstention_curve,
     ece,
     roc_auc,
@@ -104,14 +106,17 @@ def test_criterion_1_metric_oracles(announce):
     start = time.perf_counter()
     worst = 0.0
 
+    # A third of the confidences sit on a bin edge k/K, so that every edge
+    # is drawn and the boundary comparisons are tested against the scan.
+    edges = np.arange(1, ECE_BINS + 1) / ECE_BINS
+    edges_drawn = set()
     for _ in range(n_inst):
         size = int(rng.integers(1, 41))
-        k = int(rng.integers(1, 21))
-        drawn = [(float(rng.uniform(1e-6, 1.0)), bool(rng.random() < 0.5))
-                 for _ in range(size)]
+        drawn = [(float(rng.choice(edges) if rng.random() < 1 / 3 else rng.uniform(1e-6, 1.0)),
+                  bool(rng.random() < 0.5)) for _ in range(size)]
         pairs = (np.array([c for c, _ in drawn]), np.array([f for _, f in drawn]))
-        got = ece(pairs, k)
-        worst = max(worst, abs(got - ece_oracle(pairs, k)))
+        edges_drawn.update(set(pairs[0]) & set(edges))
+        worst = max(worst, abs(ece(pairs) - ece_oracle(pairs, ECE_BINS)))
 
     for _ in range(n_inst):
         while True:
@@ -147,9 +152,8 @@ def test_criterion_1_metric_oracles(announce):
             for j in range(size)
         ]
         key = str(rng.choice(["rouge1", "rouge2", "rougeL"]))
-        alphas = tuple(sorted({0.0, *(float(a) for a in rng.uniform(0.0, 0.95, 3))}))
-        got = abstention_curve(records, key, alphas)
-        want = abstention_oracle(records, key, alphas)
+        got = abstention_curve(records, key)
+        want = abstention_oracle(records, key, ALPHAS)
         worst = max(worst, max(abs(g - w) for g, w in zip(got, want)))
 
     exact_ok = True
@@ -168,12 +172,15 @@ def test_criterion_1_metric_oracles(announce):
                     abs(score.f1 - f))
 
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and exact_ok and elapsed < 30.0
+    edges_ok = len(edges_drawn) == ECE_BINS
+    ok = worst <= 1e-12 and exact_ok and edges_ok and elapsed < 30.0
     announce(1, "metric oracle agreement", ok,
              f"{5 * n_inst} float + {n_inst} lcs instances, "
+             f"{len(edges_drawn)}/{ECE_BINS} bin edges drawn, "
              f"max dev {worst:.2e}, {elapsed:.1f}s")
     assert worst <= 1e-12
     assert exact_ok
+    assert edges_ok
     assert elapsed < 30.0
 
 
@@ -426,9 +433,9 @@ def test_criterion_6_calibrated_population(announce):
     n = 100_000
     conf = rng.uniform(1e-9, 1.0, n)
     correct = rng.random(n) < conf
-    value = ece((conf, correct), 15)
+    value = ece((conf, correct))
     ok = value < 0.01
-    announce(6, "calibrated population", ok, f"n={n}, K=15, ece {value:.5f}")
+    announce(6, "calibrated population", ok, f"n={n}, K={ECE_BINS}, ece {value:.5f}")
     assert value < 0.01
 
 
@@ -463,10 +470,12 @@ def _trend_one_seed(global_seed):
                 rho = spearman(u, q)
             except MetricError:
                 continue
-            curves[metric] = (rho, *abstention_curve(joined, metric, (0.0, 0.5)))
+            # ALPHAS runs from 0 to 0.5: the curve's first and last values
+            curve = abstention_curve(joined, metric)
+            curves[metric] = (rho, curve[0], curve[-1])
         out[method] = {
             "r1": math.fsum(r.quality["rouge1"] for r in joined) / len(joined),
-            "ece": ece(sequence_pairs(joined), 15),
+            "ece": ece(sequence_pairs(joined)),
             "curves": curves,
         }
     return out
@@ -474,6 +483,7 @@ def _trend_one_seed(global_seed):
 
 def test_criterion_7_ensemble_trend(announce):
     """Deep ensembles beat the single model on quality at matched budgets."""
+    assert (ALPHAS[0], ALPHAS[-1]) == (0.0, 0.5)  # the curve ends _trend_one_seed reads
     start = time.perf_counter()
     seeds = (0, 1, 2)
     results = {s: _trend_one_seed(s) for s in seeds}

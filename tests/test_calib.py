@@ -15,10 +15,11 @@ from oracles import (
     spearman_oracle,
 )
 from seqcal.calib import (
+    ALPHAS,
+    ECE_BINS,
     _centred_ranks,
     abstention_curve,
     bootstrap_std,
-    check_bins,
     check_resamples,
     ece,
     roc_auc,
@@ -81,64 +82,56 @@ def make_records(rng, n):
 class TestEce:
     def test_single_pair_gap(self):
         # one pair at confidence 0.7, incorrect: ece = 0.7
-        assert ece(scored((0.7, False)), 10) == pytest.approx(0.7)
+        assert ece(scored((0.7, False))) == pytest.approx(0.7)
 
     def test_perfectly_calibrated_two_bins(self):
         # two pairs in one bin, conf 0.75 each, one correct: gap 0.25
         pairs = scored((0.75, True), (0.75, False))
-        assert ece(pairs, 2) == pytest.approx(0.25)
+        assert ece(pairs) == pytest.approx(0.25)
 
     def test_boundary_goes_to_lower_bin(self):
         # confidence exactly 1/K belongs to bin 1: ((0, 1/K]), not bin 2
-        pairs = scored((1.0 / 15.0, True))
-        assert ece(pairs, 15) == pytest.approx(abs(1.0 / 15.0 - 1.0))
+        pairs = scored((1.0 / ECE_BINS, True))
+        assert ece(pairs) == pytest.approx(abs(1.0 / ECE_BINS - 1.0))
 
     def test_confidence_one_allowed(self):
-        assert ece(scored((1.0, True)), 15) == 0.0
+        assert ece(scored((1.0, True))) == 0.0
 
     def test_zero_confidence_rejected(self):
         with pytest.raises(MetricError, match=r"pair confidence 0.0 outside .*\(0, 1\]"):
-            ece(scored((0.5, True), (0.0, False)), 15)
+            ece(scored((0.5, True), (0.0, False)))
 
     def test_empty_rejected(self):
         with pytest.raises(MetricError, match="at least one scored pair"):
-            ece(scored(), 15)
-
-    def test_bin_rule_has_one_owner(self):
-        assert check_bins(1) == 1
-        with pytest.raises(ConfigurationError, match="ece bins must be >= 1"):
-            check_bins(0)
-        with pytest.raises(ConfigurationError, match="ece bins must be >= 1"):
-            ece(scored((0.5, True)), 0)
+            ece(scored())
 
     def test_matches_scan_oracle_randomized(self):
         rng = stream(77, "ece-test")
         for trial in range(250):
             n = int(rng.integers(1, 60))
-            k = int(rng.integers(1, 25))
             pairs = scored(*[(float(rng.uniform(1e-9, 1.0)), bool(rng.integers(0, 2)))
                              for _ in range(n)])
             # mix in exact boundary values to stress the edge comparisons
             if n > 2:
-                pairs[0][:2] = 1.0 / k, min(2.0 / k, 1.0)
+                pairs[0][:2] = rng.integers(1, ECE_BINS + 1, size=2) / ECE_BINS
                 pairs[1][:2] = True, False
-            got = ece(pairs, k)
-            want = ece_oracle(pairs, k)
+            got = ece(pairs)
+            want = ece_oracle(pairs, ECE_BINS)
             assert got == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(
         confs=st.lists(
-            st.floats(min_value=1e-6, max_value=1.0, allow_nan=False), min_size=1, max_size=40
+            st.one_of(st.floats(min_value=1e-6, max_value=1.0, allow_nan=False),
+                      st.integers(1, ECE_BINS).map(lambda j: j / ECE_BINS)),
+            min_size=1, max_size=40,
         ),
         flags=st.lists(st.booleans(), min_size=1, max_size=40),
-        k=st.integers(min_value=1, max_value=20),
     )
-    def test_oracle_property(self, confs, flags, k):
+    def test_oracle_property(self, confs, flags):
+        # confidences include the bin edges k/K
         pairs = scored(*zip(confs, flags))
-        assert ece(pairs, k) == pytest.approx(
-            ece_oracle(pairs, k), abs=1e-12
-        )
+        assert ece(pairs) == pytest.approx(ece_oracle(pairs, ECE_BINS), abs=1e-12)
 
 
 class TestPairExtraction:
@@ -423,13 +416,15 @@ class TestAbstention:
             FakeRecord("c", (3,), (3,), (-1.0,), -1.0, {"rouge1": 50.0, "rouge2": 0, "rougeL": 0}),
             FakeRecord("d", (3,), (3,), (-2.0,), -2.0, {"rouge1": 10.0, "rouge2": 0, "rougeL": 0}),
         ]
-        values = abstention_curve(records, "rouge1", (0.0, 0.5))
-        assert values == (pytest.approx(55.0), pytest.approx(80.0))
+        # ALPHAS 0 .. 0.5 drop floor(alpha * 4) = 0, 0, 0, 1, 1, 2 records
+        values = abstention_curve(records, "rouge1")
+        assert values == tuple(pytest.approx(v) for v in (55.0, 55.0, 55.0, 70.0, 70.0, 80.0))
 
     def test_alpha_zero_equals_corpus_mean_exactly(self):
         rng = stream(3, "abst")
         records = make_records(rng, 37)
-        (value,) = abstention_curve(records, "rougeL", (0.0,))
+        assert ALPHAS[0] == 0.0
+        value = abstention_curve(records, "rougeL")[0]
         ordered = sorted(records, key=lambda r: (r.uncertainty, r.id))
         want = math.fsum(r.quality["rougeL"] for r in ordered) / len(records)
         assert value == want
@@ -439,23 +434,13 @@ class TestAbstention:
             FakeRecord("b", (3,), (3,), (-1.0,), -1.0, {"rouge1": 10.0, "rouge2": 0, "rougeL": 0}),
             FakeRecord("a", (3,), (3,), (-1.0,), -1.0, {"rouge1": 90.0, "rouge2": 0, "rougeL": 0}),
         ]
-        # equal u: id "a" sorts first and is dropped first
-        assert abstention_curve(records, "rouge1", (0.5,)) == (pytest.approx(10.0),)
-
-    def test_alpha_one_rejected(self):
-        records = make_records(stream(4, "abst2"), 5)
-        with pytest.raises(ConfigurationError):
-            abstention_curve(records, "rouge1", (0.0, 1.0))
-
-    def test_unsorted_alpha_rejected(self):
-        records = make_records(stream(4, "abst3"), 5)
-        with pytest.raises(ConfigurationError):
-            abstention_curve(records, "rouge1", (0.5, 0.0))
+        # equal u: id "a" sorts first and is dropped first, at alpha 0.5
+        assert ALPHAS[-1] == 0.5
+        assert abstention_curve(records, "rouge1")[-1] == pytest.approx(10.0)
 
     def test_matches_oracle_randomized(self):
         rng = stream(21, "abst-oracle")
         for _ in range(200):
             records = make_records(rng, int(rng.integers(1, 40)))
-            alphas = sorted(set(float(a) for a in rng.uniform(0, 0.99, size=4)))
-            values = abstention_curve(records, "rouge2", tuple(alphas))
-            assert list(values) == abstention_oracle(records, "rouge2", alphas)
+            values = abstention_curve(records, "rouge2")
+            assert list(values) == abstention_oracle(records, "rouge2", ALPHAS)

@@ -1,5 +1,6 @@
 """Run-config loading, derivations, subcommands, and exit codes."""
 
+import csv
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import decode_array, edit_array
-from seqcal.calib import ALPHAS, THRESHOLDS, check_alphas
+from seqcal.calib import ALPHAS, THRESHOLDS
 from seqcal.cli import (
     MAX_DE_SIZE,
     MAX_VOCAB_SIZE,
@@ -99,9 +100,10 @@ class TestLoadConfig:
         assert all(0.0 <= theta <= 100.0 for theta in THRESHOLDS.values())
 
     def test_alpha_types(self):
-        # the abstention fractions are calib's constants: floats the
-        # abstention curve accepts
-        assert check_alphas(ALPHAS) == ALPHAS and all(type(a) is float for a in ALPHAS)
+        # the abstention fractions are calib's constants: floats, ascending,
+        # each a share of records in [0, 1) that the curve may drop
+        assert all(type(a) is float and 0.0 <= a < 1.0 for a in ALPHAS)
+        assert list(ALPHAS) == sorted(set(ALPHAS))
 
     @pytest.mark.parametrize("section, values, message", [
         ("decode", {"beam_size": 0}, "beam_size"),
@@ -311,7 +313,7 @@ class TestPipeline:
         assert main(["infer", "--config", cfg_path, "--out", out,
                      "--method", "base", "--split", "dev"]) == 0
         dev_preds = os.path.join(out, "preds", "dev", "base.jsonl")
-        assert [r.id for r in read_predictions(dev_preds)] == [
+        assert [r.id for r in read_predictions(dev_preds, SMALL["vocab_size"])] == [
             r.id for r in read_records(os.path.join(out, "dev.jsonl"), SMALL["vocab_size"])]
         assert open(test_preds, "rb").read() == before
         assert main(["eval", "--config", cfg_path, "--out", out]) == 0
@@ -548,6 +550,37 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["eval", "--config", cfg_path, "--out", out]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("token_logp", 800.0, "log-probability 800.0 is above 0"),
+        ("token_logp", 0.5, "log-probability 0.5 is above 0"),
+        ("uncertainty", -50.0, "uncertainty -50.0 is not "),
+        ("hypothesis", [], "hypothesis must hold at least one token"),
+        ("hypothesis", [-7, 99999, 0, 1], "hypothesis token id -7 outside the content ids 3..9"),
+    ])
+    def test_prediction_the_search_cannot_write_is_one(self, tmp_path, capsys, field, value,
+                                                       message):
+        cfg_path, out = run_pipeline(tmp_path, methods="base")
+        preds = os.path.join(out, "preds", "base.jsonl")
+        reports = {name: open(os.path.join(out, "reports", name), "rb").read()
+                   for name in os.listdir(os.path.join(out, "reports"))}
+        lines = open(preds).read().splitlines()
+        record = json.loads(lines[1])
+        if field == "token_logp":
+            record["token_logp"][0] = value
+        elif field == "hypothesis":
+            record.update(hypothesis=value, token_logp=[-1.0] * len(value))
+        else:
+            record[field] = value
+        lines[1] = json.dumps(record)
+        with open(preds, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"line 2: {preds}: " in err and message in err and "Traceback" not in err
+        for name, blob in reports.items():
+            assert open(os.path.join(out, "reports", name), "rb").read() == blob, name
 
     @pytest.mark.parametrize("section, values", [
         ("decode", {"beam_size": 0}),
@@ -850,7 +883,8 @@ class TestRunDirectoryBelongsToOneConfig:
         cfg_path, out = run_pipeline(tmp_path, methods="base")
         assert main(["infer", "--config", cfg_path, "--out", out,
                      "--method", "base", "--split", "dev"]) == 0
-        dev = read_predictions(os.path.join(out, "preds", "dev", "base.jsonl"))
+        dev = read_predictions(os.path.join(out, "preds", "dev", "base.jsonl"),
+                               SMALL["vocab_size"])
         preds = tmp_path / "run" / "preds" / "base.jsonl"
         preds.write_bytes((tmp_path / "run" / "preds" / "dev" / "base.jsonl").read_bytes())
         self._refused(capsys, ["eval", "--config", cfg_path, "--out", out],
@@ -931,6 +965,41 @@ class TestSummaryRanking:
         assert rows == [("a", None, None, None, None, None, None, None),
                         ("b", 0.1, None, None, None, None, None, None)]
         assert len(gaps) == 3
+
+
+class TestSummaryAgreesWithReports:
+    # (summary.csv column, report, the report row's level or metric, the
+    # report column holding the value)
+    HEADLINES = (("ece_sequence", "ece", "sequence", "ece"),
+                 ("spearman_rougeL", "corr", "rougeL", "rho"),
+                 ("auc_rougeL", "roc", "rougeL", "auc"))
+
+    def test_every_value_cell_is_its_report_row_or_a_gap(self, tmp_path):
+        # on this run base is exact on every output, so its rho and AUC are
+        # gaps, while sngp's are defined
+        _, out = run_pipeline(tmp_path, methods="base,sngp")
+
+        def table(name):
+            with open(os.path.join(out, "reports", f"{name}.csv"), newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        summary = table("summary")
+        gaps = {(g["method"], g["report"], g["metric"]) for g in table("gaps")}
+        seen = set()
+        for row in summary:
+            for column, report, key, value in self.HEADLINES:
+                cells = [r[value] for r in table(report) if r["method"] == row["method"]
+                         and r["level" if report == "ece" else "metric"] == key]
+                gap = (row["method"], report, key) in gaps
+                if cells:
+                    assert cells == [row[column]] and not gap, (row["method"], column)
+                else:
+                    assert row[column] == "" and gap, (row["method"], column)
+                seen.add((column, bool(cells)))
+        assert sorted(row["method"] for row in summary) == ["base", "sngp"]
+        # both branches ran: a defined rho and AUC, and missing ones
+        assert {(column, defined) for column, *_ in self.HEADLINES[1:]
+                for defined in (True, False)} <= seen
 
 
 @pytest.mark.usefixtures("watchdog")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -394,6 +395,8 @@ class TestDecodeCorpus:
 
 
 class TestPredictionFiles:
+    VOCAB_SIZE = 10
+
     def _records(self):
         return (
             PredictionRecord(id="a-1", hypothesis=(3, 4), token_logp=(-0.5, -1.25),
@@ -407,7 +410,7 @@ class TestPredictionFiles:
         path = tmp_path / "preds.jsonl"
         records = self._records()
         write_predictions(records, path)
-        assert read_predictions(path) == records
+        assert read_predictions(path, self.VOCAB_SIZE) == records
 
     def test_write_rejects_duplicate_ids(self, tmp_path):
         rec = self._records()[0]
@@ -420,7 +423,7 @@ class TestPredictionFiles:
                            "eos_logp": -1.0, "uncertainty": -1.0})
         path.write_text(good + "\n{broken\n")
         with pytest.raises(ParseError, match="line 2"):
-            read_predictions(path)
+            read_predictions(path, self.VOCAB_SIZE)
 
     def test_field_set_is_strict(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -428,7 +431,7 @@ class TestPredictionFiles:
                    "eos_logp": -1.0}
         path.write_text(json.dumps(payload) + "\n")
         with pytest.raises(ParseError, match="missing.*uncertainty"):
-            read_predictions(path)
+            read_predictions(path, self.VOCAB_SIZE)
 
     def test_logp_length_must_match(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -436,7 +439,7 @@ class TestPredictionFiles:
                    "eos_logp": -1.0, "uncertainty": -1.0}
         path.write_text(json.dumps(payload) + "\n")
         with pytest.raises(ParseError, match="entries for 2 tokens"):
-            read_predictions(path)
+            read_predictions(path, self.VOCAB_SIZE)
 
     def test_duplicate_ids_rejected_on_read(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -444,7 +447,7 @@ class TestPredictionFiles:
                            "eos_logp": -1.0, "uncertainty": -1.0})
         path.write_text(line + "\n" + line + "\n")
         with pytest.raises(ParseError, match="duplicate"):
-            read_predictions(path)
+            read_predictions(path, self.VOCAB_SIZE)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400",
                                        pytest.param("1" + "0" * 400, id="int1e400")])
@@ -460,7 +463,44 @@ class TestPredictionFiles:
         path = tmp_path / "p.jsonl"
         path.write_text(good + "\n" + bad + "\n")
         with pytest.raises(ParseError, match=f"line 2.*{field}.*finite"):
-            read_predictions(path)
+            read_predictions(path, self.VOCAB_SIZE)
+
+    def test_what_the_search_can_write_at_its_bounds_loads(self, tmp_path):
+        # the first and last content ids, log-probabilities of 0 and -0
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({"id": "a", "hypothesis": [3, 9], "token_logp": [0.0, -0.0],
+                                    "eos_logp": 0.0, "uncertainty": 0.0}) + "\n")
+        assert read_predictions(path, self.VOCAB_SIZE)[0].hypothesis == (3, 9)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param({"token_logp": [800.0]}, "log-probability 800.0 is above 0", id="logp-800"),
+        pytest.param({"token_logp": [0.5]}, "log-probability 0.5 is above 0", id="logp-half"),
+        pytest.param({"eos_logp": 1e-300}, "log-probability 1e-300 is above 0", id="eos-logp"),
+        pytest.param({"uncertainty": -50.0}, "uncertainty -50.0 is not -1.0, the score",
+                     id="uncertainty"),
+        # the next float above the score is not the score
+        pytest.param({"uncertainty": -0.9999999999999999}, "uncertainty -0.9999999999999999",
+                     id="uncertainty-one-ulp"),
+        # two log-probabilities whose sum is below the float range
+        pytest.param({"hypothesis": [3, 4], "token_logp": [-1e308, -1e308]},
+                     "uncertainty -1.0 is not -inf", id="uncertainty-overflow"),
+        pytest.param({"hypothesis": [], "token_logp": []},
+                     "hypothesis must hold at least one token", id="empty"),
+        pytest.param({"hypothesis": [-7, 99999, 0, 1], "token_logp": [-1.0] * 4},
+                     "hypothesis token id -7 outside the content ids 3..9", id="ids"),
+        pytest.param({"hypothesis": [0]}, "token id 0 outside", id="pad"),
+        pytest.param({"hypothesis": [1]}, "token id 1 outside", id="bos"),
+        pytest.param({"hypothesis": [2]}, "token id 2 outside", id="eos"),
+        pytest.param({"hypothesis": [10]}, "token id 10 outside the content ids 3..9",
+                     id="vocab_size"),
+    ])
+    def test_what_the_search_cannot_write_is_refused(self, tmp_path, edit, message):
+        good = {"id": "a", "hypothesis": [3], "token_logp": [-1.0], "eos_logp": -1.0,
+                "uncertainty": -1.0}
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **edit}) + "\n")
+        with pytest.raises(ParseError, match=f"line 2: .*{re.escape(message)}"):
+            read_predictions(path, self.VOCAB_SIZE)
 
 
 class TestJoin:

@@ -24,7 +24,12 @@ from seqcal.calib import QUALITY_KEYS, THRESHOLDS
 from seqcal.cli import RunConfig, load_config, main
 from seqcal.corpus import TASK_KINDS, ExampleRecord, read_records, write_records
 from seqcal.errors import ConfigurationError, ParseError, ValidationError
-from seqcal.inference import PredictionRecord, read_predictions, write_predictions
+from seqcal.inference import (
+    PredictionRecord,
+    read_predictions,
+    uncertainty_score,
+    write_predictions,
+)
 from seqcal.model import METHODS, Member, MethodConfig, ModelDims, init_model
 from seqcal import training
 from seqcal.schema import from_json, parse_json, read_jsonl, to_json, write_text
@@ -642,14 +647,16 @@ def test_any_bundle_header_loads_or_is_refused(method, dims):
     assert np.isfinite(members[0].embed).all()
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 IDS = st.text(min_size=1, max_size=3)
 TOKENS = st.lists(st.integers(0, 40), min_size=1, max_size=4)
+# Rows the search could write: content ids of a 41-id vocabulary,
+# log-probabilities at most 0, and the uncertainty they give.
+LOGP = st.floats(min_value=-1e300, max_value=0.0)
 PREDICTION_ROWS = st.builds(
     lambda id_, steps, eos: {"id": id_, "hypothesis": [t for t, _ in steps],
-                             "token_logp": [lp for _, lp in steps],
-                             "eos_logp": eos, "uncertainty": eos},
-    IDS, st.lists(st.tuples(st.integers(0, 40), FINITE), max_size=4), FINITE)
+                             "token_logp": [lp for _, lp in steps], "eos_logp": eos,
+                             "uncertainty": uncertainty_score([lp for _, lp in steps], eos)},
+    IDS, st.lists(st.tuples(st.integers(3, 40), LOGP), min_size=1, max_size=4), LOGP)
 EXAMPLE_ROWS = st.builds(lambda id_, inp, ref: {"id": id_, "input": inp, "reference": ref},
                          IDS, TOKENS, TOKENS)
 
@@ -667,7 +674,8 @@ def test_any_jsonl_line_loads_or_names_its_line(preds, examples):
     """Any JSON value on a line gives a record or a ParseError naming a
     line, and a file that loads is written back to the same records.  A
     split file with no records is a ParseError of the whole file."""
-    for rows, read, write in ((preds, read_predictions, write_predictions),
+    for rows, read, write in ((preds, partial(read_predictions, vocab_size=41),
+                               write_predictions),
                               (examples, partial(read_records, vocab_size=41), write_records)):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "f.jsonl")
