@@ -219,14 +219,14 @@ def load_config(path) -> RunConfig:
     payload = parse_json(Path(path).read_bytes(), f"config {path}")
     config = from_json(RunConfig, payload, "config")
     # The decode, methods and model sections are checked by the objects the
-    # later stages build from them, and the keyword count needs the
-    # vocabulary; build those here so a bad value fails every stage,
-    # gen-data included, instead of only the stage that first uses it.
+    # later stages build from them, and the keyword count needs vocab_size;
+    # build those here so a bad value fails every stage, gen-data included,
+    # instead of only the stage that first uses it.
     config.posterior_config()
     for method in METHODS:
         config.method_config(method)
     config.dims()
-    config.task.keyword_ids(make_vocabulary(config.vocab_size))
+    config.task.keyword_ids(config.vocab_size)
     return config
 
 
@@ -346,15 +346,15 @@ def _resolve_methods(arg: str) -> list[str]:
 def cmd_gen_data(config: RunConfig, out: OutDir) -> None:
     if os.path.exists(out.manifest):
         check_manifest(config, out)
-    vocab = make_vocabulary(config.vocab_size)
-    records = generate_corpus(config.task, config.n_examples, vocab, config.task_seed())
+    records = generate_corpus(config.task, config.n_examples, config.vocab_size,
+                              config.task_seed())
     train, dev, test = split_corpus(records, seed=config.seed)
     out.ensure()
-    write_vocabulary(vocab, out.vocab)
+    write_vocabulary(make_vocabulary(config.vocab_size), out.vocab)
     for name, part in (("train", train), ("dev", dev), ("test", test)):
         write_records(part, out.split(name))
     manifest = Manifest(config, Derived(
-        task_seed=config.task_seed(), keyword_ids=config.task.keyword_ids(vocab),
+        task_seed=config.task_seed(), keyword_ids=config.task.keyword_ids(config.vocab_size),
         splits=SplitSizes(train=len(train), dev=len(dev), test=len(test))))
     write_text(out.manifest, (json.dumps(to_json(manifest), indent=2, sort_keys=True), "\n"))
     print(f"wrote {len(records)} {config.task.kind} examples to {out.root} "
@@ -498,6 +498,7 @@ def _summary_rows(headlines: dict, gaps: list) -> list[tuple]:
 def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
     open_run(config, out)
     test = read_records(out.split("test"), config.vocab_size)
+    max_len = config.posterior_config().max_len
     if method_arg is None:
         methods = [m for m in METHODS if os.path.exists(out.predictions(m))]
         if not methods:
@@ -517,7 +518,7 @@ def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
     headlines = {}
     for method in methods:
         joined = join_with_references(
-            read_predictions(out.predictions(method), config.vocab_size), test)
+            read_predictions(out.predictions(method), config.vocab_size, max_len), test)
         rows = _eval_one_method(method, joined, config, gaps)
         for key in all_rows:
             all_rows[key].extend(rows[key])

@@ -2,10 +2,10 @@
 
 Tokens are plain integer ids; no text processing happens anywhere.  This
 module is the one home of their layout: pad, bos and eos are `PAD_ID`,
-`BOS_ID` and `EOS_ID` (0, 1, 2) and content ids start at 3, so a
-vocabulary follows from its size alone.  `make_vocabulary` is the only
-code that writes the layout; vocab.json stores just the symbols.  Three
-task kinds with graded difficulty are provided:
+`BOS_ID` and `EOS_ID` (0, 1, 2), and `content_ids(vocab_size)`, every id
+after eos, is the one spelling of the ids split files and hypotheses
+hold, so the layout follows from `vocab_size` alone; vocab.json stores
+just the symbols.  Three task kinds with graded difficulty are provided:
 
   copy              reference is the input's first `output_len` tokens,
                     in ascending id order
@@ -21,12 +21,12 @@ sum of the input's embeddings, cannot see input order.  The cap applies
 first, so where it cuts, the reference still depends on input positions.
 
 `TaskSpec` is the run config's `task` section and checks its own fields
-when it is built; the one rule that needs the vocabulary (no more
-keywords than content ids) lives in `TaskSpec.keyword_ids`.  A corpus is
+when it is built; the one rule that needs `vocab_size` (no more keywords
+than content ids) lives in `TaskSpec.keyword_ids`.  A corpus is
 split 80/10/10, so it needs at least `MIN_CORPUS_SIZE` records for every
 part to hold one.
 
-Generation is a pure function of (spec, n, vocabulary, seed): the same
+Generation is a pure function of (spec, n, vocab_size, seed): the same
 arguments produce byte-identical corpora on any machine.
 """
 
@@ -54,23 +54,32 @@ PAD_ID, BOS_ID, EOS_ID = 0, 1, 2
 MIN_CORPUS_SIZE = 10
 
 
+def content_ids(vocab_size: int) -> range:
+    """The ids inputs, references and hypotheses hold: every id after eos."""
+    return range(EOS_ID + 1, vocab_size)
+
+
+def check_content(name: str, tokens, vocab_size: int) -> None:
+    """Refuse the ids `tokens` of field `name` unless all are content ids."""
+    content = content_ids(vocab_size)
+    for t in tokens:
+        if t not in content:
+            raise ValidationError(f"{name} token id {t} outside the content ids "
+                                  f"{content.start}..{content.stop - 1}")
+
+
 @dataclass(frozen=True)
 class Vocabulary:
-    """The symbols of vocab.json, one per id, in the layout `make_vocabulary`
-    writes; its one field is the file's one key."""
+    """vocab.json's schema, the symbols `make_vocabulary` names the ids
+    with; no code reads ids from it, only `vocab_size`."""
 
     symbols: tuple[str, ...]
-
-    @property
-    def content_ids(self) -> TokenSeq:
-        """Ids usable inside inputs and references, every id after eos."""
-        return tuple(range(EOS_ID + 1, len(self.symbols)))
 
 
 def make_vocabulary(size: int) -> Vocabulary:
     """The vocabulary of `size` ids: <pad>, <bos> and <eos> at PAD_ID,
     BOS_ID and EOS_ID, then content symbols w3..w{size-1}."""
-    symbols = ("<pad>", "<bos>", "<eos>") + tuple(f"w{i}" for i in range(EOS_ID + 1, size))
+    symbols = ("<pad>", "<bos>", "<eos>") + tuple(f"w{i}" for i in content_ids(size))
     return Vocabulary(symbols=symbols)
 
 
@@ -118,18 +127,18 @@ class TaskSpec:
         if self.kind == "keyword-extract" and self.num_keywords < 1:
             raise ConfigurationError(f"task.num_keywords must be >= 1, got {self.num_keywords}")
 
-    def keyword_ids(self, vocab: Vocabulary) -> TokenSeq:
+    def keyword_ids(self, vocab_size: int) -> TokenSeq:
         """The keywords of keyword-extract, the first `num_keywords` content
-        ids of `vocab`; empty for the other kinds."""
+        ids of `vocab_size`; empty for the other kinds."""
         if self.kind != "keyword-extract":
             return ()
-        content = vocab.content_ids
+        content = content_ids(vocab_size)
         if self.num_keywords > len(content):
             raise ConfigurationError(
                 f"task.num_keywords {self.num_keywords} exceeds the "
                 f"{len(content)} content tokens"
             )
-        return content[: self.num_keywords]
+        return tuple(content[: self.num_keywords])
 
 
 @dataclass(frozen=True)
@@ -160,7 +169,7 @@ def keyword_reference(input_tokens, keyword_ids, output_len: int) -> TokenSeq:
 
 def noisy_reference(
     input_tokens, output_len: int, noise_rate: float, rng: np.random.Generator,
-    content_ids,
+    content,
 ) -> TokenSeq:
     """Copy reference with per-token resampling.
 
@@ -170,12 +179,12 @@ def noisy_reference(
     """
     base = np.asarray(copy_reference(input_tokens, output_len))
     flips = rng.random(len(base)) < noise_rate
-    pool = np.asarray(content_ids)
+    pool = np.asarray(content)
     replacements = pool[rng.integers(0, len(pool), size=len(base))]
     return tuple(int(t) for t in np.where(flips, replacements, base))
 
 
-def generate_corpus(spec: TaskSpec, n: int, vocab: Vocabulary, seed: int) -> list[ExampleRecord]:
+def generate_corpus(spec: TaskSpec, n: int, vocab_size: int, seed: int) -> list[ExampleRecord]:
     """Deterministically generate `n` example records for the task from
     `seed`.
 
@@ -185,9 +194,9 @@ def generate_corpus(spec: TaskSpec, n: int, vocab: Vocabulary, seed: int) -> lis
     """
     if n < 1:
         raise ConfigurationError(f"corpus size must be >= 1, got {n}")
-    keyword_ids = spec.keyword_ids(vocab)
+    keyword_ids = spec.keyword_ids(vocab_size)
     rng = stream(seed, "corpus", spec.kind)
-    content = np.asarray(vocab.content_ids)
+    content = np.asarray(content_ids(vocab_size))
     keywords = np.asarray(keyword_ids)
     records = []
     for i in range(n):
@@ -201,9 +210,7 @@ def generate_corpus(spec: TaskSpec, n: int, vocab: Vocabulary, seed: int) -> lis
         elif spec.kind == "keyword-extract":
             ref = keyword_reference(inp, keyword_ids, spec.output_len)
         else:
-            ref = noisy_reference(
-                inp, spec.output_len, spec.noise_rate, rng, vocab.content_ids
-            )
+            ref = noisy_reference(inp, spec.output_len, spec.noise_rate, rng, content)
         records.append(ExampleRecord(id=f"{spec.kind}-{i:05d}", input=inp, reference=ref))
     return records
 
@@ -238,15 +245,13 @@ def write_records(records, path) -> None:
 
 
 def read_records(path, vocab_size: int) -> list[ExampleRecord]:
-    """Read a JSONL corpus of at least one record whose token ids all lie
-    in 0..vocab_size-1, reporting the line number on any malformed row."""
-    def in_vocabulary(rec: ExampleRecord) -> None:
+    """Read a split file of at least one record whose inputs and references
+    hold content ids only, refusing any other row by its line number."""
+    def content_only(rec: ExampleRecord) -> None:
         for name in ("input", "reference"):
-            top = max(getattr(rec, name))
-            if top >= vocab_size:
-                raise ValidationError(f"{name} token id {top} outside 0..{vocab_size - 1}")
+            check_content(name, getattr(rec, name), vocab_size)
 
-    records = read_jsonl(path, ExampleRecord, in_vocabulary)
+    records = read_jsonl(path, ExampleRecord, content_only)
     if not records:
         raise ParseError(f"{path}: a split file needs at least one record")
     return records

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, TokenSeq
+from .corpus import BOS_ID, EOS_ID, TokenSeq, check_content, content_ids
 from .errors import ConfigurationError, NumericalStateError, ValidationError
 from .model import (
     TrainedModel,
@@ -218,7 +218,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
     if n == 0:
         return ()
     width = config.max_len
-    content = np.arange(EOS_ID + 1, dims.vocab_size)
+    content = np.asarray(content_ids(dims.vocab_size))
     ctxs = [np.stack([sum_embeddings(m.embed, x) for x in inputs]) for m in members]
     masks = None
     if dropout_active(members[0].config.method):
@@ -304,18 +304,18 @@ def write_predictions(records, path) -> None:
     write_jsonl(path, records)
 
 
-def read_predictions(path, vocab_size: int) -> tuple[PredictionRecord, ...]:
+def read_predictions(path, vocab_size: int, max_len: int) -> tuple[PredictionRecord, ...]:
     """The records of a prediction file, each refused, naming its line,
-    unless the search could have written it: a non-empty hypothesis of
-    content ids below `vocab_size`, log-probabilities at most 0, and
-    exactly the uncertainty `uncertainty_score` gives them."""
+    unless a search capped at `max_len` could have written it: 1 to
+    `max_len` hypothesis ids from `corpus.content_ids`, log-probabilities
+    at most 0, and exactly the uncertainty `uncertainty_score` gives them."""
     def searchable(rec: PredictionRecord) -> None:
         if not rec.hypothesis:
             raise ValidationError("hypothesis must hold at least one token")
-        outside = [t for t in rec.hypothesis if not EOS_ID < t < vocab_size]
-        if outside:
-            raise ValidationError(f"hypothesis token id {outside[0]} outside the content "
-                                  f"ids {EOS_ID + 1}..{vocab_size - 1}")
+        check_content("hypothesis", rec.hypothesis, vocab_size)
+        if len(rec.hypothesis) > max_len:
+            raise ValidationError(f"hypothesis of {len(rec.hypothesis)} tokens is longer "
+                                  f"than max_len {max_len}")
         top = max((*rec.token_logp, rec.eos_logp))
         if top > 0.0:
             raise ValidationError(f"log-probability {top!r} is above 0")

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID
+from .corpus import BOS_ID, EOS_ID, content_ids
 from .errors import (
     ConfigurationError,
     InputError,
@@ -98,15 +98,15 @@ def is_deep_ensemble(method: str) -> bool:
 @dataclass(frozen=True)
 class ModelDims:
     """Shape card for one model; its tokens follow `corpus`'s layout, so
-    at least one content id follows the special ids."""
+    `vocab_size` must leave at least one of `corpus.content_ids`."""
 
     vocab_size: int
     embed_dim: int = 16
     hidden_dim: int = 32
 
     def __post_init__(self):
-        if self.vocab_size < 4:
-            raise ConfigurationError(f"vocab_size must be >= 4, got {self.vocab_size}")
+        if not content_ids(self.vocab_size):
+            raise ConfigurationError(f"vocab_size {self.vocab_size} leaves no content id")
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ConfigurationError("embed_dim and hidden_dim must be >= 1")
 

@@ -54,7 +54,6 @@ from seqcal.corpus import (
     ExampleRecord,
     TaskSpec,
     generate_corpus,
-    make_vocabulary,
     split_corpus,
 )
 from seqcal.errors import MetricError
@@ -323,8 +322,7 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
         train=TrainHyper(steps=120, batch_size=16, learning_rate=0.5),
         methods=MethodsSection(samples=3, sngp=SngpConfig(rff_dim=32)),
     )
-    vocab = make_vocabulary(cfg.vocab_size)
-    records = generate_corpus(cfg.task, cfg.n_examples, vocab, cfg.task_seed())
+    records = generate_corpus(cfg.task, cfg.n_examples, cfg.vocab_size, cfg.task_seed())
     train, _, test = split_corpus(records, seed=cfg.seed)
 
     bound = SPEC_NORM_BOUND
@@ -451,8 +449,7 @@ def _trend_config(global_seed):
 
 def _trend_one_seed(global_seed):
     cfg = _trend_config(global_seed)
-    vocab = make_vocabulary(cfg.vocab_size)
-    records = generate_corpus(cfg.task, cfg.n_examples, vocab, cfg.task_seed())
+    records = generate_corpus(cfg.task, cfg.n_examples, cfg.vocab_size, cfg.task_seed())
     train, _, test = split_corpus(records, seed=cfg.seed)
     out = {}
     for method in ("base", "de"):

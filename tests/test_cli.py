@@ -28,7 +28,7 @@ from seqcal.cli import (
 )
 import seqcal.cli as cli
 import seqcal.training as training
-from seqcal.corpus import make_vocabulary, read_records
+from seqcal.corpus import content_ids, read_records
 from seqcal.errors import ConfigurationError, NumericalStateError, TrainingError
 from seqcal.inference import decode_corpus, read_predictions, write_predictions
 from seqcal.model import METHODS
@@ -191,8 +191,7 @@ class TestDerivations:
             "task": {"kind": "keyword-extract", "input_len": 4, "output_len": 3,
                      "num_keywords": 3},
         }))
-        vocab = make_vocabulary(10)
-        assert cfg.task.keyword_ids(vocab) == vocab.content_ids[:3]
+        assert cfg.task.keyword_ids(10) == tuple(content_ids(10))[:3]
 
     def test_too_many_keywords(self, tmp_path):
         path = write_config(tmp_path, {
@@ -313,7 +312,8 @@ class TestPipeline:
         assert main(["infer", "--config", cfg_path, "--out", out,
                      "--method", "base", "--split", "dev"]) == 0
         dev_preds = os.path.join(out, "preds", "dev", "base.jsonl")
-        assert [r.id for r in read_predictions(dev_preds, SMALL["vocab_size"])] == [
+        assert [r.id for r in read_predictions(dev_preds, SMALL["vocab_size"],
+                                               SMALL["task"]["output_len"])] == [
             r.id for r in read_records(os.path.join(out, "dev.jsonl"), SMALL["vocab_size"])]
         assert open(test_preds, "rb").read() == before
         assert main(["eval", "--config", cfg_path, "--out", out]) == 0
@@ -364,13 +364,10 @@ class TestExitCodes:
             with open(path, "wb") as fh:
                 fh.write(good)
 
-    @pytest.mark.parametrize("stage, split, earlier, output", [
-        ("train", "train", [], "models/base.json"),
-        ("infer", "test", ["train"], "preds/base.jsonl"),
-        ("eval", "test", ["train", "infer"], "reports"),
-    ])
-    def test_token_outside_the_vocabulary_is_one(self, tmp_path, capsys, stage, split,
-                                                 earlier, output):
+    def _edited_split_is_one(self, tmp_path, capsys, stage, split, earlier, output, line, edit):
+        """Run gen-data and the `earlier` stages, apply `edit` to record
+        `line` (0-based) of `split`.jsonl, and return `stage`'s stderr after
+        checking that it exits 1 with no traceback and writes no `output`."""
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
         method = ["--method", "base"]
@@ -379,18 +376,49 @@ class TestExitCodes:
             assert main([before, "--config", cfg_path, "--out", out] + method) == 0
         path = os.path.join(out, f"{split}.jsonl")
         lines = open(path).read().splitlines()
-        row = json.loads(lines[1])
-        row["input" if stage != "eval" else "reference"][-1] = 99
-        lines[1] = json.dumps(row)
+        row = json.loads(lines[line])
+        edit(row)
+        lines[line] = json.dumps(row)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         capsys.readouterr()
         args = [stage, "--config", cfg_path, "--out", out]
         assert main(args + (method if stage != "eval" else [])) == 1
         err = capsys.readouterr().err
-        assert f"line 2: {path}:" in err and "token id 99 outside 0..9" in err
         assert "Traceback" not in err
         assert not os.path.exists(os.path.join(out, output))
+        return path, err
+
+    @pytest.mark.parametrize("stage, split, earlier, output", [
+        ("train", "train", [], "models/base.json"),
+        ("infer", "test", ["train"], "preds/base.jsonl"),
+        ("eval", "test", ["train", "infer"], "reports"),
+    ])
+    def test_token_outside_the_vocabulary_is_one(self, tmp_path, capsys, stage, split,
+                                                 earlier, output):
+        def edit(row):
+            row["input" if stage != "eval" else "reference"][-1] = 99
+
+        path, err = self._edited_split_is_one(tmp_path, capsys, stage, split, earlier, output,
+                                              1, edit)
+        assert f"line 2: {path}:" in err and "token id 99 outside the content ids 3..9" in err
+
+    @pytest.mark.parametrize("stage, split, earlier, output, edit, message", [
+        # pad, eos and bos in a training example
+        ("train", "train", [], "models/base.json", {"input": [0, 8, 3], "reference": [3, 2, 1]},
+         "input token id 0 outside the content ids 3..9"),
+        ("infer", "test", ["train"], "preds/base.jsonl", {"reference": [1, 2]},
+         "reference token id 1 outside the content ids 3..9"),
+        ("eval", "test", ["train", "infer"], "reports", {"reference": [1, 2]},
+         "reference token id 1 outside the content ids 3..9"),
+    ], ids=["train", "infer", "eval"])
+    def test_special_id_in_a_split_file_is_one(self, tmp_path, capsys, stage, split, earlier,
+                                               output, edit, message):
+        # gen-data writes content ids only, so no stage reads a split file
+        # that holds pad, bos or eos
+        path, err = self._edited_split_is_one(tmp_path, capsys, stage, split, earlier, output,
+                                              0, lambda row: row.update(edit))
+        assert f"line 1: {path}: {message}" in err
 
     @pytest.mark.parametrize("payload", [{"vocab_size": 10**9},
                                          {"methods": {"de_size": 10**9}}],
@@ -557,6 +585,8 @@ class TestExitCodes:
         ("uncertainty", -50.0, "uncertainty -50.0 is not "),
         ("hypothesis", [], "hypothesis must hold at least one token"),
         ("hypothesis", [-7, 99999, 0, 1], "hypothesis token id -7 outside the content ids 3..9"),
+        # the search stops at output_len 3 tokens
+        ("hypothesis", [3, 4, 5, 6, 7, 8, 9], "hypothesis of 7 tokens is longer than max_len 3"),
     ])
     def test_prediction_the_search_cannot_write_is_one(self, tmp_path, capsys, field, value,
                                                        message):
@@ -884,7 +914,7 @@ class TestRunDirectoryBelongsToOneConfig:
         assert main(["infer", "--config", cfg_path, "--out", out,
                      "--method", "base", "--split", "dev"]) == 0
         dev = read_predictions(os.path.join(out, "preds", "dev", "base.jsonl"),
-                               SMALL["vocab_size"])
+                               SMALL["vocab_size"], SMALL["task"]["output_len"])
         preds = tmp_path / "run" / "preds" / "base.jsonl"
         preds.write_bytes((tmp_path / "run" / "preds" / "dev" / "base.jsonl").read_bytes())
         self._refused(capsys, ["eval", "--config", cfg_path, "--out", out],

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import json
+import os
 import re
 
 import numpy as np
@@ -12,9 +14,11 @@ from seqcal.corpus import (
     EOS_ID,
     MIN_CORPUS_SIZE,
     PAD_ID,
+    TASK_KINDS,
     ExampleRecord,
     TaskSpec,
     check_corpus_size,
+    content_ids,
     copy_reference,
     generate_corpus,
     keyword_reference,
@@ -28,6 +32,8 @@ from seqcal.corpus import (
 )
 from seqcal.errors import ConfigurationError, ParseError, ValidationError
 from seqcal.rng import stream
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "seqcal")
 
 
 def keyword_filter_oracle(tokens, keyword_ids, cap):
@@ -48,7 +54,8 @@ class TestVocabulary:
         assert v.symbols == ("<pad>", "<bos>", "<eos>", "w3", "w4", "w5", "w6", "w7")
         assert (v.symbols[PAD_ID], v.symbols[BOS_ID], v.symbols[EOS_ID]) == (
             "<pad>", "<bos>", "<eos>")
-        assert v.content_ids == (3, 4, 5, 6, 7)
+        assert content_ids(8) == range(3, 8)
+        assert v.symbols[3:] == tuple(f"w{i}" for i in content_ids(8))
 
     def test_round_trip_and_hash(self, tmp_path):
         v = make_vocabulary(12)
@@ -108,8 +115,7 @@ class TestTaskRules:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_keyword_rule_matches_independent_filter(self, data):
-        vocab = make_vocabulary(12)
-        content = vocab.content_ids
+        content = tuple(content_ids(12))
         keywords = tuple(
             data.draw(
                 st.lists(st.sampled_from(content), min_size=1, max_size=4, unique=True)
@@ -141,73 +147,79 @@ class TestTaskSpecValidation:
         with pytest.raises(ConfigurationError, match="num_keywords"):
             TaskSpec(kind="keyword-extract", input_len=4, output_len=2, num_keywords=0)
         # the other kinds take no keywords at all
-        assert TaskSpec(kind="copy", num_keywords=0).keyword_ids(make_vocabulary(8)) == ()
+        assert TaskSpec(kind="copy", num_keywords=0).keyword_ids(8) == ()
 
     def test_keyword_ids_must_be_content(self):
-        vocab = make_vocabulary(8)
         for k in range(1, 6):
             spec = TaskSpec(kind="keyword-extract", input_len=4, output_len=2, num_keywords=k)
-            assert spec.keyword_ids(vocab) == vocab.content_ids[:k]
+            assert spec.keyword_ids(8) == tuple(content_ids(8))[:k]
         spec = TaskSpec(kind="keyword-extract", input_len=4, output_len=2, num_keywords=6)
         with pytest.raises(ConfigurationError, match="num_keywords 6 exceeds the 5 content"):
-            spec.keyword_ids(vocab)
+            spec.keyword_ids(8)
 
 
 class TestGeneration:
     def test_copy_corpus_obeys_rule(self):
-        vocab = make_vocabulary(10)
         spec = TaskSpec(kind="copy", input_len=6, output_len=4)
-        for rec in generate_corpus(spec, 50, vocab, seed=11):
+        for rec in generate_corpus(spec, 50, 10, seed=11):
             assert rec.reference == tuple(sorted(rec.input[:4]))
 
     def test_keyword_corpus_matches_oracle_on_1000_inputs(self):
-        vocab = make_vocabulary(20)
         spec = TaskSpec(kind="keyword-extract", input_len=10, output_len=8, num_keywords=4)
-        records = generate_corpus(spec, 1000, vocab, seed=5)
+        records = generate_corpus(spec, 1000, 20, seed=5)
         for rec in records:
             assert rec.reference == keyword_filter_oracle(rec.input, (3, 4, 5, 6), 8)
             assert len(rec.reference) >= 1
 
     def test_noisy_rate_one_resamples_everything_from_content(self):
-        vocab = make_vocabulary(10)
         spec = TaskSpec(kind="noisy-paraphrase", input_len=5, output_len=5, noise_rate=1.0)
-        content = set(vocab.content_ids)
-        for rec in generate_corpus(spec, 30, vocab, seed=3):
+        content = set(content_ids(10))
+        for rec in generate_corpus(spec, 30, 10, seed=3):
             assert set(rec.reference) <= content
 
     def test_determinism_byte_identical(self, tmp_path):
-        vocab = make_vocabulary(16)
         spec = TaskSpec(kind="keyword-extract", input_len=8, output_len=6, num_keywords=3)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_records(generate_corpus(spec, 200, vocab, seed=42), p1)
-        write_records(generate_corpus(spec, 200, vocab, seed=42), p2)
+        write_records(generate_corpus(spec, 200, 16, seed=42), p1)
+        write_records(generate_corpus(spec, 200, 16, seed=42), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("spec, sha256", [
+        (TaskSpec(kind="copy", input_len=6, output_len=4),
+         "ed8a71030c580dd19b9f90786eeceb6355d845a049dff66f32a09b0a67d87e22"),
+        (TaskSpec(kind="keyword-extract", input_len=6, output_len=3, num_keywords=3),
+         "f38a4c2db53e8c05bf139ce3a5b3937f66e7dfb7c12502f236669355118885a2"),
+        (TaskSpec(kind="noisy-paraphrase", input_len=6, output_len=4, noise_rate=0.3),
+         "66cd4c732e4d47e1cc6c9474100e09c64fa050268233bb8f7d1fd444471f53bf"),
+    ], ids=TASK_KINDS)
+    def test_sha256_is_pinned_for_every_kind(self, tmp_path, spec, sha256):
+        # criterion 8 pins the copy task only; these pin each kind's draws,
+        # keyword splicing and noisy replacements at vocab_size 12
+        path = tmp_path / "c.jsonl"
+        write_records(generate_corpus(spec, 40, 12, seed=7), path)
+        assert file_sha256(path) == sha256
+
     def test_distinct_seeds_differ(self):
-        vocab = make_vocabulary(16)
         spec = TaskSpec(kind="copy", input_len=8, output_len=8)
-        c1 = generate_corpus(spec, 20, vocab, seed=1)
-        c2 = generate_corpus(spec, 20, vocab, seed=2)
+        c1 = generate_corpus(spec, 20, 16, seed=1)
+        c2 = generate_corpus(spec, 20, 16, seed=2)
         assert [r.input for r in c1] != [r.input for r in c2]
 
     def test_ids_unique(self):
-        vocab = make_vocabulary(8)
         spec = TaskSpec(kind="copy", input_len=4, output_len=4)
-        records = generate_corpus(spec, 100, vocab, seed=0)
+        records = generate_corpus(spec, 100, 8, seed=0)
         assert len({r.id for r in records}) == 100
 
 
 class TestSplit:
     def test_floor_then_remainder(self):
-        vocab = make_vocabulary(8)
         spec = TaskSpec(kind="copy", input_len=4, output_len=4)
-        records = generate_corpus(spec, 10, vocab, seed=0)
+        records = generate_corpus(spec, 10, 8, seed=0)
         train, dev, test = split_corpus(records, seed=1)
         assert (len(train), len(dev), len(test)) == (8, 1, 1)
 
     def test_partition_is_exact(self):
-        vocab = make_vocabulary(8)
-        records = generate_corpus(TaskSpec(kind="copy", input_len=4, output_len=4), 103, vocab,
+        records = generate_corpus(TaskSpec(kind="copy", input_len=4, output_len=4), 103, 8,
                                   seed=0)
         train, dev, test = split_corpus(records, seed=9)
         ids = [r.id for r in train + dev + test]
@@ -215,8 +227,7 @@ class TestSplit:
         assert (len(train), len(dev), len(test)) == (82, 10, 11)
 
     def test_split_deterministic(self):
-        vocab = make_vocabulary(8)
-        records = generate_corpus(TaskSpec(kind="copy", input_len=4, output_len=4), 50, vocab,
+        records = generate_corpus(TaskSpec(kind="copy", input_len=4, output_len=4), 50, 8,
                                   seed=0)
         a = split_corpus(records, seed=4)
         b = split_corpus(records, seed=4)
@@ -253,8 +264,8 @@ class TestRecordIO:
     @given(
         rows=st.lists(
             st.tuples(
-                st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8),
-                st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8),
+                st.lists(st.sampled_from(content_ids(51)), min_size=1, max_size=8),
+                st.lists(st.sampled_from(content_ids(51)), min_size=1, max_size=8),
             ),
             min_size=1,
             max_size=10,
@@ -293,12 +304,16 @@ class TestRecordIO:
     @pytest.mark.parametrize("name, row", [
         ("input", {"id": "b", "input": [3, 10], "reference": [3]}),
         ("reference", {"id": "b", "input": [3], "reference": [99]}),
+        # pad, eos and bos are not content ids
+        ("input", {"id": "b", "input": [PAD_ID, 8, 3], "reference": [3]}),
+        ("reference", {"id": "b", "input": [3], "reference": [3, EOS_ID, BOS_ID]}),
+        ("reference", {"id": "b", "input": [3], "reference": [BOS_ID]}),
     ])
     def test_token_outside_the_vocabulary_names_the_line(self, tmp_path, name, row):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id":"a","input":[3,9],"reference":[9]}\n' + json.dumps(row) + "\n")
         with pytest.raises(ParseError, match=f"^line 2: .*c.jsonl: {name} token id "
-                                             r"\d+ outside 0\.\.9"):
+                                             r"\d+ outside the content ids 3\.\.9$"):
             read_records(path, 10)
 
     def test_write_rejects_duplicate_ids(self, tmp_path):
@@ -308,3 +323,59 @@ class TestRecordIO:
         ]
         with pytest.raises(ValidationError, match="duplicate"):
             write_records(records, tmp_path / "c.jsonl")
+
+
+# ---------------------------------------------------------------------------
+# `content_ids` is the one spelling of the content range.
+
+def _is_eos(node):
+    return (isinstance(node, ast.Name) and node.id == "EOS_ID"
+            or isinstance(node, ast.Attribute) and node.attr == "EOS_ID")
+
+
+def _range_spellings(name, source):
+    """Where the module `name` spells the content range itself: `EOS_ID`
+    in a sum (`EOS_ID + 1`), or compared by order with a token
+    (`t > EOS_ID`, `EOS_ID < t < vocab_size`)."""
+    spellings = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                and (_is_eos(node.left) or _is_eos(node.right))
+                or isinstance(node, ast.Compare)
+                and any(_is_eos(side) for side in (node.left, *node.comparators))
+                and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)):
+            spellings.append(f"{name}:{node.lineno}")
+    return spellings
+
+
+def _package_range_spellings(edits=None):
+    """`_range_spellings` over every package module but corpus.py, with
+    `edits`, {module: (old, new)}, applied to its source first."""
+    spellings = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "corpus.py":
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            source = fh.read()
+        if edits and name in edits:
+            old, new = edits[name]
+            assert old in source, (name, old)
+            source = source.replace(old, new)
+        spellings += _range_spellings(name, source)
+    return spellings
+
+
+def test_content_range_is_spelled_only_in_corpus():
+    assert _package_range_spellings() == []
+
+
+@pytest.mark.parametrize("old, new", [
+    ("np.asarray(content_ids(dims.vocab_size))", "np.arange(EOS_ID + 1, dims.vocab_size)"),
+    ('check_content("hypothesis", rec.hypothesis, vocab_size)',
+     "assert all(EOS_ID < t < vocab_size for t in rec.hypothesis)"),
+    ('check_content("hypothesis", rec.hypothesis, vocab_size)',
+     "assert min(rec.hypothesis) > corpus.EOS_ID"),
+], ids=["sum", "chained-comparison", "attribute"])
+def test_range_spelled_again_in_inference_is_found(old, new):
+    (found,) = _package_range_spellings({"inference.py": (old, new)})
+    assert found.startswith("inference.py:")

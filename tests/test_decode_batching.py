@@ -13,7 +13,7 @@ import pytest
 
 import seqcal.inference as inference
 from oracles import beam_oracle
-from seqcal.corpus import TaskSpec, generate_corpus, make_vocabulary
+from seqcal.corpus import TaskSpec, generate_corpus
 from seqcal.errors import InputError
 from seqcal.inference import PosteriorConfig, beam_decode, decode_corpus
 from seqcal.model import (
@@ -50,9 +50,8 @@ def method_config(method):
 
 @pytest.fixture(scope="module")
 def examples():
-    vocab = make_vocabulary(VOCAB)
     spec = TaskSpec(kind="copy", input_len=4, output_len=4)
-    return generate_corpus(spec, 40, vocab, seed=2)
+    return generate_corpus(spec, 40, VOCAB, seed=2)
 
 
 @pytest.fixture(scope="module")

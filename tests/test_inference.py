@@ -16,7 +16,7 @@ from oracles import (
     package_rows,
     posterior_mean_dist,
 )
-from seqcal.corpus import BOS_ID, ExampleRecord, TaskSpec, generate_corpus, make_vocabulary
+from seqcal.corpus import BOS_ID, ExampleRecord, TaskSpec, generate_corpus
 from seqcal.errors import (
     ConfigurationError,
     InputError,
@@ -364,14 +364,15 @@ class TestBeamDecode:
 
 
 class TestDecodeCorpus:
+    VOCAB_SIZE = 8
+
     def _corpus(self, n=6):
-        vocab = make_vocabulary(8)
         spec = TaskSpec(kind="copy", input_len=3, output_len=3)
-        return vocab, generate_corpus(spec, n, vocab, seed=5)
+        return generate_corpus(spec, n, self.VOCAB_SIZE, seed=5)
 
     def test_deterministic_and_seed_sensitive(self):
-        vocab, examples = self._corpus()
-        dims = ModelDims(vocab_size=len(vocab.symbols), embed_dim=4, hidden_dim=5)
+        examples = self._corpus()
+        dims = ModelDims(vocab_size=self.VOCAB_SIZE, embed_dim=4, hidden_dim=5)
         cfg = MethodConfig(method="mcd", samples=4)
         members = train_method(split_rows(examples, dims), dims, cfg, TrainHyper(steps=30), seed=3)
         config = PosteriorConfig(beam_size=2, max_len=3)
@@ -384,8 +385,8 @@ class TestDecodeCorpus:
     def test_overflowing_logits_raise(self):
         # every weight is finite, but a saturated hidden layer times a
         # 1e308 output row overflows; decoding must not emit NaN scores
-        vocab, examples = self._corpus(n=4)
-        members = make_members("base", vocab=len(vocab.symbols))
+        examples = self._corpus(n=4)
+        members = make_members("base", vocab=self.VOCAB_SIZE)
         members[0].b_h[:] = 10.0
         members[0].w_o[0] = 1e308
         with np.errstate(over="ignore"), pytest.raises(NumericalStateError,
@@ -396,6 +397,7 @@ class TestDecodeCorpus:
 
 class TestPredictionFiles:
     VOCAB_SIZE = 10
+    MAX_LEN = 4
 
     def _records(self):
         return (
@@ -410,7 +412,7 @@ class TestPredictionFiles:
         path = tmp_path / "preds.jsonl"
         records = self._records()
         write_predictions(records, path)
-        assert read_predictions(path, self.VOCAB_SIZE) == records
+        assert read_predictions(path, self.VOCAB_SIZE, self.MAX_LEN) == records
 
     def test_write_rejects_duplicate_ids(self, tmp_path):
         rec = self._records()[0]
@@ -423,7 +425,7 @@ class TestPredictionFiles:
                            "eos_logp": -1.0, "uncertainty": -1.0})
         path.write_text(good + "\n{broken\n")
         with pytest.raises(ParseError, match="line 2"):
-            read_predictions(path, self.VOCAB_SIZE)
+            read_predictions(path, self.VOCAB_SIZE, self.MAX_LEN)
 
     def test_field_set_is_strict(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -431,7 +433,7 @@ class TestPredictionFiles:
                    "eos_logp": -1.0}
         path.write_text(json.dumps(payload) + "\n")
         with pytest.raises(ParseError, match="missing.*uncertainty"):
-            read_predictions(path, self.VOCAB_SIZE)
+            read_predictions(path, self.VOCAB_SIZE, self.MAX_LEN)
 
     def test_logp_length_must_match(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -439,7 +441,7 @@ class TestPredictionFiles:
                    "eos_logp": -1.0, "uncertainty": -1.0}
         path.write_text(json.dumps(payload) + "\n")
         with pytest.raises(ParseError, match="entries for 2 tokens"):
-            read_predictions(path, self.VOCAB_SIZE)
+            read_predictions(path, self.VOCAB_SIZE, self.MAX_LEN)
 
     def test_duplicate_ids_rejected_on_read(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -447,7 +449,7 @@ class TestPredictionFiles:
                            "eos_logp": -1.0, "uncertainty": -1.0})
         path.write_text(line + "\n" + line + "\n")
         with pytest.raises(ParseError, match="duplicate"):
-            read_predictions(path, self.VOCAB_SIZE)
+            read_predictions(path, self.VOCAB_SIZE, self.MAX_LEN)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400",
                                        pytest.param("1" + "0" * 400, id="int1e400")])
@@ -463,14 +465,19 @@ class TestPredictionFiles:
         path = tmp_path / "p.jsonl"
         path.write_text(good + "\n" + bad + "\n")
         with pytest.raises(ParseError, match=f"line 2.*{field}.*finite"):
-            read_predictions(path, self.VOCAB_SIZE)
+            read_predictions(path, self.VOCAB_SIZE, self.MAX_LEN)
 
     def test_what_the_search_can_write_at_its_bounds_loads(self, tmp_path):
-        # the first and last content ids, log-probabilities of 0 and -0
+        # the first and last content ids, log-probabilities of 0 and -0,
+        # and a hypothesis of max_len tokens
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps({"id": "a", "hypothesis": [3, 9], "token_logp": [0.0, -0.0],
-                                    "eos_logp": 0.0, "uncertainty": 0.0}) + "\n")
-        assert read_predictions(path, self.VOCAB_SIZE)[0].hypothesis == (3, 9)
+                                    "eos_logp": 0.0, "uncertainty": 0.0}) + "\n"
+                        + json.dumps({"id": "b", "hypothesis": [9, 3, 3, 9],
+                                      "token_logp": [0.0] * 4, "eos_logp": 0.0,
+                                      "uncertainty": 0.0}) + "\n")
+        assert [r.hypothesis for r in read_predictions(path, self.VOCAB_SIZE, self.MAX_LEN)] == [
+            (3, 9), (9, 3, 3, 9)]
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param({"token_logp": [800.0]}, "log-probability 800.0 is above 0", id="logp-800"),
@@ -493,6 +500,9 @@ class TestPredictionFiles:
         pytest.param({"hypothesis": [2]}, "token id 2 outside", id="eos"),
         pytest.param({"hypothesis": [10]}, "token id 10 outside the content ids 3..9",
                      id="vocab_size"),
+        # one token more than the search's cap
+        pytest.param({"hypothesis": [3] * 5, "token_logp": [-1.0] * 5, "uncertainty": -1.0},
+                     "hypothesis of 5 tokens is longer than max_len 4", id="max_len"),
     ])
     def test_what_the_search_cannot_write_is_refused(self, tmp_path, edit, message):
         good = {"id": "a", "hypothesis": [3], "token_logp": [-1.0], "eos_logp": -1.0,
@@ -500,7 +510,7 @@ class TestPredictionFiles:
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **edit}) + "\n")
         with pytest.raises(ParseError, match=f"line 2: .*{re.escape(message)}"):
-            read_predictions(path, self.VOCAB_SIZE)
+            read_predictions(path, self.VOCAB_SIZE, self.MAX_LEN)
 
 
 class TestJoin:

@@ -13,7 +13,7 @@ from oracles import (
     package_dist,
     rows_oracle,
 )
-from seqcal.corpus import BOS_ID, EOS_ID, PAD_ID, ExampleRecord, make_vocabulary
+from seqcal.corpus import BOS_ID, EOS_ID, PAD_ID, ExampleRecord, content_ids, make_vocabulary
 from seqcal.errors import ConfigurationError, InputError, NumericalStateError
 from seqcal.model import (
     DROPOUT_RATE,
@@ -69,7 +69,7 @@ def random_tokens(rs, vocab, lo=1, hi=6):
 
 class TestDims:
     def test_vocab_floor(self):
-        with pytest.raises(ConfigurationError, match="vocab_size"):
+        with pytest.raises(ConfigurationError, match="vocab_size 3 leaves no content id"):
             ModelDims(vocab_size=3)
 
     def test_special_ids_in_range(self):
@@ -77,7 +77,7 @@ class TestDims:
         # and a content id
         ModelDims(vocab_size=4)
         assert max(PAD_ID, BOS_ID, EOS_ID) < 4
-        assert make_vocabulary(4).content_ids == (3,)
+        assert content_ids(4) == range(3, 4)
 
     def test_special_ids_distinct(self):
         assert sorted((PAD_ID, BOS_ID, EOS_ID)) == [0, 1, 2]

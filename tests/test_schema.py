@@ -648,9 +648,10 @@ def test_any_bundle_header_loads_or_is_refused(method, dims):
 
 
 IDS = st.text(min_size=1, max_size=3)
-TOKENS = st.lists(st.integers(0, 40), min_size=1, max_size=4)
-# Rows the search could write: content ids of a 41-id vocabulary,
-# log-probabilities at most 0, and the uncertainty they give.
+# Rows gen-data and the search could write: content ids of a 41-id
+# vocabulary, hypotheses of at most 4 tokens, log-probabilities at most 0,
+# and the uncertainty they give.
+TOKENS = st.lists(st.integers(3, 40), min_size=1, max_size=4)
 LOGP = st.floats(min_value=-1e300, max_value=0.0)
 PREDICTION_ROWS = st.builds(
     lambda id_, steps, eos: {"id": id_, "hypothesis": [t for t, _ in steps],
@@ -674,7 +675,7 @@ def test_any_jsonl_line_loads_or_names_its_line(preds, examples):
     """Any JSON value on a line gives a record or a ParseError naming a
     line, and a file that loads is written back to the same records.  A
     split file with no records is a ParseError of the whole file."""
-    for rows, read, write in ((preds, partial(read_predictions, vocab_size=41),
+    for rows, read, write in ((preds, partial(read_predictions, vocab_size=41, max_len=4),
                                write_predictions),
                               (examples, partial(read_records, vocab_size=41), write_records)):
         with tempfile.TemporaryDirectory() as tmp:

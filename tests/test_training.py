@@ -24,7 +24,7 @@ from oracles import (
     precision_oracle,
     rows_oracle,
 )
-from seqcal.corpus import TaskSpec, generate_corpus, make_vocabulary
+from seqcal.corpus import TaskSpec, generate_corpus
 from seqcal.errors import ConfigurationError, InputError, TrainingError, ValidationError
 from seqcal.model import (
     METHODS,
@@ -67,17 +67,16 @@ STAMP = "5a" * 32
 
 
 def copy_corpus(n=120, seed=0):
-    vocab = make_vocabulary(8)
     spec = TaskSpec(kind="copy", input_len=3, output_len=3)
-    return vocab, generate_corpus(spec, n, vocab, seed)
+    return 8, generate_corpus(spec, n, 8, seed)
 
 
-def dims_for(vocab):
-    return ModelDims(vocab_size=len(vocab.symbols), embed_dim=6, hidden_dim=8)
+def dims_for(vocab_size):
+    return ModelDims(vocab_size=vocab_size, embed_dim=6, hidden_dim=8)
 
 
-def rows_for(vocab, examples):
-    return split_rows(examples, dims_for(vocab))
+def rows_for(vocab_size, examples):
+    return split_rows(examples, dims_for(vocab_size))
 
 
 class TestHyper:
@@ -92,8 +91,8 @@ class TestHyper:
 
 class TestTrainMember:
     def test_zero_steps_keeps_initialization(self):
-        vocab, examples = copy_corpus()
-        dims = dims_for(vocab)
+        vocab_size, examples = copy_corpus()
+        dims = dims_for(vocab_size)
         cfg = MethodConfig(method="base")
         trained = train_member(split_rows(examples, dims), dims, cfg,
                                TrainHyper(steps=0), seed=5)
@@ -103,21 +102,21 @@ class TestTrainMember:
         assert trained.loss_history == ()
 
     def test_loss_drops_and_beats_uniform(self):
-        vocab, examples = copy_corpus()
-        dims = dims_for(vocab)
+        vocab_size, examples = copy_corpus()
+        dims = dims_for(vocab_size)
         cfg = MethodConfig(method="base")
         rows = split_rows(examples, dims)
         model = train_member(rows, dims, cfg, TrainHyper(steps=300), seed=1)
         initial = evaluate_loss(init_model(dims, cfg, seed=1), rows)
         final = evaluate_loss(model, rows)
         assert final < initial - 0.1
-        assert final < math.log(len(vocab.symbols))
+        assert final < math.log(vocab_size)
         assert len(model.loss_history) == 300
         assert all(math.isfinite(loss) for loss in model.loss_history)
 
     def test_deterministic_repetition(self):
-        vocab, examples = copy_corpus(n=60)
-        dims = dims_for(vocab)
+        vocab_size, examples = copy_corpus(n=60)
+        dims = dims_for(vocab_size)
         cfg = MethodConfig(method="mcd")
         rows = split_rows(examples, dims)
         a = train_member(rows, dims, cfg, TrainHyper(steps=40), seed=9)
@@ -127,8 +126,8 @@ class TestTrainMember:
         assert a.loss_history == b.loss_history
 
     def test_batch_ensemble_trains_every_member(self):
-        vocab, examples = copy_corpus(n=60)
-        dims = dims_for(vocab)
+        vocab_size, examples = copy_corpus(n=60)
+        dims = dims_for(vocab_size)
         cfg = MethodConfig(method="be", be_size=3)
         model = train_member(split_rows(examples, dims), dims, cfg,
                              TrainHyper(steps=30), seed=4)
@@ -138,8 +137,8 @@ class TestTrainMember:
             assert not np.array_equal(model.be.s[k], fresh.be.s[k])
 
     def test_spectral_bound_holds_throughout(self, monkeypatch):
-        vocab, examples = copy_corpus(n=60)
-        dims = dims_for(vocab)
+        vocab_size, examples = copy_corpus(n=60)
+        dims = dims_for(vocab_size)
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16))
         worst = []
         real = training.spectral_normalize
@@ -159,9 +158,9 @@ class TestTrainMember:
         assert np.linalg.svd(model.w_h, compute_uv=False)[0] <= bound * 1.001
 
     def test_gp_precision_finalized_after_training(self):
-        vocab, examples = copy_corpus(n=50)
+        vocab_size, examples = copy_corpus(n=50)
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=12))
-        model = train_member(rows_for(vocab, examples), dims_for(vocab), cfg,
+        model = train_member(rows_for(vocab_size, examples), dims_for(vocab_size), cfg,
                              TrainHyper(steps=10), seed=6)
         state = model.sngp
         assert state.covariance_valid
@@ -169,16 +168,16 @@ class TestTrainMember:
         assert np.min(np.linalg.eigvalsh(state.precision)) > 0.0
 
     def test_gp_precision_is_identity_plus_gram_of_every_training_row(self):
-        vocab, examples = copy_corpus(n=50)
+        vocab_size, examples = copy_corpus(n=50)
         cfg = MethodConfig(method="sngp_mcd", sngp=SngpConfig(rff_dim=12))
-        model = train_member(rows_for(vocab, examples), dims_for(vocab), cfg,
+        model = train_member(rows_for(vocab_size, examples), dims_for(vocab_size), cfg,
                              TrainHyper(steps=10), seed=6)
         want = precision_oracle(model, examples)
         assert np.allclose(model.sngp.precision, want, rtol=1e-12, atol=1e-12)
 
     def test_gp_variance_is_distance_aware(self):
-        vocab, examples = copy_corpus()
-        dims = dims_for(vocab)
+        vocab_size, examples = copy_corpus()
+        dims = dims_for(vocab_size)
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16))
         model = train_member(split_rows(examples, dims), dims, cfg,
                              TrainHyper(steps=30), seed=3)
@@ -195,9 +194,9 @@ class TestTrainMember:
     def test_divergence_raises_with_step(self):
         # saturation keeps every float finite, so the detector has to
         # trip on the loss magnitude rather than on NaN
-        vocab, examples = copy_corpus(n=30)
+        vocab_size, examples = copy_corpus(n=30)
         with pytest.raises(TrainingError, match="step .*diverged"):
-            train_member(rows_for(vocab, examples), dims_for(vocab), MethodConfig(method="base"),
+            train_member(rows_for(vocab_size, examples), dims_for(vocab_size), MethodConfig(method="base"),
                          TrainHyper(steps=50, learning_rate=1e300), seed=1)
 
     # The ids are those of the cases before the arrays moved onto the
@@ -214,7 +213,7 @@ class TestTrainMember:
     ])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_update_fails_its_step(self, monkeypatch, method, path, bad):
-        vocab, examples = copy_corpus(n=30)
+        vocab_size, examples = copy_corpus(n=30)
         apply_update = training._apply_update
         steps_done = []
 
@@ -227,13 +226,13 @@ class TestTrainMember:
 
         monkeypatch.setattr(training, "_apply_update", poisoned)
         with pytest.raises(TrainingError, match="non-finite") as err:
-            train_member(rows_for(vocab, examples), dims_for(vocab),
+            train_member(rows_for(vocab_size, examples), dims_for(vocab_size),
                          MethodConfig(method=method), TrainHyper(steps=8), seed=1)
         assert err.value.step == 3
 
     def test_finite_parameters_whose_sum_overflows_pass(self):
-        vocab, _ = copy_corpus(n=10)
-        model = init_model(dims_for(vocab), MethodConfig(method="base"), seed=1)
+        vocab_size, _ = copy_corpus(n=10)
+        model = init_model(dims_for(vocab_size), MethodConfig(method="base"), seed=1)
         model.embed[:] = 1e308
         with np.errstate(over="ignore"):
             assert _params_finite(trainable(model))
@@ -241,19 +240,18 @@ class TestTrainMember:
             assert not _params_finite(trainable(model))
 
     def test_empty_examples_rejected(self):
-        vocab, _ = copy_corpus(n=10)
+        vocab_size, _ = copy_corpus(n=10)
         # training and evaluate_loss read rows built by split_rows, which
         # refuses an empty split
         with pytest.raises(InputError, match="at least one"):
-            split_rows([], dims_for(vocab))
+            split_rows([], dims_for(vocab_size))
 
 
 def chunked_split(vocab_size, n_examples):
     """A copy split with 4 rows per example (3 reference tokens plus eos)."""
-    vocab = make_vocabulary(vocab_size)
     spec = TaskSpec(kind="copy", input_len=3, output_len=3)
-    examples = generate_corpus(spec, n_examples, vocab, seed=2)
-    dims = ModelDims(vocab_size=len(vocab.symbols), embed_dim=6, hidden_dim=8)
+    examples = generate_corpus(spec, n_examples, vocab_size, seed=2)
+    dims = ModelDims(vocab_size=vocab_size, embed_dim=6, hidden_dim=8)
     return examples, dims, split_rows(examples, dims)
 
 
@@ -336,10 +334,9 @@ class TestNarrowCounts:
         # one enter every product; at embed_dim 4 (and 12, demo's), an
         # embedding gradient taken as a mixed uint8 x float64 product
         # rounds differently from the float64 one
-        vocab = make_vocabulary(60)
         spec = TaskSpec(kind="noisy-paraphrase", input_len=8, output_len=6, noise_rate=0.3)
-        examples = generate_corpus(spec, 80, vocab, seed=5)
-        dims = ModelDims(vocab_size=len(vocab.symbols), embed_dim=4, hidden_dim=8)
+        examples = generate_corpus(spec, 80, 60, seed=5)
+        dims = ModelDims(vocab_size=60, embed_dim=4, hidden_dim=8)
         narrow = split_rows(examples, dims)
         assert narrow.ctx_weights.dtype == np.uint8
         assert narrow.ctx_weights.max() > 1
@@ -371,10 +368,9 @@ class TestBatchRows:
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_variable_length_split(self):
-        vocab = make_vocabulary(12)
         spec = TaskSpec(kind="keyword-extract", input_len=6, output_len=4, num_keywords=4)
-        examples = generate_corpus(spec, 60, vocab, seed=3)
-        structure = split_rows(examples, ModelDims(vocab_size=len(vocab.symbols)))
+        examples = generate_corpus(spec, 60, 12, seed=3)
+        structure = split_rows(examples, ModelDims(vocab_size=12))
         assert len({b - a for a, b in structure.row_spans}) > 1
         order = np.random.default_rng(1)
         spans = np.asarray(structure.row_spans)
@@ -385,16 +381,16 @@ class TestBatchRows:
 
 class TestTrainMethod:
     def test_single_model_methods_return_one_member(self):
-        vocab, examples = copy_corpus(n=40)
-        members = train_method(rows_for(vocab, examples), dims_for(vocab),
+        vocab_size, examples = copy_corpus(n=40)
+        members = train_method(rows_for(vocab_size, examples), dims_for(vocab_size),
                                MethodConfig(method="base"), TrainHyper(steps=5), seed=77)
         assert len(members) == 1
         assert members[0].seed == 77
 
     def test_deep_ensemble_members_use_their_seeds_and_differ(self):
-        vocab, examples = copy_corpus(n=40)
+        vocab_size, examples = copy_corpus(n=40)
         cfg = MethodConfig(method="de", seeds=(11, 12, 13))
-        members = train_method(rows_for(vocab, examples), dims_for(vocab), cfg,
+        members = train_method(rows_for(vocab_size, examples), dims_for(vocab_size), cfg,
                                TrainHyper(steps=5), seed=0)
         assert [m.seed for m in members] == [11, 12, 13]
         assert not np.array_equal(members[0].embed, members[1].embed)
@@ -430,8 +426,8 @@ class TestEnsembleWorkers:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_members_equal_serial_training_bit_for_bit(self, monkeypatch, cpus):
-        vocab, examples = copy_corpus(n=40)
-        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=12)
+        vocab_size, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab_size, examples), dims_for(vocab_size), TrainHyper(steps=12)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         methods = [(cfg, 7) for cfg in SINGLE + ENSEMBLES]
         with member_pool(rows, dims, hyper, methods) as pool:
@@ -442,8 +438,8 @@ class TestEnsembleWorkers:
                     assert_same_bits(member, train_member(rows, dims, cfg, hyper, s))
 
     def test_gp_members_are_queued_first(self, monkeypatch):
-        vocab, examples = copy_corpus(n=40)
-        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=2)
+        vocab_size, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab_size, examples), dims_for(vocab_size), TrainHyper(steps=2)
         order = []
 
         def record(structure, dims, config, hyper, seed):
@@ -459,8 +455,8 @@ class TestEnsembleWorkers:
 
     def test_single_model_methods_train_in_the_caller(self, monkeypatch):
         """A pool of one job forks nothing, whatever the CPU count."""
-        vocab, examples = copy_corpus(n=40)
-        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
+        vocab_size, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab_size, examples), dims_for(vocab_size), TrainHyper(steps=5)
         caller = os.getpid()
         pids = []
 
@@ -474,8 +470,8 @@ class TestEnsembleWorkers:
         assert pids == [caller]
 
     def test_a_member_that_raises_is_raised_for_its_method_only(self, monkeypatch):
-        vocab, examples = copy_corpus(n=40)
-        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
+        vocab_size, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab_size, examples), dims_for(vocab_size), TrainHyper(steps=5)
 
         def fail_22(structure, dims, config, hyper, seed):
             if seed == 22:
@@ -493,8 +489,8 @@ class TestEnsembleWorkers:
     def test_a_dead_worker_is_a_training_error_naming_its_members(self, monkeypatch):
         """The child training sngp_de's seed 21 dies; de, whose members
         other children train, still comes back."""
-        vocab, examples = copy_corpus(n=40)
-        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
+        vocab_size, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab_size, examples), dims_for(vocab_size), TrainHyper(steps=5)
         caller = os.getpid()
 
         def kill_in_worker(structure, dims, config, hyper, seed):
@@ -513,8 +509,8 @@ class TestEnsembleWorkers:
     def test_a_worker_leaving_without_its_list_is_a_training_error(self, monkeypatch):
         """A child that exits cleanly in the middle of its member, sngp_de's
         seed 21, leaves no result for it."""
-        vocab, examples = copy_corpus(n=40)
-        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
+        vocab_size, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab_size, examples), dims_for(vocab_size), TrainHyper(steps=5)
         caller = os.getpid()
 
         def leave(structure, dims, config, hyper, seed):
@@ -529,8 +525,8 @@ class TestEnsembleWorkers:
                 train_method(rows, dims, ENSEMBLES[1], hyper, 0, pool)
 
     def test_close_kills_and_reaps_running_workers(self, monkeypatch):
-        vocab, examples = copy_corpus(n=40)
-        rows, dims, hyper = rows_for(vocab, examples), dims_for(vocab), TrainHyper(steps=5)
+        vocab_size, examples = copy_corpus(n=40)
+        rows, dims, hyper = rows_for(vocab_size, examples), dims_for(vocab_size), TrainHyper(steps=5)
         started, told = os.pipe()
         caller = os.getpid()
 
@@ -792,8 +788,8 @@ class TestJobPool:
 
 class TestBundles:
     def _round_trip(self, tmp_path, cfg, seed=5):
-        vocab, examples = copy_corpus(n=30)
-        members = train_method(rows_for(vocab, examples), dims_for(vocab), cfg,
+        vocab_size, examples = copy_corpus(n=30)
+        members = train_method(rows_for(vocab_size, examples), dims_for(vocab_size), cfg,
                                TrainHyper(steps=5), seed=seed)
         path = tmp_path / "bundle.json"
         write_bundle(members, path, STAMP)
@@ -865,13 +861,13 @@ class TestBundles:
             read_bundle(path, STAMP)
 
     def test_bytes_match_streamed_json_dump(self, tmp_path):
-        vocab, examples = copy_corpus(n=30)
-        rows = rows_for(vocab, examples)
+        vocab_size, examples = copy_corpus(n=30)
+        rows = rows_for(vocab_size, examples)
         for method in METHODS:
             seeds = (3, 4) if method in ("de", "sngp_de") else ()
             cfg = MethodConfig(method=method, be_size=2, seeds=seeds,
                                sngp=SngpConfig(rff_dim=10))
-            members = train_method(rows, dims_for(vocab), cfg, TrainHyper(steps=4), seed=2)
+            members = train_method(rows, dims_for(vocab_size), cfg, TrainHyper(steps=4), seed=2)
             write_bundle(members, tmp_path / "new.json", STAMP)
             bundle_dump_oracle(members, tmp_path / "old.json", STAMP)
             new = (tmp_path / "new.json").read_bytes()
@@ -932,19 +928,19 @@ class TestBundles:
 
     def test_write_refuses_a_partial_ensemble(self, tmp_path):
         # write_bundle and read_bundle apply one member-count rule
-        vocab, examples = copy_corpus(n=20)
-        members = train_method(rows_for(vocab, examples), dims_for(vocab),
+        vocab_size, examples = copy_corpus(n=20)
+        members = train_method(rows_for(vocab_size, examples), dims_for(vocab_size),
                                MethodConfig(method="de", seeds=(1, 2)),
                                TrainHyper(steps=1), seed=0)
         with pytest.raises(ValidationError, match="expects 2 members, got 1"):
             write_bundle(members[:1], tmp_path / "de.json", STAMP)
 
     def test_mixed_members_rejected(self, tmp_path):
-        vocab, examples = copy_corpus(n=20)
-        rows = rows_for(vocab, examples)
-        a = train_method(rows, dims_for(vocab), MethodConfig(method="de", seeds=(1, 2)),
+        vocab_size, examples = copy_corpus(n=20)
+        rows = rows_for(vocab_size, examples)
+        a = train_method(rows, dims_for(vocab_size), MethodConfig(method="de", seeds=(1, 2)),
                          TrainHyper(steps=1), seed=0)[0]
-        b = train_method(rows, dims_for(vocab), MethodConfig(method="de", seeds=(1, 3)),
+        b = train_method(rows, dims_for(vocab_size), MethodConfig(method="de", seeds=(1, 3)),
                          TrainHyper(steps=1), seed=0)[1]
         with pytest.raises(ValidationError, match="disagree on method"):
             write_bundle([a, b], tmp_path / "bad.json", STAMP)
@@ -969,9 +965,8 @@ def _array_bytes(members) -> int:
 def _gp_members(method, seeds=()):
     """Members of `method` at trend's dims (vocab 20, rff_dim 128), trained
     two steps so that their arrays hold full-precision floats."""
-    vocab = make_vocabulary(20)
-    examples = generate_corpus(TaskSpec(kind="copy", input_len=3, output_len=3), 40, vocab, 0)
-    dims = ModelDims(vocab_size=len(vocab.symbols))
+    examples = generate_corpus(TaskSpec(kind="copy", input_len=3, output_len=3), 40, 20, 0)
+    dims = ModelDims(vocab_size=20)
     config = MethodConfig(method=method, seeds=seeds, sngp=SngpConfig(rff_dim=128))
     return train_method(split_rows(examples, dims), dims, config, TrainHyper(steps=2), seed=0)
 
@@ -1085,8 +1080,8 @@ class TestBundleLayout:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_member_file_round_trip(self, method):
-        vocab, examples = copy_corpus(n=30)
-        members = train_method(rows_for(vocab, examples), dims_for(vocab), small_config(method),
+        vocab_size, examples = copy_corpus(n=30)
+        members = train_method(rows_for(vocab_size, examples), dims_for(vocab_size), small_config(method),
                                TrainHyper(steps=3), seed=1)
         for model in members:
             stored = _member_file(model)
@@ -1114,9 +1109,9 @@ class TestBundleLayout:
     def test_trainable_is_the_gradient_layout(self, method):
         # the gradients hold exactly the trainable arrays' keys and shapes,
         # and each key is the path of its array from a Member field
-        vocab, examples = copy_corpus(n=10)
-        model = init_model(dims_for(vocab), small_config(method), seed=2)
-        rows = rows_for(vocab, examples)
+        vocab_size, examples = copy_corpus(n=10)
+        model = init_model(dims_for(vocab_size), small_config(method), seed=2)
+        rows = rows_for(vocab_size, examples)
         _, grads = _loss_and_grads(model, rows, np.arange(len(rows.targets)),
                                    be_member=1 if method == "be" else None, dropout_seed=5)
         arrays = trainable(model)
@@ -1183,8 +1178,8 @@ class TestRunStamp:
     """A bundle loads only in the run whose stamp it stores."""
 
     def test_mismatch_rejected_and_match_passes(self, tmp_path):
-        vocab, examples = copy_corpus(n=20)
-        members = train_method(rows_for(vocab, examples), dims_for(vocab),
+        vocab_size, examples = copy_corpus(n=20)
+        members = train_method(rows_for(vocab_size, examples), dims_for(vocab_size),
                                MethodConfig(method="base"), TrainHyper(steps=1), seed=1)
         path = tmp_path / "base.json"
         write_bundle(members, path, STAMP)
