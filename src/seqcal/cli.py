@@ -30,6 +30,9 @@ running job after job; the stage process takes the results back in method
 order and writes every file and prints every line itself, so the outputs
 do not depend on the CPU count.
 
+`evaluate` is the one routine from joined test records to every report;
+`eval` feeds it one method's records at a time and writes what it gives.
+
 Every stochastic choice derives from the single top-level seed, so a
 rerun of any stage writes byte-identical files.  Model-intrinsic knobs
 (sample count, ensemble sizes, the sngp block) travel inside the bundle;
@@ -417,57 +420,61 @@ def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> No
             print(f"decoded {len(preds)} examples with {method} -> {path}")
 
 
-# {report: CSV header} for the per-metric reports; reports/<report>.csv
-# holds the rows `_eval_one_method` gives under that key.
-REPORTS = {
-    "ece": "method,level,K,ece",
-    "corr": "method,metric,rho,boot_std,B,seed",
-    "roc": "method,metric,theta,auc",
-    "abstention": "method,metric,alpha,mean_quality",
-}
-
-
-def _eval_one_method(method, joined, config: RunConfig, gaps) -> dict:
-    """{report: rows} of one method; a metric undefined on these records
-    adds one gaps entry instead of its rows."""
-    rows = {report: [] for report in REPORTS}
-
-    def add(report, key, tails):
-        try:
-            rows[report].extend((method, key, *tail) for tail in tails())
-        except MetricError as exc:
-            gaps.append((method, report, key, str(exc)))
-
-    for level, pairs in (("sequence", sequence_pairs(joined)), ("token", token_pairs(joined))):
-        add("ece", level, lambda: [(ECE_BINS, ece(pairs))])
-    u = [r.uncertainty for r in joined]
-    resamples = config.eval.bootstrap_resamples
-    for metric in QUALITY_KEYS:
-        q = [r.quality[metric] for r in joined]
-        seed, theta = config.bootstrap_seed(method, metric), THRESHOLDS[metric]
-        add("corr", metric, lambda: [(boot.rho, boot.std, resamples, seed)
-                                     for boot in [bootstrap_std(u, q, resamples, seed)]])
-        add("roc", metric, lambda: [(theta, roc_auc(u, q, theta))])
-        add("abstention", metric, lambda: zip(ALPHAS, abstention_curve(joined, metric)))
-    return rows
-
-
 # Each summary headline is one report row's value: (report, row key, the
 # report column holding the headline, its summary.csv value and rank
 # columns, sign that makes lower better).
 SUMMARY_COLUMNS = (("ece", "sequence", "ece", "ece_sequence", "rank_ece", 1.0),
                    ("corr", "rougeL", "rho", "spearman_rougeL", "rank_spearman", -1.0),
                    ("roc", "rougeL", "auc", "auc_rougeL", "rank_auc", -1.0))
-SUMMARY_HEADER = ",".join(("method", *(column[3] for column in SUMMARY_COLUMNS),
-                           *(column[4] for column in SUMMARY_COLUMNS), "mean_rank"))
+
+# {report: CSV header}; reports/<report>.csv holds the rows `evaluate`
+# gives under that key.
+REPORTS = {
+    "ece": "method,level,K,ece",
+    "corr": "method,metric,rho,boot_std,B,seed",
+    "roc": "method,metric,theta,auc",
+    "abstention": "method,metric,alpha,mean_quality",
+    "summary": ",".join(("method", *(column[3] for column in SUMMARY_COLUMNS),
+                         *(column[4] for column in SUMMARY_COLUMNS), "mean_rank")),
+    "gaps": "method,report,metric,reason",
+}
 
 
-def _headline(rows: dict) -> dict:
-    """{headline: value} of one method's report rows; a headline whose row
-    is missing, a gap, is absent."""
-    return {name: row[REPORTS[report].split(",").index(name)]
-            for report, key, name, *_ in SUMMARY_COLUMNS
-            for row in rows[report] if row[1] == key}
+def evaluate(joined, config: RunConfig) -> tuple[dict, dict]:
+    """({report: rows} for every report, {method: {headline: value}}) of
+    `joined`, (method, joined test records) pairs taken one at a time, so a
+    generator holds one method's records at once.  A metric undefined on a
+    method's records adds one gaps row instead of its rows and headline;
+    summary and the `all` gaps rows depend on the set of methods, the
+    other rows on each method alone."""
+    rows = {report: [] for report in REPORTS}
+    gaps, headlines = [], {}
+    resamples = config.eval.bootstrap_resamples
+    for method, records in joined:
+        def add(report, key, tails):
+            try:
+                rows[report].extend((method, key, *tail) for tail in tails())
+            except MetricError as exc:
+                gaps.append((method, report, key, str(exc)))
+
+        for level, pairs in (("sequence", sequence_pairs(records)),
+                             ("token", token_pairs(records))):
+            add("ece", level, lambda: [(ECE_BINS, ece(pairs))])
+        u = [r.uncertainty for r in records]
+        for metric in QUALITY_KEYS:
+            q = [r.quality[metric] for r in records]
+            seed, theta = config.bootstrap_seed(method, metric), THRESHOLDS[metric]
+            add("corr", metric, lambda: [(boot.rho, boot.std, resamples, seed)
+                                         for boot in [bootstrap_std(u, q, resamples, seed)]])
+            add("roc", metric, lambda: [(theta, roc_auc(u, q, theta))])
+            add("abstention", metric, lambda: zip(ALPHAS, abstention_curve(records, metric)))
+        headlines[method] = {name: row[REPORTS[report].split(",").index(name)]
+                             for report, key, name, *_ in SUMMARY_COLUMNS
+                             for row in rows[report] if row[:2] == (method, key)}
+    rows["summary"] = _summary_rows(headlines, gaps)
+    rows["gaps"] = [(m, report, metric, '"' + reason.replace('"', "'") + '"')
+                    for m, report, metric, reason in gaps]
+    return rows, headlines
 
 
 def _summary_rows(headlines: dict, gaps: list) -> list[tuple]:
@@ -513,25 +520,16 @@ def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
                     f"no predictions for {m!r} at {out.predictions(m)}; run infer first"
                 )
     out.ensure("reports")
-    all_rows = {report: [] for report in REPORTS}
-    gaps = []
-    headlines = {}
-    for method in methods:
-        joined = join_with_references(
-            read_predictions(out.predictions(method), config.vocab_size, max_len), test)
-        rows = _eval_one_method(method, joined, config, gaps)
-        for key in all_rows:
-            all_rows[key].extend(rows[key])
-        headline = headlines[method] = _headline(rows)
+    rows, headlines = evaluate(
+        ((m, join_with_references(read_predictions(out.predictions(m), config.vocab_size,
+                                                   max_len), test)) for m in methods),
+        config)
+    for method, headline in headlines.items():
         print(f"eval {method}: " + (", ".join(f"{k} {v:.4f}" for k, v in headline.items())
                                     or "no headline metrics"))
     for report, header in REPORTS.items():
-        write_csv(out.report(f"{report}.csv"), header, all_rows[report])
-    write_csv(out.report("summary.csv"), SUMMARY_HEADER, _summary_rows(headlines, gaps))
-    write_csv(out.report("gaps.csv"), "method,report,metric,reason",
-              ((m, report, metric, '"' + reason.replace('"', "'") + '"')
-               for m, report, metric, reason in gaps))
-    note = f", {len(gaps)} metric gap(s) listed in gaps.csv" if gaps else ""
+        write_csv(out.report(f"{report}.csv"), header, rows[report])
+    note = f", {len(rows['gaps'])} metric gap(s) listed in gaps.csv" if rows["gaps"] else ""
     print(f"wrote reports for {len(methods)} method(s) to {out.path('reports')}{note}")
 
 

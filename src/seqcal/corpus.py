@@ -55,8 +55,12 @@ MIN_CORPUS_SIZE = 10
 
 
 def content_ids(vocab_size: int) -> range:
-    """The ids inputs, references and hypotheses hold: every id after eos."""
-    return range(EOS_ID + 1, vocab_size)
+    """The ids inputs, references and hypotheses hold: every id after eos.
+    A `vocab_size` that leaves none is refused."""
+    content = range(EOS_ID + 1, vocab_size)
+    if not content:
+        raise ConfigurationError(f"vocab_size {vocab_size} leaves no content id")
+    return content
 
 
 def check_content(name: str, tokens, vocab_size: int) -> None:

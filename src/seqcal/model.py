@@ -105,8 +105,7 @@ class ModelDims:
     hidden_dim: int = 32
 
     def __post_init__(self):
-        if not content_ids(self.vocab_size):
-            raise ConfigurationError(f"vocab_size {self.vocab_size} leaves no content id")
+        content_ids(self.vocab_size)  # refuses a vocab_size with no content id
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ConfigurationError("embed_dim and hidden_dim must be >= 1")
 

@@ -2,14 +2,14 @@
 
 Each test prints a single pass/fail line on the unredirected stdout so
 the verdicts stay visible in captured pytest runs.  Criterion 7 is the
-desk-scale trend study; its soft sub-checks print effect sizes and only
+desk-scale trend study; it reads its numbers from the report rows
+`cli.evaluate` gives, its soft sub-checks print effect sizes and only
 the quality-tolerance breach (and the wall-clock budget) hard-fails.
 """
 
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import time
 from pathlib import Path
@@ -39,13 +39,13 @@ from seqcal.calib import (
     abstention_curve,
     ece,
     roc_auc,
-    sequence_pairs,
     spearman,
 )
 from seqcal.cli import (
     MethodsSection,
     ModelSection,
     RunConfig,
+    evaluate,
     load_config,
     main,
 )
@@ -56,7 +56,6 @@ from seqcal.corpus import (
     generate_corpus,
     split_corpus,
 )
-from seqcal.errors import MetricError
 from seqcal import inference
 from seqcal.inference import (
     PosteriorConfig,
@@ -448,34 +447,30 @@ def _trend_config(global_seed):
 
 
 def _trend_one_seed(global_seed):
+    """base's and de's numbers at one seed, read from the report rows
+    `cli.evaluate` gives: mean rouge1 is the abstention row at alpha 0,
+    and a metric's curve counts only where its corr row, rho, exists."""
     cfg = _trend_config(global_seed)
     records = generate_corpus(cfg.task, cfg.n_examples, cfg.vocab_size, cfg.task_seed())
     train, _, test = split_corpus(records, seed=cfg.seed)
-    out = {}
-    for method in ("base", "de"):
+
+    def joined(method):
         members = train_method(split_rows(train, cfg.dims()), cfg.dims(),
                                cfg.method_config(method),
                                cfg.train, seed=cfg.train_seed(method))
         preds = decode_corpus(members, test, cfg.posterior_config(),
                               run_seed=cfg.run_seed(method))
-        joined = join_with_references(preds, test)
-        u = [r.uncertainty for r in joined]
-        curves = {}
-        for metric in ("rouge1", "rouge2", "rougeL"):
-            q = [r.quality[metric] for r in joined]
-            try:
-                rho = spearman(u, q)
-            except MetricError:
-                continue
-            # ALPHAS runs from 0 to 0.5: the curve's first and last values
-            curve = abstention_curve(joined, metric)
-            curves[metric] = (rho, curve[0], curve[-1])
-        out[method] = {
-            "r1": math.fsum(r.quality["rouge1"] for r in joined) / len(joined),
-            "ece": ece(sequence_pairs(joined)),
-            "curves": curves,
-        }
-    return out
+        return method, join_with_references(preds, test)
+
+    rows, _ = evaluate(map(joined, ("base", "de")), cfg)
+    curve = {row[:3]: row[3] for row in rows["abstention"]}
+    ece_of = {row[:2]: row[3] for row in rows["ece"]}
+    # ALPHAS runs from 0 to 0.5: the curve's first and last values
+    return {method: {"r1": curve[method, "rouge1", 0.0],
+                     "ece": ece_of[method, "sequence"],
+                     "curves": [(rho, curve[m, metric, 0.0], curve[m, metric, 0.5])
+                                for m, metric, rho, *_ in rows["corr"] if m == method]}
+            for method in ("base", "de")}
 
 
 def test_criterion_7_ensemble_trend(announce):
@@ -499,7 +494,7 @@ def test_criterion_7_ensemble_trend(announce):
     rising = 0
     for s in seeds:
         for method in ("base", "de"):
-            for rho, at0, at5 in results[s][method]["curves"].values():
+            for rho, at0, at5 in results[s][method]["curves"]:
                 if rho > 0.1:
                     applicable += 1
                     if at5 >= at0:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -16,13 +17,15 @@ import numpy as np
 import pytest
 
 from oracles import decode_array, edit_array
-from seqcal.calib import ALPHAS, THRESHOLDS
+from seqcal.calib import ALPHAS, THRESHOLDS, write_csv
 from seqcal.cli import (
     MAX_DE_SIZE,
     MAX_VOCAB_SIZE,
+    REPORTS,
     OutDir,
     _resolve_methods,
     _summary_rows,
+    evaluate,
     load_config,
     main,
 )
@@ -30,7 +33,12 @@ import seqcal.cli as cli
 import seqcal.training as training
 from seqcal.corpus import content_ids, read_records
 from seqcal.errors import ConfigurationError, NumericalStateError, TrainingError
-from seqcal.inference import decode_corpus, read_predictions, write_predictions
+from seqcal.inference import (
+    decode_corpus,
+    join_with_references,
+    read_predictions,
+    write_predictions,
+)
 from seqcal.model import METHODS
 from seqcal.training import read_bundle, split_rows, train_member, write_bundle
 
@@ -291,6 +299,20 @@ class TestPipeline:
         ece_lines = open(os.path.join(out, "reports", "ece.csv")).read().splitlines()
         assert ece_lines[0] == "method,level,K,ece"
         assert any(line.startswith("mcd,sequence,15,") for line in ece_lines)
+        # eval prints one line per method, in method order, of its
+        # summary.csv values at .4f
+        with open(os.path.join(out, "reports", "summary.csv"), newline="") as fh:
+            summary = {row["method"]: row for row in csv.DictReader(fh)}
+        expected = []
+        for method in ("base", "mcd"):
+            cells = [f"{name} {float(summary[method][column]):.4f}"
+                     for name, column in (("ece", "ece_sequence"), ("rho", "spearman_rougeL"),
+                                          ("auc", "auc_rougeL"))
+                     if summary[method][column]]
+            expected.append(f"eval {method}: " + (", ".join(cells) or "no headline metrics"))
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("eval ")]
+        assert printed == expected
 
     def test_infer_and_eval_reruns_are_byte_identical(self, tmp_path):
         cfg_path, out = run_pipeline(tmp_path)
@@ -1030,6 +1052,63 @@ class TestSummaryAgreesWithReports:
         # both branches ran: a defined rho and AUC, and missing ones
         assert {(column, defined) for column, *_ in self.HEADLINES[1:]
                 for defined in (True, False)} <= seen
+
+
+class TestEvaluate:
+    """`cli.evaluate` is the one routine from each method's joined records
+    to every report; eval feeds it one method at a time."""
+
+    METHODS = ("base", "mcd", "sngp")
+    OWN = ("ece", "corr", "roc", "abstention", "gaps")
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        cfg_path, out = run_pipeline(tmp_path_factory.mktemp("evaluate"),
+                                     methods=",".join(self.METHODS))
+        return load_config(cfg_path), OutDir(out)
+
+    def joined(self, run, method):
+        config, out = run
+        preds = read_predictions(out.predictions(method), config.vocab_size,
+                                 config.task.output_len)
+        return method, join_with_references(
+            preds, read_records(out.split("test"), config.vocab_size))
+
+    def own_rows(self, rows, method):
+        return {report: [row for row in rows[report] if row[0] == method]
+                for report in self.OWN}
+
+    def test_a_methods_rows_do_not_depend_on_the_others(self, run):
+        config, _ = run
+        joined = dict(self.joined(run, m) for m in self.METHODS)
+        alone = {}
+        for m in self.METHODS:
+            rows, headlines = evaluate([(m, joined[m])], config)
+            alone[m] = self.own_rows(rows, m), headlines[m]
+        # base and mcd are exact on every output of this run, so they have
+        # gap rows and no rho, while sngp has a rho of its own
+        assert alone["base"][0]["gaps"] and alone["sngp"][0]["corr"]
+        for size in (2, 3):
+            for order in itertools.permutations(self.METHODS, size):
+                rows, headlines = evaluate([(m, joined[m]) for m in order], config)
+                assert list(headlines) == list(order)
+                for m in order:
+                    assert (self.own_rows(rows, m), headlines[m]) == alone[m], (order, m)
+                # the rest depends on the set: summary, and its `all` gaps rows
+                for report in self.OWN[:-1]:
+                    assert len(rows[report]) == sum(len(alone[m][0][report]) for m in order)
+                assert sorted(row[0] for row in rows["summary"]) == sorted(order)
+                assert {row[:2] for row in rows["gaps"] if row[0] not in order} == {
+                    ("all", "summary")}
+
+    def test_rows_from_a_generator_are_the_written_reports(self, run, tmp_path):
+        config, out = run
+        rows, _ = evaluate((self.joined(run, m) for m in self.METHODS), config)
+        for report, header in REPORTS.items():
+            path = tmp_path / f"{report}.csv"
+            write_csv(path, header, rows[report])
+            with open(out.report(f"{report}.csv"), "rb") as fh:
+                assert path.read_bytes() == fh.read(), report
 
 
 @pytest.mark.usefixtures("watchdog")

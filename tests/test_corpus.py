@@ -210,6 +210,14 @@ class TestGeneration:
         records = generate_corpus(spec, 100, 8, seed=0)
         assert len({r.id for r in records}) == 100
 
+    @pytest.mark.parametrize("vocab_size", [3, 2, 0])
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_vocab_without_content_ids_is_refused(self, kind, vocab_size):
+        spec = TaskSpec(kind=kind, noise_rate=0.1 if kind == "noisy-paraphrase" else 0.0)
+        with pytest.raises(ConfigurationError,
+                           match=f"^vocab_size {vocab_size} leaves no content id$"):
+            generate_corpus(spec, 10, vocab_size, 0)
+
 
 class TestSplit:
     def test_floor_then_remainder(self):
