@@ -16,14 +16,18 @@ second.  Collapsing the mean into the logits changes the distribution
 whenever members disagree, so the two orders are never interchangeable.
 
 Beam search has one scoring rule.  Pruning keeps the beam_size prefixes
-with the highest summed mean-probability log score, and the output is the
-closed hypothesis with the highest (total + eos log score) / (T + 1), the
-u below.  A candidate is always a fully terminated sequence: eos is one
-of the scored continuations from length 1 on, and hypotheses still alive
-at the length cap are closed with a forced eos score.  Stored hypotheses
-and per-token log-probabilities exclude the terminal eos; the eos
-log-probability is kept alongside so every ranking score can be
-reproduced.  A member pass whose logits are not finite, or a posterior
+with the highest summed mean-probability log score, ties going to the
+smaller token sequence, and the output is the closed hypothesis with the
+highest (total + eos log score) / (T + 1), the u below, ties broken the
+same way.  Both picks are one partial selection: np.partition finds each
+example's k-th best score, and only the candidates scoring at least that
+are sorted, so a step sorts about beam_size candidates per example, not
+all live x content.  A candidate is always a fully terminated sequence:
+eos is one of the scored continuations from length 1 on, and hypotheses
+still alive at the length cap are closed with a forced eos score.
+Stored hypotheses and per-token log-probabilities exclude the terminal
+eos; the eos log-probability is kept alongside so every ranking score can
+be reproduced.  A member pass whose logits are not finite, or a posterior
 probability that underflows to 0 and so has no finite log score, stops
 decoding with NumericalStateError, and `read_predictions` refuses any
 record the search cannot write, NaN or infinite scores included.
@@ -184,11 +188,24 @@ def uncertainty_score(token_logp, eos_logp: float) -> float:
     return sequence_logp(token_logp, eos_logp) / (len(tuple(token_logp)) + 1)
 
 
-def _sorted_by(key: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """Per-row order of (key, tokens...) ascending: key (n, c), tokens
-    (n, c, t).  Token columns break key ties lexicographically."""
-    columns = [tokens[:, :, j] for j in range(tokens.shape[2] - 1, -1, -1)]
-    return np.lexsort(columns + [key], axis=-1)
+def _first_by(key: np.ndarray, tokens: np.ndarray, k: int) -> np.ndarray:
+    """Per-row indices (n, min(k, c)) of the smallest (key, tokens...)
+    entries in ascending order: key (n, c), tokens (n, c, t), with token
+    columns breaking key ties lexicographically and equal entries keeping
+    their column order.
+
+    Only an entry whose key is at most its row's k-th smallest key can be
+    among the first k, ties included.  np.partition finds that threshold,
+    and one lexsort orders just those entries, by row first.
+    """
+    k = min(k, key.shape[1])
+    threshold = np.partition(key, k - 1, axis=1)[:, k - 1, None]
+    rows, cols = np.nonzero(key <= threshold)
+    picked = tokens[rows, cols]
+    columns = [picked[:, j] for j in range(picked.shape[1] - 1, -1, -1)]
+    order = np.lexsort(columns + [key[rows, cols], rows])
+    starts = np.searchsorted(rows, np.arange(len(key)))
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 def _search(members, inputs, example_ids, config: PosteriorConfig,
@@ -219,7 +236,15 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
         return ()
     width = config.max_len
     content = np.asarray(content_ids(dims.vocab_size))
-    ctxs = [np.stack([sum_embeddings(m.embed, x) for x in inputs]) for m in members]
+    # a row of sum_embeddings keeps its bits whatever is stacked with it,
+    # so the inputs of one length share a call
+    input_lens = np.array([len(x) for x in inputs])
+    ctxs = [np.empty((n, dims.embed_dim)) for _ in members]
+    for length in np.unique(input_lens):
+        group = np.flatnonzero(input_lens == length)
+        stacked = np.array([inputs[i] for i in group], dtype=int)
+        for ctx, m in zip(ctxs, members):
+            ctx[group] = sum_embeddings(m.embed, stacked)
     masks = None
     if dropout_active(members[0].config.method):
         masks = dropout_mask([derive_seed(run_seed, "mcd", i) for i in example_ids],
@@ -248,7 +273,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
         cand_total = totals[:, parent] + cand_logp
         cand_tokens = tokens[:, parent]
         cand_tokens[:, :, step] = np.tile(content, live)
-        keep = _sorted_by(-cand_total, cand_tokens)[:, : config.beam_size]
+        keep = _first_by(-cand_total, cand_tokens, config.beam_size)
         tokens = cand_tokens[rows, keep]
         logps = logps[rows, parent[keep]]
         logps[:, :, step] = cand_logp[rows, keep]
@@ -256,7 +281,7 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
 
     tokens, logps, totals, eos_logp = (np.concatenate(part, axis=1) for part in zip(*closed))
     lengths = np.repeat(np.arange(1, width + 1), [c[0].shape[1] for c in closed])
-    best = _sorted_by(-(totals + eos_logp) / (lengths + 1), tokens)[:, 0]
+    best = _first_by(-(totals + eos_logp) / (lengths + 1), tokens, 1)[:, 0]
     out = []
     for e, j in enumerate(best.tolist()):
         length = int(lengths[j])

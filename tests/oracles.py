@@ -411,6 +411,16 @@ def exhaustive_oracle(members, input_tokens, config, run_seed, example_id):
     return best
 
 
+def sorted_by_oracle(key, tokens):
+    """Per-row order of (key, tokens...) ascending over every entry: key
+    (n, c), tokens (n, c, t).  Token columns break key ties
+    lexicographically, and lexsort is stable, so equal entries keep their
+    column order.  The decoder's partial selection must give its first k
+    columns."""
+    columns = [tokens[:, :, j] for j in range(tokens.shape[2] - 1, -1, -1)]
+    return np.lexsort(columns + [key], axis=-1)
+
+
 def beam_oracle(members, input_tokens, config, run_seed, example_id):
     """One-example beam search with python lists, one
     one_example_distributions call per step.  The batched decoder must

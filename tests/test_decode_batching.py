@@ -10,10 +10,12 @@ where the one-example oracle shares the bug.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqcal.inference as inference
-from oracles import beam_oracle
-from seqcal.corpus import TaskSpec, generate_corpus
+from oracles import beam_oracle, sorted_by_oracle
+from seqcal.corpus import ExampleRecord, TaskSpec, generate_corpus
 from seqcal.errors import InputError
 from seqcal.inference import PosteriorConfig, beam_decode, decode_corpus
 from seqcal.model import (
@@ -163,3 +165,62 @@ def test_empty_corpus_and_bad_input(trained, examples):
     assert decode_corpus(members, [], CONFIGS["beam3"], RUN_SEED) == ()
     with pytest.raises(InputError, match="input token"):
         beam_decode(members, (3, VOCAB), CONFIGS["beam3"], run_seed=0, example_id="x")
+
+
+def test_inputs_of_mixed_lengths_match_beam_decode(trained, examples):
+    # contexts are summed once per input length over the stacked inputs
+    # of that length; lengths interleave so each group is scattered back
+    test = [ExampleRecord(id=f"mixed-{i}", input=ex.input[:length], reference=ex.reference)
+            for i, (ex, length) in enumerate(zip(examples[28:], (4, 1, 3, 4, 1, 2, 3, 4)))]
+    config = CONFIGS["beam3"]
+    for method in METHODS:
+        members = trained[method]
+        got = decode_corpus(members, test, config, RUN_SEED)
+        assert got == tuple(beam_decode(members, ex.input, config, run_seed=RUN_SEED,
+                                        example_id=ex.id) for ex in test)
+
+
+@st.composite
+def candidate_rows(draw):
+    """key (n, c) from a few values, so ties are common, and token rows
+    (n, c, t) of 0 to t ids padded with -1, as the search's prefixes are."""
+    n = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 10))
+    t = draw(st.integers(1, 3))
+    key = draw(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.75, 2.0, np.inf]),
+                        min_size=n * c, max_size=n * c))
+    tokens = np.full((n, c, t), -1)
+    for r, j in np.ndindex(n, c):
+        seq = draw(st.lists(st.integers(3, 5), max_size=t))
+        tokens[r, j, : len(seq)] = seq
+    return np.array(key).reshape(n, c), tokens, draw(st.integers(1, c + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_rows())
+def test_partial_selection_is_the_full_sort_prefix(case):
+    key, tokens, k = case
+    got = inference._first_by(key, tokens, k)
+    assert got.tolist() == sorted_by_oracle(key, tokens)[:, :k].tolist()
+
+
+def test_pruning_sorts_at_most_beam_size_candidates(monkeypatch):
+    # the partial selection leaves the records' bits alone, so only the
+    # sort sizes show a return to sorting all live x vocab candidates;
+    # untrained random weights give distinct scores, so no key ties at a
+    # row's threshold and each example contributes at most beam_size
+    dims = ModelDims(vocab_size=200, embed_dim=16, hidden_dim=32)
+    members = (init_model(dims, MethodConfig(method="base"), 0),)
+    test = generate_corpus(TaskSpec(kind="copy", input_len=4, output_len=4), 6, 200, seed=3)
+    config = PosteriorConfig(beam_size=4, max_len=4)
+    real = np.lexsort
+    sizes = []
+
+    def counted(keys, *args, **kwargs):
+        sizes.append(np.size(keys[-1]))
+        return real(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    decode_corpus(members, test, config, RUN_SEED)
+    assert len(sizes) == config.max_len + 1
+    assert max(sizes) <= config.beam_size * len(test)
