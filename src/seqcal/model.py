@@ -18,9 +18,10 @@ Heads modify this skeleton:
                    a = r_k * (W_h (s_k * z)) + b_h
   gaussian process the output layer becomes random cosine features
                    phi(h) = sqrt(2/D) cos(W_r h + b_r) with trainable
-                   weights beta, plus the Laplace precision I + sum phi phi^T
-                   over the training rows, which supplies a predictive
-                   variance for mean-field logit scaling at inference time
+                   weights beta, plus L^{-1}, the inverse lower Cholesky
+                   factor of the Laplace precision I + sum phi phi^T over
+                   the training rows, which supplies a predictive variance
+                   |L^{-1} phi|^2 for mean-field logit scaling at inference
   dropout          inverted dropout on the hidden activation only, active
                    for the mc-dropout method variants
 
@@ -60,7 +61,7 @@ inference.py applies mean-field scaling and the softmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,16 +194,15 @@ class BatchEnsembleState:
 
 @dataclass
 class SngpState:
-    """Frozen random features, trainable output weights, Laplace precision."""
+    """Frozen random features, trainable output weights, and the Laplace
+    posterior as L^{-1}, the inverse lower Cholesky factor of its
+    precision: the identity of the prior until training factors
+    I + Phi^T Phi over its rows (`factor_precision`)."""
 
     w_r: np.ndarray  # (rff_dim, hidden_dim), frozen
     b_r: np.ndarray  # (rff_dim,), frozen
     beta: np.ndarray  # (vocab, rff_dim), trainable
-    precision: np.ndarray  # (rff_dim, rff_dim)
-    covariance_valid: bool = False
-    # cached inverse of the lower Cholesky factor of precision; reset on
-    # every update and never stored
-    chol_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    chol_inv: np.ndarray  # (rff_dim, rff_dim), lower triangular
 
 
 @dataclass(kw_only=True)
@@ -262,7 +262,8 @@ def check_members(members, what: str) -> tuple[TrainedModel, ...]:
 def init_model(dims: ModelDims, config: MethodConfig, seed: int) -> TrainedModel:
     """Seeded initialization: weights uniform(-0.1, 0.1), biases zero,
     batch-ensemble fast weights near one, random features standard normal
-    with phases uniform over [0, 2pi)."""
+    with phases uniform over [0, 2pi), and the identity prior's factor
+    L^{-1} = I."""
     rs = stream(seed, "init")
     embed = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, dims.embed_dim))
     w_h = rs.uniform(-0.1, 0.1, size=(dims.hidden_dim, 2 * dims.embed_dim))
@@ -273,7 +274,7 @@ def init_model(dims: ModelDims, config: MethodConfig, seed: int) -> TrainedModel
         feat = stream(seed, "rff")
         w_r = feat.standard_normal((cfg.rff_dim, dims.hidden_dim))
         b_r = feat.uniform(0.0, 2.0 * math.pi, size=cfg.rff_dim)
-        sngp = SngpState(w_r=w_r, b_r=b_r, beta=beta, precision=np.eye(cfg.rff_dim))
+        sngp = SngpState(w_r=w_r, b_r=b_r, beta=beta, chol_inv=np.eye(cfg.rff_dim))
     else:
         w_o = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, dims.hidden_dim))
         b_o = np.zeros(dims.vocab_size)
@@ -339,10 +340,10 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
     be_member picks the batch-ensemble member (default 0; ignored without
     fast weights) and mask, when given, holds `dropout_mask` keep flags
     that broadcast against the hidden activation: inverted dropout keeps
-    a unit scaled by 1/(1-DROPOUT_RATE).  Returns the pre-activation "a",
-    the tanh activation "h_raw", the masked activation "h", "logits", the
-    gaussian-process features "phi" (None for the linear head) and the
-    scaled mask "mask" (None without one).  For the backward pass, the
+    a unit scaled by 1/(1-DROPOUT_RATE).  Returns the tanh activation
+    "h_raw", the masked activation "h", "logits", the gaussian-process
+    features "phi" (None for the linear head) and the scaled mask "mask"
+    (None without one).  For the backward pass, the
     gaussian-process head adds its cosine argument "u", and batch-ensemble
     passes add the member index "be_member", its fast weights "r_k"/"s_k",
     the scaled input "zs" and the pre-modulation product "pre".
@@ -369,7 +370,7 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
     else:
         out["u"], phi = gp_features(h, model.sngp)
         logits = phi @ model.sngp.beta.T
-    out.update(a=a, h_raw=h_raw, h=h, logits=logits, phi=phi, mask=mask)
+    out.update(h_raw=h_raw, h=h, logits=logits, phi=phi, mask=mask)
     return out
 
 
@@ -393,63 +394,45 @@ def spectral_normalize(w: np.ndarray) -> np.ndarray:
     return w * (SPEC_NORM_BOUND / sigma)
 
 
-def update_precision(state: SngpState, phi_batch: np.ndarray) -> SngpState:
-    """Add one batch of features to the precision matrix.
+def update_precision(precision: np.ndarray, phi_batch: np.ndarray) -> np.ndarray:
+    """`precision` plus one batch of features, sum_b phi_b phi_b^T.
 
-        precision <- precision + sum_b phi_b phi_b^T
-
-    Starting from the identity prior of `init_model`, one pass over every
-    training row gives the exact Laplace precision I + Phi^T Phi, which is
-    symmetric with every eigenvalue at least 1.  The cached factor is
-    dropped and covariance_valid reset, since the estimate is incomplete
-    until finalized.
+    Starting from the identity prior, one pass over every training row
+    gives the exact Laplace precision I + Phi^T Phi, which is symmetric
+    with every eigenvalue at least 1.
     """
     phi = np.atleast_2d(np.asarray(phi_batch, dtype=float))
-    big_d = state.precision.shape[0]
+    big_d = precision.shape[0]
     if phi.shape[1] != big_d:
         raise InputError(
             f"feature batch has dimension {phi.shape[1]}, precision expects {big_d}"
         )
-    return replace(state, precision=state.precision + phi.T @ phi, covariance_valid=False)
+    return precision + phi.T @ phi
 
 
-def finalize_covariance(state: SngpState) -> SngpState:
-    """Mark the precision estimate usable for predictive variances."""
-    return replace(state, covariance_valid=True)
-
-
-def factor_precision(state: SngpState) -> np.ndarray:
-    """L^{-1} for the Cholesky factorization precision = L L^T.
-
-    Computed once per state and cached on it; raises NumericalStateError
+def factor_precision(precision: np.ndarray) -> np.ndarray:
+    """L^{-1} for the Cholesky factorization precision = L L^T, the
+    `SngpState.chol_inv` a variance reads; raises NumericalStateError
     when the precision is not positive definite.
     """
-    if state.chol_inv is None:
-        try:
-            chol = np.linalg.cholesky(state.precision)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalStateError(
-                f"precision matrix is not positive definite: {exc}"
-            ) from exc
-        state.chol_inv = np.tril(np.linalg.inv(chol))
-    return state.chol_inv
+    try:
+        chol = np.linalg.cholesky(precision)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalStateError(f"precision matrix is not positive definite: {exc}") from exc
+    return np.tril(np.linalg.inv(chol))
 
 
 def predictive_variance(state: SngpState, phi_rows: np.ndarray) -> np.ndarray:
     """Per-row variance phi^T precision^{-1} phi over the last axis.
 
-    With precision = L L^T the variance is |L^{-1} phi|^2, with the
-    cached L^{-1} of `factor_precision`; the explicit inverse of the
-    precision is never formed.  Rows may be stacked as
-    (n, live, D): the product then runs once per leading index at the
-    (live, D) shape, the shape a single-example call uses, so a row's
-    variance does not depend on how many examples are stacked with it.
+    With precision = L L^T the variance is |L^{-1} phi|^2, read from the
+    stored `chol_inv`; the explicit inverse of the precision is never
+    formed.  Rows may be stacked as (n, live, D): the product then runs
+    once per leading index at the (live, D) shape, the shape a
+    single-example call uses, so a row's variance does not depend on how
+    many examples are stacked with it.
     """
-    if not state.covariance_valid:
-        raise NumericalStateError(
-            "predictive variance requested before the precision was finalized"
-        )
-    solved = np.asarray(phi_rows, dtype=float) @ factor_precision(state).T
+    solved = np.asarray(phi_rows, dtype=float) @ state.chol_inv.T
     return np.einsum("...d,...d->...", solved, solved)
 
 

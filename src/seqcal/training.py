@@ -14,10 +14,11 @@ everything else.  Batch-ensemble members take turns, one member per step.
 A step updates, and then checks for finiteness, the arrays one
 `model.trainable` call lists, each by the gradient of the same key.
 Models with a gaussian-process head get their hidden weights spectrally
-normalized after every update, and their feature precision I + sum phi phi^T
-is accumulated exactly in a single pass over every training row after the
-last step, with dropout off and the final weights, so the Laplace
-covariance describes the model actually used at inference time.
+normalized after every update.  After the last step their feature precision
+I + sum phi phi^T is summed exactly in a single pass over every training
+row, with dropout off and the final weights, and factored once into the
+L^{-1} the member stores, so the Laplace covariance describes the model
+actually used at inference time.
 
 Who trains what, and in which process: every member is one
 `train_member` call, a pure function of its seed, and is one job of a
@@ -35,9 +36,10 @@ another stamp; each member's arrays must have the shapes of a fresh
 `init_model` of the stored method and dims.  Each array is stored as its
 shape and the base64 of its raw float64 bytes (see `schema`), so floats
 survive a round trip bit for bit and no weight becomes a Python float on
-either side.  Format 5 introduced that encoding and format 6 dropped the
-special token ids from the dims card (they are `corpus`'s constants); a
-bundle of an earlier format is refused by its version.
+either side.  Format 5 introduced that encoding, format 6 dropped the
+special token ids from the dims card (they are `corpus`'s constants) and
+format 7 stores each GP head's L^{-1} in place of its precision and
+validity flag; a bundle of an earlier format is refused by its version.
 """
 
 from __future__ import annotations
@@ -52,13 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    InputError,
-    NumericalStateError,
-    TrainingError,
-    ValidationError,
-)
+from .errors import ConfigurationError, InputError, TrainingError, ValidationError
 from .model import (
     Member,
     MethodConfig,
@@ -72,7 +68,6 @@ from .model import (
     check_members,
     dropout_active,
     factor_precision,
-    finalize_covariance,
     init_model,
     spectral_normalize,
     trainable,
@@ -82,7 +77,7 @@ from .model import (
 from .rng import derive_seed, stream
 from .schema import from_json, parse_json, to_json, write_text
 
-BUNDLE_FORMAT_VERSION = 6
+BUNDLE_FORMAT_VERSION = 7
 
 # Cross-entropy this far above any legitimate value means the run has
 # diverged even when saturation keeps every float finite.
@@ -153,12 +148,12 @@ def _apply_update(arrays: dict, grads: dict, lr: float) -> None:
 def _finalize_precision(model: TrainedModel, structure, batch_size: int) -> None:
     """One deterministic pass over the training rows, batch by batch so
     memory stays flat, adding every row's features to the identity prior;
-    then mark the precision usable."""
-    state = model.sngp
+    then the member stores the precision's factor L^{-1}."""
+    precision = np.eye(model.sngp.chol_inv.shape[0])
     for rows in _row_chunks(len(structure.targets), batch_size):
         phi = _forward_rows(model, structure, rows, be_member=None, dropout_seed=None)["phi"]
-        state = update_precision(state, phi)
-    model.sngp = finalize_covariance(state)
+        precision = update_precision(precision, phi)
+    model.sngp.chol_inv = factor_precision(precision)
 
 
 def train_member(
@@ -464,8 +459,8 @@ def _layout(obj, where: str) -> dict:
     """{field path: what it holds} for the arrays and heads of a member
     file; a head's own arrays follow its entry."""
     out = {}
-    for name in (f.name for f in fields(obj) if f.init):
-        value, at = getattr(obj, name), f"{where}.{name}"
+    for f in fields(obj):
+        value, at = getattr(obj, f.name), f"{where}.{f.name}"
         if value is None:
             out[at] = "null"
         elif isinstance(value, np.ndarray):
@@ -479,23 +474,19 @@ def _layout(obj, where: str) -> dict:
 def _check_member(member: Member, fresh: Member, where: str) -> None:
     """Refuse a member whose arrays and heads differ from those of `fresh`,
     a new model of the bundle's method and dims, or whose gaussian-process
-    precision was never finalized, is not exactly symmetric or has no
-    Cholesky factor; the factor is cached for inference."""
+    factor L^{-1} is not exactly lower triangular with a positive diagonal:
+    only such a factor belongs to a symmetric positive-definite precision."""
     got = _layout(member, where)
     for at, expected in _layout(fresh, where).items():
         if got[at] != expected:  # a head's entry comes before its arrays
             raise ValidationError(f"{at} is {got[at]}, expected {expected}")
-    state = member.sngp
-    if state is None:
+    if member.sngp is None:
         return
-    if not state.covariance_valid:
-        raise ValidationError(f"{where}.sngp precision was never finalized")
-    if not np.array_equal(state.precision, state.precision.T):
-        raise ValidationError(f"{where}.sngp.precision is not symmetric")
-    try:
-        factor_precision(state)
-    except NumericalStateError as exc:
-        raise ValidationError(f"{where}.sngp {exc}") from exc
+    chol_inv = member.sngp.chol_inv
+    if not np.array_equal(chol_inv, np.tril(chol_inv)):
+        raise ValidationError(f"{where}.sngp.chol_inv is not lower triangular")
+    if not np.all(np.diag(chol_inv) > 0.0):
+        raise ValidationError(f"{where}.sngp.chol_inv has a diagonal entry <= 0")
 
 
 def read_bundle(path, run_sha256: str) -> tuple[TrainedModel, ...]:
@@ -517,7 +508,13 @@ def read_bundle(path, run_sha256: str) -> tuple[TrainedModel, ...]:
         for i, m in enumerate(bundle.members):
             _check_member(m, fresh, f"bundle.members[{i}]")
             members.append(TrainedModel(**vars(m), dims=bundle.dims, config=bundle.method))
-        return check_members(members, "bundle")
+        members = check_members(members, "bundle")
+        # a deep ensemble's members are trained from its seeds, in order
+        for i, (m, seed) in enumerate(zip(members, bundle.method.seeds)):
+            if m.seed != seed:
+                raise ValidationError(f"bundle.members[{i}].seed is {m.seed}, "
+                                      f"but method.seeds[{i}] is {seed}")
+        return members
     except (ConfigurationError, InputError, ValidationError) as exc:  # InputError: no members
         raise ValidationError(f"{path}: {exc}") from exc
 

@@ -573,8 +573,7 @@ def bundle_dump_oracle(members, path, run_sha256):
                 "w_r": encode_array(st.w_r),
                 "b_r": encode_array(st.b_r),
                 "beta": encode_array(st.beta),
-                "precision": encode_array(st.precision),
-                "covariance_valid": st.covariance_valid,
+                "chol_inv": encode_array(st.chol_inv),
             }
         return out
 

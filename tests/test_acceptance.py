@@ -291,12 +291,12 @@ def test_criterion_3_collapse_cases(announce, monkeypatch):
     mf_exact = bool(np.array_equal(mean_field_logits(logits, variances, 0.0), logits))
 
     sngp = init_model(dims, MethodConfig(method="sngp"), seed=11)
-    state = sngp.sngp
+    precision = np.eye(sngp.config.sngp.rff_dim)
     for _ in range(3):
-        phi = gp_features(np.tanh(rng.standard_normal((6, dims.hidden_dim))), state)[1]
-        state = update_precision(state, phi)
-    frozen = update_precision(state, np.zeros((5, state.precision.shape[0])))
-    prec_exact = bool(np.array_equal(frozen.precision, state.precision))
+        phi = gp_features(np.tanh(rng.standard_normal((6, dims.hidden_dim))), sngp.sngp)[1]
+        precision = update_precision(precision, phi)
+    frozen = update_precision(precision, np.zeros((5, precision.shape[0])))
+    prec_exact = bool(np.array_equal(frozen, precision))
 
     ok = mcd_dev <= 1e-12 and be_dev <= 1e-10 and mf_exact and prec_exact
     announce(3, "collapse and degeneracy", ok,
@@ -342,12 +342,13 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
 
     rng = np.random.default_rng(77)
     state = init_model(cfg.dims(), cfg.method_config("sngp"), seed=3).sngp
+    precision = np.eye(state.w_r.shape[0])
     for _ in range(100):
         h = np.tanh(rng.standard_normal((8, cfg.model.hidden_dim)))
-        state = update_precision(state, gp_features(h, state)[1])
-    eigmin = float(np.linalg.eigvalsh(state.precision).min())
+        precision = update_precision(precision, gp_features(h, state)[1])
+    eigmin = float(np.linalg.eigvalsh(precision).min())
     # the exact pass adds positive semidefinite terms to the identity prior
-    spd_ok = eigmin >= 1.0 and bool(np.array_equal(state.precision, state.precision.T))
+    spd_ok = eigmin >= 1.0 and bool(np.array_equal(precision, precision.T))
 
     members = train_method(split_rows(train, cfg.dims()), cfg.dims(),
                            cfg.method_config("sngp_mcd"),

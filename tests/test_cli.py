@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from oracles import decode_array, edit_array
+from oracles import decode_array, edit_array, encode_array
 from seqcal.calib import ALPHAS, THRESHOLDS, write_csv
 from seqcal.cli import (
     MAX_DE_SIZE,
@@ -670,10 +670,11 @@ class TestExitCodes:
         assert not os.path.exists(fresh)
 
     def test_version_one_bundle_is_one(self, tmp_path, capsys):
-        # versions 1 to 5 stored the bos and eos ids in the dims card; 1 to
-        # 4 every array as nested lists; 1 to 3 the dropout rate, kernel
-        # scale and spectral bound; 1 and 2 a vocabulary hash; 1 also the
-        # retired knobs
+        # versions 1 to 6 stored each GP head's precision and validity flag
+        # in place of its factor; 1 to 5 the bos and eos ids in the dims
+        # card; 1 to 4 every array as nested lists; 1 to 3 the dropout
+        # rate, kernel scale and spectral bound; 1 and 2 a vocabulary hash;
+        # 1 also the retired knobs
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
         assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
@@ -688,10 +689,17 @@ class TestExitCodes:
                 return {k: as_lists(v) for k, v in obj.items()}
             return [as_lists(v) for v in obj] if isinstance(obj, list) else obj
 
-        for version in (1, 2, 3, 4, 5):
-            bundle = json.loads(current) if version == 5 else as_lists(json.loads(current))
+        def with_precision(sngp):
+            chol = np.linalg.inv(decode_array(sngp.pop("chol_inv")))
+            sngp.update(precision=encode_array(chol @ chol.T), covariance_valid=True)
+
+        for version in (1, 2, 3, 4, 5, 6):
+            bundle = json.loads(current)
+            with_precision(bundle["members"][0]["sngp"])
+            bundle = bundle if version >= 5 else as_lists(bundle)
             bundle["format_version"] = version
-            bundle["dims"].update(bos_id=1, eos_id=2)
+            if version < 6:
+                bundle["dims"].update(bos_id=1, eos_id=2)
             if version < 4:
                 bundle["method"]["dropout_rate"] = 0.1
                 bundle["method"]["sngp"].update(kernel_scale=1.0, spec_norm_bound=1.0)
@@ -706,20 +714,19 @@ class TestExitCodes:
             assert main(["infer", "--config", cfg_path, "--out", out,
                          "--method", "sngp"]) == 1, version
             err = capsys.readouterr().err
-            assert f"{bundle_path}: bundle has format_version {version}, expected 6" in err, \
+            assert f"{bundle_path}: bundle has format_version {version}, expected 7" in err, \
                 version
             assert "Traceback" not in err, version
             assert not os.path.exists(os.path.join(out, "preds", "sngp.jsonl")), version
 
     @pytest.mark.parametrize("member, edit, message", [
-        (0, lambda sp: sp.update(covariance_valid=False), "never finalized"),
-        (1, lambda sp: sp.pop("covariance_valid"), "never finalized"),
-        (0, lambda sp: edit_array(sp, "precision",
-                                  lambda p: p.__setitem__((1, 0), p[1, 0] * 2.0)),
-         "not symmetric"),
-        (1, lambda sp: edit_array(sp, "precision", lambda p: np.negative(p, out=p)),
-         "not positive definite"),
-    ], ids=["flag-false", "flag-missing", "asymmetric", "negative-definite"])
+        (0, lambda sp: edit_array(sp, "chol_inv", lambda l: l.__setitem__((0, 1), 1e-3)),
+         ".chol_inv is not lower triangular"),
+        (1, lambda sp: edit_array(sp, "chol_inv", lambda l: l.__setitem__((2, 2), 0.0)),
+         ".chol_inv has a diagonal entry <= 0"),
+        (1, lambda sp: sp.update(precision=sp.pop("chol_inv"), covariance_valid=True),
+         " has unknown keys ['covariance_valid', 'precision']"),
+    ], ids=["upper-triangle", "zero-diagonal", "format-6-head"])
     def test_unusable_gp_bundle_infer_is_one(self, tmp_path, capsys, member, edit, message):
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
@@ -733,9 +740,31 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["infer", "--config", cfg_path, "--out", out, "--method", "sngp_de"]) == 1
         err = capsys.readouterr().err
-        assert f"bundle.members[{member}].sngp" in err and message in err
+        assert f"bundle.members[{member}].sngp{message}" in err
         assert err.startswith(f"error: {bundle_path}: ") and "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "preds", "sngp_de.jsonl"))
+
+    @pytest.mark.parametrize("method", ["de", "sngp_de"])
+    def test_ensemble_seeds_off_their_card_infer_is_one(self, tmp_path, capsys, method):
+        cfg_path = write_config(tmp_path, SMALL)
+        out = str(tmp_path / "run")
+        assert main(["gen-data", "--config", cfg_path, "--out", out]) == 0
+        assert main(["train", "--config", cfg_path, "--out", out, "--method", method]) == 0
+        bundle_path = os.path.join(out, "models", f"{method}.json")
+        bundle = json.loads(open(bundle_path).read())
+        first, second = bundle["method"]["seeds"]
+        for stored, at in (((second, first), 0), ((first, 12345), 1)):
+            for member, seed in zip(bundle["members"], stored):
+                member["seed"] = seed
+            with open(bundle_path, "w") as fh:
+                json.dump(bundle, fh)
+            capsys.readouterr()
+            assert main(["infer", "--config", cfg_path, "--out", out, "--method", method]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bundle_path}: bundle.members[{at}].seed is "
+                                  f"{stored[at]}, but method.seeds[{at}] is "
+                                  f"{(first, second)[at]}") and "Traceback" not in err
+            assert not os.path.exists(os.path.join(out, "preds", f"{method}.jsonl"))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda b: b["method"].update(samples=2.5), "bundle.method.samples must be int, got float"),

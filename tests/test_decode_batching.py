@@ -23,10 +23,8 @@ from seqcal.model import (
     MethodConfig,
     ModelDims,
     SngpConfig,
-    finalize_covariance,
     init_model,
     is_deep_ensemble,
-    uses_gp,
 )
 from seqcal.training import TrainHyper, split_rows, train_method
 
@@ -71,8 +69,6 @@ def untrained(method, zero=False):
     seeds = config.seeds or (0,)
     members = tuple(init_model(DIMS, config, s) for s in seeds)
     for m in members:
-        if uses_gp(method):
-            m.sngp = finalize_covariance(m.sngp)
         if zero:
             # all logits zero: uniform rows, so every score ties exactly
             # and only the token order decides

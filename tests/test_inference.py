@@ -40,9 +40,7 @@ from seqcal.model import (
     ModelDims,
     SngpConfig,
     dropout_mask,
-    finalize_covariance,
     init_model,
-    uses_gp,
 )
 from seqcal.rng import derive_seed
 from seqcal.rouge import score_quality
@@ -58,14 +56,7 @@ def softmax(x):
 def make_members(method, seed=0, vocab=6, **kwargs):
     dims = ModelDims(vocab_size=vocab, embed_dim=4, hidden_dim=5)
     cfg = MethodConfig(method=method, **kwargs)
-    if method in ("de", "sngp_de"):
-        members = tuple(init_model(dims, cfg, s) for s in cfg.seeds)
-    else:
-        members = (init_model(dims, cfg, seed),)
-    if uses_gp(method):
-        for m in members:
-            m.sngp = finalize_covariance(m.sngp)
-    return members
+    return tuple(init_model(dims, cfg, s) for s in cfg.member_seeds(seed))
 
 
 class TestPosteriorConfig:

@@ -24,7 +24,7 @@ from seqcal.model import (
     _cross_entropy,
     build_rows,
     dropout_mask,
-    finalize_covariance,
+    factor_precision,
     forward,
     gp_features,
     init_model,
@@ -161,8 +161,7 @@ class TestInit:
         assert m.w_o is None and m.b_o is None
         assert m.sngp.beta.shape == (8, 16)
         assert m.sngp.w_r.shape == (16, 7)
-        assert np.array_equal(m.sngp.precision, np.eye(16))
-        assert not m.sngp.covariance_valid
+        assert np.array_equal(m.sngp.chol_inv, np.eye(16))
         assert np.all((m.sngp.b_r >= 0.0) & (m.sngp.b_r < 2.0 * math.pi))
 
     def test_feature_weights_are_the_unscaled_rff_draws(self):
@@ -475,53 +474,39 @@ class TestGpFeatures:
 
 
 class TestPrecisionUpdate:
-    def _state(self, rff_dim):
-        m = init_model(ModelDims(vocab_size=5, embed_dim=3, hidden_dim=4),
-                       MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=rff_dim)),
-                       seed=1)
-        return m.sngp
-
     def test_hand_case(self):
-        state = self._state(2)
         phi = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        new = update_precision(state, phi)
-        assert np.array_equal(new.precision, np.array([[3.0, 1.0], [1.0, 6.0]]))
+        new = update_precision(np.eye(2), phi)
+        assert np.array_equal(new, np.array([[3.0, 1.0], [1.0, 6.0]]))
 
     def test_zero_features_keep_matrix(self):
-        state = update_precision(self._state(3), np.ones((4, 3)))
-        new = update_precision(state, np.zeros((4, 3)))
-        assert np.array_equal(new.precision, state.precision)
+        precision = update_precision(np.eye(3), np.ones((4, 3)))
+        new = update_precision(precision, np.zeros((4, 3)))
+        assert np.array_equal(new, precision)
 
     def test_batches_sum_to_identity_plus_gram(self):
-        state = self._state(3)
+        precision = np.eye(3)
         rs = np.random.default_rng(2)
         phi = rs.standard_normal((10, 3))
         for part in (phi[:4], phi[4:5], phi[5:]):
-            state = update_precision(state, part)
+            precision = update_precision(precision, part)
         want = np.eye(3) + sum(np.outer(row, row) for row in phi)
-        assert np.allclose(state.precision, want, rtol=1e-14, atol=1e-14)
+        assert np.allclose(precision, want, rtol=1e-14, atol=1e-14)
 
     def test_stays_symmetric_positive_definite(self):
-        state = self._state(8)
+        precision = np.eye(8)
         rs = np.random.default_rng(3)
         for _ in range(50):
             phi = rs.standard_normal((int(rs.integers(1, 6)), 8))
-            state = update_precision(state, phi)
-        assert np.array_equal(state.precision, state.precision.T)
-        assert np.min(np.linalg.eigvalsh(state.precision)) >= 1.0
-
-    def test_update_invalidates_covariance(self):
-        state = finalize_covariance(self._state(2))
-        assert state.covariance_valid
-        new = update_precision(state, np.ones((1, 2)))
-        assert not new.covariance_valid
+            precision = update_precision(precision, phi)
+        assert np.array_equal(precision, precision.T)
+        assert np.min(np.linalg.eigvalsh(precision)) >= 1.0
 
     def test_bad_arguments(self):
-        state = self._state(2)
         with pytest.raises(TypeError):
-            update_precision(state, np.ones((1, 2)), 0.5)
+            update_precision(np.eye(2), np.ones((1, 2)), 0.5)
         with pytest.raises(InputError, match="dimension"):
-            update_precision(state, np.ones((1, 3)))
+            update_precision(np.eye(2), np.ones((1, 3)))
 
 
 class TestPredictiveVariance:
@@ -532,7 +517,8 @@ class TestPredictiveVariance:
         return m.sngp
 
     def test_identity_precision_gives_squared_norm(self):
-        state = finalize_covariance(self._state(4))
+        state = self._state(4)
+        state.chol_inv = factor_precision(np.eye(4))
         phi = np.array([[1.0, 2.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0]])
         got = predictive_variance(state, phi)
         assert np.allclose(got, [5.0, 0.5], atol=1e-12)
@@ -541,11 +527,11 @@ class TestPredictiveVariance:
         state = self._state(5)
         rs = np.random.default_rng(6)
         a = rs.standard_normal((9, 5))
-        state.precision = a.T @ a / 9.0 + 0.1 * np.eye(5)
-        state = finalize_covariance(state)
+        precision = a.T @ a / 9.0 + 0.1 * np.eye(5)
+        state.chol_inv = factor_precision(precision)
         phi = rs.standard_normal((7, 5))
         got = predictive_variance(state, phi)
-        inv = np.linalg.inv(state.precision)
+        inv = np.linalg.inv(precision)
         want = np.einsum("bd,de,be->b", phi, inv, phi)
         assert np.allclose(got, want, rtol=1e-10)
 
@@ -556,35 +542,27 @@ class TestPredictiveVariance:
         state = self._state(64)
         rs = np.random.default_rng(7)
         a = rs.standard_normal((200, 64))
-        state.precision = np.eye(64) + a.T @ a
-        state = finalize_covariance(state)
+        precision = np.eye(64) + a.T @ a
+        state.chol_inv = factor_precision(precision)
         phi = rs.standard_normal((examples, live, 64))
         got = predictive_variance(state, phi)
         assert got.shape == (examples, live)
         for e in range(examples):
             assert np.array_equal(got[e], predictive_variance(state, phi[e:e + 1])[0])
-        want = np.einsum("nld,de,nle->nl", phi, np.linalg.inv(state.precision), phi)
+        want = np.einsum("nld,de,nle->nl", phi, np.linalg.inv(precision), phi)
         assert np.allclose(got, want, rtol=1e-10)
 
-    def test_factor_computed_once(self):
-        state = finalize_covariance(self._state(4))
-        predictive_variance(state, np.ones((1, 4)))
-        factor = state.chol_inv
-        assert np.array_equal(factor, np.tril(factor))
-        predictive_variance(state, np.ones((2, 4)))
-        assert state.chol_inv is factor
-
-    def test_requires_finalized_estimate(self):
+    def test_untrained_head_variance_is_squared_norm(self):
+        # the identity prior: an untrained head's variance is |phi|^2
         state = self._state(3)
-        with pytest.raises(NumericalStateError, match="finalized"):
-            predictive_variance(state, np.ones((1, 3)))
+        phi = np.random.default_rng(8).standard_normal((6, 3))
+        assert np.array_equal(state.chol_inv, np.eye(3))
+        got = predictive_variance(state, phi)
+        assert np.allclose(got, np.sum(phi ** 2, axis=1), rtol=1e-14, atol=0)
 
     def test_rejects_indefinite_precision(self):
-        state = self._state(2)
-        state.precision = np.array([[1.0, 0.0], [0.0, -1.0]])
-        state = finalize_covariance(state)
         with pytest.raises(NumericalStateError, match="positive definite"):
-            predictive_variance(state, np.ones((1, 2)))
+            factor_precision(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 class TestMeanFieldLogits:

@@ -28,15 +28,17 @@ from seqcal.corpus import TaskSpec, generate_corpus
 from seqcal.errors import ConfigurationError, InputError, TrainingError, ValidationError
 from seqcal.model import (
     METHODS,
+    BatchEnsembleState,
     Member,
     MethodConfig,
     RowStructure,
     SPEC_NORM_BOUND,
     ModelDims,
     SngpConfig,
+    SngpState,
     _loss_and_grads,
     build_rows,
-    finalize_covariance,
+    factor_precision,
     forward,
     gp_features,
     init_model,
@@ -162,18 +164,27 @@ class TestTrainMember:
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=12))
         model = train_member(rows_for(vocab_size, examples), dims_for(vocab_size), cfg,
                              TrainHyper(steps=10), seed=6)
-        state = model.sngp
-        assert state.covariance_valid
-        assert not np.array_equal(state.precision, np.eye(12))
-        assert np.min(np.linalg.eigvalsh(state.precision)) > 0.0
+        chol_inv = model.sngp.chol_inv
+        assert not np.array_equal(chol_inv, np.eye(12))
+        assert np.array_equal(chol_inv, np.tril(chol_inv))
+        assert np.all(np.diag(chol_inv) > 0.0)
 
-    def test_gp_precision_is_identity_plus_gram_of_every_training_row(self):
+    def test_gp_precision_is_identity_plus_gram_of_every_training_row(self, monkeypatch):
         vocab_size, examples = copy_corpus(n=50)
         cfg = MethodConfig(method="sngp_mcd", sngp=SngpConfig(rff_dim=12))
+        factored = []
+
+        def capture(precision):
+            factored.append(precision.copy())
+            return factor_precision(precision)
+
+        monkeypatch.setattr(training, "factor_precision", capture)
         model = train_member(rows_for(vocab_size, examples), dims_for(vocab_size), cfg,
                              TrainHyper(steps=10), seed=6)
+        assert len(factored) == 1
         want = precision_oracle(model, examples)
-        assert np.allclose(model.sngp.precision, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(factored[0], want, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(model.sngp.chol_inv, factor_precision(factored[0]))
 
     def test_gp_variance_is_distance_aware(self):
         vocab_size, examples = copy_corpus()
@@ -812,8 +823,7 @@ class TestBundles:
             if orig.sngp is not None:
                 assert np.array_equal(back.sngp.w_r, orig.sngp.w_r)
                 assert np.array_equal(back.sngp.beta, orig.sngp.beta)
-                assert np.array_equal(back.sngp.precision, orig.sngp.precision)
-                assert back.sngp.covariance_valid == orig.sngp.covariance_valid
+                assert np.array_equal(back.sngp.chol_inv, orig.sngp.chol_inv)
         return path
 
     def test_round_trip_base(self, tmp_path):
@@ -879,17 +889,18 @@ class TestBundles:
         return path, json.loads(path.read_text())
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda sp: sp.update(covariance_valid=False), "never finalized"),
-        (lambda sp: sp.pop("covariance_valid"), "never finalized"),
-        (lambda sp: sp.update(covariance_valid=1),
-         r"members\[0\]\.sngp\.covariance_valid must be bool, got int"),
-        (lambda sp: edit_array(sp, "precision", lambda p: p.__setitem__((0, 1), p[0, 1] + 1e-3)),
-         "not symmetric"),
-        (lambda sp: sp.update(precision=encode_array(-np.eye(10))), "not positive definite"),
-        (lambda sp: sp.update(precision=encode_array(np.zeros((10, 10)))),
-         "not positive definite"),
-    ], ids=["flag-false", "flag-missing", "flag-not-bool", "asymmetric", "negative-definite",
-            "singular"])
+        (lambda sp: edit_array(sp, "chol_inv", lambda l: l.__setitem__((0, 1), 1e-3)),
+         r"members\[0\]\.sngp\.chol_inv is not lower triangular"),
+        (lambda sp: edit_array(sp, "chol_inv", lambda l: l.__setitem__((3, 3), 0.0)),
+         r"members\[0\]\.sngp\.chol_inv has a diagonal entry <= 0"),
+        (lambda sp: edit_array(sp, "chol_inv", lambda l: l.__setitem__((0, 0), -l[0, 0])),
+         r"members\[0\]\.sngp\.chol_inv has a diagonal entry <= 0"),
+        (lambda sp: sp.update(chol_inv=encode_array(np.zeros((10, 10)))),
+         r"members\[0\]\.sngp\.chol_inv has a diagonal entry <= 0"),
+        (lambda sp: sp.update(precision=sp.pop("chol_inv"), covariance_valid=True),
+         r"members\[0\]\.sngp has unknown keys \['covariance_valid', 'precision'\]"),
+    ], ids=["upper-triangle", "zero-diagonal", "negative-diagonal", "singular",
+            "format-6-head"])
     def test_unusable_gp_precision_refused(self, tmp_path, edit, message):
         path, payload = self._gp_bundle(tmp_path)
         edit(payload["members"][0]["sngp"])
@@ -897,18 +908,18 @@ class TestBundles:
         with pytest.raises(ValidationError, match=message):
             read_bundle(path, STAMP)
 
-    def test_loaded_gp_precision_factored_once(self, tmp_path, monkeypatch):
-        path, _ = self._gp_bundle(tmp_path)
-        state = read_bundle(path, STAMP)[0].sngp
-        chol = np.linalg.cholesky(state.precision)
-        assert np.array_equal(state.chol_inv, np.tril(np.linalg.inv(chol)))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("precision factored again")
-
-        monkeypatch.setattr(np.linalg, "cholesky", refuse)
-        phi = np.random.default_rng(0).standard_normal((4, 10))
-        assert np.all(predictive_variance(state, phi) > 0.0)
+    @pytest.mark.parametrize("method", ["de", "sngp_de"])
+    def test_member_seeds_must_match_the_card(self, tmp_path, method):
+        path, payload = fresh_bundle(tmp_path, method)
+        assert len(read_bundle(path, STAMP)) == 2
+        for seeds, at in (([4, 3], 0), ([3, 12345], 1)):
+            for member, seed in zip(payload["members"], seeds):
+                member["seed"] = seed
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"{path}: bundle.members[{at}].seed is {seeds[at]}, "
+                    f"but method.seeds[{at}] is {(3, 4)[at]}")):
+                read_bundle(path, STAMP)
 
     def test_missing_gp_state(self, tmp_path):
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=10))
@@ -950,7 +961,7 @@ class TestBundles:
 def _stored_arrays(obj):
     """Every array a bundle stores of the member file or head `obj`."""
     for f in fields(obj):
-        value = getattr(obj, f.name) if f.init else None
+        value = getattr(obj, f.name)
         if isinstance(value, np.ndarray):
             yield value
         elif is_dataclass(value):
@@ -1007,7 +1018,7 @@ def small_config(method):
 SMALL_DIMS = ModelDims(vocab_size=8, embed_dim=3, hidden_dim=4)
 BODY = (("embed", 2), ("w_h", 2), ("b_h", 1))
 LINEAR_HEAD = (("w_o", 2), ("b_o", 1))
-GP_HEAD = (("sngp.w_r", 2), ("sngp.b_r", 1), ("sngp.beta", 2), ("sngp.precision", 2))
+GP_HEAD = (("sngp.w_r", 2), ("sngp.b_r", 1), ("sngp.beta", 2), ("sngp.chol_inv", 2))
 BE_HEAD = (("be.r", 2), ("be.s", 2))
 ARRAY_AXES = [
     (method, key, axis)
@@ -1019,14 +1030,9 @@ ARRAY_AXES = [
 
 
 def fresh_bundle(tmp_path, method):
-    """A bundle of untrained members with finalized precisions, and its JSON."""
+    """A bundle of untrained members, and its JSON."""
     config = small_config(method)
-    members = []
-    for seed in config.member_seeds(0):
-        model = init_model(SMALL_DIMS, config, seed)
-        if model.sngp is not None:
-            model.sngp = finalize_covariance(model.sngp)
-        members.append(model)
+    members = [init_model(SMALL_DIMS, config, seed) for seed in config.member_seeds(0)]
     path = tmp_path / f"{method}.json"
     write_bundle(members, path, STAMP)
     return path, json.loads(path.read_text())
@@ -1086,7 +1092,6 @@ class TestBundleLayout:
         for model in members:
             stored = _member_file(model)
             payload = json.loads(json.dumps(to_json(stored)))
-            assert "chol_inv" not in json.dumps(payload)
             back = from_json(Member, payload, "member")
             assert back.seed == model.seed and back.loss_history == model.loss_history
             assert len(back.loss_history) == 3
@@ -1097,13 +1102,16 @@ class TestBundleLayout:
                     continue
                 pairs = ([(name, want, got)] if isinstance(want, np.ndarray) else
                          [(f"{name}.{k}", v, getattr(got, k)) for k, v in vars(want).items()
-                          if isinstance(v, np.ndarray) and k != "chol_inv"])
+                          if isinstance(v, np.ndarray)])
                 assert pairs, name
                 for at, w, g in pairs:
                     assert g.dtype == np.float64 and np.array_equal(g, w), at
-            if model.sngp is not None:
-                assert back.sngp.covariance_valid is True and back.sngp.chol_inv is None
 
+    @pytest.mark.parametrize("cls", [Member, SngpState, BatchEnsembleState])
+    def test_every_member_field_is_stored(self, cls):
+        # the bundle stores a dataclass's init fields only, so a field
+        # outside __init__ would be state that no bundle keeps
+        assert all(f.init for f in fields(cls)), [f.name for f in fields(cls) if not f.init]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_trainable_is_the_gradient_layout(self, method):
@@ -1126,27 +1134,27 @@ class TestBundleLayout:
             assert value is array, path
 
 
-# The stored layout of bundle format 6, by dotted key path, in file order.
+# The stored layout of bundle format 7, by dotted key path, in file order.
 # A change to `ModelDims`, `MethodConfig`, `SngpConfig`, `Member` or a head
 # moves these paths and is a new format: bump BUNDLE_FORMAT_VERSION and
 # write the new table, so a bundle of the old layout is refused by its
 # version rather than by its unknown keys.
-FORMAT_6_HEAD = ["format_version", "method", "dims", "run_sha256", "members"]
-FORMAT_6_CARDS = {
+FORMAT_7_HEAD = ["format_version", "method", "dims", "run_sha256", "members"]
+FORMAT_7_CARDS = {
     "dims": ["vocab_size", "embed_dim", "hidden_dim"],
     "method": ["method", "samples", "be_size", "sngp.rff_dim", "sngp.mean_field_factor",
                "seeds"],
 }
-FORMAT_6_BODY = ["seed", "loss_history", "embed", "w_h", "b_h", "w_o", "b_o"]
-FORMAT_6_GP = ["sngp.w_r", "sngp.b_r", "sngp.beta", "sngp.precision", "sngp.covariance_valid"]
-FORMAT_6_MEMBERS = {
-    "base": FORMAT_6_BODY + ["be", "sngp"],
-    "mcd": FORMAT_6_BODY + ["be", "sngp"],
-    "be": FORMAT_6_BODY + ["be.r", "be.s", "sngp"],
-    "sngp": FORMAT_6_BODY + ["be"] + FORMAT_6_GP,
-    "sngp_mcd": FORMAT_6_BODY + ["be"] + FORMAT_6_GP,
-    "de": FORMAT_6_BODY + ["be", "sngp"],
-    "sngp_de": FORMAT_6_BODY + ["be"] + FORMAT_6_GP,
+FORMAT_7_BODY = ["seed", "loss_history", "embed", "w_h", "b_h", "w_o", "b_o"]
+FORMAT_7_GP = ["sngp.w_r", "sngp.b_r", "sngp.beta", "sngp.chol_inv"]
+FORMAT_7_MEMBERS = {
+    "base": FORMAT_7_BODY + ["be", "sngp"],
+    "mcd": FORMAT_7_BODY + ["be", "sngp"],
+    "be": FORMAT_7_BODY + ["be.r", "be.s", "sngp"],
+    "sngp": FORMAT_7_BODY + ["be"] + FORMAT_7_GP,
+    "sngp_mcd": FORMAT_7_BODY + ["be"] + FORMAT_7_GP,
+    "de": FORMAT_7_BODY + ["be", "sngp"],
+    "sngp_de": FORMAT_7_BODY + ["be"] + FORMAT_7_GP,
 }
 
 
@@ -1164,14 +1172,14 @@ def key_paths(obj, prefix=""):
 
 class TestBundleFormat:
     @pytest.mark.parametrize("method", METHODS)
-    def test_stored_layout_is_format_6(self, tmp_path, method):
+    def test_stored_layout_matches_the_format_table(self, tmp_path, method):
         _, payload = fresh_bundle(tmp_path, method)
-        assert payload["format_version"] == BUNDLE_FORMAT_VERSION == 6
-        assert list(payload) == FORMAT_6_HEAD
-        for card, paths in FORMAT_6_CARDS.items():
+        assert payload["format_version"] == BUNDLE_FORMAT_VERSION == 7
+        assert list(payload) == FORMAT_7_HEAD
+        for card, paths in FORMAT_7_CARDS.items():
             assert key_paths(payload[card]) == paths, card
         for member in payload["members"]:
-            assert key_paths(member) == FORMAT_6_MEMBERS[method]
+            assert key_paths(member) == FORMAT_7_MEMBERS[method]
 
 
 class TestRunStamp:
