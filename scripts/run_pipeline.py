@@ -4,21 +4,26 @@ Equivalent to calling gen-data, train, infer, and eval by hand; stops at
 the first stage that fails and propagates its exit code.
 """
 
-import argparse
 import sys
 
+from seqcal.cli import UsageParser
 from seqcal.cli import main as cli_main
+from seqcal.errors import ConfigurationError
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = UsageParser(
         description="generate data, train, decode, and evaluate in one go"
     )
     parser.add_argument("--config", required=True, help="run config JSON")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--method", default="all",
                         help="methods to train and decode (default: all)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except ConfigurationError as exc:  # a usage error exits 1, as in seqcal
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     stages = (
         ["gen-data"],

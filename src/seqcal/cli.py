@@ -537,8 +537,20 @@ def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
 # Argument parsing and exit-code mapping.
 
 
+class UsageParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors (a missing or unknown option, a
+    bad choice, an unknown subcommand) print the usage line and raise
+    ConfigurationError, so they exit 1 like every configuration error
+    instead of argparse's exit 2, the runtime-failure code here.  --help
+    still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = UsageParser(
         prog="seqcal",
         description="Sequence uncertainty pipeline: synthetic data, "
                     "probabilistic seq2seq training, posterior-mean decoding, "
@@ -569,8 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config)
         out = OutDir(args.out)
         if args.command == "gen-data":

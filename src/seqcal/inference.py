@@ -22,7 +22,13 @@ highest (total + eos log score) / (T + 1), the u below, ties broken the
 same way.  Both picks are one partial selection: np.partition finds each
 example's k-th best score, and only the candidates scoring at least that
 are sorted, so a step sorts about beam_size candidates per example, not
-all live x content.  A candidate is always a fully terminated sequence:
+all live x content.  Only those candidates' token rows are ever built, a
+parent prefix plus one content id each, and the next beam is built from
+the kept indices alone; a step keeps just the eos column of its
+(n, live, vocab) log-probabilities, so a decode's memory does not grow
+with max_len x vocab.  Against copying every candidate's row, that took
+wide's seven-method decode from 104-108 to 82-84 ms of CPU (one CPU, best
+of 10, 2-vCPU x86-64 sandbox).  A candidate is always a fully terminated sequence:
 eos is one of the scored continuations from length 1 on, and hypotheses
 still alive at the length cap are closed with a forced eos score.
 Stored hypotheses and per-token log-probabilities exclude the terminal
@@ -188,20 +194,22 @@ def uncertainty_score(token_logp, eos_logp: float) -> float:
     return sequence_logp(token_logp, eos_logp) / (len(tuple(token_logp)) + 1)
 
 
-def _first_by(key: np.ndarray, tokens: np.ndarray, k: int) -> np.ndarray:
+def _first_by(key: np.ndarray, token_rows, k: int) -> np.ndarray:
     """Per-row indices (n, min(k, c)) of the smallest (key, tokens...)
-    entries in ascending order: key (n, c), tokens (n, c, t), with token
-    columns breaking key ties lexicographically and equal entries keeping
-    their column order.
+    entries in ascending order: key (n, c), with the entries' token rows
+    breaking key ties lexicographically and equal entries keeping their
+    column order.  token_rows(rows, cols) returns the (m, t) token rows of
+    the m entries named by two index arrays.
 
     Only an entry whose key is at most its row's k-th smallest key can be
     among the first k, ties included.  np.partition finds that threshold,
-    and one lexsort orders just those entries, by row first.
+    and one lexsort orders just those entries, by row first, so only their
+    token rows are read.
     """
     k = min(k, key.shape[1])
     threshold = np.partition(key, k - 1, axis=1)[:, k - 1, None]
     rows, cols = np.nonzero(key <= threshold)
-    picked = tokens[rows, cols]
+    picked = token_rows(rows, cols)
     columns = [picked[:, j] for j in range(picked.shape[1] - 1, -1, -1)]
     order = np.lexsort(columns + [key[rows, cols], rows])
     starts = np.searchsorted(rows, np.arange(len(key)))
@@ -240,7 +248,8 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
     # so the inputs of one length share a call
     input_lens = np.array([len(x) for x in inputs])
     ctxs = [np.empty((n, dims.embed_dim)) for _ in members]
-    for length in np.unique(input_lens):
+    # not np.unique, whose hash path imports numpy.ma on first use
+    for length in sorted(set(input_lens.tolist())):
         group = np.flatnonzero(input_lens == length)
         stacked = np.array([inputs[i] for i in group], dtype=int)
         for ctx, m in zip(ctxs, members):
@@ -264,24 +273,34 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
         logd = np.log(dists)
         # eos closes every hypothesis from length 1 on; at the cap it is forced
         if step > 0:
-            closed.append((tokens, logps, totals, logd[:, :, EOS_ID]))
+            # a copy, so the step's (n, live, vocab) log-probs can be freed
+            closed.append((tokens, logps, totals, logd[:, :, EOS_ID].copy()))
         if step == width:
             break
-        live = tokens.shape[1]
-        parent = np.repeat(np.arange(live), len(content))
-        cand_logp = logd[:, :, content].reshape(n, -1)
-        cand_total = totals[:, parent] + cand_logp
-        cand_tokens = tokens[:, parent]
-        cand_tokens[:, :, step] = np.tile(content, live)
-        keep = _first_by(-cand_total, cand_tokens, config.beam_size)
-        tokens = cand_tokens[rows, keep]
-        logps = logps[rows, parent[keep]]
+        # candidate j of an example extends live prefix j // C with token
+        # content[j % C]; only the rows _first_by reads or keeps are built,
+        # and columns past the step are -1 in every row, so they break no tie
+        cand_logp = logd[:, :, content]
+        cand_total = (totals[:, :, None] + cand_logp).reshape(n, -1)
+        cand_logp = cand_logp.reshape(n, -1)
+
+        def extended(r, j):
+            picked = tokens[r, j // len(content), : step + 1]
+            picked[:, step] = content[j % len(content)]
+            return picked
+
+        keep = _first_by(-cand_total, extended, config.beam_size)
+        parent = keep // len(content)
+        tokens = tokens[rows, parent]
+        tokens[:, :, step] = content[keep % len(content)]
+        logps = logps[rows, parent]
         logps[:, :, step] = cand_logp[rows, keep]
         totals = cand_total[rows, keep]
 
     tokens, logps, totals, eos_logp = (np.concatenate(part, axis=1) for part in zip(*closed))
     lengths = np.repeat(np.arange(1, width + 1), [c[0].shape[1] for c in closed])
-    best = _first_by(-(totals + eos_logp) / (lengths + 1), tokens, 1)[:, 0]
+    best = _first_by(-(totals + eos_logp) / (lengths + 1),
+                     lambda r, j: tokens[r, j], 1)[:, 0]
     out = []
     for e, j in enumerate(best.tolist()):
         length = int(lengths[j])

@@ -354,6 +354,24 @@ class TestPipeline:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--out", "x"],
+        ["infer", "--config", "c.json", "--out", "x", "--method", "base", "--split", "nope"],
+        ["frob", "--config", "c.json", "--out", "x"],
+        ["gen-data", "--config", "c.json", "--out", "x", "--frob"],
+    ], ids=["missing-options", "bad-split", "unknown-subcommand", "unknown-option"])
+    def test_usage_error_is_one(self, argv, capsys):
+        # argparse's own exit 2 would read as a runtime failure
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: seqcal" in capsys.readouterr().out
+
     def test_bad_config_is_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
@@ -1349,6 +1367,33 @@ def test_cli_import_leaves_process_pools_out():
     code = ("import sys, seqcal.cli; "
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_decode_imports_no_module():
+    # every infer job decodes in a freshly forked child, which pays for any
+    # module the decode imports lazily; a fresh interpreter shows it, since
+    # this process may hold the module already
+    code = """
+import sys
+import seqcal.cli
+from seqcal.corpus import TaskSpec, generate_corpus
+from seqcal.inference import PosteriorConfig, decode_corpus
+from seqcal.model import METHODS, MethodConfig, ModelDims, init_model, is_deep_ensemble
+dims = ModelDims(vocab_size=10, embed_dim=4, hidden_dim=6)
+test = generate_corpus(TaskSpec(kind="copy", input_len=3, output_len=3), 5, 10, seed=1)
+models = {}
+for method in METHODS:
+    config = MethodConfig(method=method, samples=2, be_size=2,
+                          seeds=(1, 2) if is_deep_ensemble(method) else ())
+    models[method] = tuple(init_model(dims, config, s) for s in config.seeds or (0,))
+before = set(sys.modules)
+for members in models.values():
+    decode_corpus(members, test, PosteriorConfig(beam_size=2, max_len=3), 0)
+print(sorted(set(sys.modules) - before))
+"""
     done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"

@@ -8,6 +8,8 @@ pick different hypotheses.  The batch-invariance tests catch that even
 where the one-example oracle shares the bug.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,8 +198,19 @@ def candidate_rows(draw):
 @given(candidate_rows())
 def test_partial_selection_is_the_full_sort_prefix(case):
     key, tokens, k = case
-    got = inference._first_by(key, tokens, k)
+    read = []
+
+    def token_rows(rows, cols):
+        read.append((rows, cols))
+        return tokens[rows, cols]
+
+    got = inference._first_by(key, token_rows, k)
     assert got.tolist() == sorted_by_oracle(key, tokens)[:, :k].tolist()
+    # token rows are read once, and only for entries that can be among the
+    # first k: at most the row's k-th smallest key
+    (rows, cols), = read
+    kth = np.sort(key, axis=1)[:, min(k, key.shape[1]) - 1]
+    assert np.all(key[rows, cols] <= kth[rows])
 
 
 def test_pruning_sorts_at_most_beam_size_candidates(monkeypatch):
@@ -220,3 +233,26 @@ def test_pruning_sorts_at_most_beam_size_candidates(monkeypatch):
     decode_corpus(members, test, config, RUN_SEED)
     assert len(sizes) == config.max_len + 1
     assert max(sizes) <= config.beam_size * len(test)
+
+
+def test_decode_memory_does_not_grow_with_max_len_times_vocab():
+    # a step's candidates are (n, live x content); keeping any per-step
+    # array of that width, or each step's (n, live, vocab) log-probs, to the
+    # end of the search makes the peak grow with max_len x vocab
+    dims = ModelDims(vocab_size=200, embed_dim=16, hidden_dim=32)
+    members = (init_model(dims, MethodConfig(method="base"), 0),)
+    test = generate_corpus(TaskSpec(kind="copy", input_len=8, output_len=8), 30, 200, seed=3)
+
+    def peak(max_len):
+        config = PosteriorConfig(beam_size=4, max_len=max_len)
+        decode_corpus(members, test, config, RUN_SEED)  # warm lazy state first
+        tracemalloc.start()
+        try:
+            decode_corpus(members, test, config, RUN_SEED)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_step = len(test) * 4 * dims.vocab_size * 8  # an (n, beam, vocab) float64
+    assert peak(8) - peak(2) < 2 * one_step
+

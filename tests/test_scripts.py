@@ -41,3 +41,12 @@ def test_run_pipeline_script(tmp_path, capsys):
     summary = (out / "reports" / "summary.csv").read_text().splitlines()
     assert sorted(line.split(",")[0] for line in summary[1:]) == ["base", "sngp"]
 
+
+
+def test_run_pipeline_usage_error_is_one(tmp_path, capsys):
+    script = load_script("run_pipeline")
+    assert script.main(["--out", str(tmp_path / "run")]) == 1
+    assert script.main(["--config", "c.json", "--out", "x", "--frob"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
