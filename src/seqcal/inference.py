@@ -26,9 +26,7 @@ all live x content.  Only those candidates' token rows are ever built, a
 parent prefix plus one content id each, and the next beam is built from
 the kept indices alone; a step keeps just the eos column of its
 (n, live, vocab) log-probabilities, so a decode's memory does not grow
-with max_len x vocab.  Against copying every candidate's row, that took
-wide's seven-method decode from 104-108 to 82-84 ms of CPU (one CPU, best
-of 10, 2-vCPU x86-64 sandbox).  A candidate is always a fully terminated sequence:
+with max_len x vocab.  A candidate is always a fully terminated sequence:
 eos is one of the scored continuations from length 1 on, and hypotheses
 still alive at the length cap are closed with a forced eos score.
 Stored hypotheses and per-token log-probabilities exclude the terminal
@@ -152,8 +150,8 @@ def _member_pass(model: TrainedModel, ctx, states, mask, be_member: int) -> np.n
     out = forward(model, z, be_member=be_member,
                   mask=None if mask is None else mask[:, None, :])
     logits = out["logits"]
-    if out["phi"] is not None:
-        sigma2 = predictive_variance(model.sngp, out["phi"])
+    if model.sngp is not None:
+        sigma2 = predictive_variance(model.sngp, out["feat"])
         logits = mean_field_logits(logits, sigma2[..., None],
                                    model.config.sngp.mean_field_factor)
     if not np.all(np.isfinite(logits)):

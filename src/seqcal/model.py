@@ -9,18 +9,20 @@ hand-checkable:
     z      = [ctx; state]                                    (2d,)
     a      = W_h z + b_h                                     (d',)
     h      = dropout(tanh(a))                                (d',)
-    logits = W_o h + b_o                                     (|V|,)
+    feat   = h                                               (d',)
+    logits = W_o feat + b_o                                  (|V|,)
 
 Heads modify this skeleton:
 
   batch ensemble   member k owns rank-1 fast weights (r_k, s_k) that
                    modulate the shared hidden weight elementwise,
                    a = r_k * (W_h (s_k * z)) + b_h
-  gaussian process the output layer becomes random cosine features
-                   phi(h) = sqrt(2/D) cos(W_r h + b_r) with trainable
-                   weights beta, plus L^{-1}, the inverse lower Cholesky
-                   factor of the Laplace precision I + sum phi phi^T over
-                   the training rows, which supplies a predictive variance
+  gaussian process a feature map in front of W_o: feat becomes the random
+                   cosine features phi(h) = sqrt(2/D) cos(W_r h + b_r),
+                   W_o is (|V|, D) and there is no b_o.  The head also
+                   holds L^{-1}, the inverse lower Cholesky factor of the
+                   Laplace precision I + sum phi phi^T over the training
+                   rows, which supplies a predictive variance
                    |L^{-1} phi|^2 for mean-field logit scaling at inference
   dropout          inverted dropout on the hidden activation only, active
                    for the mc-dropout method variants
@@ -31,7 +33,7 @@ Token ids follow `corpus`'s layout (`BOS_ID` opens every prefix state,
 A member's arrays are declared once, in `Member`, in the order its
 bundle stores them; `TrainedModel` is a `Member` plus the cards its
 bundle holds once.  `trainable` names the arrays SGD updates by field
-path (`embed`, `sngp.beta`, `be.r`, ...), the keys of the gradients
+path (`embed`, `w_o`, `be.r`, ...), the keys of the gradients
 `_loss_and_grads` returns.
 
 All parameters are float64; the teacher-forced count rows of
@@ -48,7 +50,7 @@ the product.  Two callers run it:
                                  through it training.evaluate_loss (one
                                  LOSS_CHUNK_ROWS chunk of a split at a time)
                                  and training._finalize_precision (the
-                                 features phi, one batch_size chunk at a
+                                 features feat, one batch_size chunk at a
                                  time)
   inference._member_pass         stacked (examples, live, 2d) decode rows
 
@@ -194,29 +196,29 @@ class BatchEnsembleState:
 
 @dataclass
 class SngpState:
-    """Frozen random features, trainable output weights, and the Laplace
-    posterior as L^{-1}, the inverse lower Cholesky factor of its
-    precision: the identity of the prior until training factors
-    I + Phi^T Phi over its rows (`factor_precision`)."""
+    """Frozen random features and the Laplace posterior as L^{-1}, the
+    inverse lower Cholesky factor of its precision: the identity of the
+    prior until training factors I + Phi^T Phi over its rows
+    (`factor_precision`)."""
 
     w_r: np.ndarray  # (rff_dim, hidden_dim), frozen
     b_r: np.ndarray  # (rff_dim,), frozen
-    beta: np.ndarray  # (vocab, rff_dim), trainable
     chol_inv: np.ndarray  # (rff_dim, rff_dim), lower triangular
 
 
 @dataclass(kw_only=True)
 class Member:
-    """One member's arrays, in the order its bundle stores them.  w_o/b_o
-    are None when a gaussian-process head owns the output layer (its beta
-    lives in `sngp`); each head is None unless the method has it."""
+    """One member's arrays, in the order its bundle stores them.  w_o is
+    the output layer of every head: (vocab, hidden_dim) on h, or
+    (vocab, rff_dim) on the features of a gaussian-process head, which
+    has no b_o.  Each head is None unless the method has it."""
 
     seed: int
     loss_history: tuple[float, ...] = ()
     embed: np.ndarray
     w_h: np.ndarray
     b_h: np.ndarray
-    w_o: np.ndarray | None
+    w_o: np.ndarray
     b_o: np.ndarray | None
     be: BatchEnsembleState | None
     sngp: SngpState | None
@@ -233,11 +235,9 @@ class TrainedModel(Member):
 def trainable(model: Member) -> dict[str, np.ndarray]:
     """{field path: array} for every array SGD updates, the paths
     `read_bundle` names; the gradients of `_loss_and_grads` share the keys."""
-    arrays = {"embed": model.embed, "w_h": model.w_h, "b_h": model.b_h}
-    if model.sngp is None:
-        arrays.update({"w_o": model.w_o, "b_o": model.b_o})
-    else:
-        arrays["sngp.beta"] = model.sngp.beta
+    arrays = {"embed": model.embed, "w_h": model.w_h, "b_h": model.b_h, "w_o": model.w_o}
+    if model.b_o is not None:
+        arrays["b_o"] = model.b_o
     if model.be is not None:
         arrays.update({"be.r": model.be.r, "be.s": model.be.s})
     return arrays
@@ -267,17 +267,15 @@ def init_model(dims: ModelDims, config: MethodConfig, seed: int) -> TrainedModel
     rs = stream(seed, "init")
     embed = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, dims.embed_dim))
     w_h = rs.uniform(-0.1, 0.1, size=(dims.hidden_dim, 2 * dims.embed_dim))
-    w_o = b_o = be = sngp = None
-    if uses_gp(config.method):
-        cfg = config.sngp
-        beta = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, cfg.rff_dim))
-        feat = stream(seed, "rff")
-        w_r = feat.standard_normal((cfg.rff_dim, dims.hidden_dim))
-        b_r = feat.uniform(0.0, 2.0 * math.pi, size=cfg.rff_dim)
-        sngp = SngpState(w_r=w_r, b_r=b_r, beta=beta, chol_inv=np.eye(cfg.rff_dim))
-    else:
-        w_o = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, dims.hidden_dim))
-        b_o = np.zeros(dims.vocab_size)
+    gp, d_rff = uses_gp(config.method), config.sngp.rff_dim
+    w_o = rs.uniform(-0.1, 0.1, size=(dims.vocab_size, d_rff if gp else dims.hidden_dim))
+    b_o = None if gp else np.zeros(dims.vocab_size)
+    be = sngp = None
+    if gp:
+        rff = stream(seed, "rff")
+        sngp = SngpState(w_r=rff.standard_normal((d_rff, dims.hidden_dim)),
+                         b_r=rff.uniform(0.0, 2.0 * math.pi, size=d_rff),
+                         chol_inv=np.eye(d_rff))
     if config.method == "be":
         be = BatchEnsembleState(
             r=1.0 + rs.uniform(-0.1, 0.1, size=(config.be_size, dims.hidden_dim)),
@@ -333,17 +331,17 @@ def gp_features(h: np.ndarray, state: SngpState):
     return u, phi
 
 
-def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
+def forward(model: TrainedModel, z: np.ndarray, *, be_member: int = 0,
             mask: np.ndarray | None = None) -> dict:
     """The model body on z rows of any leading shape (..., 2d).
 
-    be_member picks the batch-ensemble member (default 0; ignored without
-    fast weights) and mask, when given, holds `dropout_mask` keep flags
-    that broadcast against the hidden activation: inverted dropout keeps
-    a unit scaled by 1/(1-DROPOUT_RATE).  Returns the tanh activation
-    "h_raw", the masked activation "h", "logits", the gaussian-process
-    features "phi" (None for the linear head) and the scaled mask "mask"
-    (None without one).  For the backward pass, the
+    be_member picks the batch-ensemble member (ignored without fast
+    weights) and mask, when given, holds `dropout_mask` keep flags that
+    broadcast against the hidden activation: inverted dropout keeps a
+    unit scaled by 1/(1-DROPOUT_RATE).  Returns the tanh activation
+    "h_raw", the masked activation "h", the output layer's input "feat"
+    (h, or the gaussian-process features of h), "logits" and the scaled
+    mask "mask" (None without one).  For the backward pass, the
     gaussian-process head adds its cosine argument "u", and batch-ensemble
     passes add the member index "be_member", its fast weights "r_k"/"s_k",
     the scaled input "zs" and the pre-modulation product "pre".
@@ -352,25 +350,25 @@ def forward(model: TrainedModel, z: np.ndarray, *, be_member: int | None = None,
     if model.be is None:
         a = z @ model.w_h.T + model.b_h
     else:
-        k = 0 if be_member is None else be_member
-        if not 0 <= k < model.be.size:
-            raise InputError(f"batch-ensemble member {k} outside 0..{model.be.size - 1}")
-        r_k, s_k = model.be.r[k], model.be.s[k]
+        if not 0 <= be_member < model.be.size:
+            raise InputError(f"batch-ensemble member {be_member} outside "
+                             f"0..{model.be.size - 1}")
+        r_k, s_k = model.be.r[be_member], model.be.s[be_member]
         zs = z * s_k
         pre = zs @ model.w_h.T
         a = pre * r_k + model.b_h
-        out.update(be_member=k, r_k=r_k, s_k=s_k, zs=zs, pre=pre)
+        out.update(be_member=be_member, r_k=r_k, s_k=s_k, zs=zs, pre=pre)
     h = h_raw = np.tanh(a)
     if mask is not None:
         mask = mask / (1.0 - DROPOUT_RATE)
         h = h_raw * mask
-    if model.sngp is None:
-        logits, phi = h @ model.w_o.T, None
+    feat = h
+    if model.sngp is not None:
+        out["u"], feat = gp_features(h, model.sngp)
+    logits = feat @ model.w_o.T
+    if model.b_o is not None:
         logits += model.b_o
-    else:
-        out["u"], phi = gp_features(h, model.sngp)
-        logits = phi @ model.sngp.beta.T
-    out.update(h_raw=h_raw, h=h, logits=logits, phi=phi, mask=mask)
+    out.update(h_raw=h_raw, h=h, feat=feat, logits=logits, mask=mask)
     return out
 
 
@@ -520,7 +518,7 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward_rows(model: TrainedModel, structure: RowStructure, rows, *,
-                  be_member: int | None, dropout_seed: int | None):
+                  be_member: int = 0, dropout_seed: int | None):
     """`forward` over selected teacher-forced rows, with the gathered count
     rows (still in their narrow type) and the z rows the backward pass
     needs added to its cache.  Each product casts its counts to float64
@@ -554,7 +552,7 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
 
 
 def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
-                    be_member: int | None, dropout_seed: int | None):
+                    be_member: int = 0, dropout_seed: int | None):
     targets = structure.targets[rows]
     cache = _forward_rows(model, structure, rows, be_member=be_member,
                           dropout_seed=dropout_seed)
@@ -564,19 +562,15 @@ def _loss_and_grads(model: TrainedModel, structure: RowStructure, rows, *,
     dlogits[np.arange(n), targets] -= 1.0
     dlogits /= n
 
-    grads = {}
-    if model.sngp is None:
-        grads["w_o"] = dlogits.T @ cache["h"]
+    grads = {"w_o": dlogits.T @ cache["feat"]}
+    if model.b_o is not None:
         grads["b_o"] = dlogits.sum(axis=0)
-        dh = dlogits @ model.w_o
-    else:
-        state = model.sngp
-        grads["sngp.beta"] = dlogits.T @ cache["phi"]
-        dphi = dlogits @ state.beta
-        big_d = state.w_r.shape[0]
-        # phi = sqrt(2/D) cos(u) with u = h W_r^T + b_r, kept by forward
-        du = dphi * (-math.sqrt(2.0 / big_d) * np.sin(cache["u"]))
-        dh = du @ state.w_r
+    dh = dlogits @ model.w_o
+    if model.sngp is not None:
+        w_r = model.sngp.w_r
+        # feat = sqrt(2/D) cos(u) with u = h W_r^T + b_r, kept by forward
+        du = dh * (-math.sqrt(2.0 / w_r.shape[0]) * np.sin(cache["u"]))
+        dh = du @ w_r
 
     if cache["mask"] is not None:
         dh = dh * cache["mask"]

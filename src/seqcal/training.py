@@ -36,10 +36,11 @@ another stamp; each member's arrays must have the shapes of a fresh
 `init_model` of the stored method and dims.  Each array is stored as its
 shape and the base64 of its raw float64 bytes (see `schema`), so floats
 survive a round trip bit for bit and no weight becomes a Python float on
-either side.  Format 5 introduced that encoding, format 6 dropped the
-special token ids from the dims card (they are `corpus`'s constants) and
-format 7 stores each GP head's L^{-1} in place of its precision and
-validity flag; a bundle of an earlier format is refused by its version.
+either side.  Format 8 stores per member its seed, loss history, embed,
+w_h, b_h, the output layer w_o and b_o (null for a GP head), then the
+batch-ensemble head (r, s) and the GP head (w_r, b_r and its L^{-1}
+chol_inv), each null unless the method has it; a bundle of any other
+format is refused by its version.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .model import (
 from .rng import derive_seed, stream
 from .schema import from_json, parse_json, to_json, write_text
 
-BUNDLE_FORMAT_VERSION = 7
+BUNDLE_FORMAT_VERSION = 8
 
 # Cross-entropy this far above any legitimate value means the run has
 # diverged even when saturation keeps every float finite.
@@ -151,8 +152,8 @@ def _finalize_precision(model: TrainedModel, structure, batch_size: int) -> None
     then the member stores the precision's factor L^{-1}."""
     precision = np.eye(model.sngp.chol_inv.shape[0])
     for rows in _row_chunks(len(structure.targets), batch_size):
-        phi = _forward_rows(model, structure, rows, be_member=None, dropout_seed=None)["phi"]
-        precision = update_precision(precision, phi)
+        feat = _forward_rows(model, structure, rows, dropout_seed=None)["feat"]
+        precision = update_precision(precision, feat)
     model.sngp.chol_inv = factor_precision(precision)
 
 
@@ -181,7 +182,7 @@ def train_member(
         dropout_seed = None
         if dropout_active(config.method):
             dropout_seed = derive_seed(seed, "train-dropout", step)
-        be_member = step % config.be_size if config.method == "be" else None
+        be_member = step % config.be_size if config.method == "be" else 0
         loss, grads = _loss_and_grads(
             model, structure, rows, be_member=be_member, dropout_seed=dropout_seed
         )
@@ -405,8 +406,7 @@ def evaluate_loss(model: TrainedModel, structure: RowStructure) -> float:
     n_rows = len(structure.targets)
     total = 0.0
     for rows in _row_chunks(n_rows, LOSS_CHUNK_ROWS):
-        logits = _forward_rows(model, structure, rows, be_member=None,
-                               dropout_seed=None)["logits"]
+        logits = _forward_rows(model, structure, rows, dropout_seed=None)["logits"]
         total += _cross_entropy(logits, structure.targets[rows])[0] * len(rows)
         del logits
     return total / n_rows
@@ -495,7 +495,7 @@ def read_bundle(path, run_sha256: str) -> tuple[TrainedModel, ...]:
     the file and the field path."""
     try:
         payload = parse_json(Path(path).read_bytes(), "bundle")
-        # Older formats hold keys this one refuses, so the version comes first.
+        # Other formats hold keys this one refuses, so the version comes first.
         if isinstance(payload, dict) and payload.get("format_version") != BUNDLE_FORMAT_VERSION:
             raise ValidationError(f"bundle has format_version {payload.get('format_version')!r}"
                                   f", expected {BUNDLE_FORMAT_VERSION}")

@@ -135,32 +135,25 @@ def rouge_l_oracle(hyp, ref):
     return p, r, f
 
 
-def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None):
+def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=0):
     """Scalar-loop forward pass for every head.
 
     Mirrors the documented architecture directly: summed embeddings, the
     tanh hidden layer (modulated by the batch-ensemble member's fast
     weights, a_i = r_i * sum_j w_ij s_j z_j + b_i, member 0 by default),
     optional dropout keep flags (a kept unit scaled by 1/(1-rate), a
-    dropped one zeroed), then either the linear output layer or the
-    cosine feature head.
+    dropped one zeroed), the gaussian-process head's cosine features in
+    place of the hidden units, then the one output layer: w_o, plus b_o
+    when the head has one.
     """
-    hidden = _hidden_oracle(model, input_tokens, prefix_tokens, mask, be_member)
-    if model.sngp is None:
-        logits = []
-        for v in range(model.dims.vocab_size):
-            out = float(model.b_o[v])
-            for i in range(len(hidden)):
-                out += float(model.w_o[v, i]) * hidden[i]
-            logits.append(out)
-        return np.array(logits)
-    state = model.sngp
-    phi = _features_oracle(state, hidden)
+    feat = _hidden_oracle(model, input_tokens, prefix_tokens, mask, be_member)
+    if model.sngp is not None:
+        feat = _features_oracle(model.sngp, feat)
     logits = []
     for v in range(model.dims.vocab_size):
-        out = 0.0
-        for i in range(len(phi)):
-            out += float(state.beta[v, i]) * phi[i]
+        out = 0.0 if model.b_o is None else float(model.b_o[v])
+        for i in range(len(feat)):
+            out += float(model.w_o[v, i]) * feat[i]
         logits.append(out)
     return np.array(logits)
 
@@ -174,16 +167,15 @@ def _sum_state(model, tokens):
     return acc
 
 
-def _hidden_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=None):
+def _hidden_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=0):
     d = model.dims.embed_dim
     dh = model.dims.hidden_dim
     z = _sum_state(model, input_tokens) + _sum_state(model, (BOS_ID, *prefix_tokens))
     r = [1.0] * dh
     s = [1.0] * (2 * d)
     if model.be is not None:
-        k = 0 if be_member is None else be_member
-        r = [float(x) for x in model.be.r[k]]
-        s = [float(x) for x in model.be.s[k]]
+        r = [float(x) for x in model.be.r[be_member]]
+        s = [float(x) for x in model.be.s[be_member]]
     hidden = []
     for i in range(dh):
         pre = 0.0
@@ -238,7 +230,7 @@ def finite_difference_gradient(loss_fn, array, coords, step=1e-3):
     return grads
 
 
-def batch_loss(model, examples, *, be_member=None, dropout_seed=None):
+def batch_loss(model, examples, *, be_member=0, dropout_seed=None):
     """The package's mean cross-entropy over every teacher-forced row of
     the batch, the route training takes.  The gradient checks compare
     backprop_gradients against central differences of it."""
@@ -262,7 +254,7 @@ def cross_entropy_oracle(logits, targets):
     return float(np.mean(np.log(sums) - picked)), exp, sums
 
 
-def backprop_gradients(model, examples, *, be_member=None, dropout_seed=None):
+def backprop_gradients(model, examples, *, be_member=0, dropout_seed=None):
     """The package's hand-written gradients of batch_loss, as training
     computes them for one step."""
     from seqcal.model import _loss_and_grads, build_rows
@@ -543,6 +535,21 @@ def edit_array(holder: dict, key: str, edit) -> None:
     holder[key] = encode_array(arr)
 
 
+def as_format_7(bundle: dict) -> dict:
+    """A parsed bundle of the current format rewritten, in place, to the
+    layout of format 7: each GP head stores its output weights as
+    `sngp.beta` (between `b_r` and `chol_inv`), the member's `w_o` is null,
+    and `format_version` is 7."""
+    bundle["format_version"] = 7
+    for member in bundle["members"]:
+        sngp = member["sngp"]
+        if sngp is not None:
+            member["sngp"] = {"w_r": sngp["w_r"], "b_r": sngp["b_r"],
+                              "beta": member["w_o"], "chol_inv": sngp["chol_inv"]}
+            member["w_o"] = None
+    return bundle
+
+
 def bundle_dump_oracle(members, path, run_sha256):
     """A bundle streamed to disk with json.dump, its members listed key by
     key and their arrays encoded by `encode_array`: the format as written
@@ -560,7 +567,7 @@ def bundle_dump_oracle(members, path, run_sha256):
             "embed": encode_array(model.embed),
             "w_h": encode_array(model.w_h),
             "b_h": encode_array(model.b_h),
-            "w_o": None if model.w_o is None else encode_array(model.w_o),
+            "w_o": encode_array(model.w_o),
             "b_o": None if model.b_o is None else encode_array(model.b_o),
             "be": None,
             "sngp": None,
@@ -572,7 +579,6 @@ def bundle_dump_oracle(members, path, run_sha256):
             out["sngp"] = {
                 "w_r": encode_array(st.w_r),
                 "b_r": encode_array(st.b_r),
-                "beta": encode_array(st.beta),
                 "chol_inv": encode_array(st.chol_inv),
             }
         return out

@@ -201,9 +201,9 @@ def test_criterion_2_gradient_checks(announce):
     checked = 0
     dims = ModelDims(vocab_size=9, embed_dim=4, hidden_dim=6)
     heads = (
-        ("base", MethodConfig(method="base"), None),
+        ("base", MethodConfig(method="base"), 0),
         ("be", MethodConfig(method="be", be_size=3), 1),
-        ("sngp", MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=12)), None),
+        ("sngp", MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=12)), 0),
     )
     for seed in range(5):
         rng = np.random.default_rng(3000 + seed)
@@ -215,11 +215,9 @@ def test_criterion_2_gradient_checks(announce):
                 ("embed", model.embed, grads["embed"]),
                 ("w_h", model.w_h, grads["w_h"]),
                 ("b_h", model.b_h, grads["b_h"]),
+                ("w_o", model.w_o, grads["w_o"]),
             ]
-            if name == "sngp":
-                arrays.append(("beta", model.sngp.beta, grads["sngp.beta"]))
-            else:
-                arrays.append(("w_o", model.w_o, grads["w_o"]))
+            if model.b_o is not None:  # the GP head has none
                 arrays.append(("b_o", model.b_o, grads["b_o"]))
             if name == "be":
                 arrays.append(("be_r", model.be.r, grads["be.r"]))

@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from oracles import decode_array, edit_array, encode_array
+from oracles import as_format_7, decode_array, edit_array, encode_array
 from seqcal.calib import ALPHAS, THRESHOLDS, write_csv
 from seqcal.cli import (
     MAX_DE_SIZE,
@@ -688,8 +688,9 @@ class TestExitCodes:
         assert not os.path.exists(fresh)
 
     def test_version_one_bundle_is_one(self, tmp_path, capsys):
-        # versions 1 to 6 stored each GP head's precision and validity flag
-        # in place of its factor; 1 to 5 the bos and eos ids in the dims
+        # versions 1 to 7 stored each GP head's output weights as sngp.beta
+        # with a null w_o; 1 to 6 its precision and validity flag in place
+        # of its factor; 1 to 5 the bos and eos ids in the dims
         # card; 1 to 4 every array as nested lists; 1 to 3 the dropout
         # rate, kernel scale and spectral bound; 1 and 2 a vocabulary hash;
         # 1 also the retired knobs
@@ -711,9 +712,10 @@ class TestExitCodes:
             chol = np.linalg.inv(decode_array(sngp.pop("chol_inv")))
             sngp.update(precision=encode_array(chol @ chol.T), covariance_valid=True)
 
-        for version in (1, 2, 3, 4, 5, 6):
-            bundle = json.loads(current)
-            with_precision(bundle["members"][0]["sngp"])
+        for version in (1, 2, 3, 4, 5, 6, 7):
+            bundle = as_format_7(json.loads(current))
+            if version < 7:
+                with_precision(bundle["members"][0]["sngp"])
             bundle = bundle if version >= 5 else as_lists(bundle)
             bundle["format_version"] = version
             if version < 6:
@@ -732,7 +734,7 @@ class TestExitCodes:
             assert main(["infer", "--config", cfg_path, "--out", out,
                          "--method", "sngp"]) == 1, version
             err = capsys.readouterr().err
-            assert f"{bundle_path}: bundle has format_version {version}, expected 7" in err, \
+            assert f"{bundle_path}: bundle has format_version {version}, expected 8" in err, \
                 version
             assert "Traceback" not in err, version
             assert not os.path.exists(os.path.join(out, "preds", "sngp.jsonl")), version

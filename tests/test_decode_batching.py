@@ -74,9 +74,7 @@ def untrained(method, zero=False):
         if zero:
             # all logits zero: uniform rows, so every score ties exactly
             # and only the token order decides
-            for array in (m.embed, m.w_h, m.b_h,
-                          m.w_o, m.b_o,
-                          getattr(m.sngp, "beta", None)):
+            for array in (m.embed, m.w_h, m.b_h, m.w_o, m.b_o):
                 if array is not None:
                     array[:] = 0.0
     return members

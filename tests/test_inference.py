@@ -120,7 +120,7 @@ class TestPosteriorMean:
         h = np.tanh(model.w_h @ np.concatenate([ctx, pre]) + model.b_h)
         phi = gp_features(h, model.sngp)[1]
         sigma2 = predictive_variance(model.sngp, phi[None, :])
-        logits = mean_field_logits(phi @ model.sngp.beta.T, sigma2[0], 0.7)
+        logits = mean_field_logits(phi @ model.w_o.T, sigma2[0], 0.7)
         assert np.allclose(dist, softmax(logits), atol=1e-12)
 
     def test_mean_of_probs_differs_from_probs_of_mean(self):

@@ -158,8 +158,7 @@ class TestInit:
         dims = small_dims()
         cfg = MethodConfig(method="sngp", sngp=SngpConfig(rff_dim=16))
         m = init_model(dims, cfg, seed=5)
-        assert m.w_o is None and m.b_o is None
-        assert m.sngp.beta.shape == (8, 16)
+        assert m.w_o.shape == (8, 16) and m.b_o is None
         assert m.sngp.w_r.shape == (16, 7)
         assert np.array_equal(m.sngp.chol_inv, np.eye(16))
         assert np.all((m.sngp.b_r >= 0.0) & (m.sngp.b_r < 2.0 * math.pi))
@@ -459,10 +458,11 @@ class TestGpFeatures:
         out = forward(model, z)
         state = model.sngp
         assert np.array_equal(out["u"], out["h"] @ state.w_r.T + state.b_r)
-        assert np.array_equal(out["phi"], math.sqrt(2.0 / 6) * np.cos(out["u"]))
-        assert np.array_equal(out["phi"], gp_features(out["h"], state)[1])
+        assert np.array_equal(out["feat"], math.sqrt(2.0 / 6) * np.cos(out["u"]))
+        assert np.array_equal(out["feat"], gp_features(out["h"], state)[1])
         base = init_model(dims, MethodConfig(method="base"), seed=3)
-        assert "u" not in forward(base, z)
+        linear = forward(base, z)
+        assert "u" not in linear and linear["feat"] is linear["h"]
 
     def test_row_stack_consistent_with_single(self):
         state = self._state()

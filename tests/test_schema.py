@@ -741,7 +741,7 @@ SINGLE_VALUED_EXEMPT = {
     "seed": "perfbench replaces it on every run",
     "train.batch_size": "perfbench/workloads/wide.json names it",
     "train.learning_rate": "perfbench/workloads/wide.json names it",
-    "methods.sngp.mean_field_factor": "tuning the GP head (ROADMAP direction 3) scans it",
+    "methods.sngp.mean_field_factor": "tuning the GP head (ROADMAP direction 2) scans it",
 }
 
 

@@ -15,6 +15,7 @@ import pytest
 
 import seqcal.training as training
 from oracles import (
+    as_format_7,
     batch_loss,
     batch_rows_oracle,
     bundle_dump_oracle,
@@ -196,7 +197,7 @@ class TestTrainMember:
         embed = model.embed
         z = np.concatenate([rows.ctx_weights.astype(float) @ embed,
                             rows.prefix_weights.astype(float) @ embed], axis=1)
-        seen = predictive_variance(model.sngp, forward(model, z)["phi"])
+        seen = predictive_variance(model.sngp, forward(model, z)["feat"])
         far_h = np.random.default_rng(0).uniform(-1.0, 1.0, (500, dims.hidden_dim))
         far = predictive_variance(model.sngp, gp_features(far_h, model.sngp)[1])
         assert 10.0 * seen.mean() < far.mean()
@@ -211,14 +212,15 @@ class TestTrainMember:
                          TrainHyper(steps=50, learning_rate=1e300), seed=1)
 
     # The ids are those of the cases before the arrays moved onto the
-    # member itself (then under `params`, `sngp_state` and `be_state`).
+    # member itself (then under `params`, `sngp_state` and `be_state`; the
+    # GP head's w_o was `sngp_state`'s output weights).
     @pytest.mark.parametrize("method, path", [
         pytest.param("base", "embed", id="base-params-embed"),
         pytest.param("base", "w_h", id="base-params-w_h"),
         pytest.param("base", "b_h", id="base-params-b_h"),
         pytest.param("base", "w_o", id="base-params-w_o"),
         pytest.param("base", "b_o", id="base-params-b_o"),
-        pytest.param("sngp", "sngp.beta", id="sngp-sngp_state-beta"),
+        pytest.param("sngp", "w_o", id="sngp-sngp_state-beta"),
         pytest.param("be", "be.r", id="be-be_state-r"),
         pytest.param("be", "be.s", id="be-be_state-s"),
     ])
@@ -814,15 +816,14 @@ class TestBundles:
             assert np.array_equal(back.embed, orig.embed)
             assert np.array_equal(back.w_h, orig.w_h)
             assert np.array_equal(back.b_h, orig.b_h)
-            if orig.w_o is not None:
-                assert np.array_equal(back.w_o, orig.w_o)
+            assert np.array_equal(back.w_o, orig.w_o)
+            if orig.b_o is not None:
                 assert np.array_equal(back.b_o, orig.b_o)
             if orig.be is not None:
                 assert np.array_equal(back.be.r, orig.be.r)
                 assert np.array_equal(back.be.s, orig.be.s)
             if orig.sngp is not None:
                 assert np.array_equal(back.sngp.w_r, orig.sngp.w_r)
-                assert np.array_equal(back.sngp.beta, orig.sngp.beta)
                 assert np.array_equal(back.sngp.chol_inv, orig.sngp.chol_inv)
         return path
 
@@ -848,6 +849,22 @@ class TestBundles:
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="format_version"):
+            read_bundle(path, STAMP)
+
+    @pytest.mark.parametrize("method", ["sngp", "sngp_de"])
+    def test_format_7_gp_bundle_refused_by_its_version(self, tmp_path, method):
+        # format 7 kept the GP head's output weights in sngp.beta with a
+        # null w_o, a layout this format refuses; the version is read first
+        path, payload = fresh_bundle(tmp_path, method)
+        as_format_7(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: bundle has format_version 7, expected 8")):
+            read_bundle(path, STAMP)
+        payload["format_version"] = 8
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=re.escape(
+                "bundle.members[0].w_o must be a regular array")):
             read_bundle(path, STAMP)
 
     def test_member_count_mismatch(self, tmp_path):
@@ -1016,9 +1033,9 @@ def small_config(method):
 
 
 SMALL_DIMS = ModelDims(vocab_size=8, embed_dim=3, hidden_dim=4)
-BODY = (("embed", 2), ("w_h", 2), ("b_h", 1))
-LINEAR_HEAD = (("w_o", 2), ("b_o", 1))
-GP_HEAD = (("sngp.w_r", 2), ("sngp.b_r", 1), ("sngp.beta", 2), ("sngp.chol_inv", 2))
+BODY = (("embed", 2), ("w_h", 2), ("b_h", 1), ("w_o", 2))
+LINEAR_HEAD = (("b_o", 1),)
+GP_HEAD = (("sngp.w_r", 2), ("sngp.b_r", 1), ("sngp.chol_inv", 2))
 BE_HEAD = (("be.r", 2), ("be.s", 2))
 ARRAY_AXES = [
     (method, key, axis)
@@ -1069,12 +1086,12 @@ class TestBundleLayout:
         ("be", "be", None, "be is null, expected an object"),
         ("sngp", "sngp", None, "sngp is null, expected an object"),
         ("sngp_de", "sngp", None, "sngp is null, expected an object"),
-        ("base", "w_o", None, "w_o is null, expected an array of shape (8, 4)"),
-        ("sngp", "w_o", encode_array([[0.0] * 4] * 8),
-         "w_o is an array of shape (8, 4), expected null"),
+        ("sngp", "w_o", None, "w_o must be a regular array of numbers stored as "
+         '{"shape", "f8"}, got NoneType'),
+        ("sngp", "b_o", encode_array([0.0] * 8), "b_o is an array of shape (8,), expected null"),
         ("base", "be", {"r": encode_array([[1.0] * 4] * 2), "s": encode_array([[1.0] * 6] * 2)},
          "be is an object, expected null"),
-    ], ids=["be-null", "sngp-null", "sngp_de-null", "w_o-null", "gp-with-w_o", "base-with-be"])
+    ], ids=["be-null", "sngp-null", "sngp_de-null", "w_o-null", "gp-with-b_o", "base-with-be"])
     def test_head_presence_follows_the_method(self, tmp_path, method, key, value, message):
         path, payload = fresh_bundle(tmp_path, method)
         last = len(payload["members"]) - 1
@@ -1121,7 +1138,7 @@ class TestBundleLayout:
         model = init_model(dims_for(vocab_size), small_config(method), seed=2)
         rows = rows_for(vocab_size, examples)
         _, grads = _loss_and_grads(model, rows, np.arange(len(rows.targets)),
-                                   be_member=1 if method == "be" else None, dropout_seed=5)
+                                   be_member=1 if method == "be" else 0, dropout_seed=5)
         arrays = trainable(model)
         assert sorted(grads) == sorted(arrays)
         for path, array in arrays.items():
@@ -1134,27 +1151,27 @@ class TestBundleLayout:
             assert value is array, path
 
 
-# The stored layout of bundle format 7, by dotted key path, in file order.
+# The stored layout of bundle format 8, by dotted key path, in file order.
 # A change to `ModelDims`, `MethodConfig`, `SngpConfig`, `Member` or a head
 # moves these paths and is a new format: bump BUNDLE_FORMAT_VERSION and
 # write the new table, so a bundle of the old layout is refused by its
 # version rather than by its unknown keys.
-FORMAT_7_HEAD = ["format_version", "method", "dims", "run_sha256", "members"]
-FORMAT_7_CARDS = {
+FORMAT_8_HEAD = ["format_version", "method", "dims", "run_sha256", "members"]
+FORMAT_8_CARDS = {
     "dims": ["vocab_size", "embed_dim", "hidden_dim"],
     "method": ["method", "samples", "be_size", "sngp.rff_dim", "sngp.mean_field_factor",
                "seeds"],
 }
-FORMAT_7_BODY = ["seed", "loss_history", "embed", "w_h", "b_h", "w_o", "b_o"]
-FORMAT_7_GP = ["sngp.w_r", "sngp.b_r", "sngp.beta", "sngp.chol_inv"]
-FORMAT_7_MEMBERS = {
-    "base": FORMAT_7_BODY + ["be", "sngp"],
-    "mcd": FORMAT_7_BODY + ["be", "sngp"],
-    "be": FORMAT_7_BODY + ["be.r", "be.s", "sngp"],
-    "sngp": FORMAT_7_BODY + ["be"] + FORMAT_7_GP,
-    "sngp_mcd": FORMAT_7_BODY + ["be"] + FORMAT_7_GP,
-    "de": FORMAT_7_BODY + ["be", "sngp"],
-    "sngp_de": FORMAT_7_BODY + ["be"] + FORMAT_7_GP,
+FORMAT_8_BODY = ["seed", "loss_history", "embed", "w_h", "b_h", "w_o", "b_o"]
+FORMAT_8_GP = ["sngp.w_r", "sngp.b_r", "sngp.chol_inv"]
+FORMAT_8_MEMBERS = {
+    "base": FORMAT_8_BODY + ["be", "sngp"],
+    "mcd": FORMAT_8_BODY + ["be", "sngp"],
+    "be": FORMAT_8_BODY + ["be.r", "be.s", "sngp"],
+    "sngp": FORMAT_8_BODY + ["be"] + FORMAT_8_GP,
+    "sngp_mcd": FORMAT_8_BODY + ["be"] + FORMAT_8_GP,
+    "de": FORMAT_8_BODY + ["be", "sngp"],
+    "sngp_de": FORMAT_8_BODY + ["be"] + FORMAT_8_GP,
 }
 
 
@@ -1174,12 +1191,12 @@ class TestBundleFormat:
     @pytest.mark.parametrize("method", METHODS)
     def test_stored_layout_matches_the_format_table(self, tmp_path, method):
         _, payload = fresh_bundle(tmp_path, method)
-        assert payload["format_version"] == BUNDLE_FORMAT_VERSION == 7
-        assert list(payload) == FORMAT_7_HEAD
-        for card, paths in FORMAT_7_CARDS.items():
+        assert payload["format_version"] == BUNDLE_FORMAT_VERSION == 8
+        assert list(payload) == FORMAT_8_HEAD
+        for card, paths in FORMAT_8_CARDS.items():
             assert key_paths(payload[card]) == paths, card
         for member in payload["members"]:
-            assert key_paths(member) == FORMAT_7_MEMBERS[method]
+            assert key_paths(member) == FORMAT_8_MEMBERS[method]
 
 
 class TestRunStamp:
