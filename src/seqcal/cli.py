@@ -14,7 +14,6 @@ Layout under --out:
     train.jsonl dev.jsonl test.jsonl
     models/<method>.json     trained member bundle, stamped with the run
     preds/<method>.jsonl     decoded test predictions, the ones eval scores
-    preds/<split>/<method>.jsonl  decoded train or dev predictions
     reports/*.csv            calibration, correlation, selection reports
 
 Each file replaces its old version only once it is complete, so a stage
@@ -281,12 +280,8 @@ class OutDir:
     def model_bundle(self, method: str):
         return self.path("models", f"{method}.json")
 
-    def predictions(self, method: str, split: str = "test"):
-        """Test predictions sit directly under preds/, the ones eval reads;
-        other splits get their own subdirectory so they never replace them."""
-        if split == "test":
-            return self.path("preds", f"{method}.jsonl")
-        return self.path("preds", split, f"{method}.jsonl")
+    def predictions(self, method: str):
+        return self.path("preds", f"{method}.jsonl")
 
     def report(self, name: str):
         return self.path("reports", name)
@@ -385,10 +380,10 @@ def cmd_train(config: RunConfig, out: OutDir, method_arg: str) -> None:
             del members  # at one CPU the pool runs the next method's jobs here
 
 
-def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> None:
+def cmd_infer(config: RunConfig, out: OutDir, method_arg: str) -> None:
     methods = _resolve_methods(method_arg)
     stamp = open_run(config, out)
-    examples = read_records(out.split(split), config.vocab_size)
+    examples = read_records(out.split("test"), config.vocab_size)
 
     def decode(method):
         bundle_path = out.model_bundle(method)
@@ -414,8 +409,8 @@ def cmd_infer(config: RunConfig, out: OutDir, method_arg: str, split: str) -> No
     with JobPool(decode, jobs, lambda method: f"{method} decoding") as pool:
         for method in methods:
             preds = pool.take(method)
-            path = out.predictions(method, split)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
+            path = out.predictions(method)
+            out.ensure("preds")
             write_predictions(preds, path)
             print(f"decoded {len(preds)} examples with {method} -> {path}")
 
@@ -502,23 +497,13 @@ def _summary_rows(headlines: dict, gaps: list) -> list[tuple]:
     return rows
 
 
-def cmd_eval(config: RunConfig, out: OutDir, method_arg: str | None) -> None:
+def cmd_eval(config: RunConfig, out: OutDir) -> None:
     open_run(config, out)
     test = read_records(out.split("test"), config.vocab_size)
     max_len = config.posterior_config().max_len
-    if method_arg is None:
-        methods = [m for m in METHODS if os.path.exists(out.predictions(m))]
-        if not methods:
-            raise ConfigurationError(
-                f"no prediction files under {out.path('preds')}; run infer first"
-            )
-    else:
-        methods = _resolve_methods(method_arg)
-        for m in methods:
-            if not os.path.exists(out.predictions(m)):
-                raise ConfigurationError(
-                    f"no predictions for {m!r} at {out.predictions(m)}; run infer first"
-                )
+    methods = [m for m in METHODS if os.path.exists(out.predictions(m))]
+    if not methods:
+        raise ConfigurationError(f"no prediction files under {out.path('preds')}; run infer first")
     out.ensure("reports")
     rows, headlines = evaluate(
         ((m, join_with_references(read_predictions(out.predictions(m), config.vocab_size,
@@ -569,14 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(g)
     t = sub.add_parser("train", help="train model members for a method")
     common(t, method=True)
-    i = sub.add_parser("infer", help="decode a split with a trained method")
+    i = sub.add_parser("infer", help="decode the test split with a trained method")
     common(i, method=True)
-    i.add_argument("--split", default="test", choices=("train", "dev", "test"),
-                   help="which split to decode (default test)")
-    e = sub.add_parser("eval", help="score predictions and write reports")
+    e = sub.add_parser("eval", help="score every method's test predictions and write reports")
     common(e)
-    e.add_argument("--method", default=None,
-                   help="restrict to these methods (default: all with predictions)")
     return parser
 
 
@@ -590,9 +571,9 @@ def main(argv=None) -> int:
         elif args.command == "train":
             cmd_train(config, out, args.method)
         elif args.command == "infer":
-            cmd_infer(config, out, args.method, args.split)
+            cmd_infer(config, out, args.method)
         elif args.command == "eval":
-            cmd_eval(config, out, args.method)
+            cmd_eval(config, out)
         return 0
     except (ConfigurationError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

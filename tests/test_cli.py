@@ -1,7 +1,9 @@
 """Run-config loading, derivations, subcommands, and exit codes."""
 
+import argparse
 import csv
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -12,6 +14,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,19 +330,6 @@ class TestPipeline:
         for p, blob in first.items():
             assert open(p, "rb").read() == blob, p
 
-    def test_infer_other_split_keeps_test_predictions(self, tmp_path):
-        cfg_path, out = run_pipeline(tmp_path, methods="base")
-        test_preds = os.path.join(out, "preds", "base.jsonl")
-        before = open(test_preds, "rb").read()
-        assert main(["infer", "--config", cfg_path, "--out", out,
-                     "--method", "base", "--split", "dev"]) == 0
-        dev_preds = os.path.join(out, "preds", "dev", "base.jsonl")
-        assert [r.id for r in read_predictions(dev_preds, SMALL["vocab_size"],
-                                               SMALL["task"]["output_len"])] == [
-            r.id for r in read_records(os.path.join(out, "dev.jsonl"), SMALL["vocab_size"])]
-        assert open(test_preds, "rb").read() == before
-        assert main(["eval", "--config", cfg_path, "--out", out]) == 0
-
     def test_bundle_carries_method_config(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL)
         out = str(tmp_path / "run")
@@ -356,15 +346,18 @@ class TestPipeline:
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["train", "--out", "x"],
-        ["infer", "--config", "c.json", "--out", "x", "--method", "base", "--split", "nope"],
+        ["infer", "--config", "c.json", "--out", "x", "--method", "base", "--split", "dev"],
+        ["eval", "--config", "c.json", "--out", "x", "--method", "base"],
+        ["eval", "--config", "c.json", "--out", "x", "--method", "base,base"],
         ["frob", "--config", "c.json", "--out", "x"],
         ["gen-data", "--config", "c.json", "--out", "x", "--frob"],
-    ], ids=["missing-options", "bad-split", "unknown-subcommand", "unknown-option"])
+    ], ids=["missing-options", "infer-split", "eval-method", "eval-repeated-method",
+            "unknown-subcommand", "unknown-option"])
     def test_usage_error_is_one(self, argv, capsys):
         # argparse's own exit 2 would read as a runtime failure
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err
+        assert err.startswith("usage: seqcal") and "error:" in err and "Traceback" not in err
 
     def test_help_is_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -982,12 +975,12 @@ class TestRunDirectoryBelongsToOneConfig:
         # ids are unique across the corpus, so dev predictions join no test
         # reference; eval leaves the reports of the last good run as they were
         cfg_path, out = run_pipeline(tmp_path, methods="base")
-        assert main(["infer", "--config", cfg_path, "--out", out,
-                     "--method", "base", "--split", "dev"]) == 0
-        dev = read_predictions(os.path.join(out, "preds", "dev", "base.jsonl"),
-                               SMALL["vocab_size"], SMALL["task"]["output_len"])
-        preds = tmp_path / "run" / "preds" / "base.jsonl"
-        preds.write_bytes((tmp_path / "run" / "preds" / "dev" / "base.jsonl").read_bytes())
+        config = load_config(cfg_path)
+        members = read_bundle(os.path.join(out, "models", "base.json"), run_stamp(out))
+        dev = decode_corpus(members, read_records(os.path.join(out, "dev.jsonl"),
+                                                  config.vocab_size),
+                            config.posterior_config(), run_seed=config.run_seed("base"))
+        write_predictions(dev, os.path.join(out, "preds", "base.jsonl"))
         self._refused(capsys, ["eval", "--config", cfg_path, "--out", out],
                       tmp_path / "run", f"prediction {dev[0].id!r} has no reference example")
 
@@ -1009,7 +1002,7 @@ class TestRunDirectoryBelongsToOneConfig:
         self._refused(capsys, ["eval", "--config", cfg_path, "--out", out], tmp_path / "run",
                       f"manifest.config.eval has unknown keys ['{key}']")
 
-    @pytest.mark.parametrize("stage", ["train", "infer", "eval"])
+    @pytest.mark.parametrize("stage", ["train", "infer"])
     def test_repeated_method_touches_nothing(self, tmp_path, capsys, stage):
         cfg_path, out = run_pipeline(tmp_path, methods="base")
         self._refused(capsys, [stage, "--config", cfg_path, "--out", out,
@@ -1349,8 +1342,6 @@ class TestOutDir:
         out = OutDir(str(tmp_path / "x"))
         assert out.model_bundle("mcd").endswith(os.path.join("models", "mcd.json"))
         assert out.predictions("de").endswith(os.path.join("preds", "de.jsonl"))
-        assert out.predictions("de", "test") == out.predictions("de")
-        assert out.predictions("de", "dev").endswith(os.path.join("preds", "dev", "de.jsonl"))
         assert out.report("ece.csv").endswith(os.path.join("reports", "ece.csv"))
         out.ensure("models")
         assert os.path.isdir(out.path("models"))
@@ -1399,3 +1390,28 @@ print(sorted(set(sys.modules) - before))
     done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_option_is_one_the_benchmark_passes(tmp_path, monkeypatch):
+    # An option no caller passes is a setting no workload varies; the
+    # benchmark's stage command lines are the callers that set the
+    # pipeline's options, so each subcommand defines exactly those.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while being built
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    bench = run.Bench("demo", 0, tmp_path, run.now())
+    subcommands = next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    defined = {name: {option for action in parser._actions
+                      for option in action.option_strings} - {"-h", "--help"}
+               for name, parser in subcommands.items()}
+    passed = {name: {arg for arg in bench.stage_argv(name, tmp_path / "run")
+                     if arg.startswith("--")}
+              for name in run.STAGES}
+    assert defined == passed
