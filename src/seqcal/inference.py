@@ -152,8 +152,7 @@ def _member_pass(model: TrainedModel, ctx, states, mask, be_member: int) -> np.n
     logits = out["logits"]
     if model.sngp is not None:
         sigma2 = predictive_variance(model.sngp, out["feat"])
-        logits = mean_field_logits(logits, sigma2[..., None],
-                                   model.config.sngp.mean_field_factor)
+        logits = mean_field_logits(logits, sigma2[..., None])
     if not np.all(np.isfinite(logits)):
         raise NumericalStateError(
             f"{model.config.method} decode pass produced non-finite logits")

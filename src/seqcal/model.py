@@ -79,10 +79,12 @@ from .rng import stream
 METHODS = ("base", "mcd", "be", "sngp", "sngp_mcd", "de", "sngp_de")
 
 # The methods' fixed settings: the inverted-dropout rate of the
-# mc-dropout variants and the bound on the top singular value of the
-# gaussian-process methods' hidden weights.
+# mc-dropout variants, the bound on the top singular value of the
+# gaussian-process methods' hidden weights, and the factor their
+# mean-field logits scale the predictive variance by.
 DROPOUT_RATE = 0.1
 SPEC_NORM_BOUND = 1.0
+MEAN_FIELD_FACTOR = 1e-4
 
 
 def dropout_active(method: str) -> bool:
@@ -116,15 +118,10 @@ class ModelDims:
 @dataclass(frozen=True)
 class SngpConfig:
     rff_dim: int = 128
-    mean_field_factor: float = 1e-4
 
     def __post_init__(self):
         if self.rff_dim < 1:
             raise ConfigurationError(f"rff_dim must be >= 1, got {self.rff_dim}")
-        if self.mean_field_factor < 0.0:
-            raise ConfigurationError(
-                f"mean_field_factor must be nonnegative, got {self.mean_field_factor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -434,14 +431,13 @@ def predictive_variance(state: SngpState, phi_rows: np.ndarray) -> np.ndarray:
     return np.einsum("...d,...d->...", solved, solved)
 
 
-def mean_field_logits(logits, variances, factor: float) -> np.ndarray:
-    """Scale logits by 1/sqrt(1 + factor * variance).
+def mean_field_logits(logits, variances) -> np.ndarray:
+    """Scale logits by 1/sqrt(1 + MEAN_FIELD_FACTOR * variance).
 
-    factor=0 returns the logits unchanged, since sqrt(1 + 0 * v) is exactly
-    1 for finite v.  Variances broadcast against the logits, so a row's
-    variance, shared across its classes, carries a trailing axis of length
-    one; negative variances are a numerical-state error.  The factor is
-    `SngpConfig.mean_field_factor`, which is never negative.
+    A factor of 0 returns the logits unchanged, since sqrt(1 + 0 * v) is
+    exactly 1 for finite v.  Variances broadcast against the logits, so a
+    row's variance, shared across its classes, carries a trailing axis of
+    length one; negative variances are a numerical-state error.
     """
     logits = np.asarray(logits, dtype=float)
     variances = np.asarray(variances, dtype=float)
@@ -449,7 +445,7 @@ def mean_field_logits(logits, variances, factor: float) -> np.ndarray:
         raise NumericalStateError(
             f"negative predictive variance {variances.min()} in mean-field scaling"
         )
-    return logits / np.sqrt(1.0 + factor * variances)
+    return logits / np.sqrt(1.0 + MEAN_FIELD_FACTOR * variances)
 
 
 # ---------------------------------------------------------------------------

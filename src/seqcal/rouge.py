@@ -1,31 +1,27 @@
-"""Token-level ROUGE-1, ROUGE-2, and ROUGE-L over integer id sequences.
+"""Token-level ROUGE-1, ROUGE-2, and ROUGE-L F1 over integer id sequences.
 
 The corpus is synthetic, so there is no stemming, casing, or stopword
 handling anywhere: scores are deterministic functions of the id sequences.
 N-gram variants use clipped counts; the L variant uses the longest common
-subsequence.  F1 is the harmonic mean of precision and recall, defined as
-0 when both are 0, and is the headline number.  Scores live in [0, 1];
+subsequence.  Each score is F1, the harmonic mean of precision and recall,
+defined as 0 when nothing overlaps.  Scores live in [0, 1];
 `score_quality` scales to the percentage convention used in reports.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class RougeScore:
-    precision: float
-    recall: float
-    f1: float
-
-
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
+def _f1(overlap: int, hyp_total: int, ref_total: int) -> float:
+    """F1 of `overlap` matched units out of `hyp_total` hypothesis and
+    `ref_total` reference units."""
+    if not overlap:
         return 0.0
+    precision = overlap / hyp_total
+    recall = overlap / ref_total
     return 2.0 * precision * recall / (precision + recall)
 
 
@@ -33,20 +29,14 @@ def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def rouge_n(hypothesis, reference, n: int) -> RougeScore:
-    """Clipped n-gram overlap score; order n must be 1 or 2."""
+def rouge_n(hypothesis, reference, n: int) -> float:
+    """Clipped n-gram overlap F1; order n must be 1 or 2."""
     if n not in (1, 2):
         raise ConfigurationError(f"rouge_n order must be 1 or 2, got {n}")
-    hyp = tuple(hypothesis)
-    ref = tuple(reference)
-    hyp_counts = _ngram_counts(hyp, n)
-    ref_counts = _ngram_counts(ref, n)
+    hyp_counts = _ngram_counts(tuple(hypothesis), n)
+    ref_counts = _ngram_counts(tuple(reference), n)
     overlap = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-    total_hyp = sum(hyp_counts.values())
-    total_ref = sum(ref_counts.values())
-    precision = overlap / total_hyp if total_hyp else 0.0
-    recall = overlap / total_ref if total_ref else 0.0
-    return RougeScore(precision, recall, _f1(precision, recall))
+    return _f1(overlap, sum(hyp_counts.values()), sum(ref_counts.values()))
 
 
 def lcs_length(a, b) -> int:
@@ -65,22 +55,17 @@ def lcs_length(a, b) -> int:
     return prev[len(b)]
 
 
-def rouge_l(hypothesis, reference) -> RougeScore:
-    """Longest-common-subsequence score."""
+def rouge_l(hypothesis, reference) -> float:
+    """Longest-common-subsequence F1."""
     hyp = tuple(hypothesis)
     ref = tuple(reference)
-    if not hyp or not ref:
-        return RougeScore(0.0, 0.0, 0.0)
-    lcs = lcs_length(hyp, ref)
-    precision = lcs / len(hyp)
-    recall = lcs / len(ref)
-    return RougeScore(precision, recall, _f1(precision, recall))
+    return _f1(lcs_length(hyp, ref), len(hyp), len(ref))
 
 
 def score_quality(hypothesis, reference) -> dict[str, float]:
     """F1 percentages keyed the way prediction records store them."""
     return {
-        "rouge1": 100.0 * rouge_n(hypothesis, reference, 1).f1,
-        "rouge2": 100.0 * rouge_n(hypothesis, reference, 2).f1,
-        "rougeL": 100.0 * rouge_l(hypothesis, reference).f1,
+        "rouge1": 100.0 * rouge_n(hypothesis, reference, 1),
+        "rouge2": 100.0 * rouge_n(hypothesis, reference, 2),
+        "rougeL": 100.0 * rouge_l(hypothesis, reference),
     }

@@ -36,7 +36,7 @@ another stamp; each member's arrays must have the shapes of a fresh
 `init_model` of the stored method and dims.  Each array is stored as its
 shape and the base64 of its raw float64 bytes (see `schema`), so floats
 survive a round trip bit for bit and no weight becomes a Python float on
-either side.  Format 8 stores per member its seed, loss history, embed,
+either side.  Format 9 stores per member its seed, loss history, embed,
 w_h, b_h, the output layer w_o and b_o (null for a GP head), then the
 batch-ensemble head (r, s) and the GP head (w_r, b_r and its L^{-1}
 chol_inv), each null unless the method has it; a bundle of any other
@@ -78,7 +78,7 @@ from .model import (
 from .rng import derive_seed, stream
 from .schema import from_json, parse_json, to_json, write_text
 
-BUNDLE_FORMAT_VERSION = 8
+BUNDLE_FORMAT_VERSION = 9
 
 # Cross-entropy this far above any legitimate value means the run has
 # diverged even when saturation keeps every float finite.

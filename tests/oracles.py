@@ -92,7 +92,8 @@ def abstention_oracle(records, quality_key, alphas):
 
 
 def rouge_n_oracle(hyp, ref, n):
-    """Counting route shared with test_rouge; returns (p, r, f1)."""
+    """ROUGE-N F1 by hand-built dict counts; test_rouge and criterion 1
+    compare `rouge.rouge_n` with it."""
     def grams(seq):
         out = {}
         for i in range(len(seq) - n + 1):
@@ -106,8 +107,7 @@ def rouge_n_oracle(hyp, ref, n):
     tr = sum(rg.values())
     p = overlap / th if th else 0.0
     r = overlap / tr if tr else 0.0
-    f = 0.0 if p + r == 0 else 2 * p * r / (p + r)
-    return p, r, f
+    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
 def lcs_oracle(a, b):
@@ -126,13 +126,13 @@ def lcs_oracle(a, b):
 
 
 def rouge_l_oracle(hyp, ref):
+    """ROUGE-L F1 over the exhaustive LCS."""
     if not hyp or not ref:
-        return 0.0, 0.0, 0.0
+        return 0.0
     lcs = lcs_oracle(tuple(hyp), tuple(ref))
     p = lcs / len(hyp)
     r = lcs / len(ref)
-    f = 0.0 if p + r == 0 else 2 * p * r / (p + r)
-    return p, r, f
+    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
 def forward_oracle(model, input_tokens, prefix_tokens, mask=None, be_member=0):
@@ -535,12 +535,20 @@ def edit_array(holder: dict, key: str, edit) -> None:
     holder[key] = encode_array(arr)
 
 
-def as_format_7(bundle: dict) -> dict:
+def as_format_8(bundle: dict) -> dict:
     """A parsed bundle of the current format rewritten, in place, to the
-    layout of format 7: each GP head stores its output weights as
+    layout of format 8: the method card's `sngp` block stores
+    `mean_field_factor` 1e-4 after `rff_dim`, and `format_version` is 8."""
+    bundle["format_version"] = 8
+    bundle["method"]["sngp"]["mean_field_factor"] = 1e-4
+    return bundle
+
+
+def as_format_7(bundle: dict) -> dict:
+    """`as_format_8`, then each GP head stores its output weights as
     `sngp.beta` (between `b_r` and `chol_inv`), the member's `w_o` is null,
     and `format_version` is 7."""
-    bundle["format_version"] = 7
+    as_format_8(bundle)["format_version"] = 7
     for member in bundle["members"]:
         sngp = member["sngp"]
         if sngp is not None:

@@ -6,7 +6,6 @@ import hashlib
 import importlib.util
 import itertools
 import json
-import math
 import os
 import signal
 import subprocess
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import as_format_7, decode_array, edit_array, encode_array
+from oracles import as_format_7, as_format_8, decode_array, edit_array, encode_array
 from seqcal.calib import ALPHAS, THRESHOLDS, write_csv
 from seqcal.cli import (
     MAX_DE_SIZE,
@@ -85,7 +84,7 @@ class TestLoadConfig:
         assert cfg.methods.samples == 10
         assert cfg.methods.be_size == 5
         assert cfg.methods.de_size == 10
-        assert asdict(cfg.methods.sngp) == {"rff_dim": 128, "mean_field_factor": 1e-4}
+        assert asdict(cfg.methods.sngp) == {"rff_dim": 128}
         assert cfg.decode.beam_size == 3
         assert asdict(cfg.eval) == {"bootstrap_resamples": 200}
 
@@ -146,7 +145,9 @@ class TestLoadConfig:
         ("task", {"kind": "noisy-paraphrase", "noise_rate": 2.0}, "noise_rate"),
         ("task", {"input_len": 3, "output_len": 4}, "exceeds input_len"),
         ("task", {"kind": "keyword-extract", "num_keywords": -1}, "num_keywords"),
-        ("methods", {"sngp": {"mean_field_factor": math.inf}}, "mean_field_factor.*finite"),
+        pytest.param("methods", {"sngp": {"mean_field_factor": 1e-4}},
+                     r"config.methods.sngp has unknown keys \['mean_field_factor'\]",
+                     id="methods-removed-mean_field_factor"),
         pytest.param("methods", {"sngp": {"kernel_scale": 1.0}},
                      r"config.methods.sngp has unknown keys \['kernel_scale'\]",
                      id="methods-removed-kernel_scale"),
@@ -653,8 +654,8 @@ class TestExitCodes:
         ("task", {"kind": "noisy-paraphrase", "noise_rate": 2.0}),
         ("task", {"output_len": 4}),
         ("task", {"kind": "keyword-extract", "num_keywords": -1}),
-        ("methods", {"sngp": {"rff_dim": 16, "mean_field_factor": math.inf}}),
         # a retired method setting is an unknown key
+        ("methods", {"sngp": {"rff_dim": 16, "mean_field_factor": 1e-4}}),
         ("methods", {"sngp": {"rff_dim": 16, "kernel_scale": 1.0}}),
         ("task", {"kind": "keyword-extract", "noise_rate": 0.5}),
         (None, {"n_examples": 9}),
@@ -681,7 +682,8 @@ class TestExitCodes:
         assert not os.path.exists(fresh)
 
     def test_version_one_bundle_is_one(self, tmp_path, capsys):
-        # versions 1 to 7 stored each GP head's output weights as sngp.beta
+        # versions 1 to 8 stored the mean-field factor in the method card;
+        # 1 to 7 each GP head's output weights as sngp.beta
         # with a null w_o; 1 to 6 its precision and validity flag in place
         # of its factor; 1 to 5 the bos and eos ids in the dims
         # card; 1 to 4 every array as nested lists; 1 to 3 the dropout
@@ -705,8 +707,9 @@ class TestExitCodes:
             chol = np.linalg.inv(decode_array(sngp.pop("chol_inv")))
             sngp.update(precision=encode_array(chol @ chol.T), covariance_valid=True)
 
-        for version in (1, 2, 3, 4, 5, 6, 7):
-            bundle = as_format_7(json.loads(current))
+        for version in (1, 2, 3, 4, 5, 6, 7, 8):
+            bundle = json.loads(current)
+            bundle = as_format_8(bundle) if version == 8 else as_format_7(bundle)
             if version < 7:
                 with_precision(bundle["members"][0]["sngp"])
             bundle = bundle if version >= 5 else as_lists(bundle)
@@ -727,7 +730,7 @@ class TestExitCodes:
             assert main(["infer", "--config", cfg_path, "--out", out,
                          "--method", "sngp"]) == 1, version
             err = capsys.readouterr().err
-            assert f"{bundle_path}: bundle has format_version {version}, expected 8" in err, \
+            assert f"{bundle_path}: bundle has format_version {version}, expected 9" in err, \
                 version
             assert "Traceback" not in err, version
             assert not os.path.exists(os.path.join(out, "preds", "sngp.jsonl")), version
@@ -814,7 +817,7 @@ class TestExitCodes:
         assert not os.path.exists(os.path.join(out, "preds", "be.jsonl"))
 
     @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters", "kernel_scale",
-                                      "spec_norm_bound"])
+                                      "spec_norm_bound", "mean_field_factor"])
     def test_retired_sngp_knob_is_one(self, tmp_path, capsys, knob):
         payload = dict(SMALL, methods=dict(SMALL["methods"], sngp={"rff_dim": 16, knob: 1}))
         bad_path = write_config(tmp_path, payload, name="bad.json")

@@ -107,11 +107,11 @@ class TestPosteriorMean:
             acc += softmax(forward_oracle(m, (3, 5), (4,)))
         assert np.allclose(dist, acc / 3, atol=1e-12)
 
-    def test_gp_head_applies_mean_field(self):
+    def test_gp_head_applies_mean_field(self, monkeypatch):
         from seqcal.model import gp_features, mean_field_logits, predictive_variance
 
-        members = make_members("sngp", seed=6, sngp=SngpConfig(rff_dim=12,
-                                                               mean_field_factor=0.7))
+        monkeypatch.setattr("seqcal.model.MEAN_FIELD_FACTOR", 0.7)
+        members = make_members("sngp", seed=6, sngp=SngpConfig(rff_dim=12))
         model = members[0]
         dist = package_dist(members, (3, 4), (5,), run_seed=0,
                             example_id="x", step=0)
@@ -120,7 +120,7 @@ class TestPosteriorMean:
         h = np.tanh(model.w_h @ np.concatenate([ctx, pre]) + model.b_h)
         phi = gp_features(h, model.sngp)[1]
         sigma2 = predictive_variance(model.sngp, phi[None, :])
-        logits = mean_field_logits(phi @ model.w_o.T, sigma2[0], 0.7)
+        logits = mean_field_logits(phi @ model.w_o.T, sigma2[0])
         assert np.allclose(dist, softmax(logits), atol=1e-12)
 
     def test_mean_of_probs_differs_from_probs_of_mean(self):
@@ -176,11 +176,11 @@ class TestPosteriorMean:
             beam_decode(members, (9,), PosteriorConfig(), run_seed=0, example_id="x")
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_single_prefix_equals_oracle_unit_average(self, method):
+    def test_single_prefix_equals_oracle_unit_average(self, method, monkeypatch):
         # factor 0 leaves GP logits unscaled; test_gp_head_applies_mean_field
         # covers factor > 0
-        kwargs = {"samples": 3, "be_size": 3,
-                  "sngp": SngpConfig(rff_dim=10, mean_field_factor=0.0)}
+        monkeypatch.setattr("seqcal.model.MEAN_FIELD_FACTOR", 0.0)
+        kwargs = {"samples": 3, "be_size": 3, "sngp": SngpConfig(rff_dim=10)}
         if method in ("de", "sngp_de"):
             kwargs["seeds"] = (4, 5, 6)
         members = make_members(method, seed=8, **kwargs)

@@ -17,6 +17,7 @@ from seqcal.corpus import BOS_ID, EOS_ID, PAD_ID, ExampleRecord, content_ids, ma
 from seqcal.errors import ConfigurationError, InputError, NumericalStateError
 from seqcal.model import (
     DROPOUT_RATE,
+    MEAN_FIELD_FACTOR,
     SPEC_NORM_BOUND,
     MethodConfig,
     ModelDims,
@@ -112,27 +113,30 @@ class TestMethodConfig:
         with pytest.raises(ConfigurationError, match="rff_dim"):
             SngpConfig(rff_dim=0)
 
+    @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters", "kernel_scale",
+                                      "spec_norm_bound", "mean_field_factor"])
+    def test_retired_sngp_knobs_refused(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            SngpConfig(**{knob: 1})
+
     def test_negative_factor_rejected(self):
-        # the one check of the factor `mean_field_logits` scales by, made
-        # both for a config and for the method card a bundle stores
-        with pytest.raises(ConfigurationError, match="mean_field_factor"):
+        # the factor `mean_field_logits` scales by is the constant
+        # MEAN_FIELD_FACTOR: neither a config nor the method card a bundle
+        # stores can carry another value, a negative one included
+        assert MEAN_FIELD_FACTOR >= 0.0
+        with pytest.raises(TypeError, match="mean_field_factor"):
             SngpConfig(mean_field_factor=-1e-4)
         card = to_json(MethodConfig(method="sngp"))
         card["sngp"]["mean_field_factor"] = -1.0
         with pytest.raises(ConfigurationError, match="mean_field_factor"):
             from_json(MethodConfig, card, "bundle.method")
 
-    @pytest.mark.parametrize("knob", ["cov_momentum", "power_iters", "kernel_scale",
-                                      "spec_norm_bound"])
-    def test_retired_sngp_knobs_refused(self, knob):
-        with pytest.raises(TypeError, match=knob):
-            SngpConfig(**{knob: 1})
-
     def test_dropout_rate_is_a_constant(self):
         # the rate is DROPOUT_RATE for every method; the config has no knob
         with pytest.raises(TypeError, match="dropout_rate"):
             MethodConfig(method="mcd", dropout_rate=0.1)
         assert 0.0 < DROPOUT_RATE < 1.0 and SPEC_NORM_BOUND > 0.0
+        assert MEAN_FIELD_FACTOR >= 0.0
 
 
 class TestInit:
@@ -566,26 +570,30 @@ class TestPredictiveVariance:
 
 
 class TestMeanFieldLogits:
-    def test_zero_factor_is_identity(self):
+    def test_zero_factor_is_identity(self, monkeypatch):
+        monkeypatch.setattr("seqcal.model.MEAN_FIELD_FACTOR", 0.0)
         logits = np.array([1.0, -2.0, 0.5])
-        got = mean_field_logits(logits, np.array(9.0), 0.0)
+        got = mean_field_logits(logits, np.array(9.0))
         assert np.array_equal(got, logits)
 
-    def test_scalar_variance_formula(self):
+    def test_scalar_variance_formula(self, monkeypatch):
+        monkeypatch.setattr("seqcal.model.MEAN_FIELD_FACTOR", 0.5)
         logits = np.array([2.0, -1.0])
-        got = mean_field_logits(logits, 3.0, 0.5)
+        got = mean_field_logits(logits, 3.0)
         assert np.allclose(got, logits / math.sqrt(2.5), atol=1e-15)
 
-    def test_row_variances_broadcast(self):
+    def test_row_variances_broadcast(self, monkeypatch):
+        monkeypatch.setattr("seqcal.model.MEAN_FIELD_FACTOR", 1.0)
         logits = np.arange(6.0).reshape(2, 3)
         var = np.array([[0.0], [8.0]])
-        got = mean_field_logits(logits, var, 1.0)
+        got = mean_field_logits(logits, var)
         assert np.array_equal(got[0], logits[0])
         assert np.allclose(got[1], logits[1] / 3.0, atol=1e-15)
 
-    def test_negative_variance_rejected(self):
+    def test_negative_variance_rejected(self, monkeypatch):
+        monkeypatch.setattr("seqcal.model.MEAN_FIELD_FACTOR", 1.0)
         with pytest.raises(NumericalStateError, match="negative"):
-            mean_field_logits(np.ones(3), np.array([-0.1]), 1.0)
+            mean_field_logits(np.ones(3), np.array([-0.1]))
 
 
 class TestRowStructure:

@@ -859,9 +859,10 @@ class TestBundles:
         as_format_7(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match=re.escape(
-                f"{path}: bundle has format_version 7, expected 8")):
+                f"{path}: bundle has format_version 7, expected 9")):
             read_bundle(path, STAMP)
-        payload["format_version"] = 8
+        payload["format_version"] = 9
+        del payload["method"]["sngp"]["mean_field_factor"]  # else the card is refused first
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match=re.escape(
                 "bundle.members[0].w_o must be a regular array")):
@@ -1151,27 +1152,26 @@ class TestBundleLayout:
             assert value is array, path
 
 
-# The stored layout of bundle format 8, by dotted key path, in file order.
+# The stored layout of bundle format 9, by dotted key path, in file order.
 # A change to `ModelDims`, `MethodConfig`, `SngpConfig`, `Member` or a head
 # moves these paths and is a new format: bump BUNDLE_FORMAT_VERSION and
 # write the new table, so a bundle of the old layout is refused by its
 # version rather than by its unknown keys.
-FORMAT_8_HEAD = ["format_version", "method", "dims", "run_sha256", "members"]
-FORMAT_8_CARDS = {
+FORMAT_9_HEAD = ["format_version", "method", "dims", "run_sha256", "members"]
+FORMAT_9_CARDS = {
     "dims": ["vocab_size", "embed_dim", "hidden_dim"],
-    "method": ["method", "samples", "be_size", "sngp.rff_dim", "sngp.mean_field_factor",
-               "seeds"],
+    "method": ["method", "samples", "be_size", "sngp.rff_dim", "seeds"],
 }
-FORMAT_8_BODY = ["seed", "loss_history", "embed", "w_h", "b_h", "w_o", "b_o"]
-FORMAT_8_GP = ["sngp.w_r", "sngp.b_r", "sngp.chol_inv"]
-FORMAT_8_MEMBERS = {
-    "base": FORMAT_8_BODY + ["be", "sngp"],
-    "mcd": FORMAT_8_BODY + ["be", "sngp"],
-    "be": FORMAT_8_BODY + ["be.r", "be.s", "sngp"],
-    "sngp": FORMAT_8_BODY + ["be"] + FORMAT_8_GP,
-    "sngp_mcd": FORMAT_8_BODY + ["be"] + FORMAT_8_GP,
-    "de": FORMAT_8_BODY + ["be", "sngp"],
-    "sngp_de": FORMAT_8_BODY + ["be"] + FORMAT_8_GP,
+FORMAT_9_BODY = ["seed", "loss_history", "embed", "w_h", "b_h", "w_o", "b_o"]
+FORMAT_9_GP = ["sngp.w_r", "sngp.b_r", "sngp.chol_inv"]
+FORMAT_9_MEMBERS = {
+    "base": FORMAT_9_BODY + ["be", "sngp"],
+    "mcd": FORMAT_9_BODY + ["be", "sngp"],
+    "be": FORMAT_9_BODY + ["be.r", "be.s", "sngp"],
+    "sngp": FORMAT_9_BODY + ["be"] + FORMAT_9_GP,
+    "sngp_mcd": FORMAT_9_BODY + ["be"] + FORMAT_9_GP,
+    "de": FORMAT_9_BODY + ["be", "sngp"],
+    "sngp_de": FORMAT_9_BODY + ["be"] + FORMAT_9_GP,
 }
 
 
@@ -1191,12 +1191,12 @@ class TestBundleFormat:
     @pytest.mark.parametrize("method", METHODS)
     def test_stored_layout_matches_the_format_table(self, tmp_path, method):
         _, payload = fresh_bundle(tmp_path, method)
-        assert payload["format_version"] == BUNDLE_FORMAT_VERSION == 8
-        assert list(payload) == FORMAT_8_HEAD
-        for card, paths in FORMAT_8_CARDS.items():
+        assert payload["format_version"] == BUNDLE_FORMAT_VERSION == 9
+        assert list(payload) == FORMAT_9_HEAD
+        for card, paths in FORMAT_9_CARDS.items():
             assert key_paths(payload[card]) == paths, card
         for member in payload["members"]:
-            assert key_paths(member) == FORMAT_8_MEMBERS[method]
+            assert key_paths(member) == FORMAT_9_MEMBERS[method]
 
 
 class TestRunStamp:
