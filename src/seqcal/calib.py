@@ -87,8 +87,9 @@ def sequence_pairs(records) -> tuple[np.ndarray, np.ndarray]:
     """Per prediction, its joint confidence and exact-match correctness.
 
     Confidence is exp(`sequence_logp`), the probability of emitting exactly
-    the hypothesis and then eos; hypotheses and references are stored
-    without terminal eos, so plain tuple equality is the exact match.
+    the hypothesis and then eos, from the total the search ranked it by;
+    hypotheses and references are stored without terminal eos, so plain
+    tuple equality is the exact match.
     """
     records = list(records)
     conf = [math.exp(sequence_logp(rec.token_logp, rec.eos_logp)) for rec in records]

@@ -59,17 +59,19 @@ example; a prefix's state sums the embeddings of bos and its tokens
 (`model.sum_embeddings`).
 
 `sequence_logp` is log P = sum_t log pbar(y_t) + log pbar(eos), that of
-emitting exactly the tokens and then stopping.  Its exp is the sequence
-confidence calibration scores, and sequence uncertainty normalizes it,
+emitting exactly the tokens and then stopping, summed left to right as the
+search accumulates it, so it is bit for bit the total the search ranked.
+Its exp is the sequence confidence calibration scores, and sequence
+uncertainty normalizes it,
 
     u = log P / (T + 1)
 
-so lower u means a less confident, more uncertain prediction.
+the search's final-pick score itself, so lower u means a less confident,
+more uncertain prediction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,8 +184,15 @@ def step_distributions(members, ctxs, prefixes, masks):
 
 
 def sequence_logp(token_logp, eos_logp: float) -> float:
-    """Log-probability of emitting exactly these tokens and then eos."""
-    return math.fsum(token_logp) + float(eos_logp)
+    """Log-probability of emitting exactly these tokens and then eos,
+    summed left to right from 0.0 as the search's running totals are."""
+    # a loop, not the built-in sum: from Python 3.12 sum() of floats
+    # compensates its rounding as math.fsum does, and the search's
+    # totals, one rounded add per step, do not
+    total = 0.0
+    for lp in token_logp:
+        total += lp
+    return total + float(eos_logp)
 
 
 def uncertainty_score(token_logp, eos_logp: float) -> float:
@@ -296,19 +305,17 @@ def _search(members, inputs, example_ids, config: PosteriorConfig,
 
     tokens, logps, totals, eos_logp = (np.concatenate(part, axis=1) for part in zip(*closed))
     lengths = np.repeat(np.arange(1, width + 1), [c[0].shape[1] for c in closed])
-    best = _first_by(-(totals + eos_logp) / (lengths + 1),
-                     lambda r, j: tokens[r, j], 1)[:, 0]
+    score = (totals + eos_logp) / (lengths + 1)
+    best = _first_by(-score, lambda r, j: tokens[r, j], 1)[:, 0]
     out = []
     for e, j in enumerate(best.tolist()):
         length = int(lengths[j])
-        token_logp = tuple(logps[e, j, :length].tolist())
-        eos_lp = float(eos_logp[e, j])
         out.append(PredictionRecord(
             id=example_ids[e],
             hypothesis=tuple(tokens[e, j, :length].tolist()),
-            token_logp=token_logp,
-            eos_logp=eos_lp,
-            uncertainty=uncertainty_score(token_logp, eos_lp),
+            token_logp=tuple(logps[e, j, :length].tolist()),
+            eos_logp=float(eos_logp[e, j]),
+            uncertainty=float(score[e, j]),
         ))
     return tuple(out)
 
@@ -360,10 +367,7 @@ def read_predictions(path, vocab_size: int, max_len: int) -> tuple[PredictionRec
         top = max((*rec.token_logp, rec.eos_logp))
         if top > 0.0:
             raise ValidationError(f"log-probability {top!r} is above 0")
-        try:
-            score = uncertainty_score(rec.token_logp, rec.eos_logp)
-        except OverflowError:  # math.fsum overflows on a sum below -1.8e308
-            score = -math.inf
+        score = uncertainty_score(rec.token_logp, rec.eos_logp)
         if rec.uncertainty != score:
             raise ValidationError(f"uncertainty {rec.uncertainty!r} is not {score!r}, "
                                   "the score of its log-probabilities")

@@ -344,8 +344,20 @@ def package_dist(members, input_tokens, prefix, **kwargs):
     return package_rows(members, input_tokens, [prefix], **kwargs)[0]
 
 
+def left_to_right_sum(values):
+    """0.0 plus each value in turn, rounding after every add as a running
+    total does.  Not the built-in sum, which from Python 3.12 compensates
+    float rounding as math.fsum does."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def greedy_oracle(members, input_tokens, config, run_seed, example_id):
-    """Greedy reference: one path, eos candidates collected along the way."""
+    """Greedy reference: one path, eos candidates collected along the way.
+    Returns the best candidate's (tokens, logps, eos_lp, score), score
+    being the (total + eos_lp) / (T + 1) it was picked by."""
     vocab = members[0].dims.vocab_size
     prefix = ()
     logps = []
@@ -373,11 +385,16 @@ def greedy_oracle(members, input_tokens, config, run_seed, example_id):
         tokens, _, tot, eos_lp = c
         return (-(tot + eos_lp) / (len(tokens) + 1), tokens)
 
-    return min(candidates, key=key)
+    best = min(candidates, key=key)
+    tokens, logps, _, eos_lp = best
+    return tokens, logps, eos_lp, -key(best)[0]
 
 
 def exhaustive_oracle(members, input_tokens, config, run_seed, example_id):
-    """Score every content sequence up to max_len; independent of search."""
+    """Score every content sequence up to max_len; independent of search.
+    Returns the best sequence's (tokens, logps, eos_lp, score), score
+    being the (left_to_right_sum(logps) + eos_lp) / (T + 1) it was
+    picked by."""
     vocab = members[0].dims.vocab_size
     content = range(EOS_ID + 1, vocab)
     best = None
@@ -396,10 +413,11 @@ def exhaustive_oracle(members, input_tokens, config, run_seed, example_id):
         dist = posterior_mean_dist(members, input_tokens, seq, run_seed=run_seed,
                                    example_id=example_id, step=len(seq))
         eos_lp = float(np.log(dist[EOS_ID]))
-        key = (-(sum(logps) + eos_lp) / (len(seq) + 1), seq)
+        score = (left_to_right_sum(logps) + eos_lp) / (len(seq) + 1)
+        key = (-score, seq)
         if best_key is None or key < best_key:
             best_key = key
-            best = (seq, tuple(logps), eos_lp)
+            best = (seq, tuple(logps), eos_lp, score)
     return best
 
 

@@ -380,7 +380,8 @@ def test_criterion_4_structural_invariants(announce, monkeypatch):
 
 
 def test_criterion_5_beam_oracle(announce):
-    """Wide beams recover the exhaustive argmax; beam one is greedy."""
+    """Wide beams recover the exhaustive argmax; beam one is greedy.  A
+    record's u is, to the last bit, the score the oracle picked it by."""
     dims4 = ModelDims(vocab_size=4, embed_dim=4, hidden_dim=5)
     exhaustive_matches = 0
     for seed in range(50):
@@ -388,11 +389,12 @@ def test_criterion_5_beam_oracle(announce):
         config = PosteriorConfig(beam_size=64, max_len=3)
         rec = beam_decode([model], (3, 1, 0), config, run_seed=2,
                           example_id=f"x{seed}")
-        tokens, logps, eos_lp = exhaustive_oracle([model], (3, 1, 0), config, 2,
-                                                  f"x{seed}")
+        tokens, logps, eos_lp, score = exhaustive_oracle([model], (3, 1, 0), config, 2,
+                                                         f"x{seed}")
         if (rec.hypothesis == tokens
                 and np.allclose(rec.token_logp, logps, atol=1e-12)
-                and abs(rec.eos_logp - eos_lp) <= 1e-12):
+                and abs(rec.eos_logp - eos_lp) <= 1e-12
+                and rec.uncertainty == score):
             exhaustive_matches += 1
 
     dims6 = ModelDims(vocab_size=6, embed_dim=4, hidden_dim=5)
@@ -402,11 +404,12 @@ def test_criterion_5_beam_oracle(announce):
         config = PosteriorConfig(beam_size=1, max_len=4)
         rec = beam_decode([model], (3, 4, 5), config, run_seed=2,
                           example_id=f"g{seed}")
-        tokens, logps, total, eos_lp = greedy_oracle([model], (3, 4, 5), config, 2,
+        tokens, logps, eos_lp, score = greedy_oracle([model], (3, 4, 5), config, 2,
                                                      f"g{seed}")
         if (rec.hypothesis == tokens
                 and np.allclose(rec.token_logp, logps, atol=1e-12)
-                and abs(rec.eos_logp - eos_lp) <= 1e-12):
+                and abs(rec.eos_logp - eos_lp) <= 1e-12
+                and rec.uncertainty == score):
             greedy_matches += 1
 
     ok = exhaustive_matches == 50 and greedy_matches == 50
@@ -517,17 +520,21 @@ def test_criterion_7_ensemble_trend(announce):
 # The mcd prediction digest and those of the reports with mcd rows (and
 # summary.csv's ranks) were re-pinned when a decode's dropout masks became
 # one stream per example instead of one per (example, step, sample).
+# The de prediction digest, ece.csv and summary.csv were re-pinned when a
+# prediction's u and its sequence confidence became the search's own
+# left-to-right total instead of a math.fsum: two de records' u moved in
+# the last bit, and with them de's sequence ECE.
 # A speedup must leave every one of them unchanged, so a last-bit drift in
 # any stage fails here even though both runs of one tree would agree.
 PIPELINE_SHA256 = {
     "preds/mcd.jsonl": "6fca1411e99d63071a72f2ca6fdf05be0d8c3d460b0b0729b5434d681afa01c2",
     "preds/sngp.jsonl": "90122ffa36878acf2f784cda201fbf331e3c750c4cab5fe4eebf5047adebff0c",
-    "preds/de.jsonl": "8c2772b41e0fbfe358954885622123a3c0361b9b966793fcf5231f59f93d4b2e",
-    "reports/ece.csv": "aa2ff0e934fca572be944295ef1f187c0687c18be2181e4409979818fbd4d9ed",
+    "preds/de.jsonl": "4a7d61298ba5a0d607d3bd661a4172bc89c67c1f3d3b6336ba67644cdadabe3c",
+    "reports/ece.csv": "4dc515a38f74aaa3e3e16f00ebfa369e67ec96a5e00cd6566f5dd5beafdb7a56",
     "reports/corr.csv": "2a34251dfcc133820042828eab0573f4dfc487058c06d965cdfc18512776a351",
     "reports/roc.csv": "5c8918d3fdf2f4601e2f8bf1816c399a39b7b75e7da11a6429c8d500b3e646a5",
     "reports/abstention.csv": "0cc20bc9535272ec18abab978e6fbefefe90e401517a3dd8f956feeb4e56f76e",
-    "reports/summary.csv": "4fea3d386e34db8d12a91b3805d766dc9e49f5052ea4e3b2f0740c3cf4c2d174",
+    "reports/summary.csv": "bc1407fb9700990af086d3d35452a9507d77defbc59a4a6ac349bb57a6b844d3",
     "reports/gaps.csv": "643a8b2c3e786188b8973848661109d4a4955360b9555c100b1cdfb96d996702",
 }
 

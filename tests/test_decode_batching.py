@@ -8,6 +8,7 @@ pick different hypotheses.  The batch-invariance tests catch that even
 where the one-example oracle shares the bug.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqcal.inference as inference
-from oracles import beam_oracle, sorted_by_oracle
+from oracles import beam_oracle, left_to_right_sum, sorted_by_oracle
+from seqcal.calib import sequence_pairs
 from seqcal.corpus import ExampleRecord, TaskSpec, generate_corpus
 from seqcal.errors import InputError
-from seqcal.inference import PosteriorConfig, beam_decode, decode_corpus
+from seqcal.inference import PosteriorConfig, beam_decode, decode_corpus, join_with_references
 from seqcal.model import (
     METHODS,
     MethodConfig,
@@ -58,7 +60,9 @@ def examples():
 
 @pytest.fixture(scope="module")
 def trained(examples):
-    hyper = TrainHyper(steps=40, batch_size=16, learning_rate=0.5)
+    # long enough that most outputs are multi-token copies, so records
+    # compare several decode steps and sum more than one log-probability
+    hyper = TrainHyper(steps=100, batch_size=16, learning_rate=0.5)
     rows = split_rows(examples[:28], DIMS)
     return {
         method: train_method(rows, DIMS, method_config(method), hyper, seed=1)
@@ -102,6 +106,24 @@ def test_untrained_models_match_oracle(examples, method, zero):
     for config in (CONFIGS["beam3"], CONFIGS["wide-raw"], CONFIGS["prune-norm"]):
         assert decode_corpus(members, test, config, RUN_SEED) == oracle_records(
             members, test, config)
+
+
+def test_u_and_confidence_are_the_search_total(trained, examples):
+    # the search sums each hypothesis's log-probabilities left to right and
+    # picks by (total + eos) / (T + 1): that key is u, and exp(total + eos)
+    # the sequence confidence, to the last bit.  math.fsum rounds once, so
+    # its total differs on some records, and a second sum would show there
+    fsum_differs = 0
+    for method in METHODS:
+        records = join_with_references(
+            decode_corpus(trained[method], examples, CONFIGS["beam3"], RUN_SEED), examples)
+        confidence, _ = sequence_pairs(records)
+        for rec, conf in zip(records, confidence.tolist()):
+            total = left_to_right_sum(rec.token_logp) + rec.eos_logp
+            assert rec.uncertainty == total / (len(rec.hypothesis) + 1)
+            assert conf == math.exp(total)
+            fsum_differs += math.fsum(rec.token_logp) + rec.eos_logp != total
+    assert fsum_differs > 0
 
 
 def test_oracle_sees_a_changed_prefix_state(trained, examples, monkeypatch):

@@ -249,7 +249,7 @@ class TestBeamDecode:
             members = make_members("base", seed=seed)
             rec = beam_decode(members, (3, 4, 5), config, run_seed=7,
                               example_id=f"g{seed}")
-            tokens, logps, total, eos_lp = greedy_oracle(
+            tokens, logps, eos_lp, _ = greedy_oracle(
                 members, (3, 4, 5), config, 7, f"g{seed}")
             assert rec.hypothesis == tokens
             assert np.allclose(rec.token_logp, logps, atol=1e-12)
@@ -273,7 +273,7 @@ class TestBeamDecode:
             members = make_members("mcd", seed=seed, samples=4)
             rec = beam_decode(members, (4, 5), config, run_seed=seed,
                               example_id="d")
-            tokens, logps, total, eos_lp = greedy_oracle(
+            tokens, logps, _, _ = greedy_oracle(
                 members, (4, 5), config, seed, "d")
             assert rec.hypothesis == tokens
             assert np.allclose(rec.token_logp, logps, atol=1e-12)
@@ -284,7 +284,7 @@ class TestBeamDecode:
             members = make_members("base", seed=100 + seed, vocab=4)
             rec = beam_decode(members, (0, 3), config, run_seed=1,
                               example_id=f"x{seed}")
-            tokens, logps, eos_lp = exhaustive_oracle(
+            tokens, logps, eos_lp, _ = exhaustive_oracle(
                 members, (0, 3), config, 1, f"x{seed}")
             assert rec.hypothesis == tokens
             assert np.allclose(rec.token_logp, logps, atol=1e-12)
@@ -297,7 +297,7 @@ class TestBeamDecode:
                                    sngp=SngpConfig(rff_dim=8))
             rec = beam_decode(members, (0, 3), config, run_seed=1,
                               example_id=f"s{seed}")
-            tokens, logps, _ = exhaustive_oracle(members, (0, 3), config, 1, f"s{seed}")
+            tokens, *_ = exhaustive_oracle(members, (0, 3), config, 1, f"s{seed}")
             assert rec.hypothesis == tokens
 
     def test_never_empty_and_capped(self):
@@ -460,15 +460,19 @@ class TestPredictionFiles:
 
     def test_what_the_search_can_write_at_its_bounds_loads(self, tmp_path):
         # the first and last content ids, log-probabilities of 0 and -0,
-        # and a hypothesis of max_len tokens
+        # a hypothesis of max_len tokens, and a u whose log-probabilities
+        # round at every add of the search's left-to-right total
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps({"id": "a", "hypothesis": [3, 9], "token_logp": [0.0, -0.0],
                                     "eos_logp": 0.0, "uncertainty": 0.0}) + "\n"
                         + json.dumps({"id": "b", "hypothesis": [9, 3, 3, 9],
                                       "token_logp": [0.0] * 4, "eos_logp": 0.0,
-                                      "uncertainty": 0.0}) + "\n")
+                                      "uncertainty": 0.0}) + "\n"
+                        + json.dumps({"id": "c", "hypothesis": [3, 4, 5],
+                                      "token_logp": [-0.1, -0.2, -0.3], "eos_logp": -0.25,
+                                      "uncertainty": -0.21250000000000002}) + "\n")
         assert [r.hypothesis for r in read_predictions(path, self.VOCAB_SIZE, self.MAX_LEN)] == [
-            (3, 9), (9, 3, 3, 9)]
+            (3, 9), (9, 3, 3, 9), (3, 4, 5)]
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param({"token_logp": [800.0]}, "log-probability 800.0 is above 0", id="logp-800"),
@@ -482,6 +486,11 @@ class TestPredictionFiles:
         # two log-probabilities whose sum is below the float range
         pytest.param({"hypothesis": [3, 4], "token_logp": [-1e308, -1e308]},
                      "uncertainty -1.0 is not -inf", id="uncertainty-overflow"),
+        # -0.1 + -0.2 + -0.3 + -0.25 rounds at every add; math.fsum rounds
+        # once, and its u is one float away from the one the search stores
+        pytest.param({"hypothesis": [3, 4, 5], "token_logp": [-0.1, -0.2, -0.3],
+                      "eos_logp": -0.25, "uncertainty": -0.2125},
+                     "uncertainty -0.2125 is not -0.21250000000000002", id="uncertainty-fsum"),
         pytest.param({"hypothesis": [], "token_logp": []},
                      "hypothesis must hold at least one token", id="empty"),
         pytest.param({"hypothesis": [-7, 99999, 0, 1], "token_logp": [-1.0] * 4},
